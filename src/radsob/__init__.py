@@ -37,7 +37,6 @@ from .sobolev import (
     RadialFunction,
     SobolevUnsupportedError,
     TailBoundError,
-    bumped_talenti,
     estimate_radial_constant,
     gradient_energy,
     mass_pstar,
@@ -55,6 +54,7 @@ from .rigidity import (
     c2,
     c3,
     c_hat,
+    check_hypotheses,
     estimated_c_m,
     euclidean_weight_integral,
     gamma_lower_bound,

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from .model_manifold import ModelManifold, build_model, parse_curvature, verify_volume_chain
 from .numerics import DEFAULT_QUADRATURE, OdeError, QuadratureError
 from .rigidity import (
+    _fmt,
+    check_hypotheses,
     estimated_c_m,
     mass_escape_experiment,
     verify_theorem,
@@ -41,14 +43,6 @@ from .sobolev import (
 )
 from .talenti import SobolevParams, TalentiProfile, sharp_constant, sharp_constant_detail
 from .talenti import sphere_area, unit_ball_volume
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _round12(x: float) -> float:
@@ -116,6 +110,16 @@ def _parse_lambda_list(text: str) -> tuple:
     return values
 
 
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radsob",
@@ -129,12 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--lambda", dest="lambda_list", type=_parse_lambda_list,
                          default=DEFAULT_LAMBDAS)
         cmd.add_argument("--g", dest="g_spec", default="zero")
-        cmd.add_argument("--t-max", dest="t_max", type=float, default=50.0)
-        cmd.add_argument("--step", type=float, default=1e-3)
+        cmd.add_argument("--t-max", dest="t_max", type=_positive_finite, default=50.0)
+        cmd.add_argument("--step", type=_positive_finite, default=1e-3)
         cmd.add_argument("--tol", type=float, default=1e-8)
         cmd.add_argument("--c-m", dest="c_m", default="estimate")
         cmd.add_argument("--gamma", default="empirical")
-        cmd.add_argument("--T", type=float, default=1.0)
+        cmd.add_argument("--T", type=_positive_finite, default=1.0)
         cmd.add_argument("--output", choices=("csv", "json"), default="csv")
         cmd.add_argument("--out", dest="out_path", default=None)
     return parser
@@ -299,22 +303,24 @@ def cmd_rigidity(cfg: RunConfig) -> int:
     params = SobolevParams(cfg.m, cfg.p)
     model = _build_from_cfg(cfg)
     k = sharp_constant(params)
+    gamma_value = None if cfg.gamma == "empirical" else float(cfg.gamma)
+    b = model.profile.b if model.profile is not None else None
+    mode = "flat" if b == 0.0 else "curved"
+    grid = _rigidity_grid(cfg.t_max)
+    check_hypotheses(model, mode, grid, gamma_value)
     if cfg.c_m == "estimate":
         c_m_value, _ = estimated_c_m(model, params)
         c_m_source = "estimate"
     else:
         c_m_value = float(cfg.c_m)
         c_m_source = "user"
-    gamma_value = None if cfg.gamma == "empirical" else float(cfg.gamma)
-    b = model.profile.b if model.profile is not None else None
-    mode = "flat" if b == 0.0 else "curved"
     report = verify_theorem(
         model,
         params,
         c_m_value,
         k,
         mode,
-        _rigidity_grid(cfg.t_max),
+        grid,
         gamma_value=gamma_value,
         c_m_source=c_m_source,
         ratio_slack=cfg.tol,
@@ -374,6 +380,9 @@ def main(argv=None) -> int:
         return _DISPATCH[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: an input is outside the representable range ({exc})", file=sys.stderr)
         return 2
     except (QuadratureError, OdeError, TailBoundError, DivergentTailError,
             SobolevUnsupportedError) as exc:

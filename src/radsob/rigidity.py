@@ -34,7 +34,8 @@ from .numerics import (
     with_tail_split,
 )
 from .sobolev import estimate_radial_constant, manifold_integral
-from .talenti import SobolevParams, cached_beta, sharp_constant, sphere_area, unit_ball_volume
+from .talenti import SobolevParams, cached_beta, profile_split, sharp_constant
+from .talenti import sphere_area, unit_ball_volume
 
 
 class RigidityHypothesisError(ValueError):
@@ -81,7 +82,7 @@ def euclidean_weight_integral(
         )
     if method == "quad":
         base = cfg if cfg is not None else DEFAULT_QUADRATURE
-        run_cfg = with_tail_split(base, max(1.0, lam ** (1.0 / q)))
+        run_cfg = with_tail_split(base, profile_split(params, lam))
         decay = q * order - (m - 1.0)
 
         def f(t: float) -> float:
@@ -111,7 +112,7 @@ def c1(
     m, p = params.m, params.p
     q = params.conj
     base = cfg if cfg is not None else DEFAULT_QUADRATURE
-    run_cfg = with_tail_split(base, max(1.0, lam ** (1.0 / q)))
+    run_cfg = with_tail_split(base, profile_split(params, lam))
     num = manifold_integral(
         lambda t: (lam + t**q) ** (-(m - 1)), model, run_cfg, q * (m - 1) - (m - 1.0)
     )
@@ -305,10 +306,12 @@ def estimated_c_m(
 ):
     """C_M from radial witnesses combined with the universal bound C_M >= K.
 
-    Returns (value, estimate).  The witness search yields a lower estimate
-    that on negatively curved models approaches K from below; since K is
-    itself a lower bound for every C_M, the larger of the two is the
-    sharper admissible value.
+    Returns (value, estimate).  estimate_radial_constant minimises the
+    Sobolev quotient over the scale of the extremal profiles; on models
+    whose volume dominates the Euclidean one its estimate approaches K
+    from below.  Since K is itself a lower bound for every C_M (local
+    Euclidean concentration), the larger of the two is the sharper
+    admissible value.
     """
     base = cfg if cfg is not None else DEFAULT_QUADRATURE
     est = estimate_radial_constant(model, params, base)
@@ -376,6 +379,44 @@ class RigidityReport:
         return lines
 
 
+def check_hypotheses(
+    model: ModelManifold, mode: str, t_grid, gamma_value: float | None = None
+) -> float:
+    """Refuse a model or gamma outside the hypotheses of mode; return its moment b.
+
+    Cheap, so callers can run it before an expensive witness search.
+    """
+    if gamma_value is not None and not (0.0 < gamma_value < math.inf):
+        raise ValueError(
+            f"volume ratio lower bound gamma must be positive and finite, got {gamma_value!r}"
+        )
+    if mode == "flat":
+        for t in t_grid:
+            if model.radial_ricci(t) < -1e-12:
+                raise RigidityHypothesisError(
+                    f"flat mode requires nonnegative radial Ricci; found "
+                    f"{model.radial_ricci(t):.3e} at t={t:g}"
+                )
+        if model.profile is not None and model.profile.b > 0.0:
+            raise RigidityHypothesisError(
+                "flat mode requires a vanishing curvature moment; "
+                f"model has b={model.profile.b:g}"
+            )
+        return 0.0
+    if mode == "curved":
+        if model.m < 3:
+            raise RigidityHypothesisError("curved mode requires dimension m >= 3")
+        if model.profile is None:
+            raise RigidityHypothesisError("curved mode needs a model built from a curvature profile")
+        b = model.profile.b
+        if not math.isfinite(b):
+            raise RigidityHypothesisError(
+                "curved mode requires a finite curvature moment; this profile has b = inf"
+            )
+        return b
+    raise ValueError(f"unknown mode {mode!r}; use 'flat' or 'curved'")
+
+
 def verify_theorem(
     model: ModelManifold,
     params: SobolevParams,
@@ -409,37 +450,10 @@ def verify_theorem(
     if not t_grid or t_grid[0] <= 0.0:
         raise ValueError("t_grid must contain positive increasing radii")
 
-    if mode == "flat":
-        for t in t_grid:
-            if model.radial_ricci(t) < -1e-12:
-                raise RigidityHypothesisError(
-                    f"flat mode requires nonnegative radial Ricci; found "
-                    f"{model.radial_ricci(t):.3e} at t={t:g}"
-                )
-        if model.profile is not None and model.profile.b > 0.0:
-            raise RigidityHypothesisError(
-                "flat mode requires a vanishing curvature moment; "
-                f"model has b={model.profile.b:g}"
-            )
-        b = 0.0
-        gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
-        gamma_source = "user" if gamma_value is not None else "empirical"
-        c2_value = 0.0
-    elif mode == "curved":
-        if m < 3:
-            raise RigidityHypothesisError("curved mode requires dimension m >= 3")
-        if model.profile is None:
-            raise RigidityHypothesisError("curved mode needs a model built from a curvature profile")
-        b = model.profile.b
-        if not math.isfinite(b):
-            raise RigidityHypothesisError(
-                "curved mode requires a finite curvature moment; this profile has b = inf"
-            )
-        gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
-        gamma_source = "user" if gamma_value is not None else "empirical"
-        c2_value = c2(params, b, gamma_used, base)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'flat' or 'curved'")
+    b = check_hypotheses(model, mode, t_grid, gamma_value)
+    gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
+    gamma_source = "user" if gamma_value is not None else "empirical"
+    c2_value = 0.0 if mode == "flat" else c2(params, b, gamma_used, base)
 
     c3_value = c3(params, c_m, k, c2_value)
     c_hat_value = c_hat(c3_value, b, params)

@@ -5,9 +5,9 @@ p*-mass integral(u^p* dvol), and the two quotients built from them.  Any
 radial u with fast enough decay is a witness: the Sobolev quotient
 energy / mass^(p/p*) can only overestimate C_M^(-p), so minimising it
 over a family yields a certified lower estimate of the manifold
-constant.  The built-in family consists of the extremal Euclidean
-profiles, optionally modulated by a log-radial bump, minimised by a
-deterministic direct search.
+constant.  The built-in family is the extremal Euclidean profiles,
+minimised over their scale by a log-grid scan and golden-section
+refinement.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .numerics import (
     integrate_semi_infinite,
     with_tail_split,
 )
-from .talenti import SobolevParams, TalentiProfile
+from .talenti import SobolevParams, TalentiProfile, profile_split
 
 
 class SobolevUnsupportedError(RuntimeError):
@@ -100,52 +100,7 @@ def talenti_function(profile: TalentiProfile, spot_check: bool = False) -> Radia
         decay_order=(params.m - params.p) / (params.p - 1.0),
         params=params,
         kind="talenti",
-        detail={"lam": profile.lam, "split_hint": max(1.0, profile.lam ** (1.0 / params.conj))},
-    )
-    if spot_check:
-        u.spot_check()
-    return u
-
-
-def bumped_talenti(
-    profile: TalentiProfile, a: float, mu: float, sigma: float, spot_check: bool = False
-) -> RadialFunction:
-    """Extremal profile modulated by 1 + a exp(-((log t - mu)/sigma)^2).
-
-    The bump is radially smooth, equal to 1 at the origin and at infinity,
-    and keeps u positive provided a > -1.
-    """
-    if not (a > -0.99):
-        raise ValueError("bump amplitude must stay above -0.99 to keep u positive")
-    if not (sigma > 0.0):
-        raise ValueError("bump width must be positive")
-
-    def bump(t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        z = (math.log(t) - mu) / sigma
-        return 1.0 + a * math.exp(-z * z)
-
-    def bump_prime(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        z = (math.log(t) - mu) / sigma
-        return a * math.exp(-z * z) * (-2.0 * z) / (sigma * t)
-
-    params = profile.params
-    u = RadialFunction(
-        eval=lambda t: profile.phi(t) * bump(t),
-        deriv=lambda t: profile.phi_prime(t) * bump(t) + profile.phi(t) * bump_prime(t),
-        decay_order=(params.m - params.p) / (params.p - 1.0),
-        params=params,
-        kind="bumped_talenti",
-        detail={
-            "lam": profile.lam,
-            "a": a,
-            "mu": mu,
-            "sigma": sigma,
-            "split_hint": max(1.0, profile.lam ** (1.0 / params.conj), math.exp(mu)),
-        },
+        detail={"lam": profile.lam, "split_hint": profile_split(params, profile.lam)},
     )
     if spot_check:
         u.spot_check()
@@ -309,64 +264,11 @@ def verify_decay_conditions(
     )
 
 
-def _nelder_mead(f, x0, init_steps, max_iter=500, diameter_tol=1e-6):
-    """Deterministic Nelder-Mead with a fixed axis-aligned initial simplex."""
-    n = len(x0)
-    simplex = [list(x0)]
-    for i in range(n):
-        vertex = list(x0)
-        vertex[i] += init_steps[i]
-        simplex.append(vertex)
-    values = [f(x) for x in simplex]
-    evals = n + 1
-
-    for _ in range(max_iter):
-        order = sorted(range(n + 1), key=lambda i: (values[i], i))
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(
-            max(abs(simplex[i][k] - simplex[0][k]) for k in range(n)) for i in range(1, n + 1)
-        )
-        if diameter < diameter_tol:
-            break
-        centroid = [sum(simplex[i][k] for i in range(n)) / n for k in range(n)]
-        reflect = [centroid[k] + (centroid[k] - simplex[-1][k]) for k in range(n)]
-        fr = f(reflect)
-        evals += 1
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflect, fr
-            continue
-        if fr < values[0]:
-            expand = [centroid[k] + 2.0 * (centroid[k] - simplex[-1][k]) for k in range(n)]
-            fe = f(expand)
-            evals += 1
-            if fe < fr:
-                simplex[-1], values[-1] = expand, fe
-            else:
-                simplex[-1], values[-1] = reflect, fr
-            continue
-        contract = [centroid[k] + 0.5 * (simplex[-1][k] - centroid[k]) for k in range(n)]
-        fc = f(contract)
-        evals += 1
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contract, fc
-            continue
-        for i in range(1, n + 1):
-            simplex[i] = [
-                simplex[0][k] + 0.5 * (simplex[i][k] - simplex[0][k]) for k in range(n)
-            ]
-            values[i] = f(simplex[i])
-            evals += n
-    order = sorted(range(n + 1), key=lambda i: (values[i], i))
-    return simplex[order[0]], values[order[0]], evals
-
-
 @dataclass(frozen=True)
 class RadialConstantEstimate:
     c_est: float
     quotient: float
     lam: float
-    bump: tuple | None
     quotient_evals: int
     skipped: tuple
     notes: str = ""
@@ -378,14 +280,12 @@ def estimate_radial_constant(
     cfg: QuadratureConfig | None = None,
     lambda_range: tuple = (1e-2, 1e6),
     scan_points: int = 25,
-    with_bump: bool = True,
 ) -> RadialConstantEstimate:
     """Lower estimate of the manifold Sobolev constant from radial witnesses.
 
     Scans the extremal family over a logarithmic grid of scales, refines
-    the best bracket by golden-section search, then (optionally) lets a
-    deterministic Nelder-Mead search modulate the profile with a
-    log-radial bump over (log lam, a, mu, sigma).  The returned
+    the best bracket by golden-section search in log lam, and re-evaluates
+    the winning profile at full accuracy.  The returned
     C_est = (min quotient)^(-1/p) never exceeds the true constant, up to
     quadrature error.
 
@@ -459,36 +359,8 @@ def estimate_radial_constant(
         if q < best_q:
             best_q, best_lam = q, math.exp(log_lam)
 
-    bump = None
-    if with_bump:
-        def objective(x):
-            nonlocal evals
-            log_lam, a, mu, log_sigma = x
-            if not (-0.9 < a < 5.0) or not (-3.0 < log_sigma < 2.0):
-                return math.inf
-            lam = math.exp(log_lam)
-            if not (lam_lo * 0.1 <= lam <= lam_hi * 10.0):
-                return math.inf
-            try:
-                u = bumped_talenti(profile.with_lam(lam), a, mu, math.exp(log_sigma))
-                evals += 1
-                return quotient_sobolev(u, model, search_cfg)
-            except (TailBoundError, QuadratureError):
-                return math.inf
-
-        x0 = [math.log(best_lam), 0.0, math.log(max(1.0, best_lam ** (1.0 / params.conj))), 0.0]
-        xb, fb, used = _nelder_mead(objective, x0, init_steps=[0.25, 0.05, 0.4, 0.25])
-        if fb < best_q:
-            best_q = fb
-            best_lam = math.exp(xb[0])
-            bump = (xb[1], xb[2], math.exp(xb[3]))
-
-    if bump is None:
-        winner = talenti_function(profile.with_lam(best_lam))
-    else:
-        winner = bumped_talenti(profile.with_lam(best_lam), *bump)
     try:
-        best_q = quotient_sobolev(winner, model, base_cfg)
+        best_q = quotient_sobolev(talenti_function(profile.with_lam(best_lam)), model, base_cfg)
         evals += 1
     except (TailBoundError, QuadratureError):
         # Keep the search-accuracy value if the strict pass refuses; it is
@@ -499,7 +371,6 @@ def estimate_radial_constant(
         c_est=float(best_q) ** (-1.0 / p),
         quotient=float(best_q),
         lam=best_lam,
-        bump=bump,
         quotient_evals=evals,
         skipped=tuple(skipped),
         notes="witness scales capped at the solved window" if skipped else "",

@@ -61,10 +61,13 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / gamma(m / 2.0)
 
 
-def _profile_split(cfg: QuadratureConfig, params: SobolevParams, lam: float) -> QuadratureConfig:
-    # The profile's mass concentrates around t ~ lam^((p-1)/p); splitting
-    # the semi-infinite range there keeps the head and tail balanced.
-    return with_tail_split(cfg, max(1.0, lam ** (1.0 / params.conj)))
+def profile_split(params: SobolevParams, lam: float) -> float:
+    """Radius separating the head of phi_lam from its tail.
+
+    The profile's mass concentrates around t ~ lam^((p-1)/p); splitting
+    semi-infinite integrals there keeps the head and tail balanced.
+    """
+    return max(1.0, lam ** (1.0 / params.conj))
 
 
 def _mass_kernel_integral(params: SobolevParams, lam: float, cfg: QuadratureConfig) -> float:
@@ -74,7 +77,8 @@ def _mass_kernel_integral(params: SobolevParams, lam: float, cfg: QuadratureConf
     def f(t: float) -> float:
         return t ** (m - 1) / (lam + t**q) ** m
 
-    return integrate_semi_infinite(f, _profile_split(cfg, params, lam), decay_power=q * m - (m - 1))
+    split_cfg = with_tail_split(cfg, profile_split(params, lam))
+    return integrate_semi_infinite(f, split_cfg, decay_power=q * m - (m - 1))
 
 
 def normalize_beta(params: SobolevParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -214,7 +218,7 @@ def sharp_constant_detail(
 
         decay = (m - 1.0) / (p - 1.0)
         return sphere_area(m) * integrate_semi_infinite(
-            f, _profile_split(cfg, params, lam), decay_power=decay
+            f, with_tail_split(cfg, profile_split(params, lam)), decay_power=decay
         )
 
     values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}

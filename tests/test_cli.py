@@ -61,16 +61,28 @@ def test_exit_codes_usage_errors(capsys):
         ["rigidity", "--g", "zero", "--c-m", "0.1"],
         ["rigidity", "--g", "zero", "--c-m", "abc"],
         ["rigidity", "--g", "const:1:inf", "--c-m", "0.5"],
+        ["rigidity", "--g", "const:1:inf"],
+        ["rigidity", "--g", "zero", "--gamma", "-1", "--c-m", "0.4"],
+        ["rigidity", "--g", "rational:0.1", "--gamma", "nan", "--c-m", "0.4"],
+        ["model", "--step", "0"],
+        ["model", "--t-max", "inf"],
+        ["model", "--t-max", "-1"],
+        ["limits", "--T", "0"],
+        ["limits", "--T", "nan"],
+        ["constants", "--m", "50", "--p", "2"],
+        ["constants", "--m", "4", "--p", "1.01"],
+        ["limits", "--lambda", "10,1e300"],
     ]
     for argv in cases:
         rc = main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == 2, f"argv {argv!r} gave exit {rc}, want 2"
+        assert "error: " in err, f"argv {argv!r} gave no error line: {err!r}"
 
 
 def test_exit_code_one_when_a_check_fails(capsys):
-    """Estimating on an exponentially growing model fails in quadrature."""
-    rc = main(["rigidity", "--g", "const:1:inf"])
+    """The default window cannot certify the tail of a wide witness."""
+    rc = main(["verify", "--g", "rational:0.1", "--lambda", "5"])
     captured = capsys.readouterr()
     assert rc == 1
     assert "check failed" in captured.err

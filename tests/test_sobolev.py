@@ -14,7 +14,6 @@ from radsob.sobolev import (
     RadialFunction,
     SobolevUnsupportedError,
     TailBoundError,
-    bumped_talenti,
     estimate_radial_constant,
     gradient_energy,
     mass_pstar,
@@ -81,12 +80,18 @@ def test_scaled_validation():
 
 
 def test_no_witness_beats_sharp_bound_on_flat_space():
+    """Non-extremal witnesses (1 + t^2)^-k sit strictly above the floor K^-p."""
     k_pow = K42**-2.0
-    profile = TalentiProfile.build(P42, 1.0)
-    for a, mu, sigma in ((0.3, 0.0, 1.0), (-0.4, 0.5, 0.7), (1.5, -1.0, 0.5)):
-        u = bumped_talenti(profile, a, mu, sigma)
+    for k in (1.2, 1.5, 2.0, 3.0):
+        u = RadialFunction(
+            eval=lambda t, k=k: (1.0 + t * t) ** -k,
+            deriv=lambda t, k=k: -2.0 * k * t * (1.0 + t * t) ** (-k - 1.0),
+            decay_order=2.0 * k,
+            params=P42,
+        )
+        u.spot_check()
         q = float(quotient_sobolev(u, EUC4))
-        assert q >= k_pow * (1.0 - 1e-9), f"bump {(a, mu, sigma)} broke the bound: {q!r}"
+        assert q > k_pow * (1.0 + 1e-6), f"(1+t^2)^-{k} reached the bound: {q!r} vs {k_pow!r}"
 
 
 def test_functionals_grow_with_the_model():
@@ -153,17 +158,6 @@ def test_spot_check_catches_wrong_derivative():
         broken.spot_check()
 
 
-def test_bumped_talenti_shape_and_validation():
-    profile = TalentiProfile.build(P42, 1.0)
-    with pytest.raises(ValueError):
-        bumped_talenti(profile, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        bumped_talenti(profile, 0.3, 0.0, 0.0)
-    u = bumped_talenti(profile, 0.5, 0.0, 1.0, spot_check=True)
-    assert u.eval(0.0) == profile.phi(0.0)
-    assert u.decay_order == _witness(1.0).decay_order
-
-
 def test_decay_report_flat_space():
     for lam in (1.0, 20.0):
         report = verify_decay_conditions(_witness(lam), EUC4)
@@ -192,15 +186,17 @@ def test_decay_report_divergent_flagged():
 
 
 def test_estimate_flat_recovers_sharp_constant_quickly():
-    est = estimate_radial_constant(
-        EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7, with_bump=False
-    )
+    est = estimate_radial_constant(EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7)
     assert abs(est.c_est - K42) / K42 < 1e-8, f"c_est {est.c_est!r} vs K {K42!r}"
-    again = estimate_radial_constant(
-        EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7, with_bump=False
-    )
+    again = estimate_radial_constant(EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7)
     assert est == again, "estimate is not deterministic"
-    assert est.quotient_evals > 0 and est.bump is None
+    assert est.quotient_evals > 0
+
+
+def test_estimate_is_scan_plus_golden_section_only():
+    """25 scan points, 2 bracket probes, at most 30 refinements, 1 final pass."""
+    est = estimate_radial_constant(RAT01, P42)
+    assert est.quotient_evals <= 58, f"search used {est.quotient_evals} quotients"
 
 
 def test_estimate_dimension_mismatch():
