@@ -3,9 +3,7 @@
 from .numerics import (
     IvpSolution,
     OdeError,
-    QuadratureConfig,
     QuadratureError,
-    gamma,
     integrate_finite,
     integrate_semi_infinite,
     solve_h_ivp,

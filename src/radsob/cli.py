@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .model_manifold import ModelManifold, build_model, parse_curvature, verify_volume_chain
-from .numerics import DEFAULT_QUADRATURE, OdeError, QuadratureError
+from .numerics import OdeError, QuadratureError
 from .rigidity import (
     _fmt,
     check_hypotheses,
@@ -100,16 +100,6 @@ class RunConfig:
         return argv
 
 
-def _parse_lambda_list(text: str) -> tuple:
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("--lambda list must be non-empty")
-    return values
-
-
 def _positive_finite(text: str) -> float:
     try:
         value = float(text)
@@ -118,6 +108,20 @@ def _positive_finite(text: str) -> float:
     if not (0.0 < value < math.inf):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
+
+
+def _parse_lambda_list(text: str) -> tuple:
+    try:
+        return tuple(_positive_finite(part) for part in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from None
+
+
+def _c_m_spec(text: str) -> str:
+    """--c-m is kept as given: "estimate" or a positive finite number."""
+    if text != "estimate":
+        _positive_finite(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--g", dest="g_spec", default="zero")
         cmd.add_argument("--t-max", dest="t_max", type=_positive_finite, default=50.0)
         cmd.add_argument("--step", type=_positive_finite, default=1e-3)
-        cmd.add_argument("--tol", type=float, default=1e-8)
-        cmd.add_argument("--c-m", dest="c_m", default="estimate")
+        cmd.add_argument("--tol", type=_positive_finite, default=1e-8)
+        cmd.add_argument("--c-m", dest="c_m", type=_c_m_spec, default="estimate")
         cmd.add_argument("--gamma", default="empirical")
         cmd.add_argument("--T", type=_positive_finite, default=1.0)
         cmd.add_argument("--output", choices=("csv", "json"), default="csv")
@@ -212,7 +216,7 @@ def _build_from_cfg(cfg: RunConfig) -> ModelManifold:
 def cmd_constants(cfg: RunConfig) -> int:
     params = SobolevParams(cfg.m, cfg.p)
     lambdas = tuple(sorted(set((1.0, 0.5, 5.0, 20.0)) | set(cfg.lambda_list)))
-    detail = sharp_constant_detail(params, DEFAULT_QUADRATURE, lambdas=lambdas)
+    detail = sharp_constant_detail(params, lambdas=lambdas)
     rows = [
         ("beta", detail["beta"]),
         ("K", detail["K"]),
@@ -266,7 +270,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     k_pow = k ** (-params.p)
     rows = []
     for lam in cfg.lambda_list:
-        profile = TalentiProfile.build(params, lam, DEFAULT_QUADRATURE)
+        profile = TalentiProfile.build(params, lam)
         u = talenti_function(profile)
         mass = float(mass_pstar(u, model))
         energy = float(gradient_energy(u, model))

@@ -20,13 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    IvpSolution,
-    QuadratureConfig,
-    integrate_finite,
-    solve_h_ivp,
-)
+from .numerics import IvpSolution, integrate_finite, solve_h_ivp
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -607,10 +601,10 @@ def verify_volume_chain(
     return VolumeChainReport(rows=tuple(rows), b_used=b, slack=slack)
 
 
-def curvature_moment(g: Callable[[float], float], t_max: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def curvature_moment(g: Callable[[float], float], t_max: float) -> float:
     """Quadrature of the curvature moment integral of t g(t) over [0, t_max].
 
     Utility for checking cached b values of profile objects against direct
     integration (the analytic tail beyond t_max is not included).
     """
-    return integrate_finite(lambda t: t * g(t), 0.0, t_max, cfg)
+    return integrate_finite(lambda t: t * g(t), 0.0, t_max)

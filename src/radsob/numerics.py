@@ -1,16 +1,19 @@
 """Low-level numerical kernels shared by the rest of the package.
 
-Three independent pieces live here: adaptive Simpson quadrature on finite
-and semi-infinite intervals, a fixed-step RK4 integrator for the warping
-initial value problem h'' = G(t) h, and a Lanczos gamma function.  All
-routines are deterministic: the same inputs always produce bitwise
+Two independent pieces live here: adaptive Simpson quadrature on finite
+and semi-infinite intervals, and a fixed-step RK4 integrator for the
+warping initial value problem h'' = G(t) h.  The whole quadrature policy
+is the tolerance pair TOL, the recursion limit MAX_DEPTH and, for
+semi-infinite integrals, the radius where head and tail are split; a
+caller may pass its own (abs_tol, rel_tol) pair and split, nothing else.
+All routines are deterministic: the same inputs always produce bitwise
 identical results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,32 +33,11 @@ T_MIN = 1e-8
 U_MIN = 1e-8
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and interval handling for the adaptive integrator.
-
-    abs_tol / rel_tol: accepted error is max(abs_tol, rel_tol * |estimate|).
-    max_depth: recursion limit before giving up with QuadratureError.
-    tail_split: semi-infinite integrals are split at this point; the head
-        is integrated directly and the remainder through the substitution
-        t = tail_split / u.
-    """
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-11
-    max_depth: int = 50
-    tail_split: float = 1.0
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_depth < 4:
-            raise ValueError("max_depth must allow at least a few refinements")
-        if not (self.tail_split > 0.0) or not math.isfinite(self.tail_split):
-            raise ValueError("tail_split must be positive and finite")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Default (abs_tol, rel_tol): the accepted error of an integral is
+# max(abs_tol, rel_tol * |estimate|).
+TOL = (1e-13, 1e-11)
+# Recursion limit before adaptive Simpson gives up with QuadratureError.
+MAX_DEPTH = 50
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -88,7 +70,7 @@ def integrate_finite(
     f: Callable[[float], float],
     a: float,
     b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    tol: tuple = TOL,
     power_at_zero: float | None = None,
 ) -> float:
     """Integrate f over [a, b] with adaptive Simpson refinement.
@@ -99,7 +81,7 @@ def integrate_finite(
     Args:
         f: integrand, evaluated at scalar points in [a, b].
         a, b: finite interval endpoints with a <= b.
-        cfg: tolerances and recursion limit.
+        tol: the (abs_tol, rel_tol) pair.
         power_at_zero: when given (and a == 0), the integrand is treated as
             ~ C t**power_at_zero near zero; the interval is opened at
             t = 1e-8 and the leading-order sliver is added analytically.
@@ -108,7 +90,7 @@ def integrate_finite(
         The integral estimate.
 
     Raises:
-        QuadratureError: tolerance not met within cfg.max_depth levels.
+        QuadratureError: tolerance not met within MAX_DEPTH levels.
         ValueError: malformed interval or sliver power <= -1.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -139,30 +121,32 @@ def integrate_finite(
     right = _simpson(fm, frm, fb, b - mid)
     scale = max(abs(left + right), abs(whole))
 
-    def run(tol: float) -> float:
-        half = 0.5 * tol
-        return _adaptive(f, a, mid, fa, flm, fm, left, half, 1, cfg.max_depth) + _adaptive(
-            f, mid, b, fm, frm, fb, right, half, 1, cfg.max_depth
+    def run(target: float) -> float:
+        half = 0.5 * target
+        return _adaptive(f, a, mid, fa, flm, fm, left, half, 1, MAX_DEPTH) + _adaptive(
+            f, mid, b, fm, frm, fb, right, half, 1, MAX_DEPTH
         )
 
-    value = run(max(cfg.abs_tol, cfg.rel_tol * scale))
+    abs_tol, rel_tol = tol
+    value = run(max(abs_tol, rel_tol * scale))
     # For small-magnitude integrals the absolute floor dominates the first
     # pass; with the magnitude now known, rerun against a purely relative
     # target so that accuracy does not degrade with the overall scale.
-    if value != 0.0 and cfg.abs_tol > cfg.rel_tol * abs(value):
-        value = run(cfg.rel_tol * abs(value))
+    if value != 0.0 and abs_tol > rel_tol * abs(value):
+        value = run(rel_tol * abs(value))
     return value + sliver
 
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    split: float = 1.0,
     start: float = 0.0,
     decay_power: float | None = None,
+    tol: tuple = TOL,
 ) -> float:
     """Integrate f over [start, infinity) for polynomially decaying f.
 
-    The range is split at T = max(cfg.tail_split, start).  The head is
+    The range is split at T = max(split, start).  The head is
     handled by integrate_finite and the tail through the substitution
     t = T/u, which maps [T, inf) onto (0, 1].  The transformed integrand
     is integrated on [1e-8, 1]; the remaining sliver at u=0 is added
@@ -172,11 +156,15 @@ def integrate_semi_infinite(
     Raises:
         QuadratureError: tolerance not met, or the fitted tail behaviour
             is too close to non-integrable (local power <= ~1).
+        ValueError: split not positive and finite, or start negative or
+            not finite.
     """
+    if not (0.0 < split < math.inf):
+        raise ValueError(f"split must be positive and finite, got {split!r}")
     if start < 0.0 or not math.isfinite(start):
         raise ValueError("start must be finite and nonnegative")
-    split = max(cfg.tail_split, start)
-    head = integrate_finite(f, start, split, cfg) if split > start else 0.0
+    split = max(split, start)
+    head = integrate_finite(f, start, split, tol) if split > start else 0.0
 
     def transformed(u: float) -> float:
         t = split / u
@@ -201,44 +189,13 @@ def integrate_semi_infinite(
     else:
         sliver = g0 * U_MIN / (local_power + 1.0)
 
-    tail = integrate_finite(transformed, U_MIN, 1.0, cfg)
+    tail = integrate_finite(transformed, U_MIN, 1.0, tol)
     return head + tail + sliver
-
-
-# Lanczos approximation, g = 7 with 9 coefficients.  Relative accuracy is
-# a few ulps across [0.1, 50], which the tests check against math.gamma.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real x > 0 via the Lanczos approximation."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        # Reflection keeps the series argument away from its pole.
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * series
 
 
 def beta_function(a: float, b: float) -> float:
     """Euler beta integral B(a, b) for positive arguments."""
-    return gamma(a) * gamma(b) / gamma(a + b)
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
 @dataclass(frozen=True)
@@ -356,10 +313,3 @@ def solve_h_ivp(
         t_max=t_max,
         error_estimate=error,
     )
-
-
-def with_tail_split(cfg: QuadratureConfig, split: float) -> QuadratureConfig:
-    """Copy cfg with the tail split moved outward to at least `split`."""
-    if split <= cfg.tail_split:
-        return cfg
-    return replace(cfg, tail_split=split)

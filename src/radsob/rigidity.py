@@ -26,15 +26,9 @@ import math
 from dataclasses import dataclass
 
 from .model_manifold import ModelManifold, euclidean_model
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    beta_function,
-    integrate_semi_infinite,
-    with_tail_split,
-)
+from .numerics import beta_function, integrate_finite, integrate_semi_infinite
 from .sobolev import estimate_radial_constant, manifold_integral
-from .talenti import SobolevParams, cached_beta, profile_split, sharp_constant
+from .talenti import SobolevParams, TalentiProfile, cached_beta, profile_split, sharp_constant
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -55,7 +49,6 @@ def euclidean_weight_integral(
     params: SobolevParams,
     lam: float,
     order: int,
-    cfg: QuadratureConfig | None = None,
     method: str = "gamma",
 ) -> float:
     """integral over flat R^m of (lam + r^conj)^(-order) dvol.
@@ -81,24 +74,18 @@ def euclidean_weight_integral(
             * beta_function(a, order - a)
         )
     if method == "quad":
-        base = cfg if cfg is not None else DEFAULT_QUADRATURE
-        run_cfg = with_tail_split(base, profile_split(params, lam))
         decay = q * order - (m - 1.0)
 
         def f(t: float) -> float:
             return t ** (m - 1) / (lam + t**q) ** order
 
-        return sphere_area(m) * integrate_semi_infinite(f, run_cfg, decay_power=decay)
+        return sphere_area(m) * integrate_semi_infinite(
+            f, profile_split(params, lam), decay_power=decay
+        )
     raise ValueError(f"unknown method {method!r}; use 'gamma' or 'quad'")
 
 
-def c1(
-    params: SobolevParams,
-    lam: float,
-    b: float,
-    model: ModelManifold,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def c1(params: SobolevParams, lam: float, b: float, model: ModelManifold) -> float:
     """Scale-dependent energy defect constant at witness scale lam.
 
     C1 multiplies (e^b - 1) by the ratio of two weighted volume integrals
@@ -111,13 +98,12 @@ def c1(
         return 0.0
     m, p = params.m, params.p
     q = params.conj
-    base = cfg if cfg is not None else DEFAULT_QUADRATURE
-    run_cfg = with_tail_split(base, profile_split(params, lam))
+    split = profile_split(params, lam)
     num = manifold_integral(
-        lambda t: (lam + t**q) ** (-(m - 1)), model, run_cfg, q * (m - 1) - (m - 1.0)
+        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split
     )
-    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, run_cfg, q * m - (m - 1.0))
-    beta = cached_beta(params, base)
+    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split)
+    beta = cached_beta(params)
     return (
         (m - 1.0)
         * ((m - p) / (p - 1.0)) ** (p - 1.0)
@@ -128,12 +114,7 @@ def c1(
     )
 
 
-def c2(
-    params: SobolevParams,
-    b: float,
-    gamma_value: float,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def c2(params: SobolevParams, b: float, gamma_value: float) -> float:
     """Scale-free energy defect constant; dominates c1 at every scale."""
     if b < 0.0 or not math.isfinite(b):
         raise ValueError("curvature moment b must be finite and >= 0")
@@ -142,7 +123,7 @@ def c2(
     m, p = params.m, params.p
     if b == 0.0:
         return 0.0
-    beta = cached_beta(params, cfg if cfg is not None else DEFAULT_QUADRATURE)
+    beta = cached_beta(params)
     return (
         ((m - 1.0) ** 2 * p / (m - p))
         * ((m - p) / (p - 1.0)) ** (p - 1.0)
@@ -217,7 +198,7 @@ def v_profile(
 class MassEscapeReport:
     rows: tuple
     threshold: float
-    split: float
+    radius: float
     crossing: float | None
     heads_monotone: bool
     totals_ok: bool
@@ -229,23 +210,19 @@ class MassEscapeReport:
 
 def mass_escape_experiment(
     params: SobolevParams,
-    split: float,
+    radius: float,
     lambda_grid,
-    cfg: QuadratureConfig | None = None,
     threshold: float = 0.01,
 ) -> MassEscapeReport:
     """Distribution of profile mass inside and outside a fixed radius.
 
     For each scale the p*-mass density integrates to one; the head is the
-    share inside [0, split].  As the scale grows the head decays to zero
+    share inside [0, radius].  As the scale grows the head decays to zero
     (the mass wanders off to infinity), so the experiment records the
     head/tail table, checks heads are nonincreasing and head+tail = 1,
     and locates the first scale where the head drops below the threshold
     by bisection between the bracketing grid scales.
     """
-    from .talenti import TalentiProfile
-
-    base = cfg if cfg is not None else DEFAULT_QUADRATURE
     lambdas = list(lambda_grid)
     if not lambdas or lambdas[0] < 10.0:
         raise ValueError("lambda_grid must start at 10 or above (the large-scale regime)")
@@ -254,19 +231,19 @@ def mass_escape_experiment(
     m, p = params.m, params.p
     q = params.conj
     tail_decay = q * (m + 1) - m - 1.0 / (p - 1.0)
-    profile0 = TalentiProfile.build(params, 1.0, base)
+    profile0 = TalentiProfile.build(params, 1.0)
 
     def head_at(lam: float) -> float:
-        from .numerics import integrate_finite
-
-        return integrate_finite(profile0.with_lam(lam).density, 0.0, split, base)
+        return integrate_finite(profile0.with_lam(lam).density, 0.0, radius)
 
     rows = []
     for lam in lambdas:
         head = head_at(lam)
-        run_cfg = with_tail_split(base, max(split, lam ** (1.0 / q)))
         tail = integrate_semi_infinite(
-            profile0.with_lam(lam).density, run_cfg, start=split, decay_power=tail_decay
+            profile0.with_lam(lam).density,
+            max(1.0, radius, lam ** (1.0 / q)),
+            start=radius,
+            decay_power=tail_decay,
         )
         rows.append((lam, head, tail, head + tail))
 
@@ -294,16 +271,14 @@ def mass_escape_experiment(
     return MassEscapeReport(
         rows=tuple(rows),
         threshold=threshold,
-        split=split,
+        radius=radius,
         crossing=crossing,
         heads_monotone=heads_monotone,
         totals_ok=totals_ok,
     )
 
 
-def estimated_c_m(
-    model: ModelManifold, params: SobolevParams, cfg: QuadratureConfig | None = None
-):
+def estimated_c_m(model: ModelManifold, params: SobolevParams):
     """C_M from radial witnesses combined with the universal bound C_M >= K.
 
     Returns (value, estimate).  estimate_radial_constant minimises the
@@ -313,9 +288,8 @@ def estimated_c_m(
     Euclidean concentration), the larger of the two is the sharper
     admissible value.
     """
-    base = cfg if cfg is not None else DEFAULT_QUADRATURE
-    est = estimate_radial_constant(model, params, base)
-    k = sharp_constant(params, base)
+    est = estimate_radial_constant(model, params)
+    k = sharp_constant(params)
     return max(est.c_est, k), est
 
 
@@ -424,7 +398,6 @@ def verify_theorem(
     k: float,
     mode: str,
     t_grid,
-    cfg: QuadratureConfig | None = None,
     gamma_value: float | None = None,
     c_m_source: str = "user",
     ratio_slack: float = 1e-9,
@@ -442,7 +415,6 @@ def verify_theorem(
     ratio_slack, the certificate profile is non-increasing, and its final
     value stays above -limit_slack.
     """
-    base = cfg if cfg is not None else DEFAULT_QUADRATURE
     m = params.m
     if model.m != m:
         raise ValueError(f"params dimension {m} does not match model dimension {model.m}")
@@ -453,7 +425,7 @@ def verify_theorem(
     b = check_hypotheses(model, mode, t_grid, gamma_value)
     gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
     gamma_source = "user" if gamma_value is not None else "empirical"
-    c2_value = 0.0 if mode == "flat" else c2(params, b, gamma_used, base)
+    c2_value = 0.0 if mode == "flat" else c2(params, b, gamma_used)
 
     c3_value = c3(params, c_m, k, c2_value)
     c_hat_value = c_hat(c3_value, b, params)

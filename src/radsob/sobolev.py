@@ -13,18 +13,11 @@ refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .model_manifold import ModelManifold
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    QuadratureError,
-    integrate_finite,
-    integrate_semi_infinite,
-    with_tail_split,
-)
+from .numerics import TOL, QuadratureError, integrate_finite, integrate_semi_infinite
 from .talenti import SobolevParams, TalentiProfile, profile_split
 
 
@@ -44,6 +37,13 @@ class TailBoundError(RuntimeError):
 # continue an IVP-built warping function beyond its window.
 TAIL_BUDGET = 1e-6
 
+# (abs_tol, rel_tol) of the witness search, which only has to locate the
+# minimiser; the winning witness is re-evaluated at numerics.TOL.
+SEARCH_TOL = (1e-9, 1e-7)
+# (abs_tol, rel_tol) of the beyond-window share of a manifold integral.  It
+# only feeds the TAIL_BUDGET comparison, so a few digits are enough.
+BUDGET_TOL = (1e-9, 1e-4)
+
 
 @dataclass(frozen=True, eq=False)
 class RadialFunction:
@@ -51,7 +51,8 @@ class RadialFunction:
 
     decay_order is the power-law order of u at infinity (u ~ t^-decay_order),
     used to decide convergence of the functionals before integrating.
-    split_hint marks the radial scale separating head from tail.
+    split_hint marks the radial scale separating head from tail; the
+    functionals split their semi-infinite integrals there, never below 1.
     """
 
     eval: Callable[[float], float]
@@ -75,7 +76,7 @@ class RadialFunction:
 
     @property
     def split_hint(self) -> float:
-        return self.detail.get("split_hint", 1.0)
+        return max(1.0, self.detail.get("split_hint", 1.0))
 
     def spot_check(self, points=(0.3, 0.7, 1.5, 3.0, 7.0), tol: float = 1e-6):
         """Verify deriv against central differences of eval."""
@@ -110,14 +111,17 @@ def talenti_function(profile: TalentiProfile, spot_check: bool = False) -> Radia
 def manifold_integral(
     w: Callable[[float], float],
     model: ModelManifold,
-    cfg: QuadratureConfig,
     decay_power: float,
+    split: float = 1.0,
+    tol: tuple = TOL,
 ) -> float:
     """integral of w(t) * area(t) over [0, inf) with a certified tail.
 
-    For IVP-built models the area weight continues linearly beyond the
-    window; the certified relative uncertainty of that continuation must
-    stay below TAIL_BUDGET or the integral refuses loudly.
+    The quadrature splits head from tail at `split` and meets the
+    (abs_tol, rel_tol) pair `tol`.  For IVP-built models the area weight
+    continues linearly beyond the window; the certified uncertainty of that
+    continuation, integrated to BUDGET_TOL, must stay below TAIL_BUDGET
+    relative (or 10 abs_tol) or the integral refuses loudly.
 
     decay_power is the power-law order of w * t^(m-1) at infinity.
     """
@@ -126,15 +130,14 @@ def manifold_integral(
     def f(t: float) -> float:
         return w(t) * area(t)
 
-    total = integrate_semi_infinite(f, cfg, decay_power=decay_power)
+    total = integrate_semi_infinite(f, split, decay_power=decay_power, tol=tol)
     factor = model.tail_factor()
     if factor > 1.0:
-        # The continuation defect only feeds a budget comparison, so a few
-        # digits of the beyond-window share are enough.
-        loose = replace(cfg, abs_tol=max(cfg.abs_tol, 1e-9), rel_tol=max(cfg.rel_tol, 1e-4))
-        beyond = integrate_semi_infinite(f, loose, start=model.t_max, decay_power=decay_power)
+        beyond = integrate_semi_infinite(
+            f, split, start=model.t_max, decay_power=decay_power, tol=BUDGET_TOL
+        )
         uncertainty = abs(beyond) * (factor - 1.0)
-        if uncertainty > max(10.0 * cfg.abs_tol, TAIL_BUDGET * abs(total)):
+        if uncertainty > max(10.0 * tol[0], TAIL_BUDGET * abs(total)):
             raise TailBoundError(
                 f"tail beyond t_max={model.t_max:g} contributes {beyond:.3e} with "
                 f"uncertainty {uncertainty:.3e}, above the budget "
@@ -143,15 +146,8 @@ def manifold_integral(
     return total
 
 
-def _functional_cfg(u: RadialFunction, cfg: QuadratureConfig | None) -> QuadratureConfig:
-    base = cfg if cfg is not None else DEFAULT_QUADRATURE
-    return with_tail_split(base, u.split_hint)
-
-
-def gradient_energy(
-    u: RadialFunction, model: ModelManifold, cfg: QuadratureConfig | None = None
-) -> float:
-    """p-energy of u: integral of |u'|^p over the model."""
+def gradient_energy(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
+    """p-energy of u: integral of |u'|^p over the model, to tolerance tol."""
     params = u.params
     p, m = params.p, model.m
     decay = p * (u.decay_order + 1.0) - (m - 1.0)
@@ -159,47 +155,39 @@ def gradient_energy(
         raise DivergentTailError(
             f"gradient energy decays like t^-{decay:.3f} and does not converge"
         )
-    return manifold_integral(
-        lambda t: abs(u.deriv(t)) ** p, model, _functional_cfg(u, cfg), decay
-    )
+    return manifold_integral(lambda t: abs(u.deriv(t)) ** p, model, decay, u.split_hint, tol)
 
 
-def mass_pstar(
-    u: RadialFunction, model: ModelManifold, cfg: QuadratureConfig | None = None
-) -> float:
-    """p*-mass of u: integral of u^p* over the model."""
+def mass_pstar(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
+    """p*-mass of u: integral of u^p* over the model, to tolerance tol."""
     params = u.params
     decay = params.p_star * u.decay_order - (model.m - 1.0)
     if decay <= 1.0 + 1e-9:
         raise DivergentTailError(f"p*-mass decays like t^-{decay:.3f} and does not converge")
     return manifold_integral(
-        lambda t: u.eval(t) ** params.p_star, model, _functional_cfg(u, cfg), decay
+        lambda t: u.eval(t) ** params.p_star, model, decay, u.split_hint, tol
     )
 
 
-def quotient_plain(
-    u: RadialFunction, model: ModelManifold, cfg: QuadratureConfig | None = None
-) -> float:
+def quotient_plain(u: RadialFunction, model: ModelManifold) -> float:
     """Energy over mass, the quotient compared against K^-p directly."""
-    mass = mass_pstar(u, model, cfg)
+    mass = mass_pstar(u, model)
     if mass <= 0.0:
         raise ValueError("p*-mass vanished; the quotient is undefined")
-    return gradient_energy(u, model, cfg) / mass
+    return gradient_energy(u, model) / mass
 
 
-def quotient_sobolev(
-    u: RadialFunction, model: ModelManifold, cfg: QuadratureConfig | None = None
-) -> float:
-    """Scale-invariant Sobolev quotient energy / mass^(p/p*).
+def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
+    """Scale-invariant Sobolev quotient energy / mass^(p/p*), to tolerance tol.
 
     Its infimum over admissible u equals C_M^-p, so every evaluation is an
     upper bound for that infimum and a lower witness for C_M.
     """
     params = u.params
-    mass = mass_pstar(u, model, cfg)
+    mass = mass_pstar(u, model, tol)
     if mass <= 0.0:
         raise ValueError("p*-mass vanished; the quotient is undefined")
-    return gradient_energy(u, model, cfg) / mass ** (params.p / params.p_star)
+    return gradient_energy(u, model, tol) / mass ** (params.p / params.p_star)
 
 
 @dataclass(frozen=True)
@@ -218,7 +206,6 @@ def verify_decay_conditions(
     u: RadialFunction,
     model: ModelManifold,
     r_grid=(2.0, 5.0, 10.0, 20.0, 40.0),
-    cfg: QuadratureConfig | None = None,
 ) -> DecayReport:
     """Check the integrability and averaged-flux decay of a test function.
 
@@ -232,7 +219,6 @@ def verify_decay_conditions(
     """
     params = u.params
     p, m = params.p, model.m
-    cfg = _functional_cfg(u, cfg)
     area = model.area_extended()
 
     def core(t: float) -> float:
@@ -242,7 +228,7 @@ def verify_decay_conditions(
     l1_finite = decay > 1.0 + 1e-9
     if l1_finite:
         l1 = integrate_semi_infinite(
-            lambda t: 0.0 if t == 0.0 else core(t) / t, cfg, decay_power=decay
+            lambda t: 0.0 if t == 0.0 else core(t) / t, u.split_hint, decay_power=decay
         )
     else:
         l1 = math.inf
@@ -252,7 +238,7 @@ def verify_decay_conditions(
     prev_r = 0.0
     for r in sorted(r_grid):
         r_eff = min(r, model.t_max)
-        acc += integrate_finite(core, prev_r, r_eff, cfg)
+        acc += integrate_finite(core, prev_r, r_eff)
         prev_r = r_eff
         flux_rows.append((r_eff, acc / r_eff))
     tail = [s for r, s in flux_rows if r >= 3.0 * u.split_hint]
@@ -277,7 +263,6 @@ class RadialConstantEstimate:
 def estimate_radial_constant(
     model: ModelManifold,
     params: SobolevParams,
-    cfg: QuadratureConfig | None = None,
     lambda_range: tuple = (1e-2, 1e6),
     scan_points: int = 25,
 ) -> RadialConstantEstimate:
@@ -293,7 +278,6 @@ def estimate_radial_constant(
         SobolevUnsupportedError: the model's volume ratio collapses, so no
             Euclidean-type inequality (and no finite constant) exists.
     """
-    base_cfg = cfg if cfg is not None else DEFAULT_QUADRATURE
     m, p = params.m, params.p
     if m != model.m:
         raise ValueError(f"params dimension {m} does not match model dimension {model.m}")
@@ -306,23 +290,18 @@ def estimate_radial_constant(
             f"{growth:.3e} at t={probe_t:g} has collapsed"
         )
 
-    profile = TalentiProfile.build(params, 1.0, base_cfg)
+    profile = TalentiProfile.build(params, 1.0)
     lam_lo, lam_hi = lambda_range
     if model.tail_factor() > 1.0:
         # Witness scales must keep their mass inside the solved window.
         lam_hi = min(lam_hi, (model.t_max / 5.0) ** params.conj)
     evals = 0
     skipped = []
-    # The search only has to locate the minimiser; the winning witness is
-    # re-evaluated at full accuracy afterwards.
-    search_cfg = replace(
-        base_cfg, abs_tol=max(base_cfg.abs_tol, 1e-9), rel_tol=max(base_cfg.rel_tol, 1e-7)
-    )
 
     def quotient_at(lam: float) -> float:
         nonlocal evals
         evals += 1
-        return quotient_sobolev(talenti_function(profile.with_lam(lam)), model, search_cfg)
+        return quotient_sobolev(talenti_function(profile.with_lam(lam)), model, SEARCH_TOL)
 
     grid = [
         lam_lo * (lam_hi / lam_lo) ** (i / (scan_points - 1.0)) for i in range(scan_points)
@@ -360,7 +339,7 @@ def estimate_radial_constant(
             best_q, best_lam = q, math.exp(log_lam)
 
     try:
-        best_q = quotient_sobolev(talenti_function(profile.with_lam(best_lam)), model, base_cfg)
+        best_q = quotient_sobolev(talenti_function(profile.with_lam(best_lam)), model)
         evals += 1
     except (TailBoundError, QuadratureError):
         # Keep the search-accuracy value if the strict pass refuses; it is

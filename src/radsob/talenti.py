@@ -18,14 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    QuadratureError,
-    gamma,
-    integrate_semi_infinite,
-    with_tail_split,
-)
+from .numerics import QuadratureError, integrate_semi_infinite
 
 
 @dataclass(frozen=True)
@@ -53,12 +46,12 @@ class SobolevParams:
 
 def unit_ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m."""
-    return math.pi ** (m / 2.0) / gamma(m / 2.0 + 1.0)
+    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
 def sphere_area(m: int) -> float:
     """Area of the unit sphere bounding the unit ball in R^m."""
-    return 2.0 * math.pi ** (m / 2.0) / gamma(m / 2.0)
+    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
 def profile_split(params: SobolevParams, lam: float) -> float:
@@ -70,18 +63,17 @@ def profile_split(params: SobolevParams, lam: float) -> float:
     return max(1.0, lam ** (1.0 / params.conj))
 
 
-def _mass_kernel_integral(params: SobolevParams, lam: float, cfg: QuadratureConfig) -> float:
+def _mass_kernel_integral(params: SobolevParams, lam: float) -> float:
     """integral over (0, inf) of t^(m-1) (lam + t^conj)^{-m} dt."""
     m, q = params.m, params.conj
 
     def f(t: float) -> float:
         return t ** (m - 1) / (lam + t**q) ** m
 
-    split_cfg = with_tail_split(cfg, profile_split(params, lam))
-    return integrate_semi_infinite(f, split_cfg, decay_power=q * m - (m - 1))
+    return integrate_semi_infinite(f, profile_split(params, lam), decay_power=q * m - (m - 1))
 
 
-def normalize_beta(params: SobolevParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def normalize_beta(params: SobolevParams) -> float:
     """Normalisation constant making the profile's p*-mass equal one.
 
     Computed from the quadrature of the mass kernel at lam = 1 and
@@ -92,7 +84,7 @@ def normalize_beta(params: SobolevParams, cfg: QuadratureConfig = DEFAULT_QUADRA
     m, p = params.m, params.p
 
     def beta_at(lam: float) -> float:
-        total = sphere_area(m) * lam ** (m / p) * _mass_kernel_integral(params, lam, cfg)
+        total = sphere_area(m) * lam ** (m / p) * _mass_kernel_integral(params, lam)
         return total ** (-1.0 / params.p_star)
 
     b1 = beta_at(1.0)
@@ -108,11 +100,10 @@ _SHARP_CACHE: dict = {}
 _BETA_CACHE: dict = {}
 
 
-def cached_beta(params: SobolevParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    key = (params.m, params.p, cfg)
-    if key not in _BETA_CACHE:
-        _BETA_CACHE[key] = normalize_beta(params, cfg)
-    return _BETA_CACHE[key]
+def cached_beta(params: SobolevParams) -> float:
+    if params not in _BETA_CACHE:
+        _BETA_CACHE[params] = normalize_beta(params)
+    return _BETA_CACHE[params]
 
 
 @dataclass(frozen=True)
@@ -126,15 +117,13 @@ class TalentiProfile:
     omega_sphere: float
 
     @classmethod
-    def build(
-        cls, params: SobolevParams, lam: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-    ) -> "TalentiProfile":
+    def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
         if not (lam > 0.0) or not math.isfinite(lam):
             raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
         return cls(
             params=params,
             lam=lam,
-            beta=cached_beta(params, cfg),
+            beta=cached_beta(params),
             omega_m=unit_ball_volume(params.m),
             omega_sphere=sphere_area(params.m),
         )
@@ -193,11 +182,7 @@ class TalentiProfile:
         )
 
 
-def sharp_constant_detail(
-    params: SobolevParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    lambdas: tuple = (1.0, 0.5, 5.0, 20.0),
-) -> dict:
+def sharp_constant_detail(params: SobolevParams, lambdas: tuple = (1.0, 0.5, 5.0, 20.0)) -> dict:
     """Sharp constant K(m, p) together with its scale-invariance spread.
 
     K^(-p) is the p-energy of any normalised profile; computing it at
@@ -206,7 +191,7 @@ def sharp_constant_detail(
     """
     m, p = params.m, params.p
     q = params.conj
-    beta = cached_beta(params, cfg)
+    beta = cached_beta(params)
     nu = (m - p) / p
 
     def energy(lam: float) -> float:
@@ -218,7 +203,7 @@ def sharp_constant_detail(
 
         decay = (m - 1.0) / (p - 1.0)
         return sphere_area(m) * integrate_semi_infinite(
-            f, with_tail_split(cfg, profile_split(params, lam)), decay_power=decay
+            f, profile_split(params, lam), decay_power=decay
         )
 
     values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}
@@ -227,17 +212,16 @@ def sharp_constant_detail(
     return {"K": k, "spread": spread, "values": values, "beta": beta}
 
 
-def sharp_constant(params: SobolevParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def sharp_constant(params: SobolevParams) -> float:
     """Sharp Sobolev constant K(m, p), with a scale self-test at 1e-6."""
-    key = (params.m, params.p, cfg)
-    if key not in _SHARP_CACHE:
-        detail = sharp_constant_detail(params, cfg)
+    if params not in _SHARP_CACHE:
+        detail = sharp_constant_detail(params)
         if detail["spread"] > 1e-6:
             raise QuadratureError(
                 f"sharp constant not scale invariant to 1e-6 (spread {detail['spread']:.3e})"
             )
-        _SHARP_CACHE[key] = detail["K"]
-    return _SHARP_CACHE[key]
+        _SHARP_CACHE[params] = detail["K"]
+    return _SHARP_CACHE[params]
 
 
 def yamabe_residual(profile: TalentiProfile, k: float, t: float) -> float:

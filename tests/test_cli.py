@@ -1,16 +1,39 @@
 """Exit codes, report schemas, and determinism of the command line front end.
 
 main() is driven in-process with explicit argv lists; one test goes
-through ``python -m radsob.cli`` to cover the module entry point.
+through ``python -m radsob.cli`` to cover the module entry point.  The
+README invocations are pinned byte for byte to the reports stored in
+perfbench/golden.json, which these tests only read.
 """
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from radsob.cli import DEFAULT_LAMBDAS, RunConfig, main, parse_argv
 
 import _oracles
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+
+    HAS_HYPOTHESIS = True
+except ImportError:
+    HAS_HYPOTHESIS = False
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+README_INVOCATIONS = (
+    "constants --m 4 --p 2",
+    "model --g rational:0.1 --t-max 20 --step 1e-2",
+    "verify --m 4 --p 2 --g zero --lambda 0.5,1",
+    "rigidity --m 4 --p 2 --g rational:0.1 --c-m estimate --gamma empirical",
+    "limits --m 4 --p 2 --T 1 --lambda 10,100,1000,10000",
+    "verify --g rational:0.1 --lambda 1,5 --t-max 80",
+)
 
 
 def _run(capsys, argv):
@@ -72,6 +95,13 @@ def test_exit_codes_usage_errors(capsys):
         ["constants", "--m", "50", "--p", "2"],
         ["constants", "--m", "4", "--p", "1.01"],
         ["limits", "--lambda", "10,1e300"],
+        ["constants", "--tol", "nan"],
+        ["constants", "--tol", "-1"],
+        ["constants", "--tol", "0"],
+        ["rigidity", "--g", "rational:0.1", "--c-m", "inf"],
+        ["rigidity", "--g", "zero", "--c-m", "nan"],
+        ["constants", "--lambda", "-1"],
+        ["constants", "--lambda", "nan"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -225,3 +255,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass,true" in proc.stdout
+
+
+def test_readme_reports_match_golden(capsys):
+    golden = json.loads(GOLDEN.read_text())
+    for invocation in README_INVOCATIONS:
+        rc, out = _run(capsys, invocation.split())
+        want = golden[invocation]
+        assert rc == want["exit"], f"{invocation!r} exited {rc}, golden {want['exit']}"
+        assert out == want["stdout"], f"{invocation!r} report differs from golden.json"
+
+
+if HAS_HYPOTHESIS:
+    # Each flag takes a degenerate value or an ordinary one; the ordinary
+    # values come first so that shrinking reports the degenerate culprit.
+    _DEGENERATE = ["nan", "inf", "-inf", "0", "-1"]
+
+    @given(
+        command=st.sampled_from(["constants", "limits", "rigidity"]),
+        p=st.sampled_from(["2", "1.5", "3", *_DEGENERATE]),
+        tol=st.sampled_from(["1e-8", *_DEGENERATE]),
+        c_m=st.sampled_from(["estimate", "0.4", *_DEGENERATE]),
+        lam=st.sampled_from(["1", "10,100", "10,-1", *_DEGENERATE]),
+        T=st.sampled_from(["1", "2", *_DEGENERATE]),
+    )
+    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="-1", T="1")
+    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="0", T="1")
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_contract_over_degenerate_flags(command, p, tol, c_m, lam, T):
+        """Every input ends in exit 0, 1 or 2, never in a traceback."""
+        argv = [command, f"--p={p}", f"--tol={tol}", f"--c-m={c_m}", f"--lambda={lam}", f"--T={T}"]
+        if command == "rigidity":
+            argv.append("--g=zero")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 1, 2), f"argv {argv!r} gave exit {rc!r}"

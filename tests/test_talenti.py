@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from radsob.numerics import DEFAULT_QUADRATURE, integrate_semi_infinite, with_tail_split
+from radsob.numerics import integrate_semi_infinite
 from radsob.talenti import (
     SobolevParams,
     TalentiProfile,
@@ -92,8 +92,8 @@ def test_mass_normalisation_across_scales():
         decay = q * (m + 1) - m - 1.0 / (p - 1.0)
         for lam in (0.5, 1.0, 5.0, 20.0):
             profile = TalentiProfile.build(params, lam)
-            cfg = with_tail_split(DEFAULT_QUADRATURE, max(1.0, lam ** (1.0 / q)))
-            total = integrate_semi_infinite(profile.density, cfg, decay_power=decay)
+            split = max(1.0, lam ** (1.0 / q))
+            total = integrate_semi_infinite(profile.density, split, decay_power=decay)
             assert abs(total - 1.0) < 1e-8, f"mass({m},{p},lam={lam}) = {total!r}"
 
 
@@ -103,9 +103,9 @@ def test_beta_invariant_across_scales():
     m, q = params.m, params.conj
 
     def beta_at(lam):
-        cfg = with_tail_split(DEFAULT_QUADRATURE, max(1.0, lam ** (1.0 / q)))
+        split = max(1.0, lam ** (1.0 / q))
         kernel = integrate_semi_infinite(
-            lambda t: t ** (m - 1) / (lam + t**q) ** m, cfg, decay_power=q * m - (m - 1)
+            lambda t: t ** (m - 1) / (lam + t**q) ** m, split, decay_power=q * m - (m - 1)
         )
         return (sphere_area(m) * lam ** (m / params.p) * kernel) ** (-1.0 / params.p_star)
 
