@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .model_manifold import ModelManifold, build_model, parse_curvature, verify_volume_chain
 from .numerics import OdeError, QuadratureError
@@ -62,42 +61,6 @@ def _json_ready(obj):
 
 
 DEFAULT_LAMBDAS = (1.0,)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    m: int = 4
-    p: float = 2.0
-    lambda_list: tuple = DEFAULT_LAMBDAS
-    g_spec: str = "zero"
-    t_max: float = 50.0
-    step: float = 1e-3
-    tol: float = 1e-8
-    c_m: str = "estimate"
-    gamma: str = "empirical"
-    T: float = 1.0
-    output: str = "csv"
-    out_path: str | None = None
-
-    def to_argv(self) -> list:
-        argv = [
-            self.command,
-            "--m", str(self.m),
-            "--p", _fmt(float(self.p)),
-            "--lambda", ",".join(_fmt(float(x)) for x in self.lambda_list),
-            "--g", self.g_spec,
-            "--t-max", _fmt(float(self.t_max)),
-            "--step", _fmt(float(self.step)),
-            "--tol", _fmt(float(self.tol)),
-            "--c-m", self.c_m,
-            "--gamma", self.gamma,
-            "--T", _fmt(float(self.T)),
-            "--output", self.output,
-        ]
-        if self.out_path is not None:
-            argv += ["--out", self.out_path]
-        return argv
 
 
 def _positive_finite(text: str) -> float:
@@ -148,47 +111,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_argv(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        m=ns.m,
-        p=ns.p,
-        lambda_list=tuple(ns.lambda_list),
-        g_spec=ns.g_spec,
-        t_max=ns.t_max,
-        step=ns.step,
-        tol=ns.tol,
-        c_m=ns.c_m,
-        gamma=ns.gamma,
-        T=ns.T,
-        output=ns.output,
-        out_path=ns.out_path,
-    )
-
-
-def _config_header(cfg: RunConfig) -> list:
+def _config_header(args: argparse.Namespace) -> list:
     return [
-        f"# command={cfg.command} m={cfg.m} p={_fmt(float(cfg.p))} g={cfg.g_spec}",
-        f"# t_max={_fmt(float(cfg.t_max))} step={_fmt(float(cfg.step))} "
-        f"tol={_fmt(float(cfg.tol))} lambda={','.join(_fmt(float(x)) for x in cfg.lambda_list)}",
+        f"# command={args.command} m={args.m} p={_fmt(float(args.p))} g={args.g_spec}",
+        f"# t_max={_fmt(float(args.t_max))} step={_fmt(float(args.step))} "
+        f"tol={_fmt(float(args.tol))} lambda={','.join(_fmt(float(x)) for x in args.lambda_list)}",
     ]
 
 
-def _emit(cfg: RunConfig, lines_or_obj) -> None:
-    if cfg.output == "json":
+def _emit(args: argparse.Namespace, lines_or_obj) -> None:
+    if args.output == "json":
         text = json.dumps(_json_ready(lines_or_obj), indent=2) + "\n"
     else:
         text = "\n".join(lines_or_obj) + "\n"
-    if cfg.out_path is not None:
-        with open(cfg.out_path, "w") as fh:
+    if args.out_path is not None:
+        with open(args.out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _check_rows_csv(cfg: RunConfig, rows) -> list:
-    lines = _config_header(cfg)
+def _check_rows_csv(args: argparse.Namespace, rows) -> list:
+    lines = _config_header(args)
     lines.append("check_name,t,lhs,rhs,slack,pass")
     for name, t, lhs, rhs, slack, ok in rows:
         lines.append(",".join([name, _fmt(float(t)), _fmt(float(lhs)),
@@ -196,11 +140,11 @@ def _check_rows_csv(cfg: RunConfig, rows) -> list:
     return lines
 
 
-def _check_rows_json(cfg: RunConfig, rows) -> dict:
+def _check_rows_json(args: argparse.Namespace, rows) -> dict:
     return {
-        "command": cfg.command,
-        "params": {"m": cfg.m, "p": cfg.p},
-        "g": cfg.g_spec,
+        "command": args.command,
+        "params": {"m": args.m, "p": args.p},
+        "g": args.g_spec,
         "checks": [
             {"check_name": name, "t": t, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": ok}
             for name, t, lhs, rhs, slack, ok in rows
@@ -208,37 +152,37 @@ def _check_rows_json(cfg: RunConfig, rows) -> dict:
     }
 
 
-def _build_from_cfg(cfg: RunConfig) -> ModelManifold:
-    profile = parse_curvature(cfg.g_spec)
-    return build_model(cfg.m, profile, t_max=cfg.t_max, step=cfg.step)
+def _build_model(args: argparse.Namespace) -> ModelManifold:
+    profile = parse_curvature(args.g_spec)
+    return build_model(args.m, profile, t_max=args.t_max, step=args.step)
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    params = SobolevParams(cfg.m, cfg.p)
-    lambdas = tuple(sorted(set((1.0, 0.5, 5.0, 20.0)) | set(cfg.lambda_list)))
+def cmd_constants(args: argparse.Namespace) -> int:
+    params = SobolevParams(args.m, args.p)
+    lambdas = tuple(sorted(set((1.0, 0.5, 5.0, 20.0)) | set(args.lambda_list)))
     detail = sharp_constant_detail(params, lambdas=lambdas)
     rows = [
         ("beta", detail["beta"]),
         ("K", detail["K"]),
         ("spread", detail["spread"]),
-        ("omega_m", unit_ball_volume(cfg.m)),
-        ("omega_sphere", sphere_area(cfg.m)),
+        ("omega_m", unit_ball_volume(args.m)),
+        ("omega_sphere", sphere_area(args.m)),
     ]
     rows += [(f"K_at_lambda_{_fmt(lam)}", k) for lam, k in sorted(detail["values"].items())]
-    ok = detail["spread"] <= cfg.tol
-    if cfg.output == "json":
+    ok = detail["spread"] <= args.tol
+    if args.output == "json":
         payload = {
             "command": "constants",
-            "params": {"m": cfg.m, "p": cfg.p, "p_star": params.p_star},
+            "params": {"m": args.m, "p": args.p, "p_star": params.p_star},
             **{name: value for name, value in rows},
             "pass": ok,
         }
-        _emit(cfg, payload)
+        _emit(args, payload)
     else:
-        lines = _config_header(cfg) + ["name,value"]
+        lines = _config_header(args) + ["name,value"]
         lines += [f"{name},{_fmt(value)}" for name, value in rows]
         lines.append(f"pass,{_fmt(ok)}")
-        _emit(cfg, lines)
+        _emit(args, lines)
     return 0 if ok else 1
 
 
@@ -246,54 +190,54 @@ def _chain_grid(t_max: float) -> list:
     return [t_max * f for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8)]
 
 
-def cmd_model(cfg: RunConfig) -> int:
-    model = _build_from_cfg(cfg)
-    report = verify_volume_chain(model, _chain_grid(cfg.t_max), slack=cfg.tol)
-    rows = [(c.name, c.t, c.lhs, c.rhs, cfg.tol, c.passed) for c in report.rows]
-    if cfg.output == "json":
-        payload = _check_rows_json(cfg, rows)
+def cmd_model(args: argparse.Namespace) -> int:
+    model = _build_model(args)
+    report = verify_volume_chain(model, _chain_grid(args.t_max), slack=args.tol)
+    rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
+    if args.output == "json":
+        payload = _check_rows_json(args, rows)
         payload["b"] = report.b_used
         payload["pass"] = report.all_pass
-        _emit(cfg, payload)
+        _emit(args, payload)
     else:
-        lines = _check_rows_csv(cfg, rows)
+        lines = _check_rows_csv(args, rows)
         lines.insert(2, f"# b={_fmt(float(report.b_used))}")
         lines.append(f"# pass={_fmt(report.all_pass)}")
-        _emit(cfg, lines)
+        _emit(args, lines)
     return 0 if report.all_pass else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    params = SobolevParams(cfg.m, cfg.p)
-    model = _build_from_cfg(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    params = SobolevParams(args.m, args.p)
+    model = _build_model(args)
     k = sharp_constant(params)
     k_pow = k ** (-params.p)
     rows = []
-    for lam in cfg.lambda_list:
+    for lam in args.lambda_list:
         profile = TalentiProfile.build(params, lam)
         u = talenti_function(profile)
         mass = float(mass_pstar(u, model))
         energy = float(gradient_energy(u, model))
         rows.append(("mass_lower", lam, 1.0, mass,
-                     cfg.tol, bool(1.0 <= mass * (1.0 + cfg.tol) + cfg.tol)))
+                     args.tol, bool(1.0 <= mass * (1.0 + args.tol) + args.tol)))
         rows.append(("energy_lower", lam, k_pow, energy,
-                     cfg.tol, bool(k_pow <= energy * (1.0 + cfg.tol))))
-        r_grid = [r for r in (2.0, 5.0, 10.0, 20.0, 40.0) if r <= 0.9 * cfg.t_max]
+                     args.tol, bool(k_pow <= energy * (1.0 + args.tol))))
+        r_grid = [r for r in (2.0, 5.0, 10.0, 20.0, 40.0) if r <= 0.9 * args.t_max]
         decay = verify_decay_conditions(u, model, r_grid=r_grid)
         s_first = float(decay.flux_rows[0][1])
         s_last = float(decay.flux_rows[-1][1])
-        rows.append(("flux_decreasing", lam, s_last, s_first, cfg.tol,
+        rows.append(("flux_decreasing", lam, s_last, s_first, args.tol,
                      bool(decay.flux_decreasing and decay.l1_finite)))
     all_pass = all(r[5] for r in rows)
-    if cfg.output == "json":
-        payload = _check_rows_json(cfg, rows)
+    if args.output == "json":
+        payload = _check_rows_json(args, rows)
         payload["K"] = k
         payload["pass"] = all_pass
-        _emit(cfg, payload)
+        _emit(args, payload)
     else:
-        lines = _check_rows_csv(cfg, rows)
+        lines = _check_rows_csv(args, rows)
         lines.append(f"# pass={_fmt(all_pass)}")
-        _emit(cfg, lines)
+        _emit(args, lines)
     return 0 if all_pass else 1
 
 
@@ -303,20 +247,20 @@ def _rigidity_grid(t_max: float) -> list:
     return sorted(grid)
 
 
-def cmd_rigidity(cfg: RunConfig) -> int:
-    params = SobolevParams(cfg.m, cfg.p)
-    model = _build_from_cfg(cfg)
+def cmd_rigidity(args: argparse.Namespace) -> int:
+    params = SobolevParams(args.m, args.p)
+    model = _build_model(args)
     k = sharp_constant(params)
-    gamma_value = None if cfg.gamma == "empirical" else float(cfg.gamma)
+    gamma_value = None if args.gamma == "empirical" else float(args.gamma)
     b = model.profile.b if model.profile is not None else None
     mode = "flat" if b == 0.0 else "curved"
-    grid = _rigidity_grid(cfg.t_max)
+    grid = _rigidity_grid(args.t_max)
     check_hypotheses(model, mode, grid, gamma_value)
-    if cfg.c_m == "estimate":
+    if args.c_m == "estimate":
         c_m_value, _ = estimated_c_m(model, params)
         c_m_source = "estimate"
     else:
-        c_m_value = float(cfg.c_m)
+        c_m_value = float(args.c_m)
         c_m_source = "user"
     report = verify_theorem(
         model,
@@ -327,23 +271,23 @@ def cmd_rigidity(cfg: RunConfig) -> int:
         grid,
         gamma_value=gamma_value,
         c_m_source=c_m_source,
-        ratio_slack=cfg.tol,
+        ratio_slack=args.tol,
     )
-    if cfg.output == "json":
-        _emit(cfg, report.to_json_dict())
+    if args.output == "json":
+        _emit(args, report.to_json_dict())
     else:
-        _emit(cfg, _config_header(cfg) + report.to_csv_lines())
+        _emit(args, _config_header(args) + report.to_csv_lines())
     return 0 if report.verdict == "consistent" else 1
 
 
-def cmd_limits(cfg: RunConfig) -> int:
-    params = SobolevParams(cfg.m, cfg.p)
-    report = mass_escape_experiment(params, cfg.T, cfg.lambda_list)
-    if cfg.output == "json":
+def cmd_limits(args: argparse.Namespace) -> int:
+    params = SobolevParams(args.m, args.p)
+    report = mass_escape_experiment(params, args.T, args.lambda_list)
+    if args.output == "json":
         payload = {
             "command": "limits",
-            "params": {"m": cfg.m, "p": cfg.p},
-            "T": cfg.T,
+            "params": {"m": args.m, "p": args.p},
+            "T": args.T,
             "threshold": report.threshold,
             "crossing": report.crossing,
             "rows": [
@@ -352,17 +296,17 @@ def cmd_limits(cfg: RunConfig) -> int:
             ],
             "pass": report.all_pass,
         }
-        _emit(cfg, payload)
+        _emit(args, payload)
     else:
-        lines = _config_header(cfg)
-        lines.append(f"# T={_fmt(float(cfg.T))} threshold={_fmt(report.threshold)}")
+        lines = _config_header(args)
+        lines.append(f"# T={_fmt(float(args.T))} threshold={_fmt(report.threshold)}")
         crossing = "none" if report.crossing is None else _fmt(report.crossing)
         lines.append(f"# crossing={crossing}")
         lines.append("lambda,head,tail,sum")
         for lam, head, tail, total in report.rows:
             lines.append(",".join([_fmt(lam), _fmt(head), _fmt(tail), _fmt(total)]))
         lines.append(f"# pass={_fmt(report.all_pass)}")
-        _emit(cfg, lines)
+        _emit(args, lines)
     return 0 if report.all_pass else 1
 
 
@@ -377,11 +321,11 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_argv(argv if argv is not None else sys.argv[1:])
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

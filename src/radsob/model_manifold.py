@@ -76,8 +76,8 @@ class ConstantCutoff(CurvatureProfile):
     def __init__(self, a: float, t_cut: float):
         if a < 0.0 or not math.isfinite(a):
             raise ValueError("curvature level a must be finite and >= 0")
-        if t_cut < 0.0:
-            raise ValueError("cutoff radius must be >= 0")
+        if not (t_cut >= 0.0):
+            raise ValueError("cutoff radius must be >= 0 (inf allowed)")
         self.a = a
         self.t_cut = t_cut
 
@@ -432,17 +432,12 @@ class ModelManifold:
 
 
 def build_model(
-    m: int,
-    profile: CurvatureProfile,
-    t_max: float = 50.0,
-    step: float = 1e-3,
-    with_error_estimate: bool = True,
+    m: int, profile: CurvatureProfile, t_max: float = 50.0, step: float = 1e-3
 ) -> ModelManifold:
     """Solve the warping IVP for a curvature profile and assemble the model."""
     if isinstance(profile, ZeroCurvature):
-        model = euclidean_model(m, t_max, step)
-        return model
-    sol = solve_h_ivp(profile.g, t_max, step, with_error_estimate=with_error_estimate)
+        return euclidean_model(m, t_max, step)
+    sol = solve_h_ivp(profile.g, t_max, step)
     return ModelManifold(
         m=m,
         t_max=t_max,

@@ -6,8 +6,10 @@ warping initial value problem h'' = G(t) h.  The whole quadrature policy
 is the tolerance pair TOL, the recursion limit MAX_DEPTH and, for
 semi-infinite integrals, the radius where head and tail are split; a
 caller may pass its own (abs_tol, rel_tol) pair and split, nothing else.
-All routines are deterministic: the same inputs always produce bitwise
-identical results.
+The IVP has no error control of its own: one RK4 sweep at the caller's
+step, whose accuracy the tests pin against closed forms and
+high-precision reference solutions.  All routines are deterministic: the
+same inputs always produce bitwise identical results.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ class OdeError(RuntimeError):
     """The IVP integrator produced a non-finite state."""
 
 
-# Left endpoint used when an integrable endpoint behaviour is split off
-# analytically, and the matching open endpoint for tail substitutions.
-T_MIN = 1e-8
+# Open endpoint of the tail substitution t = split/u near u = 0.
 U_MIN = 1e-8
 
 
@@ -71,7 +71,6 @@ def integrate_finite(
     a: float,
     b: float,
     tol: tuple = TOL,
-    power_at_zero: float | None = None,
 ) -> float:
     """Integrate f over [a, b] with adaptive Simpson refinement.
 
@@ -82,16 +81,13 @@ def integrate_finite(
         f: integrand, evaluated at scalar points in [a, b].
         a, b: finite interval endpoints with a <= b.
         tol: the (abs_tol, rel_tol) pair.
-        power_at_zero: when given (and a == 0), the integrand is treated as
-            ~ C t**power_at_zero near zero; the interval is opened at
-            t = 1e-8 and the leading-order sliver is added analytically.
 
     Returns:
         The integral estimate.
 
     Raises:
         QuadratureError: tolerance not met within MAX_DEPTH levels.
-        ValueError: malformed interval or sliver power <= -1.
+        ValueError: malformed interval.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_finite requires finite endpoints")
@@ -99,13 +95,6 @@ def integrate_finite(
         raise ValueError(f"empty interval [{a:g}, {b:g}]")
     if b == a:
         return 0.0
-
-    sliver = 0.0
-    if power_at_zero is not None and a == 0.0:
-        if power_at_zero <= -1.0:
-            raise ValueError("endpoint power must exceed -1 for an integrable sliver")
-        a = min(T_MIN, 0.5 * b)
-        sliver = f(a) * a / (power_at_zero + 1.0)
 
     fa = f(a)
     fb = f(b)
@@ -134,7 +123,7 @@ def integrate_finite(
     # target so that accuracy does not degrade with the overall scale.
     if value != 0.0 and abs_tol > rel_tol * abs(value):
         value = run(rel_tol * abs(value))
-    return value + sliver
+    return value
 
 
 def integrate_semi_infinite(
@@ -214,7 +203,6 @@ class IvpSolution:
     seconds: np.ndarray
     step: float
     t_max: float
-    error_estimate: float
 
     def _locate(self, t: float) -> tuple[int, float]:
         if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
@@ -245,7 +233,22 @@ class IvpSolution:
         )
 
 
-def _rk4_sweep(g, t_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -> IvpSolution:
+    """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
+
+    Classic fixed-step RK4 on the first-order system (h, h'), one sweep
+    with n = round(t_max/step) steps.  g is called 3n + 2 times: at each
+    node and step midpoint during the sweep, and once more per node for
+    the stored second derivatives.  There is no error estimate; the step
+    is the accuracy control.
+
+    Raises:
+        OdeError: the state became non-finite (runaway curvature input).
+        ValueError: non-positive step or window.
+    """
+    if not (t_max > 0.0) or not (step > 0.0):
+        raise ValueError("t_max and step must be positive")
+    n = max(1, round(t_max / step))
     dt = t_max / n
     values = np.empty(n + 1)
     derivs = np.empty(n + 1)
@@ -271,45 +274,9 @@ def _rk4_sweep(g, t_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         values[i + 1] = h
         derivs[i + 1] = v
         g_here = g_next
-    return values, derivs
 
-
-def solve_h_ivp(
-    g: Callable[[float], float],
-    t_max: float,
-    step: float = 1e-3,
-    with_error_estimate: bool = True,
-) -> IvpSolution:
-    """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
-
-    Classic fixed-step RK4 on the first-order system (h, h').  When
-    with_error_estimate is set, a second sweep at half the step size is
-    run and the largest relative mismatch at shared nodes is reported in
-    IvpSolution.error_estimate.
-
-    Raises:
-        OdeError: the state became non-finite (runaway curvature input).
-        ValueError: non-positive step or window.
-    """
-    if not (t_max > 0.0) or not (step > 0.0):
-        raise ValueError("t_max and step must be positive")
-    n = max(1, round(t_max / step))
-    values, derivs = _rk4_sweep(g, t_max, n)
     grid = np.linspace(0.0, t_max, n + 1)
-
-    error = 0.0
-    if with_error_estimate:
-        fine_values, _ = _rk4_sweep(g, t_max, 2 * n)
-        shared = fine_values[::2]
-        error = float(np.max(np.abs(values - shared) / np.maximum(1.0, np.abs(shared))))
-
     seconds = np.array([g(t) for t in grid]) * values
     return IvpSolution(
-        grid=grid,
-        values=values,
-        derivs=derivs,
-        seconds=seconds,
-        step=t_max / n,
-        t_max=t_max,
-        error_estimate=error,
+        grid=grid, values=values, derivs=derivs, seconds=seconds, step=dt, t_max=t_max
     )

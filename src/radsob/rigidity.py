@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model_manifold import ModelManifold, euclidean_model
+from .model_manifold import ModelManifold
 from .numerics import beta_function, integrate_finite, integrate_semi_infinite
 from .sobolev import estimate_radial_constant, manifold_integral
 from .talenti import SobolevParams, TalentiProfile, cached_beta, profile_split, sharp_constant
@@ -34,6 +34,12 @@ from .talenti import sphere_area, unit_ball_volume
 
 class RigidityHypothesisError(ValueError):
     """The model violates a hypothesis of the requested verification mode."""
+
+
+# Relative rise the certificate profile v may take per grid step and still
+# count as non-increasing, and how far below zero its last value may end.
+V_STEP_SLACK = 1e-9
+V_LIMIT_SLACK = 1e-4
 
 
 def gamma_lower_bound(model: ModelManifold, t_grid) -> float:
@@ -158,7 +164,6 @@ class VProfileReport:
     rows: tuple
     non_increasing: bool
     scale: float
-    step_slack: float
 
     @property
     def last(self) -> float:
@@ -170,14 +175,13 @@ def v_profile(
     comparison: ModelManifold | None,
     scale: float,
     t_grid,
-    step_slack: float = 1e-9,
 ) -> VProfileReport:
     """Monotone certificate profile v(t) = scale * V(B_t)/V(comp_t) - 1.
 
     With comparison None the denominator is the flat ball volume.  The
     report records whether v is non-increasing along the grid within the
-    per-step slack; the rigidity conclusion is v(t) staying >= 0 up to the
-    window edge.
+    per-step slack V_STEP_SLACK; the rigidity conclusion is v(t) staying
+    >= 0 up to the window edge.
     """
     om = unit_ball_volume(model.m)
     rows = []
@@ -188,10 +192,10 @@ def v_profile(
         rows.append((float(t), float(scale * model.volume(t) / denom - 1.0)))
     values = [v for _, v in rows]
     ok = all(
-        later <= earlier + step_slack * max(1.0, abs(earlier))
+        later <= earlier + V_STEP_SLACK * max(1.0, abs(earlier))
         for earlier, later in zip(values, values[1:])
     )
-    return VProfileReport(rows=tuple(rows), non_increasing=ok, scale=scale, step_slack=step_slack)
+    return VProfileReport(rows=tuple(rows), non_increasing=ok, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -358,12 +362,21 @@ def check_hypotheses(
 ) -> float:
     """Refuse a model or gamma outside the hypotheses of mode; return its moment b.
 
-    Cheap, so callers can run it before an expensive witness search.
+    Also refuses a radius whose Euclidean ball volume is not positive (t^m
+    underflows for tiny t), since every volume ratio divides by it.  Cheap,
+    so callers can run it before an expensive witness search.
     """
     if gamma_value is not None and not (0.0 < gamma_value < math.inf):
         raise ValueError(
             f"volume ratio lower bound gamma must be positive and finite, got {gamma_value!r}"
         )
+    om = unit_ball_volume(model.m)
+    for t in t_grid:
+        if not (om * t**model.m > 0.0):
+            raise ValueError(
+                f"the Euclidean ball volume at radius t={t:g} is not positive, "
+                "so the volume ratio is undefined there"
+            )
     if mode == "flat":
         for t in t_grid:
             if model.radial_ricci(t) < -1e-12:
@@ -401,7 +414,6 @@ def verify_theorem(
     gamma_value: float | None = None,
     c_m_source: str = "user",
     ratio_slack: float = 1e-9,
-    limit_slack: float = 1e-4,
 ) -> RigidityReport:
     """Check the volume comparison conclusion on a radius grid.
 
@@ -413,7 +425,7 @@ def verify_theorem(
 
     The verdict is "consistent" when every grid bound holds to
     ratio_slack, the certificate profile is non-increasing, and its final
-    value stays above -limit_slack.
+    value stays above -V_LIMIT_SLACK.
     """
     m = params.m
     if model.m != m:
@@ -458,7 +470,7 @@ def verify_theorem(
     elif not profile_report.non_increasing:
         verdict = "violated"
         violation = {"check": "v_profile_monotone"}
-    elif profile_report.last < -limit_slack:
+    elif profile_report.last < -V_LIMIT_SLACK:
         verdict = "violated"
         violation = {"check": "v_profile_limit", "v_last": profile_report.last}
 

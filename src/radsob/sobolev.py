@@ -13,7 +13,7 @@ refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .model_manifold import ModelManifold
@@ -43,6 +43,10 @@ SEARCH_TOL = (1e-9, 1e-7)
 # (abs_tol, rel_tol) of the beyond-window share of a manifold integral.  It
 # only feeds the TAIL_BUDGET comparison, so a few digits are enough.
 BUDGET_TOL = (1e-9, 1e-4)
+# The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE
+# (the upper end capped by the solved window on IVP-built models).
+SCAN_RANGE = (1e-2, 1e6)
+SCAN_POINTS = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,53 +63,40 @@ class RadialFunction:
     deriv: Callable[[float], float]
     decay_order: float
     params: SobolevParams
-    kind: str = "custom"
-    detail: dict = field(default_factory=dict)
+    split_hint: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "split_hint", max(1.0, self.split_hint))
 
     def scaled(self, c: float) -> "RadialFunction":
         if c <= 0.0:
             raise ValueError("scaling factor must be positive")
-        return RadialFunction(
-            eval=lambda t: c * self.eval(t),
-            deriv=lambda t: c * self.deriv(t),
-            decay_order=self.decay_order,
-            params=self.params,
-            kind=self.kind,
-            detail={**self.detail, "scaled_by": c},
-        )
+        return replace(self, eval=lambda t: c * self.eval(t), deriv=lambda t: c * self.deriv(t))
 
-    @property
-    def split_hint(self) -> float:
-        return max(1.0, self.detail.get("split_hint", 1.0))
-
-    def spot_check(self, points=(0.3, 0.7, 1.5, 3.0, 7.0), tol: float = 1e-6):
-        """Verify deriv against central differences of eval."""
-        for t in points:
+    def spot_check(self):
+        """Verify deriv against central differences of eval, to 1e-6 relative."""
+        for t in (0.3, 0.7, 1.5, 3.0, 7.0):
             d = t * 1e-6
             fd = (self.eval(t + d) - self.eval(t - d)) / (2.0 * d)
             an = self.deriv(t)
             scale = max(abs(an), abs(fd), 1e-30)
-            if abs(fd - an) > tol * scale:
+            if abs(fd - an) > 1e-6 * scale:
                 raise ValueError(
                     f"derivative inconsistent with finite differences at t={t:g}: "
                     f"{an!r} vs {fd!r}"
                 )
 
 
-def talenti_function(profile: TalentiProfile, spot_check: bool = False) -> RadialFunction:
+def talenti_function(profile: TalentiProfile) -> RadialFunction:
     """The extremal profile phi_lam wrapped as a radial test function."""
     params = profile.params
-    u = RadialFunction(
+    return RadialFunction(
         eval=profile.phi,
         deriv=profile.phi_prime,
         decay_order=(params.m - params.p) / (params.p - 1.0),
         params=params,
-        kind="talenti",
-        detail={"lam": profile.lam, "split_hint": profile_split(params, profile.lam)},
+        split_hint=profile_split(params, profile.lam),
     )
-    if spot_check:
-        u.spot_check()
-    return u
 
 
 def manifold_integral(
@@ -215,10 +206,18 @@ def verify_decay_conditions(
     along r_grid (they are o(R) exactly when the full integral converges).
     The averages grow while R is still inside the bulk of u, so the
     decrease is only required once R clears the bulk, taken as three
-    times the witness scale u.split_hint.
+    times the witness scale u.split_hint.  Radii beyond the window are
+    capped at t_max, and at least two distinct radii must remain, or no
+    decrease could be observed.
     """
     params = u.params
     p, m = params.p, model.m
+    radii = sorted(min(r, model.t_max) for r in r_grid)
+    if len(set(radii)) < 2:
+        raise ValueError(
+            f"the flux check needs two distinct radii inside the window [0, {model.t_max:g}]; "
+            f"got {tuple(r_grid)!r}"
+        )
     area = model.area_extended()
 
     def core(t: float) -> float:
@@ -236,11 +235,10 @@ def verify_decay_conditions(
     flux_rows = []
     acc = 0.0
     prev_r = 0.0
-    for r in sorted(r_grid):
-        r_eff = min(r, model.t_max)
-        acc += integrate_finite(core, prev_r, r_eff)
-        prev_r = r_eff
-        flux_rows.append((r_eff, acc / r_eff))
+    for r in radii:
+        acc += integrate_finite(core, prev_r, r)
+        prev_r = r
+        flux_rows.append((r, acc / r))
     tail = [s for r, s in flux_rows if r >= 3.0 * u.split_hint]
     if len(tail) < 2:
         tail = [s for _, s in flux_rows[-2:]]
@@ -257,18 +255,13 @@ class RadialConstantEstimate:
     lam: float
     quotient_evals: int
     skipped: tuple
-    notes: str = ""
 
 
-def estimate_radial_constant(
-    model: ModelManifold,
-    params: SobolevParams,
-    lambda_range: tuple = (1e-2, 1e6),
-    scan_points: int = 25,
-) -> RadialConstantEstimate:
+def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> RadialConstantEstimate:
     """Lower estimate of the manifold Sobolev constant from radial witnesses.
 
-    Scans the extremal family over a logarithmic grid of scales, refines
+    Scans the extremal family over the logarithmic grid of scales given by
+    SCAN_RANGE and SCAN_POINTS, refines
     the best bracket by golden-section search in log lam, and re-evaluates
     the winning profile at full accuracy.  The returned
     C_est = (min quotient)^(-1/p) never exceeds the true constant, up to
@@ -291,7 +284,7 @@ def estimate_radial_constant(
         )
 
     profile = TalentiProfile.build(params, 1.0)
-    lam_lo, lam_hi = lambda_range
+    lam_lo, lam_hi = SCAN_RANGE
     if model.tail_factor() > 1.0:
         # Witness scales must keep their mass inside the solved window.
         lam_hi = min(lam_hi, (model.t_max / 5.0) ** params.conj)
@@ -304,7 +297,7 @@ def estimate_radial_constant(
         return quotient_sobolev(talenti_function(profile.with_lam(lam)), model, SEARCH_TOL)
 
     grid = [
-        lam_lo * (lam_hi / lam_lo) ** (i / (scan_points - 1.0)) for i in range(scan_points)
+        lam_lo * (lam_hi / lam_lo) ** (i / (SCAN_POINTS - 1.0)) for i in range(SCAN_POINTS)
     ]
     scanned = []
     for lam in grid:
@@ -352,5 +345,4 @@ def estimate_radial_constant(
         lam=best_lam,
         quotient_evals=evals,
         skipped=tuple(skipped),
-        notes="witness scales capped at the solved window" if skipped else "",
     )

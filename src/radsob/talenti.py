@@ -190,16 +190,12 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple = (1.0, 0.5, 5.0
     a dict with keys K, spread, values (per-lambda), beta.
     """
     m, p = params.m, params.p
-    q = params.conj
-    beta = cached_beta(params)
-    nu = (m - p) / p
 
     def energy(lam: float) -> float:
-        c = beta * lam ** ((m - p) / p**2)
+        slope = TalentiProfile.build(params, lam).phi_prime
 
         def f(t: float) -> float:
-            slope = c * nu * q * t ** (q - 1.0) * (lam + t**q) ** (-nu - 1.0)
-            return slope**p * t ** (m - 1)
+            return abs(slope(t)) ** p * t ** (m - 1)
 
         decay = (m - 1.0) / (p - 1.0)
         return sphere_area(m) * integrate_semi_infinite(
@@ -209,7 +205,7 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple = (1.0, 0.5, 5.0
     values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}
     k = values[lambdas[0]]
     spread = max(abs(v - k) / k for v in values.values())
-    return {"K": k, "spread": spread, "values": values, "beta": beta}
+    return {"K": k, "spread": spread, "values": values, "beta": cached_beta(params)}
 
 
 def sharp_constant(params: SobolevParams) -> float:

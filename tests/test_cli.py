@@ -13,7 +13,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from radsob.cli import DEFAULT_LAMBDAS, RunConfig, main, parse_argv
+from radsob.cli import DEFAULT_LAMBDAS, build_parser, main
 
 import _oracles
 
@@ -42,33 +42,12 @@ def _run(capsys, argv):
     return rc, captured.out
 
 
-def test_run_config_roundtrip():
-    cfg = RunConfig(
-        command="verify",
-        m=6,
-        p=1.5,
-        lambda_list=(0.5, 2.0),
-        g_spec="rational:0.2",
-        t_max=30.0,
-        step=2e-3,
-        tol=1e-9,
-        c_m="0.7",
-        gamma="1.2",
-        T=2.0,
-        output="json",
-        out_path=None,
-    )
-    assert parse_argv(cfg.to_argv()) == cfg
-    plain = RunConfig(command="constants")
-    assert parse_argv(plain.to_argv()) == plain
-
-
 def test_parser_defaults():
-    cfg = parse_argv(["model"])
-    assert cfg.m == 4 and cfg.p == 2.0
-    assert cfg.lambda_list == DEFAULT_LAMBDAS
-    assert cfg.g_spec == "zero" and cfg.t_max == 50.0 and cfg.step == 1e-3
-    assert cfg.tol == 1e-8 and cfg.output == "csv" and cfg.out_path is None
+    args = build_parser().parse_args(["model"])
+    assert args.m == 4 and args.p == 2.0
+    assert args.lambda_list == DEFAULT_LAMBDAS
+    assert args.g_spec == "zero" and args.t_max == 50.0 and args.step == 1e-3
+    assert args.tol == 1e-8 and args.output == "csv" and args.out_path is None
 
 
 def test_exit_codes_usage_errors(capsys):
@@ -102,6 +81,10 @@ def test_exit_codes_usage_errors(capsys):
         ["rigidity", "--g", "zero", "--c-m", "nan"],
         ["constants", "--lambda", "-1"],
         ["constants", "--lambda", "nan"],
+        ["verify", "--t-max", "1", "--step", "1e-2"],
+        ["verify", "--g", "zero", "--t-max", "5"],
+        ["model", "--g", "const:0.1:nan"],
+        ["rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -290,3 +273,36 @@ if HAS_HYPOTHESIS:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             rc = main(argv)
         assert rc in (0, 1, 2), f"argv {argv!r} gave exit {rc!r}"
+
+    _CURVATURES = [
+        "zero", "rational:0.1", "const:0.1:2", "const:0.1:inf",
+        *(f"rational:{x}" for x in _DEGENERATE),
+        *(f"const:{x}:2" for x in _DEGENERATE),
+        *(f"const:0.1:{x}" for x in _DEGENERATE),
+    ]
+
+    # Small windows only: t_max / step sizes the IVP arrays, so no positive
+    # step below 1e-3 is drawn.
+    @given(
+        command=st.sampled_from(["model", "verify", "rigidity"]),
+        m=st.sampled_from(["4", "3", "5", "2", "nan", "0", "-1"]),
+        step=st.sampled_from(["1e-2", "5e-3", "1e-3", *_DEGENERATE]),
+        t_max=st.sampled_from(["8", "5", "3", "1", "1e-300", *_DEGENERATE]),
+        gamma=st.sampled_from(["empirical", "0.9", *_DEGENERATE]),
+        g=st.sampled_from(_CURVATURES),
+    )
+    @example(command="verify", m="4", step="1e-2", t_max="1", gamma="empirical", g="zero")
+    @example(command="model", m="4", step="1e-2", t_max="5", gamma="empirical", g="const:0.1:nan")
+    @example(command="rigidity", m="4", step="1e-2", t_max="1e-300", gamma="empirical", g="zero")
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g):
+        """model, verify and rigidity end in exit 0, 1 or 2 with no traceback;
+        exit 2 names the bad input, and no report prints a nan."""
+        argv = [command, f"--m={m}", f"--step={step}", f"--t-max={t_max}", f"--gamma={gamma}",
+                f"--g={g}", "--c-m=1"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2), f"argv {argv!r} gave exit {rc!r}"
+        assert rc != 2 or "error: " in err.getvalue(), f"argv {argv!r} gave no error line"
+        assert "nan" not in out.getvalue(), f"argv {argv!r} reported a nan"

@@ -57,14 +57,6 @@ def test_finite_degenerate_and_invalid_intervals():
         integrate_finite(math.sin, 0.0, math.inf)
 
 
-def test_power_at_zero_sliver():
-    """integral over [0, 1] of t^(-1/2) equals 2 via the analytic sliver."""
-    got = integrate_finite(lambda t: t**-0.5, 0.0, 1.0, power_at_zero=-0.5)
-    assert abs(got - 2.0) < 1e-10, f"got {got!r}"
-    with pytest.raises(ValueError):
-        integrate_finite(lambda t: t**-1.5, 0.0, 1.0, power_at_zero=-1.5)
-
-
 def test_semi_infinite_declared_decay():
     """integral over [0, inf) of t^5/(1+t^2)^4 equals 1/6."""
     got = integrate_semi_infinite(
@@ -143,8 +135,8 @@ def test_ivp_rational_curvature_oracles():
 
 def test_ivp_dense_output_between_nodes():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    coarse = solve_h_ivp(g, 6.0, 1e-3, with_error_estimate=False)
-    fine = solve_h_ivp(g, 6.0, 2.5e-4, with_error_estimate=False)
+    coarse = solve_h_ivp(g, 6.0, 1e-3)
+    fine = solve_h_ivp(g, 6.0, 2.5e-4)
     for t in (0.31415, 1.23456, 4.99999):
         rel = abs(coarse.value(t) - fine.value(t)) / fine.value(t)
         assert rel < 1e-10, f"dense value at t={t} off by {rel:.3e}"
@@ -152,12 +144,19 @@ def test_ivp_dense_output_between_nodes():
         assert rel_d < 1e-10, f"dense deriv at t={t} off by {rel_d:.3e}"
 
 
-def test_ivp_error_estimate_behaviour():
-    g = lambda t: 0.2 / (1.0 + t * t) ** 2
-    with_est = solve_h_ivp(g, 5.0, 1e-2)
-    without = solve_h_ivp(g, 5.0, 1e-2, with_error_estimate=False)
-    assert without.error_estimate == 0.0
-    assert 0.0 < with_est.error_estimate < 1e-9, f"estimate {with_est.error_estimate!r}"
+def test_ivp_is_one_sweep():
+    """n steps call the curvature 3n + 2 times: one RK4 sweep, no second pass."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return 0.2 / (1.0 + t * t) ** 2
+
+    for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0)):
+        calls.clear()
+        sol = solve_h_ivp(g, t_max, step)
+        n = len(sol.grid) - 1
+        assert len(calls) == 3 * n + 2, f"{len(calls)} curvature calls for n={n}"
 
 
 def test_ivp_window_and_argument_guards():

@@ -147,7 +147,7 @@ def test_collapsed_volume_growth_unsupported():
 
 
 def test_spot_check_catches_wrong_derivative():
-    talenti_function(TalentiProfile.build(P42, 1.0), spot_check=True)
+    talenti_function(TalentiProfile.build(P42, 1.0)).spot_check()
     broken = RadialFunction(
         eval=lambda t: (1.0 + t * t) ** -1.0,
         deriv=lambda t: -t * (1.0 + t * t) ** -2.0,
@@ -186,9 +186,9 @@ def test_decay_report_divergent_flagged():
 
 
 def test_estimate_flat_recovers_sharp_constant_quickly():
-    est = estimate_radial_constant(EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7)
+    est = estimate_radial_constant(EUC4, P42)
     assert abs(est.c_est - K42) / K42 < 1e-8, f"c_est {est.c_est!r} vs K {K42!r}"
-    again = estimate_radial_constant(EUC4, P42, lambda_range=(0.5, 5.0), scan_points=7)
+    again = estimate_radial_constant(EUC4, P42)
     assert est == again, "estimate is not deterministic"
     assert est.quotient_evals > 0
 
