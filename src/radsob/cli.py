@@ -24,13 +24,7 @@ import sys
 
 from .model_manifold import ModelManifold, build_model, parse_curvature, verify_volume_chain
 from .numerics import OdeError, QuadratureError
-from .rigidity import (
-    _fmt,
-    check_hypotheses,
-    estimated_c_m,
-    mass_escape_experiment,
-    verify_theorem,
-)
+from .rigidity import _fmt, mass_escape_experiment, verify_theorem
 from .sobolev import (
     DivergentTailError,
     SobolevUnsupportedError,
@@ -80,11 +74,11 @@ def _parse_lambda_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from None
 
 
-def _c_m_spec(text: str) -> str:
-    """--c-m is kept as given: "estimate" or a positive finite number."""
-    if text != "estimate":
-        _positive_finite(text)
-    return text
+def _positive_or_auto(text: str) -> float | None:
+    """--c-m and --gamma: "estimate"/"empirical" (None) or a positive finite number."""
+    if text in ("estimate", "empirical"):
+        return None
+    return _positive_finite(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--t-max", dest="t_max", type=_positive_finite, default=50.0)
         cmd.add_argument("--step", type=_positive_finite, default=1e-3)
         cmd.add_argument("--tol", type=_positive_finite, default=1e-8)
-        cmd.add_argument("--c-m", dest="c_m", type=_c_m_spec, default="estimate")
-        cmd.add_argument("--gamma", default="empirical")
+        cmd.add_argument("--c-m", dest="c_m", type=_positive_or_auto, default="estimate")
+        cmd.add_argument("--gamma", type=_positive_or_auto, default="empirical")
         cmd.add_argument("--T", type=_positive_finite, default=1.0)
         cmd.add_argument("--output", choices=("csv", "json"), default="csv")
         cmd.add_argument("--out", dest="out_path", default=None)
@@ -249,28 +243,12 @@ def _rigidity_grid(t_max: float) -> list:
 
 def cmd_rigidity(args: argparse.Namespace) -> int:
     params = SobolevParams(args.m, args.p)
-    model = _build_model(args)
-    k = sharp_constant(params)
-    gamma_value = None if args.gamma == "empirical" else float(args.gamma)
-    b = model.profile.b if model.profile is not None else None
-    mode = "flat" if b == 0.0 else "curved"
-    grid = _rigidity_grid(args.t_max)
-    check_hypotheses(model, mode, grid, gamma_value)
-    if args.c_m == "estimate":
-        c_m_value, _ = estimated_c_m(model, params)
-        c_m_source = "estimate"
-    else:
-        c_m_value = float(args.c_m)
-        c_m_source = "user"
     report = verify_theorem(
-        model,
+        _build_model(args),
         params,
-        c_m_value,
-        k,
-        mode,
-        grid,
-        gamma_value=gamma_value,
-        c_m_source=c_m_source,
+        _rigidity_grid(args.t_max),
+        c_m=args.c_m,
+        gamma_value=args.gamma,
         ratio_slack=args.tol,
     )
     if args.output == "json":

@@ -31,8 +31,6 @@ def _exp_or_inf(x: float) -> float:
 class CurvatureProfile:
     """Radial curvature coefficient G(t) >= 0 with cached moment b."""
 
-    kind = "abstract"
-
     def g(self, t: float) -> float:
         raise NotImplementedError
 
@@ -52,8 +50,6 @@ class CurvatureProfile:
 
 
 class ZeroCurvature(CurvatureProfile):
-    kind = "zero"
-
     def g(self, t):
         return 0.0
 
@@ -70,8 +66,6 @@ class ZeroCurvature(CurvatureProfile):
 
 class ConstantCutoff(CurvatureProfile):
     """G = a on [0, t_cut], zero beyond.  t_cut may be math.inf."""
-
-    kind = "constant_cutoff"
 
     def __init__(self, a: float, t_cut: float):
         if a < 0.0 or not math.isfinite(a):
@@ -107,8 +101,6 @@ class ConstantCutoff(CurvatureProfile):
 class RationalDecay(CurvatureProfile):
     """G(t) = 2 b0 / (1 + t^2)^2, whose moment is exactly b0."""
 
-    kind = "rational_decay"
-
     def __init__(self, b0: float):
         if b0 < 0.0 or not math.isfinite(b0):
             raise ValueError("moment b0 must be finite and >= 0")
@@ -135,8 +127,6 @@ class Tabulated(CurvatureProfile):
     values[-1] * (grid[-1] / t)^tail_power; the tail power must exceed 2
     so the moment converges.
     """
-
-    kind = "tabulated"
 
     def __init__(self, grid, values, tail_power: float):
         grid = np.asarray(grid, dtype=float)
@@ -556,7 +546,8 @@ def verify_volume_chain(
 
     The moment b defaults to the model's own profile moment; passing a
     finite override is how an infinite-moment control is shown to break
-    the upper chain.
+    the upper chain.  A radius whose Euclidean ball volume is not positive
+    (t^m underflows for tiny t) raises ValueError.
     """
     m = model.m
     if b is None:
@@ -579,6 +570,11 @@ def verify_volume_chain(
     for t in t_grid:
         a_euc = om_s * t ** (m - 1)
         v_euc = om_m * t**m
+        if not (v_euc > 0.0):
+            raise ValueError(
+                f"the Euclidean ball volume at radius t={t:g} is not positive, "
+                "so the comparison bounds are undefined there"
+            )
         a_h = model.area(t)
         v_h = model.volume(t)
         rows.append(check("lower_area", t, a_euc, a_h))
@@ -588,11 +584,10 @@ def verify_volume_chain(
         if inner is not None:
             a_in = inner.area(t)
             rows.append(check("inner_area", t, a_in, a_h))
-            if t > 0.0:
-                ratio = a_in / a_h
-                if prev_ratio is not None:
-                    rows.append(check("inner_ratio_monotone", t, ratio, prev_ratio))
-                prev_ratio = ratio
+            ratio = a_in / a_h
+            if prev_ratio is not None:
+                rows.append(check("inner_ratio_monotone", t, ratio, prev_ratio))
+            prev_ratio = ratio
     return VolumeChainReport(rows=tuple(rows), b_used=b, slack=slack)
 
 

@@ -6,6 +6,7 @@ warping initial value problem h'' = G(t) h.  The whole quadrature policy
 is the tolerance pair TOL, the recursion limit MAX_DEPTH and, for
 semi-infinite integrals, the radius where head and tail are split; a
 caller may pass its own (abs_tol, rel_tol) pair and split, nothing else.
+A semi-infinite integral also needs the integrand's declared tail power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  All routines are deterministic: the
@@ -130,21 +131,21 @@ def integrate_semi_infinite(
     f: Callable[[float], float],
     split: float = 1.0,
     start: float = 0.0,
-    decay_power: float | None = None,
+    *,
+    decay_power: float,
     tol: tuple = TOL,
 ) -> float:
-    """Integrate f over [start, infinity) for polynomially decaying f.
+    """Integrate f over [start, infinity) for f decaying like t**-decay_power.
 
     The range is split at T = max(split, start).  The head is
     handled by integrate_finite and the tail through the substitution
     t = T/u, which maps [T, inf) onto (0, 1].  The transformed integrand
     is integrated on [1e-8, 1]; the remaining sliver at u=0 is added
-    analytically from the local power behaviour, either declared through
-    decay_power (f ~ t**-decay_power) or fitted from two evaluations.
+    analytically from the declared power law.
 
     Raises:
-        QuadratureError: tolerance not met, or the fitted tail behaviour
-            is too close to non-integrable (local power <= ~1).
+        QuadratureError: tolerance not met, or the declared tail is too
+            close to non-integrable (decay_power <= ~1.05).
         ValueError: split not positive and finite, or start negative or
             not finite.
     """
@@ -152,6 +153,13 @@ def integrate_semi_infinite(
         raise ValueError(f"split must be positive and finite, got {split!r}")
     if start < 0.0 or not math.isfinite(start):
         raise ValueError("start must be finite and nonnegative")
+    # The transformed integrand behaves like u**local_power near u = 0.
+    local_power = decay_power - 2.0
+    if local_power <= -0.95:
+        raise QuadratureError(
+            f"tail of the integrand decays like t^{-decay_power:.3f} "
+            "and is too close to non-integrable"
+        )
     split = max(split, start)
     head = integrate_finite(f, start, split, tol) if split > start else 0.0
 
@@ -159,25 +167,7 @@ def integrate_semi_infinite(
         t = split / u
         return f(t) * split / (u * u)
 
-    g0 = transformed(U_MIN)
-    g1 = transformed(2.0 * U_MIN)
-    if decay_power is not None:
-        local_power = decay_power - 2.0
-    elif g0 > 0.0 and g1 > 0.0:
-        local_power = math.log(g1 / g0) / math.log(2.0)
-    else:
-        local_power = None
-
-    if local_power is not None and local_power <= -0.95:
-        raise QuadratureError(
-            f"tail of the integrand decays like t^{-(local_power + 2.0):.3f} "
-            "and is too close to non-integrable"
-        )
-    if local_power is None or g0 == 0.0:
-        sliver = 0.0
-    else:
-        sliver = g0 * U_MIN / (local_power + 1.0)
-
+    sliver = transformed(U_MIN) * U_MIN / (local_power + 1.0)
     tail = integrate_finite(transformed, U_MIN, 1.0, tol)
     return head + tail + sliver
 

@@ -10,14 +10,16 @@ machinery here assembles the correction constants
 
 and checks the resulting two-sided volume bounds
 
-    flat case (b = 0):      1 >= V(B_t)/V_euc(t) >= (K/C_M)^m,
-    curved case (b > 0):    e^(mb) >= V(B_t)/V_euc(t) >= C_hat,
+    b = 0 (Ledoux-Xia, Ric >= 0):   1 >= V(B_t)/V_euc(t) >= (K/C_M)^m,
+    b > 0 (finite moment):          e^(mb) >= V(B_t)/V_euc(t) >= C_hat,
 
 on a radius grid, together with the monotone ratio profile whose limit
 being nonnegative is the quantitative content of the rigidity statement.
-C1 is the sharper scale-dependent predecessor of C2; evaluating both and
-checking C1 <= C2 exercises the closed Gamma-form evaluations of the
-Euclidean weight integrals.
+Both are one theorem: the curvature moment b of the model decides which
+bounds apply, so no caller chooses a case.  C1 is the sharper
+scale-dependent predecessor of C2; evaluating both and checking C1 <= C2
+exercises the closed Gamma-form evaluations of the Euclidean weight
+integrals.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .talenti import sphere_area, unit_ball_volume
 
 
 class RigidityHypothesisError(ValueError):
-    """The model violates a hypothesis of the requested verification mode."""
+    """The model violates a hypothesis of the theorem."""
 
 
 # Relative rise the certificate profile v may take per grid step and still
@@ -170,25 +172,27 @@ class VProfileReport:
         return self.rows[-1][1]
 
 
-def v_profile(
-    model: ModelManifold,
-    comparison: ModelManifold | None,
-    scale: float,
-    t_grid,
-) -> VProfileReport:
-    """Monotone certificate profile v(t) = scale * V(B_t)/V(comp_t) - 1.
+def _moment(model: ModelManifold) -> float:
+    """Curvature moment b of the model; a model without a profile has b = 0."""
+    return model.profile.b if model.profile is not None else 0.0
 
-    With comparison None the denominator is the flat ball volume.  The
-    report records whether v is non-increasing along the grid within the
-    per-step slack V_STEP_SLACK; the rigidity conclusion is v(t) staying
-    >= 0 up to the window edge.
+
+def v_profile(model: ModelManifold, scale: float, t_grid) -> VProfileReport:
+    """Monotone certificate profile v(t) = scale * V(B_t)/V_b(t) - 1.
+
+    V_b is the ball volume of the model space of the model's own curvature
+    moment b: flat space at b = 0, and at b > 0 the model itself, where v
+    is therefore the constant scale - 1.  The report records whether v is
+    non-increasing along the grid within the per-step slack V_STEP_SLACK;
+    the rigidity conclusion is v(t) staying >= 0 up to the window edge.
     """
     om = unit_ball_volume(model.m)
+    flat = _moment(model) == 0.0
     rows = []
     for t in t_grid:
         if not (t > 0.0):
             raise ValueError("v profile needs positive radii")
-        denom = comparison.volume(t) if comparison is not None else om * t**model.m
+        denom = om * t**model.m if flat else model.volume(t)
         rows.append((float(t), float(scale * model.volume(t) / denom - 1.0)))
     values = [v for _, v in rows]
     ok = all(
@@ -357,14 +361,15 @@ class RigidityReport:
         return lines
 
 
-def check_hypotheses(
-    model: ModelManifold, mode: str, t_grid, gamma_value: float | None = None
-) -> float:
-    """Refuse a model or gamma outside the hypotheses of mode; return its moment b.
+def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None = None) -> float:
+    """Refuse a model or gamma outside the theorem's hypotheses; return b.
 
-    Also refuses a radius whose Euclidean ball volume is not positive (t^m
-    underflows for tiny t), since every volume ratio divides by it.  Cheap,
-    so callers can run it before an expensive witness search.
+    b is the model's curvature moment (0 without a profile) and selects the
+    case: b = 0 needs nonnegative radial Ricci curvature on the grid, b > 0
+    needs m >= 3 and a finite b.  Also refuses a radius whose Euclidean
+    ball volume is not positive (t^m underflows for tiny t), since every
+    volume ratio divides by it.  Cheap, so verify_theorem runs it before the
+    witness search.
     """
     if gamma_value is not None and not (0.0 < gamma_value < math.inf):
         raise ValueError(
@@ -377,51 +382,43 @@ def check_hypotheses(
                 f"the Euclidean ball volume at radius t={t:g} is not positive, "
                 "so the volume ratio is undefined there"
             )
-    if mode == "flat":
+    b = _moment(model)
+    if b == 0.0:
         for t in t_grid:
             if model.radial_ricci(t) < -1e-12:
                 raise RigidityHypothesisError(
-                    f"flat mode requires nonnegative radial Ricci; found "
-                    f"{model.radial_ricci(t):.3e} at t={t:g}"
+                    f"a vanishing curvature moment requires nonnegative radial Ricci; "
+                    f"found {model.radial_ricci(t):.3e} at t={t:g}"
                 )
-        if model.profile is not None and model.profile.b > 0.0:
-            raise RigidityHypothesisError(
-                "flat mode requires a vanishing curvature moment; "
-                f"model has b={model.profile.b:g}"
-            )
         return 0.0
-    if mode == "curved":
-        if model.m < 3:
-            raise RigidityHypothesisError("curved mode requires dimension m >= 3")
-        if model.profile is None:
-            raise RigidityHypothesisError("curved mode needs a model built from a curvature profile")
-        b = model.profile.b
-        if not math.isfinite(b):
-            raise RigidityHypothesisError(
-                "curved mode requires a finite curvature moment; this profile has b = inf"
-            )
-        return b
-    raise ValueError(f"unknown mode {mode!r}; use 'flat' or 'curved'")
+    if model.m < 3:
+        raise RigidityHypothesisError(
+            f"a positive curvature moment (b={b:g}) requires dimension m >= 3"
+        )
+    if not math.isfinite(b):
+        raise RigidityHypothesisError(
+            "the theorem requires a finite curvature moment; this profile has b = inf"
+        )
+    return b
 
 
 def verify_theorem(
     model: ModelManifold,
     params: SobolevParams,
-    c_m: float,
-    k: float,
-    mode: str,
     t_grid,
+    c_m: float | None = None,
     gamma_value: float | None = None,
-    c_m_source: str = "user",
     ratio_slack: float = 1e-9,
 ) -> RigidityReport:
     """Check the volume comparison conclusion on a radius grid.
 
-    mode "flat" requires nonnegative radial Ricci curvature (no curvature
-    moment) and checks 1 >= V/V_euc >= (K/C_M)^m.  mode "curved" requires
-    m >= 3 and a profile with finite moment b and checks
-    e^(mb) >= V/V_euc >= C_hat.  gamma_value None means the volume ratio
-    lower bound is measured on the grid (source "empirical").
+    Works out K, then checks the hypotheses (check_hypotheses), then, with
+    c_m None, estimates C_M by the witness search (source "estimate";
+    otherwise "user").  The model's curvature moment b decides the bounds:
+    at b = 0 nonnegative radial Ricci is required and 1 >= V/V_euc >=
+    (K/C_M)^m is checked; at b > 0 m >= 3 and a finite b are required and
+    e^(mb) >= V/V_euc >= C_hat is checked.  gamma_value None means the
+    volume ratio lower bound is measured on the grid (source "empirical").
 
     The verdict is "consistent" when every grid bound holds to
     ratio_slack, the certificate profile is non-increasing, and its final
@@ -434,15 +431,20 @@ def verify_theorem(
     if not t_grid or t_grid[0] <= 0.0:
         raise ValueError("t_grid must contain positive increasing radii")
 
-    b = check_hypotheses(model, mode, t_grid, gamma_value)
+    k = sharp_constant(params)
+    b = check_hypotheses(model, t_grid, gamma_value)
+    c_m_source = "estimate" if c_m is None else "user"
+    if c_m is None:
+        c_m, _ = estimated_c_m(model, params)
     gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
     gamma_source = "user" if gamma_value is not None else "empirical"
-    c2_value = 0.0 if mode == "flat" else c2(params, b, gamma_used)
 
+    flat = b == 0.0
+    c2_value = 0.0 if flat else c2(params, b, gamma_used)
     c3_value = c3(params, c_m, k, c2_value)
     c_hat_value = c_hat(c3_value, b, params)
-    lower = (k / c_m) ** m if mode == "flat" else c_hat_value
-    upper = 1.0 if mode == "flat" else math.exp(m * b)
+    lower = (k / c_m) ** m if flat else c_hat_value
+    upper = 1.0 if flat else math.exp(m * b)
 
     om = unit_ball_volume(m)
     ratio_table = []
@@ -457,12 +459,8 @@ def verify_theorem(
             violation = {"check": "volume_ratio_bounds", "t": t, "ratio": ratio,
                          "lower": lower, "upper": upper}
 
-    if mode == "flat":
-        scale = (c_m / k) ** m
-        profile_report = v_profile(model, None, scale, t_grid)
-    else:
-        scale = c3_value * math.exp(b * (m - 1.0))
-        profile_report = v_profile(model, model, scale, t_grid)
+    scale = (c_m / k) ** m if flat else c3_value * math.exp(b * (m - 1.0))
+    profile_report = v_profile(model, scale, t_grid)
 
     verdict = "consistent"
     if violation is not None:

@@ -16,7 +16,7 @@ over the radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .numerics import QuadratureError, integrate_semi_infinite
 
@@ -108,29 +108,35 @@ def cached_beta(params: SobolevParams) -> float:
 
 @dataclass(frozen=True)
 class TalentiProfile:
-    """A single member phi_lam of the normalised extremal family."""
+    """A single member phi_lam of the normalised extremal family.
+
+    phi_lam(t) = coef * (lam + t^q)^(-nu) with q = p/(p-1), nu = (m-p)/p
+    and coef = beta * lam^((m-p)/p^2); the three are fixed per profile.
+    """
 
     params: SobolevParams
     lam: float
     beta: float
     omega_m: float
-    omega_sphere: float
+    q: float = field(init=False, repr=False)
+    nu: float = field(init=False, repr=False)
+    coef: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not (self.lam > 0.0) or not math.isfinite(self.lam):
+            raise ValueError(f"profile scale lam must be positive and finite, got {self.lam!r}")
+        m, p = self.params.m, self.params.p
+        object.__setattr__(self, "q", self.params.conj)
+        object.__setattr__(self, "nu", (m - p) / p)
+        object.__setattr__(self, "coef", self.beta * self.lam ** ((m - p) / p**2))
 
     @classmethod
     def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
-        if not (lam > 0.0) or not math.isfinite(lam):
-            raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
         return cls(
-            params=params,
-            lam=lam,
-            beta=cached_beta(params),
-            omega_m=unit_ball_volume(params.m),
-            omega_sphere=sphere_area(params.m),
+            params=params, lam=lam, beta=cached_beta(params), omega_m=unit_ball_volume(params.m)
         )
 
     def with_lam(self, lam: float) -> "TalentiProfile":
-        if not (lam > 0.0) or not math.isfinite(lam):
-            raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
         return replace(self, lam=lam)
 
     # -- pointwise evaluations -------------------------------------------
@@ -138,30 +144,21 @@ class TalentiProfile:
     def phi(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
-        m, p = self.params.m, self.params.p
-        q = self.params.conj
-        nu = (m - p) / p
-        return self.beta * self.lam ** ((m - p) / p**2) * (self.lam + t**q) ** (-nu)
+        return self.coef * (self.lam + t**self.q) ** (-self.nu)
 
     def phi_prime(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
-        m, p = self.params.m, self.params.p
-        q = self.params.conj
-        nu = (m - p) / p
-        c = self.beta * self.lam ** ((m - p) / p**2)
-        return -c * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
+        q, nu = self.q, self.nu
+        return -self.coef * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
 
     def phi_second(self, t: float) -> float:
         if not (t > 0.0):
             raise ValueError("phi_second requires t > 0; the radial ODE is singular at the origin")
-        m, p = self.params.m, self.params.p
-        q = self.params.conj
-        nu = (m - p) / p
-        c = self.beta * self.lam ** ((m - p) / p**2)
+        q, nu = self.q, self.nu
         base = self.lam + t**q
         bracket = (q - 1.0) * base - (nu + 1.0) * q * t**q
-        return -c * nu * q * t ** (q - 2.0) * base ** (-nu - 2.0) * bracket
+        return -self.coef * nu * q * t ** (q - 2.0) * base ** (-nu - 2.0) * bracket
 
     def density(self, t: float) -> float:
         """Radial distribution of the p*-mass.
@@ -172,7 +169,7 @@ class TalentiProfile:
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
         m, p = self.params.m, self.params.p
-        q = self.params.conj
+        q = self.q
         prefactor = self.omega_m * (m * p / (p - 1.0)) * self.beta**self.params.p_star
         return (
             prefactor

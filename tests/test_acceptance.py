@@ -121,7 +121,7 @@ def test_03_euclidean_degeneration():
     ch = c_hat(c3(P42, 1.1 * K42, K42, 0.0), 0.0, P42)
     target = (1.0 / 1.1) ** 4
     ch_rel = abs(ch - target) / target
-    report = verify_theorem(EUC4, P42, K42, K42, "flat", (0.5, 1.0, 5.0, 20.0))
+    report = verify_theorem(EUC4, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     ratios_one = all(row[1] == 1.0 for row in report.ratio_table)
     consistent = report.verdict == "consistent"
     elapsed = time.perf_counter() - t0
@@ -214,7 +214,7 @@ def test_08_monotone_volume_ratio_profile():
     est = estimate_radial_constant(con, P42)
     scale = (est.c_est / K42) ** 4
     grid = [50.0 * (i + 1) / 100.0 for i in range(100)]
-    report = v_profile(con, None, scale, grid)
+    report = v_profile(con, scale, grid)
     values = [v for _, v in report.rows]
     steps_ok = all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
     limit_ok = report.last >= -1e-4

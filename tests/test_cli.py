@@ -2,8 +2,9 @@
 
 main() is driven in-process with explicit argv lists; one test goes
 through ``python -m radsob.cli`` to cover the module entry point.  The
-README invocations are pinned byte for byte to the reports stored in
-perfbench/golden.json, which these tests only read.
+README invocations and four more rigidity runs are pinned byte for byte
+to the reports stored in perfbench/golden.json, which these tests only
+read.
 """
 
 import io
@@ -33,6 +34,14 @@ README_INVOCATIONS = (
     "rigidity --m 4 --p 2 --g rational:0.1 --c-m estimate --gamma empirical",
     "limits --m 4 --p 2 --T 1 --lambda 10,100,1000,10000",
     "verify --g rational:0.1 --lambda 1,5 --t-max 80",
+)
+
+# Both cases of the theorem, with a user and an estimated C_M, in CSV and JSON.
+RIGIDITY_INVOCATIONS = (
+    "rigidity --m 3 --p 1.5 --g rational:0.1 --c-m 0.3 --output json",
+    "rigidity --m 4 --p 2 --g rational:0.1 --c-m 0.35",
+    "rigidity --m 4 --p 2 --g zero",
+    "rigidity --m 4 --p 2 --g zero --c-m 0.4",
 )
 
 
@@ -85,6 +94,7 @@ def test_exit_codes_usage_errors(capsys):
         ["verify", "--g", "zero", "--t-max", "5"],
         ["model", "--g", "const:0.1:nan"],
         ["rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"],
+        ["model", "--g", "const:0.1:inf", "--t-max", "1e-300", "--step", "1e-2"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -242,7 +252,7 @@ def test_module_entry_point():
 
 def test_readme_reports_match_golden(capsys):
     golden = json.loads(GOLDEN.read_text())
-    for invocation in README_INVOCATIONS:
+    for invocation in README_INVOCATIONS + RIGIDITY_INVOCATIONS:
         rc, out = _run(capsys, invocation.split())
         want = golden[invocation]
         assert rc == want["exit"], f"{invocation!r} exited {rc}, golden {want['exit']}"
@@ -294,6 +304,8 @@ if HAS_HYPOTHESIS:
     @example(command="verify", m="4", step="1e-2", t_max="1", gamma="empirical", g="zero")
     @example(command="model", m="4", step="1e-2", t_max="5", gamma="empirical", g="const:0.1:nan")
     @example(command="rigidity", m="4", step="1e-2", t_max="1e-300", gamma="empirical", g="zero")
+    @example(command="model", m="4", step="1e-2", t_max="1e-300", gamma="empirical",
+             g="const:0.1:inf")
     @settings(max_examples=150, deadline=None)
     def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g):
         """model, verify and rigidity end in exit 0, 1 or 2 with no traceback;

@@ -66,11 +66,14 @@ def test_semi_infinite_declared_decay():
     assert abs(got - exact) / exact < 1e-10, f"got {got!r}, want {exact!r}"
 
 
-def test_semi_infinite_fitted_decay():
-    """Without a declared power the tail behaviour is fitted from samples."""
-    got = integrate_semi_infinite(lambda t: t**5 / (1.0 + t * t) ** 4)
-    exact = 1.0 / 6.0
-    assert abs(got - exact) / exact < 1e-8, f"got {got!r}, want {exact!r}"
+def test_semi_infinite_sliver_from_declared_power():
+    """integral over [1, inf) of t^-1.5 equals 2; the tail beyond t = 1e8
+    is 1e-4 of it and is added from the declared power alone."""
+    f = lambda t: t**-1.5
+    got = integrate_semi_infinite(f, start=1.0, decay_power=1.5)
+    assert abs(got - 2.0) / 2.0 < 1e-10, f"got {got!r}"
+    wrong = integrate_semi_infinite(f, start=1.0, decay_power=3.0)
+    assert abs(wrong - 2.0) / 2.0 > 1e-5, f"a wrong power went unnoticed: {wrong!r}"
 
 
 def test_semi_infinite_start_offset():
@@ -78,12 +81,12 @@ def test_semi_infinite_start_offset():
     got = integrate_semi_infinite(lambda t: t**-3.0, start=1.0, decay_power=3.0)
     assert abs(got - 0.5) < 1e-11, f"got {got!r}"
     with pytest.raises(ValueError):
-        integrate_semi_infinite(lambda t: t**-3.0, start=-1.0)
+        integrate_semi_infinite(lambda t: t**-3.0, start=-1.0, decay_power=3.0)
 
 
 def test_semi_infinite_slow_tail_refused():
     with pytest.raises(QuadratureError):
-        integrate_semi_infinite(lambda t: 1.0 / (1.0 + t))
+        integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), decay_power=1.0)
 
 
 def test_finite_jump_exhausts_depth():

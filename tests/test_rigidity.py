@@ -10,12 +10,14 @@ import math
 
 import pytest
 
+from radsob import rigidity
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
     build_model,
     conical_model,
     euclidean_model,
+    model_from_warping,
 )
 from radsob.rigidity import (
     RigidityHypothesisError,
@@ -148,18 +150,18 @@ def test_gamma_lower_bound_values():
 
 
 def test_v_profile_flat_is_identically_zero():
-    report = v_profile(EUC4, None, 1.0, (0.5, 1.0, 5.0, 20.0))
+    report = v_profile(EUC4, 1.0, (0.5, 1.0, 5.0, 20.0))
     assert report.non_increasing
     assert all(v == 0.0 for _, v in report.rows), f"rows {report.rows!r}"
     assert report.last == 0.0
     with pytest.raises(ValueError):
-        v_profile(EUC4, None, 1.0, (0.0, 1.0))
+        v_profile(EUC4, 1.0, (0.0, 1.0))
 
 
 def test_v_profile_conical_monotone_nonnegative():
     con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
     grid = [30.0 * (i + 1) / 20.0 for i in range(20)]
-    report = v_profile(con, None, 0.8**-3.0, grid)
+    report = v_profile(con, 0.8**-3.0, grid)
     assert report.non_increasing, f"rows {report.rows!r}"
     assert report.last >= -1e-4, f"limit value {report.last!r}"
     assert report.rows[0][1] > report.last
@@ -201,7 +203,7 @@ def test_mass_escape_validation_and_no_crossing():
 
 
 def test_verify_flat_euclidean_degenerates_to_equality():
-    report = verify_theorem(EUC4, P42, K42, K42, "flat", (0.5, 1.0, 5.0, 20.0))
+    report = verify_theorem(EUC4, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     assert report.verdict == "consistent" and report.violation is None
     assert report.C2 == 0.0 and report.C3 == 1.0 and report.C_hat == 1.0
     assert all(row[1] == 1.0 for row in report.ratio_table)
@@ -212,17 +214,19 @@ def test_verify_flat_euclidean_degenerates_to_equality():
 
 
 def test_verify_flat_user_constant_shifts_lower_bound():
-    report = verify_theorem(EUC4, P42, 1.1 * K42, K42, "flat", (1.0, 5.0))
+    report = verify_theorem(EUC4, P42, (1.0, 5.0), c_m=1.1 * K42)
     want = (1.0 / 1.1) ** 4
     assert abs(report.C_hat - want) / want < 1e-12
     assert abs(report.ratio_table[0][2] - want) / want < 1e-12
-    assert report.verdict == "consistent"
+    assert report.verdict == "consistent" and report.C_M_source == "user"
+    estimated = verify_theorem(EUC4, P42, (1.0, 5.0))
+    assert estimated.C_M_source == "estimate" and estimated.C_M >= K42
 
 
 def test_verify_flat_detects_violation():
     """With the sharp constant forced to K, a true cone must fail."""
     con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
-    report = verify_theorem(con, P42, K42, K42, "flat", (0.5, 1.0, 5.0, 20.0))
+    report = verify_theorem(con, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     assert report.verdict == "violated"
     assert report.violation["check"] == "volume_ratio_bounds"
     assert report.violation["t"] == 0.5
@@ -231,15 +235,21 @@ def test_verify_flat_detects_violation():
 
 
 def test_verify_flat_hypothesis_rejections():
+    """Without a profile b = 0, so negative radial Ricci is refused."""
+    custom = model_from_warping(
+        4,
+        h=lambda t: t + 0.01 * t * t,
+        h_prime=lambda t: 1.0 + 0.02 * t,
+        h_second=lambda t: 0.02,
+        t_max=10.0,
+        step=1e-2,
+    )
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(RAT01, P42, 1.1 * K42, K42, "flat", (0.5, 1.0, 5.0))
-    bump = build_model(4, ConstantCutoff(1.0, 0.1), t_max=10.0, step=1e-3)
-    with pytest.raises(RigidityHypothesisError):
-        verify_theorem(bump, P42, 1.1 * K42, K42, "flat", (1.0, 2.0))
+        verify_theorem(custom, P42, (1.0, 2.0), c_m=1.1 * K42)
 
 
 def test_verify_curved_rational_consistent():
-    report = verify_theorem(RAT01, P42, K42, K42, "curved", (0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
+    report = verify_theorem(RAT01, P42, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), c_m=K42)
     assert report.verdict == "consistent" and report.violation is None
     assert report.b == 0.1 and report.gamma_source == "empirical"
     assert abs(report.gamma - 1.0151314624093037) < 1e-9
@@ -255,40 +265,55 @@ def test_verify_curved_rational_consistent():
 
 
 def test_verify_curved_user_gamma():
-    report = verify_theorem(
-        RAT01, P42, K42, K42, "curved", (0.5, 1.0, 5.0), gamma_value=1.0
-    )
+    report = verify_theorem(RAT01, P42, (0.5, 1.0, 5.0), c_m=K42, gamma_value=1.0)
     assert report.gamma_source == "user" and report.gamma == 1.0
     frozen = 3.277409907455755
     assert abs(report.C2 - frozen) / frozen < 1e-12
 
 
 def test_verify_curved_hypothesis_rejections():
+    plane = build_model(2, RationalDecay(0.1), t_max=10.0, step=1e-2)
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(
-            euclidean_model(2), SobolevParams(2, 1.5), 0.5, 0.4, "curved", (1.0, 2.0)
-        )
-    con = conical_model(4, 0.8, t_max=10.0, step=1e-2)
-    with pytest.raises(RigidityHypothesisError):
-        verify_theorem(con, P42, K42, K42, "curved", (1.0, 2.0))
+        verify_theorem(plane, SobolevParams(2, 1.5), (1.0, 2.0), c_m=0.5)
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-3)
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(unbounded, P42, K42, K42, "curved", (1.0, 2.0))
+        verify_theorem(unbounded, P42, (1.0, 2.0), c_m=K42)
+
+
+def test_verify_refuses_before_the_witness_search(monkeypatch):
+    searched = []
+    monkeypatch.setattr(
+        rigidity, "estimate_radial_constant", lambda *args: searched.append(args)
+    )
+    unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-2)
+    with pytest.raises(RigidityHypothesisError):
+        verify_theorem(unbounded, P42, (1.0, 2.0))
+    assert searched == []
+
+
+def test_verify_zero_moment_profile_takes_the_flat_case():
+    """b = 0 decides the case, even on an IVP-built, non-Euclidean model."""
+    model = build_model(4, RationalDecay(0.0), t_max=10.0, step=1e-2)
+    assert not model.is_euclidean
+    report = verify_theorem(model, P42, (0.5, 1.0, 5.0), c_m=1.1 * K42)
+    assert report.b == 0.0 and report.C2 == 0.0
+    want = (1.0 / 1.1) ** 4
+    for _, _, lower, upper, ok in report.ratio_table:
+        assert ok and upper == 1.0 and abs(lower - want) / want < 1e-12
+    assert report.verdict == "consistent"
 
 
 def test_verify_argument_validation():
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, SobolevParams(3, 2.0), K42, K42, "flat", (1.0,))
+        verify_theorem(EUC4, SobolevParams(3, 2.0), (1.0,), c_m=K42)
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, P42, K42, K42, "warped", (1.0,))
+        verify_theorem(EUC4, P42, (), c_m=K42)
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, P42, K42, K42, "flat", ())
-    with pytest.raises(ValueError):
-        verify_theorem(EUC4, P42, K42, K42, "flat", (0.0, 1.0))
+        verify_theorem(EUC4, P42, (0.0, 1.0), c_m=K42)
 
 
 def test_report_serialization():
-    report = verify_theorem(EUC4, P42, 1.1 * K42, K42, "flat", (1.0, 5.0))
+    report = verify_theorem(EUC4, P42, (1.0, 5.0), c_m=1.1 * K42)
     payload = report.to_json_dict()
     assert list(payload.keys()) == [
         "params", "K", "C_M", "C_M_source", "b", "gamma", "gamma_source",
