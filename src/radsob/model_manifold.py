@@ -546,8 +546,9 @@ def verify_volume_chain(
 
     The moment b defaults to the model's own profile moment; passing a
     finite override is how an infinite-moment control is shown to break
-    the upper chain.  A radius whose Euclidean ball volume is not positive
-    (t^m underflows for tiny t) raises ValueError.
+    the upper chain.  An infinite bound e^(b m), as at b = inf, could
+    never fail and raises ValueError; so does a radius whose Euclidean
+    ball volume is not positive (t^m underflows for tiny t).
     """
     m = model.m
     if b is None:
@@ -556,6 +557,8 @@ def verify_volume_chain(
         b = model.profile.b
     area_factor = _exp_or_inf(b * (m - 1))
     vol_factor = _exp_or_inf(b * m)
+    if math.isinf(vol_factor):
+        raise ValueError(f"the upper bound e^(b m) is infinite at b={b:g}; the chain cannot fail")
     om_s = model.omega_sphere
     om_m = model.omega_m
 

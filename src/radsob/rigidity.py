@@ -286,19 +286,20 @@ def mass_escape_experiment(
     )
 
 
-def estimated_c_m(model: ModelManifold, params: SobolevParams):
+def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
     """C_M from radial witnesses combined with the universal bound C_M >= K.
 
-    Returns (value, estimate).  estimate_radial_constant minimises the
-    Sobolev quotient over the scale of the extremal profiles; on models
-    whose volume dominates the Euclidean one its estimate approaches K
-    from below.  Since K is itself a lower bound for every C_M (local
-    Euclidean concentration), the larger of the two is the sharper
-    admissible value.
+    K bounds every C_M from below (local Euclidean concentration), so the
+    value is the larger of K and the estimate_radial_constant witness
+    estimate, which on a curvature-profile model is K: no search runs.
     """
-    est = estimate_radial_constant(model, params)
     k = sharp_constant(params)
-    return max(est.c_est, k), est
+    if model.profile is not None:
+        # G >= 0 gives h' >= 1, so centred balls beat the Euclidean
+        # isoperimetric ratio and no radial witness beats K.  Admitting
+        # G < 0 (the Ric >= 0 models of ROADMAP item 4) has to revisit this.
+        return k
+    return max(estimate_radial_constant(model, params).c_est, k)
 
 
 def _fmt(x) -> str:
@@ -413,12 +414,14 @@ def verify_theorem(
     """Check the volume comparison conclusion on a radius grid.
 
     Works out K, then checks the hypotheses (check_hypotheses), then, with
-    c_m None, estimates C_M by the witness search (source "estimate";
-    otherwise "user").  The model's curvature moment b decides the bounds:
-    at b = 0 nonnegative radial Ricci is required and 1 >= V/V_euc >=
-    (K/C_M)^m is checked; at b > 0 m >= 3 and a finite b are required and
-    e^(mb) >= V/V_euc >= C_hat is checked.  gamma_value None means the
-    volume ratio lower bound is measured on the grid (source "empirical").
+    c_m None, takes C_M from estimated_c_m (source "estimate"; otherwise
+    "user"): K on a curvature-profile model, the witness search on a
+    closed-form model without one.  The model's curvature moment b decides
+    the bounds: at b = 0 nonnegative radial Ricci is required and
+    1 >= V/V_euc >= (K/C_M)^m is checked; at b > 0 m >= 3 and a finite b
+    are required and e^(mb) >= V/V_euc >= C_hat is checked.  gamma_value
+    None means the volume ratio lower bound is measured on the grid
+    (source "empirical").
 
     The verdict is "consistent" when every grid bound holds to
     ratio_slack, the certificate profile is non-increasing, and its final
@@ -435,7 +438,7 @@ def verify_theorem(
     b = check_hypotheses(model, t_grid, gamma_value)
     c_m_source = "estimate" if c_m is None else "user"
     if c_m is None:
-        c_m, _ = estimated_c_m(model, params)
+        c_m = estimated_c_m(model, params)
     gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
     gamma_source = "user" if gamma_value is not None else "empirical"
 

@@ -7,7 +7,8 @@ energy / mass^(p/p*) can only overestimate C_M^(-p), so minimising it
 over a family yields a certified lower estimate of the manifold
 constant.  The built-in family is the extremal Euclidean profiles,
 minimised over their scale by a log-grid scan and golden-section
-refinement.
+refinement, on closed-form models only: rigidity.estimated_c_m takes K
+on curvature-profile models, where no witness beats it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ SEARCH_TOL = (1e-9, 1e-7)
 # (abs_tol, rel_tol) of the beyond-window share of a manifold integral.  It
 # only feeds the TAIL_BUDGET comparison, so a few digits are enough.
 BUDGET_TOL = (1e-9, 1e-4)
-# The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE
-# (the upper end capped by the solved window on IVP-built models).
+# The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE.
 SCAN_RANGE = (1e-2, 1e6)
 SCAN_POINTS = 25
 
@@ -254,18 +254,18 @@ class RadialConstantEstimate:
     quotient: float
     lam: float
     quotient_evals: int
-    skipped: tuple
 
 
 def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> RadialConstantEstimate:
     """Lower estimate of the manifold Sobolev constant from radial witnesses.
 
     Scans the extremal family over the logarithmic grid of scales given by
-    SCAN_RANGE and SCAN_POINTS, refines
-    the best bracket by golden-section search in log lam, and re-evaluates
-    the winning profile at full accuracy.  The returned
-    C_est = (min quotient)^(-1/p) never exceeds the true constant, up to
-    quadrature error.
+    SCAN_RANGE and SCAN_POINTS, refines the best bracket by golden-section
+    search in log lam, and re-evaluates the winning profile at full
+    accuracy.  The returned C_est = (min quotient)^(-1/p) never exceeds the
+    true constant, up to quadrature error.  The widest scales put their
+    mass far beyond the window, so the model must be exact there
+    (tail_factor() == 1); on an IVP-built model they raise TailBoundError.
 
     Raises:
         SobolevUnsupportedError: the model's volume ratio collapses, so no
@@ -285,11 +285,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
 
     profile = TalentiProfile.build(params, 1.0)
     lam_lo, lam_hi = SCAN_RANGE
-    if model.tail_factor() > 1.0:
-        # Witness scales must keep their mass inside the solved window.
-        lam_hi = min(lam_hi, (model.t_max / 5.0) ** params.conj)
     evals = 0
-    skipped = []
 
     def quotient_at(lam: float) -> float:
         nonlocal evals
@@ -299,15 +295,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
     grid = [
         lam_lo * (lam_hi / lam_lo) ** (i / (SCAN_POINTS - 1.0)) for i in range(SCAN_POINTS)
     ]
-    scanned = []
-    for lam in grid:
-        try:
-            scanned.append((quotient_at(lam), lam))
-        except TailBoundError:
-            skipped.append(lam)
-    if not scanned:
-        raise SobolevUnsupportedError("no witness scale produced a computable quotient")
-    best_q, best_lam = min(scanned, key=lambda pair: (pair[0], pair[1]))
+    best_q, best_lam = min((quotient_at(lam), lam) for lam in grid)
 
     idx = grid.index(best_lam)
     left = math.log(grid[max(0, idx - 1)])
@@ -334,7 +322,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
     try:
         best_q = quotient_sobolev(talenti_function(profile.with_lam(best_lam)), model)
         evals += 1
-    except (TailBoundError, QuadratureError):
+    except QuadratureError:
         # Keep the search-accuracy value if the strict pass refuses; it is
         # still a genuine witness quotient, just with fewer digits.
         pass
@@ -344,5 +332,4 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
         quotient=float(best_q),
         lam=best_lam,
         quotient_evals=evals,
-        skipped=tuple(skipped),
     )

@@ -95,6 +95,7 @@ def test_exit_codes_usage_errors(capsys):
         ["model", "--g", "const:0.1:nan"],
         ["rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"],
         ["model", "--g", "const:0.1:inf", "--t-max", "1e-300", "--step", "1e-2"],
+        ["model", "--g", "const:0.1:inf", "--t-max", "20", "--step", "1e-2"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -196,6 +197,26 @@ def test_rigidity_csv_flat_user_constant(capsys):
     assert len(data) == 23
     for row in data:
         assert row.split(",")[4] == "true"
+
+
+def test_rigidity_flat_estimate_is_exactly_k(capsys):
+    """No witness search on a profile model: C_M is K and v is exactly 0."""
+    rc, out = _run(capsys, ["rigidity", "--g", "zero", "--output", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["C_M_source"] == "estimate" and payload["C_M"] == payload["K"]
+    assert [row["v"] for row in payload["v_profile"]] == [0.0] * 23
+
+
+def test_rigidity_table_model_estimate(tmp_path, capsys):
+    """A table model at the default window takes C_M = K without a search."""
+    table = tmp_path / "curvature.txt"
+    table.write_text("0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n")
+    rc, out = _run(capsys, ["rigidity", "--m", "4", "--p", "2", "--g", f"table:{table}"])
+    assert rc == 0, out
+    constants = next(line for line in out.split("\n") if line.startswith("# K="))
+    k, c_m, source = (field.split("=")[1] for field in constants[2:].split())
+    assert source == "estimate" and c_m == k
 
 
 def test_rigidity_json_key_order(capsys):

@@ -14,6 +14,7 @@ from radsob import rigidity
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
+    Tabulated,
     build_model,
     conical_model,
     euclidean_model,
@@ -32,7 +33,8 @@ from radsob.rigidity import (
     v_profile,
     verify_theorem,
 )
-from radsob.talenti import SobolevParams, sharp_constant
+from radsob.sobolev import estimate_radial_constant, quotient_sobolev, talenti_function
+from radsob.talenti import SobolevParams, TalentiProfile, sharp_constant
 
 import _oracles
 
@@ -330,7 +332,41 @@ def test_report_serialization():
     float(cells[0]), float(cells[1]), float(cells[2]), float(cells[3])
 
 
-def test_estimated_constant_never_reported_below_sharp_bound():
-    value, est = estimated_c_m(RAT01, P42)
-    assert est.c_est < K42, f"witness estimate {est.c_est!r} should sit below K"
-    assert value == K42, f"clamped value {value!r} vs K {K42!r}"
+def test_no_radial_witness_beats_sharp_bound_on_profile_models():
+    """The premise of the estimated_c_m shortcut: G >= 0 keeps every
+    in-window witness quotient at or above K^-p."""
+    cases = (
+        (RAT01, P42),
+        (build_model(4, ConstantCutoff(0.05, 3.0)), P42),
+        (build_model(3, RationalDecay(0.1)), SobolevParams(3, 1.5)),
+    )
+    for model, params in cases:
+        floor = sharp_constant(params) ** -params.p
+        for lam in (0.01, 0.1, 1.0):
+            u = talenti_function(TalentiProfile.build(params, lam))
+            q = quotient_sobolev(u, model)
+            assert q >= floor * (1.0 - 1e-9), f"{model!r} lam={lam}: {q!r} < {floor!r}"
+
+
+def test_estimated_c_m_searches_only_without_a_profile(monkeypatch):
+    calls = []
+
+    def recorder(model, params):
+        calls.append(model)
+        return estimate_radial_constant(model, params)
+
+    monkeypatch.setattr(rigidity, "estimate_radial_constant", recorder)
+    table = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
+    for model in (
+        RAT01,
+        build_model(4, ConstantCutoff(0.05, 3.0), step=1e-2),
+        build_model(4, table, step=1e-2),
+        EUC4,
+    ):
+        assert estimated_c_m(model, P42) == K42, f"{model!r}"
+    assert calls == []
+
+    cone = conical_model(4, 0.8)
+    value = estimated_c_m(cone, P42)
+    assert calls == [cone]
+    assert abs(value / K42 - 1.182) < 1e-3, f"cone estimate {value / K42!r} K"

@@ -8,7 +8,13 @@ import math
 
 import pytest
 
-from radsob.model_manifold import RationalDecay, build_model, euclidean_model, model_from_warping
+from radsob.model_manifold import (
+    RationalDecay,
+    build_model,
+    conical_model,
+    euclidean_model,
+    model_from_warping,
+)
 from radsob.sobolev import (
     DivergentTailError,
     RadialFunction,
@@ -130,6 +136,10 @@ def test_tail_bound_refusal_on_short_window():
         gradient_energy(u_wide, RAT01)
     narrow = float(gradient_energy(_witness(1.0), RAT01))
     assert narrow > 0.0
+    # The witness search scans wide scales too, so it refuses an IVP model
+    # with curvature beyond the window instead of narrowing its range.
+    with pytest.raises(TailBoundError):
+        estimate_radial_constant(RAT01, P42)
 
 
 def test_collapsed_volume_growth_unsupported():
@@ -195,7 +205,7 @@ def test_estimate_flat_recovers_sharp_constant_quickly():
 
 def test_estimate_is_scan_plus_golden_section_only():
     """25 scan points, 2 bracket probes, at most 30 refinements, 1 final pass."""
-    est = estimate_radial_constant(RAT01, P42)
+    est = estimate_radial_constant(conical_model(4, 0.8), P42)
     assert est.quotient_evals <= 58, f"search used {est.quotient_evals} quotients"
 
 
