@@ -22,7 +22,13 @@ import json
 import math
 import sys
 
-from .model_manifold import ModelManifold, build_model, parse_curvature, verify_volume_chain
+from .model_manifold import (
+    ModelManifold,
+    build_model,
+    parse_curvature,
+    upper_chain_factors,
+    verify_volume_chain,
+)
 from .numerics import OdeError, QuadratureError
 from .rigidity import _fmt, mass_escape_experiment, verify_theorem
 from .sobolev import (
@@ -185,7 +191,11 @@ def _chain_grid(t_max: float) -> list:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    model = _build_model(args)
+    profile = parse_curvature(args.g_spec)
+    # An infinite upper bound e^(b m) follows from the moment alone: refuse
+    # it before the IVP runs.
+    upper_chain_factors(profile.b, args.m)
+    model = build_model(args.m, profile, t_max=args.t_max, step=args.step)
     report = verify_volume_chain(model, _chain_grid(args.t_max), slack=args.tol)
     rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
     if args.output == "json":

@@ -14,13 +14,13 @@ enter the test matrix.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from .numerics import IvpSolution, integrate_finite, solve_h_ivp
+from .numerics import IvpSolution, integrate_finite, solve_h_ivp, uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -124,22 +124,29 @@ class Tabulated(CurvatureProfile):
     """Piecewise-linear G on a grid with a declared power-law tail.
 
     Beyond the last node the profile continues as
-    values[-1] * (grid[-1] / t)^tail_power; the tail power must exceed 2
-    so the moment converges.
+    values[-1] * (grid[-1] / t)^tail_power; the tail power must be finite
+    and exceed 2 so the moment converges.  Nodes and values must be finite.
     """
 
     def __init__(self, grid, values, tail_power: float):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.shape != values.shape or len(grid) < 2:
-            raise ValueError("tabulated profile needs matching 1-d grid and values, length >= 2")
-        if grid[0] < 0.0 or np.any(np.diff(grid) <= 0.0):
+        shape_error = "tabulated profile needs matching 1-d grid and values, length >= 2"
+        try:
+            grid = array("d", grid)
+            values = array("d", values)
+        except TypeError:
+            raise ValueError(shape_error) from None
+        if len(grid) != len(values) or len(grid) < 2:
+            raise ValueError(shape_error)
+        if not all(map(math.isfinite, grid + values)):
+            raise ValueError("tabulated grid and curvature values must be finite")
+        if grid[0] < 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("tabulated grid must be nonnegative and strictly increasing")
-        if np.any(values < 0.0):
+        if any(v < 0.0 for v in values):
             raise ValueError("curvature values must be >= 0")
-        if not (tail_power > 2.0):
+        if not (2.0 < tail_power < math.inf):
             raise ValueError(
-                f"tail_power must exceed 2 so the curvature moment converges, got {tail_power!r}"
+                "tail_power must be finite and exceed 2 so the curvature moment converges, "
+                f"got {tail_power!r}"
             )
         self.grid = grid
         self.values = values
@@ -150,18 +157,23 @@ class Tabulated(CurvatureProfile):
             self._b += 0.5 * values[0] * grid[0] ** 2
 
     def g(self, t):
-        if t <= self.grid[0]:
-            return float(self.values[0])
-        if t >= self.grid[-1]:
-            return float(self.values[-1] * (self.grid[-1] / t) ** self.tail_power)
-        return float(np.interp(t, self.grid, self.values))
+        grid, values = self.grid, self.values
+        if t <= grid[0]:
+            return values[0]
+        if t >= grid[-1]:
+            return values[-1] * (grid[-1] / t) ** self.tail_power
+        # grid[j] <= t < grid[j + 1]; the chord formula is the one np.interp
+        # uses, so the result has the same bits.
+        j = bisect_right(grid, t) - 1
+        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
+        return slope * (t - grid[j]) + values[j]
 
     def _segment_moment(self, t_from: float) -> float:
         # t * G is piecewise quadratic where G is piecewise linear, so a
         # per-segment Simpson rule is exact.
         total = 0.0
         for a, b in zip(self.grid[:-1], self.grid[1:]):
-            lo = max(float(a), t_from)
+            lo = max(a, t_from)
             if lo >= b:
                 continue
             mid = 0.5 * (lo + b)
@@ -175,8 +187,8 @@ class Tabulated(CurvatureProfile):
         return self._b
 
     def moment_tail(self, t_from):
-        t_last = float(self.grid[-1])
-        v_last = float(self.values[-1])
+        t_last = self.grid[-1]
+        v_last = self.values[-1]
         q = self.tail_power
         start = max(t_from, t_last)
         tail = v_last * t_last**q * start ** (2.0 - q) / (q - 2.0)
@@ -261,7 +273,9 @@ class ModelManifold:
     Depending on how it was built the warping function comes either from
     the curvature IVP (with a dense fourth-order interpolant) or from
     closed-form callables.  Ball volumes are cached on the uniform grid by
-    a derivative-corrected trapezoid sweep, so volume lookups are O(1).
+    a derivative-corrected trapezoid sweep, so volume lookups are O(1); an
+    IVP model shares the solution's node columns for this.  The Euclidean
+    model has exact area and volume and builds no node table.
     """
 
     m: int
@@ -280,22 +294,34 @@ class ModelManifold:
             raise ValueError("model dimension must be at least 2")
         self.omega_sphere = sphere_area(self.m)
         self.omega_m = unit_ball_volume(self.m)
-        n = max(1, round(self.t_max / self.step))
-        self._nodes = np.linspace(0.0, self.t_max, n + 1)
+        if self.is_euclidean:
+            # area and volume are exact; no node table is read.
+            return
         if self.sol is not None:
-            h_nodes = self.sol.values
-            hp_nodes = self.sol.derivs
+            nodes, h_nodes, hp_nodes = self.sol.grid, self.sol.values, self.sol.derivs
         else:
-            h_nodes = np.array([self.h_call(t) for t in self._nodes])
-            hp_nodes = np.array([self.hp_call(t) for t in self._nodes])
+            nodes = uniform_grid(self.t_max, max(1, round(self.t_max / self.step)))
+            h_nodes = array("d", map(self.h_call, nodes))
+            hp_nodes = array("d", map(self.hp_call, nodes))
+        self._nodes = nodes
         self._h_nodes = h_nodes
         self._hp_nodes = hp_nodes
-        f = self.omega_sphere * h_nodes ** (self.m - 1)
-        fp = self.omega_sphere * (self.m - 1) * h_nodes ** (self.m - 2) * hp_nodes
-        dt = self._nodes[1] - self._nodes[0]
-        dv = 0.5 * dt * (f[:-1] + f[1:]) + dt * dt / 12.0 * (fp[:-1] - fp[1:])
-        self._vol_nodes = np.concatenate(([0.0], np.cumsum(dv)))
-        self._grid_dt = dt
+        self._grid_dt = dt = nodes[1] - nodes[0]
+        # Derivative-corrected trapezoid on each cell, summed in node order.
+        om, m1 = self.omega_sphere, self.m - 1
+        om_m1 = om * m1
+        half, corr = 0.5 * dt, dt * dt / 12.0
+        f_prev = fp_prev = None
+        total = 0.0
+        vol = array("d")
+        for h, hp in zip(h_nodes, hp_nodes):
+            f = om * h**m1
+            fp = om_m1 * h ** (m1 - 1) * hp
+            if f_prev is not None:
+                total += half * (f_prev + f) + corr * (fp_prev - fp)
+            vol.append(total)
+            f_prev, fp_prev = f, fp
+        self._vol_nodes = vol
 
     # -- warping function --------------------------------------------------
 
@@ -338,7 +364,7 @@ class ModelManifold:
         i = min(int(t / self._grid_dt), len(self._nodes) - 2)
         t_i = self._nodes[i]
         if t == t_i:
-            return float(self._vol_nodes[i])
+            return self._vol_nodes[i]
         h_t = self.h(t)
         hp_t = self.h_prime(t)
         f_i = self.omega_sphere * self._h_nodes[i] ** (self.m - 1)
@@ -346,9 +372,7 @@ class ModelManifold:
         f_t = self.omega_sphere * h_t ** (self.m - 1)
         fp_t = self.omega_sphere * (self.m - 1) * h_t ** (self.m - 2) * hp_t
         dt = t - t_i
-        return float(
-            self._vol_nodes[i] + 0.5 * dt * (f_i + f_t) + dt * dt / 12.0 * (fp_i - fp_t)
-        )
+        return self._vol_nodes[i] + 0.5 * dt * (f_i + f_t) + dt * dt / 12.0 * (fp_i - fp_t)
 
     def radial_ricci(self, t: float) -> float:
         """Ricci curvature in the radial direction, -(m-1) h''/h.
@@ -384,8 +408,8 @@ class ModelManifold:
             om = self.omega_sphere
             h_call = self.h_call
             return lambda t: om * h_call(t) ** m1
-        h_end = float(self.sol.values[-1])
-        hp_end = float(self.sol.derivs[-1])
+        h_end = self.sol.values[-1]
+        hp_end = self.sol.derivs[-1]
         t_end = self.t_max
         om = self.omega_sphere
         m1 = self.m - 1
@@ -412,8 +436,8 @@ class ModelManifold:
         remaining = self.profile.moment_tail(self.t_max) if self.profile else math.inf
         if remaining == 0.0:
             return 1.0
-        h_end = float(self.sol.values[-1])
-        hp_end = float(self.sol.derivs[-1])
+        h_end = self.sol.values[-1]
+        hp_end = self.sol.derivs[-1]
         kappa = 1.0 + h_end / (hp_end * self.t_max)
         return _exp_or_inf((self.m - 1) * kappa * remaining)
 
@@ -528,6 +552,19 @@ class VolumeChainReport:
         return [row for row in self.rows if not row.passed]
 
 
+def upper_chain_factors(b: float, m: int) -> tuple[float, float]:
+    """The upper-chain factors e^(b (m-1)) on area and e^(b m) on volume.
+
+    Raises ValueError when e^(b m) is infinite: the upper volume check
+    could then never fail.  It depends on b and m only, so a caller can
+    refuse such a moment before it builds the model.
+    """
+    vol_factor = _exp_or_inf(b * m)
+    if math.isinf(vol_factor):
+        raise ValueError(f"the upper bound e^(b m) is infinite at b={b:g}; the chain cannot fail")
+    return _exp_or_inf(b * (m - 1)), vol_factor
+
+
 def verify_volume_chain(
     model: ModelManifold,
     t_grid,
@@ -555,10 +592,7 @@ def verify_volume_chain(
         if model.profile is None:
             raise ValueError("model has no curvature profile; pass the moment b explicitly")
         b = model.profile.b
-    area_factor = _exp_or_inf(b * (m - 1))
-    vol_factor = _exp_or_inf(b * m)
-    if math.isinf(vol_factor):
-        raise ValueError(f"the upper bound e^(b m) is infinite at b={b:g}; the chain cannot fail")
+    area_factor, vol_factor = upper_chain_factors(b, m)
     om_s = model.omega_sphere
     om_m = model.omega_m
 

@@ -9,17 +9,18 @@ caller may pass its own (abs_tol, rel_tol) pair and split, nothing else.
 A semi-infinite integral also needs the integrand's declared tail power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
-high-precision reference solutions.  All routines are deterministic: the
-same inputs always produce bitwise identical results.
+high-precision reference solutions.  Node tables are stdlib
+``array("d")`` columns of Python floats; nothing here needs vector
+arithmetic.  All routines are deterministic: the same inputs always
+produce bitwise identical results.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -177,20 +178,29 @@ def beta_function(a: float, b: float) -> float:
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
 
 
+def uniform_grid(t_max: float, n: int) -> array:
+    """The n + 1 nodes i * (t_max / n), the last one set to t_max exactly."""
+    dt = t_max / n
+    grid = array("d", (i * dt for i in range(n)))
+    grid.append(t_max)
+    return grid
+
+
 @dataclass(frozen=True)
 class IvpSolution:
     """Dense output of the warping IVP on a uniform grid.
 
-    values[i] and derivs[i] hold h and h' at grid[i]; seconds[i] holds
+    The four columns are ``array("d")`` tables of equal length: values[i]
+    and derivs[i] hold h and h' at grid[i], and seconds[i] holds
     h'' = G * h there.  Between nodes both h and h' are evaluated by cubic
     Hermite interpolation, which preserves the fourth-order accuracy of
     the RK4 sweep.
     """
 
-    grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
-    seconds: np.ndarray
+    grid: array
+    values: array
+    derivs: array
+    seconds: array
     step: float
     t_max: float
 
@@ -240,11 +250,9 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -
         raise ValueError("t_max and step must be positive")
     n = max(1, round(t_max / step))
     dt = t_max / n
-    values = np.empty(n + 1)
-    derivs = np.empty(n + 1)
     h, v = 0.0, 1.0
-    values[0] = h
-    derivs[0] = v
+    values = array("d", [h])
+    derivs = array("d", [v])
     g_here = g(0.0)
     for i in range(n):
         t = i * dt
@@ -261,12 +269,12 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -
         v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (math.isfinite(h) and math.isfinite(v)):
             raise OdeError(f"warping solution became non-finite near t={t + dt:g}")
-        values[i + 1] = h
-        derivs[i + 1] = v
+        values.append(h)
+        derivs.append(v)
         g_here = g_next
 
-    grid = np.linspace(0.0, t_max, n + 1)
-    seconds = np.array([g(t) for t in grid]) * values
+    grid = uniform_grid(t_max, n)
+    seconds = array("d", (g(t) * h for t, h in zip(grid, values)))
     return IvpSolution(
         grid=grid, values=values, derivs=derivs, seconds=seconds, step=dt, t_max=t_max
     )

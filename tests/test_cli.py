@@ -59,8 +59,21 @@ def test_parser_defaults():
     assert args.tol == 1e-8 and args.output == "csv" and args.out_path is None
 
 
-def test_exit_codes_usage_errors(capsys):
-    cases = [
+def test_exit_codes_usage_errors(capsys, tmp_path):
+    tables = {
+        "nan_value": "0 0.3\n1 nan\n2 0.1\n# tail_power=3\n",
+        "inf_value": "0 inf\n1 0.25\n2 0.1\n# tail_power=3\n",
+        "nan_node": "0 0.3\nnan 0.25\n2 0.1\n# tail_power=3\n",
+        "inf_last_node": "0 0.3\n1 0.25\ninf 0.1\n# tail_power=3\n",
+        "inf_tail_power": "0 0.3\n1 0.25\n2 0.1\n# tail_power=inf\n",
+    }
+    table_cases = []
+    for name, text in tables.items():
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        table_cases.append(["model", "--g", f"table:{path}"])
+        table_cases.append(["rigidity", "--g", f"table:{path}", "--c-m", "0.5"])
+    cases = table_cases + [
         ["constants", "--m", "2", "--p", "2"],
         ["constants", "--badflag"],
         ["nosuch"],
@@ -102,6 +115,31 @@ def test_exit_codes_usage_errors(capsys):
         err = capsys.readouterr().err
         assert rc == 2, f"argv {argv!r} gave exit {rc}, want 2"
         assert "error: " in err, f"argv {argv!r} gave no error line: {err!r}"
+
+
+def test_model_refuses_infinite_upper_bound_before_the_ivp():
+    """b = 50000 makes e^(b m) infinite: the refusal is the whole of stderr,
+    with no overflow from a model built first."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "radsob.cli", "model", "--g", "const:1000:10"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: the upper bound e^(b m) is infinite at b=50000; the chain cannot fail\n"
+    )
+
+
+def test_cli_import_does_not_load_numpy():
+    """The package has no runtime dependency; numpy must not come back."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, radsob.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_exit_code_one_when_a_check_fails(capsys):

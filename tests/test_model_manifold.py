@@ -108,6 +108,32 @@ def test_profile_validation():
         Tabulated([1.0, 0.5], [0.1, 0.2], tail_power=4.0)
     with pytest.raises(ValueError):
         Tabulated([0.0, 1.0], [0.1, -0.2], tail_power=4.0)
+    # Ragged, nested or non-finite tables are refused with ValueError too.
+    bad_tables = (
+        ([0.0, 1.0, 2.0], [0.1, 0.2]),
+        ([[0.0, 1.0], [2.0, 3.0]], [[0.1, 0.2], [0.1, 0.2]]),
+        ([0.0, [1.0, 2.0]], [0.1, 0.2]),
+        ([0.0, 1.0], [0.1, math.nan]),
+        ([0.0, 1.0], [math.inf, 0.2]),
+        ([0.0, math.nan], [0.1, 0.2]),
+        ([0.0, math.inf], [0.1, 0.2]),
+    )
+    for grid, values in bad_tables:
+        with pytest.raises(ValueError):
+            Tabulated(grid, values, tail_power=4.0)
+    for power in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Tabulated([0.0, 2.0], [0.1, 0.2], tail_power=power)
+
+
+def test_tabulated_matches_linear_interpolation():
+    """Between nodes g is the chord through the two neighbouring nodes."""
+    grid = [0.0, 0.3, 1.0, 2.5, 4.0]
+    values = [0.3, 0.25, 0.1, 0.02, 0.001]
+    prof = Tabulated(grid, values, tail_power=3.0)
+    for t, want in ((0.3, 0.25), (0.15, 0.275), (1.75, 0.06), (3.25, 0.0105)):
+        assert abs(prof.g(t) - want) <= 1e-15, f"g({t}) = {prof.g(t)!r}, want {want!r}"
+    assert prof.g(8.0) == 0.001 * (4.0 / 8.0) ** 3.0
 
 
 def test_euclidean_model_exact():

@@ -183,7 +183,7 @@ def test_quadrature_and_ivp_determinism():
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
     a = solve_h_ivp(g, 5.0, 1e-3)
     b = solve_h_ivp(g, 5.0, 1e-3)
-    assert (a.values == b.values).all() and (a.derivs == b.derivs).all()
+    assert a.values == b.values and a.derivs == b.derivs
 
 
 if HAS_HYPOTHESIS:
