@@ -152,8 +152,14 @@ def _check_rows_json(args: argparse.Namespace, rows) -> dict:
     }
 
 
-def _build_model(args: argparse.Namespace) -> ModelManifold:
+def _bounded_model(args: argparse.Namespace) -> ModelManifold:
+    """The model of --g, for the commands that check the upper bound e^(b m).
+
+    An infinite e^(b m) could never fail and follows from the moment
+    alone, so it is refused before the IVP runs.
+    """
     profile = parse_curvature(args.g_spec)
+    upper_chain_factors(profile.b, args.m)
     return build_model(args.m, profile, t_max=args.t_max, step=args.step)
 
 
@@ -191,12 +197,7 @@ def _chain_grid(t_max: float) -> list:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    profile = parse_curvature(args.g_spec)
-    # An infinite upper bound e^(b m) follows from the moment alone: refuse
-    # it before the IVP runs.
-    upper_chain_factors(profile.b, args.m)
-    model = build_model(args.m, profile, t_max=args.t_max, step=args.step)
-    report = verify_volume_chain(model, _chain_grid(args.t_max), slack=args.tol)
+    report = verify_volume_chain(_bounded_model(args), _chain_grid(args.t_max), slack=args.tol)
     rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
     if args.output == "json":
         payload = _check_rows_json(args, rows)
@@ -213,7 +214,8 @@ def cmd_model(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = SobolevParams(args.m, args.p)
-    model = _build_model(args)
+    # The Sobolev-side checks do not use e^(b m), so any moment is built.
+    model = build_model(args.m, parse_curvature(args.g_spec), t_max=args.t_max, step=args.step)
     k = sharp_constant(params)
     k_pow = k ** (-params.p)
     rows = []
@@ -254,7 +256,7 @@ def _rigidity_grid(t_max: float) -> list:
 def cmd_rigidity(args: argparse.Namespace) -> int:
     params = SobolevParams(args.m, args.p)
     report = verify_theorem(
-        _build_model(args),
+        _bounded_model(args),
         params,
         _rigidity_grid(args.t_max),
         c_m=args.c_m,

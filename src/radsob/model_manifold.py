@@ -1,14 +1,14 @@
 """Rotationally symmetric model spaces with radial curvature control.
 
-A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2 where the
-warping function solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a
-nonnegative decaying curvature coefficient G.  The moment
+A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  The warping
+function h solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a nonnegative
+decaying curvature coefficient G, or is given in closed form, which is
+how nonnegatively curved examples (conical spaces) enter the test
+matrix; a ModelManifold reads both the same way.  The moment
 b = integral(t G(t) dt) measures the total amount of negative curvature;
 when it is finite the model is trapped between Euclidean space and a
 bounded dilation of it, which is exactly what verify_volume_chain checks
-on a grid.  Models can also be built directly from a closed-form warping
-function, which is how nonnegatively curved examples (conical spaces)
-enter the test matrix.
+on a grid.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .numerics import IvpSolution, integrate_finite, solve_h_ivp, uniform_grid
+from .numerics import integrate_finite, solve_h_ivp, uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -268,60 +268,35 @@ def parse_curvature(spec: str) -> CurvatureProfile:
 
 @dataclass(eq=False)
 class ModelManifold:
-    """A warped-product model with cached area and volume along the radius.
+    """A warped-product model dt^2 + h(t)^2 g_S on the window [0, t_max].
 
-    Depending on how it was built the warping function comes either from
-    the curvature IVP (with a dense fourth-order interpolant) or from
-    closed-form callables.  Ball volumes are cached on the uniform grid by
-    a derivative-corrected trapezoid sweep, so volume lookups are O(1); an
-    IVP model shares the solution's node columns for this.  The Euclidean
-    model has exact area and volume and builds no node table.
+    A plain record of h, h', h'' and the ball volume V(B_t) as callables,
+    and of the tail factor: how far area_extended() may undershoot the true
+    area beyond t_max.  h, h_prime, h_second, area and volume are each a
+    window check and one call, whichever constructor made the model:
+
+      * build_model: the curvature IVP's dense output, continued linearly
+        past t_max, with a certified tail factor;
+      * model_from_warping: a closed-form h, exact past t_max (factor 1);
+      * euclidean_model: h(t) = t and the exact volume omega_m t^m.
+
+    The first two read ball volumes from a node table (_volume_table).
+    profile is the curvature G = h''/h, when known.
     """
 
     m: int
     t_max: float
-    step: float
     profile: CurvatureProfile | None
     name: str
-    sol: IvpSolution | None
-    h_call: Callable[[float], float] | None
-    hp_call: Callable[[float], float] | None
-    hpp_call: Callable[[float], float] | None
-    is_euclidean: bool = False
+    warp: Callable[[float], float]
+    warp_prime: Callable[[float], float]
+    warp_second: Callable[[float], float]
+    ball_volume: Callable[[float], float]
+    tail_factor: float
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("model dimension must be at least 2")
         self.omega_sphere = sphere_area(self.m)
         self.omega_m = unit_ball_volume(self.m)
-        if self.is_euclidean:
-            # area and volume are exact; no node table is read.
-            return
-        if self.sol is not None:
-            nodes, h_nodes, hp_nodes = self.sol.grid, self.sol.values, self.sol.derivs
-        else:
-            nodes = uniform_grid(self.t_max, max(1, round(self.t_max / self.step)))
-            h_nodes = array("d", map(self.h_call, nodes))
-            hp_nodes = array("d", map(self.hp_call, nodes))
-        self._nodes = nodes
-        self._h_nodes = h_nodes
-        self._hp_nodes = hp_nodes
-        self._grid_dt = dt = nodes[1] - nodes[0]
-        # Derivative-corrected trapezoid on each cell, summed in node order.
-        om, m1 = self.omega_sphere, self.m - 1
-        om_m1 = om * m1
-        half, corr = 0.5 * dt, dt * dt / 12.0
-        f_prev = fp_prev = None
-        total = 0.0
-        vol = array("d")
-        for h, hp in zip(h_nodes, hp_nodes):
-            f = om * h**m1
-            fp = om_m1 * h ** (m1 - 1) * hp
-            if f_prev is not None:
-                total += half * (f_prev + f) + corr * (fp_prev - fp)
-            vol.append(total)
-            f_prev, fp_prev = f, fp
-        self._vol_nodes = vol
 
     # -- warping function --------------------------------------------------
 
@@ -331,48 +306,27 @@ class ModelManifold:
 
     def h(self, t: float) -> float:
         self._check_window(t)
-        if self.sol is not None:
-            return self.sol.value(t)
-        return self.h_call(t)
+        return self.warp(t)
 
     def h_prime(self, t: float) -> float:
         self._check_window(t)
-        if self.sol is not None:
-            return self.sol.deriv(t)
-        return self.hp_call(t)
+        return self.warp_prime(t)
 
     def h_second(self, t: float) -> float:
         self._check_window(t)
-        if self.profile is not None:
-            return self.profile.g(t) * self.h(t)
-        return self.hpp_call(t)
+        return self.warp_second(t)
 
     # -- geometry ----------------------------------------------------------
 
     def area(self, t: float) -> float:
         """Area of the geodesic sphere of radius t."""
-        if self.is_euclidean:
-            self._check_window(t)
-            return self.omega_sphere * t ** (self.m - 1)
-        return self.omega_sphere * self.h(t) ** (self.m - 1)
+        self._check_window(t)
+        return self.omega_sphere * self.warp(t) ** (self.m - 1)
 
     def volume(self, t: float) -> float:
         """Volume of the geodesic ball of radius t."""
         self._check_window(t)
-        if self.is_euclidean:
-            return self.omega_m * t**self.m
-        i = min(int(t / self._grid_dt), len(self._nodes) - 2)
-        t_i = self._nodes[i]
-        if t == t_i:
-            return self._vol_nodes[i]
-        h_t = self.h(t)
-        hp_t = self.h_prime(t)
-        f_i = self.omega_sphere * self._h_nodes[i] ** (self.m - 1)
-        fp_i = self.omega_sphere * (self.m - 1) * self._h_nodes[i] ** (self.m - 2) * self._hp_nodes[i]
-        f_t = self.omega_sphere * h_t ** (self.m - 1)
-        fp_t = self.omega_sphere * (self.m - 1) * h_t ** (self.m - 2) * hp_t
-        dt = t - t_i
-        return self._vol_nodes[i] + 0.5 * dt * (f_i + f_t) + dt * dt / 12.0 * (fp_i - fp_t)
+        return self.ball_volume(t)
 
     def radial_ricci(self, t: float) -> float:
         """Ricci curvature in the radial direction, -(m-1) h''/h.
@@ -394,90 +348,113 @@ class ModelManifold:
         self._check_window(t)
         return (self.m - 1) * self.h_prime(t) / self.h(t)
 
-    # -- controlled continuation beyond the window -------------------------
-
     def area_extended(self) -> Callable[[float], float]:
-        """Area as a function on all of [0, inf).
+        """Area as a function on all of [0, inf), from h past the window.
 
-        Closed-form models evaluate exactly.  IVP-built models continue h
-        linearly from the window edge; the matching uncertainty factor is
-        available from tail_factor().
+        Beyond t_max it undershoots the true area by at most the factor
+        tail_factor.
         """
-        if self.sol is None:
-            m1 = self.m - 1
-            om = self.omega_sphere
-            h_call = self.h_call
-            return lambda t: om * h_call(t) ** m1
-        h_end = self.sol.values[-1]
-        hp_end = self.sol.derivs[-1]
-        t_end = self.t_max
-        om = self.omega_sphere
-        m1 = self.m - 1
-        sol = self.sol
-
-        def ext(t: float) -> float:
-            if t <= t_end:
-                return om * sol.value(t) ** m1
-            return om * (h_end + hp_end * (t - t_end)) ** m1
-
-        return ext
-
-    def tail_factor(self) -> float:
-        """Upper bound for area_extended underestimation beyond the window.
-
-        The true warping function h satisfies w <= h <= w * F past the
-        window edge, where w is the linear continuation and
-        F = exp(kappa * integral of s G(s) over [t_max, inf)) with
-        kappa = 1 + h(T)/(T h'(T)).  The area factor is F^(m-1).  Closed
-        form models return exactly 1.
-        """
-        if self.sol is None:
-            return 1.0
-        remaining = self.profile.moment_tail(self.t_max) if self.profile else math.inf
-        if remaining == 0.0:
-            return 1.0
-        h_end = self.sol.values[-1]
-        hp_end = self.sol.derivs[-1]
-        kappa = 1.0 + h_end / (hp_end * self.t_max)
-        return _exp_or_inf((self.m - 1) * kappa * remaining)
+        om, m1, warp = self.omega_sphere, self.m - 1, self.warp
+        return lambda t: om * warp(t) ** m1
 
     def __repr__(self):
         return f"<ModelManifold {self.name} m={self.m} t_max={self.t_max:g}>"
 
 
+def _require_dimension(m: int) -> None:
+    """Refuse m < 2 before a constructor builds an IVP or a node table."""
+    if m < 2:
+        raise ValueError("model dimension must be at least 2")
+
+
+def _volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
+    """Ball volume V(B_t) from h and h' on a uniform grid of nodes.
+
+    The node volumes are a derivative-corrected trapezoid on each cell,
+    summed in node order; between nodes the same rule adds the part of a
+    cell below t, from h(t) and h'(t).  So a lookup is O(1).
+    """
+    om, m1 = sphere_area(m), m - 1
+    om_m1 = om * m1
+    dt = nodes[1] - nodes[0]
+    half, corr = 0.5 * dt, dt * dt / 12.0
+    f_prev = fp_prev = None
+    total = 0.0
+    vol = array("d")
+    for h_i, hp_i in zip(h_nodes, hp_nodes):
+        f = om * h_i**m1
+        fp = om_m1 * h_i ** (m1 - 1) * hp_i
+        if f_prev is not None:
+            total += half * (f_prev + f) + corr * (fp_prev - fp)
+        vol.append(total)
+        f_prev, fp_prev = f, fp
+    last = len(nodes) - 2
+
+    def volume(t: float) -> float:
+        i = min(int(t / dt), last)
+        t_i = nodes[i]
+        if t == t_i:
+            return vol[i]
+        h_t = h(t)
+        hp_t = h_prime(t)
+        f_i = om * h_nodes[i] ** m1
+        fp_i = om * m1 * h_nodes[i] ** (m - 2) * hp_nodes[i]
+        f_t = om * h_t**m1
+        fp_t = om * m1 * h_t ** (m - 2) * hp_t
+        d = t - t_i
+        return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
+
+    return volume
+
+
 def build_model(
     m: int, profile: CurvatureProfile, t_max: float = 50.0, step: float = 1e-3
 ) -> ModelManifold:
-    """Solve the warping IVP for a curvature profile and assemble the model."""
+    """Solve the warping IVP for a curvature profile and assemble the model.
+
+    Past the window h continues linearly from its value and slope at
+    T = t_max.  The true h satisfies w <= h <= w * F there, where w is that
+    continuation and F = exp(kappa * integral of s G(s) over [T, inf))
+    with kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
+    """
     if isinstance(profile, ZeroCurvature):
-        return euclidean_model(m, t_max, step)
-    sol = solve_h_ivp(profile.g, t_max, step)
+        return euclidean_model(m, t_max)
+    _require_dimension(m)
+    ivp = solve_h_ivp(profile.g, t_max, step)
+    value, g = ivp.value, profile.g
+    h_end, hp_end = ivp.values[-1], ivp.derivs[-1]
+
+    def h(t: float) -> float:
+        return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
+
+    kappa = 1.0 + h_end / (hp_end * t_max)
     return ModelManifold(
         m=m,
         t_max=t_max,
-        step=sol.step,
         profile=profile,
         name=profile.spec_string(),
-        sol=sol,
-        h_call=None,
-        hp_call=None,
-        hpp_call=None,
+        warp=h,
+        warp_prime=ivp.deriv,
+        warp_second=lambda t: g(t) * value(t),
+        ball_volume=_volume_table(m, ivp.grid, ivp.values, ivp.derivs, value, ivp.deriv),
+        tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
     )
 
 
-def euclidean_model(m: int, t_max: float = 50.0, step: float = 1e-3) -> ModelManifold:
+def euclidean_model(m: int, t_max: float = 50.0) -> ModelManifold:
     """Flat R^m as a model: h(t) = t with exact area and volume."""
+    _require_dimension(m)
+    omega_m = unit_ball_volume(m)
     return ModelManifold(
         m=m,
         t_max=t_max,
-        step=step,
         profile=ZeroCurvature(),
         name="euclidean",
-        sol=None,
-        h_call=lambda t: t,
-        hp_call=lambda t: 1.0,
-        hpp_call=lambda t: 0.0,
-        is_euclidean=True,
+        warp=lambda t: t,
+        warp_prime=lambda t: 1.0,
+        warp_second=lambda t: 0.0,
+        ball_volume=lambda t: omega_m * t**m,
+        tail_factor=1.0,
     )
 
 
@@ -491,18 +468,22 @@ def model_from_warping(
     name: str = "custom",
 ) -> ModelManifold:
     """Model from a closed-form warping function with h(0)=0, h'(0)=1."""
+    _require_dimension(m)
     if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
         raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
+    nodes = uniform_grid(t_max, max(1, round(t_max / step)))
+    h_nodes = array("d", map(h, nodes))
+    hp_nodes = array("d", map(h_prime, nodes))
     return ModelManifold(
         m=m,
         t_max=t_max,
-        step=step,
         profile=None,
         name=name,
-        sol=None,
-        h_call=h,
-        hp_call=h_prime,
-        hpp_call=h_second,
+        warp=h,
+        warp_prime=h_prime,
+        warp_second=h_second,
+        ball_volume=_volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime),
+        tail_factor=1.0,
     )
 
 

@@ -122,7 +122,7 @@ def manifold_integral(
         return w(t) * area(t)
 
     total = integrate_semi_infinite(f, split, decay_power=decay_power, tol=tol)
-    factor = model.tail_factor()
+    factor = model.tail_factor
     if factor > 1.0:
         beyond = integrate_semi_infinite(
             f, split, start=model.t_max, decay_power=decay_power, tol=BUDGET_TOL
@@ -265,7 +265,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
     accuracy.  The returned C_est = (min quotient)^(-1/p) never exceeds the
     true constant, up to quadrature error.  The widest scales put their
     mass far beyond the window, so the model must be exact there
-    (tail_factor() == 1); on an IVP-built model they raise TailBoundError.
+    (tail_factor == 1); on an IVP-built model they raise TailBoundError.
 
     Raises:
         SobolevUnsupportedError: the model's volume ratio collapses, so no

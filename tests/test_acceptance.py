@@ -116,7 +116,9 @@ def test_03_euclidean_degeneration():
     sol = solve_h_ivp(lambda t: 0.0, 10.0)
     worst_h = max(abs(sol.value(t) - t) / t for t in (0.5, 1.0, 5.0, 10.0))
     model = build_model(4, ZeroCurvature())
-    flat_exact = model.is_euclidean and model.profile.b == 0.0 and model.h(3.0) == 3.0
+    flat_exact = model.profile.b == 0.0 and model.h(3.0) == 3.0 and all(
+        model.volume(t) == _oracles.ball_volume(4) * t**4 for t in (0.5, 3.0, 20.0)
+    )
     c2_exact = c2(P42, 0.0, 1.0) == 0.0
     ch = c_hat(c3(P42, 1.1 * K42, K42, 0.0), 0.0, P42)
     target = (1.0 / 1.1) ** 4

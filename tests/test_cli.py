@@ -14,6 +14,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from radsob import model_manifold
 from radsob.cli import DEFAULT_LAMBDAS, build_parser, main
 
 import _oracles
@@ -129,6 +130,20 @@ def test_model_refuses_infinite_upper_bound_before_the_ivp():
     assert proc.stderr == (
         "error: the upper bound e^(b m) is infinite at b=50000; the chain cannot fail\n"
     )
+
+
+def test_rigidity_refuses_infinite_upper_bound_before_the_ivp(capsys, monkeypatch):
+    """The ratio table's upper bound e^(m b) is refused from the moment, as in
+    `model`: no IVP runs, and no overflow reaches stderr."""
+    solved = []
+    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
+    for spec, b in (("const:10:10", "500"), ("const:1000:10", "50000"), ("const:1:inf", "inf")):
+        assert main(["rigidity", "--g", spec, "--c-m", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: the upper bound e^(b m) is infinite at b={b}; the chain cannot fail\n"
+        )
+    assert solved == []
 
 
 def test_cli_import_does_not_load_numpy():

@@ -100,3 +100,68 @@ def test_every_assigned_name_is_read():
                       if name not in reads])
     }
     assert not dead, f"assigned but never read (line, name): {dead!r}"
+
+
+# The settable values of src/radsob: optional parameters (of functions and
+# lambdas), defaulted dataclass fields other than field(init=False), and
+# add_argument flags.  Each one is a setting a caller may change, so the
+# count only goes down; a change that lowers it pins the new value here.
+
+SETTABLE_VALUES = 44
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(getattr(deco, "func", deco), ast.Name)
+        and getattr(deco, "func", deco).id == "dataclass"
+        for deco in node.decorator_list
+    )
+
+
+def _init_false(value) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "field"
+        and any(kw.arg == "init" and getattr(kw.value, "value", None) is False
+                for kw in value.keywords)
+    )
+
+
+def _settable_values(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(
+                isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                and not _init_false(stmt.value)
+                for stmt in node.body
+            )
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument"):
+            count += 1
+    return count
+
+
+def test_scan_counts_settable_values():
+    source = (
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 1\n"
+        "    z: int = field(init=False)\n    w: list = field(default_factory=list)\n\n\n"
+        "class B:\n    n: int = 2\n\n\n"
+        "def f(a, b=1, *, c, d=2):\n    return lambda e, g=3: a\n\n\n"
+        "parser.add_argument('--k', default=4)\nparser.add_argument('--j')\n"
+    )
+    # y, w; b, d, g; two flags.  x, z, B.n, a, c and e are not settable values.
+    assert _settable_values(source) == 7
+
+
+def test_settable_values_are_pinned():
+    found = sum(_settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert found == SETTABLE_VALUES, (
+        f"src/radsob has {found} settable values, pinned at {SETTABLE_VALUES}; "
+        "lower the pin when the count drops, and justify any new one"
+    )

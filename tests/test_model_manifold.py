@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from radsob import model_manifold
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
@@ -149,10 +150,26 @@ def test_euclidean_model_exact():
     assert EUC4.profile.b == 0.0
 
 
-def test_build_model_zero_curvature_shortcut():
+def test_build_model_zero_curvature_shortcut(monkeypatch):
+    """Zero curvature gives flat space exactly, without solving the IVP."""
+    solved = []
+    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
     model = build_model(4, ZeroCurvature())
-    assert model.is_euclidean
+    assert solved == []
     assert model.h(3.0) == 3.0
+    om_m = _oracles.ball_volume(4)
+    for t in (0.5, 3.0, 40.0):
+        assert model.volume(t) == om_m * t**4
+
+
+def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
+    solved = []
+    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        build_model(1, RationalDecay(0.1))
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        model_from_warping(1, h=lambda t: t, h_prime=lambda t: 1.0, h_second=lambda t: 0.0)
+    assert solved == []
 
 
 def test_warping_oracles_through_model():
@@ -279,13 +296,46 @@ def test_conical_model_shape():
 
 
 def test_tail_factor():
-    assert EUC4.tail_factor() == 1.0
-    assert conical_model(4, 0.8, t_max=10.0, step=1e-2).tail_factor() == 1.0
+    assert EUC4.tail_factor == 1.0
+    assert conical_model(4, 0.8, t_max=10.0, step=1e-2).tail_factor == 1.0
     near = build_model(4, RationalDecay(0.1), t_max=20.0, step=1e-3)
     far = build_model(4, RationalDecay(0.1), t_max=80.0, step=1e-3)
-    assert 1.0 < far.tail_factor() < near.tail_factor()
+    assert 1.0 < far.tail_factor < near.tail_factor
     unbounded = build_model(3, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-3)
-    assert math.isinf(unbounded.tail_factor())
+    assert math.isinf(unbounded.tail_factor)
+
+
+def _rational_closed_form(b0):
+    """h, h', h'' of rational:<b0> for b0 < 1/2: with theta = arctan t and
+    k = 1 - 2 b0, h = sqrt(1+t^2) sin(sqrt(k) theta)/sqrt(k)."""
+    rk = math.sqrt(1.0 - 2.0 * b0)
+
+    def h(t):
+        return math.sqrt(1.0 + t * t) * math.sin(rk * math.atan(t)) / rk
+
+    def h_prime(t):
+        angle = rk * math.atan(t)
+        return (t * math.sin(angle) / rk + math.cos(angle)) / math.sqrt(1.0 + t * t)
+
+    return h, h_prime, lambda t: 2.0 * b0 / (1.0 + t * t) ** 2 * h(t)
+
+
+def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
+    """The closed-form and IVP fillings agree in the window; past it the
+    exact area lies between the IVP's linear continuation and that
+    continuation times its tail factor."""
+    exact = model_from_warping(4, *_rational_closed_form(0.1), name="rational:0.1 exact")
+    for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
+        for name in ("h", "h_prime", "area", "volume"):
+            want = getattr(exact, name)(t)
+            got = getattr(RAT01, name)(t)
+            assert abs(got - want) <= 1e-12 * want, f"{name}({t}): {got!r} vs {want!r}"
+    factor = RAT01.tail_factor
+    assert 1.0 < factor < 1.001
+    continued, true = RAT01.area_extended(), exact.area_extended()
+    for t in (60.0, 200.0, 1e4):
+        ratio = true(t) / continued(t)
+        assert 1.0 < ratio <= factor, f"area ratio {ratio!r} at t={t} against factor {factor!r}"
 
 
 def test_area_extended_continuation():
