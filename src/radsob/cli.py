@@ -10,9 +10,13 @@ Subcommands:
     rigidity    full constant pipeline and two-sided volume verdict
     limits      head/tail mass split at a fixed radius across scales
 
-Reports are deterministic: fixed row order, floats at 12 significant
-digits, no timestamps.  Exit codes: 0 all checks pass, 1 a mathematical
-check failed, 2 usage or input error.
+COMMANDS maps each subcommand to its function and to the flags it reads;
+every subcommand also takes --output and --out, and any other flag is a
+usage error.  Each cmd_* returns its verdict, JSON payload and CSV lines,
+and main renders and writes the report once.  Reports are deterministic:
+fixed row order, floats at 12 significant digits, no timestamps.  Exit
+codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .model_manifold import (
     verify_volume_chain,
 )
 from .numerics import OdeError, QuadratureError
-from .rigidity import _fmt, mass_escape_experiment, verify_theorem
+from .rigidity import mass_escape_experiment, verify_theorem
 from .sobolev import (
     DivergentTailError,
     SobolevUnsupportedError,
@@ -60,7 +64,27 @@ def _json_ready(obj):
     return obj
 
 
-DEFAULT_LAMBDAS = (1.0,)
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def _comment(fields: dict) -> str:
+    """A `# key=value key=value` report line."""
+    return "# " + " ".join(f"{key}={_fmt(value)}" for key, value in fields.items())
+
+
+def _row(*cells) -> str:
+    return ",".join(_fmt(cell) for cell in cells)
+
+
+def _table(columns: tuple, rows) -> tuple:
+    """A report table as JSON records and as CSV lines under a header."""
+    return ([dict(zip(columns, row)) for row in rows],
+            [",".join(columns)] + [_row(*row) for row in rows])
 
 
 def _positive_finite(text: str) -> float:
@@ -80,76 +104,58 @@ def _parse_lambda_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from None
 
 
-def _positive_or_auto(text: str) -> float | None:
-    """--c-m and --gamma: "estimate"/"empirical" (None) or a positive finite number."""
-    if text in ("estimate", "empirical"):
-        return None
-    return _positive_finite(text)
+def _positive_or(keyword: str):
+    """Parser of --c-m ("estimate") or --gamma ("empirical"): the keyword
+    gives None, anything else must be a positive finite number."""
+
+    def parse(text: str) -> float | None:
+        return None if text == keyword else _positive_finite(text)
+
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radsob",
-        description="Sharp Sobolev constants and volume comparison on radial models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("constants", "model", "verify", "rigidity", "limits"):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--m", type=int, default=4)
-        cmd.add_argument("--p", type=float, default=2.0)
-        cmd.add_argument("--lambda", dest="lambda_list", type=_parse_lambda_list,
-                         default=DEFAULT_LAMBDAS)
-        cmd.add_argument("--g", dest="g_spec", default="zero")
-        cmd.add_argument("--t-max", dest="t_max", type=_positive_finite, default=50.0)
-        cmd.add_argument("--step", type=_positive_finite, default=1e-3)
-        cmd.add_argument("--tol", type=_positive_finite, default=1e-8)
-        cmd.add_argument("--c-m", dest="c_m", type=_positive_or_auto, default="estimate")
-        cmd.add_argument("--gamma", type=_positive_or_auto, default="empirical")
-        cmd.add_argument("--T", type=_positive_finite, default=1.0)
-        cmd.add_argument("--output", choices=("csv", "json"), default="csv")
-        cmd.add_argument("--out", dest="out_path", default=None)
-    return parser
+# Every flag of the command surface, in help order.
+FLAGS = {
+    "--m": {"type": int},
+    "--p": {"type": float},
+    "--lambda": {"dest": "lambda_list", "type": _parse_lambda_list},
+    "--g": {"dest": "g_spec"},
+    "--t-max": {"dest": "t_max", "type": _positive_finite},
+    "--step": {"type": _positive_finite},
+    "--tol": {"type": _positive_finite},
+    "--c-m": {"dest": "c_m", "type": _positive_or("estimate")},
+    "--gamma": {"type": _positive_or("empirical")},
+    "--T": {"type": _positive_finite},
+    "--output": {"choices": ("csv", "json")},
+    "--out": {"dest": "out_path"},
+}
+
+# The default of every flag.  Each subcommand gets all of them, so the
+# report header echoes the same values whichever flags it takes.
+DEFAULTS = {
+    "m": 4, "p": 2.0, "lambda_list": (1.0,), "g_spec": "zero", "t_max": 50.0, "step": 1e-3,
+    "tol": 1e-8, "c_m": None, "gamma": None, "T": 1.0, "output": "csv", "out_path": None,
+}
 
 
 def _config_header(args: argparse.Namespace) -> list:
     return [
-        f"# command={args.command} m={args.m} p={_fmt(float(args.p))} g={args.g_spec}",
-        f"# t_max={_fmt(float(args.t_max))} step={_fmt(float(args.step))} "
-        f"tol={_fmt(float(args.tol))} lambda={','.join(_fmt(float(x)) for x in args.lambda_list)}",
+        _comment({"command": args.command, "m": args.m, "p": args.p, "g": args.g_spec}),
+        _comment({"t_max": args.t_max, "step": args.step, "tol": args.tol,
+                  "lambda": ",".join(_fmt(x) for x in args.lambda_list)}),
     ]
 
 
-def _emit(args: argparse.Namespace, lines_or_obj) -> None:
-    if args.output == "json":
-        text = json.dumps(_json_ready(lines_or_obj), indent=2) + "\n"
-    else:
-        text = "\n".join(lines_or_obj) + "\n"
-    if args.out_path is not None:
-        with open(args.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _check_rows_csv(args: argparse.Namespace, rows) -> list:
-    lines = _config_header(args)
-    lines.append("check_name,t,lhs,rhs,slack,pass")
-    for name, t, lhs, rhs, slack, ok in rows:
-        lines.append(",".join([name, _fmt(float(t)), _fmt(float(lhs)),
-                               _fmt(float(rhs)), _fmt(float(slack)), _fmt(ok)]))
-    return lines
-
-
-def _check_rows_json(args: argparse.Namespace, rows) -> dict:
-    return {
+def _checks(args: argparse.Namespace, rows) -> tuple:
+    """JSON head and CSV table of a report made of check rows."""
+    records, table = _table(("check_name", "t", "lhs", "rhs", "slack", "pass"), rows)
+    head = {
         "command": args.command,
         "params": {"m": args.m, "p": args.p},
         "g": args.g_spec,
-        "checks": [
-            {"check_name": name, "t": t, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": ok}
-            for name, t, lhs, rhs, slack, ok in rows
-        ],
+        "checks": records,
     }
+    return head, table
 
 
 def _bounded_model(args: argparse.Namespace) -> ModelManifold:
@@ -163,7 +169,7 @@ def _bounded_model(args: argparse.Namespace) -> ModelManifold:
     return build_model(args.m, profile, t_max=args.t_max, step=args.step)
 
 
-def cmd_constants(args: argparse.Namespace) -> int:
+def cmd_constants(args: argparse.Namespace) -> tuple:
     params = SobolevParams(args.m, args.p)
     lambdas = tuple(sorted(set((1.0, 0.5, 5.0, 20.0)) | set(args.lambda_list)))
     detail = sharp_constant_detail(params, lambdas=lambdas)
@@ -176,43 +182,31 @@ def cmd_constants(args: argparse.Namespace) -> int:
     ]
     rows += [(f"K_at_lambda_{_fmt(lam)}", k) for lam, k in sorted(detail["values"].items())]
     ok = detail["spread"] <= args.tol
-    if args.output == "json":
-        payload = {
-            "command": "constants",
-            "params": {"m": args.m, "p": args.p, "p_star": params.p_star},
-            **{name: value for name, value in rows},
-            "pass": ok,
-        }
-        _emit(args, payload)
-    else:
-        lines = _config_header(args) + ["name,value"]
-        lines += [f"{name},{_fmt(value)}" for name, value in rows]
-        lines.append(f"pass,{_fmt(ok)}")
-        _emit(args, lines)
-    return 0 if ok else 1
+    payload = {
+        "command": "constants",
+        "params": {"m": args.m, "p": args.p, "p_star": params.p_star},
+        **dict(rows),
+        "pass": ok,
+    }
+    lines = _config_header(args) + ["name,value"]
+    lines += [_row(*row) for row in rows] + [_row("pass", ok)]
+    return ok, payload, lines
 
 
 def _chain_grid(t_max: float) -> list:
     return [t_max * f for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8)]
 
 
-def cmd_model(args: argparse.Namespace) -> int:
+def cmd_model(args: argparse.Namespace) -> tuple:
     report = verify_volume_chain(_bounded_model(args), _chain_grid(args.t_max), slack=args.tol)
     rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
-    if args.output == "json":
-        payload = _check_rows_json(args, rows)
-        payload["b"] = report.b_used
-        payload["pass"] = report.all_pass
-        _emit(args, payload)
-    else:
-        lines = _check_rows_csv(args, rows)
-        lines.insert(2, f"# b={_fmt(float(report.b_used))}")
-        lines.append(f"# pass={_fmt(report.all_pass)}")
-        _emit(args, lines)
-    return 0 if report.all_pass else 1
+    ok = report.all_pass
+    head, table = _checks(args, rows)
+    lines = _config_header(args) + [_comment({"b": report.b_used}), *table, _comment({"pass": ok})]
+    return ok, {**head, "b": report.b_used, "pass": ok}, lines
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     params = SobolevParams(args.m, args.p)
     # The Sobolev-side checks do not use e^(b m), so any moment is built.
     model = build_model(args.m, parse_curvature(args.g_spec), t_max=args.t_max, step=args.step)
@@ -234,17 +228,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         s_last = float(decay.flux_rows[-1][1])
         rows.append(("flux_decreasing", lam, s_last, s_first, args.tol,
                      bool(decay.flux_decreasing and decay.l1_finite)))
-    all_pass = all(r[5] for r in rows)
-    if args.output == "json":
-        payload = _check_rows_json(args, rows)
-        payload["K"] = k
-        payload["pass"] = all_pass
-        _emit(args, payload)
-    else:
-        lines = _check_rows_csv(args, rows)
-        lines.append(f"# pass={_fmt(all_pass)}")
-        _emit(args, lines)
-    return 0 if all_pass else 1
+    ok = all(r[5] for r in rows)
+    head, table = _checks(args, rows)
+    lines = _config_header(args) + table + [_comment({"pass": ok})]
+    return ok, {**head, "K": k, "pass": ok}, lines
 
 
 def _rigidity_grid(t_max: float) -> list:
@@ -253,7 +240,7 @@ def _rigidity_grid(t_max: float) -> list:
     return sorted(grid)
 
 
-def cmd_rigidity(args: argparse.Namespace) -> int:
+def cmd_rigidity(args: argparse.Namespace) -> tuple:
     params = SobolevParams(args.m, args.p)
     report = verify_theorem(
         _bounded_model(args),
@@ -263,50 +250,75 @@ def cmd_rigidity(args: argparse.Namespace) -> int:
         gamma_value=args.gamma,
         ratio_slack=args.tol,
     )
-    if args.output == "json":
-        _emit(args, report.to_json_dict())
-    else:
-        _emit(args, _config_header(args) + report.to_csv_lines())
-    return 0 if report.verdict == "consistent" else 1
+    records, table = _table(("t", "ratio", "lower", "upper", "pass"), report.ratio_table)
+    param_fields = {"m": params.m, "p": params.p, "p_star": params.p_star}
+    constants = {"K": report.K, "C_M": report.C_M, "C_M_source": report.C_M_source}
+    moment = {"b": report.b, "gamma": report.gamma, "gamma_source": report.gamma_source}
+    corrections = {"C2": report.C2, "C3": report.C3, "C_hat": report.C_hat}
+    payload = {
+        "params": param_fields,
+        **constants,
+        **moment,
+        **corrections,
+        "ratio_table": records,
+        "v_profile": [{"t": t, "v": v} for t, v in report.v_profile.rows],
+        "verdict": report.verdict,
+        "violation": report.violation,
+    }
+    lines = _config_header(args) + [
+        _comment(fields) for fields in
+        (param_fields, constants, moment, corrections, {"verdict": report.verdict})
+    ]
+    return report.verdict == "consistent", payload, lines + table
 
 
-def cmd_limits(args: argparse.Namespace) -> int:
+def cmd_limits(args: argparse.Namespace) -> tuple:
     params = SobolevParams(args.m, args.p)
     report = mass_escape_experiment(params, args.T, args.lambda_list)
-    if args.output == "json":
-        payload = {
-            "command": "limits",
-            "params": {"m": args.m, "p": args.p},
-            "T": args.T,
-            "threshold": report.threshold,
-            "crossing": report.crossing,
-            "rows": [
-                {"lambda": lam, "head": head, "tail": tail, "sum": total}
-                for lam, head, tail, total in report.rows
-            ],
-            "pass": report.all_pass,
-        }
-        _emit(args, payload)
-    else:
-        lines = _config_header(args)
-        lines.append(f"# T={_fmt(float(args.T))} threshold={_fmt(report.threshold)}")
-        crossing = "none" if report.crossing is None else _fmt(report.crossing)
-        lines.append(f"# crossing={crossing}")
-        lines.append("lambda,head,tail,sum")
-        for lam, head, tail, total in report.rows:
-            lines.append(",".join([_fmt(lam), _fmt(head), _fmt(tail), _fmt(total)]))
-        lines.append(f"# pass={_fmt(report.all_pass)}")
-        _emit(args, lines)
-    return 0 if report.all_pass else 1
+    ok = report.all_pass
+    records, table = _table(("lambda", "head", "tail", "sum"), report.rows)
+    payload = {
+        "command": "limits",
+        "params": {"m": args.m, "p": args.p},
+        "T": args.T,
+        "threshold": report.threshold,
+        "crossing": report.crossing,
+        "rows": records,
+        "pass": ok,
+    }
+    crossing = "none" if report.crossing is None else report.crossing
+    lines = _config_header(args) + [
+        _comment({"T": args.T, "threshold": report.threshold}),
+        _comment({"crossing": crossing}),
+    ]
+    lines += table + [_comment({"pass": ok})]
+    return ok, payload, lines
 
 
-_DISPATCH = {
-    "constants": cmd_constants,
-    "model": cmd_model,
-    "verify": cmd_verify,
-    "rigidity": cmd_rigidity,
-    "limits": cmd_limits,
+# Each subcommand: the function that runs it and the flags it reads.
+COMMANDS = {
+    "constants": (cmd_constants, ("--m", "--p", "--lambda", "--tol")),
+    "model": (cmd_model, ("--m", "--g", "--t-max", "--step", "--tol")),
+    "verify": (cmd_verify, ("--m", "--p", "--lambda", "--g", "--t-max", "--step", "--tol")),
+    "rigidity": (cmd_rigidity,
+                 ("--m", "--p", "--g", "--t-max", "--step", "--tol", "--c-m", "--gamma")),
+    "limits": (cmd_limits, ("--m", "--p", "--T", "--lambda")),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="radsob",
+        description="Sharp Sobolev constants and volume comparison on radial models",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, reads) in COMMANDS.items():
+        cmd = sub.add_parser(name)
+        for flag, spec in FLAGS.items():
+            if flag in reads or flag in ("--output", "--out"):
+                cmd.add_argument(flag, **spec)
+        cmd.set_defaults(**DEFAULTS)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -315,7 +327,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _DISPATCH[args.command](args)
+        ok, payload, lines = COMMANDS[args.command][0](args)
+        if args.output == "json":
+            text = json.dumps(_json_ready(payload), indent=2) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
+        if args.out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out_path, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -326,6 +347,7 @@ def main(argv=None) -> int:
             SobolevUnsupportedError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

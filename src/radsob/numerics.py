@@ -3,10 +3,11 @@
 Two independent pieces live here: adaptive Simpson quadrature on finite
 and semi-infinite intervals, and a fixed-step RK4 integrator for the
 warping initial value problem h'' = G(t) h.  The whole quadrature policy
-is the tolerance pair TOL, the recursion limit MAX_DEPTH and, for
-semi-infinite integrals, the radius where head and tail are split; a
-caller may pass its own (abs_tol, rel_tol) pair and split, nothing else.
-A semi-infinite integral also needs the integrand's declared tail power.
+is the tolerance pair TOL, the recursion limit MAX_DEPTH, the rounding
+floor ROUNDING_FACTOR and, for semi-infinite integrals, the radius where
+head and tail are split; a caller may pass its own (abs_tol, rel_tol)
+pair and split, nothing else.  A semi-infinite integral also needs the
+integrand's declared tail power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Node tables are stdlib
@@ -18,6 +19,7 @@ produce bitwise identical results.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +42,9 @@ U_MIN = 1e-8
 TOL = (1e-13, 1e-11)
 # Recursion limit before adaptive Simpson gives up with QuadratureError.
 MAX_DEPTH = 50
+# Multiple of eps * (b - a) * max|f| below which a relative target is
+# rounding noise rather than accuracy.
+ROUNDING_FACTOR = 64.0
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -123,8 +128,14 @@ def integrate_finite(
     # For small-magnitude integrals the absolute floor dominates the first
     # pass; with the magnitude now known, rerun against a purely relative
     # target so that accuracy does not degrade with the overall scale.
-    if value != 0.0 and abs_tol > rel_tol * abs(value):
-        value = run(rel_tol * abs(value))
+    # That target never goes below the rounding noise of summing f over
+    # [a, b]: when the integral cancels to nearly zero, a smaller target
+    # cannot be met and the refinement would stall at MAX_DEPTH.
+    f_max = max(abs(fa), abs(flm), abs(fm), abs(frm), abs(fb))
+    noise = ROUNDING_FACTOR * sys.float_info.epsilon * (b - a) * f_max
+    target = max(rel_tol * abs(value), noise)
+    if value != 0.0 and target < abs_tol:
+        value = run(target)
     return value
 
 

@@ -302,14 +302,6 @@ def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
     return max(estimate_radial_constant(model, params).c_est, k)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 @dataclass(frozen=True)
 class RigidityReport:
     params: SobolevParams
@@ -326,40 +318,6 @@ class RigidityReport:
     v_profile: VProfileReport
     verdict: str
     violation: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "params": {"m": self.params.m, "p": self.params.p, "p_star": self.params.p_star},
-            "K": self.K,
-            "C_M": self.C_M,
-            "C_M_source": self.C_M_source,
-            "b": self.b,
-            "gamma": self.gamma,
-            "gamma_source": self.gamma_source,
-            "C2": self.C2,
-            "C3": self.C3,
-            "C_hat": self.C_hat,
-            "ratio_table": [
-                {"t": t, "ratio": r, "lower": lo, "upper": up, "pass": ok}
-                for (t, r, lo, up, ok) in self.ratio_table
-            ],
-            "v_profile": [{"t": t, "v": v} for (t, v) in self.v_profile.rows],
-            "verdict": self.verdict,
-            "violation": self.violation,
-        }
-
-    def to_csv_lines(self) -> list:
-        lines = [
-            f"# m={self.params.m} p={_fmt(self.params.p)} p_star={_fmt(self.params.p_star)}",
-            f"# K={_fmt(self.K)} C_M={_fmt(self.C_M)} C_M_source={self.C_M_source}",
-            f"# b={_fmt(self.b)} gamma={_fmt(self.gamma)} gamma_source={self.gamma_source}",
-            f"# C2={_fmt(self.C2)} C3={_fmt(self.C3)} C_hat={_fmt(self.C_hat)}",
-            f"# verdict={self.verdict}",
-            "t,ratio,lower,upper,pass",
-        ]
-        for t, r, lo, up, ok in self.ratio_table:
-            lines.append(",".join([_fmt(t), _fmt(r), _fmt(lo), _fmt(up), _fmt(ok)]))
-        return lines
 
 
 def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None = None) -> float:

@@ -114,15 +114,22 @@ def manifold_integral(
     continuation, integrated to BUDGET_TOL, must stay below TAIL_BUDGET
     relative (or 10 abs_tol) or the integral refuses loudly.
 
-    decay_power is the power-law order of w * t^(m-1) at infinity.
+    decay_power is the power-law order of w * t^(m-1) at infinity.  An
+    infinite tail factor can meet no budget, so it is refused before any
+    quadrature.
     """
+    factor = model.tail_factor
+    if math.isinf(factor):
+        raise TailBoundError(
+            f"the area beyond t_max={model.t_max:g} has no finite bound (the curvature "
+            "moment past the window is infinite), so no tail can be certified"
+        )
     area = model.area_extended()
 
     def f(t: float) -> float:
         return w(t) * area(t)
 
     total = integrate_semi_infinite(f, split, decay_power=decay_power, tol=tol)
-    factor = model.tail_factor
     if factor > 1.0:
         beyond = integrate_semi_infinite(
             f, split, start=model.t_max, decay_power=decay_power, tol=BUDGET_TOL

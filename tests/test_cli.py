@@ -3,19 +3,21 @@
 main() is driven in-process with explicit argv lists; one test goes
 through ``python -m radsob.cli`` to cover the module entry point.  The
 README invocations and four more rigidity runs are pinned byte for byte
-to the reports stored in perfbench/golden.json, which these tests only
-read.
+to the reports stored in perfbench/golden.json, and the other golden
+invocations to within the benchmark gate's tolerance.  These tests only
+read perfbench/.
 """
 
 import io
 import json
 import subprocess
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from radsob import model_manifold
-from radsob.cli import DEFAULT_LAMBDAS, build_parser, main
+from radsob import model_manifold, sobolev
+from radsob.cli import build_parser, main
 
 import _oracles
 
@@ -45,6 +47,22 @@ RIGIDITY_INVOCATIONS = (
     "rigidity --m 4 --p 2 --g zero --c-m 0.4",
 )
 
+# The flags each subcommand does not read, listed by hand; every one of
+# these 22 (subcommand, flag) pairs is a usage error.
+DROPPED = {
+    "constants": ("--g", "--t-max", "--step", "--c-m", "--gamma", "--T"),
+    "model": ("--p", "--lambda", "--c-m", "--gamma", "--T"),
+    "verify": ("--c-m", "--gamma", "--T"),
+    "rigidity": ("--lambda", "--T"),
+    "limits": ("--g", "--t-max", "--step", "--tol", "--c-m", "--gamma"),
+}
+# An ordinary value for each of the twelve flags.
+FLAG_VALUES = {
+    "--m": "4", "--p": "2", "--lambda": "1", "--g": "zero", "--t-max": "50",
+    "--step": "1e-3", "--tol": "1e-8", "--c-m": "estimate", "--gamma": "empirical",
+    "--T": "1", "--output": "csv", "--out": "report.csv",
+}
+
 
 def _run(capsys, argv):
     rc = main(argv)
@@ -55,7 +73,7 @@ def _run(capsys, argv):
 def test_parser_defaults():
     args = build_parser().parse_args(["model"])
     assert args.m == 4 and args.p == 2.0
-    assert args.lambda_list == DEFAULT_LAMBDAS
+    assert args.lambda_list == (1.0,)
     assert args.g_spec == "zero" and args.t_max == 50.0 and args.step == 1e-3
     assert args.tol == 1e-8 and args.output == "csv" and args.out_path is None
 
@@ -110,12 +128,34 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"],
         ["model", "--g", "const:0.1:inf", "--t-max", "1e-300", "--step", "1e-2"],
         ["model", "--g", "const:0.1:inf", "--t-max", "20", "--step", "1e-2"],
+        ["rigidity", "--g", "zero", "--c-m", "empirical"],
+        ["rigidity", "--g", "zero", "--gamma", "estimate"],
     ]
     for argv in cases:
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 2, f"argv {argv!r} gave exit {rc}, want 2"
         assert "error: " in err, f"argv {argv!r} gave no error line: {err!r}"
+        # Only --badflag may be refused for its name rather than its value.
+        assert ("unrecognized arguments" in err) == ("--badflag" in argv), err
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    """The 22 dropped pairs exit 2 at parsing; the other 38 pairs, and
+    --output and --out everywhere, parse."""
+    parser = build_parser()
+    dropped = 0
+    for command, unread in DROPPED.items():
+        for flag, value in FLAG_VALUES.items():
+            argv = [command, flag, value]
+            if flag in unread:
+                dropped += 1
+                assert main(argv) == 2, f"{argv!r} was accepted"
+                out, err = capsys.readouterr()
+                assert out == "" and f"unrecognized arguments: {flag} {value}" in err, err
+            else:
+                parser.parse_args(argv)
+    assert dropped == 22
 
 
 def test_model_refuses_infinite_upper_bound_before_the_ivp():
@@ -155,6 +195,20 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_infinite_tail_factor_is_refused_before_any_quadrature(capsys, monkeypatch):
+    """const:0.1:inf has no finite bound on the area past the window, so
+    verify refuses it without integrating."""
+    calls = []
+    monkeypatch.setattr(sobolev, "integrate_semi_infinite", lambda *args, **kw: calls.append(args))
+    assert main(["verify", "--g", "const:0.1:inf", "--t-max", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "check failed: the area beyond t_max=8 has no finite bound (the curvature moment "
+        "past the window is infinite), so no tail can be certified\n"
+    )
+    assert calls == []
 
 
 def test_exit_code_one_when_a_check_fails(capsys):
@@ -272,6 +326,29 @@ def test_rigidity_table_model_estimate(tmp_path, capsys):
     assert source == "estimate" and c_m == k
 
 
+def test_rigidity_report_serialization(capsys):
+    """The same run in JSON and CSV: parameters, one ratio and one v row per
+    radius, and the CSV table under the config and constants lines."""
+    argv = ["rigidity", "--g", "zero", "--c-m", "0.35"]
+    rc, out = _run(capsys, argv + ["--output", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["params"] == {"m": 4, "p": 2.0, "p_star": 4.0}
+    assert len(payload["ratio_table"]) == len(payload["v_profile"]) == 23
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    lines = out.strip().split("\n")
+    assert all(line.startswith("# ") for line in lines[:7])
+    assert lines[7] == "t,ratio,lower,upper,pass"
+    assert sum(1 for line in lines if not line.startswith("#")) == 24
+    for line, record in zip(lines[8:], payload["ratio_table"]):
+        cells = line.split(",")
+        assert len(cells) == 5 and cells[-1] == ("true" if record["pass"] else "false")
+        assert [float(cell) for cell in cells[:4]] == [
+            record[key] for key in ("t", "ratio", "lower", "upper")
+        ]
+
+
 def test_rigidity_json_key_order(capsys):
     rc, out = _run(capsys, ["rigidity", "--g", "zero", "--c-m", "0.35", "--output", "json"])
     assert rc == 0
@@ -333,10 +410,44 @@ def test_readme_reports_match_golden(capsys):
         assert out == want["stdout"], f"{invocation!r} report differs from golden.json"
 
 
+def _perfbench_module(name: str) -> types.ModuleType:
+    """A perfbench module, run from its source so that nothing is written there."""
+    path = GOLDEN.parent / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_other_golden_reports_match_within_the_gate_tolerance(tmp_path, monkeypatch, capsys):
+    """The golden invocations not pinned byte for byte above: exact exit code,
+    and the benchmark gate's comparison (numbers within 1e-8 relative), since
+    the rounding-level `spread` of two constants reports differs by host."""
+    gate = _perfbench_module("gate")
+    workloads = _perfbench_module("workloads")
+    golden = json.loads(GOLDEN.read_text())
+    others = [key for key in golden if key not in README_INVOCATIONS + RIGIDITY_INVOCATIONS]
+    assert len(others) == 10
+    table = tmp_path / workloads.table_path(0)
+    table.parent.mkdir(parents=True)
+    table.write_text(workloads.curvature_table(0))
+    monkeypatch.chdir(tmp_path)
+    for invocation in others:
+        rc, out = _run(capsys, invocation.split())
+        want = golden[invocation]
+        assert rc == want["exit"], f"{invocation!r} exited {rc}, golden {want['exit']}"
+        why = gate.compare_reports(out, want["stdout"])
+        assert why is None, f"{invocation!r}: {why}"
+
+
 if HAS_HYPOTHESIS:
     # Each flag takes a degenerate value or an ordinary one; the ordinary
     # values come first so that shrinking reports the degenerate culprit.
     _DEGENERATE = ["nan", "inf", "-inf", "0", "-1"]
+
+    def _argv(command: str, flags: dict) -> list:
+        """command with those of the drawn flags that it takes."""
+        return [command] + [f"{flag}={value}" for flag, value in flags.items()
+                            if flag not in DROPPED[command]]
 
     @given(
         command=st.sampled_from(["constants", "limits", "rigidity"]),
@@ -351,12 +462,14 @@ if HAS_HYPOTHESIS:
     @settings(max_examples=200, deadline=None)
     def test_exit_code_contract_over_degenerate_flags(command, p, tol, c_m, lam, T):
         """Every input ends in exit 0, 1 or 2, never in a traceback."""
-        argv = [command, f"--p={p}", f"--tol={tol}", f"--c-m={c_m}", f"--lambda={lam}", f"--T={T}"]
+        argv = _argv(command, {"--p": p, "--tol": tol, "--c-m": c_m, "--lambda": lam, "--T": T})
         if command == "rigidity":
             argv.append("--g=zero")
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             rc = main(argv)
         assert rc in (0, 1, 2), f"argv {argv!r} gave exit {rc!r}"
+        assert "unrecognized arguments" not in err.getvalue(), f"argv {argv!r}"
 
     _CURVATURES = [
         "zero", "rational:0.1", "const:0.1:2", "const:0.1:inf",
@@ -384,11 +497,12 @@ if HAS_HYPOTHESIS:
     def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g):
         """model, verify and rigidity end in exit 0, 1 or 2 with no traceback;
         exit 2 names the bad input, and no report prints a nan."""
-        argv = [command, f"--m={m}", f"--step={step}", f"--t-max={t_max}", f"--gamma={gamma}",
-                f"--g={g}", "--c-m=1"]
+        argv = _argv(command, {"--m": m, "--step": step, "--t-max": t_max, "--gamma": gamma,
+                               "--g": g, "--c-m": "1"})
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(argv)
         assert rc in (0, 1, 2), f"argv {argv!r} gave exit {rc!r}"
+        assert "unrecognized arguments" not in err.getvalue(), f"argv {argv!r}"
         assert rc != 2 or "error: " in err.getvalue(), f"argv {argv!r} gave no error line"
         assert "nan" not in out.getvalue(), f"argv {argv!r} reported a nan"

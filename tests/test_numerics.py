@@ -49,6 +49,14 @@ def test_finite_small_scale_keeps_relative_accuracy():
     assert abs(got - exact) / exact < 1e-10, f"relative error {abs(got - exact) / exact:.3e}"
 
 
+def test_finite_cancelling_integral_stops_at_rounding_noise():
+    """An integral that cancels to ~1e-16 must not refine below rounding noise."""
+    a, b, c = 0.0, -1.9999999999999998, 2.0
+    got = integrate_finite(lambda t: a + b * t + c * t * t, 0.0, 1.5)
+    exact = b * 1.5**2 / 2.0 + c * 1.5**3 / 3.0
+    assert abs(got - exact) <= 1e-13, f"got {got!r}, want {exact!r}"
+
+
 def test_finite_degenerate_and_invalid_intervals():
     assert integrate_finite(math.sin, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ elementary antiderivative (tests/_oracles.py). Pipeline verdicts are
 checked on models whose geometry is known exactly.
 """
 
-import json
 import math
 
 import pytest
@@ -312,24 +311,6 @@ def test_verify_argument_validation():
         verify_theorem(EUC4, P42, (), c_m=K42)
     with pytest.raises(ValueError):
         verify_theorem(EUC4, P42, (0.0, 1.0), c_m=K42)
-
-
-def test_report_serialization():
-    report = verify_theorem(EUC4, P42, (1.0, 5.0), c_m=1.1 * K42)
-    payload = report.to_json_dict()
-    assert list(payload.keys()) == [
-        "params", "K", "C_M", "C_M_source", "b", "gamma", "gamma_source",
-        "C2", "C3", "C_hat", "ratio_table", "v_profile", "verdict", "violation",
-    ]
-    json.dumps(payload)
-    assert payload["params"] == {"m": 4, "p": 2.0, "p_star": 4.0}
-    assert len(payload["ratio_table"]) == 2 and len(payload["v_profile"]) == 2
-    lines = report.to_csv_lines()
-    assert lines[5] == "t,ratio,lower,upper,pass"
-    assert sum(1 for line in lines if not line.startswith("#")) == 3
-    cells = lines[6].split(",")
-    assert len(cells) == 5 and cells[-1] in ("true", "false")
-    float(cells[0]), float(cells[1]), float(cells[2]), float(cells[3])
 
 
 def test_no_radial_witness_beats_sharp_bound_on_profile_models():
