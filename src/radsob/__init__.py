@@ -38,7 +38,6 @@ from .sobolev import (
     estimate_radial_constant,
     gradient_energy,
     mass_pstar,
-    quotient_plain,
     quotient_sobolev,
     talenti_function,
     verify_decay_conditions,
@@ -48,13 +47,11 @@ from .rigidity import (
     RigidityHypothesisError,
     RigidityReport,
     VProfileReport,
-    c1,
     c2,
     c3,
     c_hat,
     check_hypotheses,
     estimated_c_m,
-    euclidean_weight_integral,
     gamma_lower_bound,
     mass_escape_experiment,
     v_profile,

@@ -136,6 +136,9 @@ DEFAULTS = {
     "m": 4, "p": 2.0, "lambda_list": (1.0,), "g_spec": "zero", "t_max": 50.0, "step": 1e-3,
     "tol": 1e-8, "c_m": None, "gamma": None, "T": 1.0, "output": "csv", "out_path": None,
 }
+# limits reads only the large-scale regime (every scale at least 10), so
+# its --lambda default is the README grid instead.
+LIMITS_LAMBDA = (10.0, 100.0, 1000.0, 10000.0)
 
 
 def _config_header(args: argparse.Namespace) -> list:
@@ -318,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
             if flag in reads or flag in ("--output", "--out"):
                 cmd.add_argument(flag, **spec)
         cmd.set_defaults(**DEFAULTS)
+        if name == "limits":
+            cmd.set_defaults(lambda_list=LIMITS_LAMBDA)
     return parser
 
 

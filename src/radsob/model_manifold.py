@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .numerics import integrate_finite, solve_h_ivp, uniform_grid
+from .numerics import solve_h_ivp, uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -29,14 +29,15 @@ def _exp_or_inf(x: float) -> float:
 
 
 class CurvatureProfile:
-    """Radial curvature coefficient G(t) >= 0 with cached moment b."""
+    """Radial curvature coefficient G(t) >= 0 with its moment b."""
 
     def g(self, t: float) -> float:
         raise NotImplementedError
 
     @property
     def b(self) -> float:
-        raise NotImplementedError
+        """The whole moment, integral of t G(t) over [0, inf)."""
+        return self.moment_tail(0.0)
 
     def moment_tail(self, t_from: float) -> float:
         """integral of t G(t) over [t_from, inf)."""
@@ -51,10 +52,6 @@ class CurvatureProfile:
 
 class ZeroCurvature(CurvatureProfile):
     def g(self, t):
-        return 0.0
-
-    @property
-    def b(self):
         return 0.0
 
     def moment_tail(self, t_from):
@@ -78,14 +75,6 @@ class ConstantCutoff(CurvatureProfile):
     def g(self, t):
         return self.a if t <= self.t_cut else 0.0
 
-    @property
-    def b(self):
-        if self.a == 0.0:
-            return 0.0
-        if math.isinf(self.t_cut):
-            return math.inf
-        return 0.5 * self.a * self.t_cut**2
-
     def moment_tail(self, t_from):
         if self.a == 0.0 or t_from >= self.t_cut:
             return 0.0
@@ -108,10 +97,6 @@ class RationalDecay(CurvatureProfile):
 
     def g(self, t):
         return 2.0 * self.b0 / (1.0 + t * t) ** 2
-
-    @property
-    def b(self):
-        return self.b0
 
     def moment_tail(self, t_from):
         return self.b0 / (1.0 + t_from**2)
@@ -151,10 +136,6 @@ class Tabulated(CurvatureProfile):
         self.grid = grid
         self.values = values
         self.tail_power = float(tail_power)
-        self._b = self._segment_moment(grid[0]) + self.moment_tail(grid[-1])
-        if grid[0] > 0.0:
-            # The profile is taken constant at values[0] on [0, grid[0]].
-            self._b += 0.5 * values[0] * grid[0] ** 2
 
     def g(self, t):
         grid, values = self.grid, self.values
@@ -182,10 +163,6 @@ class Tabulated(CurvatureProfile):
             )
         return total
 
-    @property
-    def b(self):
-        return self._b
-
     def moment_tail(self, t_from):
         t_last = self.grid[-1]
         v_last = self.values[-1]
@@ -194,10 +171,11 @@ class Tabulated(CurvatureProfile):
         tail = v_last * t_last**q * start ** (2.0 - q) / (q - 2.0)
         if t_from >= t_last:
             return tail
-        inner = self._segment_moment(t_from)
+        total = self._segment_moment(t_from) + tail
         if t_from < self.grid[0]:
-            inner += 0.5 * self.values[0] * (self.grid[0] ** 2 - t_from**2)
-        return inner + tail
+            # The profile is taken constant at values[0] on [0, grid[0]].
+            total += 0.5 * self.values[0] * (self.grid[0] ** 2 - t_from**2)
+        return total
 
     def spec_string(self):
         return f"table:<{len(self.grid)} nodes, tail_power={self.tail_power:g}>"
@@ -340,13 +318,6 @@ class ModelManifold:
         if t == 0.0:
             raise ValueError("radial Ricci at the apex needs a curvature profile")
         return -(self.m - 1) * self.h_second(t) / self.h(t)
-
-    def laplacian_radial(self, t: float) -> float:
-        """Laplacian of the distance function, (m-1) h'(t)/h(t), for t > 0."""
-        if not (t > 0.0):
-            raise ValueError("the distance Laplacian is singular at t = 0")
-        self._check_window(t)
-        return (self.m - 1) * self.h_prime(t) / self.h(t)
 
     def area_extended(self) -> Callable[[float], float]:
         """Area as a function on all of [0, inf), from h past the window.
@@ -514,7 +485,6 @@ class ChainCheck:
     t: float
     lhs: float
     rhs: float
-    margin: float
     passed: bool
 
 
@@ -522,15 +492,10 @@ class ChainCheck:
 class VolumeChainReport:
     rows: tuple
     b_used: float
-    slack: float
 
     @property
     def all_pass(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    @property
-    def failures(self):
-        return [row for row in self.rows if not row.passed]
 
 
 def upper_chain_factors(b: float, m: int) -> tuple[float, float]:
@@ -581,7 +546,7 @@ def verify_volume_chain(
         lhs = float(lhs)
         rhs = float(rhs)
         scale = max(abs(lhs), abs(rhs), 1.0)
-        return ChainCheck(name, float(t), lhs, rhs, rhs - lhs, bool(lhs <= rhs + slack * scale))
+        return ChainCheck(name, float(t), lhs, rhs, bool(lhs <= rhs + slack * scale))
 
     rows = []
     prev_ratio = None
@@ -606,13 +571,5 @@ def verify_volume_chain(
             if prev_ratio is not None:
                 rows.append(check("inner_ratio_monotone", t, ratio, prev_ratio))
             prev_ratio = ratio
-    return VolumeChainReport(rows=tuple(rows), b_used=b, slack=slack)
+    return VolumeChainReport(rows=tuple(rows), b_used=b)
 
-
-def curvature_moment(g: Callable[[float], float], t_max: float) -> float:
-    """Quadrature of the curvature moment integral of t g(t) over [0, t_max].
-
-    Utility for checking cached b values of profile objects against direct
-    integration (the analytic tail beyond t_max is not included).
-    """
-    return integrate_finite(lambda t: t * g(t), 0.0, t_max)

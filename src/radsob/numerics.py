@@ -3,11 +3,11 @@
 Two independent pieces live here: adaptive Simpson quadrature on finite
 and semi-infinite intervals, and a fixed-step RK4 integrator for the
 warping initial value problem h'' = G(t) h.  The whole quadrature policy
-is the tolerance pair TOL, the recursion limit MAX_DEPTH, the rounding
-floor ROUNDING_FACTOR and, for semi-infinite integrals, the radius where
-head and tail are split; a caller may pass its own (abs_tol, rel_tol)
-pair and split, nothing else.  A semi-infinite integral also needs the
-integrand's declared tail power.
+is the tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
+rounding floor ROUNDING_FACTOR and, for semi-infinite integrals, the
+radius where head and tail are split; a caller may pass its own
+(abs_tol, rel_tol) pair and split, nothing else.  A semi-infinite
+integral also needs the integrand's declared tail power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Node tables are stdlib
@@ -42,9 +42,12 @@ U_MIN = 1e-8
 TOL = (1e-13, 1e-11)
 # Recursion limit before adaptive Simpson gives up with QuadratureError.
 MAX_DEPTH = 50
-# Multiple of eps * (b - a) * max|f| below which a relative target is
+# Multiple of eps * |panel estimate| below which a panel's error is
 # rounding noise rather than accuracy.
 ROUNDING_FACTOR = 64.0
+# A panel is accepted when |err| <= 15 * max(tol, ROUNDING_FACTOR * eps *
+# |estimate|); the second bound is tested only when the first fails.
+_PANEL_NOISE = 15.0 * ROUNDING_FACTOR * sys.float_info.epsilon
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -60,7 +63,9 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
     left = _simpson(fa, flm, fm, mid - a)
     right = _simpson(fm, frm, fb, b - mid)
     err = left + right - whole
-    if math.isfinite(err) and abs(err) <= 15.0 * tol:
+    if math.isfinite(err) and (
+        abs(err) <= 15.0 * tol or abs(err) <= _PANEL_NOISE * abs(left + right)
+    ):
         return left + right + err / 15.0
     if depth >= max_depth:
         raise QuadratureError(
@@ -82,7 +87,10 @@ def integrate_finite(
     """Integrate f over [a, b] with adaptive Simpson refinement.
 
     The error criterion uses Richardson extrapolation of the two-panel
-    versus one-panel Simpson values on each subinterval.
+    versus one-panel Simpson values on each subinterval.  A panel is also
+    accepted once its error is below the rounding noise of its own
+    estimate (ROUNDING_FACTOR * eps * |estimate|), so a cancelling or a
+    sharply peaked integrand does not refine to MAX_DEPTH.
 
     Args:
         f: integrand, evaluated at scalar points in [a, b].
@@ -128,12 +136,7 @@ def integrate_finite(
     # For small-magnitude integrals the absolute floor dominates the first
     # pass; with the magnitude now known, rerun against a purely relative
     # target so that accuracy does not degrade with the overall scale.
-    # That target never goes below the rounding noise of summing f over
-    # [a, b]: when the integral cancels to nearly zero, a smaller target
-    # cannot be met and the refinement would stall at MAX_DEPTH.
-    f_max = max(abs(fa), abs(flm), abs(fm), abs(frm), abs(fb))
-    noise = ROUNDING_FACTOR * sys.float_info.epsilon * (b - a) * f_max
-    target = max(rel_tol * abs(value), noise)
+    target = rel_tol * abs(value)
     if value != 0.0 and target < abs_tol:
         value = run(target)
     return value
@@ -184,11 +187,6 @@ def integrate_semi_infinite(
     return head + tail + sliver
 
 
-def beta_function(a: float, b: float) -> float:
-    """Euler beta integral B(a, b) for positive arguments."""
-    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-
-
 def uniform_grid(t_max: float, n: int) -> array:
     """The n + 1 nodes i * (t_max / n), the last one set to t_max exactly."""
     dt = t_max / n
@@ -201,17 +199,17 @@ def uniform_grid(t_max: float, n: int) -> array:
 class IvpSolution:
     """Dense output of the warping IVP on a uniform grid.
 
-    The four columns are ``array("d")`` tables of equal length: values[i]
-    and derivs[i] hold h and h' at grid[i], and seconds[i] holds
-    h'' = G * h there.  Between nodes both h and h' are evaluated by cubic
-    Hermite interpolation, which preserves the fourth-order accuracy of
-    the RK4 sweep.
+    The three columns are ``array("d")`` tables of equal length: values[i]
+    and derivs[i] hold h and h' at grid[i].  Between nodes both h and h'
+    are evaluated by cubic Hermite interpolation, which preserves the
+    fourth-order accuracy of the RK4 sweep; the slope of h' there is
+    h'' = g * h, taken from the curvature g at the two bracketing nodes.
     """
 
     grid: array
     values: array
     derivs: array
-    seconds: array
+    g: Callable[[float], float]
     step: float
     t_max: float
 
@@ -239,8 +237,14 @@ class IvpSolution:
 
     def deriv(self, t: float) -> float:
         i, s = self._locate(t)
+        grid, values, g = self.grid, self.values, self.g
         return self._hermite(
-            self.derivs[i], self.derivs[i + 1], self.seconds[i], self.seconds[i + 1], s, self.step
+            self.derivs[i],
+            self.derivs[i + 1],
+            g(grid[i]) * values[i],
+            g(grid[i + 1]) * values[i + 1],
+            s,
+            self.step,
         )
 
 
@@ -248,10 +252,10 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
-    with n = round(t_max/step) steps.  g is called 3n + 2 times: at each
-    node and step midpoint during the sweep, and once more per node for
-    the stored second derivatives.  There is no error estimate; the step
-    is the accuracy control.
+    with n = round(t_max/step) steps.  g is called 2n + 1 times, at each
+    node and step midpoint; the solution keeps g and reads h'' = g * h at
+    two nodes per h' lookup instead of tabulating it.  There is no error
+    estimate; the step is the accuracy control.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
@@ -284,8 +288,6 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -
         derivs.append(v)
         g_here = g_next
 
-    grid = uniform_grid(t_max, n)
-    seconds = array("d", (g(t) * h for t, h in zip(grid, values)))
     return IvpSolution(
-        grid=grid, values=values, derivs=derivs, seconds=seconds, step=dt, t_max=t_max
+        grid=uniform_grid(t_max, n), values=values, derivs=derivs, g=g, step=dt, t_max=t_max
     )

@@ -16,10 +16,7 @@ and checks the resulting two-sided volume bounds
 on a radius grid, together with the monotone ratio profile whose limit
 being nonnegative is the quantitative content of the rigidity statement.
 Both are one theorem: the curvature moment b of the model decides which
-bounds apply, so no caller chooses a case.  C1 is the sharper
-scale-dependent predecessor of C2; evaluating both and checking C1 <= C2
-exercises the closed Gamma-form evaluations of the Euclidean weight
-integrals.
+bounds apply, so no caller chooses a case.
 """
 
 from __future__ import annotations
@@ -28,10 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .model_manifold import ModelManifold
-from .numerics import beta_function, integrate_finite, integrate_semi_infinite
-from .sobolev import estimate_radial_constant, manifold_integral
-from .talenti import SobolevParams, TalentiProfile, cached_beta, profile_split, sharp_constant
-from .talenti import sphere_area, unit_ball_volume
+from .numerics import integrate_finite, integrate_semi_infinite
+from .sobolev import estimate_radial_constant
+from .talenti import SobolevParams, TalentiProfile, cached_beta, sharp_constant, unit_ball_volume
 
 
 class RigidityHypothesisError(ValueError):
@@ -53,77 +49,8 @@ def gamma_lower_bound(model: ModelManifold, t_grid) -> float:
     return min(ratios)
 
 
-def euclidean_weight_integral(
-    params: SobolevParams,
-    lam: float,
-    order: int,
-    method: str = "gamma",
-) -> float:
-    """integral over flat R^m of (lam + r^conj)^(-order) dvol.
-
-    With a = m - m/p the closed evaluation is
-
-        sphere_area * ((p-1)/p) * lam^(a - order) * B(a, order - a),
-
-    valid for order > a; the orders m-1 and m are the two appearing in
-    the C1 numerator and denominator.  method="quad" recomputes the same
-    quantity by adaptive quadrature for cross-checking.
-    """
-    m, p = params.m, params.p
-    q = params.conj
-    a = m - m / p
-    if order <= a:
-        raise ValueError(f"order must exceed m - m/p = {a:g} for convergence")
-    if method == "gamma":
-        return (
-            sphere_area(m)
-            * ((p - 1.0) / p)
-            * lam ** (a - order)
-            * beta_function(a, order - a)
-        )
-    if method == "quad":
-        decay = q * order - (m - 1.0)
-
-        def f(t: float) -> float:
-            return t ** (m - 1) / (lam + t**q) ** order
-
-        return sphere_area(m) * integrate_semi_infinite(
-            f, profile_split(params, lam), decay_power=decay
-        )
-    raise ValueError(f"unknown method {method!r}; use 'gamma' or 'quad'")
-
-
-def c1(params: SobolevParams, lam: float, b: float, model: ModelManifold) -> float:
-    """Scale-dependent energy defect constant at witness scale lam.
-
-    C1 multiplies (e^b - 1) by the ratio of two weighted volume integrals
-    of the model; it vanishes identically in the flat case and is bounded
-    above by C2 uniformly in lam.
-    """
-    if b < 0.0 or not math.isfinite(b):
-        raise ValueError("curvature moment b must be finite and >= 0")
-    if b == 0.0:
-        return 0.0
-    m, p = params.m, params.p
-    q = params.conj
-    split = profile_split(params, lam)
-    num = manifold_integral(
-        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split
-    )
-    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split)
-    beta = cached_beta(params)
-    return (
-        (m - 1.0)
-        * ((m - p) / (p - 1.0)) ** (p - 1.0)
-        * beta ** (-p * p / (m - p))
-        * math.expm1(b)
-        * num
-        / (lam * den)
-    )
-
-
 def c2(params: SobolevParams, b: float, gamma_value: float) -> float:
-    """Scale-free energy defect constant; dominates c1 at every scale."""
+    """Scale-free energy defect constant."""
     if b < 0.0 or not math.isfinite(b):
         raise ValueError("curvature moment b must be finite and >= 0")
     if not (gamma_value > 0.0):
@@ -165,7 +92,6 @@ def c_hat(c3_value: float, b: float, params: SobolevParams) -> float:
 class VProfileReport:
     rows: tuple
     non_increasing: bool
-    scale: float
 
     @property
     def last(self) -> float:
@@ -199,14 +125,13 @@ def v_profile(model: ModelManifold, scale: float, t_grid) -> VProfileReport:
         later <= earlier + V_STEP_SLACK * max(1.0, abs(earlier))
         for earlier, later in zip(values, values[1:])
     )
-    return VProfileReport(rows=tuple(rows), non_increasing=ok, scale=scale)
+    return VProfileReport(rows=tuple(rows), non_increasing=ok)
 
 
 @dataclass(frozen=True)
 class MassEscapeReport:
     rows: tuple
     threshold: float
-    radius: float
     crossing: float | None
     heads_monotone: bool
     totals_ok: bool
@@ -279,7 +204,6 @@ def mass_escape_experiment(
     return MassEscapeReport(
         rows=tuple(rows),
         threshold=threshold,
-        radius=radius,
         crossing=crossing,
         heads_monotone=heads_monotone,
         totals_ok=totals_ok,

@@ -14,7 +14,7 @@ on curvature-profile models, where no witness beats it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .model_manifold import ModelManifold
@@ -67,24 +67,6 @@ class RadialFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "split_hint", max(1.0, self.split_hint))
-
-    def scaled(self, c: float) -> "RadialFunction":
-        if c <= 0.0:
-            raise ValueError("scaling factor must be positive")
-        return replace(self, eval=lambda t: c * self.eval(t), deriv=lambda t: c * self.deriv(t))
-
-    def spot_check(self):
-        """Verify deriv against central differences of eval, to 1e-6 relative."""
-        for t in (0.3, 0.7, 1.5, 3.0, 7.0):
-            d = t * 1e-6
-            fd = (self.eval(t + d) - self.eval(t - d)) / (2.0 * d)
-            an = self.deriv(t)
-            scale = max(abs(an), abs(fd), 1e-30)
-            if abs(fd - an) > 1e-6 * scale:
-                raise ValueError(
-                    f"derivative inconsistent with finite differences at t={t:g}: "
-                    f"{an!r} vs {fd!r}"
-                )
 
 
 def talenti_function(profile: TalentiProfile) -> RadialFunction:
@@ -167,14 +149,6 @@ def mass_pstar(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> flo
     )
 
 
-def quotient_plain(u: RadialFunction, model: ModelManifold) -> float:
-    """Energy over mass, the quotient compared against K^-p directly."""
-    mass = mass_pstar(u, model)
-    if mass <= 0.0:
-        raise ValueError("p*-mass vanished; the quotient is undefined")
-    return gradient_energy(u, model) / mass
-
-
 def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
     """Scale-invariant Sobolev quotient energy / mass^(p/p*), to tolerance tol.
 
@@ -190,7 +164,6 @@ def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) 
 
 @dataclass(frozen=True)
 class DecayReport:
-    l1_weighted: float
     l1_finite: bool
     flux_rows: tuple
     flux_decreasing: bool
@@ -208,7 +181,8 @@ def verify_decay_conditions(
     """Check the integrability and averaged-flux decay of a test function.
 
     Two conditions: the weighted integrand u |u'|^(p-1) / t is integrable
-    over the model, and the window averages
+    over the model, which its decay power alone decides (l1_finite; no
+    integral is run), and the window averages
     s(R) = (1/R) * integral over [0, R] of u |u'|^(p-1) dvol decrease
     along r_grid (they are o(R) exactly when the full integral converges).
     The averages grow while R is still inside the bulk of u, so the
@@ -232,12 +206,6 @@ def verify_decay_conditions(
 
     decay = 1.0 + u.decay_order + (p - 1.0) * (u.decay_order + 1.0) - (m - 1.0)
     l1_finite = decay > 1.0 + 1e-9
-    if l1_finite:
-        l1 = integrate_semi_infinite(
-            lambda t: 0.0 if t == 0.0 else core(t) / t, u.split_hint, decay_power=decay
-        )
-    else:
-        l1 = math.inf
 
     flux_rows = []
     acc = 0.0
@@ -251,7 +219,7 @@ def verify_decay_conditions(
         tail = [s for _, s in flux_rows[-2:]]
     decreasing = all(b < a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
     return DecayReport(
-        l1_weighted=l1, l1_finite=l1_finite, flux_rows=tuple(flux_rows), flux_decreasing=decreasing
+        l1_finite=l1_finite, flux_rows=tuple(flux_rows), flux_decreasing=decreasing
     )
 
 

@@ -7,8 +7,7 @@ The one-parameter family handled here is
 normalised so that the p*-mass integral(phi^p*) over R^m equals one for
 every scale lam > 0.  With that normalisation the p-energy of the family
 is scale invariant and its value determines the sharp constant K(m, p)
-through K^(-p) = integral(|phi'|^p).  Each profile also satisfies a
-radial quasilinear ODE whose residual is exposed for verification, and a
+through K^(-p) = integral(|phi'|^p).  Each profile also has a
 probability density describing how the p*-mass of phi_lam distributes
 over the radius.
 """
@@ -152,14 +151,6 @@ class TalentiProfile:
         q, nu = self.q, self.nu
         return -self.coef * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
 
-    def phi_second(self, t: float) -> float:
-        if not (t > 0.0):
-            raise ValueError("phi_second requires t > 0; the radial ODE is singular at the origin")
-        q, nu = self.q, self.nu
-        base = self.lam + t**q
-        bracket = (q - 1.0) * base - (nu + 1.0) * q * t**q
-        return -self.coef * nu * q * t ** (q - 2.0) * base ** (-nu - 2.0) * bracket
-
     def density(self, t: float) -> float:
         """Radial distribution of the p*-mass.
 
@@ -216,24 +207,3 @@ def sharp_constant(params: SobolevParams) -> float:
         _SHARP_CACHE[params] = detail["K"]
     return _SHARP_CACHE[params]
 
-
-def yamabe_residual(profile: TalentiProfile, k: float, t: float) -> float:
-    """Relative residual of the radial quasilinear ODE satisfied by phi.
-
-    The profile solves
-
-        |phi'|^(p-2) ((p-1) phi'' + (m-1)/t phi') = -K^(-p) phi^(p*-1)
-
-    for t > 0.  The returned value is (lhs + K^(-p) phi^(p*-1)) divided by
-    K^(-p) phi^(p*-1); it vanishes exactly when k is the true sharp
-    constant and grows like p * delta under a perturbation k*(1+delta).
-    """
-    if not (t > 0.0):
-        raise ValueError("the radial ODE residual is defined for t > 0")
-    m, p = profile.params.m, profile.params.p
-    slope = profile.phi_prime(t)
-    lhs = abs(slope) ** (p - 2.0) * (
-        (p - 1.0) * profile.phi_second(t) + (m - 1.0) / t * slope
-    )
-    rhs = k ** (-p) * profile.phi(t) ** (profile.params.p_star - 1.0)
-    return (lhs + rhs) / rhs

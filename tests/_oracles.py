@@ -1,14 +1,20 @@
-"""Reference values computed independently of the package under test.
+"""Reference values and reference formulas for the tests.
 
-Everything in this module uses only the standard library, so the expected
-numbers do not depend on the quadrature, the ODE solver, or the Lanczos
-gamma implementation being verified.  The frozen tables were produced
-from the closed forms below (checked against a 30-digit evaluation) and
-from a 30-digit Taylor-method integration of the warping initial value
-problem; they pin the oracles themselves against accidental edits.
+Everything above the last section uses only the standard library, so the
+expected numbers do not depend on the quadrature, the ODE solver, or the
+Lanczos gamma implementation being verified.  The frozen tables were
+produced from the closed forms below (checked against a 30-digit
+evaluation) and from a 30-digit Taylor-method integration of the warping
+initial value problem; they pin the oracles themselves against accidental
+edits.  The last section holds formulas that tests hold program output
+against; they read the package's profiles and functionals, so they check
+consistency between two routes, not values.
 """
 
 import math
+
+from radsob.sobolev import manifold_integral
+from radsob.talenti import cached_beta, profile_split
 
 
 def ball_volume(m):
@@ -21,6 +27,19 @@ def sphere_area(m):
 
 def beta_fn(a, b):
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+def weight_integral(m, p, lam, order):
+    """integral over flat R^m of (lam + r^(p/(p-1)))^(-order) dvol.
+
+    With a = m - m/p the substitution s = r^(p/(p-1)) gives
+    sphere_area * ((p-1)/p) * lam^(a - order) * B(a, order - a), finite
+    for order > a only.
+    """
+    a = m - m / p
+    if order <= a:
+        raise ValueError(f"order must exceed m - m/p = {a:g} for convergence")
+    return sphere_area(m) * ((p - 1.0) / p) * lam ** (a - order) * beta_fn(a, order - a)
 
 
 def sharp_beta_k(m, p):
@@ -108,3 +127,80 @@ def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
 
 # Root of head_m4_p2(lam) = 1e-3 at T = 1, found at 30 digits.
 HEAD_CROSSING_1E3 = 14.615694241117555
+
+
+# -- Reference formulas evaluated through the package ----------------------
+
+
+def phi_second(profile, t):
+    """Second derivative of the extremal profile phi_lam, for t > 0."""
+    if not (t > 0.0):
+        raise ValueError("phi_second requires t > 0; the radial ODE is singular at the origin")
+    q, nu = profile.q, profile.nu
+    base = profile.lam + t**q
+    bracket = (q - 1.0) * base - (nu + 1.0) * q * t**q
+    return -profile.coef * nu * q * t ** (q - 2.0) * base ** (-nu - 2.0) * bracket
+
+
+def yamabe_residual(profile, k, t):
+    """Relative residual of the radial Euler-Lagrange equation of phi.
+
+    The profile solves
+
+        |phi'|^(p-2) ((p-1) phi'' + (m-1)/t phi') = -K^(-p) phi^(p*-1)
+
+    for t > 0.  The returned value is (lhs + K^(-p) phi^(p*-1)) divided by
+    K^(-p) phi^(p*-1); it vanishes exactly when k is the true sharp
+    constant and grows like p * delta under a perturbation k*(1+delta).
+    """
+    if not (t > 0.0):
+        raise ValueError("the radial ODE residual is defined for t > 0")
+    m, p = profile.params.m, profile.params.p
+    slope = profile.phi_prime(t)
+    lhs = abs(slope) ** (p - 2.0) * ((p - 1.0) * phi_second(profile, t) + (m - 1.0) / t * slope)
+    rhs = k ** (-p) * profile.phi(t) ** (profile.params.p_star - 1.0)
+    return (lhs + rhs) / rhs
+
+
+def c1(params, lam, b, model):
+    """Scale-dependent energy defect constant at witness scale lam.
+
+    C1 multiplies (e^b - 1) by the ratio of two weighted volume integrals
+    of the model; it vanishes identically in the flat case and is bounded
+    above by C2 uniformly in lam.
+    """
+    if b < 0.0 or not math.isfinite(b):
+        raise ValueError("curvature moment b must be finite and >= 0")
+    if b == 0.0:
+        return 0.0
+    m, p = params.m, params.p
+    q = params.conj
+    split = profile_split(params, lam)
+    num = manifold_integral(
+        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split
+    )
+    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split)
+    return (
+        (m - 1.0)
+        * ((m - p) / (p - 1.0)) ** (p - 1.0)
+        * cached_beta(params) ** (-p * p / (m - p))
+        * math.expm1(b)
+        * num
+        / (lam * den)
+    )
+
+
+def spot_check(u):
+    """Check a witness's deriv against central differences of its eval.
+
+    Raises ValueError where the two differ by more than 1e-6 relative.
+    """
+    for t in (0.3, 0.7, 1.5, 3.0, 7.0):
+        d = t * 1e-6
+        fd = (u.eval(t + d) - u.eval(t - d)) / (2.0 * d)
+        an = u.deriv(t)
+        scale = max(abs(an), abs(fd), 1e-30)
+        if abs(fd - an) > 1e-6 * scale:
+            raise ValueError(
+                f"derivative inconsistent with finite differences at t={t:g}: {an!r} vs {fd!r}"
+            )

@@ -16,7 +16,7 @@ import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from radsob import model_manifold, sobolev
+from radsob import cli, model_manifold, sobolev
 from radsob.cli import build_parser, main
 
 import _oracles
@@ -76,6 +76,17 @@ def test_parser_defaults():
     assert args.lambda_list == (1.0,)
     assert args.g_spec == "zero" and args.t_max == 50.0 and args.step == 1e-3
     assert args.tol == 1e-8 and args.output == "csv" and args.out_path is None
+    assert build_parser().parse_args(["limits"]).lambda_list == (10.0, 100.0, 1000.0, 10000.0)
+
+
+def test_limits_default_grid_is_the_readme_grid(capsys):
+    """limits needs scales of 10 and up, so its default is a grid that runs."""
+    rc, out = _run(capsys, ["limits", "--m", "4", "--p", "2"])
+    assert rc == 0
+    rc_explicit, explicit = _run(
+        capsys, ["limits", "--m", "4", "--p", "2", "--lambda", "10,100,1000,10000"]
+    )
+    assert rc_explicit == 0 and out == explicit
 
 
 def test_exit_codes_usage_errors(capsys, tmp_path):
@@ -209,6 +220,41 @@ def test_infinite_tail_factor_is_refused_before_any_quadrature(capsys, monkeypat
         "past the window is infinite), so no tail can be certified\n"
     )
     assert calls == []
+
+
+def test_huge_finite_tail_factor_meets_the_tail_budget(capsys):
+    """const:10:10 at t_max 8 has a finite but enormous tail factor: the
+    quadrature over [0, inf) completes, and the tail budget refuses it."""
+    assert main(["verify", "--g", "const:10:10", "--t-max", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "check failed: tail beyond t_max=8 contributes 2.755e+27 with uncertainty "
+        "1.696e+271, above the budget 1e-06 relative; enlarge the window\n"
+    )
+
+
+def test_verify_decay_check_runs_no_semi_infinite_integral(capsys, monkeypatch):
+    """In a verify run the mass and energy integrate to infinity, but the
+    decay check only decides l1_finite from the decay power."""
+    inside, calls = [], {"decay": 0, "other": 0}
+    semi_infinite, decay_conditions = sobolev.integrate_semi_infinite, cli.verify_decay_conditions
+
+    def counted(*args, **kwargs):
+        calls["decay" if inside else "other"] += 1
+        return semi_infinite(*args, **kwargs)
+
+    def decay(*args, **kwargs):
+        inside.append(True)
+        try:
+            return decay_conditions(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(sobolev, "integrate_semi_infinite", counted)
+    monkeypatch.setattr(cli, "verify_decay_conditions", decay)
+    assert main(["verify", "--g", "rational:0.1", "--lambda", "0.5,1"]) == 0
+    capsys.readouterr()
+    assert calls["decay"] == 0 and calls["other"] > 0, calls
 
 
 def test_exit_code_one_when_a_check_fails(capsys):

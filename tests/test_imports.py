@@ -105,13 +105,66 @@ def test_every_assigned_name_is_read():
     assert not dead, f"assigned but never read (line, name): {dead!r}"
 
 
+# Every public top-level function or class, and every public method, of a
+# src/radsob module other than __init__ is read by name somewhere in
+# src/radsob: code that only tests call belongs in the tests.  UNREAD_API
+# lists the exceptions, each with its reason.
+
+UNREAD_API = (
+    ("conical_model", "the API constructor of the one profile-less model family, the "
+     "family on which the witness search decides (ROADMAP items 1 and 4)"),
+)
+
+
+def _public_definitions(source: str) -> list:
+    """(line, name) of each public top-level def or class and each public method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, item.name) for item in node.body
+                      if isinstance(item, functions)]
+    return [(line, name) for line, name in found if not name.startswith("_")]
+
+
+def test_scan_flags_a_definition_never_read():
+    source = (
+        "def used():\n    return Kept().size\n\n\ndef spare():\n    pass\n\n\n"
+        "class Kept:\n    @property\n    def size(self):\n        return 1\n\n"
+        "    def extra(self):\n        return used()\n\n"
+        "    def _helper(self):\n        pass\n"
+    )
+    reads = _read_names(source)
+    assert [(line, name) for line, name in _public_definitions(source) if name not in reads] == [
+        (5, "spare"), (14, "extra"),
+    ]
+
+
+def test_every_public_definition_is_read_in_the_package():
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads |= _read_names(path.read_text())
+    exempt = {name for name, _ in UNREAD_API}
+    assert not exempt & reads, f"exempt but read: {sorted(exempt & reads)!r}"
+    unread = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := [(line, name) for line, name in _public_definitions(path.read_text())
+                       if name not in reads and name not in exempt])
+    }
+    assert not unread, f"defined but never read in src/radsob (line, name): {unread!r}"
+
+
 # The settable values of src/radsob: optional parameters (of functions and
 # lambdas), defaulted dataclass fields other than field(init=False), and
 # one per (subcommand, flag) pair of the command line, -h aside.  Each one
 # is a setting a caller may change, so the count only goes down; a change
 # that lowers it pins the new value here.
 
-SETTABLE_VALUES = 70
+SETTABLE_VALUES = 69
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -1,7 +1,7 @@
-"""Quadrature, warping IVP, and the beta function against closed forms.
+"""Quadrature and the warping IVP against closed forms.
 
-Expected values come from elementary antiderivatives, exact beta values,
-and the frozen high-precision IVP oracles in tests/_oracles.py.
+Expected values come from elementary antiderivatives and the frozen
+high-precision IVP oracles in tests/_oracles.py.
 """
 
 import math
@@ -11,7 +11,6 @@ import pytest
 from radsob.numerics import (
     OdeError,
     QuadratureError,
-    beta_function,
     integrate_finite,
     integrate_semi_infinite,
     solve_h_ivp,
@@ -112,12 +111,6 @@ def test_semi_infinite_split_validation():
     assert abs(moved - 1.0 / 6.0) * 6.0 < 1e-10, f"split at 7 gave {moved!r}"
 
 
-def test_beta_function_values():
-    for a, b, exact in ((2.0, 1.0, 0.5), (2.0, 2.0, 1.0 / 6.0), (0.5, 0.5, math.pi)):
-        got = beta_function(a, b)
-        assert abs(got - exact) / exact < 1e-13, f"B({a},{b}) = {got!r}, want {exact!r}"
-
-
 def test_ivp_zero_curvature_is_identity():
     sol = solve_h_ivp(lambda t: 0.0, 10.0, 1e-3)
     for t in (0.5, 1.0, 5.0, 10.0):
@@ -156,7 +149,8 @@ def test_ivp_dense_output_between_nodes():
 
 
 def test_ivp_is_one_sweep():
-    """n steps call the curvature 3n + 2 times: one RK4 sweep, no second pass."""
+    """n steps call the curvature 2n + 1 times: one RK4 sweep, no second
+    pass and no tabulated h''."""
     calls = []
 
     def g(t):
@@ -167,7 +161,7 @@ def test_ivp_is_one_sweep():
         calls.clear()
         sol = solve_h_ivp(g, t_max, step)
         n = len(sol.grid) - 1
-        assert len(calls) == 3 * n + 2, f"{len(calls)} curvature calls for n={n}"
+        assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
 
 
 def test_ivp_window_and_argument_guards():

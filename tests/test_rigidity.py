@@ -21,19 +21,23 @@ from radsob.model_manifold import (
 )
 from radsob.rigidity import (
     RigidityHypothesisError,
-    c1,
     c2,
     c3,
     c_hat,
     estimated_c_m,
-    euclidean_weight_integral,
     gamma_lower_bound,
     mass_escape_experiment,
     v_profile,
     verify_theorem,
 )
-from radsob.sobolev import estimate_radial_constant, quotient_sobolev, talenti_function
-from radsob.talenti import SobolevParams, TalentiProfile, sharp_constant
+from radsob.numerics import QuadratureError
+from radsob.sobolev import (
+    estimate_radial_constant,
+    manifold_integral,
+    quotient_sobolev,
+    talenti_function,
+)
+from radsob.talenti import SobolevParams, TalentiProfile, profile_split, sharp_constant
 
 import _oracles
 
@@ -43,32 +47,42 @@ EUC4 = euclidean_model(4)
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
 
 
+def _flat_weight_integral(lam, order):
+    """integral over flat R^4 of (lam + t^2)^(-order) dvol, by the package's
+    manifold quadrature (the C1 numerator and denominator at orders 3, 4)."""
+    return manifold_integral(
+        lambda t: (lam + t * t) ** -order, EUC4, 2.0 * order - 3.0, profile_split(P42, lam)
+    )
+
+
 def test_weight_integral_gamma_matches_quadrature():
     for order in (3, 4):
         for lam in (0.5, 1.0, 3.0):
-            closed = euclidean_weight_integral(P42, lam, order)
-            quad = euclidean_weight_integral(P42, lam, order, method="quad")
+            closed = _oracles.weight_integral(4, 2.0, lam, order)
+            quad = _flat_weight_integral(lam, order)
             rel = abs(closed - quad) / closed
             assert rel < 1e-8, f"order={order} lam={lam}: rel {rel:.3e}"
 
 
 def test_weight_integral_reduced_beta_factors():
-    """For m=4, p=2 the Beta factors collapse to 1/2 and 1/6."""
+    """For m=4, p=2 the Beta factors of the oracle collapse to 1/2 and 1/6."""
     om_s = _oracles.sphere_area(4)
     for lam in (0.5, 1.0, 3.0):
-        got3 = euclidean_weight_integral(P42, lam, 3)
+        got3 = _oracles.weight_integral(4, 2.0, lam, 3)
         want3 = om_s * 0.5 * lam**-1.0 * 0.5
         assert abs(got3 - want3) / want3 < 1e-12
-        got4 = euclidean_weight_integral(P42, lam, 4)
+        got4 = _oracles.weight_integral(4, 2.0, lam, 4)
         want4 = om_s * 0.5 * lam**-2.0 * (1.0 / 6.0)
         assert abs(got4 - want4) / want4 < 1e-12
 
 
 def test_weight_integral_validation():
+    """At order m - m/p = 2 the weight is not integrable: the quadrature
+    refuses it, and the closed form has no value there."""
+    with pytest.raises(QuadratureError):
+        _flat_weight_integral(1.0, 2)
     with pytest.raises(ValueError):
-        euclidean_weight_integral(P42, 1.0, 2)
-    with pytest.raises(ValueError):
-        euclidean_weight_integral(P42, 1.0, 3, method="lookup")
+        _oracles.weight_integral(4, 2.0, 1.0, 2)
 
 
 def test_c2_frozen_value_and_oracle_formula():
@@ -96,11 +110,11 @@ def test_c2_validation():
 
 
 def test_c1_vanishes_flat_and_validates():
-    assert c1(P42, 1.0, 0.0, RAT01) == 0.0
+    assert _oracles.c1(P42, 1.0, 0.0, RAT01) == 0.0
     with pytest.raises(ValueError):
-        c1(P42, 1.0, -0.5, RAT01)
+        _oracles.c1(P42, 1.0, -0.5, RAT01)
     with pytest.raises(ValueError):
-        c1(P42, 1.0, math.inf, RAT01)
+        _oracles.c1(P42, 1.0, math.inf, RAT01)
 
 
 def test_c1_bounded_by_c2_across_scales():
@@ -109,10 +123,10 @@ def test_c1_bounded_by_c2_across_scales():
     grid = [200.0 * k / 20.0 for k in range(1, 21)]
     gamma_emp = gamma_lower_bound(model, grid)
     cap = c2(P42, 0.1, gamma_emp)
-    first = float(c1(P42, 1.0, 0.1, model))
+    first = float(_oracles.c1(P42, 1.0, 0.1, model))
     assert abs(first - 2.5340702884642954) / first < 1e-6, f"c1(lam=1) drifted: {first!r}"
     for lam in (1.0, 10.0, 100.0):
-        value = float(c1(P42, lam, 0.1, model))
+        value = float(_oracles.c1(P42, lam, 0.1, model))
         assert 0.0 < value <= cap * (1.0 + 1e-3), f"c1(lam={lam}) = {value!r} above {cap!r}"
 
 
