@@ -1,14 +1,15 @@
 """Rotationally symmetric model spaces with radial curvature control.
 
-A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  The warping
-function h solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a nonnegative
-decaying curvature coefficient G, or is given in closed form, which is
-how nonnegatively curved examples (conical spaces) enter the test
-matrix; a ModelManifold reads both the same way.  The moment
-b = integral(t G(t) dt) measures the total amount of negative curvature;
-when it is finite the model is trapped between Euclidean space and a
-bounded dilation of it, which is exactly what verify_volume_chain checks
-on a grid.
+A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
+Ricci curvature is -(m-1) G with G = h''/h.  The warping function h
+solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a nonnegative decaying
+curvature coefficient G, or is given in closed form, which is how
+nonnegatively curved examples (conical spaces) enter the test matrix.
+Either way a ModelManifold holds h, G, the ball volume V(B_t) and the
+tail factor, and nothing else.  The moment b = integral(t G(t) dt)
+measures the total amount of negative curvature; when it is finite the
+model is trapped between Euclidean space and a bounded dilation of it,
+which is exactly what verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
@@ -248,10 +249,11 @@ def parse_curvature(spec: str) -> CurvatureProfile:
 class ModelManifold:
     """A warped-product model dt^2 + h(t)^2 g_S on the window [0, t_max].
 
-    A plain record of h, h', h'' and the ball volume V(B_t) as callables,
-    and of the tail factor: how far area_extended() may undershoot the true
-    area beyond t_max.  h, h_prime, h_second, area and volume are each a
-    window check and one call, whichever constructor made the model:
+    A plain record of h, the curvature G = h''/h and the ball volume
+    V(B_t) as callables, and of the tail factor: how far area_extended()
+    may undershoot the true area beyond t_max.  area, volume and
+    radial_ricci are each a window check and one call, whichever
+    constructor made the model:
 
       * build_model: the curvature IVP's dense output, continued linearly
         past t_max, with a certified tail factor;
@@ -259,7 +261,8 @@ class ModelManifold:
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
     The first two read ball volumes from a node table (_volume_table).
-    profile is the curvature G = h''/h, when known.
+    profile is the curvature profile whose moment b the bounds use, when
+    known.
     """
 
     m: int
@@ -267,8 +270,7 @@ class ModelManifold:
     profile: CurvatureProfile | None
     name: str
     warp: Callable[[float], float]
-    warp_prime: Callable[[float], float]
-    warp_second: Callable[[float], float]
+    curvature: Callable[[float], float]
     ball_volume: Callable[[float], float]
     tail_factor: float
 
@@ -276,25 +278,9 @@ class ModelManifold:
         self.omega_sphere = sphere_area(self.m)
         self.omega_m = unit_ball_volume(self.m)
 
-    # -- warping function --------------------------------------------------
-
     def _check_window(self, t: float):
         if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the model window [0, {self.t_max:g}]")
-
-    def h(self, t: float) -> float:
-        self._check_window(t)
-        return self.warp(t)
-
-    def h_prime(self, t: float) -> float:
-        self._check_window(t)
-        return self.warp_prime(t)
-
-    def h_second(self, t: float) -> float:
-        self._check_window(t)
-        return self.warp_second(t)
-
-    # -- geometry ----------------------------------------------------------
 
     def area(self, t: float) -> float:
         """Area of the geodesic sphere of radius t."""
@@ -307,17 +293,9 @@ class ModelManifold:
         return self.ball_volume(t)
 
     def radial_ricci(self, t: float) -> float:
-        """Ricci curvature in the radial direction, -(m-1) h''/h.
-
-        For profile-built models the IVP identity gives -(m-1) G(t)
-        exactly, which is also valid at t = 0.
-        """
+        """Ricci curvature in the radial direction, -(m-1) G(t)."""
         self._check_window(t)
-        if self.profile is not None:
-            return -(self.m - 1) * self.profile.g(t)
-        if t == 0.0:
-            raise ValueError("radial Ricci at the apex needs a curvature profile")
-        return -(self.m - 1) * self.h_second(t) / self.h(t)
+        return -(self.m - 1) * self.curvature(t)
 
     def area_extended(self) -> Callable[[float], float]:
         """Area as a function on all of [0, inf), from h past the window.
@@ -378,9 +356,7 @@ def _volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], 
     return volume
 
 
-def build_model(
-    m: int, profile: CurvatureProfile, t_max: float = 50.0, step: float = 1e-3
-) -> ModelManifold:
+def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) -> ModelManifold:
     """Solve the warping IVP for a curvature profile and assemble the model.
 
     Past the window h continues linearly from its value and slope at
@@ -392,7 +368,7 @@ def build_model(
         return euclidean_model(m, t_max)
     _require_dimension(m)
     ivp = solve_h_ivp(profile.g, t_max, step)
-    value, g = ivp.value, profile.g
+    value = ivp.value
     h_end, hp_end = ivp.values[-1], ivp.derivs[-1]
 
     def h(t: float) -> float:
@@ -405,14 +381,13 @@ def build_model(
         profile=profile,
         name=profile.spec_string(),
         warp=h,
-        warp_prime=ivp.deriv,
-        warp_second=lambda t: g(t) * value(t),
+        curvature=profile.g,
         ball_volume=_volume_table(m, ivp.grid, ivp.values, ivp.derivs, value, ivp.deriv),
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
     )
 
 
-def euclidean_model(m: int, t_max: float = 50.0) -> ModelManifold:
+def euclidean_model(m: int, t_max: float) -> ModelManifold:
     """Flat R^m as a model: h(t) = t with exact area and volume."""
     _require_dimension(m)
     omega_m = unit_ball_volume(m)
@@ -422,8 +397,7 @@ def euclidean_model(m: int, t_max: float = 50.0) -> ModelManifold:
         profile=ZeroCurvature(),
         name="euclidean",
         warp=lambda t: t,
-        warp_prime=lambda t: 1.0,
-        warp_second=lambda t: 0.0,
+        curvature=lambda t: 0.0,
         ball_volume=lambda t: omega_m * t**m,
         tail_factor=1.0,
     )
@@ -434,14 +408,24 @@ def model_from_warping(
     h: Callable[[float], float],
     h_prime: Callable[[float], float],
     h_second: Callable[[float], float],
-    t_max: float = 50.0,
-    step: float = 1e-3,
-    name: str = "custom",
+    t_max: float,
+    step: float,
+    name: str,
 ) -> ModelManifold:
-    """Model from a closed-form warping function with h(0)=0, h'(0)=1."""
+    """Model from a closed-form warping function with h(0)=0, h'(0)=1.
+
+    h' fills the volume table; h'' only enters the curvature G = h''/h,
+    which is undefined at the apex, where h vanishes.
+    """
     _require_dimension(m)
     if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
         raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
+
+    def curvature(t: float) -> float:
+        if t == 0.0:
+            raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
+        return h_second(t) / h(t)
+
     nodes = uniform_grid(t_max, max(1, round(t_max / step)))
     h_nodes = array("d", map(h, nodes))
     hp_nodes = array("d", map(h_prime, nodes))
@@ -451,14 +435,13 @@ def model_from_warping(
         profile=None,
         name=name,
         warp=h,
-        warp_prime=h_prime,
-        warp_second=h_second,
+        curvature=curvature,
         ball_volume=_volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime),
         tail_factor=1.0,
     )
 
 
-def conical_model(m: int, c: float, t_max: float = 50.0, step: float = 1e-3) -> ModelManifold:
+def conical_model(m: int, c: float, t_max: float, step: float) -> ModelManifold:
     """Nonnegatively curved model opening onto a cone of slope c in (0, 1].
 
     h(t) = c t + (1-c)(1 - e^-t) interpolates between the Euclidean apex

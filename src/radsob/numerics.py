@@ -248,7 +248,7 @@ class IvpSolution:
         )
 
 
-def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float = 1e-3) -> IvpSolution:
+def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSolution:
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model_manifold import ModelManifold
+from .model_manifold import ModelManifold, upper_chain_factors
 from .numerics import integrate_finite, integrate_semi_infinite
 from .sobolev import estimate_radial_constant
 from .talenti import SobolevParams, TalentiProfile, cached_beta, sharp_constant, unit_ball_volume
@@ -301,9 +301,10 @@ def verify_theorem(
     closed-form model without one.  The model's curvature moment b decides
     the bounds: at b = 0 nonnegative radial Ricci is required and
     1 >= V/V_euc >= (K/C_M)^m is checked; at b > 0 m >= 3 and a finite b
-    are required and e^(mb) >= V/V_euc >= C_hat is checked.  gamma_value
-    None means the volume ratio lower bound is measured on the grid
-    (source "empirical").
+    are required and e^(mb) >= V/V_euc >= C_hat is checked; an infinite
+    e^(mb) could never fail and raises ValueError (upper_chain_factors)
+    before C2 is computed.  gamma_value None means the volume ratio lower
+    bound is measured on the grid (source "empirical").
 
     The verdict is "consistent" when every grid bound holds to
     ratio_slack, the certificate profile is non-increasing, and its final
@@ -325,11 +326,11 @@ def verify_theorem(
     gamma_source = "user" if gamma_value is not None else "empirical"
 
     flat = b == 0.0
+    upper = 1.0 if flat else upper_chain_factors(b, m)[1]
     c2_value = 0.0 if flat else c2(params, b, gamma_used)
     c3_value = c3(params, c_m, k, c2_value)
     c_hat_value = c_hat(c3_value, b, params)
     lower = (k / c_m) ** m if flat else c_hat_value
-    upper = 1.0 if flat else math.exp(m * b)
 
     om = unit_ball_volume(m)
     ratio_table = []

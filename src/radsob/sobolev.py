@@ -47,6 +47,8 @@ BUDGET_TOL = (1e-9, 1e-4)
 # The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE.
 SCAN_RANGE = (1e-2, 1e6)
 SCAN_POINTS = 25
+# Radii R of the window averages s(R) in verify_decay_conditions.
+FLUX_RADII = (2.0, 5.0, 10.0, 20.0, 40.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +128,25 @@ def manifold_integral(
     return total
 
 
-def gradient_energy(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
-    """p-energy of u: integral of |u'|^p over the model, to tolerance tol."""
-    params = u.params
-    p, m = params.p, model.m
-    decay = p * (u.decay_order + 1.0) - (m - 1.0)
+def _energy_tail_power(u: RadialFunction, m: int) -> float:
+    """Decay power p(d+1) - (m-1) of |u'|^p t^(m-1), for u ~ t^-d.
+
+    u |u'|^(p-1) t^(m-2) decays with the same power, so this one test
+    decides both integrals.  Raises DivergentTailError when it is at
+    most 1.
+    """
+    decay = u.params.p * (u.decay_order + 1.0) - (m - 1.0)
     if decay <= 1.0 + 1e-9:
         raise DivergentTailError(
             f"gradient energy decays like t^-{decay:.3f} and does not converge"
         )
+    return decay
+
+
+def gradient_energy(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
+    """p-energy of u: integral of |u'|^p over the model, to tolerance tol."""
+    p = u.params.p
+    decay = _energy_tail_power(u, model.m)
     return manifold_integral(lambda t: abs(u.deriv(t)) ** p, model, decay, u.split_hint, tol)
 
 
@@ -164,25 +176,21 @@ def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) 
 
 @dataclass(frozen=True)
 class DecayReport:
-    l1_finite: bool
     flux_rows: tuple
     flux_decreasing: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.l1_finite and self.flux_decreasing
 
 
 def verify_decay_conditions(
     u: RadialFunction,
     model: ModelManifold,
-    r_grid=(2.0, 5.0, 10.0, 20.0, 40.0),
+    r_grid=FLUX_RADII,
 ) -> DecayReport:
     """Check the integrability and averaged-flux decay of a test function.
 
     Two conditions: the weighted integrand u |u'|^(p-1) / t is integrable
-    over the model, which its decay power alone decides (l1_finite; no
-    integral is run), and the window averages
+    over the model, which its decay power alone decides (no integral is
+    run; it is the p-energy's power, so a divergent one raises
+    DivergentTailError as gradient_energy does), and the window averages
     s(R) = (1/R) * integral over [0, R] of u |u'|^(p-1) dvol decrease
     along r_grid (they are o(R) exactly when the full integral converges).
     The averages grow while R is still inside the bulk of u, so the
@@ -191,8 +199,7 @@ def verify_decay_conditions(
     capped at t_max, and at least two distinct radii must remain, or no
     decrease could be observed.
     """
-    params = u.params
-    p, m = params.p, model.m
+    p = u.params.p
     radii = sorted(min(r, model.t_max) for r in r_grid)
     if len(set(radii)) < 2:
         raise ValueError(
@@ -204,8 +211,7 @@ def verify_decay_conditions(
     def core(t: float) -> float:
         return u.eval(t) * abs(u.deriv(t)) ** (p - 1.0) * area(t)
 
-    decay = 1.0 + u.decay_order + (p - 1.0) * (u.decay_order + 1.0) - (m - 1.0)
-    l1_finite = decay > 1.0 + 1e-9
+    _energy_tail_power(u, model.m)
 
     flux_rows = []
     acc = 0.0
@@ -218,9 +224,7 @@ def verify_decay_conditions(
     if len(tail) < 2:
         tail = [s for _, s in flux_rows[-2:]]
     decreasing = all(b < a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
-    return DecayReport(
-        l1_finite=l1_finite, flux_rows=tuple(flux_rows), flux_decreasing=decreasing
-    )
+    return DecayReport(flux_rows=tuple(flux_rows), flux_decreasing=decreasing)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,10 @@ def normalize_beta(params: SobolevParams) -> float:
     return b1
 
 
+# The scales at which sharp_constant_detail evaluates K; the first one
+# gives K and the rest measure the scale-invariance spread.
+SELF_TEST_LAMBDAS = (1.0, 0.5, 5.0, 20.0)
+
 _SHARP_CACHE: dict = {}
 _BETA_CACHE: dict = {}
 
@@ -170,7 +174,7 @@ class TalentiProfile:
         )
 
 
-def sharp_constant_detail(params: SobolevParams, lambdas: tuple = (1.0, 0.5, 5.0, 20.0)) -> dict:
+def sharp_constant_detail(params: SobolevParams, lambdas: tuple = SELF_TEST_LAMBDAS) -> dict:
     """Sharp constant K(m, p) together with its scale-invariance spread.
 
     K^(-p) is the p-energy of any normalised profile; computing it at

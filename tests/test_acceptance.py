@@ -46,7 +46,7 @@ import _oracles
 
 P42 = SobolevParams(4, 2.0)
 K42 = sharp_constant(P42)
-EUC4 = euclidean_model(4)
+EUC4 = euclidean_model(4, 50.0)
 
 
 def _line(num, name, ok, detail=""):
@@ -111,10 +111,10 @@ def test_02_normalization_and_scale_invariance():
 
 def test_03_euclidean_degeneration():
     t0 = time.perf_counter()
-    sol = solve_h_ivp(lambda t: 0.0, 10.0)
+    sol = solve_h_ivp(lambda t: 0.0, 10.0, 1e-3)
     worst_h = max(abs(sol.value(t) - t) / t for t in (0.5, 1.0, 5.0, 10.0))
-    model = build_model(4, ZeroCurvature())
-    flat_exact = model.profile.b == 0.0 and model.h(3.0) == 3.0 and all(
+    model = build_model(4, ZeroCurvature(), 50.0, 1e-3)
+    flat_exact = model.profile.b == 0.0 and model.warp(3.0) == 3.0 and all(
         model.volume(t) == _oracles.ball_volume(4) * t**4 for t in (0.5, 3.0, 20.0)
     )
     c2_exact = c2(P42, 0.0, 1.0) == 0.0
@@ -177,7 +177,7 @@ def test_06_constant_estimate_and_quotient_floor():
     rel = abs(est.c_est - K42) / K42
     floor = K42 ** (-P42.p)
     floor_ok = est.quotient >= floor * (1.0 - 1e-6)
-    con = conical_model(4, 0.8)
+    con = conical_model(4, 0.8, 50.0, 1e-3)
     worst_q = 0.0
     for lam in (0.5, 1.0, 5.0):
         u = talenti_function(TalentiProfile.build(P42, lam))
@@ -210,7 +210,7 @@ def test_07_mass_escape_to_infinity():
 
 
 def test_08_monotone_volume_ratio_profile():
-    con = conical_model(4, 0.8)
+    con = conical_model(4, 0.8, 50.0, 1e-3)
     est = estimate_radial_constant(con, P42)
     scale = (est.c_est / K42) ** 4
     grid = [50.0 * (i + 1) / 100.0 for i in range(100)]

@@ -235,7 +235,7 @@ def test_huge_finite_tail_factor_meets_the_tail_budget(capsys):
 
 def test_verify_decay_check_runs_no_semi_infinite_integral(capsys, monkeypatch):
     """In a verify run the mass and energy integrate to infinity, but the
-    decay check only decides l1_finite from the decay power."""
+    decay check decides integrability from the decay power alone."""
     inside, calls = [], {"decay": 0, "other": 0}
     semi_infinite, decay_conditions = sobolev.integrate_semi_infinite, cli.verify_decay_conditions
 

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from radsob import model_manifold
-from radsob.numerics import integrate_finite
+from radsob.numerics import integrate_finite, solve_h_ivp
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
@@ -35,7 +35,9 @@ except ImportError:
 
 
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
-EUC4 = euclidean_model(4)
+# The IVP behind RAT01, whose h' the model no longer carries.
+RAT01_IVP = solve_h_ivp(RationalDecay(0.1).g, 50.0, 1e-3)
+EUC4 = euclidean_model(4, 50.0)
 
 
 def test_parse_curvature_grammar():
@@ -151,8 +153,8 @@ def test_euclidean_model_exact():
     om_s = _oracles.sphere_area(4)
     om_m = _oracles.ball_volume(4)
     for t in (0.5, 1.0, 7.0, 40.0):
-        assert EUC4.h(t) == t
-        assert EUC4.h_prime(t) == 1.0
+        assert EUC4.warp(t) == t
+        assert EUC4.curvature(t) == 0.0
         assert abs(EUC4.area(t) - om_s * t**3) < 1e-9 * om_s * t**3
         assert abs(EUC4.volume(t) - om_m * t**4) < 1e-9 * om_m * t**4
         assert EUC4.radial_ricci(t) == 0.0
@@ -163,9 +165,9 @@ def test_build_model_zero_curvature_shortcut(monkeypatch):
     """Zero curvature gives flat space exactly, without solving the IVP."""
     solved = []
     monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
-    model = build_model(4, ZeroCurvature())
+    model = build_model(4, ZeroCurvature(), 50.0, 1e-3)
     assert solved == []
-    assert model.h(3.0) == 3.0
+    assert model.warp(3.0) == 3.0
     om_m = _oracles.ball_volume(4)
     for t in (0.5, 3.0, 40.0):
         assert model.volume(t) == om_m * t**4
@@ -175,20 +177,20 @@ def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
     solved = []
     monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
     with pytest.raises(ValueError, match="dimension must be at least 2"):
-        build_model(1, RationalDecay(0.1))
+        build_model(1, RationalDecay(0.1), 50.0, 1e-3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
-        model_from_warping(1, h=lambda t: t, h_prime=lambda t: 1.0, h_second=lambda t: 0.0)
+        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0, 1e-3, "flat")
     assert solved == []
 
 
 def test_warping_oracles_through_model():
     for t, ref in _oracles.RATIONAL_B01_H.items():
-        rel = abs(RAT01.h(t) - ref) / ref
+        rel = abs(RAT01.warp(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
     for t, ref in _oracles.RATIONAL_B01_HP.items():
-        rel = abs(RAT01.h_prime(t) - ref) / ref
+        rel = abs(RAT01_IVP.deriv(t) - ref) / ref
         assert rel < 1e-12, f"h'({t}) off by {rel:.3e}"
-    assert RAT01.h_second(2.0) == RAT01.profile.g(2.0) * RAT01.h(2.0)
+    assert RAT01.curvature(2.0) == RAT01.profile.g(2.0)
 
 
 def test_volume_oracles():
@@ -207,7 +209,7 @@ def test_volume_between_nodes_consistent():
 def test_sturm_bounds_on_warping():
     b = RAT01.profile.b
     for t in (0.5, 1.0, 5.0, 20.0, 50.0):
-        h = RAT01.h(t)
+        h = RAT01.warp(t)
         assert h >= t * (1.0 - 1e-12), f"h({t}) = {h!r} below t"
         assert h <= math.exp(b) * t * (1.0 + 1e-12), f"h({t}) = {h!r} above e^b t"
 
@@ -215,7 +217,7 @@ def test_sturm_bounds_on_warping():
 def test_radial_ricci_identities():
     for t in (0.0, 0.5, 2.0, 10.0):
         assert RAT01.radial_ricci(t) == -3.0 * RAT01.profile.g(t)
-    con = conical_model(4, 0.8)
+    con = conical_model(4, 0.8, 50.0, 1e-3)
     for t in (0.5, 2.0, 10.0):
         assert con.radial_ricci(t) >= 0.0
     with pytest.raises(ValueError):
@@ -226,18 +228,18 @@ def test_laplacian_comparison_and_guard():
     """The distance Laplacian (m-1) h'/h dominates its flat value (m-1)/t,
     that is t h'(t) >= h(t); h' is read inside the window only."""
     for t in (0.5, 2.0, 10.0):
-        assert t * RAT01.h_prime(t) >= RAT01.h(t) * (1.0 - 1e-12)
+        assert t * RAT01_IVP.deriv(t) >= RAT01.warp(t) * (1.0 - 1e-12)
     with pytest.raises(ValueError):
-        RAT01.h_prime(-0.1)
+        RAT01_IVP.deriv(-0.1)
 
 
 def test_window_guard():
     with pytest.raises(ValueError):
-        RAT01.h(51.0)
+        RAT01.area(51.0)
     with pytest.raises(ValueError):
         RAT01.volume(51.0)
     with pytest.raises(ValueError):
-        RAT01.h(-0.1)
+        RAT01.radial_ricci(-0.1)
 
 
 def test_chain_rational_passes():
@@ -266,6 +268,7 @@ def test_chain_requires_moment_for_custom_warping():
         h_second=lambda t: 0.02,
         t_max=10.0,
         step=1e-2,
+        name="custom",
     )
     with pytest.raises(ValueError):
         verify_volume_chain(custom, (1.0, 2.0))
@@ -275,7 +278,7 @@ def test_chain_requires_moment_for_custom_warping():
 
 def test_chain_with_inner_model():
     report = verify_volume_chain(
-        RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), inner=euclidean_model(4)
+        RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), inner=euclidean_model(4, 50.0)
     )
     assert report.all_pass
     names = {row.name for row in report.rows}
@@ -284,24 +287,23 @@ def test_chain_with_inner_model():
 
 
 def test_model_from_warping_validation():
-    with pytest.raises(ValueError):
-        model_from_warping(
-            3, h=lambda t: 1.0 + t, h_prime=lambda t: 1.0, h_second=lambda t: 0.0
-        )
+    """A warping with h(0) != 0, or with h'(0) != 1, is refused."""
+    for h, h_prime in ((lambda t: 1.0 + t, lambda t: 1.0), (lambda t: 2.0 * t, lambda t: 2.0)):
+        with pytest.raises(ValueError, match=r"h\(0\)=0 and h'\(0\)=1"):
+            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0, 1e-3, "custom")
 
 
 def test_conical_model_shape():
     with pytest.raises(ValueError):
-        conical_model(4, 0.0)
+        conical_model(4, 0.0, 50.0, 1e-3)
     with pytest.raises(ValueError):
-        conical_model(4, 1.5)
+        conical_model(4, 1.5, 50.0, 1e-3)
     con = conical_model(4, 0.8, t_max=20.0, step=1e-2)
-    assert con.h(0.0) == 0.0
-    assert con.h_prime(0.0) == 1.0
-    assert abs(con.h(20.0) - (0.8 * 20.0 + 0.2)) < 1e-6
+    assert con.warp(0.0) == 0.0
+    assert abs(con.warp(20.0) - (0.8 * 20.0 + 0.2)) < 1e-6
     straight = conical_model(3, 1.0, t_max=5.0, step=1e-2)
     for t in (0.5, 2.0, 5.0):
-        assert abs(straight.h(t) - t) < 1e-12
+        assert abs(straight.warp(t) - t) < 1e-12
 
 
 def test_tail_factor():
@@ -333,11 +335,16 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     """The closed-form and IVP fillings agree in the window; past it the
     exact area lies between the IVP's linear continuation and that
     continuation times its tail factor."""
-    exact = model_from_warping(4, *_rational_closed_form(0.1), name="rational:0.1 exact")
+    h, h_prime, h_second = _rational_closed_form(0.1)
+    exact = model_from_warping(4, h, h_prime, h_second, 50.0, 1e-3, "rational:0.1 exact")
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
-        for name in ("h", "h_prime", "area", "volume"):
-            want = getattr(exact, name)(t)
-            got = getattr(RAT01, name)(t)
+        pairs = {
+            "h": (RAT01.warp(t), exact.warp(t)),
+            "h_prime": (RAT01_IVP.deriv(t), h_prime(t)),
+            "area": (RAT01.area(t), exact.area(t)),
+            "volume": (RAT01.volume(t), exact.volume(t)),
+        }
+        for name, (got, want) in pairs.items():
             assert abs(got - want) <= 1e-12 * want, f"{name}({t}): {got!r} vs {want!r}"
     factor = RAT01.tail_factor
     assert 1.0 < factor < 1.001
@@ -350,8 +357,8 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
 def test_area_extended_continuation():
     ext = RAT01.area_extended()
     assert abs(ext(49.999) - RAT01.area(49.999)) / RAT01.area(49.999) < 1e-12
-    h_end = RAT01.h(50.0)
-    hp_end = RAT01.h_prime(50.0)
+    h_end = RAT01.warp(50.0)
+    hp_end = RAT01_IVP.deriv(50.0)
     expected = RAT01.omega_sphere * (h_end + 10.0 * hp_end) ** 3
     assert abs(ext(60.0) - expected) / expected < 1e-12
     con = conical_model(4, 0.8, t_max=20.0, step=1e-2)
@@ -368,6 +375,6 @@ if HAS_HYPOTHESIS:
         """Euclidean lower bound and the e^b dilation upper bound hold."""
         model = build_model(3, RationalDecay(b0), t_max=10.0, step=1e-2)
         for t in (2.5, 5.0, 10.0):
-            h = model.h(t)
+            h = model.warp(t)
             assert h >= t * (1.0 - 1e-10), f"h({t}) = {h!r} below t at b0={b0}"
             assert h <= math.exp(b0) * t * (1.0 + 1e-10), f"h({t}) = {h!r} at b0={b0}"

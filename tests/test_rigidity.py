@@ -43,7 +43,7 @@ import _oracles
 
 P42 = SobolevParams(4, 2.0)
 K42 = sharp_constant(P42)
-EUC4 = euclidean_model(4)
+EUC4 = euclidean_model(4, 50.0)
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
 
 
@@ -258,6 +258,7 @@ def test_verify_flat_hypothesis_rejections():
         h_second=lambda t: 0.02,
         t_max=10.0,
         step=1e-2,
+        name="custom",
     )
     with pytest.raises(RigidityHypothesisError):
         verify_theorem(custom, P42, (1.0, 2.0), c_m=1.1 * K42)
@@ -293,6 +294,15 @@ def test_verify_curved_hypothesis_rejections():
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-3)
     with pytest.raises(RigidityHypothesisError):
         verify_theorem(unbounded, P42, (1.0, 2.0), c_m=K42)
+
+
+def test_verify_refuses_an_infinite_upper_bound():
+    """At b = 200 the bound e^(m b) overflows: verify_theorem refuses it as
+    verify_volume_chain does, not with a bare OverflowError."""
+    steep = build_model(4, ConstantCutoff(16.0, 5.0), 10.0, 1e-2)
+    assert steep.profile.b == 200.0
+    with pytest.raises(ValueError, match=r"e\^\(b m\) is infinite at b=200"):
+        verify_theorem(steep, P42, (1.0, 5.0))
 
 
 def test_verify_refuses_before_the_witness_search(monkeypatch):
@@ -332,8 +342,8 @@ def test_no_radial_witness_beats_sharp_bound_on_profile_models():
     in-window witness quotient at or above K^-p."""
     cases = (
         (RAT01, P42),
-        (build_model(4, ConstantCutoff(0.05, 3.0)), P42),
-        (build_model(3, RationalDecay(0.1)), SobolevParams(3, 1.5)),
+        (build_model(4, ConstantCutoff(0.05, 3.0), 50.0, 1e-3), P42),
+        (build_model(3, RationalDecay(0.1), 50.0, 1e-3), SobolevParams(3, 1.5)),
     )
     for model, params in cases:
         floor = sharp_constant(params) ** -params.p
@@ -354,14 +364,14 @@ def test_estimated_c_m_searches_only_without_a_profile(monkeypatch):
     table = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
     for model in (
         RAT01,
-        build_model(4, ConstantCutoff(0.05, 3.0), step=1e-2),
-        build_model(4, table, step=1e-2),
+        build_model(4, ConstantCutoff(0.05, 3.0), t_max=50.0, step=1e-2),
+        build_model(4, table, t_max=50.0, step=1e-2),
         EUC4,
     ):
         assert estimated_c_m(model, P42) == K42, f"{model!r}"
     assert calls == []
 
-    cone = conical_model(4, 0.8)
+    cone = conical_model(4, 0.8, 50.0, 1e-3)
     value = estimated_c_m(cone, P42)
     assert calls == [cone]
     assert abs(value / K42 - 1.182) < 1e-3, f"cone estimate {value / K42!r} K"
