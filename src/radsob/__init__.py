@@ -46,15 +46,12 @@ from .rigidity import (
     MassEscapeReport,
     RigidityHypothesisError,
     RigidityReport,
-    VProfileReport,
     c2,
     c3,
     c_hat,
     check_hypotheses,
     estimated_c_m,
-    gamma_lower_bound,
     mass_escape_experiment,
-    v_profile,
     verify_theorem,
 )
 

@@ -265,7 +265,7 @@ def cmd_rigidity(args: argparse.Namespace) -> tuple:
         **moment,
         **corrections,
         "ratio_table": records,
-        "v_profile": [{"t": t, "v": v} for t, v in report.v_profile.rows],
+        "v_profile": [{"t": t, "v": v} for t, v in report.v_profile],
         "verdict": report.verdict,
         "violation": report.violation,
     }

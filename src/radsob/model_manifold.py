@@ -494,33 +494,23 @@ def upper_chain_factors(b: float, m: int) -> tuple[float, float]:
     return _exp_or_inf(b * (m - 1)), vol_factor
 
 
-def verify_volume_chain(
-    model: ModelManifold,
-    t_grid,
-    b: float | None = None,
-    inner: ModelManifold | None = None,
-    slack: float = 1e-8,
-) -> VolumeChainReport:
+def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeChainReport:
     """Check the two-sided area and volume comparison along a radius grid.
 
     Verified per grid point, with relative slack:
       * lower_area / lower_volume: the model dominates Euclidean space;
       * upper_area: area <= e^(b (m-1)) * Euclidean area;
       * upper_volume: volume <= e^(b m) * Euclidean volume;
-      * with an inner model: its area stays below the model's, and the
-        area ratio inner/model is nonincreasing along the grid.
 
-    The moment b defaults to the model's own profile moment; passing a
-    finite override is how an infinite-moment control is shown to break
-    the upper chain.  An infinite bound e^(b m), as at b = inf, could
-    never fail and raises ValueError; so does a radius whose Euclidean
-    ball volume is not positive (t^m underflows for tiny t).
+    with b the moment of the model's curvature profile; a model without a
+    profile has no known b and is refused.  An infinite bound e^(b m), as
+    at b = inf, could never fail and raises ValueError; so does a radius
+    whose Euclidean ball volume is not positive (t^m underflows for tiny t).
     """
     m = model.m
-    if b is None:
-        if model.profile is None:
-            raise ValueError("model has no curvature profile; pass the moment b explicitly")
-        b = model.profile.b
+    if model.profile is None:
+        raise ValueError("model has no curvature profile, so its moment b is unknown")
+    b = model.profile.b
     area_factor, vol_factor = upper_chain_factors(b, m)
     om_s = model.omega_sphere
     om_m = model.omega_m
@@ -532,7 +522,6 @@ def verify_volume_chain(
         return ChainCheck(name, float(t), lhs, rhs, bool(lhs <= rhs + slack * scale))
 
     rows = []
-    prev_ratio = None
     for t in t_grid:
         a_euc = om_s * t ** (m - 1)
         v_euc = om_m * t**m
@@ -547,12 +536,4 @@ def verify_volume_chain(
         rows.append(check("lower_volume", t, v_euc, v_h))
         rows.append(check("upper_area", t, a_h, area_factor * a_euc))
         rows.append(check("upper_volume", t, v_h, vol_factor * v_euc))
-        if inner is not None:
-            a_in = inner.area(t)
-            rows.append(check("inner_area", t, a_in, a_h))
-            ratio = a_in / a_h
-            if prev_ratio is not None:
-                rows.append(check("inner_ratio_monotone", t, ratio, prev_ratio))
-            prev_ratio = ratio
     return VolumeChainReport(rows=tuple(rows), b_used=b)
-

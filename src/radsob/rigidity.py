@@ -8,15 +8,16 @@ machinery here assembles the correction constants
     C3 = ((C_M/K)^p + C_M^p C2)^(m/p),
     C_hat = C3^(-1) e^(-b(m-1)),
 
-and checks the resulting two-sided volume bounds
+and checks the resulting two-sided volume bound
 
-    b = 0 (Ledoux-Xia, Ric >= 0):   1 >= V(B_t)/V_euc(t) >= (K/C_M)^m,
-    b > 0 (finite moment):          e^(mb) >= V(B_t)/V_euc(t) >= C_hat,
+    e^(mb) >= V(B_t)/V_euc(t) >= C_hat
 
 on a radius grid, together with the monotone ratio profile whose limit
 being nonnegative is the quantitative content of the rigidity statement.
-Both are one theorem: the curvature moment b of the model decides which
-bounds apply, so no caller chooses a case.
+At b = 0, C2 = 0 and C_hat = (K/C_M)^m, so the same bound is the
+Ledoux-Xia one for Ric >= 0, 1 >= V(B_t)/V_euc(t) >= (K/C_M)^m.  The
+curvature moment b of the model decides only which hypotheses apply and
+which volume the profile compares against, so no caller chooses a case.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ class RigidityHypothesisError(ValueError):
 # count as non-increasing, and how far below zero its last value may end.
 V_STEP_SLACK = 1e-9
 V_LIMIT_SLACK = 1e-4
-
-
-def gamma_lower_bound(model: ModelManifold, t_grid) -> float:
-    """Infimum over the grid of the volume ratio V(B_t) / V_euc(t)."""
-    om = unit_ball_volume(model.m)
-    ratios = [float(model.volume(t)) / (om * t**model.m) for t in t_grid if t > 0.0]
-    if not ratios:
-        raise ValueError("t_grid must contain positive radii")
-    return min(ratios)
 
 
 def c2(params: SobolevParams, b: float, gamma_value: float) -> float:
@@ -86,46 +78,6 @@ def c_hat(c3_value: float, b: float, params: SobolevParams) -> float:
     if not (c3_value > 0.0):
         raise ValueError("C3 must be positive")
     return math.exp(-b * (params.m - 1.0)) / c3_value
-
-
-@dataclass(frozen=True)
-class VProfileReport:
-    rows: tuple
-    non_increasing: bool
-
-    @property
-    def last(self) -> float:
-        return self.rows[-1][1]
-
-
-def _moment(model: ModelManifold) -> float:
-    """Curvature moment b of the model; a model without a profile has b = 0."""
-    return model.profile.b if model.profile is not None else 0.0
-
-
-def v_profile(model: ModelManifold, scale: float, t_grid) -> VProfileReport:
-    """Monotone certificate profile v(t) = scale * V(B_t)/V_b(t) - 1.
-
-    V_b is the ball volume of the model space of the model's own curvature
-    moment b: flat space at b = 0, and at b > 0 the model itself, where v
-    is therefore the constant scale - 1.  The report records whether v is
-    non-increasing along the grid within the per-step slack V_STEP_SLACK;
-    the rigidity conclusion is v(t) staying >= 0 up to the window edge.
-    """
-    om = unit_ball_volume(model.m)
-    flat = _moment(model) == 0.0
-    rows = []
-    for t in t_grid:
-        if not (t > 0.0):
-            raise ValueError("v profile needs positive radii")
-        denom = om * t**model.m if flat else model.volume(t)
-        rows.append((float(t), float(scale * model.volume(t) / denom - 1.0)))
-    values = [v for _, v in rows]
-    ok = all(
-        later <= earlier + V_STEP_SLACK * max(1.0, abs(earlier))
-        for earlier, later in zip(values, values[1:])
-    )
-    return VProfileReport(rows=tuple(rows), non_increasing=ok)
 
 
 @dataclass(frozen=True)
@@ -239,20 +191,20 @@ class RigidityReport:
     C3: float
     C_hat: float
     ratio_table: tuple
-    v_profile: VProfileReport
+    v_profile: tuple
     verdict: str
-    violation: dict | None = None
+    violation: dict | None
 
 
-def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None = None) -> float:
+def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) -> float:
     """Refuse a model or gamma outside the theorem's hypotheses; return b.
 
     b is the model's curvature moment (0 without a profile) and selects the
-    case: b = 0 needs nonnegative radial Ricci curvature on the grid, b > 0
-    needs m >= 3 and a finite b.  Also refuses a radius whose Euclidean
-    ball volume is not positive (t^m underflows for tiny t), since every
-    volume ratio divides by it.  Cheap, so verify_theorem runs it before the
-    witness search.
+    hypotheses: b = 0 needs nonnegative radial Ricci curvature on the grid,
+    b > 0 needs m >= 3 and a finite b.  Also refuses a radius whose
+    Euclidean ball volume is not positive (t^m underflows for tiny t),
+    since every volume ratio divides by it.  Cheap, so verify_theorem runs
+    it before the witness search.
     """
     if gamma_value is not None and not (0.0 < gamma_value < math.inf):
         raise ValueError(
@@ -265,7 +217,7 @@ def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None = N
                 f"the Euclidean ball volume at radius t={t:g} is not positive, "
                 "so the volume ratio is undefined there"
             )
-    b = _moment(model)
+    b = model.profile.b if model.profile is not None else 0.0
     if b == 0.0:
         for t in t_grid:
             if model.radial_ricci(t) < -1e-12:
@@ -289,26 +241,27 @@ def verify_theorem(
     model: ModelManifold,
     params: SobolevParams,
     t_grid,
-    c_m: float | None = None,
-    gamma_value: float | None = None,
-    ratio_slack: float = 1e-9,
+    c_m: float | None,
+    gamma_value: float | None,
+    ratio_slack: float,
 ) -> RigidityReport:
-    """Check the volume comparison conclusion on a radius grid.
+    """Check e^(mb) >= V(B_t)/V_euc(t) >= C_hat on a radius grid.
 
+    One bound pair at every curvature moment b; at b = 0 (C2 = 0,
+    C3 = (C_M/K)^m) it is the Ledoux-Xia pair 1 >= V/V_euc >= (K/C_M)^m.
     Works out K, then checks the hypotheses (check_hypotheses), then, with
     c_m None, takes C_M from estimated_c_m (source "estimate"; otherwise
-    "user"): K on a curvature-profile model, the witness search on a
-    closed-form model without one.  The model's curvature moment b decides
-    the bounds: at b = 0 nonnegative radial Ricci is required and
-    1 >= V/V_euc >= (K/C_M)^m is checked; at b > 0 m >= 3 and a finite b
-    are required and e^(mb) >= V/V_euc >= C_hat is checked; an infinite
-    e^(mb) could never fail and raises ValueError (upper_chain_factors)
-    before C2 is computed.  gamma_value None means the volume ratio lower
-    bound is measured on the grid (source "empirical").
+    "user").  gamma_value None means the volume ratio lower bound is the
+    least ratio on the grid (source "empirical").  A bound that could
+    never fail raises ValueError: an infinite e^(mb) (upper_chain_factors,
+    before C2 is computed) and a C_hat that is 0 in floating point.
 
-    The verdict is "consistent" when every grid bound holds to
-    ratio_slack, the certificate profile is non-increasing, and its final
-    value stays above -V_LIMIT_SLACK.
+    Each V(B_t) is read once.  The certificate profile is
+    v(t) = C3 e^(b(m-1)) V(B_t)/V_cmp(t) - 1, where V_cmp is the Euclidean
+    ball volume at b = 0 and the model's own at b > 0 (so v is constant
+    there).  The verdict is "consistent" when every grid bound holds to
+    ratio_slack, v is non-increasing within V_STEP_SLACK per step, and its
+    final value stays above -V_LIMIT_SLACK.
     """
     m = params.m
     if model.m != m:
@@ -322,41 +275,48 @@ def verify_theorem(
     c_m_source = "estimate" if c_m is None else "user"
     if c_m is None:
         c_m = estimated_c_m(model, params)
-    gamma_used = gamma_value if gamma_value is not None else gamma_lower_bound(model, t_grid)
-    gamma_source = "user" if gamma_value is not None else "empirical"
-
-    flat = b == 0.0
-    upper = 1.0 if flat else upper_chain_factors(b, m)[1]
-    c2_value = 0.0 if flat else c2(params, b, gamma_used)
-    c3_value = c3(params, c_m, k, c2_value)
-    c_hat_value = c_hat(c3_value, b, params)
-    lower = (k / c_m) ** m if flat else c_hat_value
-
     om = unit_ball_volume(m)
-    ratio_table = []
+    volumes = [float(model.volume(t)) for t in t_grid]
+    euclidean = [om * t**m for t in t_grid]
+    ratios = [v / e for v, e in zip(volumes, euclidean)]
+    gamma_used = min(ratios) if gamma_value is None else gamma_value
+    gamma_source = "empirical" if gamma_value is None else "user"
+
+    upper = upper_chain_factors(b, m)[1]
+    c2_value = c2(params, b, gamma_used)
+    try:
+        c3_value = c3(params, c_m, k, c2_value)
+    except OverflowError:
+        c3_value = math.inf
+    lower = c_hat(c3_value, b, params)
+    if lower == 0.0:
+        raise ValueError(f"the lower bound C_hat is 0 at b={b:g}; the check cannot fail")
+
+    ratio_table = tuple(
+        (float(t), ratio, lower, upper,
+         lower * (1.0 - ratio_slack) <= ratio <= upper * (1.0 + ratio_slack))
+        for t, ratio in zip(t_grid, ratios)
+    )
+    scale = c3_value * math.exp(b * (m - 1.0))
+    comparison = euclidean if b == 0.0 else volumes
+    v_rows = tuple(
+        (float(t), scale * v / v_cmp - 1.0) for t, v, v_cmp in zip(t_grid, volumes, comparison)
+    )
+    values = [v for _, v in v_rows]
+
+    failed = [row for row in ratio_table if not row[4]]
     violation = None
-    for t in t_grid:
-        ratio = float(model.volume(t)) / (om * t**m)
-        ok = bool(ratio >= lower * (1.0 - ratio_slack)) and bool(
-            ratio <= upper * (1.0 + ratio_slack)
-        )
-        ratio_table.append((float(t), ratio, lower, upper, ok))
-        if not ok and violation is None:
-            violation = {"check": "volume_ratio_bounds", "t": t, "ratio": ratio,
-                         "lower": lower, "upper": upper}
-
-    scale = (c_m / k) ** m if flat else c3_value * math.exp(b * (m - 1.0))
-    profile_report = v_profile(model, scale, t_grid)
-
-    verdict = "consistent"
-    if violation is not None:
-        verdict = "violated"
-    elif not profile_report.non_increasing:
-        verdict = "violated"
+    if failed:
+        t, ratio = failed[0][:2]
+        violation = {"check": "volume_ratio_bounds", "t": t, "ratio": ratio,
+                     "lower": lower, "upper": upper}
+    elif not all(
+        later <= earlier + V_STEP_SLACK * max(1.0, abs(earlier))
+        for earlier, later in zip(values, values[1:])
+    ):
         violation = {"check": "v_profile_monotone"}
-    elif profile_report.last < -V_LIMIT_SLACK:
-        verdict = "violated"
-        violation = {"check": "v_profile_limit", "v_last": profile_report.last}
+    elif values[-1] < -V_LIMIT_SLACK:
+        violation = {"check": "v_profile_limit", "v_last": values[-1]}
 
     return RigidityReport(
         params=params,
@@ -368,9 +328,9 @@ def verify_theorem(
         gamma_source=gamma_source,
         C2=c2_value,
         C3=c3_value,
-        C_hat=c_hat_value,
-        ratio_table=tuple(ratio_table),
-        v_profile=profile_report,
-        verdict=verdict,
+        C_hat=lower,
+        ratio_table=ratio_table,
+        v_profile=v_rows,
+        verdict="consistent" if violation is None else "violated",
         violation=violation,
     )

@@ -6,6 +6,7 @@ the lines for passing tests as well).  The checks run in order from
 profile identities up to the full pipeline.
 """
 
+import dataclasses
 import math
 import time
 
@@ -25,7 +26,6 @@ from radsob.rigidity import (
     c3,
     c_hat,
     mass_escape_experiment,
-    v_profile,
     verify_theorem,
 )
 from radsob.sobolev import (
@@ -121,7 +121,7 @@ def test_03_euclidean_degeneration():
     ch = c_hat(c3(P42, 1.1 * K42, K42, 0.0), 0.0, P42)
     target = (1.0 / 1.1) ** 4
     ch_rel = abs(ch - target) / target
-    report = verify_theorem(EUC4, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
+    report = verify_theorem(EUC4, P42, (0.5, 1.0, 5.0, 20.0), K42, None, 1e-9)
     ratios_one = all(row[1] == 1.0 for row in report.ratio_table)
     consistent = report.verdict == "consistent"
     elapsed = time.perf_counter() - t0
@@ -155,8 +155,10 @@ def test_04_vanishing_curvature_moment_limit():
 def test_05_volume_chains_and_negative_control():
     model = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
     report = verify_volume_chain(model, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), slack=1e-8)
+    # An infinite-moment model recorded with the moment b = 1 of RationalDecay(1).
     control = build_model(4, ConstantCutoff(1.0, math.inf), t_max=12.0, step=1e-3)
-    bad = verify_volume_chain(control, (0.5, 1.0, 2.0, 3.0, 5.0, 10.0), b=1.0)
+    understated = dataclasses.replace(control, profile=RationalDecay(1.0))
+    bad = verify_volume_chain(understated, (0.5, 1.0, 2.0, 3.0, 5.0, 10.0), slack=1e-8)
     fails = [row for row in bad.rows if not row.passed]
     caught = (
         not bad.all_pass
@@ -214,15 +216,16 @@ def test_08_monotone_volume_ratio_profile():
     est = estimate_radial_constant(con, P42)
     scale = (est.c_est / K42) ** 4
     grid = [50.0 * (i + 1) / 100.0 for i in range(100)]
-    report = v_profile(con, scale, grid)
-    values = [v for _, v in report.rows]
+    report = verify_theorem(con, P42, grid, K42 * scale**0.25, None, 1e-9)
+    values = [v for _, v in report.v_profile]
     steps_ok = all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
-    limit_ok = report.last >= -1e-4
-    ok = report.non_increasing and steps_ok and limit_ok
+    limit_ok = values[-1] >= -1e-4
+    ok = report.verdict == "consistent" and steps_ok and limit_ok
     _line(8, "comparison profile is non-increasing", ok,
-          f"v range [{min(values):.4f}, {max(values):.4f}], limit {report.last:.4f}")
-    assert report.non_increasing and steps_ok
-    assert limit_ok, f"limit value {report.last!r}"
+          f"v range [{min(values):.4f}, {max(values):.4f}], limit {values[-1]:.4f}")
+    assert report.verdict == "consistent", f"violation {report.violation!r}"
+    assert steps_ok
+    assert limit_ok, f"limit value {values[-1]!r}"
 
 
 def test_09_gamma_function_identities():

@@ -141,6 +141,8 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["model", "--g", "const:0.1:inf", "--t-max", "20", "--step", "1e-2"],
         ["rigidity", "--g", "zero", "--c-m", "empirical"],
         ["rigidity", "--g", "zero", "--gamma", "estimate"],
+        ["rigidity", "--g", "const:6:5", "--t-max", "10", "--step", "1e-2"],
+        ["rigidity", "--g", "const:8:5", "--t-max", "10", "--step", "1e-2"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -518,7 +520,7 @@ if HAS_HYPOTHESIS:
         assert "unrecognized arguments" not in err.getvalue(), f"argv {argv!r}"
 
     _CURVATURES = [
-        "zero", "rational:0.1", "const:0.1:2", "const:0.1:inf",
+        "zero", "rational:0.1", "const:0.1:2", "const:0.1:inf", "const:6:5", "const:8:5",
         *(f"rational:{x}" for x in _DEGENERATE),
         *(f"const:{x}:2" for x in _DEGENERATE),
         *(f"const:0.1:{x}" for x in _DEGENERATE),
@@ -539,10 +541,13 @@ if HAS_HYPOTHESIS:
     @example(command="rigidity", m="4", step="1e-2", t_max="1e-300", gamma="empirical", g="zero")
     @example(command="model", m="4", step="1e-2", t_max="1e-300", gamma="empirical",
              g="const:0.1:inf")
+    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:6:5")
+    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:8:5")
     @settings(max_examples=150, deadline=None)
     def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g):
         """model, verify and rigidity end in exit 0, 1 or 2 with no traceback;
-        exit 2 names the bad input, and no report prints a nan."""
+        exit 2 names the bad input, no report prints a nan, and no passing
+        rigidity report has a lower bound C_hat of 0, which cannot fail."""
         argv = _argv(command, {"--m": m, "--step": step, "--t-max": t_max, "--gamma": gamma,
                                "--g": g, "--c-m": "1"})
         out, err = io.StringIO(), io.StringIO()
@@ -552,3 +557,4 @@ if HAS_HYPOTHESIS:
         assert "unrecognized arguments" not in err.getvalue(), f"argv {argv!r}"
         assert rc != 2 or "error: " in err.getvalue(), f"argv {argv!r} gave no error line"
         assert "nan" not in out.getvalue(), f"argv {argv!r} reported a nan"
+        assert rc != 0 or "C_hat=0" not in out.getvalue().split(), f"argv {argv!r}"

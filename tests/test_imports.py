@@ -196,7 +196,7 @@ def test_every_public_definition_is_read_in_the_package():
 # is a setting a caller may change, so the count only goes down; a change
 # that lowers it pins the new value here.
 
-SETTABLE_VALUES = 60
+SETTABLE_VALUES = 52
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

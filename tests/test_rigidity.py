@@ -5,6 +5,7 @@ elementary antiderivative (tests/_oracles.py). Pipeline verdicts are
 checked on models whose geometry is known exactly.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from radsob import rigidity
 from radsob.model_manifold import (
     ConstantCutoff,
+    ModelManifold,
     RationalDecay,
     Tabulated,
     build_model,
@@ -25,9 +27,7 @@ from radsob.rigidity import (
     c3,
     c_hat,
     estimated_c_m,
-    gamma_lower_bound,
     mass_escape_experiment,
-    v_profile,
     verify_theorem,
 )
 from radsob.numerics import QuadratureError
@@ -37,7 +37,13 @@ from radsob.sobolev import (
     quotient_sobolev,
     talenti_function,
 )
-from radsob.talenti import SobolevParams, TalentiProfile, profile_split, sharp_constant
+from radsob.talenti import (
+    SobolevParams,
+    TalentiProfile,
+    profile_split,
+    sharp_constant,
+    unit_ball_volume,
+)
 
 import _oracles
 
@@ -45,6 +51,11 @@ P42 = SobolevParams(4, 2.0)
 K42 = sharp_constant(P42)
 EUC4 = euclidean_model(4, 50.0)
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
+
+
+def _theorem(model, grid, c_m=None, gamma_value=None, params=P42, ratio_slack=1e-9):
+    """verify_theorem with C_M estimated and gamma measured unless given."""
+    return verify_theorem(model, params, grid, c_m, gamma_value, ratio_slack)
 
 
 def _flat_weight_integral(lam, order):
@@ -121,7 +132,7 @@ def test_c1_bounded_by_c2_across_scales():
     """The scale-dependent constant stays below its scale-free majorant."""
     model = build_model(4, RationalDecay(0.1), t_max=200.0, step=2e-3)
     grid = [200.0 * k / 20.0 for k in range(1, 21)]
-    gamma_emp = gamma_lower_bound(model, grid)
+    gamma_emp = _theorem(model, grid, c_m=K42).gamma
     cap = c2(P42, 0.1, gamma_emp)
     first = float(_oracles.c1(P42, 1.0, 0.1, model))
     assert abs(first - 2.5340702884642954) / first < 1e-6, f"c1(lam=1) drifted: {first!r}"
@@ -153,33 +164,76 @@ def test_c3_and_c_hat_validation():
 
 
 def test_gamma_lower_bound_values():
-    assert gamma_lower_bound(EUC4, (0.5, 1.0, 5.0)) == 1.0
+    """The empirical gamma is the least volume ratio on the grid."""
+    assert _theorem(EUC4, (0.5, 1.0, 5.0), c_m=K42).gamma == 1.0
     frozen = 1.0151314624093037
-    got = gamma_lower_bound(RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0))
+    got = _theorem(RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), c_m=K42).gamma
     assert abs(got - frozen) / frozen < 1e-9, f"gamma {got!r}"
     assert got >= 1.0
     with pytest.raises(ValueError):
-        gamma_lower_bound(EUC4, ())
+        _theorem(EUC4, (), c_m=K42)
     with pytest.raises(ValueError):
-        gamma_lower_bound(EUC4, (0.0,))
+        _theorem(EUC4, (0.0,), c_m=K42)
 
 
 def test_v_profile_flat_is_identically_zero():
-    report = v_profile(EUC4, 1.0, (0.5, 1.0, 5.0, 20.0))
-    assert report.non_increasing
-    assert all(v == 0.0 for _, v in report.rows), f"rows {report.rows!r}"
-    assert report.last == 0.0
+    report = _theorem(EUC4, (0.5, 1.0, 5.0, 20.0), c_m=K42)
+    assert report.verdict == "consistent"
+    assert all(v == 0.0 for _, v in report.v_profile), f"rows {report.v_profile!r}"
     with pytest.raises(ValueError):
-        v_profile(EUC4, 1.0, (0.0, 1.0))
+        _theorem(EUC4, (0.0, 1.0), c_m=K42)
 
 
 def test_v_profile_conical_monotone_nonnegative():
+    """C_M = K s^(1/m) makes the b = 0 profile s V/V_euc - 1 with s = 0.8^-3."""
     con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
     grid = [30.0 * (i + 1) / 20.0 for i in range(20)]
-    report = v_profile(con, 0.8**-3.0, grid)
-    assert report.non_increasing, f"rows {report.rows!r}"
-    assert report.last >= -1e-4, f"limit value {report.last!r}"
-    assert report.rows[0][1] > report.last
+    report = _theorem(con, grid, c_m=K42 * (0.8**-3.0) ** 0.25)
+    rows = report.v_profile
+    assert report.verdict == "consistent", f"violation {report.violation!r}, rows {rows!r}"
+    assert rows[-1][1] >= -1e-4, f"limit value {rows[-1][1]!r}"
+    assert rows[0][1] > rows[-1][1]
+
+
+def _ratio_model(ratio, name):
+    """A flat-curvature record whose ball volume is omega_4 t^4 ratio(t)."""
+    om = unit_ball_volume(4)
+    return ModelManifold(
+        m=4, t_max=10.0, profile=None, name=name, warp=lambda t: t,
+        curvature=lambda t: 0.0, ball_volume=lambda t: om * t**4 * ratio(t), tail_factor=1.0,
+    )
+
+
+def test_v_profile_monotone_negative_control():
+    """A wavy ratio inside both bounds still fails the monotone profile."""
+    wavy = _ratio_model(lambda t: 0.8 + 0.1 * math.sin(t), "wavy")
+    report = _theorem(wavy, [float(t) for t in range(1, 10)], c_m=2.0 * K42)
+    assert all(row[4] for row in report.ratio_table)
+    assert report.verdict == "violated"
+    assert report.violation == {"check": "v_profile_monotone"}
+
+
+def test_v_profile_limit_negative_control():
+    """A ratio just under (K/C_M)^m, let through by ratio_slack, ends v below zero."""
+    short = _ratio_model(lambda t: 0.999 / 16.0, "short")
+    report = _theorem(short, [float(t) for t in range(1, 10)], c_m=2.0 * K42, ratio_slack=1e-2)
+    assert all(row[4] for row in report.ratio_table)
+    assert report.verdict == "violated"
+    assert report.violation["check"] == "v_profile_limit"
+    assert abs(report.violation["v_last"] + 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("model", [EUC4, RAT01], ids=["b=0", "b=0.1"])
+def test_verify_reads_each_ball_volume_once(model):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return model.ball_volume(t)
+
+    grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+    _theorem(dataclasses.replace(model, ball_volume=counted), grid, c_m=K42)
+    assert sorted(calls) == list(grid)
 
 
 def test_mass_escape_heads_against_closed_form():
@@ -218,30 +272,30 @@ def test_mass_escape_validation_and_no_crossing():
 
 
 def test_verify_flat_euclidean_degenerates_to_equality():
-    report = verify_theorem(EUC4, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
+    report = _theorem(EUC4, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     assert report.verdict == "consistent" and report.violation is None
     assert report.C2 == 0.0 and report.C3 == 1.0 and report.C_hat == 1.0
     assert all(row[1] == 1.0 for row in report.ratio_table)
-    assert all(v == 0.0 for _, v in report.v_profile.rows)
+    assert all(v == 0.0 for _, v in report.v_profile)
     assert report.gamma == 1.0 and report.gamma_source == "empirical"
     for _, ratio, lower, upper, ok in report.ratio_table:
         assert ok and lower <= ratio <= upper and lower <= 1.0 <= upper
 
 
 def test_verify_flat_user_constant_shifts_lower_bound():
-    report = verify_theorem(EUC4, P42, (1.0, 5.0), c_m=1.1 * K42)
+    report = _theorem(EUC4, (1.0, 5.0), c_m=1.1 * K42)
     want = (1.0 / 1.1) ** 4
     assert abs(report.C_hat - want) / want < 1e-12
     assert abs(report.ratio_table[0][2] - want) / want < 1e-12
     assert report.verdict == "consistent" and report.C_M_source == "user"
-    estimated = verify_theorem(EUC4, P42, (1.0, 5.0))
+    estimated = _theorem(EUC4, (1.0, 5.0))
     assert estimated.C_M_source == "estimate" and estimated.C_M >= K42
 
 
 def test_verify_flat_detects_violation():
     """With the sharp constant forced to K, a true cone must fail."""
     con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
-    report = verify_theorem(con, P42, (0.5, 1.0, 5.0, 20.0), c_m=K42)
+    report = _theorem(con, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     assert report.verdict == "violated"
     assert report.violation["check"] == "volume_ratio_bounds"
     assert report.violation["t"] == 0.5
@@ -261,11 +315,11 @@ def test_verify_flat_hypothesis_rejections():
         name="custom",
     )
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(custom, P42, (1.0, 2.0), c_m=1.1 * K42)
+        _theorem(custom, (1.0, 2.0), c_m=1.1 * K42)
 
 
 def test_verify_curved_rational_consistent():
-    report = verify_theorem(RAT01, P42, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), c_m=K42)
+    report = _theorem(RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), c_m=K42)
     assert report.verdict == "consistent" and report.violation is None
     assert report.b == 0.1 and report.gamma_source == "empirical"
     assert abs(report.gamma - 1.0151314624093037) < 1e-9
@@ -273,7 +327,7 @@ def test_verify_curved_rational_consistent():
     assert abs(report.ratio_table[0][3] - math.exp(0.4)) < 1e-12
     for _, ratio, lower, upper, ok in report.ratio_table:
         assert ok and lower <= ratio <= upper and lower <= 1.0 <= upper
-    values = [v for _, v in report.v_profile.rows]
+    values = [v for _, v in report.v_profile]
     spread = max(values) - min(values)
     assert spread < 1e-9, f"self-comparison profile not constant: {spread:.3e}"
     want_v = report.C3 * math.exp(0.3) - 1.0
@@ -281,7 +335,7 @@ def test_verify_curved_rational_consistent():
 
 
 def test_verify_curved_user_gamma():
-    report = verify_theorem(RAT01, P42, (0.5, 1.0, 5.0), c_m=K42, gamma_value=1.0)
+    report = _theorem(RAT01, (0.5, 1.0, 5.0), c_m=K42, gamma_value=1.0)
     assert report.gamma_source == "user" and report.gamma == 1.0
     frozen = 3.277409907455755
     assert abs(report.C2 - frozen) / frozen < 1e-12
@@ -290,10 +344,10 @@ def test_verify_curved_user_gamma():
 def test_verify_curved_hypothesis_rejections():
     plane = build_model(2, RationalDecay(0.1), t_max=10.0, step=1e-2)
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(plane, SobolevParams(2, 1.5), (1.0, 2.0), c_m=0.5)
+        _theorem(plane, (1.0, 2.0), c_m=0.5, params=SobolevParams(2, 1.5))
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-3)
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(unbounded, P42, (1.0, 2.0), c_m=K42)
+        _theorem(unbounded, (1.0, 2.0), c_m=K42)
 
 
 def test_verify_refuses_an_infinite_upper_bound():
@@ -302,7 +356,17 @@ def test_verify_refuses_an_infinite_upper_bound():
     steep = build_model(4, ConstantCutoff(16.0, 5.0), 10.0, 1e-2)
     assert steep.profile.b == 200.0
     with pytest.raises(ValueError, match=r"e\^\(b m\) is infinite at b=200"):
-        verify_theorem(steep, P42, (1.0, 5.0))
+        _theorem(steep, (1.0, 5.0))
+
+
+@pytest.mark.parametrize("a, b", [(6.0, 75.0), (8.0, 100.0)])
+def test_verify_refuses_a_lower_bound_of_zero(a, b):
+    """At b = 75 C_hat underflows to 0 and at b = 100 C3 overflows: either
+    way the lower bound could never fail, so the run is refused."""
+    steep = build_model(4, ConstantCutoff(a, 5.0), 10.0, 1e-2)
+    assert steep.profile.b == b
+    with pytest.raises(ValueError, match=rf"lower bound C_hat is 0 at b={b:g}"):
+        _theorem(steep, (1.0, 5.0))
 
 
 def test_verify_refuses_before_the_witness_search(monkeypatch):
@@ -312,7 +376,7 @@ def test_verify_refuses_before_the_witness_search(monkeypatch):
     )
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-2)
     with pytest.raises(RigidityHypothesisError):
-        verify_theorem(unbounded, P42, (1.0, 2.0))
+        _theorem(unbounded, (1.0, 2.0))
     assert searched == []
 
 
@@ -320,7 +384,7 @@ def test_verify_zero_moment_profile_takes_the_flat_case():
     """b = 0 decides the case, even on an IVP-built, non-Euclidean model."""
     model = build_model(4, RationalDecay(0.0), t_max=10.0, step=1e-2)
     assert model.name == "rational:0"
-    report = verify_theorem(model, P42, (0.5, 1.0, 5.0), c_m=1.1 * K42)
+    report = _theorem(model, (0.5, 1.0, 5.0), c_m=1.1 * K42)
     assert report.b == 0.0 and report.C2 == 0.0
     want = (1.0 / 1.1) ** 4
     for _, _, lower, upper, ok in report.ratio_table:
@@ -330,11 +394,11 @@ def test_verify_zero_moment_profile_takes_the_flat_case():
 
 def test_verify_argument_validation():
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, SobolevParams(3, 2.0), (1.0,), c_m=K42)
+        _theorem(EUC4, (1.0,), c_m=K42, params=SobolevParams(3, 2.0))
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, P42, (), c_m=K42)
+        _theorem(EUC4, (), c_m=K42)
     with pytest.raises(ValueError):
-        verify_theorem(EUC4, P42, (0.0, 1.0), c_m=K42)
+        _theorem(EUC4, (0.0, 1.0), c_m=K42)
 
 
 def test_no_radial_witness_beats_sharp_bound_on_profile_models():
