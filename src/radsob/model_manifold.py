@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .numerics import solve_h_ivp, uniform_grid
 from .talenti import sphere_area, unit_ball_volume
@@ -245,7 +244,6 @@ def parse_curvature(spec: str) -> CurvatureProfile:
     )
 
 
-@dataclass(eq=False)
 class ModelManifold:
     """A warped-product model dt^2 + h(t)^2 g_S on the window [0, t_max].
 
@@ -262,21 +260,30 @@ class ModelManifold:
 
     The first two read ball volumes from a node table (_volume_table).
     profile is the curvature profile whose moment b the bounds use, when
-    known.
+    known.  Models compare by identity.
     """
 
-    m: int
-    t_max: float
-    profile: CurvatureProfile | None
-    name: str
-    warp: Callable[[float], float]
-    curvature: Callable[[float], float]
-    ball_volume: Callable[[float], float]
-    tail_factor: float
-
-    def __post_init__(self):
-        self.omega_sphere = sphere_area(self.m)
-        self.omega_m = unit_ball_volume(self.m)
+    def __init__(
+        self,
+        m: int,
+        t_max: float,
+        profile: CurvatureProfile | None,
+        name: str,
+        warp: Callable[[float], float],
+        curvature: Callable[[float], float],
+        ball_volume: Callable[[float], float],
+        tail_factor: float,
+    ):
+        self.m = m
+        self.t_max = t_max
+        self.profile = profile
+        self.name = name
+        self.warp = warp
+        self.curvature = curvature
+        self.ball_volume = ball_volume
+        self.tail_factor = tail_factor
+        self.omega_sphere = sphere_area(m)
+        self.omega_m = unit_ball_volume(m)
 
     def _check_window(self, t: float):
         if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
@@ -462,8 +469,7 @@ def conical_model(m: int, c: float, t_max: float, step: float) -> ModelManifold:
     )
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     name: str
     t: float
     lhs: float
@@ -471,8 +477,7 @@ class ChainCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VolumeChainReport:
+class VolumeChainReport(NamedTuple):
     rows: tuple
     b_used: float
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 class QuadratureError(RuntimeError):
@@ -195,8 +194,7 @@ def uniform_grid(t_max: float, n: int) -> array:
     return grid
 
 
-@dataclass(frozen=True)
-class IvpSolution:
+class IvpSolution(NamedTuple):
     """Dense output of the warping IVP on a uniform grid.
 
     The three columns are ``array("d")`` tables of equal length: values[i]

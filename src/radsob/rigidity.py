@@ -23,7 +23,7 @@ which volume the profile compares against, so no caller chooses a case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model_manifold import ModelManifold, upper_chain_factors
 from .numerics import integrate_finite, integrate_semi_infinite
@@ -80,8 +80,7 @@ def c_hat(c3_value: float, b: float, params: SobolevParams) -> float:
     return math.exp(-b * (params.m - 1.0)) / c3_value
 
 
-@dataclass(frozen=True)
-class MassEscapeReport:
+class MassEscapeReport(NamedTuple):
     rows: tuple
     threshold: float
     crossing: float | None
@@ -173,13 +172,12 @@ def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
     if model.profile is not None:
         # G >= 0 gives h' >= 1, so centred balls beat the Euclidean
         # isoperimetric ratio and no radial witness beats K.  Admitting
-        # G < 0 (the Ric >= 0 models of ROADMAP item 4) has to revisit this.
+        # G < 0 (the Ric >= 0 models of ROADMAP item 2) has to revisit this.
         return k
     return max(estimate_radial_constant(model, params).c_est, k)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     params: SobolevParams
     K: float
     C_M: float
@@ -249,12 +247,15 @@ def verify_theorem(
 
     One bound pair at every curvature moment b; at b = 0 (C2 = 0,
     C3 = (C_M/K)^m) it is the Ledoux-Xia pair 1 >= V/V_euc >= (K/C_M)^m.
-    Works out K, then checks the hypotheses (check_hypotheses), then, with
-    c_m None, takes C_M from estimated_c_m (source "estimate"; otherwise
-    "user").  gamma_value None means the volume ratio lower bound is the
-    least ratio on the grid (source "empirical").  A bound that could
-    never fail raises ValueError: an infinite e^(mb) (upper_chain_factors,
-    before C2 is computed) and a C_hat that is 0 in floating point.
+    Works out K, checks the hypotheses (check_hypotheses), reads the volume
+    ratios and then, with c_m None, takes C_M from estimated_c_m (source
+    "estimate"; otherwise "user").  gamma_value None means the volume ratio
+    lower bound is the least ratio on the grid (source "empirical"); a user
+    gamma above that ratio by more than ratio_slack is a hypothesis the grid
+    disproves, and raises RigidityHypothesisError before the witness search
+    can run.  A bound that could never fail raises ValueError: an infinite
+    e^(mb) (upper_chain_factors, before C2 is computed) and a C_hat that is
+    0 in floating point.
 
     Each V(B_t) is read once.  The certificate profile is
     v(t) = C3 e^(b(m-1)) V(B_t)/V_cmp(t) - 1, where V_cmp is the Euclidean
@@ -272,15 +273,21 @@ def verify_theorem(
 
     k = sharp_constant(params)
     b = check_hypotheses(model, t_grid, gamma_value)
-    c_m_source = "estimate" if c_m is None else "user"
-    if c_m is None:
-        c_m = estimated_c_m(model, params)
     om = unit_ball_volume(m)
     volumes = [float(model.volume(t)) for t in t_grid]
     euclidean = [om * t**m for t in t_grid]
     ratios = [v / e for v, e in zip(volumes, euclidean)]
-    gamma_used = min(ratios) if gamma_value is None else gamma_value
+    least = min(ratios)
+    if gamma_value is not None and gamma_value > least * (1.0 + ratio_slack):
+        raise RigidityHypothesisError(
+            f"gamma={gamma_value:g} exceeds the least volume ratio {least:.12g} on the grid, "
+            "so the hypothesis V(B_t)/V_euc(t) >= gamma fails"
+        )
+    gamma_used = least if gamma_value is None else gamma_value
     gamma_source = "empirical" if gamma_value is None else "user"
+    c_m_source = "estimate" if c_m is None else "user"
+    if c_m is None:
+        c_m = estimated_c_m(model, params)
 
     upper = upper_chain_factors(b, m)[1]
     c2_value = c2(params, b, gamma_used)

@@ -14,8 +14,7 @@ on curvature-profile models, where no witness beats it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model_manifold import ModelManifold
 from .numerics import TOL, QuadratureError, integrate_finite, integrate_semi_infinite
@@ -51,8 +50,15 @@ SCAN_POINTS = 25
 FLUX_RADII = (2.0, 5.0, 10.0, 20.0, 40.0)
 
 
-@dataclass(frozen=True, eq=False)
-class RadialFunction:
+class _Radial(NamedTuple):
+    eval: Callable[[float], float]
+    deriv: Callable[[float], float]
+    decay_order: float
+    params: SobolevParams
+    split_hint: float
+
+
+class RadialFunction(_Radial):
     """A radial test function with its derivative and decay bookkeeping.
 
     decay_order is the power-law order of u at infinity (u ~ t^-decay_order),
@@ -61,14 +67,17 @@ class RadialFunction:
     functionals split their semi-infinite integrals there, never below 1.
     """
 
-    eval: Callable[[float], float]
-    deriv: Callable[[float], float]
-    decay_order: float
-    params: SobolevParams
-    split_hint: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "split_hint", max(1.0, self.split_hint))
+    def __new__(
+        cls,
+        eval: Callable[[float], float],
+        deriv: Callable[[float], float],
+        decay_order: float,
+        params: SobolevParams,
+        split_hint: float = 1.0,
+    ):
+        return super().__new__(cls, eval, deriv, decay_order, params, max(1.0, split_hint))
 
 
 def talenti_function(profile: TalentiProfile) -> RadialFunction:
@@ -174,8 +183,7 @@ def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) 
     return gradient_energy(u, model, tol) / mass ** (params.p / params.p_star)
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     flux_rows: tuple
     flux_decreasing: bool
 
@@ -227,8 +235,7 @@ def verify_decay_conditions(
     return DecayReport(flux_rows=tuple(flux_rows), flux_decreasing=decreasing)
 
 
-@dataclass(frozen=True)
-class RadialConstantEstimate:
+class RadialConstantEstimate(NamedTuple):
     c_est: float
     quotient: float
     lam: float

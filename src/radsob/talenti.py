@@ -15,23 +15,27 @@ over the radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .numerics import QuadratureError, integrate_semi_infinite
 
 
-@dataclass(frozen=True)
-class SobolevParams:
-    """Dimension m and exponent p of the inequality, with m > p > 1."""
-
+class _Params(NamedTuple):
     m: int
     p: float
 
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"dimension m must be an integer >= 2, got {self.m!r}")
-        if not (1.0 < self.p < self.m):
-            raise ValueError(f"need m > p > 1, got m={self.m}, p={self.p}")
+
+class SobolevParams(_Params):
+    """Dimension m and exponent p of the inequality, with m > p > 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, p: float):
+        if int(m) != m or m < 2:
+            raise ValueError(f"dimension m must be an integer >= 2, got {m!r}")
+        if not (1.0 < p < m):
+            raise ValueError(f"need m > p > 1, got m={m}, p={p}")
+        return super().__new__(cls, m, p)
 
     @property
     def p_star(self) -> float:
@@ -109,29 +113,45 @@ def cached_beta(params: SobolevParams) -> float:
     return _BETA_CACHE[params]
 
 
-@dataclass(frozen=True)
-class TalentiProfile:
-    """A single member phi_lam of the normalised extremal family.
-
-    phi_lam(t) = coef * (lam + t^q)^(-nu) with q = p/(p-1), nu = (m-p)/p
-    and coef = beta * lam^((m-p)/p^2); the three are fixed per profile.
-    """
-
+class _Profile(NamedTuple):
     params: SobolevParams
     lam: float
     beta: float
     omega_m: float
-    q: float = field(init=False, repr=False)
-    nu: float = field(init=False, repr=False)
-    coef: float = field(init=False, repr=False)
+    q: float
+    nu: float
+    coef: float
+    density_coef: float
+    density_power: float
 
-    def __post_init__(self):
-        if not (self.lam > 0.0) or not math.isfinite(self.lam):
-            raise ValueError(f"profile scale lam must be positive and finite, got {self.lam!r}")
-        m, p = self.params.m, self.params.p
-        object.__setattr__(self, "q", self.params.conj)
-        object.__setattr__(self, "nu", (m - p) / p)
-        object.__setattr__(self, "coef", self.beta * self.lam ** ((m - p) / p**2))
+
+class TalentiProfile(_Profile):
+    """A single member phi_lam of the normalised extremal family.
+
+    phi_lam(t) = coef * (lam + t^q)^(-nu) with q = p/(p-1), nu = (m-p)/p
+    and coef = beta * lam^((m-p)/p^2); these, and the constant factor and
+    the power of t in density, are fixed per profile and derived from
+    (params, lam, beta, omega_m) by the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, params: SobolevParams, lam: float, beta: float, omega_m: float):
+        if not (lam > 0.0) or not math.isfinite(lam):
+            raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
+        m, p = params.m, params.p
+        return super().__new__(
+            cls,
+            params,
+            lam,
+            beta,
+            omega_m,
+            q=params.conj,
+            nu=(m - p) / p,
+            coef=beta * lam ** ((m - p) / p**2),
+            density_coef=omega_m * (m * p / (p - 1.0)) * beta**params.p_star * lam ** (m / p),
+            density_power=1.0 / (p - 1.0) + m,
+        )
 
     @classmethod
     def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
@@ -140,7 +160,9 @@ class TalentiProfile:
         )
 
     def with_lam(self, lam: float) -> "TalentiProfile":
-        return replace(self, lam=lam)
+        # The constructor, not _replace, which would keep the fields derived
+        # from the old lam.
+        return type(self)(self.params, lam, self.beta, self.omega_m)
 
     # -- pointwise evaluations -------------------------------------------
 
@@ -163,14 +185,10 @@ class TalentiProfile:
         """
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
-        m, p = self.params.m, self.params.p
-        q = self.q
-        prefactor = self.omega_m * (m * p / (p - 1.0)) * self.beta**self.params.p_star
         return (
-            prefactor
-            * self.lam ** (m / p)
-            * t ** (1.0 / (p - 1.0) + m)
-            / (self.lam + t**q) ** (m + 1)
+            self.density_coef
+            * t**self.density_power
+            / (self.lam + t**self.q) ** (self.params.m + 1)
         )
 
 

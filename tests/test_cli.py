@@ -143,6 +143,9 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["rigidity", "--g", "zero", "--gamma", "estimate"],
         ["rigidity", "--g", "const:6:5", "--t-max", "10", "--step", "1e-2"],
         ["rigidity", "--g", "const:8:5", "--t-max", "10", "--step", "1e-2"],
+        ["rigidity", "--g", "rational:0.1", "--gamma", "1e9"],
+        ["rigidity", "--g", "rational:0.1", "--gamma", "1.2"],
+        ["rigidity", "--g", "zero", "--gamma", "2"],
     ]
     for argv in cases:
         rc = main(argv)

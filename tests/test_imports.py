@@ -6,9 +6,17 @@ re-exports, and so are __future__ imports.
 
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from radsob.cli import build_parser
+from radsob.model_manifold import euclidean_model
+from radsob.rigidity import verify_theorem
+from radsob.talenti import SobolevParams, TalentiProfile
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "radsob"
 
@@ -41,6 +49,44 @@ def test_modules_use_every_imported_name():
         if (names := _unused_imports(path.read_text()))
     }
     assert not unused, f"imported but never used (line, name): {unused!r}"
+
+
+# Every `radsob` run is a fresh process that pays for its imports, so the
+# package keeps to modules the interpreter has loaded at start-up or that
+# are cheap: records are NamedTuples, not dataclasses, whose import pulls
+# in inspect.
+
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def _loaded_modules(statement: str) -> set:
+    """Names in sys.modules after `statement` runs in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(child.stdout.split())
+
+
+def test_cli_import_loads_no_slow_module():
+    added = _loaded_modules("import radsob.cli") - _loaded_modules("pass")
+    assert "radsob.cli" in added
+    assert not SLOW_IMPORTS & added, f"import radsob.cli loads {sorted(SLOW_IMPORTS & added)}"
+
+
+def test_frozen_records_refuse_assignment():
+    params = SobolevParams(4, 2.0)
+    report = verify_theorem(euclidean_model(4, 10.0), params, (1.0, 2.0), None, None, 1e-9)
+    for record, field in ((params, "p"), (TalentiProfile.build(params, 1.0), "lam"),
+                          (report, "verdict")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.5)
+        with pytest.raises(AttributeError):
+            record.spare = 0.5
 
 
 # Every module-level constant and class-body assignment in src/radsob is
@@ -116,7 +162,7 @@ def test_every_assigned_name_is_read():
 
 UNREAD_API = (
     ("conical_model", "the API constructor of the one profile-less model family, the "
-     "family on which the witness search decides (ROADMAP items 1 and 4)"),
+     "family on which the witness search decides (ROADMAP item 2)"),
 )
 
 
@@ -191,20 +237,23 @@ def test_every_public_definition_is_read_in_the_package():
 
 
 # The settable values of src/radsob: optional parameters (of functions and
-# lambdas), defaulted dataclass fields other than field(init=False), and
-# one per (subcommand, flag) pair of the command line, -h aside.  Each one
-# is a setting a caller may change, so the count only goes down; a change
-# that lowers it pins the new value here.
+# lambdas), defaulted fields of records (dataclass fields other than
+# field(init=False), and NamedTuple fields), and one per (subcommand, flag)
+# pair of the command line, -h aside.  Each one is a setting a caller may
+# change, so the count only goes down; a change that lowers it pins the new
+# value here.
 
 SETTABLE_VALUES = 52
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_record(node: ast.ClassDef) -> bool:
+    """A @dataclass class, or a class with a (typing.)NamedTuple base."""
     return any(
         isinstance(getattr(deco, "func", deco), ast.Name)
         and getattr(deco, "func", deco).id == "dataclass"
         for deco in node.decorator_list
-    )
+    ) or any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+             for base in node.bases)
 
 
 def _init_false(value) -> bool:
@@ -223,7 +272,7 @@ def _settable_values(source: str) -> int:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+        elif isinstance(node, ast.ClassDef) and _is_record(node):
             count += sum(
                 isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                 and not _init_false(stmt.value)
@@ -248,12 +297,16 @@ def test_scan_counts_settable_values():
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 1\n"
         "    z: int = field(init=False)\n    w: list = field(default_factory=list)\n\n\n"
         "class B:\n    n: int = 2\n\n\n"
+        "class C(NamedTuple):\n    u: int\n    v: int = 5\n\n\n"
+        "class D(typing.NamedTuple):\n    s: str = 'a'\n\n\n"
+        "class E(C):\n    k: int = 6\n\n\n"
         "def f(a, b=1, *, c, d=2):\n    return lambda e, g=3: a\n\n\n"
         "parser.add_argument('--k', default=4)\nparser.add_argument('--j')\n"
     )
-    # y, w; b, d, g.  x, z, B.n, a, c and e are not settable values, and
+    # y, w; C.v, D.s; b, d, g.  x, z, B.n, C.u, a, c and e are not settable
+    # values, nor is E.k, a class attribute of a NamedTuple subclass; and
     # add_argument call sites are not counted: _flag_pairs counts the flags.
-    assert _settable_values(source) == 5
+    assert _settable_values(source) == 7
 
 
 def test_scan_counts_flag_pairs():

@@ -4,7 +4,6 @@ Warping oracles are frozen 30-digit IVP solutions from tests/_oracles.py;
 moments and Euclidean quantities have elementary closed forms.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -253,8 +252,8 @@ def test_chain_rational_passes():
 def test_chain_negative_control_detected():
     """Infinite-moment curvature must break the upper chain of a record
     that understates its moment as b = 1."""
-    model = build_model(4, ConstantCutoff(1.0, math.inf), t_max=12.0, step=1e-3)
-    understated = dataclasses.replace(model, profile=RationalDecay(1.0))
+    understated = build_model(4, ConstantCutoff(1.0, math.inf), t_max=12.0, step=1e-3)
+    understated.profile = RationalDecay(1.0)
     report = verify_volume_chain(understated, (0.5, 1.0, 2.0, 3.0, 5.0, 10.0), slack=1e-8)
     assert not report.all_pass
     fails = [row for row in report.rows if not row.passed]

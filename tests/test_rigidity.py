@@ -5,7 +5,7 @@ elementary antiderivative (tests/_oracles.py). Pipeline verdicts are
 checked on models whose geometry is known exactly.
 """
 
-import dataclasses
+import copy
 import math
 
 import pytest
@@ -232,7 +232,9 @@ def test_verify_reads_each_ball_volume_once(model):
         return model.ball_volume(t)
 
     grid = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-    _theorem(dataclasses.replace(model, ball_volume=counted), grid, c_m=K42)
+    counting = copy.copy(model)
+    counting.ball_volume = counted
+    _theorem(counting, grid, c_m=K42)
     assert sorted(calls) == list(grid)
 
 
@@ -339,6 +341,25 @@ def test_verify_curved_user_gamma():
     assert report.gamma_source == "user" and report.gamma == 1.0
     frozen = 3.277409907455755
     assert abs(report.C2 - frozen) / frozen < 1e-12
+
+
+@pytest.mark.parametrize("model", [RAT01, conical_model(4, 0.8, 30.0, 1e-2)],
+                         ids=["rational", "conical"])
+def test_verify_refuses_a_gamma_the_grid_disproves(model, monkeypatch):
+    """A user gamma is the hypothesis V(B_t)/V_euc(t) >= gamma: the least
+    ratio on the grid passes, and a gamma above it by more than
+    ratio_slack is refused before any witness search."""
+    searched = []
+    monkeypatch.setattr(
+        rigidity, "estimate_radial_constant", lambda *args: searched.append(args)
+    )
+    grid, slack = (0.5, 1.0, 5.0, 20.0), 1e-6
+    least = _theorem(model, grid, c_m=K42, ratio_slack=slack).gamma
+    report = _theorem(model, grid, c_m=K42, gamma_value=least, ratio_slack=slack)
+    assert report.gamma_source == "user" and report.gamma == least
+    with pytest.raises(RigidityHypothesisError, match="exceeds the least volume ratio"):
+        _theorem(model, grid, gamma_value=least * (1.0 + 2.0 * slack), ratio_slack=slack)
+    assert searched == []
 
 
 def test_verify_curved_hypothesis_rejections():

@@ -5,7 +5,6 @@ mass 1 and energy K^-p, with K from the independent oracles.
 """
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -52,7 +51,7 @@ def _witness(lam, params=P42):
 
 def _scaled(u, c):
     """The witness c * u."""
-    return replace(u, eval=lambda t: c * u.eval(t), deriv=lambda t: c * u.deriv(t))
+    return u._replace(eval=lambda t: c * u.eval(t), deriv=lambda t: c * u.deriv(t))
 
 
 def _plain(u, model):
