@@ -22,7 +22,6 @@ input error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -335,6 +334,9 @@ def main(argv=None) -> int:
     try:
         ok, payload, lines = COMMANDS[args.command][0](args)
         if args.output == "json":
+            # Imported here: most runs print CSV, and the import costs start-up.
+            import json
+
             text = json.dumps(_json_ready(payload), indent=2) + "\n"
         else:
             text = "\n".join(lines) + "\n"

@@ -94,9 +94,10 @@ class RationalDecay(CurvatureProfile):
         if b0 < 0.0 or not math.isfinite(b0):
             raise ValueError("moment b0 must be finite and >= 0")
         self.b0 = b0
+        self._two_b0 = 2.0 * b0
 
     def g(self, t):
-        return 2.0 * self.b0 / (1.0 + t * t) ** 2
+        return self._two_b0 / (1.0 + t * t) ** 2
 
     def moment_tail(self, t_from):
         return self.b0 / (1.0 + t_from**2)
@@ -136,6 +137,12 @@ class Tabulated(CurvatureProfile):
         self.grid = grid
         self.values = values
         self.tail_power = float(tail_power)
+        # The chord slope of each segment, by the formula np.interp uses,
+        # so g has the same bits.
+        self._slopes = array(
+            "d",
+            ((v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:])),
+        )
 
     def g(self, t):
         grid, values = self.grid, self.values
@@ -143,11 +150,9 @@ class Tabulated(CurvatureProfile):
             return values[0]
         if t >= grid[-1]:
             return values[-1] * (grid[-1] / t) ** self.tail_power
-        # grid[j] <= t < grid[j + 1]; the chord formula is the one np.interp
-        # uses, so the result has the same bits.
+        # grid[j] <= t < grid[j + 1]
         j = bisect_right(grid, t) - 1
-        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
-        return slope * (t - grid[j]) + values[j]
+        return self._slopes[j] * (t - grid[j]) + values[j]
 
     def _segment_moment(self, t_from: float) -> float:
         # t * G is piecewise quadratic where G is piecewise linear, so a
@@ -323,40 +328,42 @@ def _require_dimension(m: int) -> None:
         raise ValueError("model dimension must be at least 2")
 
 
-def _volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
-    """Ball volume V(B_t) from h and h' on a uniform grid of nodes.
+def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
+    """Ball volume V(B_t) from h and h' at the nodes of a uniform grid.
 
-    The node volumes are a derivative-corrected trapezoid on each cell,
-    summed in node order; between nodes the same rule adds the part of a
-    cell below t, from h(t) and h'(t).  So a lookup is O(1).
+    Node i sits at i * step; only the last one may differ (it is t_max),
+    and a lookup never starts a cell there.  The node volumes are a
+    derivative-corrected trapezoid on each cell, summed in node order;
+    between nodes the same rule adds the part of a cell below t, from h(t)
+    and h'(t).  So a lookup is O(1).
     """
-    om, m1 = sphere_area(m), m - 1
+    om, m1, m2 = sphere_area(m), m - 1, m - 2
     om_m1 = om * m1
-    dt = nodes[1] - nodes[0]
-    half, corr = 0.5 * dt, dt * dt / 12.0
-    f_prev = fp_prev = None
+    half, corr = 0.5 * step, step * step / 12.0
+    f_prev = om * h_nodes[0] ** m1
+    fp_prev = om_m1 * h_nodes[0] ** m2 * hp_nodes[0]
     total = 0.0
-    vol = array("d")
-    for h_i, hp_i in zip(h_nodes, hp_nodes):
+    vol = array("d", [total])
+    add = vol.append
+    for h_i, hp_i in zip(h_nodes[1:], hp_nodes[1:]):
         f = om * h_i**m1
-        fp = om_m1 * h_i ** (m1 - 1) * hp_i
-        if f_prev is not None:
-            total += half * (f_prev + f) + corr * (fp_prev - fp)
-        vol.append(total)
+        fp = om_m1 * h_i**m2 * hp_i
+        total += half * (f_prev + f) + corr * (fp_prev - fp)
+        add(total)
         f_prev, fp_prev = f, fp
-    last = len(nodes) - 2
+    last = len(h_nodes) - 2
 
     def volume(t: float) -> float:
-        i = min(int(t / dt), last)
-        t_i = nodes[i]
+        i = min(int(t / step), last)
+        t_i = i * step
         if t == t_i:
             return vol[i]
         h_t = h(t)
         hp_t = h_prime(t)
         f_i = om * h_nodes[i] ** m1
-        fp_i = om * m1 * h_nodes[i] ** (m - 2) * hp_nodes[i]
+        fp_i = om_m1 * h_nodes[i] ** m2 * hp_nodes[i]
         f_t = om * h_t**m1
-        fp_t = om * m1 * h_t ** (m - 2) * hp_t
+        fp_t = om_m1 * h_t**m2 * hp_t
         d = t - t_i
         return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
 
@@ -389,7 +396,7 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         name=profile.spec_string(),
         warp=h,
         curvature=profile.g,
-        ball_volume=_volume_table(m, ivp.grid, ivp.values, ivp.derivs, value, ivp.deriv),
+        ball_volume=_volume_table(m, ivp.step, ivp.values, ivp.derivs, value, ivp.deriv),
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
     )
 
@@ -433,7 +440,8 @@ def model_from_warping(
             raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
         return h_second(t) / h(t)
 
-    nodes = uniform_grid(t_max, max(1, round(t_max / step)))
+    n = max(1, round(t_max / step))
+    nodes = uniform_grid(t_max, n)
     h_nodes = array("d", map(h, nodes))
     hp_nodes = array("d", map(h_prime, nodes))
     return ModelManifold(
@@ -443,7 +451,7 @@ def model_from_warping(
         name=name,
         warp=h,
         curvature=curvature,
-        ball_volume=_volume_table(m, nodes, h_nodes, hp_nodes, h, h_prime),
+        ball_volume=_volume_table(m, t_max / n, h_nodes, hp_nodes, h, h_prime),
         tail_factor=1.0,
     )
 

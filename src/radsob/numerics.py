@@ -10,10 +10,12 @@ radius where head and tail are split; a caller may pass its own
 integral also needs the integrand's declared tail power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
-high-precision reference solutions.  Node tables are stdlib
-``array("d")`` columns of Python floats; nothing here needs vector
-arithmetic.  All routines are deterministic: the same inputs always
-produce bitwise identical results.
+high-precision reference solutions.  Its output is two stdlib
+``array("d")`` columns, h and h' at the nodes; the nodes themselves are
+not stored, since node i is i * step and the last one is t_max.  The
+sweep checks finiteness once, after its last step.  Nothing here needs
+vector arithmetic.  All routines are deterministic: the same inputs
+always produce bitwise identical results.
 """
 
 from __future__ import annotations
@@ -197,14 +199,14 @@ def uniform_grid(t_max: float, n: int) -> array:
 class IvpSolution(NamedTuple):
     """Dense output of the warping IVP on a uniform grid.
 
-    The three columns are ``array("d")`` tables of equal length: values[i]
-    and derivs[i] hold h and h' at grid[i].  Between nodes both h and h'
-    are evaluated by cubic Hermite interpolation, which preserves the
-    fourth-order accuracy of the RK4 sweep; the slope of h' there is
-    h'' = g * h, taken from the curvature g at the two bracketing nodes.
+    The two columns are ``array("d")`` tables of n + 1 entries: values[i]
+    and derivs[i] hold h and h' at node i, which is i * step for i < n and
+    t_max itself for i = n.  Between nodes both h and h' are evaluated by
+    cubic Hermite interpolation, which preserves the fourth-order accuracy
+    of the RK4 sweep; the slope of h' there is h'' = g * h, taken from the
+    curvature g at the two bracketing nodes.
     """
 
-    grid: array
     values: array
     derivs: array
     g: Callable[[float], float]
@@ -214,8 +216,8 @@ class IvpSolution(NamedTuple):
     def _locate(self, t: float) -> tuple[int, float]:
         if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the solution window [0, {self.t_max:g}]")
-        i = min(int(t / self.step), len(self.grid) - 2)
-        return i, (t - self.grid[i]) / self.step
+        i = min(int(t / self.step), len(self.values) - 2)
+        return i, (t - i * self.step) / self.step
 
     @staticmethod
     def _hermite(y0, y1, d0, d1, s, width):
@@ -235,14 +237,16 @@ class IvpSolution(NamedTuple):
 
     def deriv(self, t: float) -> float:
         i, s = self._locate(t)
-        grid, values, g = self.grid, self.values, self.g
+        values, g, step = self.values, self.g, self.step
+        # Node i + 1 is t_max itself when it is the last one.
+        t_next = self.t_max if i + 2 == len(values) else (i + 1) * step
         return self._hermite(
             self.derivs[i],
             self.derivs[i + 1],
-            g(grid[i]) * values[i],
-            g(grid[i + 1]) * values[i + 1],
+            g(i * step) * values[i],
+            g(t_next) * values[i + 1],
             s,
-            self.step,
+            step,
         )
 
 
@@ -250,10 +254,13 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSo
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
-    with n = round(t_max/step) steps.  g is called 2n + 1 times, at each
-    node and step midpoint; the solution keeps g and reads h'' = g * h at
-    two nodes per h' lookup instead of tabulating it.  There is no error
-    estimate; the step is the accuracy control.
+    with n = round(t_max/step) steps of t_max/n.  g is called 2n + 1
+    times, at each node and step midpoint; the solution keeps g and reads
+    h'' = g * h at two nodes per h' lookup instead of tabulating it.  There
+    is no error estimate; the step is the accuracy control.  Finiteness is
+    checked once, after the sweep: an RK4 step of this linear system keeps
+    a non-finite h or h' non-finite, so the first non-finite node is the
+    one where the state blew up.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
@@ -263,29 +270,34 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSo
         raise ValueError("t_max and step must be positive")
     n = max(1, round(t_max / step))
     dt = t_max / n
+    half = 0.5 * dt
+    sixth = dt / 6.0
     h, v = 0.0, 1.0
     values = array("d", [h])
     derivs = array("d", [v])
+    add_value, add_deriv = values.append, derivs.append
     g_here = g(0.0)
     for i in range(n):
         t = i * dt
-        g_mid = g(t + 0.5 * dt)
+        g_mid = g(t + half)
         g_next = g(t + dt)
-        k1h, k1v = v, g_here * h
-        k2h = v + 0.5 * dt * k1v
-        k2v = g_mid * (h + 0.5 * dt * k1h)
-        k3h = v + 0.5 * dt * k2v
-        k3v = g_mid * (h + 0.5 * dt * k2h)
+        k1v = g_here * h
+        k2h = v + half * k1v
+        k2v = g_mid * (h + half * v)
+        k3h = v + half * k2v
+        k3v = g_mid * (h + half * k2h)
         k4h = v + dt * k3v
         k4v = g_next * (h + dt * k3h)
-        h += dt / 6.0 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(h) and math.isfinite(v)):
-            raise OdeError(f"warping solution became non-finite near t={t + dt:g}")
-        values.append(h)
-        derivs.append(v)
+        h += sixth * (v + 2.0 * k2h + 2.0 * k3h + k4h)
+        v += sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        add_value(h)
+        add_deriv(v)
         g_here = g_next
+    if not (math.isfinite(h) and math.isfinite(v)):
+        i = next(
+            i for i in range(n + 1) if not (math.isfinite(values[i]) and math.isfinite(derivs[i]))
+        )
+        # Node i ends the step that starts at (i - 1) * dt.
+        raise OdeError(f"warping solution became non-finite near t={(i - 1) * dt + dt:g}")
 
-    return IvpSolution(
-        grid=uniform_grid(t_max, n), values=values, derivs=derivs, g=g, step=dt, t_max=t_max
-    )
+    return IvpSolution(values=values, derivs=derivs, g=g, step=dt, t_max=t_max)

@@ -161,13 +161,11 @@ def gradient_energy(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -
 
 def mass_pstar(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
     """p*-mass of u: integral of u^p* over the model, to tolerance tol."""
-    params = u.params
-    decay = params.p_star * u.decay_order - (model.m - 1.0)
+    p_star = u.params.p_star
+    decay = p_star * u.decay_order - (model.m - 1.0)
     if decay <= 1.0 + 1e-9:
         raise DivergentTailError(f"p*-mass decays like t^-{decay:.3f} and does not converge")
-    return manifold_integral(
-        lambda t: u.eval(t) ** params.p_star, model, decay, u.split_hint, tol
-    )
+    return manifold_integral(lambda t: u.eval(t) ** p_star, model, decay, u.split_hint, tol)
 
 
 def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:

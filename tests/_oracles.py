@@ -12,6 +12,7 @@ consistency between two routes, not values.
 """
 
 import math
+from array import array
 
 from radsob.sobolev import manifold_integral
 from radsob.talenti import cached_beta, profile_split
@@ -127,6 +128,68 @@ def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
 
 # Root of head_m4_p2(lam) = 1e-3 at T = 1, found at 30 digits.
 HEAD_CROSSING_1E3 = 14.615694241117555
+
+
+# -- The warping sweep, step by step --------------------------------------
+
+
+def rk4_reference(g, t_max, step):
+    """Nodes, h and h' of the warping IVP h'' = g h, h(0) = 0, h'(0) = 1.
+
+    The plain RK4 loop that solve_h_ivp must reproduce bit for bit: n =
+    round(t_max/step) steps of dt = t_max/n, every stage written out, the
+    state checked after each step, and a node column i * dt whose last
+    entry is t_max.  Returns three ``array("d")`` columns.
+    """
+    n = max(1, round(t_max / step))
+    dt = t_max / n
+    h, v = 0.0, 1.0
+    values = array("d", [h])
+    derivs = array("d", [v])
+    g_here = g(0.0)
+    for i in range(n):
+        t = i * dt
+        g_mid = g(t + 0.5 * dt)
+        g_next = g(t + dt)
+        k1h, k1v = v, g_here * h
+        k2h = v + 0.5 * dt * k1v
+        k2v = g_mid * (h + 0.5 * dt * k1h)
+        k3h = v + 0.5 * dt * k2v
+        k3v = g_mid * (h + 0.5 * dt * k2h)
+        k4h = v + dt * k3v
+        k4v = g_next * (h + dt * k3h)
+        h += dt / 6.0 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if not (math.isfinite(h) and math.isfinite(v)):
+            raise ValueError(f"reference state became non-finite near t={t + dt:g}")
+        values.append(h)
+        derivs.append(v)
+        g_here = g_next
+    grid = array("d", (i * dt for i in range(n)))
+    grid.append(t_max)
+    return grid, values, derivs
+
+
+def hermite_reference(grid, values, derivs, g, t):
+    """(h(t), h'(t)) by cubic Hermite interpolation in the cell of t.
+
+    h' takes its end slopes h'' = g h from g at the cell's two nodes.
+    """
+    dt = grid[1] - grid[0]
+    i = min(int(t / dt), len(grid) - 2)
+    s = (t - grid[i]) / dt
+    s2 = s * s
+    s3 = s2 * s
+    w = (2.0 * s3 - 3.0 * s2 + 1.0, 3.0 * s2 - 2.0 * s3, s3 - 2.0 * s2 + s, s3 - s2)
+
+    def cubic(y0, y1, d0, d1):
+        return y0 * w[0] + y1 * w[1] + dt * (d0 * w[2] + d1 * w[3])
+
+    h = cubic(values[i], values[i + 1], derivs[i], derivs[i + 1])
+    hp = cubic(
+        derivs[i], derivs[i + 1], g(grid[i]) * values[i], g(grid[i + 1]) * values[i + 1]
+    )
+    return h, hp
 
 
 # -- Reference formulas evaluated through the package ----------------------

@@ -54,9 +54,9 @@ def test_modules_use_every_imported_name():
 # Every `radsob` run is a fresh process that pays for its imports, so the
 # package keeps to modules the interpreter has loaded at start-up or that
 # are cheap: records are NamedTuples, not dataclasses, whose import pulls
-# in inspect.
+# in inspect, and json is imported only to render a JSON report.
 
-SLOW_IMPORTS = {"dataclasses", "inspect"}
+SLOW_IMPORTS = {"dataclasses", "inspect", "json"}
 
 
 def _loaded_modules(statement: str) -> set:

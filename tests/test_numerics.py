@@ -16,7 +16,9 @@ from radsob.numerics import (
     solve_h_ivp,
 )
 
-from _oracles import RATIONAL_B1_H, RATIONAL_B1_HP, SINH_1
+from radsob.model_manifold import ConstantCutoff, RationalDecay, Tabulated
+
+from _oracles import RATIONAL_B1_H, RATIONAL_B1_HP, SINH_1, hermite_reference, rk4_reference
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -160,7 +162,7 @@ def test_ivp_is_one_sweep():
     for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0)):
         calls.clear()
         sol = solve_h_ivp(g, t_max, step)
-        n = len(sol.grid) - 1
+        n = len(sol.values) - 1
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
 
 
@@ -175,8 +177,35 @@ def test_ivp_window_and_argument_guards():
 
 
 def test_ivp_runaway_curvature_raises():
-    with pytest.raises(OdeError):
+    """The sweep checks finiteness once, at the end, and still names the
+    step where the state first stopped being finite."""
+    with pytest.raises(OdeError) as info:
         solve_h_ivp(lambda t: math.exp(t), 50.0, 1e-3)
+    assert str(info.value) == "warping solution became non-finite near t=11.722"
+
+
+SWEEP_PROFILES = {
+    "rational:0.1": RationalDecay(0.1),
+    "const:0.05:3": ConstantCutoff(0.05, 3.0),
+    "table": Tabulated([0.0, 1.0, 2.0, 4.0, 8.0], [0.3, 0.25, 0.1, 0.02, 0.001], 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PROFILES))
+@pytest.mark.parametrize("t_max, step", [(10.0, 1e-3), (1.0, 0.3), (3.0, 0.01604)])
+def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
+    """h and h' at every node, and the dense output in the last cell, have
+    the bits of the plain RK4 loop.  At (3.0, 0.01604) there are n = 187
+    steps and n * (3/n) rounds above 3, past the cutoff of const:0.05:3,
+    so the last cell's h' must read g at the last node t_max itself."""
+    g = SWEEP_PROFILES[name].g
+    sol = solve_h_ivp(g, t_max, step)
+    grid, values, derivs = rk4_reference(g, t_max, step)
+    assert sol.values.tobytes() == values.tobytes()
+    assert sol.derivs.tobytes() == derivs.tobytes()
+    for t in (grid[-2] + 0.3 * (t_max - grid[-2]), t_max):
+        h, hp = hermite_reference(grid, values, derivs, g, t)
+        assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
 
 
 def test_quadrature_and_ivp_determinism():
