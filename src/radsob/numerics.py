@@ -4,10 +4,10 @@ Two independent pieces live here: adaptive Simpson quadrature on finite
 and semi-infinite intervals, and a fixed-step RK4 integrator for the
 warping initial value problem h'' = G(t) h.  The whole quadrature policy
 is the tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
-rounding floor ROUNDING_FACTOR and, for semi-infinite integrals, the
-radius where head and tail are split; a caller may pass its own
-(abs_tol, rel_tol) pair and split, nothing else.  A semi-infinite
-integral also needs the integrand's declared tail power.
+rounding floor ROUNDING_FACTOR; a caller may pass its own (abs_tol,
+rel_tol) pair, nothing else.  A semi-infinite integral also needs the
+radius where head and tail are split and the integrand's declared tail
+power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Its output is two stdlib
@@ -15,7 +15,8 @@ high-precision reference solutions.  Its output is two stdlib
 not stored, since node i is i * step and the last one is t_max.  The
 sweep checks finiteness once, after its last step.  Nothing here needs
 vector arithmetic.  All routines are deterministic: the same inputs
-always produce bitwise identical results.
+always produce bitwise identical results.  Every error that fails a check
+rather than refusing an input derives from CheckFailed.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ from array import array
 from typing import Callable, NamedTuple
 
 
-class QuadratureError(RuntimeError):
+class CheckFailed(RuntimeError):
+    """A computation that had to certify its result could not: exit code 1."""
+
+
+class QuadratureError(CheckFailed):
     """Adaptive quadrature could not meet the requested tolerance."""
 
 
-class OdeError(RuntimeError):
+class OdeError(CheckFailed):
     """The IVP integrator produced a non-finite state."""
 
 
@@ -145,7 +150,7 @@ def integrate_finite(
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    split: float = 1.0,
+    split: float,
     start: float = 0.0,
     *,
     decay_power: float,

@@ -39,6 +39,9 @@ class RigidityHypothesisError(ValueError):
 # count as non-increasing, and how far below zero its last value may end.
 V_STEP_SLACK = 1e-9
 V_LIMIT_SLACK = 1e-4
+# Head share of the unit mass below which mass_escape_experiment counts a
+# scale's mass as escaped.
+ESCAPE_THRESHOLD = 0.01
 
 
 def c2(params: SobolevParams, b: float, gamma_value: float) -> float:
@@ -96,7 +99,6 @@ def mass_escape_experiment(
     params: SobolevParams,
     radius: float,
     lambda_grid,
-    threshold: float = 0.01,
 ) -> MassEscapeReport:
     """Distribution of profile mass inside and outside a fixed radius.
 
@@ -104,7 +106,7 @@ def mass_escape_experiment(
     share inside [0, radius].  As the scale grows the head decays to zero
     (the mass wanders off to infinity), so the experiment records the
     head/tail table, checks heads are nonincreasing and head+tail = 1,
-    and locates the first scale where the head drops below the threshold
+    and locates the first scale where the head drops below ESCAPE_THRESHOLD
     by bisection between the bracketing grid scales.
     """
     lambdas = list(lambda_grid)
@@ -136,7 +138,7 @@ def mass_escape_experiment(
     totals_ok = all(abs(r[3] - 1.0) <= 1e-6 for r in rows)
 
     crossing = None
-    below = [i for i, h in enumerate(heads) if h <= threshold]
+    below = [i for i, h in enumerate(heads) if h <= ESCAPE_THRESHOLD]
     if below:
         i = below[0]
         if i == 0:
@@ -145,7 +147,7 @@ def mass_escape_experiment(
             lo, hi = lambdas[i - 1], lambdas[i]
             for _ in range(60):
                 mid = math.sqrt(lo * hi)
-                if head_at(mid) <= threshold:
+                if head_at(mid) <= ESCAPE_THRESHOLD:
                     hi = mid
                 else:
                     lo = mid
@@ -154,7 +156,7 @@ def mass_escape_experiment(
             crossing = hi
     return MassEscapeReport(
         rows=tuple(rows),
-        threshold=threshold,
+        threshold=ESCAPE_THRESHOLD,
         crossing=crossing,
         heads_monotone=heads_monotone,
         totals_ok=totals_ok,

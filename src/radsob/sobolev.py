@@ -17,19 +17,19 @@ import math
 from typing import Callable, NamedTuple
 
 from .model_manifold import ModelManifold
-from .numerics import TOL, QuadratureError, integrate_finite, integrate_semi_infinite
+from .numerics import TOL, CheckFailed, QuadratureError, integrate_finite, integrate_semi_infinite
 from .talenti import SobolevParams, TalentiProfile, profile_split
 
 
-class SobolevUnsupportedError(RuntimeError):
+class SobolevUnsupportedError(CheckFailed):
     """The model's volume growth cannot support a Euclidean-type inequality."""
 
 
-class DivergentTailError(RuntimeError):
+class DivergentTailError(CheckFailed):
     """A functional's integrand decays too slowly to converge."""
 
 
-class TailBoundError(RuntimeError):
+class TailBoundError(CheckFailed):
     """The uncontrolled part of an integral beyond the window is too large."""
 
 
@@ -46,38 +46,25 @@ BUDGET_TOL = (1e-9, 1e-4)
 # The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE.
 SCAN_RANGE = (1e-2, 1e6)
 SCAN_POINTS = 25
-# Radii R of the window averages s(R) in verify_decay_conditions.
+# Radii R of the window averages s(R) in verify_decay_conditions; those
+# up to 0.9 t_max are used.
 FLUX_RADII = (2.0, 5.0, 10.0, 20.0, 40.0)
 
 
-class _Radial(NamedTuple):
-    eval: Callable[[float], float]
-    deriv: Callable[[float], float]
-    decay_order: float
-    params: SobolevParams
-    split_hint: float
-
-
-class RadialFunction(_Radial):
+class RadialFunction(NamedTuple):
     """A radial test function with its derivative and decay bookkeeping.
 
     decay_order is the power-law order of u at infinity (u ~ t^-decay_order),
     used to decide convergence of the functionals before integrating.
     split_hint marks the radial scale separating head from tail; the
-    functionals split their semi-infinite integrals there, never below 1.
+    functionals split their semi-infinite integrals there.
     """
 
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        eval: Callable[[float], float],
-        deriv: Callable[[float], float],
-        decay_order: float,
-        params: SobolevParams,
-        split_hint: float = 1.0,
-    ):
-        return super().__new__(cls, eval, deriv, decay_order, params, max(1.0, split_hint))
+    eval: Callable[[float], float]
+    deriv: Callable[[float], float]
+    decay_order: float
+    params: SobolevParams
+    split_hint: float
 
 
 def talenti_function(profile: TalentiProfile) -> RadialFunction:
@@ -96,8 +83,8 @@ def manifold_integral(
     w: Callable[[float], float],
     model: ModelManifold,
     decay_power: float,
-    split: float = 1.0,
-    tol: tuple = TOL,
+    split: float,
+    tol: tuple,
 ) -> float:
     """integral of w(t) * area(t) over [0, inf) with a certified tail.
 
@@ -186,11 +173,7 @@ class DecayReport(NamedTuple):
     flux_decreasing: bool
 
 
-def verify_decay_conditions(
-    u: RadialFunction,
-    model: ModelManifold,
-    r_grid=FLUX_RADII,
-) -> DecayReport:
+def verify_decay_conditions(u: RadialFunction, model: ModelManifold) -> DecayReport:
     """Check the integrability and averaged-flux decay of a test function.
 
     Two conditions: the weighted integrand u |u'|^(p-1) / t is integrable
@@ -198,20 +181,15 @@ def verify_decay_conditions(
     run; it is the p-energy's power, so a divergent one raises
     DivergentTailError as gradient_energy does), and the window averages
     s(R) = (1/R) * integral over [0, R] of u |u'|^(p-1) dvol decrease
-    along r_grid (they are o(R) exactly when the full integral converges).
-    The averages grow while R is still inside the bulk of u, so the
-    decrease is only required once R clears the bulk, taken as three
-    times the witness scale u.split_hint.  Radii beyond the window are
-    capped at t_max, and at least two distinct radii must remain, or no
-    decrease could be observed.
+    (they are o(R) exactly when the full integral converges).  R runs over
+    the FLUX_RADII up to 0.9 t_max.  The averages grow while R is still
+    inside the bulk of u, so the decrease is required from the largest
+    s(R) on to the last radius.  When that largest value is at the last
+    radius (or no radius fits the window), no radius clears the bulk and
+    nothing can be decided: ValueError.
     """
     p = u.params.p
-    radii = sorted(min(r, model.t_max) for r in r_grid)
-    if len(set(radii)) < 2:
-        raise ValueError(
-            f"the flux check needs two distinct radii inside the window [0, {model.t_max:g}]; "
-            f"got {tuple(r_grid)!r}"
-        )
+    radii = [r for r in FLUX_RADII if r <= 0.9 * model.t_max]
     area = model.area_extended()
 
     def core(t: float) -> float:
@@ -226,9 +204,13 @@ def verify_decay_conditions(
         acc += integrate_finite(core, prev_r, r)
         prev_r = r
         flux_rows.append((r, acc / r))
-    tail = [s for r, s in flux_rows if r >= 3.0 * u.split_hint]
-    if len(tail) < 2:
-        tail = [s for _, s in flux_rows[-2:]]
+    averages = [s for _, s in flux_rows]
+    if not averages or max(averages) == averages[-1]:
+        raise ValueError(
+            f"no flux radius of {FLUX_RADII!r} up to 0.9 t_max={0.9 * model.t_max:g} clears "
+            "the witness's bulk: s(R) does not fall after its largest value"
+        )
+    tail = averages[averages.index(max(averages)):]
     decreasing = all(b < a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
     return DecayReport(flux_rows=tuple(flux_rows), flux_decreasing=decreasing)
 

@@ -14,6 +14,7 @@ consistency between two routes, not values.
 import math
 from array import array
 
+from radsob.numerics import TOL
 from radsob.sobolev import manifold_integral
 from radsob.talenti import cached_beta, profile_split
 
@@ -240,9 +241,11 @@ def c1(params, lam, b, model):
     q = params.conj
     split = profile_split(params, lam)
     num = manifold_integral(
-        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split
+        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split, TOL
     )
-    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split)
+    den = manifold_integral(
+        lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split, TOL
+    )
     return (
         (m - 1.0)
         * ((m - p) / (p - 1.0)) ** (p - 1.0)

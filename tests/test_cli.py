@@ -146,6 +146,14 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["rigidity", "--g", "rational:0.1", "--gamma", "1e9"],
         ["rigidity", "--g", "rational:0.1", "--gamma", "1.2"],
         ["rigidity", "--g", "zero", "--gamma", "2"],
+        # At a tolerance of 1 or more the lower-bound checks cannot fail.
+        ["constants", "--tol", "1"],
+        ["model", "--g", "rational:0.1", "--tol", "1"],
+        ["verify", "--tol", "1"],
+        ["rigidity", "--tol", "1"],
+        ["rigidity", "--g", "zero", "--tol", "1e300"],
+        # s(R) still rises at the last flux radius: no radius clears the bulk.
+        ["verify", "--g", "zero", "--lambda", "1e10"],
     ]
     for argv in cases:
         rc = main(argv)
@@ -260,6 +268,24 @@ def test_verify_decay_check_runs_no_semi_infinite_integral(capsys, monkeypatch):
     assert main(["verify", "--g", "rational:0.1", "--lambda", "0.5,1"]) == 0
     capsys.readouterr()
     assert calls["decay"] == 0 and calls["other"] > 0, calls
+
+
+def test_flat_verify_passes_across_dimensions_and_exponents(capsys):
+    """On flat R^m the extremal profile has mass 1 and energy K^-p, and its
+    flux averages s(R) fall from their peak, for every m in {3, 4, 5} and p
+    from 1.5 to m - 0.5 at lambda 1.  The one exception is (5, 4.5), whose
+    s(R) still rises at R = 40, the last flux radius of the default window
+    (it peaks near R = 80): no radius clears its bulk, and verify says so
+    with exit 2 rather than report a check it cannot decide."""
+    for m in (3, 4, 5):
+        for p in (1.5 + 0.5 * i for i in range(2 * m - 3)):
+            argv = ["verify", "--m", str(m), "--p", str(p), "--g", "zero", "--lambda", "1"]
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            if (m, p) == (5, 4.5):
+                assert rc == 2 and "clears the witness's bulk" in err, (argv, rc, err)
+            else:
+                assert rc == 0 and out.endswith("# pass=true\n"), (argv, rc, out, err)
 
 
 def test_exit_code_one_when_a_check_fails(capsys):

@@ -30,7 +30,7 @@ from radsob.rigidity import (
     mass_escape_experiment,
     verify_theorem,
 )
-from radsob.numerics import QuadratureError
+from radsob.numerics import TOL, QuadratureError
 from radsob.sobolev import (
     estimate_radial_constant,
     manifold_integral,
@@ -62,7 +62,7 @@ def _flat_weight_integral(lam, order):
     """integral over flat R^4 of (lam + t^2)^(-order) dvol, by the package's
     manifold quadrature (the C1 numerator and denominator at orders 3, 4)."""
     return manifold_integral(
-        lambda t: (lam + t * t) ** -order, EUC4, 2.0 * order - 3.0, profile_split(P42, lam)
+        lambda t: (lam + t * t) ** -order, EUC4, 2.0 * order - 3.0, profile_split(P42, lam), TOL
     )
 
 
@@ -252,8 +252,9 @@ def test_mass_escape_heads_against_closed_form():
     assert report.crossing == 10.0
 
 
-def test_mass_escape_bisection_locates_threshold():
-    report = mass_escape_experiment(P42, 1.0, (10.0, 100.0), threshold=1e-3)
+def test_mass_escape_bisection_locates_threshold(monkeypatch):
+    monkeypatch.setattr(rigidity, "ESCAPE_THRESHOLD", 1e-3)
+    report = mass_escape_experiment(P42, 1.0, (10.0, 100.0))
     crossing = report.crossing
     assert crossing is not None and 10.0 < crossing < 100.0
     rel = abs(crossing - _oracles.HEAD_CROSSING_1E3) / _oracles.HEAD_CROSSING_1E3
@@ -262,14 +263,15 @@ def test_mass_escape_bisection_locates_threshold():
     assert 1e-3 * (1.0 - 1e-6) <= at_crossing <= 1e-3 * (1.0 + 1e-6)
 
 
-def test_mass_escape_validation_and_no_crossing():
+def test_mass_escape_validation_and_no_crossing(monkeypatch):
     with pytest.raises(ValueError):
         mass_escape_experiment(P42, 1.0, (5.0, 10.0))
     with pytest.raises(ValueError):
         mass_escape_experiment(P42, 1.0, ())
     with pytest.raises(ValueError):
         mass_escape_experiment(P42, 1.0, (10.0, 10.0))
-    report = mass_escape_experiment(P42, 1.0, (10.0, 12.0), threshold=1e-6)
+    monkeypatch.setattr(rigidity, "ESCAPE_THRESHOLD", 1e-6)
+    report = mass_escape_experiment(P42, 1.0, (10.0, 12.0))
     assert report.crossing is None and not report.all_pass
 
 

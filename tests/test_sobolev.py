@@ -98,6 +98,7 @@ def test_no_witness_beats_sharp_bound_on_flat_space():
             deriv=lambda t, k=k: -2.0 * k * t * (1.0 + t * t) ** (-k - 1.0),
             decay_order=2.0 * k,
             params=P42,
+            split_hint=1.0,
         )
         _oracles.spot_check(u)
         q = float(quotient_sobolev(u, EUC4))
@@ -126,6 +127,7 @@ def test_divergent_tails_are_refused():
         deriv=lambda t: -0.4 * t * (1.0 + t * t) ** -1.2,
         decay_order=0.4,
         params=P42,
+        split_hint=1.0,
     )
     with pytest.raises(DivergentTailError):
         mass_pstar(slow, EUC4)
@@ -167,6 +169,7 @@ def test_spot_check_catches_wrong_derivative():
         deriv=lambda t: -t * (1.0 + t * t) ** -2.0,
         decay_order=2.0,
         params=P42,
+        split_hint=1.0,
     )
     with pytest.raises(ValueError):
         _oracles.spot_check(broken)
@@ -179,10 +182,39 @@ def test_decay_report_flat_space():
         assert len(report.flux_rows) == 5
 
 
-def test_decay_report_warped_and_grid_capping():
-    report = verify_decay_conditions(_witness(1.0), RAT01, r_grid=(2.0, 10.0, 100.0))
-    assert report.flux_rows[-1][0] == 50.0
+def test_decay_report_warped_uses_the_radii_inside_the_window():
+    """t_max = 50 keeps the flux radii up to 0.9 t_max = 45, so 2 to 40."""
+    report = verify_decay_conditions(_witness(1.0), RAT01)
+    assert [r for r, _ in report.flux_rows] == [2.0, 5.0, 10.0, 20.0, 40.0]
     assert report.flux_decreasing
+
+
+def test_decay_report_negative_control_rises_after_its_peak():
+    """A bump at t = 30 on top of a fast-decaying witness: s(R) peaks at
+    R = 2, falls, and rises again at R = 40, so the check fails."""
+    bump = 3e-3
+    u = RadialFunction(
+        eval=lambda t: (1.0 + t * t) ** -2.0 + bump * math.exp(-((t - 30.0) ** 2)),
+        deriv=lambda t: -4.0 * t * (1.0 + t * t) ** -3.0
+        - 2.0 * bump * (t - 30.0) * math.exp(-((t - 30.0) ** 2)),
+        decay_order=4.0,
+        params=P42,
+        split_hint=1.0,
+    )
+    _oracles.spot_check(u)
+    report = verify_decay_conditions(u, EUC4)
+    averages = [s for _, s in report.flux_rows]
+    assert max(averages) == averages[0] and averages[-1] > averages[-2]
+    assert not report.flux_decreasing
+
+
+def test_decay_report_refuses_a_witness_whose_bulk_the_radii_miss():
+    """Where s(R) is largest at the last radius (or no radius fits the
+    window), no radius clears the witness's bulk: a usage error."""
+    for u, model in ((_witness(1e10), EUC4), (_witness(1.0), euclidean_model(4, 5.0)),
+                     (_witness(1.0), euclidean_model(4, 2.0))):
+        with pytest.raises(ValueError, match="clears the witness's bulk"):
+            verify_decay_conditions(u, model)
 
 
 def test_decay_report_divergent_flagged():
@@ -191,6 +223,7 @@ def test_decay_report_divergent_flagged():
         deriv=lambda t: -0.9 * t * (1.0 + t * t) ** -1.45,
         decay_order=0.9,
         params=P42,
+        split_hint=1.0,
     )
     with pytest.raises(DivergentTailError, match="does not converge"):
         verify_decay_conditions(slow, EUC4)
