@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .model_manifold import ModelManifold, upper_chain_factors
 from .numerics import integrate_finite, integrate_semi_infinite
 from .sobolev import estimate_radial_constant
-from .talenti import SobolevParams, TalentiProfile, cached_beta, sharp_constant, unit_ball_volume
+from .talenti import SobolevParams, TalentiProfile, sharp_beta, sharp_constant, unit_ball_volume
 
 
 class RigidityHypothesisError(ValueError):
@@ -53,7 +53,7 @@ def c2(params: SobolevParams, b: float, gamma_value: float) -> float:
     m, p = params.m, params.p
     if b == 0.0:
         return 0.0
-    beta = cached_beta(params)
+    beta = sharp_beta(params)
     return (
         ((m - 1.0) ** 2 * p / (m - p))
         * ((m - p) / (p - 1.0)) ** (p - 1.0)

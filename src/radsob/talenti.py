@@ -7,9 +7,11 @@ The one-parameter family handled here is
 normalised so that the p*-mass integral(phi^p*) over R^m equals one for
 every scale lam > 0.  With that normalisation the p-energy of the family
 is scale invariant and its value determines the sharp constant K(m, p)
-through K^(-p) = integral(|phi'|^p).  Each profile also has a
-probability density describing how the p*-mass of phi_lam distributes
-over the radius.
+through K^(-p) = integral(|phi'|^p).  Both integrals reduce to Euler Beta
+values, so beta and K are closed forms in lgamma; sharp_constant_detail
+integrates the energy by quadrature as a self-test of K.  Each profile
+also has a probability density describing how the p*-mass of phi_lam
+distributes over the radius.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .numerics import QuadratureError, integrate_semi_infinite
+from .numerics import integrate_semi_infinite
 
 
 class _Params(NamedTuple):
@@ -66,51 +68,34 @@ def profile_split(params: SobolevParams, lam: float) -> float:
     return max(1.0, lam ** (1.0 / params.conj))
 
 
-def _mass_kernel_integral(params: SobolevParams, lam: float) -> float:
-    """integral over (0, inf) of t^(m-1) (lam + t^conj)^{-m} dt."""
-    m, q = params.m, params.conj
+def _log_kernel(params: SobolevParams, shift: float) -> float:
+    """log of |S^(m-1)| ((p-1)/p) B(a + shift, m/p - shift), a = m - m/p.
 
-    def f(t: float) -> float:
-        return t ** (m - 1) / (lam + t**q) ** m
-
-    return integrate_semi_infinite(f, profile_split(params, lam), decay_power=q * m - (m - 1))
-
-
-def normalize_beta(params: SobolevParams) -> float:
-    """Normalisation constant making the profile's p*-mass equal one.
-
-    Computed from the quadrature of the mass kernel at lam = 1 and
-    cross-checked at lam = 10; scale invariance of the normalisation is a
-    structural identity, so disagreement beyond 1e-8 relative indicates a
-    quadrature failure and raises QuadratureError.
+    Under s = t^(p/(p-1)) the mass integral of (1 + t^(p/(p-1)))^(-m)
+    over R^m (shift 0) and the energy integral of phi_1 (shift 1, up to
+    the factor (beta (m-p)/(p-1))^p) reduce to these Euler Beta values.
+    lgamma keeps them finite where Gamma(m) alone would overflow.
     """
     m, p = params.m, params.p
-
-    def beta_at(lam: float) -> float:
-        total = sphere_area(m) * lam ** (m / p) * _mass_kernel_integral(params, lam)
-        return total ** (-1.0 / params.p_star)
-
-    b1 = beta_at(1.0)
-    b10 = beta_at(10.0)
-    if abs(b1 - b10) > 1e-8 * b1:
-        raise QuadratureError(
-            f"normalisation constant drifts across scales: {b1!r} vs {b10!r}"
-        )
-    return b1
+    return (
+        math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m)
+        + math.log((p - 1.0) / p)
+        + math.lgamma(m - m / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
+    )
 
 
-# The scales at which sharp_constant_detail evaluates K; the first one
-# gives K and the rest measure the scale-invariance spread.
-SELF_TEST_LAMBDAS = (1.0, 0.5, 5.0, 20.0)
-
-_SHARP_CACHE: dict = {}
-_BETA_CACHE: dict = {}
+def sharp_beta(params: SobolevParams) -> float:
+    """Normalisation beta making the profile's p*-mass equal one."""
+    return math.exp(-_log_kernel(params, 0.0) / params.p_star)
 
 
-def cached_beta(params: SobolevParams) -> float:
-    if params not in _BETA_CACHE:
-        _BETA_CACHE[params] = normalize_beta(params)
-    return _BETA_CACHE[params]
+def sharp_constant(params: SobolevParams) -> float:
+    """Sharp Sobolev constant K(m, p) (Talenti 1976; Aubin 1976).
+
+    K^(-p) = (beta (m-p)/(p-1))^p times the energy kernel of _log_kernel.
+    """
+    m, p = params.m, params.p
+    return (p - 1.0) / ((m - p) * sharp_beta(params)) * math.exp(-_log_kernel(params, 1.0) / p)
 
 
 class _Profile(NamedTuple):
@@ -156,7 +141,7 @@ class TalentiProfile(_Profile):
     @classmethod
     def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
         return cls(
-            params=params, lam=lam, beta=cached_beta(params), omega_m=unit_ball_volume(params.m)
+            params=params, lam=lam, beta=sharp_beta(params), omega_m=unit_ball_volume(params.m)
         )
 
     def with_lam(self, lam: float) -> "TalentiProfile":
@@ -192,12 +177,20 @@ class TalentiProfile(_Profile):
         )
 
 
-def sharp_constant_detail(params: SobolevParams, lambdas: tuple = SELF_TEST_LAMBDAS) -> dict:
-    """Sharp constant K(m, p) together with its scale-invariance spread.
+# The scales at which the constants self-test integrates the energy.
+SELF_TEST_LAMBDAS = (1.0, 0.5, 5.0, 20.0)
 
-    K^(-p) is the p-energy of any normalised profile; computing it at
-    several scales and comparing measures the quadrature quality.  Returns
-    a dict with keys K, spread, values (per-lambda), beta.
+
+def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
+    """Quadrature self-test of the closed-form K.
+
+    K^(-p) is the p-energy of every normalised profile, so integrating it
+    at each scale in lambdas gives K again.  Returns a dict with keys K and
+    beta (closed form), values (quadrature K per scale), spread (their
+    largest relative distance from the value at lambdas[0]) and error
+    (their largest relative distance from K).  The spread cannot see an
+    error that every scale shares; the error can.  A kernel that overflows
+    raises ValueError: the self-test, not the input, is out of range.
     """
     m, p = params.m, params.p
 
@@ -212,20 +205,18 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple = SELF_TEST_LAMB
             f, profile_split(params, lam), decay_power=decay
         )
 
-    values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}
-    k = values[lambdas[0]]
-    spread = max(abs(v - k) / k for v in values.values())
-    return {"K": k, "spread": spread, "values": values, "beta": cached_beta(params)}
-
-
-def sharp_constant(params: SobolevParams) -> float:
-    """Sharp Sobolev constant K(m, p), with a scale self-test at 1e-6."""
-    if params not in _SHARP_CACHE:
-        detail = sharp_constant_detail(params)
-        if detail["spread"] > 1e-6:
-            raise QuadratureError(
-                f"sharp constant not scale invariant to 1e-6 (spread {detail['spread']:.3e})"
-            )
-        _SHARP_CACHE[params] = detail["K"]
-    return _SHARP_CACHE[params]
-
+    try:
+        values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}
+    except OverflowError as exc:
+        raise ValueError(
+            f"the quadrature self-test of K is out of range at m={m}, p={p:g}: {exc.args[-1]}"
+        ) from None
+    first = values[lambdas[0]]
+    k = sharp_constant(params)
+    return {
+        "K": k,
+        "spread": max(abs(v - first) / first for v in values.values()),
+        "error": max(abs(v - k) / k for v in values.values()),
+        "values": values,
+        "beta": sharp_beta(params),
+    }

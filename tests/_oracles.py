@@ -16,7 +16,7 @@ from array import array
 
 from radsob.numerics import TOL
 from radsob.sobolev import manifold_integral
-from radsob.talenti import cached_beta, profile_split
+from radsob.talenti import profile_split, sharp_beta
 
 
 def ball_volume(m):
@@ -249,7 +249,7 @@ def c1(params, lam, b, model):
     return (
         (m - 1.0)
         * ((m - p) / (p - 1.0)) ** (p - 1.0)
-        * cached_beta(params) ** (-p * p / (m - p))
+        * sharp_beta(params) ** (-p * p / (m - p))
         * math.expm1(b)
         * num
         / (lam * den)

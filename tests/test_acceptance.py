@@ -36,7 +36,7 @@ from radsob.sobolev import (
 from radsob.talenti import (
     SobolevParams,
     TalentiProfile,
-    cached_beta,
+    sharp_beta,
     sharp_constant,
     sharp_constant_detail,
 )
@@ -79,7 +79,7 @@ def test_01_yamabe_identity_across_parameters():
 
 def test_02_normalization_and_scale_invariance():
     lambdas = (0.5, 1.0, 5.0, 20.0)
-    beta = cached_beta(P42)
+    beta = sharp_beta(P42)
     betas = []
     worst_mass = 0.0
     for lam in lambdas:
@@ -228,13 +228,16 @@ def test_08_monotone_volume_ratio_profile():
 
 
 def test_09_gamma_function_identities():
-    """beta and K by quadrature against their Beta-integral closed forms."""
+    """beta and K in closed form, and K by the quadrature self-test, against
+    the Beta-integral oracle."""
     worst = 0.0
     for m, p in ((3, 2.0), (4, 2.0), (4, 1.5), (6, 3.0), (5, 2.5), (10, 2.5)):
         params = SobolevParams(m, p)
         beta_ref, k_ref = _oracles.sharp_beta_k(m, p)
-        worst = max(worst, abs(cached_beta(params) - beta_ref) / beta_ref,
-                    abs(sharp_constant(params) - k_ref) / k_ref)
+        quadrature = sharp_constant_detail(params, (1.0,))["values"][1.0]
+        worst = max(worst, abs(sharp_beta(params) - beta_ref) / beta_ref,
+                    abs(sharp_constant(params) - k_ref) / k_ref,
+                    abs(quadrature - k_ref) / k_ref)
     ok = worst <= 1e-12
     _line(9, "beta and K match Gamma closed forms", ok, f"worst rel {worst:.2e}")
     assert worst <= 1e-12, f"worst rel {worst:.3e}"

@@ -16,7 +16,7 @@ import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from radsob import cli, model_manifold, sobolev
+from radsob import cli, model_manifold, sobolev, talenti
 from radsob.cli import build_parser, main
 
 import _oracles
@@ -89,6 +89,15 @@ def test_limits_default_grid_is_the_readme_grid(capsys):
     assert rc_explicit == 0 and out == explicit
 
 
+# K is a closed form at every m > p > 1, but the energy integrand of its
+# quadrature self-test overflows a float at these inputs.
+SELF_TEST_OUT_OF_RANGE = (
+    ["constants", "--m", "50", "--p", "2"],
+    ["constants", "--m", "3", "--p", "1.01"],
+    ["constants", "--m", "4", "--p", "1.01"],
+)
+
+
 def test_exit_codes_usage_errors(capsys, tmp_path):
     tables = {
         "nan_value": "0 0.3\n1 nan\n2 0.1\n# tail_power=3\n",
@@ -123,8 +132,7 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["model", "--t-max", "-1"],
         ["limits", "--T", "0"],
         ["limits", "--T", "nan"],
-        ["constants", "--m", "50", "--p", "2"],
-        ["constants", "--m", "4", "--p", "1.01"],
+        *SELF_TEST_OUT_OF_RANGE,
         ["limits", "--lambda", "10,1e300"],
         ["constants", "--tol", "nan"],
         ["constants", "--tol", "-1"],
@@ -162,6 +170,8 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         assert "error: " in err, f"argv {argv!r} gave no error line: {err!r}"
         # Only --badflag may be refused for its name rather than its value.
         assert ("unrecognized arguments" in err) == ("--badflag" in argv), err
+        if argv in SELF_TEST_OUT_OF_RANGE:
+            assert "quadrature self-test of K is out of range" in err, err
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
@@ -294,6 +304,65 @@ def test_exit_code_one_when_a_check_fails(capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "check failed" in captured.err
+
+
+def test_closed_form_k_admits_inputs_the_quadrature_refused(capsys):
+    """K and beta no longer come from quadrature, whose kernels overflow a
+    float in the tail at these (m, p), so these flat runs pass instead of
+    exiting 2."""
+    for argv in (
+        ["rigidity", "--m", "20", "--p", "1.2", "--g", "zero"],
+        ["rigidity", "--m", "50", "--p", "2", "--g", "zero"],
+        ["verify", "--m", "20", "--p", "1.2", "--g", "zero"],
+    ):
+        assert _run(capsys, argv)[0] == 0, argv
+
+
+# Runs the CLI on argv with every quadrature entry point that talenti,
+# rigidity and sobolev import behind a counter; prints exit code and count.
+COUNT_QUADRATURE = """
+import sys
+from radsob import cli, rigidity, sobolev, talenti
+calls = []
+for module in (talenti, rigidity, sobolev):
+    for name in ("integrate_finite", "integrate_semi_infinite"):
+        if hasattr(module, name):
+            def counted(*args, _original=getattr(module, name), **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            setattr(module, name, counted)
+code = cli.main(sys.argv[1:])
+print(code, len(calls), file=sys.stderr)
+"""
+
+
+def test_only_the_constants_self_test_integrates():
+    """K and beta are closed forms: a flat rigidity run makes no quadrature
+    call, while constants integrates the energy once per self-test scale.
+    Fresh processes, so that nothing computed earlier is reused."""
+    counts = {}
+    for argv in (["rigidity", "--m", "4", "--p", "2", "--g", "zero"],
+                 ["constants", "--m", "4", "--p", "2"]):
+        proc = subprocess.run([sys.executable, "-c", COUNT_QUADRATURE, *argv],
+                              capture_output=True, text=True)
+        counts[argv[0]] = proc.stderr.split()[-2:]
+    assert counts == {"rigidity": ["0", "0"], "constants": ["0", "4"]}, counts
+
+
+def test_constants_fails_on_an_error_every_scale_shares(capsys, monkeypatch):
+    """phi' scaled by 1 + 1e-6 moves the quadrature K at every scale alike:
+    the spread stays at rounding level, but the rows no longer match the
+    closed-form K, so the self-test fails."""
+    phi_prime = talenti.TalentiProfile.phi_prime
+    monkeypatch.setattr(
+        talenti.TalentiProfile, "phi_prime", lambda self, t: (1.0 + 1e-6) * phi_prime(self, t)
+    )
+    rc, out = _run(capsys, ["constants", "--m", "4", "--p", "2"])
+    table = dict(line.split(",") for line in out.strip().split("\n")[3:])
+    assert rc == 1 and table["pass"] == "false"
+    assert float(table["spread"]) < 1e-12
+    k = float(table["K"])
+    assert abs(float(table["K_at_lambda_1"]) / k - 1.0) > 5e-7
 
 
 def test_constants_csv_schema(capsys):

@@ -249,7 +249,7 @@ def test_every_public_definition_is_read_in_the_package():
 # change, so the count only goes down; a change that lowers it pins the new
 # value here.
 
-SETTABLE_VALUES = 46
+SETTABLE_VALUES = 45
 
 
 def _is_record(node: ast.ClassDef) -> bool:

@@ -14,7 +14,7 @@ from radsob.numerics import integrate_semi_infinite
 from radsob.talenti import (
     SobolevParams,
     TalentiProfile,
-    cached_beta,
+    sharp_beta,
     sharp_constant,
     sharp_constant_detail,
     sphere_area,
@@ -62,20 +62,41 @@ def test_oracle_table_pins_closed_forms():
         assert abs(ok - fk) / fk < 1e-12, f"K({m},{p}) table drifted"
 
 
+# (m, p) pairs over which the closed forms are held against the oracles:
+# p from 1.05 to m - 0.5 in steps of 0.05, at dimensions up to 50, where
+# Gamma(m) is of order 1e62.
+CLOSED_FORM_GRID = [
+    (m, round(1.05 + 0.05 * i, 2))
+    for m in (2, 3, 4, 6, 10, 20, 50)
+    for i in range(round((m - 1.55) / 0.05) + 1)
+]
+
+
 def test_beta_and_k_against_beta_reduction_oracle():
-    for (m, p), (ob, ok) in {k: _oracles.sharp_beta_k(*k) for k in _oracles.SHARP_TABLE}.items():
+    assert (2, 1.5) in CLOSED_FORM_GRID and (50, 49.5) in CLOSED_FORM_GRID
+    for m, p in CLOSED_FORM_GRID:
+        ob, ok = _oracles.sharp_beta_k(m, p)
         params = SobolevParams(m, p)
-        pb = cached_beta(params)
+        pb = sharp_beta(params)
         pk = sharp_constant(params)
-        assert abs(pb - ob) / ob < 1e-9, f"beta({m},{p}): {pb!r} vs oracle {ob!r}"
-        assert abs(pk - ok) / ok < 1e-9, f"K({m},{p}): {pk!r} vs oracle {ok!r}"
+        assert abs(pb - ob) / ob < 1e-13, f"beta({m},{p}): {pb!r} vs oracle {ob!r}"
+        assert abs(pk - ok) / ok < 1e-13, f"K({m},{p}): {pk!r} vs oracle {ok!r}"
 
 
 def test_k_against_published_product_form():
-    for m, p in _oracles.SHARP_TABLE:
+    for m, p in CLOSED_FORM_GRID:
         pk = sharp_constant(SobolevParams(m, p))
         lk = _oracles.talenti_k(m, p)
-        assert abs(pk - lk) / lk < 1e-9, f"K({m},{p}): {pk!r} vs {lk!r}"
+        assert abs(pk - lk) / lk < 1e-13, f"K({m},{p}): {pk!r} vs {lk!r}"
+
+
+def test_closed_forms_stay_finite_where_gamma_overflows():
+    """Gamma(m) overflows a float beyond m = 171; lgamma does not."""
+    params = SobolevParams(400, 2.0)
+    with pytest.raises(OverflowError):
+        math.gamma(params.m)
+    assert 0.0 < sharp_constant(params) < math.inf
+    assert 0.0 < sharp_beta(params) < math.inf
 
 
 def test_scale_invariance_spread():
@@ -193,12 +214,6 @@ def test_density_vanishes_at_origin_and_escapes_with_scale():
     assert profile.density(0.0) == 0.0
     at_half = [profile.with_lam(lam).density(0.5) for lam in (10.0, 20.0, 50.0, 100.0)]
     assert all(b < a for a, b in zip(at_half, at_half[1:])), f"densities {at_half!r}"
-
-
-def test_cached_constants_are_deterministic():
-    params = SobolevParams(6, 2.0)
-    assert sharp_constant(params) == sharp_constant(params)
-    assert cached_beta(params) == cached_beta(params)
 
 
 if HAS_HYPOTHESIS:
