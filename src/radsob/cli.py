@@ -40,8 +40,6 @@ from .talenti import sharp_constant_detail, sphere_area, unit_ball_volume
 
 
 def _round12(x: float) -> float:
-    if not math.isfinite(x):
-        return x
     return float(f"{x:.12g}")
 
 

@@ -6,10 +6,11 @@ solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a nonnegative decaying
 curvature coefficient G, or is given in closed form, which is how
 nonnegatively curved examples (conical spaces) enter the test matrix.
 Either way a ModelManifold holds h, G, the ball volume V(B_t) and the
-tail factor, and nothing else.  The moment b = integral(t G(t) dt)
-measures the total amount of negative curvature; when it is finite the
-model is trapped between Euclidean space and a bounded dilation of it,
-which is exactly what verify_volume_chain checks on a grid.
+tail factor, and nothing else: it has no name, and sums no ball volumes
+before one is read.  The moment b = integral(t G(t) dt) measures the
+total amount of negative curvature; when it is finite the model is
+trapped between Euclidean space and a bounded dilation of it, which is
+exactly what verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -29,25 +31,13 @@ def _exp_or_inf(x: float) -> float:
 
 
 class CurvatureProfile:
-    """Radial curvature coefficient G(t) >= 0 with its moment b."""
-
-    def g(self, t: float) -> float:
-        raise NotImplementedError
+    """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) and
+    moment_tail(t_from), the integral of t G(t) over [t_from, inf)."""
 
     @property
     def b(self) -> float:
         """The whole moment, integral of t G(t) over [0, inf)."""
         return self.moment_tail(0.0)
-
-    def moment_tail(self, t_from: float) -> float:
-        """integral of t G(t) over [t_from, inf)."""
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.spec_string()}>"
 
 
 class ZeroCurvature(CurvatureProfile):
@@ -56,9 +46,6 @@ class ZeroCurvature(CurvatureProfile):
 
     def moment_tail(self, t_from):
         return 0.0
-
-    def spec_string(self):
-        return "zero"
 
 
 class ConstantCutoff(CurvatureProfile):
@@ -82,10 +69,6 @@ class ConstantCutoff(CurvatureProfile):
             return math.inf
         return 0.5 * self.a * (self.t_cut**2 - t_from**2)
 
-    def spec_string(self):
-        cut = "inf" if math.isinf(self.t_cut) else f"{self.t_cut:g}"
-        return f"const:{self.a:g}:{cut}"
-
 
 class RationalDecay(CurvatureProfile):
     """G(t) = 2 b0 / (1 + t^2)^2, whose moment is exactly b0."""
@@ -101,9 +84,6 @@ class RationalDecay(CurvatureProfile):
 
     def moment_tail(self, t_from):
         return self.b0 / (1.0 + t_from**2)
-
-    def spec_string(self):
-        return f"rational:{self.b0:g}"
 
 
 class Tabulated(CurvatureProfile):
@@ -181,9 +161,6 @@ class Tabulated(CurvatureProfile):
             # The profile is taken constant at values[0] on [0, grid[0]].
             total += 0.5 * self.values[0] * (self.grid[0] ** 2 - t_from**2)
         return total
-
-    def spec_string(self):
-        return f"table:<{len(self.grid)} nodes, tail_power={self.tail_power:g}>"
 
 
 def load_tabulated(path: str | Path) -> Tabulated:
@@ -263,9 +240,9 @@ class ModelManifold:
       * model_from_warping: a closed-form h, exact past t_max (factor 1);
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
-    The first two read ball volumes from a node table (_volume_table).
-    profile is the curvature profile whose moment b the bounds use, when
-    known.  Models compare by identity.
+    The first two read ball volumes from a node table (_volume_table),
+    summed on the first lookup.  profile is the curvature profile whose
+    moment b the bounds use, when known.  Models compare by identity.
     """
 
     def __init__(
@@ -273,7 +250,6 @@ class ModelManifold:
         m: int,
         t_max: float,
         profile: CurvatureProfile | None,
-        name: str,
         warp: Callable[[float], float],
         curvature: Callable[[float], float],
         ball_volume: Callable[[float], float],
@@ -282,7 +258,6 @@ class ModelManifold:
         self.m = m
         self.t_max = t_max
         self.profile = profile
-        self.name = name
         self.warp = warp
         self.curvature = curvature
         self.ball_volume = ball_volume
@@ -318,9 +293,6 @@ class ModelManifold:
         om, m1, warp = self.omega_sphere, self.m - 1, self.warp
         return lambda t: om * warp(t) ** m1
 
-    def __repr__(self):
-        return f"<ModelManifold {self.name} m={self.m} t_max={self.t_max:g}>"
-
 
 def _require_dimension(m: int) -> None:
     """Refuse m < 2 before a constructor builds an IVP or a node table."""
@@ -328,16 +300,10 @@ def _require_dimension(m: int) -> None:
         raise ValueError("model dimension must be at least 2")
 
 
-def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
-    """Ball volume V(B_t) from h and h' at the nodes of a uniform grid.
-
-    Node i sits at i * step; only the last one may differ (it is t_max),
-    and a lookup never starts a cell there.  The node volumes are a
-    derivative-corrected trapezoid on each cell, summed in node order;
-    between nodes the same rule adds the part of a cell below t, from h(t)
-    and h'(t).  So a lookup is O(1).
-    """
-    om, m1, m2 = sphere_area(m), m - 1, m - 2
+def _node_volumes(om, m, step, h_nodes, hp_nodes) -> array:
+    """V(B_t) at the nodes: each cell's derivative-corrected trapezoid,
+    summed in node order, reading the node columns in place."""
+    m1, m2 = m - 1, m - 2
     om_m1 = om * m1
     half, corr = 0.5 * step, step * step / 12.0
     f_prev = om * h_nodes[0] ** m1
@@ -345,15 +311,32 @@ def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], f
     total = 0.0
     vol = array("d", [total])
     add = vol.append
-    for h_i, hp_i in zip(h_nodes[1:], hp_nodes[1:]):
+    for h_i, hp_i in zip(islice(h_nodes, 1, None), islice(hp_nodes, 1, None)):
         f = om * h_i**m1
         fp = om_m1 * h_i**m2 * hp_i
         total += half * (f_prev + f) + corr * (fp_prev - fp)
         add(total)
         f_prev, fp_prev = f, fp
+    return vol
+
+
+def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
+    """Ball volume V(B_t) from h and h' at the nodes of a uniform grid.
+
+    Node i sits at i * step; only the last one may differ (it is t_max),
+    and a lookup never starts a cell there.  The first lookup sums the
+    node volumes (_node_volumes); between nodes the same rule adds the
+    part of a cell below t, from h(t) and h'(t).  So a lookup is O(1).
+    """
+    om, m1, m2 = sphere_area(m), m - 1, m - 2
+    om_m1 = om * m1
     last = len(h_nodes) - 2
+    vol = None
 
     def volume(t: float) -> float:
+        nonlocal vol
+        if vol is None:
+            vol = _node_volumes(om, m, step, h_nodes, hp_nodes)
         i = min(int(t / step), last)
         t_i = i * step
         if t == t_i:
@@ -393,7 +376,6 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         m=m,
         t_max=t_max,
         profile=profile,
-        name=profile.spec_string(),
         warp=h,
         curvature=profile.g,
         ball_volume=_volume_table(m, ivp.step, ivp.values, ivp.derivs, value, ivp.deriv),
@@ -409,7 +391,6 @@ def euclidean_model(m: int, t_max: float) -> ModelManifold:
         m=m,
         t_max=t_max,
         profile=ZeroCurvature(),
-        name="euclidean",
         warp=lambda t: t,
         curvature=lambda t: 0.0,
         ball_volume=lambda t: omega_m * t**m,
@@ -424,7 +405,6 @@ def model_from_warping(
     h_second: Callable[[float], float],
     t_max: float,
     step: float,
-    name: str,
 ) -> ModelManifold:
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
@@ -448,7 +428,6 @@ def model_from_warping(
         m=m,
         t_max=t_max,
         profile=None,
-        name=name,
         warp=h,
         curvature=curvature,
         ball_volume=_volume_table(m, t_max / n, h_nodes, hp_nodes, h, h_prime),
@@ -473,7 +452,6 @@ def conical_model(m: int, c: float, t_max: float, step: float) -> ModelManifold:
         h_second=lambda t: -d * math.exp(-t),
         t_max=t_max,
         step=step,
-        name=f"conical:{c:g}",
     )
 
 

@@ -189,16 +189,30 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
     beta (closed form), values (quadrature K per scale), spread (their
     largest relative distance from the value at lambdas[0]) and error
     (their largest relative distance from K).  The spread cannot see an
-    error that every scale shares; the error can.  A kernel that overflows
-    raises ValueError: the self-test, not the input, is out of range.
+    error that every scale shares; the error can.  Where the integrand
+    |phi'|^p t^(m-1) overflows directly it is taken as the exponential of
+    its logarithm; a kernel that overflows even so raises ValueError: the
+    self-test, not the input, is out of range.
     """
     m, p = params.m, params.p
 
     def energy(lam: float) -> float:
-        slope = TalentiProfile.build(params, lam).phi_prime
+        profile = TalentiProfile.build(params, lam)
+        slope, q, nu, log_lam = profile.phi_prime, profile.q, profile.nu, math.log(lam)
+        log_coef = math.log(profile.coef * nu * q)
 
         def f(t: float) -> float:
-            return abs(slope(t)) ** p * t ** (m - 1)
+            try:
+                value = abs(slope(t)) ** p * t ** (m - 1)
+            except OverflowError:
+                value = math.inf
+            if math.isfinite(value):
+                return value
+            log_t = math.log(t)
+            # log(lam + t^q): the larger term's log plus log1p(smaller / larger)
+            log_base = max(q * log_t, log_lam) + math.log1p(math.exp(-abs(q * log_t - log_lam)))
+            log_slope = log_coef + (q - 1.0) * log_t - (nu + 1.0) * log_base
+            return math.exp(p * log_slope + (m - 1) * log_t)
 
         decay = (m - 1.0) / (p - 1.0)
         return sphere_area(m) * integrate_semi_infinite(

@@ -193,6 +193,38 @@ def hermite_reference(grid, values, derivs, g, t):
     return h, hp
 
 
+def volume_table_reference(m, step, h_nodes, hp_nodes, h, h_prime):
+    """Ball volume V(B_t) of a warped model from h and h' at uniform nodes.
+
+    The plain eager table that a model's volume lookup must reproduce bit
+    for bit: with A = omega_sphere h^(m-1) and its slope A', node i + 1
+    adds the derivative-corrected trapezoid of cell i to node i, all node
+    volumes summed up front by index; between nodes the same rule adds the
+    part of the cell below t, from h(t) and h'(t).  Returns V as a function.
+    """
+    om = sphere_area(m)
+
+    def area_and_slope(h_t, hp_t):
+        return om * h_t ** (m - 1), om * (m - 1) * h_t ** (m - 2) * hp_t
+
+    vol = [0.0]
+    for i in range(1, len(h_nodes)):
+        f0, fp0 = area_and_slope(h_nodes[i - 1], hp_nodes[i - 1])
+        f1, fp1 = area_and_slope(h_nodes[i], hp_nodes[i])
+        vol.append(vol[-1] + (0.5 * step * (f0 + f1) + step * step / 12.0 * (fp0 - fp1)))
+
+    def volume(t):
+        i = min(int(t / step), len(h_nodes) - 2)
+        if t == i * step:
+            return vol[i]
+        f_i, fp_i = area_and_slope(h_nodes[i], hp_nodes[i])
+        f_t, fp_t = area_and_slope(h(t), h_prime(t))
+        d = t - i * step
+        return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
+
+    return volume
+
+
 # -- Reference formulas evaluated through the package ----------------------
 
 

@@ -89,13 +89,22 @@ def test_limits_default_grid_is_the_readme_grid(capsys):
     assert rc_explicit == 0 and out == explicit
 
 
-# K is a closed form at every m > p > 1, but the energy integrand of its
-# quadrature self-test overflows a float at these inputs.
-SELF_TEST_OUT_OF_RANGE = (
+# The energy integrand |phi'|^p t^(m-1) of the constants self-test
+# overflows a float in the tail at these inputs when evaluated directly;
+# its logarithm does not.
+SELF_TEST_LOG_SPACE = (
     ["constants", "--m", "50", "--p", "2"],
     ["constants", "--m", "3", "--p", "1.01"],
     ["constants", "--m", "4", "--p", "1.01"],
 )
+# Refusals that one input reaches, each with the words its stderr must hold.
+NAMED_REFUSALS = {
+    # The self-test itself is out of range: the sphere area overflows.
+    ("constants", "--m", "400", "--p", "2"): "the quadrature self-test of K is out of range",
+    # The first chain radius, 1e-302, has a Euclidean ball volume of 0.
+    ("model", "--g", "rational:0.1", "--t-max", "1e-300", "--step", "1e-2"):
+        "the Euclidean ball volume at radius t=1e-302 is not positive",
+}
 
 
 def test_exit_codes_usage_errors(capsys, tmp_path):
@@ -132,7 +141,7 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["model", "--t-max", "-1"],
         ["limits", "--T", "0"],
         ["limits", "--T", "nan"],
-        *SELF_TEST_OUT_OF_RANGE,
+        *map(list, NAMED_REFUSALS),
         ["limits", "--lambda", "10,1e300"],
         ["constants", "--tol", "nan"],
         ["constants", "--tol", "-1"],
@@ -170,8 +179,7 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         assert "error: " in err, f"argv {argv!r} gave no error line: {err!r}"
         # Only --badflag may be refused for its name rather than its value.
         assert ("unrecognized arguments" in err) == ("--badflag" in argv), err
-        if argv in SELF_TEST_OUT_OF_RANGE:
-            assert "quadrature self-test of K is out of range" in err, err
+        assert NAMED_REFUSALS.get(tuple(argv), "") in err, (argv, err)
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
@@ -316,6 +324,43 @@ def test_closed_form_k_admits_inputs_the_quadrature_refused(capsys):
         ["verify", "--m", "20", "--p", "1.2", "--g", "zero"],
     ):
         assert _run(capsys, argv)[0] == 0, argv
+
+
+def test_only_the_commands_that_read_a_ball_volume_sum_the_table(capsys, monkeypatch):
+    """verify integrates areas only, so its model sums no node volumes;
+    model and rigidity read V(B_t) and sum the table exactly once."""
+    calls = []
+    node_volumes = model_manifold._node_volumes
+
+    def counted(*args):
+        calls.append(args)
+        return node_volumes(*args)
+
+    monkeypatch.setattr(model_manifold, "_node_volumes", counted)
+    counts = {}
+    for command, extra in (("verify", ["--lambda", "1"]), ("model", []),
+                           ("rigidity", ["--c-m", "0.35"])):
+        calls.clear()
+        rc, _ = _run(capsys, [command, "--g", "rational:0.1", "--t-max", "50", "--step", "1e-2",
+                              *extra])
+        counts[command] = (rc, len(calls))
+    assert counts == {"verify": (0, 0), "model": (0, 1), "rigidity": (0, 1)}, counts
+
+
+def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):
+    """Where |phi'|^p t^(m-1) overflows directly, the self-test integrates it
+    as the exponential of its logarithm: every K_at_lambda row lies within
+    --tol of the closed-form K, and the run passes instead of exiting 2."""
+    tol = cli.DEFAULTS["tol"]
+    for argv in SELF_TEST_LOG_SPACE:
+        rc, out = _run(capsys, argv)
+        table = dict(line.split(",") for line in out.strip().split("\n")[3:])
+        assert rc == 0 and table["pass"] == "true", (argv, out)
+        k = float(table["K"])
+        rows = {key: float(v) for key, v in table.items() if key.startswith("K_at_lambda_")}
+        assert len(rows) == 4, (argv, rows)
+        for key, value in rows.items():
+            assert abs(value - k) <= tol * k, (argv, key, value, k)
 
 
 # Runs the CLI on argv with every quadrature entry point that talenti,

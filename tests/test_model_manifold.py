@@ -5,11 +5,12 @@ moments and Euclidean quantities have elementary closed forms.
 """
 
 import math
+from array import array
 
 import pytest
 
 from radsob import model_manifold
-from radsob.numerics import integrate_finite, solve_h_ivp
+from radsob.numerics import integrate_finite, solve_h_ivp, uniform_grid
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
@@ -47,7 +48,8 @@ def test_parse_curvature_grammar():
     assert math.isinf(parse_curvature("const:1:inf").t_cut)
     r = parse_curvature("rational:0.3")
     assert isinstance(r, RationalDecay) and r.b0 == 0.3
-    assert parse_curvature(" rational:0.3 ").spec_string() == "rational:0.3"
+    spaced = parse_curvature(" rational:0.3 ")
+    assert isinstance(spaced, RationalDecay) and spaced.b0 == 0.3
 
 
 def test_parse_curvature_errors():
@@ -179,7 +181,7 @@ def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         build_model(1, RationalDecay(0.1), 50.0, 1e-3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
-        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0, 1e-3, "flat")
+        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0, 1e-3)
     assert solved == []
 
 
@@ -204,6 +206,52 @@ def test_volume_between_nodes_consistent():
     for t in (0.77777, 3.14159, 9.99999):
         rel = abs(RAT01.volume(t) - fine.volume(t)) / fine.volume(t)
         assert rel < 1e-10, f"volume({t}) grid sensitivity {rel:.3e}"
+
+
+# The seed-0 curvature table of the benchmark's model_build workload.
+SEED0_TABLE = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
+
+
+def _conical_parts(c, t_max, step):
+    """h, h' and node columns of conical_model(m, c, t_max, step), by the
+    same expressions, with its grid step."""
+    d = 1.0 - c
+
+    def h(t):
+        return c * t + d * (1.0 - math.exp(-t))
+
+    def h_prime(t):
+        return c + d * math.exp(-t)
+
+    n = max(1, round(t_max / step))
+    nodes = uniform_grid(t_max, n)
+    return t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)), h, h_prime
+
+
+def _volume_table_cases():
+    """(name, model, grid step, eager reference table) for an IVP model on
+    a closed-form profile, one on a table, and a closed-form warping."""
+    cases = []
+    for name, profile in (("rational:0.1", RationalDecay(0.1)), ("table seed 0", SEED0_TABLE)):
+        ivp = solve_h_ivp(profile.g, 50.0, 1e-3)
+        columns = (ivp.step, ivp.values, ivp.derivs, ivp.value, ivp.deriv)
+        cases.append((name, build_model(4, profile, t_max=50.0, step=1e-3), ivp.step,
+                      _oracles.volume_table_reference(4, *columns)))
+    columns = _conical_parts(0.8, 20.0, 1e-2)
+    cases.append(("conical:0.8", conical_model(4, 0.8, 20.0, 1e-2), columns[0],
+                  _oracles.volume_table_reference(4, *columns)))
+    return cases
+
+
+def test_lazy_volume_table_matches_the_eager_reference_bit_for_bit():
+    """The table summed on the first lookup has the eager table's bits, at
+    node radii and between nodes, the window's end included."""
+    for name, model, step, reference in _volume_table_cases():
+        nodes = [i * step for i in (0, 1, 2, 7, 1000, 1999)]
+        between = [(i + 0.37) * step for i in (0, 3, 1234, 1998)] + [0.77777, 3.14159, 12.5]
+        for t in (*between, *nodes, model.t_max):
+            got, want = model.volume(t), reference(t)
+            assert got == want, f"{name}: volume({t!r}) = {got!r}, eager table {want!r}"
 
 
 def test_sturm_bounds_on_warping():
@@ -270,7 +318,6 @@ def test_chain_requires_moment_for_custom_warping():
         h_second=lambda t: 0.02,
         t_max=10.0,
         step=1e-2,
-        name="custom",
     )
     with pytest.raises(ValueError, match="no curvature profile"):
         verify_volume_chain(custom, (1.0, 2.0), slack=1e-8)
@@ -280,7 +327,7 @@ def test_model_from_warping_validation():
     """A warping with h(0) != 0, or with h'(0) != 1, is refused."""
     for h, h_prime in ((lambda t: 1.0 + t, lambda t: 1.0), (lambda t: 2.0 * t, lambda t: 2.0)):
         with pytest.raises(ValueError, match=r"h\(0\)=0 and h'\(0\)=1"):
-            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0, 1e-3, "custom")
+            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0, 1e-3)
 
 
 def test_conical_model_shape():
@@ -326,7 +373,7 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     exact area lies between the IVP's linear continuation and that
     continuation times its tail factor."""
     h, h_prime, h_second = _rational_closed_form(0.1)
-    exact = model_from_warping(4, h, h_prime, h_second, 50.0, 1e-3, "rational:0.1 exact")
+    exact = model_from_warping(4, h, h_prime, h_second, 50.0, 1e-3)
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
             "h": (RAT01.warp(t), exact.warp(t)),

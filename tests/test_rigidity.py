@@ -195,18 +195,18 @@ def test_v_profile_conical_monotone_nonnegative():
     assert rows[0][1] > rows[-1][1]
 
 
-def _ratio_model(ratio, name):
+def _ratio_model(ratio):
     """A flat-curvature record whose ball volume is omega_4 t^4 ratio(t)."""
     om = unit_ball_volume(4)
     return ModelManifold(
-        m=4, t_max=10.0, profile=None, name=name, warp=lambda t: t,
+        m=4, t_max=10.0, profile=None, warp=lambda t: t,
         curvature=lambda t: 0.0, ball_volume=lambda t: om * t**4 * ratio(t), tail_factor=1.0,
     )
 
 
 def test_v_profile_monotone_negative_control():
     """A wavy ratio inside both bounds still fails the monotone profile."""
-    wavy = _ratio_model(lambda t: 0.8 + 0.1 * math.sin(t), "wavy")
+    wavy = _ratio_model(lambda t: 0.8 + 0.1 * math.sin(t))
     report = _theorem(wavy, [float(t) for t in range(1, 10)], c_m=2.0 * K42)
     assert all(row[4] for row in report.ratio_table)
     assert report.verdict == "violated"
@@ -215,7 +215,7 @@ def test_v_profile_monotone_negative_control():
 
 def test_v_profile_limit_negative_control():
     """A ratio just under (K/C_M)^m, let through by ratio_slack, ends v below zero."""
-    short = _ratio_model(lambda t: 0.999 / 16.0, "short")
+    short = _ratio_model(lambda t: 0.999 / 16.0)
     report = _theorem(short, [float(t) for t in range(1, 10)], c_m=2.0 * K42, ratio_slack=1e-2)
     assert all(row[4] for row in report.ratio_table)
     assert report.verdict == "violated"
@@ -316,7 +316,6 @@ def test_verify_flat_hypothesis_rejections():
         h_second=lambda t: 0.02,
         t_max=10.0,
         step=1e-2,
-        name="custom",
     )
     with pytest.raises(RigidityHypothesisError):
         _theorem(custom, (1.0, 2.0), c_m=1.1 * K42)
@@ -406,7 +405,6 @@ def test_verify_refuses_before_the_witness_search(monkeypatch):
 def test_verify_zero_moment_profile_takes_the_flat_case():
     """b = 0 decides the case, even on an IVP-built, non-Euclidean model."""
     model = build_model(4, RationalDecay(0.0), t_max=10.0, step=1e-2)
-    assert model.name == "rational:0"
     report = _theorem(model, (0.5, 1.0, 5.0), c_m=1.1 * K42)
     assert report.b == 0.0 and report.C2 == 0.0
     want = (1.0 / 1.1) ** 4
@@ -422,6 +420,14 @@ def test_verify_argument_validation():
         _theorem(EUC4, (), c_m=K42)
     with pytest.raises(ValueError):
         _theorem(EUC4, (0.0, 1.0), c_m=K42)
+
+
+@pytest.mark.parametrize("gamma_value", [0.0, math.inf, math.nan])
+def test_verify_refuses_a_gamma_that_is_not_positive_and_finite(gamma_value):
+    """The command line parser keeps these values out; the Python API
+    refuses them in check_hypotheses."""
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        _theorem(RAT01, (0.5, 1.0), c_m=K42, gamma_value=gamma_value)
 
 
 def test_no_radial_witness_beats_sharp_bound_on_profile_models():

@@ -156,7 +156,6 @@ def test_collapsed_volume_growth_unsupported():
         h_second=lambda t: -math.exp(-t),
         t_max=250.0,
         step=1e-2,
-        name="capped",
     )
     with pytest.raises(SobolevUnsupportedError):
         estimate_radial_constant(capped, P42)
