@@ -218,15 +218,15 @@ def cmd_verify(args: argparse.Namespace) -> tuple:
     for lam in args.lambda_list:
         profile = TalentiProfile.build(params, lam)
         u = talenti_function(profile)
-        mass = float(mass_pstar(u, model))
-        energy = float(gradient_energy(u, model))
+        mass = mass_pstar(u, model)
+        energy = gradient_energy(u, model)
         rows.append(("mass_lower", lam, 1.0, mass,
-                     args.tol, bool(1.0 <= mass * (1.0 + args.tol) + args.tol)))
+                     args.tol, 1.0 <= mass * (1.0 + args.tol) + args.tol))
         rows.append(("energy_lower", lam, k_pow, energy,
-                     args.tol, bool(k_pow <= energy * (1.0 + args.tol))))
+                     args.tol, k_pow <= energy * (1.0 + args.tol)))
         decay = verify_decay_conditions(u, model)
-        s_first = float(decay.flux_rows[0][1])
-        s_last = float(decay.flux_rows[-1][1])
+        s_first = decay.flux_rows[0][1]
+        s_last = decay.flux_rows[-1][1]
         rows.append(("flux_decreasing", lam, s_last, s_first, args.tol,
                      decay.flux_decreasing))
     ok = all(r[5] for r in rows)

@@ -242,7 +242,8 @@ class ModelManifold:
 
     The first two read ball volumes from a node table (_volume_table),
     summed on the first lookup.  profile is the curvature profile whose
-    moment b the bounds use, when known.  Models compare by identity.
+    moment b the bounds use, when known.  euclidean_volume is the one
+    omega_m t^m every volume ratio divides by.  Models compare by identity.
     """
 
     def __init__(
@@ -278,6 +279,17 @@ class ModelManifold:
         """Volume of the geodesic ball of radius t."""
         self._check_window(t)
         return self.ball_volume(t)
+
+    def euclidean_volume(self, t: float) -> float:
+        """The Euclidean ball volume omega_m t^m; raises ValueError where it
+        is not positive (t^m underflows for tiny t)."""
+        v_euc = self.omega_m * t**self.m
+        if not (v_euc > 0.0):
+            raise ValueError(
+                f"the Euclidean ball volume at radius t={t:g} is not positive, "
+                "so the volume ratio is undefined there"
+            )
+        return v_euc
 
     def radial_ricci(self, t: float) -> float:
         """Ricci curvature in the radial direction, -(m-1) G(t)."""
@@ -387,12 +399,13 @@ def euclidean_model(m: int, t_max: float) -> ModelManifold:
     """Flat R^m as a model: h(t) = t with exact area and volume."""
     _require_dimension(m)
     omega_m = unit_ball_volume(m)
+    profile = ZeroCurvature()
     return ModelManifold(
         m=m,
         t_max=t_max,
-        profile=ZeroCurvature(),
+        profile=profile,
         warp=lambda t: t,
-        curvature=lambda t: 0.0,
+        curvature=profile.g,
         ball_volume=lambda t: omega_m * t**m,
         tail_factor=1.0,
     )
@@ -495,8 +508,8 @@ def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeCha
 
     with b the moment of the model's curvature profile; a model without a
     profile has no known b and is refused.  An infinite bound e^(b m), as
-    at b = inf, could never fail and raises ValueError; so does a radius
-    whose Euclidean ball volume is not positive (t^m underflows for tiny t).
+    at b = inf, could never fail and raises ValueError, as does a radius
+    the model's euclidean_volume refuses.
     """
     m = model.m
     if model.profile is None:
@@ -504,23 +517,15 @@ def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeCha
     b = model.profile.b
     area_factor, vol_factor = upper_chain_factors(b, m)
     om_s = model.omega_sphere
-    om_m = model.omega_m
 
     def check(name, t, lhs, rhs):
-        lhs = float(lhs)
-        rhs = float(rhs)
         scale = max(abs(lhs), abs(rhs), 1.0)
-        return ChainCheck(name, float(t), lhs, rhs, bool(lhs <= rhs + slack * scale))
+        return ChainCheck(name, float(t), lhs, rhs, lhs <= rhs + slack * scale)
 
     rows = []
     for t in t_grid:
         a_euc = om_s * t ** (m - 1)
-        v_euc = om_m * t**m
-        if not (v_euc > 0.0):
-            raise ValueError(
-                f"the Euclidean ball volume at radius t={t:g} is not positive, "
-                "so the comparison bounds are undefined there"
-            )
+        v_euc = model.euclidean_volume(t)
         a_h = model.area(t)
         v_h = model.volume(t)
         rows.append(check("lower_area", t, a_euc, a_h))

@@ -60,7 +60,7 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
+def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     mid = 0.5 * (a + b)
     lm = 0.5 * (a + mid)
     rm = 0.5 * (mid + b)
@@ -73,14 +73,14 @@ def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
         abs(err) <= 15.0 * tol or abs(err) <= _PANEL_NOISE * abs(left + right)
     ):
         return left + right + err / 15.0
-    if depth >= max_depth:
+    if depth >= MAX_DEPTH:
         raise QuadratureError(
             f"adaptive Simpson stalled on [{a:g}, {b:g}] at depth {depth} "
             f"(local error {abs(err):.3e}, local tolerance {tol:.3e})"
         )
     half = 0.5 * tol
-    return _adaptive(f, a, mid, fa, flm, fm, left, half, depth + 1, max_depth) + _adaptive(
-        f, mid, b, fm, frm, fb, right, half, depth + 1, max_depth
+    return _adaptive(f, a, mid, fa, flm, fm, left, half, depth + 1) + _adaptive(
+        f, mid, b, fm, frm, fb, right, half, depth + 1
     )
 
 
@@ -133,8 +133,8 @@ def integrate_finite(
 
     def run(target: float) -> float:
         half = 0.5 * target
-        return _adaptive(f, a, mid, fa, flm, fm, left, half, 1, MAX_DEPTH) + _adaptive(
-            f, mid, b, fm, frm, fb, right, half, 1, MAX_DEPTH
+        return _adaptive(f, a, mid, fa, flm, fm, left, half, 1) + _adaptive(
+            f, mid, b, fm, frm, fb, right, half, 1
         )
 
     abs_tol, rel_tol = tol

@@ -28,7 +28,7 @@ from typing import NamedTuple
 from .model_manifold import ModelManifold, upper_chain_factors
 from .numerics import integrate_finite, integrate_semi_infinite
 from .sobolev import estimate_radial_constant
-from .talenti import SobolevParams, TalentiProfile, sharp_beta, sharp_constant, unit_ball_volume
+from .talenti import SobolevParams, TalentiProfile, sharp_beta, sharp_constant
 
 
 class RigidityHypothesisError(ValueError):
@@ -180,7 +180,6 @@ def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
 
 
 class RigidityReport(NamedTuple):
-    params: SobolevParams
     K: float
     C_M: float
     C_M_source: str
@@ -196,27 +195,21 @@ class RigidityReport(NamedTuple):
     violation: dict | None
 
 
-def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) -> float:
-    """Refuse a model or gamma outside the theorem's hypotheses; return b.
+def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) -> tuple:
+    """Refuse a model or gamma outside the theorem's hypotheses; return b
+    and the Euclidean ball volumes on the grid (model.euclidean_volume,
+    which refuses a radius where that volume is not positive).
 
     b is the model's curvature moment (0 without a profile) and selects the
     hypotheses: b = 0 needs nonnegative radial Ricci curvature on the grid,
-    b > 0 needs m >= 3 and a finite b.  Also refuses a radius whose
-    Euclidean ball volume is not positive (t^m underflows for tiny t),
-    since every volume ratio divides by it.  Cheap, so verify_theorem runs
-    it before the witness search.
+    b > 0 needs m >= 3 and a finite b.  Cheap, so verify_theorem runs it
+    before the witness search.
     """
     if gamma_value is not None and not (0.0 < gamma_value < math.inf):
         raise ValueError(
             f"volume ratio lower bound gamma must be positive and finite, got {gamma_value!r}"
         )
-    om = unit_ball_volume(model.m)
-    for t in t_grid:
-        if not (om * t**model.m > 0.0):
-            raise ValueError(
-                f"the Euclidean ball volume at radius t={t:g} is not positive, "
-                "so the volume ratio is undefined there"
-            )
+    euclidean = [model.euclidean_volume(t) for t in t_grid]
     b = model.profile.b if model.profile is not None else 0.0
     if b == 0.0:
         for t in t_grid:
@@ -225,7 +218,7 @@ def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) ->
                     f"a vanishing curvature moment requires nonnegative radial Ricci; "
                     f"found {model.radial_ricci(t):.3e} at t={t:g}"
                 )
-        return 0.0
+        return 0.0, euclidean
     if model.m < 3:
         raise RigidityHypothesisError(
             f"a positive curvature moment (b={b:g}) requires dimension m >= 3"
@@ -234,7 +227,7 @@ def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) ->
         raise RigidityHypothesisError(
             "the theorem requires a finite curvature moment; this profile has b = inf"
         )
-    return b
+    return b, euclidean
 
 
 def verify_theorem(
@@ -259,12 +252,13 @@ def verify_theorem(
     e^(mb) (upper_chain_factors, before C2 is computed) and a C_hat that is
     0 in floating point.
 
-    Each V(B_t) is read once.  The certificate profile is
-    v(t) = C3 e^(b(m-1)) V(B_t)/V_cmp(t) - 1, where V_cmp is the Euclidean
-    ball volume at b = 0 and the model's own at b > 0 (so v is constant
-    there).  The verdict is "consistent" when every grid bound holds to
-    ratio_slack, v is non-increasing within V_STEP_SLACK per step, and its
-    final value stays above -V_LIMIT_SLACK.
+    Each V(B_t) is read once, and each V_euc(t) comes once from
+    check_hypotheses.  The certificate profile is
+    v(t) = C3 e^(b(m-1)) V(B_t)/V_cmp(t) - 1, where V_cmp is V_euc at b = 0
+    and the model's own ball volume at b > 0 (so v is constant there).  The
+    verdict is "consistent" when every grid bound holds to ratio_slack, v is
+    non-increasing within V_STEP_SLACK per step, and its final value stays
+    above -V_LIMIT_SLACK.
     """
     m = params.m
     if model.m != m:
@@ -274,10 +268,8 @@ def verify_theorem(
         raise ValueError("t_grid must contain positive increasing radii")
 
     k = sharp_constant(params)
-    b = check_hypotheses(model, t_grid, gamma_value)
-    om = unit_ball_volume(m)
-    volumes = [float(model.volume(t)) for t in t_grid]
-    euclidean = [om * t**m for t in t_grid]
+    b, euclidean = check_hypotheses(model, t_grid, gamma_value)
+    volumes = [model.volume(t) for t in t_grid]
     ratios = [v / e for v, e in zip(volumes, euclidean)]
     least = min(ratios)
     if gamma_value is not None and gamma_value > least * (1.0 + ratio_slack):
@@ -328,7 +320,6 @@ def verify_theorem(
         violation = {"check": "v_profile_limit", "v_last": values[-1]}
 
     return RigidityReport(
-        params=params,
         K=k,
         C_M=c_m,
         C_M_source=c_m_source,

@@ -242,7 +242,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
         raise ValueError(f"params dimension {m} does not match model dimension {model.m}")
 
     probe_t = 0.9 * model.t_max
-    growth = model.volume(probe_t) / (model.omega_m * probe_t**m)
+    growth = model.volume(probe_t) / model.euclidean_volume(probe_t)
     if growth < 1e-6:
         raise SobolevUnsupportedError(
             "Sobolev inequality unsupported: volume ratio "
@@ -294,8 +294,8 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
         pass
 
     return RadialConstantEstimate(
-        c_est=float(best_q) ** (-1.0 / p),
-        quotient=float(best_q),
+        c_est=best_q ** (-1.0 / p),
+        quotient=best_q,
         lam=best_lam,
         quotient_evals=evals,
     )

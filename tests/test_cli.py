@@ -101,9 +101,14 @@ SELF_TEST_LOG_SPACE = (
 NAMED_REFUSALS = {
     # The self-test itself is out of range: the sphere area overflows.
     ("constants", "--m", "400", "--p", "2"): "the quadrature self-test of K is out of range",
-    # The first chain radius, 1e-302, has a Euclidean ball volume of 0.
+    # The first chain radius, 1e-302, and the first rigidity radius, 5e-302,
+    # have a Euclidean ball volume of 0: both refuse in the model's words.
     ("model", "--g", "rational:0.1", "--t-max", "1e-300", "--step", "1e-2"):
-        "the Euclidean ball volume at radius t=1e-302 is not positive",
+        "the Euclidean ball volume at radius t=1e-302 is not positive, "
+        "so the volume ratio is undefined there",
+    ("rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"):
+        "the Euclidean ball volume at radius t=5e-302 is not positive, "
+        "so the volume ratio is undefined there",
 }
 
 
@@ -153,7 +158,6 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         ["verify", "--t-max", "1", "--step", "1e-2"],
         ["verify", "--g", "zero", "--t-max", "5"],
         ["model", "--g", "const:0.1:nan"],
-        ["rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"],
         ["model", "--g", "const:0.1:inf", "--t-max", "1e-300", "--step", "1e-2"],
         ["model", "--g", "const:0.1:inf", "--t-max", "20", "--step", "1e-2"],
         ["rigidity", "--g", "zero", "--c-m", "empirical"],

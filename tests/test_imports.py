@@ -333,3 +333,80 @@ def test_settable_values_are_pinned():
         f"src/radsob has {found} settable values, pinned at {SETTABLE_VALUES}; "
         "lower the pin when the count drops, and justify any new one"
     )
+
+
+# No private top-level function of a src/radsob module takes a positional
+# parameter that every call in the module passes the same value: one
+# module constant or one literal, where a call from inside the function
+# that passes the parameter to itself adds no new value.  Such a parameter
+# is a constant, so the function reads the constant instead.
+
+def _constant_parameters(source: str) -> list:
+    """(line, function, parameter) of each positional parameter of a private
+    top-level function to which every call in the module passes one module
+    constant or literal, or the parameter itself from inside the function."""
+    tree = ast.parse(source)
+    constants = {target.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+                 for target in stmt.targets if isinstance(target, ast.Name)}
+    private = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    calls = {name: [] for name in private}
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in private:
+                calls[node.func.id].append((node, top))
+    found = []
+    for name, function in private.items():
+        params = [arg.arg for arg in function.args.posonlyargs + function.args.args]
+        for index, param in enumerate(params):
+            values = set()
+            for call, top in calls[name]:
+                passed = call.args[index] if index < len(call.args) else next(
+                    (kw.value for kw in call.keywords if kw.arg == param), None)
+                if any(isinstance(arg, ast.Starred) for arg in call.args[:index + 1]):
+                    passed = None
+                if top is function and getattr(passed, "id", None) == param:
+                    continue
+                if isinstance(passed, ast.Constant):
+                    values.add(repr(passed.value))
+                elif getattr(passed, "id", None) in constants:
+                    values.add(passed.id)
+                else:
+                    values.add(None)
+            if len(values) == 1 and None not in values:
+                found.append((function.lineno, name, param))
+    return found
+
+
+def test_scan_flags_a_parameter_every_call_passes_the_same_constant():
+    source = (
+        "LIMIT = 9\n\n\n"
+        "def _walk(node, depth, limit, step):\n"
+        "    if depth < limit:\n"
+        "        _walk(node, depth + 1, limit, step)\n\n\n"
+        "def _scale(x, factor, *, unit=1):\n"
+        "    return x * factor * unit\n\n\n"
+        "def _spare(x):\n    return x\n\n\n"
+        "def walk(node, limit):\n"
+        "    _walk(node, 0, LIMIT, step=2)\n"
+        "    _walk(node, 0, LIMIT, 2)\n"
+        "    _walk(node, 1, limit, 2)\n"
+        "    return _scale(node, 2) + _scale(1, 3)\n\n\n"
+        "def _fold(node, limit):\n    return _walk(node, 0, limit, 2)\n"
+    )
+    # _walk's step is 2 at every call, by position or by keyword; its limit
+    # is LIMIT or the caller's own limit, and only _walk's own limit passed
+    # through counts as the same value, so limit is not flagged.  _scale's
+    # factor varies, _spare has no call, and unit is keyword-only.
+    assert _constant_parameters(source) == [(4, "_walk", "step")]
+
+
+def test_no_private_function_takes_a_constant_as_a_parameter():
+    flagged = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _constant_parameters(path.read_text()))
+    }
+    assert not flagged, (
+        f"every call passes the same constant (line, function, parameter): {flagged!r}"
+    )

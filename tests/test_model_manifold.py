@@ -10,6 +10,7 @@ from array import array
 import pytest
 
 from radsob import model_manifold
+from radsob.cli import _rigidity_grid
 from radsob.numerics import integrate_finite, solve_h_ivp, uniform_grid
 from radsob.model_manifold import (
     ConstantCutoff,
@@ -24,6 +25,7 @@ from radsob.model_manifold import (
     parse_curvature,
     verify_volume_chain,
 )
+from radsob.talenti import unit_ball_volume
 
 import _oracles
 
@@ -161,6 +163,22 @@ def test_euclidean_model_exact():
         assert abs(EUC4.volume(t) - om_m * t**4) < 1e-9 * om_m * t**4
         assert EUC4.radial_ricci(t) == 0.0
     assert EUC4.profile.b == 0.0
+    assert EUC4.curvature == EUC4.profile.g
+
+
+def test_euclidean_volume_is_one_reference_with_one_refusal():
+    """omega_m t^m bit for bit on the radii of `rigidity --t-max 50`, and the
+    shared refusal where t^m underflows, on an IVP and a closed-form model."""
+    om = unit_ball_volume(4)
+    for model in (RAT01, conical_model(4, 0.8, 50.0, 1e-3)):
+        for t in _rigidity_grid(50.0):
+            assert model.euclidean_volume(t) == om * t**4, (model, t)
+        with pytest.raises(ValueError) as refused:
+            model.euclidean_volume(1e-302)
+        assert str(refused.value) == (
+            "the Euclidean ball volume at radius t=1e-302 is not positive, "
+            "so the volume ratio is undefined there"
+        )
 
 
 def test_build_model_zero_curvature_shortcut(monkeypatch):
