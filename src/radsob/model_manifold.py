@@ -1,16 +1,19 @@
 """Rotationally symmetric model spaces with radial curvature control.
 
 A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
-Ricci curvature is -(m-1) G with G = h''/h.  The warping function h
-solves h'' = G(t) h, h(0) = 0, h'(0) = 1 for a nonnegative decaying
-curvature coefficient G, or is given in closed form, which is how
-nonnegatively curved examples (conical spaces) enter the test matrix.
-Either way a ModelManifold holds h, G, the ball volume V(B_t) and the
-tail factor, and nothing else: it has no name, and sums no ball volumes
-before one is read.  The moment b = integral(t G(t) dt) measures the
-total amount of negative curvature; when it is finite the model is
-trapped between Euclidean space and a bounded dilation of it, which is
-exactly what verify_volume_chain checks on a grid.
+Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
+curvature coefficient G the warping function h solves h'' = G(t) h,
+h(0) = 0, h'(0) = 1; a profile's warping() gives h and h' on a uniform
+grid, in closed form for RationalDecay and from the RK4 sweep of that
+IVP for the other profiles.  A warping may also be given in closed form
+directly, which is how nonnegatively curved examples (conical spaces)
+enter the test matrix.  Either way a ModelManifold holds h, G, the ball
+volume V(B_t) and the tail factor, and nothing else: it has no name, and
+sums no ball volumes before one is read.  The moment
+b = integral(t G(t) dt) measures the total amount of negative curvature;
+when it is finite the model is trapped between Euclidean space and a
+bounded dilation of it, which is exactly what verify_volume_chain checks
+on a grid.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .numerics import solve_h_ivp, uniform_grid
+from .numerics import OdeError, grid_steps, require_finite_nodes, solve_h_ivp, uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -32,12 +35,23 @@ def _exp_or_inf(x: float) -> float:
 
 class CurvatureProfile:
     """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) and
-    moment_tail(t_from), the integral of t G(t) over [t_from, inf)."""
+    moment_tail(t_from), the integral of t G(t) over [t_from, inf), and
+    may replace warping() by a closed form."""
 
     @property
     def b(self) -> float:
         """The whole moment, integral of t G(t) over [0, inf)."""
         return self.moment_tail(0.0)
+
+    def warping(self, t_max: float, step: float) -> tuple:
+        """The solution of h'' = G h, h(0) = 0, h'(0) = 1 on [0, t_max] as
+        the columns _volume_table takes: (grid step, h at the nodes, h' at
+        the nodes, h, h'), with node i at i * step and the last node at
+        t_max, and h and h' as functions inside the window.  Here they are
+        the RK4 sweep of solve_h_ivp and its dense output.
+        """
+        ivp = solve_h_ivp(self.g, t_max, step)
+        return ivp.step, ivp.values, ivp.derivs, ivp.value, ivp.deriv
 
 
 class ZeroCurvature(CurvatureProfile):
@@ -84,6 +98,56 @@ class RationalDecay(CurvatureProfile):
 
     def moment_tail(self, t_from):
         return self.b0 / (1.0 + t_from**2)
+
+    def warping(self, t_max: float, step: float) -> tuple:
+        """The warping columns in closed form, with no IVP sweep.
+
+        With theta = atan t, k = 1 - 2 b0 and r = sqrt|k|,
+        h = sqrt(1+t^2) S(theta) and h' = (t S(theta) + C(theta))/sqrt(1+t^2),
+        where S = sin(r theta)/r and C = cos(r theta) for k > 0, sinh and
+        cosh for k < 0, and S = theta, C = 1 for k = 0.  sqrt(1+t^2) is
+        hypot(1, t), finite wherever t is.  h and h' are exact between the
+        nodes too, with the node columns' bits at a node.  Raises OdeError
+        at the first node where h or h' is not finite.
+        """
+        k = 1.0 - self._two_b0
+        if k > 0.0:
+            r, sn, cs = math.sqrt(k), math.sin, math.cos
+        elif k < 0.0:
+            r, sn, cs = math.sqrt(-k), math.sinh, math.cosh
+        else:
+            r, sn, cs = 1.0, (lambda a: a), (lambda a: 1.0)
+        atan, hypot = math.atan, math.hypot
+
+        def h(t: float) -> float:
+            return hypot(1.0, t) * (sn(r * atan(t)) / r)
+
+        def h_prime(t: float) -> float:
+            a = r * atan(t)
+            return (t * (sn(a) / r) + cs(a)) / hypot(1.0, t)
+
+        n = grid_steps(t_max, step)
+        dt = t_max / n
+        h_nodes, hp_nodes = array("d"), array("d")
+        add_h, add_hp = h_nodes.append, hp_nodes.append
+        # One pass over the nodes below t_max, through local names: per node
+        # one atan, one hypot and one S, C pair serve both columns.
+        try:
+            for i in range(n):
+                t = i * dt
+                a = r * atan(t)
+                s = sn(a) / r
+                q = hypot(1.0, t)
+                add_h(q * s)
+                add_hp((t * s + cs(a)) / q)
+            t = t_max
+            add_h(h(t))
+            add_hp(h_prime(t))
+        except OverflowError:
+            # sinh or cosh of a large r theta.
+            raise OdeError(t) from None
+        require_finite_nodes(h_nodes, hp_nodes, dt)
+        return dt, h_nodes, hp_nodes, h, h_prime
 
 
 class Tabulated(CurvatureProfile):
@@ -235,8 +299,10 @@ class ModelManifold:
     radial_ricci are each a window check and one call, whichever
     constructor made the model:
 
-      * build_model: the curvature IVP's dense output, continued linearly
-        past t_max, with a certified tail factor;
+      * build_model: the profile's warping (the closed form for
+        RationalDecay, the curvature IVP's dense output for the other
+        profiles), continued linearly past t_max, with a certified tail
+        factor;
       * model_from_warping: a closed-form h, exact past t_max (factor 1);
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
@@ -366,19 +432,21 @@ def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], f
 
 
 def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) -> ModelManifold:
-    """Solve the warping IVP for a curvature profile and assemble the model.
+    """Assemble the model of a curvature profile from its warping columns.
 
-    Past the window h continues linearly from its value and slope at
-    T = t_max.  The true h satisfies w <= h <= w * F there, where w is that
-    continuation and F = exp(kappa * integral of s G(s) over [T, inf))
-    with kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
+    profile.warping gives h and h' on the window: in closed form for
+    RationalDecay, from the RK4 sweep of the IVP for ConstantCutoff and
+    Tabulated.  Past the window h continues linearly from its value and
+    slope at T = t_max, whichever way they were computed.  The true h
+    satisfies w <= h <= w * F there, where w is that continuation and
+    F = exp(kappa * integral of s G(s) over [T, inf)) with
+    kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
     """
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)
     _require_dimension(m)
-    ivp = solve_h_ivp(profile.g, t_max, step)
-    value = ivp.value
-    h_end, hp_end = ivp.values[-1], ivp.derivs[-1]
+    grid_step, h_nodes, hp_nodes, value, deriv = profile.warping(t_max, step)
+    h_end, hp_end = h_nodes[-1], hp_nodes[-1]
 
     def h(t: float) -> float:
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
@@ -390,7 +458,7 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         profile=profile,
         warp=h,
         curvature=profile.g,
-        ball_volume=_volume_table(m, ivp.step, ivp.values, ivp.derivs, value, ivp.deriv),
+        ball_volume=_volume_table(m, grid_step, h_nodes, hp_nodes, value, deriv),
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
     )
 
@@ -433,7 +501,7 @@ def model_from_warping(
             raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
         return h_second(t) / h(t)
 
-    n = max(1, round(t_max / step))
+    n = grid_steps(t_max, step)
     nodes = uniform_grid(t_max, n)
     h_nodes = array("d", map(h, nodes))
     hp_nodes = array("d", map(h_prime, nodes))

@@ -2,7 +2,9 @@
 
 Two independent pieces live here: adaptive Simpson quadrature on finite
 and semi-infinite intervals, and a fixed-step RK4 integrator for the
-warping initial value problem h'' = G(t) h.  The whole quadrature policy
+warping initial value problem h'' = G(t) h, which builds the models of
+`const:` and `table:` specs (a `rational:` model takes its warping in
+closed form, so no sweep runs for it).  The whole quadrature policy
 is the tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
 rounding floor ROUNDING_FACTOR; a caller may pass its own (abs_tol,
 rel_tol) pair, nothing else.  A semi-infinite integral also needs the
@@ -36,7 +38,10 @@ class QuadratureError(CheckFailed):
 
 
 class OdeError(CheckFailed):
-    """The IVP integrator produced a non-finite state."""
+    """The warping h, or h', is not finite from the node at radius t on."""
+
+    def __init__(self, t: float):
+        super().__init__(f"warping solution became non-finite near t={t:g}")
 
 
 # Open endpoint of the tail substitution t = split/u near u = 0.
@@ -193,6 +198,31 @@ def integrate_semi_infinite(
     return head + tail + sliver
 
 
+def grid_steps(t_max: float, step: float) -> int:
+    """The number n = round(t_max / step), at least 1, of uniform steps of
+    a warping grid; the steps themselves are t_max / n.
+
+    Raises:
+        ValueError: non-positive step or window.
+    """
+    if not (t_max > 0.0) or not (step > 0.0):
+        raise ValueError("t_max and step must be positive")
+    return max(1, round(t_max / step))
+
+
+def require_finite_nodes(h_nodes: array, hp_nodes: array, dt: float) -> None:
+    """Raise OdeError at the first node i * dt where h or h' is not finite.
+
+    Only the last node is read unless it is not finite: the callers' nodes
+    never turn finite again, as in an RK4 sweep of this linear system, or
+    in a closed form whose h and h' grow with t.
+    """
+    if not (math.isfinite(h_nodes[-1]) and math.isfinite(hp_nodes[-1])):
+        i = next(i for i, pair in enumerate(zip(h_nodes, hp_nodes))
+                 if not all(map(math.isfinite, pair)))
+        raise OdeError(i * dt)
+
+
 def uniform_grid(t_max: float, n: int) -> array:
     """The n + 1 nodes i * (t_max / n), the last one set to t_max exactly."""
     dt = t_max / n
@@ -263,17 +293,18 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSo
     times, at each node and step midpoint; the solution keeps g and reads
     h'' = g * h at two nodes per h' lookup instead of tabulating it.  There
     is no error estimate; the step is the accuracy control.  Finiteness is
-    checked once, after the sweep: an RK4 step of this linear system keeps
-    a non-finite h or h' non-finite, so the first non-finite node is the
-    one where the state blew up.
+    checked once, after the sweep (require_finite_nodes): an RK4 step of
+    this linear system keeps a non-finite h or h' non-finite, so the first
+    non-finite node is the one where the state blew up.  The models of
+    `const:` and `table:` specs come from this sweep; a `rational:` model
+    is built from its closed form (model_manifold.RationalDecay.warping)
+    instead.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
         ValueError: non-positive step or window.
     """
-    if not (t_max > 0.0) or not (step > 0.0):
-        raise ValueError("t_max and step must be positive")
-    n = max(1, round(t_max / step))
+    n = grid_steps(t_max, step)
     dt = t_max / n
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -298,11 +329,5 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSo
         add_value(h)
         add_deriv(v)
         g_here = g_next
-    if not (math.isfinite(h) and math.isfinite(v)):
-        i = next(
-            i for i in range(n + 1) if not (math.isfinite(values[i]) and math.isfinite(derivs[i]))
-        )
-        # Node i ends the step that starts at (i - 1) * dt.
-        raise OdeError(f"warping solution became non-finite near t={(i - 1) * dt + dt:g}")
-
+    require_finite_nodes(values, derivs, dt)
     return IvpSolution(values=values, derivs=derivs, g=g, step=dt, t_max=t_max)

@@ -110,6 +110,18 @@ RATIONAL_B01_H = {
     20.0: 21.894337522783714,
 }
 RATIONAL_B01_HP = {5.0: 1.0985304366839599, 20.0: 1.1024221744487378}
+# The same h at the seven chain radii of `model --t-max 20`, from a 30-digit
+# evaluation of the closed form sqrt(1+t^2) sin(sqrt(0.8) atan t)/sqrt(0.8),
+# which matches the Taylor values above to within their rounding.
+RATIONAL_B01_H_CHAIN20 = {
+    0.2: 0.20026054562907974,
+    0.4: 0.4019521983853324,
+    1.0: 1.0215953603527665,
+    2.0: 2.0904268960896824,
+    4.0: 4.272418036805767,
+    8.0: 8.670123173075512,
+    16.0: 17.484920741849134,
+}
 SINH_1 = 1.1752011936438015
 
 # Geodesic ball volumes of the m=4 model with G = 0.2/(1+t^2)^2, from the

@@ -3,13 +3,14 @@
 main() is driven in-process with explicit argv lists; one test goes
 through ``python -m radsob.cli`` to cover the module entry point.  The
 README invocations and four more rigidity runs are pinned byte for byte
-to the reports stored in perfbench/golden.json, and the other golden
-invocations to within the benchmark gate's tolerance.  These tests only
-read perfbench/.
+to the reports stored in perfbench/golden.json, or in tests/reports.json
+where that file holds the invocation, and the other golden invocations to
+within the benchmark gate's tolerance.  These tests only read perfbench/.
 """
 
 import io
 import json
+import math
 import subprocess
 import sys
 import types
@@ -29,6 +30,12 @@ except ImportError:
     HAS_HYPOTHESIS = False
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+# Reports pinned byte for byte here rather than in golden.json, which
+# changes only with the benchmark.  The closed-form rational warping moved
+# `model --g rational:0.1 --t-max 20 --step 1e-2` by RK4's own error at
+# step 1e-2, at most 8.1e-11 relative, so golden.json holds it to the
+# gate's tolerance only.
+REPORTS = json.loads((Path(__file__).resolve().parent / "reports.json").read_text())
 
 README_INVOCATIONS = (
     "constants --m 4 --p 2",
@@ -109,6 +116,14 @@ NAMED_REFUSALS = {
     ("rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"):
         "the Euclidean ball volume at radius t=5e-302 is not positive, "
         "so the volume ratio is undefined there",
+    # The closed-form warping stays finite at these windows (sqrt(1+t^2) is
+    # hypot(1, t)), and the moment past t_max squares t_max out of range.
+    **{
+        (command, "--g", "rational:0.1", "--t-max", t_max, "--step", step, *extra):
+            "an input is outside the representable range"
+        for command, extra in (("verify", ()), ("model", ()), ("rigidity", ("--c-m", "0.4")))
+        for t_max, step in (("1e200", "1e199"), ("1e160", "1e159"))
+    },
 }
 
 
@@ -308,6 +323,18 @@ def test_flat_verify_passes_across_dimensions_and_exponents(capsys):
                 assert rc == 2 and "clears the witness's bulk" in err, (argv, rc, err)
             else:
                 assert rc == 0 and out.endswith("# pass=true\n"), (argv, rc, out, err)
+
+
+def test_warping_past_the_float_range_fails_its_check(capsys):
+    """sinh of the closed form overflows for a huge b0: exit 1, naming the
+    first node where the warping is not finite, with no traceback."""
+    for b0, t in (("1e6", "0.55"), ("200000", "2.09")):
+        argv = ["verify", "--g", f"rational:{b0}", "--t-max", "5", "--step", "1e-2"]
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"check failed: warping solution became non-finite near t={t}\n"
+        ), (argv, err)
 
 
 def test_exit_code_one_when_a_check_fails(capsys):
@@ -600,9 +627,27 @@ def test_readme_reports_match_golden(capsys):
     golden = json.loads(GOLDEN.read_text())
     for invocation in README_INVOCATIONS + RIGIDITY_INVOCATIONS:
         rc, out = _run(capsys, invocation.split())
-        want = golden[invocation]
-        assert rc == want["exit"], f"{invocation!r} exited {rc}, golden {want['exit']}"
-        assert out == want["stdout"], f"{invocation!r} report differs from golden.json"
+        want = REPORTS.get(invocation) or golden[invocation]
+        assert rc == want["exit"], f"{invocation!r} exited {rc}, pinned {want['exit']}"
+        assert out == want["stdout"], f"{invocation!r} report differs from its pinned report"
+
+
+def test_closed_form_model_report_prints_the_exact_area(capsys):
+    """Each of the seven area rows of the report pinned in tests/reports.json
+    is omega h^3 of the exact warping, to the rounding of 12 digits."""
+    invocation = "model --g rational:0.1 --t-max 20 --step 1e-2"
+    rc, out = _run(capsys, invocation.split())
+    assert rc == 0 and out == REPORTS[invocation]["stdout"]
+    omega = _oracles.sphere_area(4)
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("lower_area,")]
+    assert [float(row[1]) for row in rows] == sorted(_oracles.RATIONAL_B01_H_CHAIN20)
+    for _, t, _, area, *_ in rows:
+        exact = omega * _oracles.RATIONAL_B01_H_CHAIN20[float(t)] ** 3
+        # Half a unit in the 12th significant digit, and a hair for the
+        # double rounding of omega h^3.
+        half_unit = 0.5 * 10.0 ** (math.floor(math.log10(exact)) - 11)
+        assert abs(float(area) - exact) <= half_unit + 1e-15 * exact, (t, area, exact)
+        assert f"upper_area,{t},{area}," in out, t
 
 
 def _perfbench_module(name: str) -> types.ModuleType:
@@ -614,14 +659,17 @@ def _perfbench_module(name: str) -> types.ModuleType:
 
 
 def test_other_golden_reports_match_within_the_gate_tolerance(tmp_path, monkeypatch, capsys):
-    """The golden invocations not pinned byte for byte above: exact exit code,
-    and the benchmark gate's comparison (numbers within 1e-8 relative), since
-    the rounding-level `spread` of two constants reports differs by host."""
+    """The golden invocations not pinned byte for byte to golden.json above:
+    exact exit code, and the benchmark gate's comparison (numbers within
+    1e-8 relative), since the rounding-level `spread` of two constants
+    reports differs by host, and tests/reports.json pins a closed-form
+    report that golden.json holds from the RK4 sweep."""
     gate = _perfbench_module("gate")
     workloads = _perfbench_module("workloads")
     golden = json.loads(GOLDEN.read_text())
-    others = [key for key in golden if key not in README_INVOCATIONS + RIGIDITY_INVOCATIONS]
-    assert len(others) == 10
+    others = [key for key in golden
+              if key in REPORTS or key not in README_INVOCATIONS + RIGIDITY_INVOCATIONS]
+    assert len(others) == 11
     table = tmp_path / workloads.table_path(0)
     table.parent.mkdir(parents=True)
     table.write_text(workloads.curvature_table(0))

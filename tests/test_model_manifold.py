@@ -1,7 +1,9 @@
 """Warped models: curvature profiles, geometry, and comparison chains.
 
 Warping oracles are frozen 30-digit IVP solutions from tests/_oracles.py;
-moments and Euclidean quantities have elementary closed forms.
+moments and Euclidean quantities have elementary closed forms.  A
+rational:<b0> model takes its warping in closed form, and the other
+profiles from the RK4 sweep of the IVP; the tests cross-check the two.
 """
 
 import math
@@ -11,7 +13,7 @@ import pytest
 
 from radsob import model_manifold
 from radsob.cli import _rigidity_grid
-from radsob.numerics import integrate_finite, solve_h_ivp, uniform_grid
+from radsob.numerics import OdeError, integrate_finite, solve_h_ivp, uniform_grid
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
@@ -38,7 +40,12 @@ except ImportError:
 
 
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
-# The IVP behind RAT01, whose h' the model no longer carries.
+# RAT01's closed-form warping columns (grid step, h and h' at the nodes,
+# h and h'); the model carries h only.
+RAT01_COLUMNS = RationalDecay(0.1).warping(50.0, 1e-3)
+RAT01_H_PRIME = RAT01_COLUMNS[4]
+# The RK4 solution of the same IVP, the route of const: and table: models:
+# a cross-check of the closed form.
 RAT01_IVP = solve_h_ivp(RationalDecay(0.1).g, 50.0, 1e-3)
 EUC4 = euclidean_model(4, 50.0)
 
@@ -208,9 +215,74 @@ def test_warping_oracles_through_model():
         rel = abs(RAT01.warp(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
     for t, ref in _oracles.RATIONAL_B01_HP.items():
-        rel = abs(RAT01_IVP.deriv(t) - ref) / ref
+        rel = abs(RAT01_H_PRIME(t) - ref) / ref
         assert rel < 1e-12, f"h'({t}) off by {rel:.3e}"
     assert RAT01.curvature(2.0) == RAT01.profile.g(2.0)
+
+
+def test_rational_closed_form_matches_the_30_digit_oracles():
+    """h and h' of the closed form lie within 1e-14 of the 30-digit Taylor
+    solutions, for k = 1 - 2 b0 > 0 (sin, cos) and k < 0 (sinh, cosh); at
+    a node, h and h' have the bits of the node columns."""
+    cases = (
+        (0.1, _oracles.RATIONAL_B01_H, _oracles.RATIONAL_B01_HP),
+        (1.0, _oracles.RATIONAL_B1_H, _oracles.RATIONAL_B1_HP),
+    )
+    for b0, h_refs, hp_refs in cases:
+        step, h_nodes, hp_nodes, h, h_prime = RationalDecay(b0).warping(20.0, 1e-3)
+        assert step == 1e-3 and len(h_nodes) == len(hp_nodes) == 20001
+        for fn, refs in ((h, h_refs), (h_prime, hp_refs)):
+            for t, ref in refs.items():
+                rel = abs(fn(t) - ref) / ref
+                assert rel <= 1e-14, f"b0={b0}: {fn.__name__}({t}) off by {rel:.3e}"
+        for i in (0, 1, 1000, 12345, 20000):
+            t = i * step
+            assert (h(t), h_prime(t)) == (h_nodes[i], hp_nodes[i]), (b0, t)
+        assert (h_nodes[0], hp_nodes[0]) == (0.0, 1.0)
+
+
+def test_rational_closed_form_at_k_zero_matches_the_ivp():
+    """At b0 = 1/2, k = 0, h = sqrt(1+t^2) atan t, h' = (t atan t + 1)/sqrt(1+t^2):
+    it agrees with the RK4 sweep at step 1e-3 to 1e-12, at the nodes and
+    between them."""
+    profile = RationalDecay(0.5)
+    step, h_nodes, hp_nodes, h, h_prime = profile.warping(30.0, 1e-3)
+    ivp = solve_h_ivp(profile.g, 30.0, 1e-3)
+    assert step == ivp.step
+    for got, want in ((h_nodes, ivp.values), (hp_nodes, ivp.derivs)):
+        worst = max(abs(a - b) / b for a, b in zip(got[1:], want[1:]))
+        assert worst <= 1e-12, f"node columns differ by {worst:.3e}"
+    for t in (0.0005, 0.77777, 3.14159, 29.9999):
+        assert abs(h(t) - ivp.value(t)) <= 1e-12 * ivp.value(t), t
+        assert abs(h_prime(t) - ivp.deriv(t)) <= 1e-12 * ivp.deriv(t), t
+
+
+def test_rational_closed_form_names_the_first_node_it_cannot_represent():
+    """sinh of a large r theta overflows, and so does sqrt(1+t^2) S past
+    the float range: either way OdeError names the first such node."""
+    for b0, t_max, step, t in ((1e6, 5.0, 1e-2, "0.55"), (1.0, 1e308, 1e307, "8e+307")):
+        with pytest.raises(OdeError) as info:
+            RationalDecay(b0).warping(t_max, step)
+        assert str(info.value) == f"warping solution became non-finite near t={t}"
+
+
+def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
+    """A rational model takes its warping in closed form: build_model runs
+    no RK4 sweep for it, and one for a ConstantCutoff or a Tabulated."""
+    solved = []
+
+    def counted(*args):
+        solved.append(args)
+        return solve_h_ivp(*args)
+
+    monkeypatch.setattr(model_manifold, "solve_h_ivp", counted)
+    counts = {}
+    for name, profile in (("rational", RationalDecay(0.1)),
+                          ("const", ConstantCutoff(0.05, 3.0)), ("table", SEED0_TABLE)):
+        solved.clear()
+        build_model(4, profile, t_max=20.0, step=1e-2)
+        counts[name] = len(solved)
+    assert counts == {"rational": 0, "const": 1, "table": 1}, counts
 
 
 def test_volume_oracles():
@@ -247,10 +319,13 @@ def _conical_parts(c, t_max, step):
 
 
 def _volume_table_cases():
-    """(name, model, grid step, eager reference table) for an IVP model on
-    a closed-form profile, one on a table, and a closed-form warping."""
-    cases = []
-    for name, profile in (("rational:0.1", RationalDecay(0.1)), ("table seed 0", SEED0_TABLE)):
+    """(name, model, grid step, eager reference table) for the closed-form
+    rational profile, IVP models on a constant cutoff and on a table, and
+    a closed-form warping."""
+    cases = [("rational:0.1", RAT01, RAT01_COLUMNS[0],
+              _oracles.volume_table_reference(4, *RAT01_COLUMNS))]
+    for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
+                          ("table seed 0", SEED0_TABLE)):
         ivp = solve_h_ivp(profile.g, 50.0, 1e-3)
         columns = (ivp.step, ivp.values, ivp.derivs, ivp.value, ivp.deriv)
         cases.append((name, build_model(4, profile, t_max=50.0, step=1e-3), ivp.step,
@@ -294,7 +369,7 @@ def test_laplacian_comparison_and_guard():
     """The distance Laplacian (m-1) h'/h dominates its flat value (m-1)/t,
     that is t h'(t) >= h(t); h' is read inside the window only."""
     for t in (0.5, 2.0, 10.0):
-        assert t * RAT01_IVP.deriv(t) >= RAT01.warp(t) * (1.0 - 1e-12)
+        assert t * RAT01_H_PRIME(t) >= RAT01.warp(t) * (1.0 - 1e-12)
     with pytest.raises(ValueError):
         RAT01_IVP.deriv(-0.1)
 
@@ -371,41 +446,30 @@ def test_tail_factor():
     assert math.isinf(unbounded.tail_factor)
 
 
-def _rational_closed_form(b0):
-    """h, h', h'' of rational:<b0> for b0 < 1/2: with theta = arctan t and
-    k = 1 - 2 b0, h = sqrt(1+t^2) sin(sqrt(k) theta)/sqrt(k)."""
-    rk = math.sqrt(1.0 - 2.0 * b0)
-
-    def h(t):
-        return math.sqrt(1.0 + t * t) * math.sin(rk * math.atan(t)) / rk
-
-    def h_prime(t):
-        angle = rk * math.atan(t)
-        return (t * math.sin(angle) / rk + math.cos(angle)) / math.sqrt(1.0 + t * t)
-
-    return h, h_prime, lambda t: 2.0 * b0 / (1.0 + t * t) ** 2 * h(t)
-
-
 def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
-    """The closed-form and IVP fillings agree in the window; past it the
-    exact area lies between the IVP's linear continuation and that
-    continuation times its tail factor."""
-    h, h_prime, h_second = _rational_closed_form(0.1)
-    exact = model_from_warping(4, h, h_prime, h_second, 50.0, 1e-3)
+    """The closed-form model agrees with the IVP's fillings in the window;
+    past it the exact area lies between the model's linear continuation
+    and that continuation times its tail factor."""
+    ivp_volume = _oracles.volume_table_reference(
+        4, RAT01_IVP.step, RAT01_IVP.values, RAT01_IVP.derivs, RAT01_IVP.value, RAT01_IVP.deriv
+    )
+    om = RAT01.omega_sphere
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
-            "h": (RAT01.warp(t), exact.warp(t)),
-            "h_prime": (RAT01_IVP.deriv(t), h_prime(t)),
-            "area": (RAT01.area(t), exact.area(t)),
-            "volume": (RAT01.volume(t), exact.volume(t)),
+            "h": (RAT01.warp(t), RAT01_IVP.value(t)),
+            "h_prime": (RAT01_H_PRIME(t), RAT01_IVP.deriv(t)),
+            "area": (RAT01.area(t), om * RAT01_IVP.value(t) ** 3),
+            "volume": (RAT01.volume(t), ivp_volume(t)),
         }
         for name, (got, want) in pairs.items():
             assert abs(got - want) <= 1e-12 * want, f"{name}({t}): {got!r} vs {want!r}"
     factor = RAT01.tail_factor
     assert 1.0 < factor < 1.001
-    continued, true = RAT01.area_extended(), exact.area_extended()
+    # The closed-form h is exact past the window too.
+    exact_h = RAT01_COLUMNS[3]
+    continued = RAT01.area_extended()
     for t in (60.0, 200.0, 1e4):
-        ratio = true(t) / continued(t)
+        ratio = om * exact_h(t) ** 3 / continued(t)
         assert 1.0 < ratio <= factor, f"area ratio {ratio!r} at t={t} against factor {factor!r}"
 
 
@@ -413,7 +477,7 @@ def test_area_extended_continuation():
     ext = RAT01.area_extended()
     assert abs(ext(49.999) - RAT01.area(49.999)) / RAT01.area(49.999) < 1e-12
     h_end = RAT01.warp(50.0)
-    hp_end = RAT01_IVP.deriv(50.0)
+    hp_end = RAT01_H_PRIME(50.0)
     expected = RAT01.omega_sphere * (h_end + 10.0 * hp_end) ** 3
     assert abs(ext(60.0) - expected) / expected < 1e-12
     con = conical_model(4, 0.8, t_max=20.0, step=1e-2)

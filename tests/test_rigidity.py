@@ -403,7 +403,8 @@ def test_verify_refuses_before_the_witness_search(monkeypatch):
 
 
 def test_verify_zero_moment_profile_takes_the_flat_case():
-    """b = 0 decides the case, even on an IVP-built, non-Euclidean model."""
+    """b = 0 decides the case, even on a model built from its warping
+    (rational:0, in closed form) rather than as flat R^m."""
     model = build_model(4, RationalDecay(0.0), t_max=10.0, step=1e-2)
     report = _theorem(model, (0.5, 1.0, 5.0), c_m=1.1 * K42)
     assert report.b == 0.0 and report.C2 == 0.0

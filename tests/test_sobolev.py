@@ -142,8 +142,8 @@ def test_tail_bound_refusal_on_short_window():
         gradient_energy(u_wide, RAT01)
     narrow = float(gradient_energy(_witness(1.0), RAT01))
     assert narrow > 0.0
-    # The witness search scans wide scales too, so it refuses an IVP model
-    # with curvature beyond the window instead of narrowing its range.
+    # The witness search scans wide scales too, so it refuses a model with
+    # curvature beyond the window instead of narrowing its range.
     with pytest.raises(TailBoundError):
         estimate_radial_constant(RAT01, P42)
 
