@@ -162,7 +162,7 @@ def _bounded_model(args: argparse.Namespace) -> ModelManifold:
     """The model of --g, for the commands that check the upper bound e^(b m).
 
     An infinite e^(b m) could never fail and follows from the moment
-    alone, so it is refused before the IVP runs.
+    alone, so it is refused before the model is built.
     """
     profile = parse_curvature(args.g_spec)
     upper_chain_factors(profile.b, args.m)

@@ -3,9 +3,9 @@
 A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
 Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
-h(0) = 0, h'(0) = 1; a profile's warping() gives h and h' on a uniform
-grid, in closed form for RationalDecay and from the RK4 sweep of that
-IVP for the other profiles.  A warping may also be given in closed form
+h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
+in closed form for RationalDecay and from the RK4 sweep of that IVP for
+the other profiles.  A warping may also be given in closed form
 directly, which is how nonnegatively curved examples (conical spaces)
 enter the test matrix.  Either way a ModelManifold holds h, G, the ball
 volume V(B_t) and the tail factor, and nothing else: it has no name, and
@@ -25,7 +25,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .numerics import OdeError, grid_steps, require_finite_nodes, solve_h_ivp, uniform_grid
+from .numerics import OdeError, Warping, grid_steps, require_finite_nodes, solve_h_ivp
+from .numerics import uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -43,15 +44,10 @@ class CurvatureProfile:
         """The whole moment, integral of t G(t) over [0, inf)."""
         return self.moment_tail(0.0)
 
-    def warping(self, t_max: float, step: float) -> tuple:
-        """The solution of h'' = G h, h(0) = 0, h'(0) = 1 on [0, t_max] as
-        the columns _volume_table takes: (grid step, h at the nodes, h' at
-        the nodes, h, h'), with node i at i * step and the last node at
-        t_max, and h and h' as functions inside the window.  Here they are
-        the RK4 sweep of solve_h_ivp and its dense output.
-        """
-        ivp = solve_h_ivp(self.g, t_max, step)
-        return ivp.step, ivp.values, ivp.derivs, ivp.value, ivp.deriv
+    def warping(self, t_max: float, step: float) -> Warping:
+        """The solution of h'' = G h, h(0) = 0, h'(0) = 1 on [0, t_max]:
+        here the RK4 sweep of solve_h_ivp and its dense output."""
+        return solve_h_ivp(self.g, t_max, step)
 
 
 class ZeroCurvature(CurvatureProfile):
@@ -99,8 +95,8 @@ class RationalDecay(CurvatureProfile):
     def moment_tail(self, t_from):
         return self.b0 / (1.0 + t_from**2)
 
-    def warping(self, t_max: float, step: float) -> tuple:
-        """The warping columns in closed form, with no IVP sweep.
+    def warping(self, t_max: float, step: float) -> Warping:
+        """The warping in closed form, with no IVP sweep.
 
         With theta = atan t, k = 1 - 2 b0 and r = sqrt|k|,
         h = sqrt(1+t^2) S(theta) and h' = (t S(theta) + C(theta))/sqrt(1+t^2),
@@ -147,7 +143,7 @@ class RationalDecay(CurvatureProfile):
             # sinh or cosh of a large r theta.
             raise OdeError(t) from None
         require_finite_nodes(h_nodes, hp_nodes, dt)
-        return dt, h_nodes, hp_nodes, h, h_prime
+        return Warping(dt, h_nodes, hp_nodes, h, h_prime)
 
 
 class Tabulated(CurvatureProfile):
@@ -373,7 +369,7 @@ class ModelManifold:
 
 
 def _require_dimension(m: int) -> None:
-    """Refuse m < 2 before a constructor builds an IVP or a node table."""
+    """Refuse m < 2 before a constructor builds a warping."""
     if m < 2:
         raise ValueError("model dimension must be at least 2")
 
@@ -398,14 +394,15 @@ def _node_volumes(om, m, step, h_nodes, hp_nodes) -> array:
     return vol
 
 
-def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], float]:
-    """Ball volume V(B_t) from h and h' at the nodes of a uniform grid.
+def _volume_table(m: int, warping: Warping) -> Callable[[float], float]:
+    """Ball volume V(B_t) from a warping's node columns and its h and h'.
 
-    Node i sits at i * step; only the last one may differ (it is t_max),
-    and a lookup never starts a cell there.  The first lookup sums the
-    node volumes (_node_volumes); between nodes the same rule adds the
-    part of a cell below t, from h(t) and h'(t).  So a lookup is O(1).
+    A lookup never starts a cell at the last node (t_max, see Warping).
+    The first lookup sums the node volumes (_node_volumes); between nodes
+    the same rule adds the part of a cell below t, from h(t) and h'(t).
+    So a lookup is O(1).
     """
+    step, h_nodes, hp_nodes, h, h_prime = warping
     om, m1, m2 = sphere_area(m), m - 1, m - 2
     om_m1 = om * m1
     last = len(h_nodes) - 2
@@ -432,7 +429,7 @@ def _volume_table(m, step, h_nodes, hp_nodes, h, h_prime) -> Callable[[float], f
 
 
 def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) -> ModelManifold:
-    """Assemble the model of a curvature profile from its warping columns.
+    """Assemble the model of a curvature profile from its warping.
 
     profile.warping gives h and h' on the window: in closed form for
     RationalDecay, from the RK4 sweep of the IVP for ConstantCutoff and
@@ -445,8 +442,9 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)
     _require_dimension(m)
-    grid_step, h_nodes, hp_nodes, value, deriv = profile.warping(t_max, step)
-    h_end, hp_end = h_nodes[-1], hp_nodes[-1]
+    warping = profile.warping(t_max, step)
+    value = warping.value
+    h_end, hp_end = warping.values[-1], warping.derivs[-1]
 
     def h(t: float) -> float:
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
@@ -458,7 +456,7 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         profile=profile,
         warp=h,
         curvature=profile.g,
-        ball_volume=_volume_table(m, grid_step, h_nodes, hp_nodes, value, deriv),
+        ball_volume=_volume_table(m, warping),
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
     )
 
@@ -503,15 +501,15 @@ def model_from_warping(
 
     n = grid_steps(t_max, step)
     nodes = uniform_grid(t_max, n)
-    h_nodes = array("d", map(h, nodes))
-    hp_nodes = array("d", map(h_prime, nodes))
+    warping = Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
+                      h, h_prime)
     return ModelManifold(
         m=m,
         t_max=t_max,
         profile=None,
         warp=h,
         curvature=curvature,
-        ball_volume=_volume_table(m, t_max / n, h_nodes, hp_nodes, h, h_prime),
+        ball_volume=_volume_table(m, warping),
         tail_factor=1.0,
     )
 

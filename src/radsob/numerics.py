@@ -12,12 +12,13 @@ radius where head and tail are split and the integrand's declared tail
 power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
-high-precision reference solutions.  Its output is two stdlib
-``array("d")`` columns, h and h' at the nodes; the nodes themselves are
-not stored, since node i is i * step and the last one is t_max.  The
-sweep checks finiteness once, after its last step.  Nothing here needs
-vector arithmetic.  All routines are deterministic: the same inputs
-always produce bitwise identical results.  Every error that fails a check
+high-precision reference solutions.  Its output is a Warping, the one
+shape of every warping, closed forms included: the grid step, h and h' at
+the nodes as stdlib ``array("d")`` columns, and h and h' as functions.
+grid_steps caps a grid at MAX_GRID_STEPS steps.  The sweep checks
+finiteness once, after its last step.  Nothing here needs vector
+arithmetic.  All routines are deterministic: the same inputs always
+produce bitwise identical results.  Every error that fails a check
 rather than refusing an input derives from CheckFailed.
 """
 
@@ -198,16 +199,24 @@ def integrate_semi_infinite(
     return head + tail + sliver
 
 
+# Most steps of a warping grid: its two float columns take 160 MB at the cap.
+MAX_GRID_STEPS = 10_000_000
+
+
 def grid_steps(t_max: float, step: float) -> int:
     """The number n = round(t_max / step), at least 1, of uniform steps of
-    a warping grid; the steps themselves are t_max / n.
+    a warping grid; the steps themselves are t_max / n (Warping).
 
     Raises:
-        ValueError: non-positive step or window.
+        ValueError: non-positive step or window, or n > MAX_GRID_STEPS.
     """
     if not (t_max > 0.0) or not (step > 0.0):
         raise ValueError("t_max and step must be positive")
-    return max(1, round(t_max / step))
+    n = max(1, round(t_max / step))
+    if n > MAX_GRID_STEPS:
+        raise ValueError(f"step {step:g} on [0, {t_max:g}] needs {n:.3g} grid steps, "
+                         f"more than the {MAX_GRID_STEPS:,} a warping grid may have")
+    return n
 
 
 def require_finite_nodes(h_nodes: array, hp_nodes: array, dt: float) -> None:
@@ -224,85 +233,59 @@ def require_finite_nodes(h_nodes: array, hp_nodes: array, dt: float) -> None:
 
 
 def uniform_grid(t_max: float, n: int) -> array:
-    """The n + 1 nodes i * (t_max / n), the last one set to t_max exactly."""
+    """The n + 1 nodes of a Warping with n steps on [0, t_max]."""
     dt = t_max / n
     grid = array("d", (i * dt for i in range(n)))
     grid.append(t_max)
     return grid
 
 
-class IvpSolution(NamedTuple):
-    """Dense output of the warping IVP on a uniform grid.
+class Warping(NamedTuple):
+    """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max].
 
-    The two columns are ``array("d")`` tables of n + 1 entries: values[i]
-    and derivs[i] hold h and h' at node i, which is i * step for i < n and
-    t_max itself for i = n.  Between nodes both h and h' are evaluated by
-    cubic Hermite interpolation, which preserves the fourth-order accuracy
-    of the RK4 sweep; the slope of h' there is h'' = g * h, taken from the
-    curvature g at the two bracketing nodes.
+    The grid convention of every warping: n = grid_steps(t_max, step)
+    uniform steps of `step` = t_max / n; node i is at i * step, and the
+    last node, i = n, is t_max itself, whatever n * step rounds to.  values
+    and derivs are ``array("d")`` columns of h and h' at the n + 1 nodes;
+    value and deriv are h and h' as functions on the window.
     """
 
+    step: float
     values: array
     derivs: array
-    g: Callable[[float], float]
-    step: float
-    t_max: float
-
-    def _locate(self, t: float) -> tuple[int, float]:
-        if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
-            raise ValueError(f"t={t:g} outside the solution window [0, {self.t_max:g}]")
-        i = min(int(t / self.step), len(self.values) - 2)
-        return i, (t - i * self.step) / self.step
-
-    @staticmethod
-    def _hermite(y0, y1, d0, d1, s, width):
-        s2 = s * s
-        s3 = s2 * s
-        return (
-            y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
-            + y1 * (3.0 * s2 - 2.0 * s3)
-            + width * (d0 * (s3 - 2.0 * s2 + s) + d1 * (s3 - s2))
-        )
-
-    def value(self, t: float) -> float:
-        i, s = self._locate(t)
-        return self._hermite(
-            self.values[i], self.values[i + 1], self.derivs[i], self.derivs[i + 1], s, self.step
-        )
-
-    def deriv(self, t: float) -> float:
-        i, s = self._locate(t)
-        values, g, step = self.values, self.g, self.step
-        # Node i + 1 is t_max itself when it is the last one.
-        t_next = self.t_max if i + 2 == len(values) else (i + 1) * step
-        return self._hermite(
-            self.derivs[i],
-            self.derivs[i + 1],
-            g(i * step) * values[i],
-            g(t_next) * values[i + 1],
-            s,
-            step,
-        )
+    value: Callable[[float], float]
+    deriv: Callable[[float], float]
 
 
-def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSolution:
+def _hermite(y0, y1, d0, d1, s, width):
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        y0 * (2.0 * s3 - 3.0 * s2 + 1.0)
+        + y1 * (3.0 * s2 - 2.0 * s3)
+        + width * (d0 * (s3 - 2.0 * s2 + s) + d1 * (s3 - s2))
+    )
+
+
+def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warping:
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
-    with n = round(t_max/step) steps of t_max/n.  g is called 2n + 1
-    times, at each node and step midpoint; the solution keeps g and reads
-    h'' = g * h at two nodes per h' lookup instead of tabulating it.  There
-    is no error estimate; the step is the accuracy control.  Finiteness is
-    checked once, after the sweep (require_finite_nodes): an RK4 step of
-    this linear system keeps a non-finite h or h' non-finite, so the first
-    non-finite node is the one where the state blew up.  The models of
-    `const:` and `table:` specs come from this sweep; a `rational:` model
-    is built from its closed form (model_manifold.RationalDecay.warping)
-    instead.
+    over the Warping grid; g is called 2n + 1 times, at each node and step
+    midpoint.  Between nodes h and h' are cubic Hermite interpolants, which
+    keep the sweep's fourth order; each h' lookup reads its end slopes
+    h'' = g * h from g at the cell's two nodes, and a lookup outside the
+    window raises ValueError.  There is no error estimate; the step is the
+    accuracy control.  Finiteness is checked once, after the sweep
+    (require_finite_nodes): an RK4 step of this linear system keeps a
+    non-finite h or h' non-finite, so the first non-finite node is the one
+    where the state blew up.  The models of `const:` and `table:` specs
+    come from this sweep; a `rational:` model is built from its closed
+    form (model_manifold.RationalDecay.warping) instead.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
-        ValueError: non-positive step or window.
+        ValueError: non-positive step or window, or too fine a grid.
     """
     n = grid_steps(t_max, step)
     dt = t_max / n
@@ -330,4 +313,22 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> IvpSo
         add_deriv(v)
         g_here = g_next
     require_finite_nodes(values, derivs, dt)
-    return IvpSolution(values=values, derivs=derivs, g=g, step=dt, t_max=t_max)
+
+    def cell(t: float) -> tuple[int, float]:
+        if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
+            raise ValueError(f"t={t:g} outside the solution window [0, {t_max:g}]")
+        i = min(int(t / dt), n - 1)
+        return i, (t - i * dt) / dt
+
+    def value(t: float) -> float:
+        i, s = cell(t)
+        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], s, dt)
+
+    def deriv(t: float) -> float:
+        i, s = cell(t)
+        t_next = t_max if i == n - 1 else (i + 1) * dt
+        return _hermite(
+            derivs[i], derivs[i + 1], g(i * dt) * values[i], g(t_next) * values[i + 1], s, dt
+        )
+
+    return Warping(dt, values, derivs, value, deriv)

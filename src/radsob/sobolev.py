@@ -34,7 +34,7 @@ class TailBoundError(CheckFailed):
 
 
 # Relative budget allowed for the certified uncertainty of integrals that
-# continue an IVP-built warping function beyond its window.
+# continue a build_model warping linearly beyond its window.
 TAIL_BUDGET = 1e-6
 
 # (abs_tol, rel_tol) of the witness search, which only has to locate the
@@ -89,10 +89,10 @@ def manifold_integral(
     """integral of w(t) * area(t) over [0, inf) with a certified tail.
 
     The quadrature splits head from tail at `split` and meets the
-    (abs_tol, rel_tol) pair `tol`.  For IVP-built models the area weight
-    continues linearly beyond the window; the certified uncertainty of that
-    continuation, integrated to BUDGET_TOL, must stay below TAIL_BUDGET
-    relative (or 10 abs_tol) or the integral refuses loudly.
+    (abs_tol, rel_tol) pair `tol`.  On a curved build_model model the area
+    weight continues linearly beyond the window; the certified uncertainty
+    of that continuation, integrated to BUDGET_TOL, must stay below
+    TAIL_BUDGET relative (or 10 abs_tol) or the integral refuses loudly.
 
     decay_power is the power-law order of w * t^(m-1) at infinity.  An
     infinite tail factor can meet no budget, so it is refused before any
@@ -231,7 +231,7 @@ def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> Rad
     accuracy.  The returned C_est = (min quotient)^(-1/p) never exceeds the
     true constant, up to quadrature error.  The widest scales put their
     mass far beyond the window, so the model must be exact there
-    (tail_factor == 1); on an IVP-built model they raise TailBoundError.
+    (tail_factor == 1); on a curved build_model model they raise TailBoundError.
 
     Raises:
         SobolevUnsupportedError: the model's volume ratio collapses, so no

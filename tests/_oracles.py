@@ -205,8 +205,9 @@ def hermite_reference(grid, values, derivs, g, t):
     return h, hp
 
 
-def volume_table_reference(m, step, h_nodes, hp_nodes, h, h_prime):
-    """Ball volume V(B_t) of a warped model from h and h' at uniform nodes.
+def volume_table_reference(m, warping):
+    """Ball volume V(B_t) of a warped model from a warping record: its grid
+    step, h and h' at the nodes, and h and h' as functions.
 
     The plain eager table that a model's volume lookup must reproduce bit
     for bit: with A = omega_sphere h^(m-1) and its slope A', node i + 1
@@ -214,6 +215,7 @@ def volume_table_reference(m, step, h_nodes, hp_nodes, h, h_prime):
     volumes summed up front by index; between nodes the same rule adds the
     part of the cell below t, from h(t) and h'(t).  Returns V as a function.
     """
+    step, h_nodes, hp_nodes, h, h_prime = warping
     om = sphere_area(m)
 
     def area_and_slope(h_t, hp_t):

@@ -247,6 +247,26 @@ def test_rigidity_refuses_infinite_upper_bound_before_the_ivp(capsys, monkeypatc
     assert solved == []
 
 
+def test_a_grid_no_machine_can_hold_is_refused(capsys):
+    """At --step 1e-12 a curved model's grid would have 5e13 steps: model,
+    verify and rigidity exit 2 before any node is computed, for the closed
+    form and the RK4 sweep alike.  Flat space builds no grid and still runs."""
+    commands = (("model", ()), ("verify", ()), ("rigidity", ("--c-m", "0.4")))
+    for g in ("rational:0.1", "const:0.05:3"):
+        for command, extra in commands:
+            argv = [command, "--g", g, "--step", "1e-12", *extra]
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                "error: step 1e-12 on [0, 50] needs 5e+13 grid steps, "
+                "more than the 10,000,000 a warping grid may have\n"
+            ), (argv, err)
+    for command, extra in commands:
+        argv = [command, "--g", "zero", "--step", "1e-12", *extra]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
 def test_cli_import_does_not_load_numpy():
     """The package has no runtime dependency; numpy must not come back."""
     proc = subprocess.run(
@@ -721,12 +741,13 @@ if HAS_HYPOTHESIS:
         *(f"const:0.1:{x}" for x in _DEGENERATE),
     ]
 
-    # Small windows only: t_max / step sizes the IVP arrays, so no positive
-    # step below 1e-3 is drawn.
+    # t_max / step sizes the warping arrays, so the only step below 1e-3 is
+    # 1e-12, which grid_steps refuses (exit 2) before any array is filled,
+    # except at t_max 1e-300, where it is one step.
     @given(
         command=st.sampled_from(["model", "verify", "rigidity"]),
         m=st.sampled_from(["4", "3", "5", "2", "nan", "0", "-1"]),
-        step=st.sampled_from(["1e-2", "5e-3", "1e-3", *_DEGENERATE]),
+        step=st.sampled_from(["1e-2", "5e-3", "1e-3", "1e-12", *_DEGENERATE]),
         t_max=st.sampled_from(["8", "5", "3", "1", "1e-300", *_DEGENERATE]),
         gamma=st.sampled_from(["empirical", "0.9", *_DEGENERATE]),
         g=st.sampled_from(_CURVATURES),

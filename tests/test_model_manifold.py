@@ -13,7 +13,7 @@ import pytest
 
 from radsob import model_manifold
 from radsob.cli import _rigidity_grid
-from radsob.numerics import OdeError, integrate_finite, solve_h_ivp, uniform_grid
+from radsob.numerics import OdeError, Warping, integrate_finite, solve_h_ivp, uniform_grid
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
@@ -40,10 +40,9 @@ except ImportError:
 
 
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
-# RAT01's closed-form warping columns (grid step, h and h' at the nodes,
-# h and h'); the model carries h only.
-RAT01_COLUMNS = RationalDecay(0.1).warping(50.0, 1e-3)
-RAT01_H_PRIME = RAT01_COLUMNS[4]
+# RAT01's closed-form warping; the model carries h only.
+RAT01_WARPING = RationalDecay(0.1).warping(50.0, 1e-3)
+RAT01_H_PRIME = RAT01_WARPING.deriv
 # The RK4 solution of the same IVP, the route of const: and table: models:
 # a cross-check of the closed form.
 RAT01_IVP = solve_h_ivp(RationalDecay(0.1).g, 50.0, 1e-3)
@@ -282,6 +281,7 @@ def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
         solved.clear()
         build_model(4, profile, t_max=20.0, step=1e-2)
         counts[name] = len(solved)
+        assert isinstance(profile.warping(20.0, 1e-2), Warping), name
     assert counts == {"rational": 0, "const": 1, "table": 1}, counts
 
 
@@ -303,8 +303,8 @@ SEED0_TABLE = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001)
 
 
 def _conical_parts(c, t_max, step):
-    """h, h' and node columns of conical_model(m, c, t_max, step), by the
-    same expressions, with its grid step."""
+    """The warping of conical_model(m, c, t_max, step), by the same
+    expressions."""
     d = 1.0 - c
 
     def h(t):
@@ -315,24 +315,24 @@ def _conical_parts(c, t_max, step):
 
     n = max(1, round(t_max / step))
     nodes = uniform_grid(t_max, n)
-    return t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)), h, h_prime
+    return Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
+                   h, h_prime)
 
 
 def _volume_table_cases():
     """(name, model, grid step, eager reference table) for the closed-form
     rational profile, IVP models on a constant cutoff and on a table, and
     a closed-form warping."""
-    cases = [("rational:0.1", RAT01, RAT01_COLUMNS[0],
-              _oracles.volume_table_reference(4, *RAT01_COLUMNS))]
+    cases = [("rational:0.1", RAT01, RAT01_WARPING.step,
+              _oracles.volume_table_reference(4, RAT01_WARPING))]
     for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
                           ("table seed 0", SEED0_TABLE)):
         ivp = solve_h_ivp(profile.g, 50.0, 1e-3)
-        columns = (ivp.step, ivp.values, ivp.derivs, ivp.value, ivp.deriv)
         cases.append((name, build_model(4, profile, t_max=50.0, step=1e-3), ivp.step,
-                      _oracles.volume_table_reference(4, *columns)))
-    columns = _conical_parts(0.8, 20.0, 1e-2)
-    cases.append(("conical:0.8", conical_model(4, 0.8, 20.0, 1e-2), columns[0],
-                  _oracles.volume_table_reference(4, *columns)))
+                      _oracles.volume_table_reference(4, ivp)))
+    cone = _conical_parts(0.8, 20.0, 1e-2)
+    cases.append(("conical:0.8", conical_model(4, 0.8, 20.0, 1e-2), cone.step,
+                  _oracles.volume_table_reference(4, cone)))
     return cases
 
 
@@ -450,9 +450,7 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     """The closed-form model agrees with the IVP's fillings in the window;
     past it the exact area lies between the model's linear continuation
     and that continuation times its tail factor."""
-    ivp_volume = _oracles.volume_table_reference(
-        4, RAT01_IVP.step, RAT01_IVP.values, RAT01_IVP.derivs, RAT01_IVP.value, RAT01_IVP.deriv
-    )
+    ivp_volume = _oracles.volume_table_reference(4, RAT01_IVP)
     om = RAT01.omega_sphere
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
@@ -466,7 +464,7 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     factor = RAT01.tail_factor
     assert 1.0 < factor < 1.001
     # The closed-form h is exact past the window too.
-    exact_h = RAT01_COLUMNS[3]
+    exact_h = RAT01_WARPING.value
     continued = RAT01.area_extended()
     for t in (60.0, 200.0, 1e4):
         ratio = om * exact_h(t) ** 3 / continued(t)

@@ -9,8 +9,11 @@ import math
 import pytest
 
 from radsob.numerics import (
+    MAX_GRID_STEPS,
     OdeError,
     QuadratureError,
+    Warping,
+    grid_steps,
     integrate_finite,
     integrate_semi_infinite,
     solve_h_ivp,
@@ -166,6 +169,28 @@ def test_ivp_is_one_sweep():
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
 
 
+def test_grid_steps_rounds_and_caps_the_grid():
+    """n = round(t_max / step), at least 1, up to MAX_GRID_STEPS = 10^7;
+    one step more is refused, and so is a non-positive window or step."""
+    assert MAX_GRID_STEPS == 10_000_000
+    assert grid_steps(50.0, 1e-3) == 50_000
+    assert grid_steps(3.0, 0.01604) == 187
+    assert grid_steps(0.5, 1.0) == 1
+    assert grid_steps(1e-300, 1e-12) == 1
+    assert grid_steps(1e7, 1.0) == MAX_GRID_STEPS
+    with pytest.raises(ValueError, match="more than the 10,000,000 a warping grid may have"):
+        grid_steps(1e7 + 1.0, 1.0)
+    with pytest.raises(ValueError) as refused:
+        grid_steps(50.0, 1e-12)
+    assert str(refused.value) == (
+        "step 1e-12 on [0, 50] needs 5e+13 grid steps, "
+        "more than the 10,000,000 a warping grid may have"
+    )
+    for t_max, step in ((0.0, 1e-3), (-1.0, 1e-3), (math.nan, 1e-3), (1.0, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            grid_steps(t_max, step)
+
+
 def test_ivp_window_and_argument_guards():
     sol = solve_h_ivp(lambda t: 0.0, 1.0, 1e-3)
     with pytest.raises(ValueError):
@@ -174,6 +199,11 @@ def test_ivp_window_and_argument_guards():
         solve_h_ivp(lambda t: 0.0, -1.0, 1e-3)
     with pytest.raises(ValueError):
         solve_h_ivp(lambda t: 0.0, 1.0, 0.0)
+    # A grid over the cap is refused before the sweep calls g.
+    calls = []
+    with pytest.raises(ValueError, match="a warping grid may have"):
+        solve_h_ivp(lambda t: calls.append(t) or 0.0, 50.0, 1e-12)
+    assert calls == []
 
 
 def test_ivp_runaway_curvature_raises():
@@ -201,6 +231,7 @@ def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     g = SWEEP_PROFILES[name].g
     sol = solve_h_ivp(g, t_max, step)
     grid, values, derivs = rk4_reference(g, t_max, step)
+    assert isinstance(sol, Warping) and sol.step == grid[1]
     assert sol.values.tobytes() == values.tobytes()
     assert sol.derivs.tobytes() == derivs.tobytes()
     for t in (grid[-2] + 0.3 * (t_max - grid[-2]), t_max):

@@ -15,6 +15,7 @@ from radsob.model_manifold import (
     euclidean_model,
     model_from_warping,
 )
+from radsob.numerics import TOL, QuadratureError
 from radsob.sobolev import (
     DivergentTailError,
     RadialFunction,
@@ -57,6 +58,19 @@ def _scaled(u, c):
 def _plain(u, model):
     """Energy over mass, the quotient that is not scale free."""
     return gradient_energy(u, model) / mass_pstar(u, model)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the tail map t = split/u is singular for decay power d < 2 "
+                          "(ROADMAP item 7): the energy is off by 4.6e-10 relative")
+def test_flat_energy_meets_tol_where_the_tail_map_is_singular():
+    """On flat R^3 at p = 2.5 > (m+1)/2 the energy integrand decays like
+    t^-d with d = (m-1)/(p-1) < 2; the energy must still be K^-p to the
+    rel_tol of numerics.TOL."""
+    params = SobolevParams(3, 2.5)
+    energy = gradient_energy(_witness(1.0, params), euclidean_model(3, 50.0))
+    k_pow = _oracles.sharp_beta_k(3, 2.5)[1] ** -2.5
+    assert abs(energy - k_pow) <= TOL[1] * k_pow, (energy - k_pow) / k_pow
 
 
 def test_flat_energy_and_mass_closed_forms():
@@ -188,11 +202,10 @@ def test_decay_report_warped_uses_the_radii_inside_the_window():
     assert report.flux_decreasing
 
 
-def test_decay_report_negative_control_rises_after_its_peak():
-    """A bump at t = 30 on top of a fast-decaying witness: s(R) peaks at
-    R = 2, falls, and rises again at R = 40, so the check fails."""
-    bump = 3e-3
-    u = RadialFunction(
+def _bumped(bump):
+    """(1+t^2)^-2 plus bump * exp(-(t-30)^2): a fast-decaying witness with
+    a bump at t = 30."""
+    return RadialFunction(
         eval=lambda t: (1.0 + t * t) ** -2.0 + bump * math.exp(-((t - 30.0) ** 2)),
         deriv=lambda t: -4.0 * t * (1.0 + t * t) ** -3.0
         - 2.0 * bump * (t - 30.0) * math.exp(-((t - 30.0) ** 2)),
@@ -200,10 +213,27 @@ def test_decay_report_negative_control_rises_after_its_peak():
         params=P42,
         split_hint=1.0,
     )
+
+
+def test_decay_report_negative_control_rises_after_its_peak():
+    """A bump at t = 30 on top of a fast-decaying witness: s(R) peaks at
+    R = 2, falls, and rises again at R = 40, so the check fails."""
+    u = _bumped(3e-3)
     _oracles.spot_check(u)
     report = verify_decay_conditions(u, EUC4)
     averages = [s for _, s in report.flux_rows]
     assert max(averages) == averages[0] and averages[-1] > averages[-2]
+    assert not report.flux_decreasing
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureError,
+                   reason="integrate_finite stalls on cancellation noise: its panel floor "
+                          "scales with the panel's own estimate (ROADMAP item 7)")
+def test_decay_report_of_a_larger_bump_needs_no_stalled_panel():
+    """With a 1e-2 bump the flux integrand cancels to rounding noise near
+    t = 30, where adaptive Simpson stalls on [30, 30]; the report must
+    still come out, and fail like the 3e-3 control."""
+    report = verify_decay_conditions(_bumped(1e-2), EUC4)
     assert not report.flux_decreasing
 
 
