@@ -5,15 +5,12 @@ Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
 h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
 in closed form for RationalDecay and from the RK4 sweep of that IVP for
-the other profiles.  A warping may also be given in closed form
-directly, which is how nonnegatively curved examples (conical spaces)
-enter the test matrix.  Either way a ModelManifold holds h, G, the ball
-volume V(B_t) and the tail factor, and nothing else: it has no name, and
-sums no ball volumes before one is read.  The moment
-b = integral(t G(t) dt) measures the total amount of negative curvature;
-when it is finite the model is trapped between Euclidean space and a
-bounded dilation of it, which is exactly what verify_volume_chain checks
-on a grid.
+the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
+and the tail factor, and nothing else: it has no name, and sums no ball
+volumes before one is read.  The moment b = integral(t G(t) dt)
+measures the total amount of negative curvature; when it is finite the
+model is trapped between Euclidean space and a bounded dilation of it,
+which is exactly what verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .numerics import OdeError, Warping, grid_steps, require_finite_nodes, solve_h_ivp
-from .numerics import uniform_grid
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -299,12 +295,12 @@ class ModelManifold:
         RationalDecay, the curvature IVP's dense output for the other
         profiles), continued linearly past t_max, with a certified tail
         factor;
-      * model_from_warping: a closed-form h, exact past t_max (factor 1);
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
-    The first two read ball volumes from a node table (_volume_table),
+    build_model reads ball volumes from a node table (_volume_table),
     summed on the first lookup.  profile is the curvature profile whose
-    moment b the bounds use, when known.  euclidean_volume is the one
+    moment b the bounds use, or None for a model built directly from a
+    closed-form h, as the tests build cones.  euclidean_volume is the one
     omega_m t^m every volume ratio divides by.  Models compare by identity.
     """
 
@@ -474,63 +470,6 @@ def euclidean_model(m: int, t_max: float) -> ModelManifold:
         curvature=profile.g,
         ball_volume=lambda t: omega_m * t**m,
         tail_factor=1.0,
-    )
-
-
-def model_from_warping(
-    m: int,
-    h: Callable[[float], float],
-    h_prime: Callable[[float], float],
-    h_second: Callable[[float], float],
-    t_max: float,
-    step: float,
-) -> ModelManifold:
-    """Model from a closed-form warping function with h(0)=0, h'(0)=1.
-
-    h' fills the volume table; h'' only enters the curvature G = h''/h,
-    which is undefined at the apex, where h vanishes.
-    """
-    _require_dimension(m)
-    if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
-        raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
-
-    def curvature(t: float) -> float:
-        if t == 0.0:
-            raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
-        return h_second(t) / h(t)
-
-    n = grid_steps(t_max, step)
-    nodes = uniform_grid(t_max, n)
-    warping = Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
-                      h, h_prime)
-    return ModelManifold(
-        m=m,
-        t_max=t_max,
-        profile=None,
-        warp=h,
-        curvature=curvature,
-        ball_volume=_volume_table(m, warping),
-        tail_factor=1.0,
-    )
-
-
-def conical_model(m: int, c: float, t_max: float, step: float) -> ModelManifold:
-    """Nonnegatively curved model opening onto a cone of slope c in (0, 1].
-
-    h(t) = c t + (1-c)(1 - e^-t) interpolates between the Euclidean apex
-    (h ~ t near zero) and linear growth with slope c; its radial Ricci
-    curvature (m-1)(1-c) e^-t / h is nonnegative.
-    """
-    if not (0.0 < c <= 1.0):
-        raise ValueError("cone slope c must lie in (0, 1]")
-    d = 1.0 - c
-    return model_from_warping(
-        m,
-        h=lambda t: c * t + d * (1.0 - math.exp(-t)),
-        h_prime=lambda t: c + d * math.exp(-t),
-        h_second=lambda t: -d * math.exp(-t),
-        t_max=t_max,
-        step=step,
     )
 
 

@@ -232,14 +232,6 @@ def require_finite_nodes(h_nodes: array, hp_nodes: array, dt: float) -> None:
         raise OdeError(i * dt)
 
 
-def uniform_grid(t_max: float, n: int) -> array:
-    """The n + 1 nodes of a Warping with n steps on [0, t_max]."""
-    dt = t_max / n
-    grid = array("d", (i * dt for i in range(n)))
-    grid.append(t_max)
-    return grid
-
-
 class Warping(NamedTuple):
     """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max].
 
@@ -274,12 +266,13 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     over the Warping grid; g is called 2n + 1 times, at each node and step
     midpoint.  Between nodes h and h' are cubic Hermite interpolants, which
     keep the sweep's fourth order; each h' lookup reads its end slopes
-    h'' = g * h from g at the cell's two nodes, and a lookup outside the
-    window raises ValueError.  There is no error estimate; the step is the
-    accuracy control.  Finiteness is checked once, after the sweep
-    (require_finite_nodes): an RK4 step of this linear system keeps a
-    non-finite h or h' non-finite, so the first non-finite node is the one
-    where the state blew up.  The models of `const:` and `table:` specs
+    h'' = g * h from g at the cell's two nodes.  A lookup at t_max (or
+    within the window's 1e-12 slack past it) returns the last node's h and
+    h' exactly, and one outside the window raises ValueError.  There is no
+    error estimate; the step is the accuracy control.  Finiteness is
+    checked once, after the sweep (require_finite_nodes): an RK4 step of
+    this linear system keeps a non-finite h or h' non-finite, so the first
+    non-finite node is the one where the state blew up.  The models of `const:` and `table:` specs
     come from this sweep; a `rational:` model is built from its closed
     form (model_manifold.RationalDecay.warping) instead.
 
@@ -317,6 +310,8 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     def cell(t: float) -> tuple[int, float]:
         if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the solution window [0, {t_max:g}]")
+        if t >= t_max:
+            return n - 1, 1.0
         i = min(int(t / dt), n - 1)
         return i, (t - i * dt) / dt
 

@@ -6,15 +6,18 @@ Lanczos gamma implementation being verified.  The frozen tables were
 produced from the closed forms below (checked against a 30-digit
 evaluation) and from a 30-digit Taylor-method integration of the warping
 initial value problem; they pin the oracles themselves against accidental
-edits.  The last section holds formulas that tests hold program output
-against; they read the package's profiles and functionals, so they check
-consistency between two routes, not values.
+edits.  The last two sections read the package.  One holds formulas that
+tests hold program output against; they read the package's profiles and
+functionals, so they check consistency between two routes, not values.
+The other builds models straight from a closed-form warping h, with no
+curvature profile: the cones on which the witness search is tested.
 """
 
 import math
 from array import array
 
-from radsob.numerics import TOL
+from radsob.model_manifold import ModelManifold, _require_dimension, _volume_table
+from radsob.numerics import TOL, Warping, grid_steps
 from radsob.sobolev import manifold_integral
 from radsob.talenti import profile_split, sharp_beta
 
@@ -178,9 +181,16 @@ def rk4_reference(g, t_max, step):
         values.append(h)
         derivs.append(v)
         g_here = g_next
+    return uniform_grid(t_max, n), values, derivs
+
+
+def uniform_grid(t_max, n):
+    """The n + 1 nodes of a warping grid with n steps on [0, t_max]: i *
+    (t_max / n), the last node t_max itself, as an ``array("d")``."""
+    dt = t_max / n
     grid = array("d", (i * dt for i in range(n)))
     grid.append(t_max)
-    return grid, values, derivs
+    return grid
 
 
 def hermite_reference(grid, values, derivs, g, t):
@@ -316,3 +326,56 @@ def spot_check(u):
             raise ValueError(
                 f"derivative inconsistent with finite differences at t={t:g}: {an!r} vs {fd!r}"
             )
+
+
+# -- Closed-form models without a curvature profile ------------------------
+
+
+def model_from_warping(m, h, h_prime, h_second, t_max, step):
+    """Model from a closed-form warping function with h(0)=0, h'(0)=1.
+
+    h' fills the volume table; h'' only enters the curvature G = h''/h,
+    which is undefined at the apex, where h vanishes.
+    """
+    _require_dimension(m)
+    if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
+        raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
+
+    def curvature(t):
+        if t == 0.0:
+            raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
+        return h_second(t) / h(t)
+
+    n = grid_steps(t_max, step)
+    nodes = uniform_grid(t_max, n)
+    warping = Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
+                      h, h_prime)
+    return ModelManifold(
+        m=m,
+        t_max=t_max,
+        profile=None,
+        warp=h,
+        curvature=curvature,
+        ball_volume=_volume_table(m, warping),
+        tail_factor=1.0,
+    )
+
+
+def conical_model(m, c, t_max, step):
+    """Nonnegatively curved model opening onto a cone of slope c in (0, 1].
+
+    h(t) = c t + (1-c)(1 - e^-t) interpolates between the Euclidean apex
+    (h ~ t near zero) and linear growth with slope c; its radial Ricci
+    curvature (m-1)(1-c) e^-t / h is nonnegative.
+    """
+    if not (0.0 < c <= 1.0):
+        raise ValueError("cone slope c must lie in (0, 1]")
+    d = 1.0 - c
+    return model_from_warping(
+        m,
+        h=lambda t: c * t + d * (1.0 - math.exp(-t)),
+        h_prime=lambda t: c + d * math.exp(-t),
+        h_second=lambda t: -d * math.exp(-t),
+        t_max=t_max,
+        step=step,
+    )

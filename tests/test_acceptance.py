@@ -15,7 +15,6 @@ from radsob.model_manifold import (
     RationalDecay,
     ZeroCurvature,
     build_model,
-    conical_model,
     euclidean_model,
     verify_volume_chain,
 )
@@ -42,6 +41,7 @@ from radsob.talenti import (
 )
 
 import _oracles
+from _oracles import conical_model
 
 P42 = SobolevParams(4, 2.0)
 K42 = sharp_constant(P42)

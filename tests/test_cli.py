@@ -8,14 +8,18 @@ where that file holds the invocation, and the other golden invocations to
 within the benchmark gate's tolerance.  These tests only read perfbench/.
 """
 
+import ast
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from radsob import cli, model_manifold, sobolev, talenti
 from radsob.cli import build_parser, main
@@ -127,7 +131,9 @@ NAMED_REFUSALS = {
 }
 
 
-def test_exit_codes_usage_errors(capsys, tmp_path):
+def _usage_error_argvs(tmp_path) -> list:
+    """The argvs that test_exit_codes_usage_errors expects to exit 2; the
+    malformed curvature tables they read are written to tmp_path."""
     tables = {
         "nan_value": "0 0.3\n1 nan\n2 0.1\n# tail_power=3\n",
         "inf_value": "0 inf\n1 0.25\n2 0.1\n# tail_power=3\n",
@@ -141,7 +147,7 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         path.write_text(text)
         table_cases.append(["model", "--g", f"table:{path}"])
         table_cases.append(["rigidity", "--g", f"table:{path}", "--c-m", "0.5"])
-    cases = table_cases + [
+    return table_cases + [
         ["constants", "--m", "2", "--p", "2"],
         ["constants", "--badflag"],
         ["nosuch"],
@@ -191,7 +197,10 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         # s(R) still rises at the last flux radius: no radius clears the bulk.
         ["verify", "--g", "zero", "--lambda", "1e10"],
     ]
-    for argv in cases:
+
+
+def test_exit_codes_usage_errors(capsys, tmp_path):
+    for argv in _usage_error_argvs(tmp_path):
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 2, f"argv {argv!r} gave exit {rc}, want 2"
@@ -199,6 +208,16 @@ def test_exit_codes_usage_errors(capsys, tmp_path):
         # Only --badflag may be refused for its name rather than its value.
         assert ("unrecognized arguments" in err) == ("--badflag" in argv), err
         assert NAMED_REFUSALS.get(tuple(argv), "") in err, (argv, err)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the empirical gamma is the least volume ratio on a grid that starts "
+                          "at t = 0.5, so a user gamma above 1 passes (ROADMAP item 13)")
+def test_a_gamma_above_one_is_refused(capsys):
+    """V(B_t)/V_euc(t) -> 1 as t -> 0 on every model, so the hypothesis
+    V/V_euc >= gamma for every t fails for any gamma above 1."""
+    rc, _ = _run(capsys, ["rigidity", "--g", "rational:0.1", "--gamma", "1.01"])
+    assert rc == 2
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
@@ -700,6 +719,73 @@ def test_other_golden_reports_match_within_the_gate_tolerance(tmp_path, monkeypa
         assert rc == want["exit"], f"{invocation!r} exited {rc}, golden {want['exit']}"
         why = gate.compare_reports(out, want["stdout"])
         assert why is None, f"{invocation!r}: {why}"
+
+
+# Runs the argvs read from stdin (a JSON list) through cli.main in one
+# process, under a profiler set before radsob is imported, and prints the
+# (module, qualified name) of every Python function entered, as JSON.
+PROFILE_ENTRIES = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+
+entered = set()
+
+
+def record(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        entered.add((frame.f_globals.get("__name__"), getattr(code, "co_qualname", code.co_name)))
+
+
+argvs = json.load(sys.stdin)
+sys.setprofile(record)
+from radsob.cli import main
+
+for argv in argvs:
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        main(argv)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+# Top-level functions that no golden or refusal argv enters, each with its
+# reason.  The list only shrinks: an entry that a run reaches fails the test.
+UNREACHED = {
+    ("radsob.sobolev", "estimate_radial_constant"):
+        "the witness search, kept as the cross-check that ROADMAP item 2 runs",
+    ("radsob.sobolev", "quotient_sobolev"): "read only by the witness search (item 2)",
+}
+
+
+def test_every_top_level_function_is_reached_by_a_cli_run(tmp_path):
+    """The 20 golden argvs and the refusal argvs of test_exit_codes_usage_errors,
+    run through cli.main, enter every top-level function of src/radsob but
+    those in UNREACHED: code that no CLI run reaches belongs in the tests."""
+    package = Path(cli.__file__).resolve().parent
+    defined = {
+        (f"radsob.{path.stem}", node.name)
+        for path in package.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert set(UNREACHED) <= defined, sorted(set(UNREACHED) - defined)
+    workloads = _perfbench_module("workloads")
+    table = tmp_path / workloads.table_path(0)
+    table.parent.mkdir(parents=True)
+    table.write_text(workloads.curvature_table(0))
+    argvs = [key.split() for key in json.loads(GOLDEN.read_text())]
+    argvs += _usage_error_argvs(tmp_path)
+    path = os.pathsep.join(filter(None, (str(package.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", PROFILE_ENTRIES], input=json.dumps(argvs),
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(entry) for entry in json.loads(proc.stdout)}
+    assert not set(UNREACHED) & entered, (
+        f"reached, so drop from UNREACHED: {sorted(set(UNREACHED) & entered)!r}"
+    )
+    missed = sorted(defined - entered - set(UNREACHED))
+    assert not missed, f"no CLI run enters (module, function): {missed!r}"
 
 
 if HAS_HYPOTHESIS:

@@ -168,10 +168,7 @@ def test_every_assigned_name_is_read():
 # not count as reading the method.  UNREAD_API lists the exceptions, each
 # with its reason.
 
-UNREAD_API = (
-    ("conical_model", "the API constructor of the one profile-less model family, the "
-     "family on which the witness search decides (ROADMAP item 2)"),
-)
+UNREAD_API = ()
 
 
 def _public_definitions(source: str) -> list:

@@ -13,23 +13,22 @@ import pytest
 
 from radsob import model_manifold
 from radsob.cli import _rigidity_grid
-from radsob.numerics import OdeError, Warping, integrate_finite, solve_h_ivp, uniform_grid
+from radsob.numerics import OdeError, Warping, integrate_finite, solve_h_ivp
 from radsob.model_manifold import (
     ConstantCutoff,
     RationalDecay,
     Tabulated,
     ZeroCurvature,
     build_model,
-    conical_model,
     euclidean_model,
     load_tabulated,
-    model_from_warping,
     parse_curvature,
     verify_volume_chain,
 )
 from radsob.talenti import unit_ball_volume
 
 import _oracles
+from _oracles import conical_model, model_from_warping, uniform_grid
 
 try:
     from hypothesis import given, settings, strategies as st

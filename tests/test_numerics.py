@@ -225,18 +225,20 @@ SWEEP_PROFILES = {
 @pytest.mark.parametrize("t_max, step", [(10.0, 1e-3), (1.0, 0.3), (3.0, 0.01604)])
 def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     """h and h' at every node, and the dense output in the last cell, have
-    the bits of the plain RK4 loop.  At (3.0, 0.01604) there are n = 187
-    steps and n * (3/n) rounds above 3, past the cutoff of const:0.05:3,
-    so the last cell's h' must read g at the last node t_max itself."""
+    the bits of the plain RK4 loop, and at t_max the dense output is the
+    last node's h and h'.  At (3.0, 0.01604) there are n = 187 steps and
+    n * (3/n) rounds above 3, past the cutoff of const:0.05:3, so the last
+    cell's h' must read g at the last node t_max itself."""
     g = SWEEP_PROFILES[name].g
     sol = solve_h_ivp(g, t_max, step)
     grid, values, derivs = rk4_reference(g, t_max, step)
     assert isinstance(sol, Warping) and sol.step == grid[1]
     assert sol.values.tobytes() == values.tobytes()
     assert sol.derivs.tobytes() == derivs.tobytes()
-    for t in (grid[-2] + 0.3 * (t_max - grid[-2]), t_max):
-        h, hp = hermite_reference(grid, values, derivs, g, t)
-        assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
+    t = grid[-2] + 0.3 * (t_max - grid[-2])
+    h, hp = hermite_reference(grid, values, derivs, g, t)
+    assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
+    assert (sol.value(t_max), sol.deriv(t_max)) == (values[-1], derivs[-1])
 
 
 def test_quadrature_and_ivp_determinism():

@@ -8,15 +8,15 @@ import math
 
 import pytest
 
+from radsob import sobolev
 from radsob.model_manifold import (
     RationalDecay,
     build_model,
-    conical_model,
     euclidean_model,
-    model_from_warping,
 )
 from radsob.numerics import TOL, QuadratureError
 from radsob.sobolev import (
+    SEARCH_TOL,
     DivergentTailError,
     RadialFunction,
     SobolevUnsupportedError,
@@ -31,6 +31,7 @@ from radsob.sobolev import (
 from radsob.talenti import SobolevParams, TalentiProfile
 
 import _oracles
+from _oracles import conical_model, model_from_warping
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -266,10 +267,35 @@ def test_estimate_flat_recovers_sharp_constant_quickly():
     assert est.quotient_evals > 0
 
 
-def test_estimate_is_scan_plus_golden_section_only():
-    """25 scan points, 2 bracket probes, at most 30 refinements, 1 final pass."""
+def _recorded_tolerances(monkeypatch, fail_at=None):
+    """The tol of every quotient the search evaluates; a quotient at the
+    tolerance fail_at raises QuadratureError instead."""
+    tols = []
+
+    def recorder(u, model, tol):
+        tols.append(tol)
+        if tol == fail_at:
+            raise QuadratureError("stalled")
+        return quotient_sobolev(u, model, tol)
+
+    monkeypatch.setattr(sobolev, "quotient_sobolev", recorder)
+    return tols
+
+
+def test_estimate_is_the_scan_plus_one_strict_pass(monkeypatch):
+    """25 scan points at SEARCH_TOL, then the best scale once at TOL."""
+    tols = _recorded_tolerances(monkeypatch)
     est = estimate_radial_constant(conical_model(4, 0.8, 50.0, 1e-3), P42)
-    assert est.quotient_evals <= 58, f"search used {est.quotient_evals} quotients"
+    assert tols == [SEARCH_TOL] * 25 + [TOL]
+    assert est.quotient_evals == 26, f"search used {est.quotient_evals} quotients"
+
+
+def test_estimate_raises_when_the_strict_pass_misses_its_tolerance(monkeypatch):
+    """No fallback to the scan's looser quotient: the error propagates."""
+    tols = _recorded_tolerances(monkeypatch, fail_at=TOL)
+    with pytest.raises(QuadratureError):
+        estimate_radial_constant(EUC4, P42)
+    assert tols == [SEARCH_TOL] * 25 + [TOL]
 
 
 def test_estimate_dimension_mismatch():
