@@ -13,10 +13,13 @@ Subcommands:
 COMMANDS maps each subcommand to its function and to the flags it reads;
 every subcommand also takes --output and --out, and any other flag is a
 usage error.  Each cmd_* returns its verdict, JSON payload and CSV lines,
-and main renders and writes the report once.  Reports are deterministic:
-fixed row order, floats at 12 significant digits, no timestamps.  Exit
-codes: 0 all checks pass, 1 a mathematical check failed (a report row, or
-a numerics.CheckFailed raised on the way), 2 usage or input error.
+and main renders and writes the report once.  Every run is a fresh
+process that pays for each module it imports, so each cmd_* imports the
+radsob modules it executes and no other, and --help or a usage error
+loads none.  Reports are deterministic: fixed row order, floats at 12
+significant digits, no timestamps.  Exit codes: 0 all checks pass, 1 a
+mathematical check failed (a report row, or a numerics.CheckFailed raised
+on the way), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -24,19 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-from .model_manifold import (
-    ModelManifold,
-    build_model,
-    parse_curvature,
-    upper_chain_factors,
-    verify_volume_chain,
-)
-from .numerics import CheckFailed
-from .rigidity import mass_escape_experiment, verify_theorem
-from .sobolev import gradient_energy, mass_pstar, talenti_function, verify_decay_conditions
-from .talenti import SELF_TEST_LAMBDAS, SobolevParams, TalentiProfile, sharp_constant
-from .talenti import sharp_constant_detail, sphere_area, unit_ball_volume
 
 
 def _round12(x: float) -> float:
@@ -158,18 +148,24 @@ def _checks(args: argparse.Namespace, rows) -> tuple:
     return head, table
 
 
-def _bounded_model(args: argparse.Namespace) -> ModelManifold:
-    """The model of --g, for the commands that check the upper bound e^(b m).
+def _bounded_model(args: argparse.Namespace):
+    """The ModelManifold of --g, for the commands that check the upper
+    bound e^(b m).
 
     An infinite e^(b m) could never fail and follows from the moment
     alone, so it is refused before the model is built.
     """
+    from .model_manifold import build_model, parse_curvature, upper_chain_factors
+
     profile = parse_curvature(args.g_spec)
     upper_chain_factors(profile.b, args.m)
     return build_model(args.m, profile, t_max=args.t_max, step=args.step)
 
 
 def cmd_constants(args: argparse.Namespace) -> tuple:
+    from .talenti import SELF_TEST_LAMBDAS, SobolevParams, sharp_constant_detail
+    from .talenti import sphere_area, unit_ball_volume
+
     params = SobolevParams(args.m, args.p)
     lambdas = tuple(sorted(set(SELF_TEST_LAMBDAS) | set(args.lambda_list)))
     detail = sharp_constant_detail(params, lambdas)
@@ -200,6 +196,8 @@ def _chain_grid(t_max: float) -> list:
 
 
 def cmd_model(args: argparse.Namespace) -> tuple:
+    from .model_manifold import verify_volume_chain
+
     report = verify_volume_chain(_bounded_model(args), _chain_grid(args.t_max), slack=args.tol)
     rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
     ok = report.all_pass
@@ -209,6 +207,10 @@ def cmd_model(args: argparse.Namespace) -> tuple:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple:
+    from .model_manifold import build_model, parse_curvature
+    from .sobolev import gradient_energy, mass_pstar, talenti_function, verify_decay_conditions
+    from .talenti import SobolevParams, TalentiProfile, sharp_constant
+
     params = SobolevParams(args.m, args.p)
     # The Sobolev-side checks do not use e^(b m), so any moment is built.
     model = build_model(args.m, parse_curvature(args.g_spec), t_max=args.t_max, step=args.step)
@@ -242,6 +244,9 @@ def _rigidity_grid(t_max: float) -> list:
 
 
 def cmd_rigidity(args: argparse.Namespace) -> tuple:
+    from .rigidity import verify_theorem
+    from .talenti import SobolevParams
+
     params = SobolevParams(args.m, args.p)
     report = verify_theorem(
         _bounded_model(args),
@@ -274,6 +279,9 @@ def cmd_rigidity(args: argparse.Namespace) -> tuple:
 
 
 def cmd_limits(args: argparse.Namespace) -> tuple:
+    from .rigidity import mass_escape_experiment
+    from .talenti import SobolevParams
+
     params = SobolevParams(args.m, args.p)
     report = mass_escape_experiment(params, args.T, args.lambda_list)
     ok = report.all_pass
@@ -329,6 +337,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from .numerics import CheckFailed
+
     try:
         ok, payload, lines = COMMANDS[args.command][0](args)
         if args.output == "json":

@@ -16,10 +16,10 @@ which is exactly what verify_volume_chain checks on a grid.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from bisect import bisect_right
 from itertools import islice
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .numerics import OdeError, Warping, grid_steps, require_finite_nodes, solve_h_ivp
@@ -219,7 +219,7 @@ class Tabulated(CurvatureProfile):
         return total
 
 
-def load_tabulated(path: str | Path) -> Tabulated:
+def load_tabulated(path: str | os.PathLike) -> Tabulated:
     """Read a tabulated profile from a two-column text file.
 
     Rows hold "t value" pairs; a directive line "# tail_power=<q>" declares
@@ -227,7 +227,9 @@ def load_tabulated(path: str | Path) -> Tabulated:
     """
     grid, values = [], []
     tail_power = None
-    for raw in Path(path).read_text().splitlines():
+    with open(path) as fh:
+        text = fh.read()
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue

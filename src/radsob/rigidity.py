@@ -23,12 +23,13 @@ which volume the profile compares against, so no caller chooses a case.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .model_manifold import ModelManifold, upper_chain_factors
 from .numerics import integrate_finite, integrate_semi_infinite
-from .sobolev import estimate_radial_constant
 from .talenti import SobolevParams, TalentiProfile, sharp_beta, sharp_constant
+
+if TYPE_CHECKING:
+    from .model_manifold import ModelManifold
 
 
 class RigidityHypothesisError(ValueError):
@@ -176,6 +177,8 @@ def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
         # isoperimetric ratio and no radial witness beats K.  Admitting
         # G < 0 (the Ric >= 0 models of ROADMAP item 2) has to revisit this.
         return k
+    from .sobolev import estimate_radial_constant
+
     return max(estimate_radial_constant(model, params).c_est, k)
 
 
@@ -260,6 +263,8 @@ def verify_theorem(
     non-increasing within V_STEP_SLACK per step, and its final value stays
     above -V_LIMIT_SLACK.
     """
+    from .model_manifold import upper_chain_factors
+
     m = params.m
     if model.m != m:
         raise ValueError(f"params dimension {m} does not match model dimension {model.m}")

@@ -1,12 +1,15 @@
 """Every name a radsob module imports is used in that module.
 
 __future__ imports are exempt.  The package __init__ imports nothing:
-names are imported from their modules.
+names are imported from their modules.  Each CLI run loads only the
+modules its subcommand executes.
 """
 
 import argparse
 import ast
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -54,17 +57,25 @@ def test_modules_use_every_imported_name():
 # Every `radsob` run is a fresh process that pays for its imports, so the
 # package keeps to modules the interpreter has loaded at start-up or that
 # are cheap: records are NamedTuples, not dataclasses, whose import pulls
-# in inspect, and json is imported only to render a JSON report.
+# in inspect; json is imported only to render a JSON report; and a table
+# file is read with open, since pathlib pulls in urllib.parse and
+# ipaddress.  `site` may load some of these itself (here it loads
+# pathlib), so the check runs without it (python -S).
 
-SLOW_IMPORTS = {"dataclasses", "inspect", "json"}
+SLOW_IMPORTS = {"dataclasses", "inspect", "json", "pathlib"}
 
 
-def _loaded_modules(statement: str) -> set:
+def _child_env(root: Path = PACKAGE.parent) -> dict:
+    """The environment of a child that imports radsob from under root."""
+    path = os.pathsep.join(filter(None, (str(root), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _loaded_modules(statement: str, *flags: str) -> set:
     """Names in sys.modules after `statement` runs in a fresh interpreter."""
-    path = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     child = subprocess.run(
-        [sys.executable, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *flags, "-c", f"{statement}\nimport sys\nprint(*sys.modules)"],
+        env=_child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -82,9 +93,84 @@ def test_package_import_loads_no_module_of_its_own():
 
 
 def test_cli_import_loads_no_slow_module():
-    added = _loaded_modules("import radsob.cli") - _loaded_modules("pass")
-    assert "radsob.cli" in added
-    assert not SLOW_IMPORTS & added, f"import radsob.cli loads {sorted(SLOW_IMPORTS & added)}"
+    """No module a CLI run can import loads a slow one."""
+    modules = [f"radsob.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"]
+    added = _loaded_modules(f"import {', '.join(modules)}", "-S") - _loaded_modules("pass", "-S")
+    assert set(modules) <= added
+    assert not SLOW_IMPORTS & added, f"radsob loads {sorted(SLOW_IMPORTS & added)}"
+
+
+# The radsob modules each invocation loads: those its subcommand executes.
+# `rigidity` does not load sobolev, which only the witness search needs.
+MODULE_SETS = {
+    ("constants", "--help"): {"cli"},
+    ("constants",): {"cli", "numerics", "talenti"},
+    ("limits",): {"cli", "numerics", "talenti", "rigidity"},
+    ("model",): {"cli", "numerics", "talenti", "model_manifold"},
+    ("verify",): {"cli", "numerics", "talenti", "model_manifold", "sobolev"},
+    ("rigidity",): {"cli", "numerics", "talenti", "model_manifold", "rigidity"},
+}
+
+# Runs cli.main on its arguments and writes the radsob modules then in
+# sys.modules to the last line of stderr.
+RUN_AND_LIST = """
+import sys
+from radsob.cli import main
+
+main(sys.argv[1:])
+own = (name.removeprefix("radsob.") for name in sys.modules if name.startswith("radsob."))
+print(*sorted(own), file=sys.stderr)
+"""
+
+
+def _wrong_module_sets(root: Path, argvs) -> dict:
+    """{argv: modules loaded} of each argv whose run in a fresh interpreter,
+    with the package under root, loads other modules than MODULE_SETS names."""
+    wrong = {}
+    for argv in argvs:
+        child = subprocess.run([sys.executable, "-c", RUN_AND_LIST, *argv], env=_child_env(root),
+                               capture_output=True, text=True, cwd=root)
+        loaded = set(child.stderr.splitlines()[-1].split())
+        if loaded != MODULE_SETS[argv]:
+            wrong[argv] = sorted(loaded)
+    return wrong
+
+
+def test_each_invocation_loads_only_the_modules_it_executes():
+    wrong = _wrong_module_sets(PACKAGE.parent, MODULE_SETS)
+    assert not wrong, f"invocations that load other modules: {wrong!r}"
+
+
+def test_module_set_scan_flags_an_eager_import(tmp_path):
+    shutil.copytree(PACKAGE, tmp_path / "radsob", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "radsob" / "cli.py"
+    source = cli.read_text()
+    assert source.count("\nimport sys\n") == 1
+    eager = "\nimport sys\n\nfrom .rigidity import verify_theorem\n"
+    cli.write_text(source.replace("\nimport sys\n", eager))
+    assert _wrong_module_sets(tmp_path, [("constants", "--help")]) == {
+        ("constants", "--help"): ["cli", "numerics", "rigidity", "talenti"],
+    }
+
+
+def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
+    """perfbench/tracer.py reaches every layer as an attribute of the
+    package (radsob.__getattr__), so a traced run sees the modules that
+    the subcommand loads later."""
+    tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+    spans, counts = {}, {}
+    for argv in (["limits", "--m", "4", "--p", "2"], ["rigidity", "--g", "zero", "--c-m", "0.4"]):
+        trace = tmp_path / "trace.json"
+        child = subprocess.run([sys.executable, str(tracer), str(trace), "test", *argv],
+                               env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
+        assert child.returncode == 0, (argv, child.stderr)
+        data = json.loads(trace.read_text())
+        spans[argv[0]] = {span[0] for span in data["spans"]}
+        counts[argv[0]] = data["counts"]
+    assert "rigidity.mass_escape_experiment" in spans["limits"], spans
+    assert counts["limits"].get("numerics.quad_evals", 0) > 0, counts
+    assert "rigidity.verify_theorem" in spans["rigidity"], spans
 
 
 def test_frozen_records_refuse_assignment():

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from radsob import rigidity
+from radsob import rigidity, sobolev
 from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
@@ -351,7 +351,7 @@ def test_verify_refuses_a_gamma_the_grid_disproves(model, monkeypatch):
     ratio_slack is refused before any witness search."""
     searched = []
     monkeypatch.setattr(
-        rigidity, "estimate_radial_constant", lambda *args: searched.append(args)
+        sobolev, "estimate_radial_constant", lambda *args: searched.append(args)
     )
     grid, slack = (0.5, 1.0, 5.0, 20.0), 1e-6
     least = _theorem(model, grid, c_m=K42, ratio_slack=slack).gamma
@@ -393,7 +393,7 @@ def test_verify_refuses_a_lower_bound_of_zero(a, b):
 def test_verify_refuses_before_the_witness_search(monkeypatch):
     searched = []
     monkeypatch.setattr(
-        rigidity, "estimate_radial_constant", lambda *args: searched.append(args)
+        sobolev, "estimate_radial_constant", lambda *args: searched.append(args)
     )
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-2)
     with pytest.raises(RigidityHypothesisError):
@@ -453,7 +453,7 @@ def test_estimated_c_m_searches_only_without_a_profile(monkeypatch):
         calls.append(model)
         return estimate_radial_constant(model, params)
 
-    monkeypatch.setattr(rigidity, "estimate_radial_constant", recorder)
+    monkeypatch.setattr(sobolev, "estimate_radial_constant", recorder)
     table = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
     for model in (
         RAT01,
