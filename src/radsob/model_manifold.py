@@ -6,8 +6,8 @@ curvature coefficient G the warping function h solves h'' = G(t) h,
 h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
 in closed form for RationalDecay and from the RK4 sweep of that IVP for
 the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
-and the tail factor, and nothing else: it has no name, and sums no ball
-volumes before one is read.  The moment b = integral(t G(t) dt)
+and the tail factor, and nothing else: it has no name, and sums ball
+volumes, from node pairs drawn on demand, only as far out as one is read.  The moment b = integral(t G(t) dt)
 measures the total amount of negative curvature; when it is finite the
 model is trapped between Euclidean space and a bounded dilation of it,
 which is exactly what verify_volume_chain checks on a grid.
@@ -19,8 +19,7 @@ import math
 import os
 from array import array
 from bisect import bisect_right
-from itertools import islice
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .numerics import OdeError, Warping, grid_steps, require_finite_nodes, solve_h_ivp
 from .talenti import sphere_area, unit_ball_volume
@@ -31,7 +30,8 @@ def _exp_or_inf(x: float) -> float:
 
 
 class CurvatureProfile:
-    """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) and
+    """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) (a
+    method, or a closure that __init__ binds, as Tabulated does) and
     moment_tail(t_from), the integral of t G(t) over [t_from, inf), and
     may replace warping() by a closed form."""
 
@@ -99,8 +99,11 @@ class RationalDecay(CurvatureProfile):
         where S = sin(r theta)/r and C = cos(r theta) for k > 0, sinh and
         cosh for k < 0, and S = theta, C = 1 for k = 0.  sqrt(1+t^2) is
         hypot(1, t), finite wherever t is.  h and h' are exact between the
-        nodes too, with the node columns' bits at a node.  Raises OdeError
-        at the first node where h or h' is not finite.
+        nodes too, with the node pairs' bits at a node.  No node is kept:
+        nodes computes each pair as it is drawn.  As b0 >= 0, h and h' grow
+        with t, so finite values at t_max mean finite nodes; otherwise
+        OdeError names the first node where h or h' overflows, or failing
+        that the first where one is not finite (require_finite_nodes).
         """
         k = 1.0 - self._two_b0
         if k > 0.0:
@@ -120,26 +123,24 @@ class RationalDecay(CurvatureProfile):
 
         n = grid_steps(t_max, step)
         dt = t_max / n
-        h_nodes, hp_nodes = array("d"), array("d")
-        add_h, add_hp = h_nodes.append, hp_nodes.append
-        # One pass over the nodes below t_max, through local names: per node
-        # one atan, one hypot and one S, C pair serve both columns.
-        try:
-            for i in range(n):
-                t = i * dt
-                a = r * atan(t)
-                s = sn(a) / r
-                q = hypot(1.0, t)
-                add_h(q * s)
-                add_hp((t * s + cs(a)) / q)
-            t = t_max
-            add_h(h(t))
-            add_hp(h_prime(t))
-        except OverflowError:
-            # sinh or cosh of a large r theta.
-            raise OdeError(t) from None
-        require_finite_nodes(h_nodes, hp_nodes, dt)
-        return Warping(dt, h_nodes, hp_nodes, h, h_prime)
+
+        def nodes(start: int, stop: int) -> Iterator[tuple[float, float]]:
+            # Per node one atan, one hypot and one S, C pair serve h and h'.
+            try:
+                for i in range(start, min(stop, n)):
+                    t = i * dt
+                    a = r * atan(t)
+                    s = sn(a) / r
+                    q = hypot(1.0, t)
+                    yield q * s, (t * s + cs(a)) / q
+                if stop > n:
+                    t = t_max
+                    yield h(t), h_prime(t)
+            except OverflowError:
+                # sinh or cosh of a large r theta.
+                raise OdeError(t) from None
+
+        return require_finite_nodes(Warping(dt, n, nodes, h, h_prime))
 
 
 class Tabulated(CurvatureProfile):
@@ -172,23 +173,27 @@ class Tabulated(CurvatureProfile):
             )
         self.grid = grid
         self.values = values
-        self.tail_power = float(tail_power)
+        self.tail_power = q = float(tail_power)
         # The chord slope of each segment, by the formula np.interp uses,
         # so g has the same bits.
-        self._slopes = array(
+        slopes = array(
             "d",
             ((v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:])),
         )
+        t_first, t_last, v_first, v_last = grid[0], grid[-1], values[0], values[-1]
 
-    def g(self, t):
-        grid, values = self.grid, self.values
-        if t <= grid[0]:
-            return values[0]
-        if t >= grid[-1]:
-            return values[-1] * (grid[-1] / t) ** self.tail_power
-        # grid[j] <= t < grid[j + 1]
-        j = bisect_right(grid, t) - 1
-        return self._slopes[j] * (t - grid[j]) + values[j]
+        def g(t: float) -> float:
+            # The grid strictly increases, so at most one end branch holds;
+            # the tail, where most of a sweep's calls fall, is tested first.
+            if t >= t_last:
+                return v_last * (t_last / t) ** q
+            if t <= t_first:
+                return v_first
+            # grid[j] <= t < grid[j + 1]
+            j = bisect_right(grid, t) - 1
+            return slopes[j] * (t - grid[j]) + values[j]
+
+        self.g = g
 
     def _segment_moment(self, t_from: float) -> float:
         # t * G is piecewise quadratic where G is piecewise linear, so a
@@ -300,9 +305,9 @@ class ModelManifold:
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
     build_model reads ball volumes from a node table (_volume_table),
-    summed on the first lookup.  profile is the curvature profile whose
-    moment b the bounds use, or None for a model built directly from a
-    closed-form h, as the tests build cones.  euclidean_volume is the one
+    summed only as far out as a lookup reads.  profile is the curvature
+    profile whose moment b the bounds use, or None for a model built
+    directly from a closed-form h, as the tests build cones.  euclidean_volume is the one
     omega_m t^m every volume ratio divides by.  Models compare by identity.
     """
 
@@ -372,52 +377,57 @@ def _require_dimension(m: int) -> None:
         raise ValueError("model dimension must be at least 2")
 
 
-def _node_volumes(om, m, step, h_nodes, hp_nodes) -> array:
-    """V(B_t) at the nodes: each cell's derivative-corrected trapezoid,
-    summed in node order, reading the node columns in place."""
-    m1, m2 = m - 1, m - 2
-    om_m1 = om * m1
-    half, corr = 0.5 * step, step * step / 12.0
-    f_prev = om * h_nodes[0] ** m1
-    fp_prev = om_m1 * h_nodes[0] ** m2 * hp_nodes[0]
-    total = 0.0
-    vol = array("d", [total])
-    add = vol.append
-    for h_i, hp_i in zip(islice(h_nodes, 1, None), islice(hp_nodes, 1, None)):
-        f = om * h_i**m1
-        fp = om_m1 * h_i**m2 * hp_i
-        total += half * (f_prev + f) + corr * (fp_prev - fp)
-        add(total)
-        f_prev, fp_prev = f, fp
-    return vol
-
-
 def _volume_table(m: int, warping: Warping) -> Callable[[float], float]:
-    """Ball volume V(B_t) from a warping's node columns and its h and h'.
+    """Ball volume V(B_t) from a warping's node pairs and its h and h'.
 
-    A lookup never starts a cell at the last node (t_max, see Warping).
-    The first lookup sums the node volumes (_node_volumes); between nodes
-    the same rule adds the part of a cell below t, from h(t) and h'(t).
-    So a lookup is O(1).
+    With A = omega_sphere h^(m-1) and its slope A', node i + 1 adds the
+    derivative-corrected trapezoid of cell i to node i; between nodes the
+    same rule adds the part of a cell below t, from h(t) and h'(t).  The
+    node volumes are one running prefix, summed in node order only as far
+    as a lookup reads: a lookup in cell i first extends it from
+    nodes(len(vol), i + 1).  A lookup never starts a cell at the last node
+    (t_max, see Warping), and reads its cell's node pair from the nodes,
+    not from h(i * step), whose cell may round to the one before.  The
+    prefix draws each node once; a lookup between nodes draws its cell's
+    node again only if the prefix already reaches past it.
     """
-    step, h_nodes, hp_nodes, h, h_prime = warping
+    step, n, nodes, h, h_prime = warping
     om, m1, m2 = sphere_area(m), m - 1, m - 2
     om_m1 = om * m1
-    last = len(h_nodes) - 2
-    vol = None
+    half, corr = 0.5 * step, step * step / 12.0
+    last = n - 1
+    vol = array("d")
+    # A and A' at the prefix's last node.
+    f_end = fp_end = 0.0
 
     def volume(t: float) -> float:
-        nonlocal vol
-        if vol is None:
-            vol = _node_volumes(om, m, step, h_nodes, hp_nodes)
+        nonlocal f_end, fp_end
         i = min(int(t / step), last)
+        if i >= len(vol):
+            pairs = nodes(len(vol), i + 1)
+            if not vol:
+                h_0, hp_0 = next(pairs)
+                f_end, fp_end = om * h_0**m1, om_m1 * h_0**m2 * hp_0
+                vol.append(0.0)
+            total, f_prev, fp_prev = vol[-1], f_end, fp_end
+            add = vol.append
+            for h_k, hp_k in pairs:
+                f = om * h_k**m1
+                fp = om_m1 * h_k**m2 * hp_k
+                total += half * (f_prev + f) + corr * (fp_prev - fp)
+                add(total)
+                f_prev, fp_prev = f, fp
+            f_end, fp_end = f_prev, fp_prev
         t_i = i * step
         if t == t_i:
             return vol[i]
+        if i == len(vol) - 1:
+            f_i, fp_i = f_end, fp_end
+        else:
+            h_i, hp_i = next(nodes(i, i + 1))
+            f_i, fp_i = om * h_i**m1, om_m1 * h_i**m2 * hp_i
         h_t = h(t)
         hp_t = h_prime(t)
-        f_i = om * h_nodes[i] ** m1
-        fp_i = om_m1 * h_nodes[i] ** m2 * hp_nodes[i]
         f_t = om * h_t**m1
         fp_t = om_m1 * h_t**m2 * hp_t
         d = t - t_i
@@ -432,7 +442,8 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     profile.warping gives h and h' on the window: in closed form for
     RationalDecay, from the RK4 sweep of the IVP for ConstantCutoff and
     Tabulated.  Past the window h continues linearly from its value and
-    slope at T = t_max, whichever way they were computed.  The true h
+    slope at T = t_max, the warping's last node pair, whichever way they
+    were computed.  The true h
     satisfies w <= h <= w * F there, where w is that continuation and
     F = exp(kappa * integral of s G(s) over [T, inf)) with
     kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
@@ -441,8 +452,8 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         return euclidean_model(m, t_max)
     _require_dimension(m)
     warping = profile.warping(t_max, step)
-    value = warping.value
-    h_end, hp_end = warping.values[-1], warping.derivs[-1]
+    value, n = warping.value, warping.n
+    h_end, hp_end = next(warping.nodes(n, n + 1))
 
     def h(t: float) -> float:
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)

@@ -13,10 +13,12 @@ power.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Its output is a Warping, the one
-shape of every warping, closed forms included: the grid step, h and h' at
-the nodes as stdlib ``array("d")`` columns, and h and h' as functions.
-grid_steps caps a grid at MAX_GRID_STEPS steps.  The sweep checks
-finiteness once, after its last step.  Nothing here needs vector
+shape of every warping, closed forms included: the grid step and count,
+the (h, h') pairs at the nodes, drawn on demand, and h and h' as
+functions.  The sweep keeps its nodes as stdlib ``array("d")`` columns,
+which its dense output reads; a closed form keeps no column.  grid_steps
+caps a grid at MAX_GRID_STEPS steps.  A warping's finiteness is checked
+once, as it is built (require_finite_nodes).  Nothing here needs vector
 arithmetic.  All routines are deterministic: the same inputs always
 produce bitwise identical results.  Every error that fails a check
 rather than refusing an input derives from CheckFailed.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 
 class CheckFailed(RuntimeError):
@@ -219,34 +221,46 @@ def grid_steps(t_max: float, step: float) -> int:
     return n
 
 
-def require_finite_nodes(h_nodes: array, hp_nodes: array, dt: float) -> None:
-    """Raise OdeError at the first node i * dt where h or h' is not finite.
-
-    Only the last node is read unless it is not finite: the callers' nodes
-    never turn finite again, as in an RK4 sweep of this linear system, or
-    in a closed form whose h and h' grow with t.
-    """
-    if not (math.isfinite(h_nodes[-1]) and math.isfinite(hp_nodes[-1])):
-        i = next(i for i, pair in enumerate(zip(h_nodes, hp_nodes))
-                 if not all(map(math.isfinite, pair)))
-        raise OdeError(i * dt)
-
-
 class Warping(NamedTuple):
     """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max].
 
     The grid convention of every warping: n = grid_steps(t_max, step)
     uniform steps of `step` = t_max / n; node i is at i * step, and the
-    last node, i = n, is t_max itself, whatever n * step rounds to.  values
-    and derivs are ``array("d")`` columns of h and h' at the n + 1 nodes;
-    value and deriv are h and h' as functions on the window.
+    last node, i = n, is t_max itself, whatever n * step rounds to.
+    nodes(start, stop) iterates over the (h, h') pairs of the nodes start
+    to stop - 1, each read or computed only when it is drawn; value and
+    deriv are h and h' as functions on the window.
     """
 
     step: float
-    values: array
-    derivs: array
+    n: int
+    nodes: Callable[[int, int], Iterator[tuple[float, float]]]
     value: Callable[[float], float]
     deriv: Callable[[float], float]
+
+
+def require_finite_nodes(warping: Warping) -> Warping:
+    """Return warping if h and h' are finite at every node; else raise
+    OdeError at the first node i * step where one of them is not.
+
+    Only node n is drawn when it is finite: the callers' nodes never turn
+    finite again, as in an RK4 sweep of this linear system, or in a closed
+    form whose h and h' grow with t.  A closed form raises OdeError itself
+    at a node it cannot compute (an overflow); the scan from node 0 then
+    raises that at its first such node, even past a node that is only not
+    finite.
+    """
+    step, n, nodes = warping[:3]
+    try:
+        if all(map(math.isfinite, next(nodes(n, n + 1)))):
+            return warping
+    except OdeError:
+        pass
+    first = None
+    for i, pair in enumerate(nodes(0, n + 1)):
+        if first is None and not all(map(math.isfinite, pair)):
+            first = i
+    raise OdeError(first * step)
 
 
 def _hermite(y0, y1, d0, d1, s, width):
@@ -269,10 +283,12 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     h'' = g * h from g at the cell's two nodes.  A lookup at t_max (or
     within the window's 1e-12 slack past it) returns the last node's h and
     h' exactly, and one outside the window raises ValueError.  There is no
-    error estimate; the step is the accuracy control.  Finiteness is
-    checked once, after the sweep (require_finite_nodes): an RK4 step of
-    this linear system keeps a non-finite h or h' non-finite, so the first
-    non-finite node is the one where the state blew up.  The models of `const:` and `table:` specs
+    error estimate; the step is the accuracy control.  The record's nodes
+    are slices of the sweep's two node columns, which the dense output
+    reads too.  Finiteness is checked once, after the sweep
+    (require_finite_nodes): an RK4 step of this linear system keeps a
+    non-finite h or h' non-finite, so the first non-finite node is the one
+    where the state blew up.  The models of `const:` and `table:` specs
     come from this sweep; a `rational:` model is built from its closed
     form (model_manifold.RationalDecay.warping) instead.
 
@@ -305,7 +321,9 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
         add_value(h)
         add_deriv(v)
         g_here = g_next
-    require_finite_nodes(values, derivs, dt)
+
+    def nodes(start: int, stop: int) -> Iterator[tuple[float, float]]:
+        return zip(values[start:stop], derivs[start:stop])
 
     def cell(t: float) -> tuple[int, float]:
         if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
@@ -326,4 +344,4 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
             derivs[i], derivs[i + 1], g(i * dt) * values[i], g(t_next) * values[i + 1], s, dt
         )
 
-    return Warping(dt, values, derivs, value, deriv)
+    return require_finite_nodes(Warping(dt, n, nodes, value, deriv))

@@ -191,8 +191,9 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
     (their largest relative distance from K).  The spread cannot see an
     error that every scale shares; the error can.  Where the integrand
     |phi'|^p t^(m-1) overflows directly it is taken as the exponential of
-    its logarithm; a kernel that overflows even so raises ValueError: the
-    self-test, not the input, is out of range.
+    its logarithm; a kernel that overflows even so, or at t = 0, where the
+    logarithm cannot take it, raises ValueError: the self-test, not the
+    input, is out of range.
     """
     m, p = params.m, params.p
 
@@ -208,6 +209,9 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
                 value = math.inf
             if math.isfinite(value):
                 return value
+            if t == 0.0:
+                # lam^(-nu-1) overflows, and log t is not finite either.
+                raise OverflowError(f"the kernel overflows at t = 0 at scale lambda={lam:g}")
             log_t = math.log(t)
             # log(lam + t^q): the larger term's log plus log1p(smaller / larger)
             log_base = max(q * log_t, log_lam) + math.log1p(math.exp(-abs(q * log_t - log_lam)))

@@ -217,31 +217,33 @@ def hermite_reference(grid, values, derivs, g, t):
 
 def volume_table_reference(m, warping):
     """Ball volume V(B_t) of a warped model from a warping record: its grid
-    step, h and h' at the nodes, and h and h' as functions.
+    step and count, its node pairs, and h and h' as functions.
 
     The plain eager table that a model's volume lookup must reproduce bit
     for bit: with A = omega_sphere h^(m-1) and its slope A', node i + 1
     adds the derivative-corrected trapezoid of cell i to node i, all node
-    volumes summed up front by index; between nodes the same rule adds the
-    part of the cell below t, from h(t) and h'(t).  Returns V as a function.
+    pairs drawn and all node volumes summed up front by index; between
+    nodes the same rule adds the part of the cell below t, from h(t) and
+    h'(t).  Returns V as a function.
     """
-    step, h_nodes, hp_nodes, h, h_prime = warping
+    step, n, nodes, h, h_prime = warping
+    pairs = list(nodes(0, n + 1))
     om = sphere_area(m)
 
     def area_and_slope(h_t, hp_t):
         return om * h_t ** (m - 1), om * (m - 1) * h_t ** (m - 2) * hp_t
 
     vol = [0.0]
-    for i in range(1, len(h_nodes)):
-        f0, fp0 = area_and_slope(h_nodes[i - 1], hp_nodes[i - 1])
-        f1, fp1 = area_and_slope(h_nodes[i], hp_nodes[i])
+    for i in range(1, n + 1):
+        f0, fp0 = area_and_slope(*pairs[i - 1])
+        f1, fp1 = area_and_slope(*pairs[i])
         vol.append(vol[-1] + (0.5 * step * (f0 + f1) + step * step / 12.0 * (fp0 - fp1)))
 
     def volume(t):
-        i = min(int(t / step), len(h_nodes) - 2)
+        i = min(int(t / step), n - 1)
         if t == i * step:
             return vol[i]
-        f_i, fp_i = area_and_slope(h_nodes[i], hp_nodes[i])
+        f_i, fp_i = area_and_slope(*pairs[i])
         f_t, fp_t = area_and_slope(h(t), h_prime(t))
         d = t - i * step
         return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
@@ -331,6 +333,19 @@ def spot_check(u):
 # -- Closed-form models without a curvature profile ------------------------
 
 
+def closed_form_warping(h, h_prime, t_max, step):
+    """The Warping record of a closed-form h and h' on the grid of
+    grid_steps(t_max, step): each node pair (h, h') at i * step, the last
+    at t_max itself, computed as it is drawn."""
+    n = grid_steps(t_max, step)
+    grid = uniform_grid(t_max, n)
+
+    def nodes(start, stop):
+        return ((h(t), h_prime(t)) for t in grid[start:stop])
+
+    return Warping(t_max / n, n, nodes, h, h_prime)
+
+
 def model_from_warping(m, h, h_prime, h_second, t_max, step):
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
@@ -346,17 +361,13 @@ def model_from_warping(m, h, h_prime, h_second, t_max, step):
             raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
         return h_second(t) / h(t)
 
-    n = grid_steps(t_max, step)
-    nodes = uniform_grid(t_max, n)
-    warping = Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
-                      h, h_prime)
     return ModelManifold(
         m=m,
         t_max=t_max,
         profile=None,
         warp=h,
         curvature=curvature,
-        ball_volume=_volume_table(m, warping),
+        ball_volume=_volume_table(m, closed_form_warping(h, h_prime, t_max, step)),
         tail_factor=1.0,
     )
 

@@ -112,6 +112,11 @@ SELF_TEST_LOG_SPACE = (
 NAMED_REFUSALS = {
     # The self-test itself is out of range: the sphere area overflows.
     ("constants", "--m", "400", "--p", "2"): "the quadrature self-test of K is out of range",
+    # At so small a scale the direct kernel overflows at t = 0, where log
+    # space cannot take it either.
+    ("constants", "--m", "4", "--p", "2", "--lambda", "1e-200"):
+        "the quadrature self-test of K is out of range at m=4, p=2: "
+        "the kernel overflows at t = 0 at scale lambda=1e-200",
     # The first chain radius, 1e-302, and the first rigidity radius, 5e-302,
     # have a Euclidean ball volume of 0: both refuse in the model's words.
     ("model", "--g", "rational:0.1", "--t-max", "1e-300", "--step", "1e-2"):
@@ -407,25 +412,36 @@ def test_constants_passes_at_a_tiny_scale(capsys):
     assert rc == 0, capsys.readouterr().err
 
 
-def test_only_the_commands_that_read_a_ball_volume_sum_the_table(capsys, monkeypatch):
-    """verify integrates areas only, so its model sums no node volumes;
-    model and rigidity read V(B_t) and sum the table exactly once."""
-    calls = []
-    node_volumes = model_manifold._node_volumes
+def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, monkeypatch):
+    """A model's volume table draws the node pairs of its warping only as
+    far as a lookup reads, each once.  verify integrates areas only, so it
+    draws none; model's chain stops at 0.8 t_max, so it draws none past
+    the cell of that radius; rigidity reads V(B_t) up to t_max, whose cell
+    starts at node n - 1, so it draws each of nodes 0 to n - 1 once."""
+    drawn = []
+    volume_table = model_manifold._volume_table
 
-    def counted(*args):
-        calls.append(args)
-        return node_volumes(*args)
+    def counted(m, warping):
+        def nodes(start, stop):
+            for i, pair in enumerate(warping.nodes(start, stop), start):
+                drawn.append(i)
+                yield pair
 
-    monkeypatch.setattr(model_manifold, "_node_volumes", counted)
-    counts = {}
+        return volume_table(m, warping._replace(nodes=nodes))
+
+    monkeypatch.setattr(model_manifold, "_volume_table", counted)
+    n = 5000
+    draws = {}
     for command, extra in (("verify", ["--lambda", "1"]), ("model", []),
                            ("rigidity", ["--c-m", "0.35"])):
-        calls.clear()
+        drawn.clear()
         rc, _ = _run(capsys, [command, "--g", "rational:0.1", "--t-max", "50", "--step", "1e-2",
                               *extra])
-        counts[command] = (rc, len(calls))
-    assert counts == {"verify": (0, 0), "model": (0, 1), "rigidity": (0, 1)}, counts
+        assert rc == 0, command
+        assert drawn == list(range(len(drawn))), f"{command} drew a node pair out of turn"
+        draws[command] = len(drawn)
+    # The chain's last radius, 40, is node 4000.
+    assert draws == {"verify": 0, "model": 4001, "rigidity": n}, draws
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):

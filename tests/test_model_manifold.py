@@ -6,8 +6,9 @@ rational:<b0> model takes its warping in closed form, and the other
 profiles from the RK4 sweep of the IVP; the tests cross-check the two.
 """
 
+import bisect
 import math
-from array import array
+import random
 
 import pytest
 
@@ -221,22 +222,25 @@ def test_warping_oracles_through_model():
 def test_rational_closed_form_matches_the_30_digit_oracles():
     """h and h' of the closed form lie within 1e-14 of the 30-digit Taylor
     solutions, for k = 1 - 2 b0 > 0 (sin, cos) and k < 0 (sinh, cosh); at
-    a node, h and h' have the bits of the node columns."""
+    a node, h and h' have the bits of the node pairs, drawn whole or one
+    at a time."""
     cases = (
         (0.1, _oracles.RATIONAL_B01_H, _oracles.RATIONAL_B01_HP),
         (1.0, _oracles.RATIONAL_B1_H, _oracles.RATIONAL_B1_HP),
     )
     for b0, h_refs, hp_refs in cases:
-        step, h_nodes, hp_nodes, h, h_prime = RationalDecay(b0).warping(20.0, 1e-3)
-        assert step == 1e-3 and len(h_nodes) == len(hp_nodes) == 20001
+        step, n, nodes, h, h_prime = RationalDecay(b0).warping(20.0, 1e-3)
+        assert step == 1e-3 and n == 20000
+        pairs = list(nodes(0, n + 1))
+        assert len(pairs) == n + 1
         for fn, refs in ((h, h_refs), (h_prime, hp_refs)):
             for t, ref in refs.items():
                 rel = abs(fn(t) - ref) / ref
                 assert rel <= 1e-14, f"b0={b0}: {fn.__name__}({t}) off by {rel:.3e}"
         for i in (0, 1, 1000, 12345, 20000):
             t = i * step
-            assert (h(t), h_prime(t)) == (h_nodes[i], hp_nodes[i]), (b0, t)
-        assert (h_nodes[0], hp_nodes[0]) == (0.0, 1.0)
+            assert (h(t), h_prime(t)) == pairs[i] == next(nodes(i, i + 1)), (b0, t)
+        assert pairs[0] == (0.0, 1.0)
 
 
 def test_rational_closed_form_at_k_zero_matches_the_ivp():
@@ -244,24 +248,42 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
     it agrees with the RK4 sweep at step 1e-3 to 1e-12, at the nodes and
     between them."""
     profile = RationalDecay(0.5)
-    step, h_nodes, hp_nodes, h, h_prime = profile.warping(30.0, 1e-3)
+    step, n, nodes, h, h_prime = profile.warping(30.0, 1e-3)
     ivp = solve_h_ivp(profile.g, 30.0, 1e-3)
-    assert step == ivp.step
-    for got, want in ((h_nodes, ivp.values), (hp_nodes, ivp.derivs)):
-        worst = max(abs(a - b) / b for a, b in zip(got[1:], want[1:]))
-        assert worst <= 1e-12, f"node columns differ by {worst:.3e}"
+    assert (step, n) == (ivp.step, ivp.n)
+    worst = max(abs(a - b) / b for got, want in zip(nodes(1, n + 1), ivp.nodes(1, n + 1))
+                for a, b in zip(got, want))
+    assert worst <= 1e-12, f"node pairs differ by {worst:.3e}"
     for t in (0.0005, 0.77777, 3.14159, 29.9999):
         assert abs(h(t) - ivp.value(t)) <= 1e-12 * ivp.value(t), t
         assert abs(h_prime(t) - ivp.deriv(t)) <= 1e-12 * ivp.deriv(t), t
 
 
+# (b0, t_max, step, the radius OdeError names): sinh of a large r theta
+# overflows (b0 >= 1e5), or sqrt(1+t^2) S passes the float range (b0 = 1).
+# The first node that is not finite is interior, the last interior one, or
+# t_max alone.  At b0 = 102378.625 (r = 452.5) nodes 5 to 14 are infinite
+# and nodes 15 to 20 overflow: the first overflow is named, as when every
+# node was computed before the finiteness check.
+FIRST_UNREPRESENTABLE_NODES = (
+    (1e6, 5.0, 1e-2, "0.55"),
+    (1.0, 1e308, 1e307, "8e+307"),
+    (180000.5, 4.0, 1.0, "3"),
+    (1.0, 9e307, 1e307, "8e+307"),
+    (151250.5, 4.0, 1.0, "4"),
+    (1.0, 8e307, 1e307, "8e+307"),
+    (1.0, 8.5e307, 1e307, "8.5e+307"),
+    (102378.625, 2000.0, 100.0, "1500"),
+)
+
+
 def test_rational_closed_form_names_the_first_node_it_cannot_represent():
-    """sinh of a large r theta overflows, and so does sqrt(1+t^2) S past
-    the float range: either way OdeError names the first such node."""
-    for b0, t_max, step, t in ((1e6, 5.0, 1e-2, "0.55"), (1.0, 1e308, 1e307, "8e+307")):
+    """The build draws the node at t_max; where it is not finite, OdeError
+    names the first node that is not, in the words of an eager node loop."""
+    for b0, t_max, step, t in FIRST_UNREPRESENTABLE_NODES:
         with pytest.raises(OdeError) as info:
             RationalDecay(b0).warping(t_max, step)
-        assert str(info.value) == f"warping solution became non-finite near t={t}"
+        assert str(info.value) == f"warping solution became non-finite near t={t}", b0
 
 
 def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
@@ -305,45 +327,80 @@ def _conical_parts(c, t_max, step):
     """The warping of conical_model(m, c, t_max, step), by the same
     expressions."""
     d = 1.0 - c
-
-    def h(t):
-        return c * t + d * (1.0 - math.exp(-t))
-
-    def h_prime(t):
-        return c + d * math.exp(-t)
-
-    n = max(1, round(t_max / step))
-    nodes = uniform_grid(t_max, n)
-    return Warping(t_max / n, array("d", map(h, nodes)), array("d", map(h_prime, nodes)),
-                   h, h_prime)
+    return _oracles.closed_form_warping(lambda t: c * t + d * (1.0 - math.exp(-t)),
+                                        lambda t: c + d * math.exp(-t), t_max, step)
 
 
 def _volume_table_cases():
-    """(name, model, grid step, eager reference table) for the closed-form
-    rational profile, IVP models on a constant cutoff and on a table, and
-    a closed-form warping."""
-    cases = [("rational:0.1", RAT01, RAT01_WARPING.step,
-              _oracles.volume_table_reference(4, RAT01_WARPING))]
+    """(name, model factory, t_max, grid step, eager reference table) for
+    the closed-form rational profile, IVP models on a constant cutoff and
+    on a table, and a closed-form warping.  Each factory call builds a
+    fresh model, whose table has summed nothing yet.  At step 0.013 on
+    [0, 50], int(6 * dt / dt) is 5, and the IVP's h(6 * dt) misses node
+    6's bits: a lookup in cell 6 shows whether it reads the node pair."""
+    cases = [("rational:0.1", lambda: build_model(4, RationalDecay(0.1), 50.0, 1e-3), 50.0,
+              RAT01_WARPING)]
     for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
                           ("table seed 0", SEED0_TABLE)):
-        ivp = solve_h_ivp(profile.g, 50.0, 1e-3)
-        cases.append((name, build_model(4, profile, t_max=50.0, step=1e-3), ivp.step,
-                      _oracles.volume_table_reference(4, ivp)))
-    cone = _conical_parts(0.8, 20.0, 1e-2)
-    cases.append(("conical:0.8", conical_model(4, 0.8, 20.0, 1e-2), cone.step,
-                  _oracles.volume_table_reference(4, cone)))
-    return cases
+        for step in (1e-3, 0.013):
+            cases.append((f"{name}, step {step}",
+                          lambda profile=profile, step=step: build_model(4, profile, 50.0, step),
+                          50.0, solve_h_ivp(profile.g, 50.0, step)))
+    cases.append(("conical:0.8", lambda: conical_model(4, 0.8, 20.0, 1e-2), 20.0,
+                  _conical_parts(0.8, 20.0, 1e-2)))
+    return [(name, make, t_max, warping.step, _oracles.volume_table_reference(4, warping))
+            for name, make, t_max, warping in cases]
+
+
+def _lookup_orders(step, t_max):
+    """Radii to look up, each list in the order a fresh table takes them:
+    nodes, points between nodes (the last cell's included) and t_max,
+    ascending, descending, with repeats, and shuffled."""
+    nodes = [i * step for i in (0, 1, 2, 7, 1000, 1999)]
+    between = [(i + 0.37) * step for i in (0, 3, 6, 1234, 1998)] + [0.77777, 3.14159, 12.5]
+    last_cell = [t_max - 0.5 * step, t_max - 0.01 * step]
+    radii = sorted(t for t in {*nodes, *between, *last_cell, t_max} if t <= t_max)
+    shuffled = list(radii)
+    random.Random(0).shuffle(shuffled)
+    repeated = [r for pair in zip(radii, reversed(radii)) for r in pair] + radii[::3]
+    return {"ascending": radii, "descending": radii[::-1], "repeated": repeated,
+            "shuffled": shuffled, "t_max first": [t_max, *shuffled]}
 
 
 def test_lazy_volume_table_matches_the_eager_reference_bit_for_bit():
-    """The table summed on the first lookup has the eager table's bits, at
-    node radii and between nodes, the window's end included."""
-    for name, model, step, reference in _volume_table_cases():
-        nodes = [i * step for i in (0, 1, 2, 7, 1000, 1999)]
-        between = [(i + 0.37) * step for i in (0, 3, 1234, 1998)] + [0.77777, 3.14159, 12.5]
-        for t in (*between, *nodes, model.t_max):
-            got, want = model.volume(t), reference(t)
-            assert got == want, f"{name}: volume({t!r}) = {got!r}, eager table {want!r}"
+    """The table summed only as far as lookups read has the eager table's
+    bits, at node radii and between nodes, the last cell and t_max
+    included, whatever order a fresh table takes its lookups in."""
+    for name, make, t_max, step, reference in _volume_table_cases():
+        for order, radii in _lookup_orders(step, t_max).items():
+            model = make()
+            for t in radii:
+                got, want = model.volume(t), reference(t)
+                assert got == want, f"{name}, {order}: volume({t!r}) = {got!r}, eager {want!r}"
+
+
+def test_hoisted_table_curvature_is_the_method_it_replaced():
+    """Tabulated.g tests its tail branch first, from bound ends; it has the
+    bits of the branch order it replaced at every node, at t = 0, at
+    grid[-1], between nodes and in the tail."""
+
+    def previous_g(profile, t):
+        grid, values = profile.grid, profile.values
+        if t <= grid[0]:
+            return values[0]
+        if t >= grid[-1]:
+            return values[-1] * (grid[-1] / t) ** profile.tail_power
+        j = bisect.bisect_right(grid, t) - 1
+        slope = (values[j + 1] - values[j]) / (grid[j + 1] - grid[j])
+        return slope * (t - grid[j]) + values[j]
+
+    shifted = Tabulated((0.5, 1.0, 2.5, 3.0), (0.2, 0.0, 0.7, 0.05), 2.5)
+    for profile in (SEED0_TABLE, shifted):
+        grid = profile.grid
+        radii = [0.0, 0.25, *grid, *(0.5 * (a + b) for a, b in zip(grid, grid[1:])),
+                 grid[-1] * (1.0 + 1e-16), 8.0001, 50.0, 1e6, *(i * 1e-3 for i in range(12001))]
+        for t in radii:
+            assert profile.g(t) == previous_g(profile, t), (grid[0], t)
 
 
 def test_sturm_bounds_on_warping():

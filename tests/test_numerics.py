@@ -5,6 +5,7 @@ high-precision IVP oracles in tests/_oracles.py.
 """
 
 import math
+from array import array
 
 import pytest
 
@@ -164,8 +165,7 @@ def test_ivp_is_one_sweep():
 
     for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0)):
         calls.clear()
-        sol = solve_h_ivp(g, t_max, step)
-        n = len(sol.values) - 1
+        n = solve_h_ivp(g, t_max, step).n
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
 
 
@@ -224,17 +224,20 @@ SWEEP_PROFILES = {
 @pytest.mark.parametrize("name", sorted(SWEEP_PROFILES))
 @pytest.mark.parametrize("t_max, step", [(10.0, 1e-3), (1.0, 0.3), (3.0, 0.01604)])
 def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
-    """h and h' at every node, and the dense output in the last cell, have
-    the bits of the plain RK4 loop, and at t_max the dense output is the
-    last node's h and h'.  At (3.0, 0.01604) there are n = 187 steps and
+    """The node pairs h and h' at every node, drawn whole or one at a time,
+    and the dense output in the last cell, have the bits of the plain RK4
+    loop, and at t_max the dense output is the last node's h and h'.  At (3.0, 0.01604) there are n = 187 steps and
     n * (3/n) rounds above 3, past the cutoff of const:0.05:3, so the last
     cell's h' must read g at the last node t_max itself."""
     g = SWEEP_PROFILES[name].g
     sol = solve_h_ivp(g, t_max, step)
     grid, values, derivs = rk4_reference(g, t_max, step)
-    assert isinstance(sol, Warping) and sol.step == grid[1]
-    assert sol.values.tobytes() == values.tobytes()
-    assert sol.derivs.tobytes() == derivs.tobytes()
+    assert isinstance(sol, Warping) and sol.step == grid[1] and sol.n == len(grid) - 1
+    pairs = list(sol.nodes(0, sol.n + 1))
+    assert array("d", (h for h, _ in pairs)).tobytes() == values.tobytes()
+    assert array("d", (hp for _, hp in pairs)).tobytes() == derivs.tobytes()
+    for i in (sol.n, 0, sol.n - 1):
+        assert list(sol.nodes(i, i + 1)) == [(values[i], derivs[i])], i
     t = grid[-2] + 0.3 * (t_max - grid[-2])
     h, hp = hermite_reference(grid, values, derivs, g, t)
     assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
@@ -247,7 +250,7 @@ def test_quadrature_and_ivp_determinism():
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
     a = solve_h_ivp(g, 5.0, 1e-3)
     b = solve_h_ivp(g, 5.0, 1e-3)
-    assert a.values == b.values and a.derivs == b.derivs
+    assert list(a.nodes(0, a.n + 1)) == list(b.nodes(0, b.n + 1))
 
 
 if HAS_HYPOTHESIS:
