@@ -11,12 +11,16 @@ Subcommands:
     limits      head/tail mass split at a fixed radius across scales
 
 COMMANDS maps each subcommand to its function and to the flags it reads;
-every subcommand also takes --output and --out, and any other flag is a
-usage error.  Each cmd_* returns its verdict, JSON payload and CSV lines,
-and main renders and writes the report once.  Every run is a fresh
-process that pays for each module it imports, so each cmd_* imports the
-radsob modules it executes and no other, and --help or a usage error
-loads none.  Reports are deterministic: fixed row order, floats at 12
+every subcommand also takes --output and --out, and any other token is a
+usage error.  parse_args reads argv in one pass over COMMANDS, FLAGS and
+DEFAULTS: each flag is `--flag value` or `--flag=value`, spelled in full,
+and its last occurrence wins.  Each cmd_* returns its verdict, JSON
+payload and CSV lines, and main renders and writes the report once.
+Every run is a fresh process that pays for each module it imports, so
+the parser is hand-written (importing argparse, gettext and locale and
+building a parser took several milliseconds per run) and each cmd_*
+imports the radsob modules it executes and no other: --help or a usage
+error loads none.  Reports are deterministic: fixed row order, floats at 12
 significant digits, no timestamps.  Exit codes: 0 all checks pass, 1 a
 mathematical check failed (a report row, or a numerics.CheckFailed raised
 on the way), 2 usage or input error.
@@ -24,9 +28,9 @@ on the way), 2 usage or input error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from types import SimpleNamespace
 
 
 def _round12(x: float) -> float:
@@ -70,9 +74,9 @@ def _positive_finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise ValueError(f"not a number: {text!r}") from None
     if not (0.0 < value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        raise ValueError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -80,15 +84,15 @@ def _tolerance(text: str) -> float:
     """A relative slack: at 1 or above, the lower-bound checks cannot fail."""
     value = _positive_finite(text)
     if value >= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
+        raise ValueError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
 def _parse_lambda_list(text: str) -> tuple:
     try:
         return tuple(_positive_finite(part) for part in text.split(","))
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"bad --lambda list {text!r}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"bad --lambda list {text!r}: {exc}") from None
 
 
 def _positive_or(keyword: str):
@@ -101,21 +105,30 @@ def _positive_or(keyword: str):
     return parse
 
 
-# Every flag of the command surface, in help order.
+def _report_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
+    return text
+
+
+# Every flag of the command surface, in help order: the args attribute it
+# sets and the converter of its value, which raises ValueError.
 FLAGS = {
-    "--m": {"type": int},
-    "--p": {"type": float},
-    "--lambda": {"dest": "lambda_list", "type": _parse_lambda_list},
-    "--g": {"dest": "g_spec"},
-    "--t-max": {"dest": "t_max", "type": _positive_finite},
-    "--step": {"type": _positive_finite},
-    "--tol": {"type": _tolerance},
-    "--c-m": {"dest": "c_m", "type": _positive_or("estimate")},
-    "--gamma": {"type": _positive_or("empirical")},
-    "--T": {"type": _positive_finite},
-    "--output": {"choices": ("csv", "json")},
-    "--out": {"dest": "out_path"},
+    "--m": ("m", int),
+    "--p": ("p", float),
+    "--lambda": ("lambda_list", _parse_lambda_list),
+    "--g": ("g_spec", str),
+    "--t-max": ("t_max", _positive_finite),
+    "--step": ("step", _positive_finite),
+    "--tol": ("tol", _tolerance),
+    "--c-m": ("c_m", _positive_or("estimate")),
+    "--gamma": ("gamma", _positive_or("empirical")),
+    "--T": ("T", _positive_finite),
+    "--output": ("output", _report_format),
+    "--out": ("out_path", str),
 }
+# The flags every subcommand takes besides those it reads.
+REPORT_FLAGS = ("--output", "--out")
 
 # The default of every flag.  Each subcommand gets all of them, so the
 # report header echoes the same values whichever flags it takes.
@@ -128,7 +141,7 @@ DEFAULTS = {
 LIMITS_LAMBDA = (10.0, 100.0, 1000.0, 10000.0)
 
 
-def _config_header(args: argparse.Namespace) -> list:
+def _config_header(args: SimpleNamespace) -> list:
     return [
         _comment({"command": args.command, "m": args.m, "p": args.p, "g": args.g_spec}),
         _comment({"t_max": args.t_max, "step": args.step, "tol": args.tol,
@@ -136,7 +149,7 @@ def _config_header(args: argparse.Namespace) -> list:
     ]
 
 
-def _checks(args: argparse.Namespace, rows) -> tuple:
+def _checks(args: SimpleNamespace, rows) -> tuple:
     """JSON head and CSV table of a report made of check rows."""
     records, table = _table(("check_name", "t", "lhs", "rhs", "slack", "pass"), rows)
     head = {
@@ -148,7 +161,7 @@ def _checks(args: argparse.Namespace, rows) -> tuple:
     return head, table
 
 
-def _bounded_model(args: argparse.Namespace):
+def _bounded_model(args: SimpleNamespace):
     """The ModelManifold of --g, for the commands that check the upper
     bound e^(b m).
 
@@ -162,7 +175,7 @@ def _bounded_model(args: argparse.Namespace):
     return build_model(args.m, profile, t_max=args.t_max, step=args.step)
 
 
-def cmd_constants(args: argparse.Namespace) -> tuple:
+def cmd_constants(args: SimpleNamespace) -> tuple:
     from .talenti import SELF_TEST_LAMBDAS, SobolevParams, sharp_constant_detail
     from .talenti import sphere_area, unit_ball_volume
 
@@ -195,7 +208,7 @@ def _chain_grid(t_max: float) -> list:
     return [t_max * f for f in (0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.8)]
 
 
-def cmd_model(args: argparse.Namespace) -> tuple:
+def cmd_model(args: SimpleNamespace) -> tuple:
     from .model_manifold import verify_volume_chain
 
     report = verify_volume_chain(_bounded_model(args), _chain_grid(args.t_max), slack=args.tol)
@@ -206,7 +219,7 @@ def cmd_model(args: argparse.Namespace) -> tuple:
     return ok, {**head, "b": report.b_used, "pass": ok}, lines
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple:
+def cmd_verify(args: SimpleNamespace) -> tuple:
     from .model_manifold import build_model, parse_curvature
     from .sobolev import gradient_energy, mass_pstar, talenti_function, verify_decay_conditions
     from .talenti import SobolevParams, TalentiProfile, sharp_constant
@@ -243,7 +256,7 @@ def _rigidity_grid(t_max: float) -> list:
     return sorted(grid)
 
 
-def cmd_rigidity(args: argparse.Namespace) -> tuple:
+def cmd_rigidity(args: SimpleNamespace) -> tuple:
     from .rigidity import verify_theorem
     from .talenti import SobolevParams
 
@@ -278,7 +291,7 @@ def cmd_rigidity(args: argparse.Namespace) -> tuple:
     return report.verdict == "consistent", payload, lines + table
 
 
-def cmd_limits(args: argparse.Namespace) -> tuple:
+def cmd_limits(args: SimpleNamespace) -> tuple:
     from .rigidity import mass_escape_experiment
     from .talenti import SobolevParams
 
@@ -315,32 +328,80 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="radsob",
-        description="Sharp Sobolev constants and volume comparison on radial models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, reads) in COMMANDS.items():
-        cmd = sub.add_parser(name)
-        for flag, spec in FLAGS.items():
-            if flag in reads or flag in ("--output", "--out"):
-                cmd.add_argument(flag, **spec)
-        cmd.set_defaults(**DEFAULTS)
-        if name == "limits":
-            cmd.set_defaults(lambda_list=LIMITS_LAMBDA)
-    return parser
+HELP = ("-h", "--help")
+
+
+def _usage(command: str | None) -> str:
+    """The help of one subcommand, or of the command when it is None."""
+    if command is None:
+        return f"usage: radsob {{{','.join(COMMANDS)}}} [flags]; radsob <subcommand> --help\n"
+    flags = COMMANDS[command][1] + REPORT_FLAGS
+    return " ".join(["usage: radsob", command,
+                     *(f"[{flag} {FLAGS[flag][0].upper()}]" for flag in flags)]) + "\n"
+
+
+def parse_args(argv: list) -> SimpleNamespace | None:
+    """The subcommand of argv and the value of every flag, as attributes.
+
+    The first token names the subcommand.  Each flag it takes is `--flag
+    value` (a value that starts with "--" is missing, so `--out --help`
+    writes no file) or `--flag=value`, converted by its FLAGS converter;
+    the last occurrence wins, and a flag not given keeps its DEFAULTS
+    value.  Any other token is unrecognized.  -h or --help writes the
+    help to stdout and gives None.
+
+    Raises:
+        ValueError: no or an unknown subcommand, a flag without a value, a
+            value its converter refuses, or unrecognized tokens.
+    """
+    if not argv:
+        raise ValueError(f"a subcommand is required: one of {', '.join(COMMANDS)}")
+    command = argv[0]
+    if command in HELP:
+        sys.stdout.write(_usage(None))
+        return None
+    if command not in COMMANDS:
+        raise ValueError(f"invalid subcommand {command!r} (choose from {', '.join(COMMANDS)})")
+    takes = COMMANDS[command][1] + REPORT_FLAGS
+    values = dict(DEFAULTS, command=command)
+    if command == "limits":
+        values["lambda_list"] = LIMITS_LAMBDA
+    unrecognized = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            sys.stdout.write(_usage(command))
+            return None
+        flag, inline, text = token.partition("=")
+        if flag not in takes:
+            unrecognized.append(token)
+            continue
+        if not inline:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ValueError(f"argument {flag}: expected one argument")
+        dest, convert = FLAGS[flag]
+        try:
+            values[dest] = convert(text)
+        except ValueError as exc:
+            raise ValueError(f"argument {flag}: {exc}") from None
+    if unrecognized:
+        raise ValueError(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    from .numerics import CheckFailed
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return 0
+        from .numerics import CheckFailed
 
-    try:
-        ok, payload, lines = COMMANDS[args.command][0](args)
+        try:
+            ok, payload, lines = COMMANDS[args.command][0](args)
+        except CheckFailed as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            return 1
         if args.output == "json":
             # Imported here: most runs print CSV, and the import costs start-up.
             import json
@@ -359,9 +420,6 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: an input is outside the representable range ({exc})", file=sys.stderr)
         return 2
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
     return 0 if ok else 1
 
 

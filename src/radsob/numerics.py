@@ -279,16 +279,16 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
     over the Warping grid; g is called 2n + 1 times, at each node and step
     midpoint.  Between nodes h and h' are cubic Hermite interpolants, which
-    keep the sweep's fourth order; each h' lookup reads its end slopes
-    h'' = g * h from g at the cell's two nodes.  A lookup at t_max (or
-    within the window's 1e-12 slack past it) returns the last node's h and
-    h' exactly, and one outside the window raises ValueError.  There is no
-    error estimate; the step is the accuracy control.  The record's nodes
-    are slices of the sweep's two node columns, which the dense output
-    reads too.  Finiteness is checked once, after the sweep
-    (require_finite_nodes): an RK4 step of this linear system keeps a
-    non-finite h or h' non-finite, so the first non-finite node is the one
-    where the state blew up.  The models of `const:` and `table:` specs
+    keep the sweep's fourth order; each h' lookup below t_max reads its
+    end slopes h'' = g * h from g at the cell's two nodes.  A lookup at
+    t_max (or within the window's 1e-12 slack past it) returns the last
+    node's h and h' exactly, with no curvature call, and one outside the
+    window raises ValueError.  There is no error estimate; the step is the
+    accuracy control.  The record's nodes are slices of the sweep's two
+    node columns, which the dense output reads too.  Finiteness is checked
+    once, after the sweep (require_finite_nodes): an RK4 step of this
+    linear system keeps a non-finite h or h' non-finite, so the first
+    non-finite node is the one where the state blew up.  The models of `const:` and `table:` specs
     come from this sweep; a `rational:` model is built from its closed
     form (model_manifold.RationalDecay.warping) instead.
 
@@ -339,6 +339,9 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
 
     def deriv(t: float) -> float:
         i, s = cell(t)
+        if t >= t_max:
+            # s = 1: the Hermite weights give the end slopes no part.
+            return derivs[n]
         t_next = t_max if i == n - 1 else (i + 1) * dt
         return _hermite(
             derivs[i], derivs[i + 1], g(i * dt) * values[i], g(t_next) * values[i + 1], s, dt

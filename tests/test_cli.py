@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -22,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from radsob import cli, model_manifold, sobolev, talenti
-from radsob.cli import build_parser, main
+from radsob.cli import main, parse_args
 
 import _oracles
 
@@ -82,12 +83,12 @@ def _run(capsys, argv):
 
 
 def test_parser_defaults():
-    args = build_parser().parse_args(["model"])
+    args = parse_args(["model"])
     assert args.m == 4 and args.p == 2.0
     assert args.lambda_list == (1.0,)
     assert args.g_spec == "zero" and args.t_max == 50.0 and args.step == 1e-3
     assert args.tol == 1e-8 and args.output == "csv" and args.out_path is None
-    assert build_parser().parse_args(["limits"]).lambda_list == (10.0, 100.0, 1000.0, 10000.0)
+    assert parse_args(["limits"]).lambda_list == (10.0, 100.0, 1000.0, 10000.0)
 
 
 def test_limits_default_grid_is_the_readme_grid(capsys):
@@ -228,7 +229,6 @@ def test_a_gamma_above_one_is_refused(capsys):
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
     """The 22 dropped pairs exit 2 at parsing; the other 38 pairs, and
     --output and --out everywhere, parse."""
-    parser = build_parser()
     dropped = 0
     for command, unread in DROPPED.items():
         for flag, value in FLAG_VALUES.items():
@@ -239,8 +239,63 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
                 out, err = capsys.readouterr()
                 assert out == "" and f"unrecognized arguments: {flag} {value}" in err, err
             else:
-                parser.parse_args(argv)
+                parse_args(argv)
     assert dropped == 22
+
+
+# A second value for each flag, other than its FLAG_VALUES value.
+OTHER_VALUES = {
+    "--m": "5", "--p": "3", "--lambda": "2,3", "--g": "rational:0.1", "--t-max": "20",
+    "--step": "1e-2", "--tol": "1e-6", "--c-m": "0.4", "--gamma": "0.9", "--T": "2",
+    "--output": "json", "--out": "other.csv",
+}
+# A flag of each subcommand whose converter refuses -1.
+REFUSES_MINUS_ONE = {
+    "constants": "--lambda", "model": "--t-max", "verify": "--step", "rigidity": "--c-m",
+    "limits": "--T",
+}
+
+
+def _exit_and_streams(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_parser_contract_over_every_subcommand():
+    """Both token forms, the last occurrence, the converters, the refusals
+    and the help, for each subcommand and each flag it takes."""
+    for argv in ([], ["nosuch"]):
+        rc, out, err = _exit_and_streams(argv)
+        assert rc == 2 and out == "" and err.startswith("error: "), (argv, err)
+    rc, out, err = _exit_and_streams(["--help"])
+    assert rc == 0 and out.startswith("usage: radsob") and err == "", err
+    for command, unread in DROPPED.items():
+        takes = [flag for flag in FLAG_VALUES if flag not in unread]
+        assert {*takes} == {*cli.COMMANDS[command][1], "--output", "--out"}, command
+        spaced = [token for flag in takes for token in (flag, FLAG_VALUES[flag])]
+        inline = [f"{flag}={FLAG_VALUES[flag]}" for flag in takes]
+        assert vars(parse_args([command, *spaced])) == vars(parse_args([command, *inline]))
+        for flag in takes:
+            last = vars(parse_args([command, flag, OTHER_VALUES[flag], flag, FLAG_VALUES[flag]]))
+            assert last == vars(parse_args([command, f"{flag}={FLAG_VALUES[flag]}"])), flag
+            assert last != vars(parse_args([command, flag, OTHER_VALUES[flag]])), flag
+        flag = REFUSES_MINUS_ONE[command]
+        rc, out, err = _exit_and_streams([command, flag, "-1"])
+        assert rc == 2 and out == "" and err.startswith(f"error: argument {flag}: "), err
+        for argv in ([command, "--m"], [command, "--out", "--help"]):
+            rc, out, err = _exit_and_streams(argv)
+            assert (rc, out) == (2, ""), argv
+            assert err == f"error: argument {argv[1]}: expected one argument\n", (argv, err)
+        # A stray token, and unambiguous abbreviations of --output and --t-max.
+        for argv in ([command, "extra"], [command, "--outp", "csv"], ["model", "--t-m", "20"]):
+            rc, out, err = _exit_and_streams(argv)
+            assert (rc, out) == (2, ""), argv
+            assert err == f"error: unrecognized arguments: {' '.join(argv[1:])}\n", (argv, err)
+        rc, out, err = _exit_and_streams([command, "--help"])
+        assert rc == 0 and err == "", (command, err)
+        assert set(re.findall(r"--[\w-]+", out)) == {*takes}, (command, out)
 
 
 def test_model_refuses_infinite_upper_bound_before_the_ivp():
@@ -787,9 +842,10 @@ UNREACHED = {
 
 
 def test_every_top_level_function_is_reached_by_a_cli_run(tmp_path):
-    """The 20 golden argvs and the refusal argvs of test_exit_codes_usage_errors,
-    run through cli.main, enter every top-level function of src/radsob but
-    those in UNREACHED: code that no CLI run reaches belongs in the tests."""
+    """The 20 golden argvs, the refusal argvs of test_exit_codes_usage_errors
+    and `constants --help`, run through cli.main, enter every top-level
+    function of src/radsob but those in UNREACHED: code that no CLI run
+    reaches belongs in the tests."""
     package = Path(cli.__file__).resolve().parent
     # A frame of the package __init__ runs under the name "radsob".
     defined = {
@@ -804,7 +860,7 @@ def test_every_top_level_function_is_reached_by_a_cli_run(tmp_path):
     table.parent.mkdir(parents=True)
     table.write_text(workloads.curvature_table(0))
     argvs = [key.split() for key in json.loads(GOLDEN.read_text())]
-    argvs += _usage_error_argvs(tmp_path)
+    argvs += _usage_error_argvs(tmp_path) + [["constants", "--help"]]
     path = os.pathsep.join(filter(None, (str(package.parent), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", PROFILE_ENTRIES], input=json.dumps(argvs),
                           capture_output=True, text=True, cwd=tmp_path,
@@ -823,10 +879,17 @@ if HAS_HYPOTHESIS:
     # values come first so that shrinking reports the degenerate culprit.
     _DEGENERATE = ["nan", "inf", "-inf", "0", "-1"]
 
-    def _argv(command: str, flags: dict) -> list:
-        """command with those of the drawn flags that it takes."""
-        return [command] + [f"{flag}={value}" for flag, value in flags.items()
-                            if flag not in DROPPED[command]]
+    def _argv(command: str, flags: dict, spaced: frozenset) -> list:
+        """command with those of the drawn flags that it takes, each as
+        `--flag value` if it is in spaced and as `--flag=value` if not."""
+        argv = [command]
+        for flag, value in flags.items():
+            if flag not in DROPPED[command]:
+                argv += [flag, value] if flag in spaced else [f"{flag}={value}"]
+        return argv
+
+    # The flags drawn in the `--flag value` form.
+    _SPACED = st.frozensets(st.sampled_from(list(FLAG_VALUES)))
 
     @given(
         command=st.sampled_from(["constants", "limits", "rigidity"]),
@@ -835,13 +898,18 @@ if HAS_HYPOTHESIS:
         c_m=st.sampled_from(["estimate", "0.4", *_DEGENERATE]),
         lam=st.sampled_from(["1", "10,100", "10,-1", *_DEGENERATE]),
         T=st.sampled_from(["1", "2", *_DEGENERATE]),
+        spaced=_SPACED,
     )
-    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="-1", T="1")
-    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="0", T="1")
+    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="-1", T="1",
+             spaced=frozenset())
+    @example(command="constants", p="2", tol="1e-8", c_m="estimate", lam="0", T="1",
+             spaced=frozenset())
     @settings(max_examples=200, deadline=None)
-    def test_exit_code_contract_over_degenerate_flags(command, p, tol, c_m, lam, T):
-        """Every input ends in exit 0, 1 or 2, never in a traceback."""
-        argv = _argv(command, {"--p": p, "--tol": tol, "--c-m": c_m, "--lambda": lam, "--T": T})
+    def test_exit_code_contract_over_degenerate_flags(command, p, tol, c_m, lam, T, spaced):
+        """Every input, in either token form, ends in exit 0, 1 or 2, never
+        in a traceback."""
+        argv = _argv(command, {"--p": p, "--tol": tol, "--c-m": c_m, "--lambda": lam, "--T": T},
+                     spaced)
         if command == "rigidity":
             argv.append("--g=zero")
         err = io.StringIO()
@@ -867,21 +935,27 @@ if HAS_HYPOTHESIS:
         t_max=st.sampled_from(["8", "5", "3", "1", "1e-300", *_DEGENERATE]),
         gamma=st.sampled_from(["empirical", "0.9", *_DEGENERATE]),
         g=st.sampled_from(_CURVATURES),
+        spaced=_SPACED,
     )
-    @example(command="verify", m="4", step="1e-2", t_max="1", gamma="empirical", g="zero")
-    @example(command="model", m="4", step="1e-2", t_max="5", gamma="empirical", g="const:0.1:nan")
-    @example(command="rigidity", m="4", step="1e-2", t_max="1e-300", gamma="empirical", g="zero")
+    @example(command="verify", m="4", step="1e-2", t_max="1", gamma="empirical", g="zero",
+             spaced=frozenset())
+    @example(command="model", m="4", step="1e-2", t_max="5", gamma="empirical", g="const:0.1:nan",
+             spaced=frozenset())
+    @example(command="rigidity", m="4", step="1e-2", t_max="1e-300", gamma="empirical", g="zero",
+             spaced=frozenset())
     @example(command="model", m="4", step="1e-2", t_max="1e-300", gamma="empirical",
-             g="const:0.1:inf")
-    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:6:5")
-    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:8:5")
+             g="const:0.1:inf", spaced=frozenset())
+    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:6:5",
+             spaced=frozenset())
+    @example(command="rigidity", m="4", step="1e-2", t_max="8", gamma="empirical", g="const:8:5",
+             spaced=frozenset())
     @settings(max_examples=150, deadline=None)
-    def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g):
+    def test_exit_code_contract_over_model_flags(command, m, step, t_max, gamma, g, spaced):
         """model, verify and rigidity end in exit 0, 1 or 2 with no traceback;
         exit 2 names the bad input, no report prints a nan, and no passing
         rigidity report has a lower bound C_hat of 0, which cannot fail."""
         argv = _argv(command, {"--m": m, "--step": step, "--t-max": t_max, "--gamma": gamma,
-                               "--g": g, "--c-m": "1"})
+                               "--g": g, "--c-m": "1"}, spaced)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(argv)

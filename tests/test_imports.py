@@ -5,7 +5,6 @@ names are imported from their modules.  Each CLI run loads only the
 modules its subcommand executes.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from radsob.cli import build_parser
+from radsob.cli import COMMANDS, REPORT_FLAGS
 from radsob.model_manifold import euclidean_model
 from radsob.rigidity import verify_theorem
 from radsob.talenti import SobolevParams, TalentiProfile
@@ -57,12 +56,13 @@ def test_modules_use_every_imported_name():
 # Every `radsob` run is a fresh process that pays for its imports, so the
 # package keeps to modules the interpreter has loaded at start-up or that
 # are cheap: records are NamedTuples, not dataclasses, whose import pulls
-# in inspect; json is imported only to render a JSON report; and a table
+# in inspect; json is imported only to render a JSON report; a table
 # file is read with open, since pathlib pulls in urllib.parse and
-# ipaddress.  `site` may load some of these itself (here it loads
+# ipaddress; and the flags are parsed by hand, since argparse pulls in
+# gettext and locale.  `site` may load some of these itself (here it loads
 # pathlib), so the check runs without it (python -S).
 
-SLOW_IMPORTS = {"dataclasses", "inspect", "json", "pathlib"}
+SLOW_IMPORTS = {"argparse", "dataclasses", "gettext", "inspect", "json", "locale", "pathlib"}
 
 
 def _child_env(root: Path = PACKAGE.parent) -> dict:
@@ -370,14 +370,11 @@ def _settable_values(source: str) -> int:
     return count
 
 
-def _flag_pairs(parser: argparse.ArgumentParser) -> int:
-    """(subcommand, flag) pairs a user can set, not counting -h."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sum(
-        not isinstance(action, argparse._HelpAction)
-        for command in subparsers.choices.values()
-        for action in command._actions
-    )
+def _flag_pairs(commands: dict) -> int:
+    """(subcommand, flag) pairs a user can set in a command table like
+    cli.COMMANDS: the flags each subcommand reads, and the report flags
+    that every subcommand takes.  -h sets nothing."""
+    return sum(len(reads) + len(REPORT_FLAGS) for _, reads in commands.values())
 
 
 def test_scan_counts_settable_values():
@@ -399,19 +396,14 @@ def test_scan_counts_settable_values():
 
 
 def test_scan_counts_flag_pairs():
-    parser = argparse.ArgumentParser()
-    sub = parser.add_subparsers()
-    first = sub.add_parser("first")
-    first.add_argument("--x")
-    first.add_argument("--y", default=1)
-    sub.add_parser("second").add_argument("--x")
-    # --x twice and --y once; the -h of each subcommand is not counted.
-    assert _flag_pairs(parser) == 3
+    commands = {"first": (print, ("--x", "--y")), "second": (print, ("--x",))}
+    # --x twice and --y once, and --output and --out of each subcommand.
+    assert _flag_pairs(commands) == 7
 
 
 def test_settable_values_are_pinned():
     found = sum(_settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
-    found += _flag_pairs(build_parser())
+    found += _flag_pairs(COMMANDS)
     assert found == SETTABLE_VALUES, (
         f"src/radsob has {found} settable values, pinned at {SETTABLE_VALUES}; "
         "lower the pin when the count drops, and justify any new one"

@@ -156,17 +156,23 @@ def test_ivp_dense_output_between_nodes():
 
 def test_ivp_is_one_sweep():
     """n steps call the curvature 2n + 1 times: one RK4 sweep, no second
-    pass and no tabulated h''."""
+    pass and no tabulated h''.  h and h' at t_max are node n's own bits,
+    read with no further curvature call."""
     calls = []
 
     def g(t):
         calls.append(t)
         return 0.2 / (1.0 + t * t) ** 2
 
-    for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0)):
+    for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0), (3.0, 0.01604)):
         calls.clear()
-        n = solve_h_ivp(g, t_max, step).n
+        sol = solve_h_ivp(g, t_max, step)
+        n = sol.n
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
+        (h, hp), = sol.nodes(n, n + 1)
+        ends = (sol.value(t_max), sol.deriv(t_max))
+        assert [x.hex() for x in ends] == [h.hex(), hp.hex()], (t_max, step)
+        assert len(calls) == 2 * n + 1, f"a lookup at t_max={t_max} called the curvature"
 
 
 def test_grid_steps_rounds_and_caps_the_grid():
