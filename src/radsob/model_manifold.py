@@ -7,10 +7,11 @@ h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
 in closed form for RationalDecay and from the RK4 sweep of that IVP for
 the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
 and the tail factor, and nothing else: it has no name, and sums ball
-volumes, from node pairs drawn on demand, only as far out as one is read.  The moment b = integral(t G(t) dt)
-measures the total amount of negative curvature; when it is finite the
-model is trapped between Euclidean space and a bounded dilation of it,
-which is exactly what verify_volume_chain checks on a grid.
+volumes, from node pairs drawn on demand, only as far out as one is
+read.  The moment b = integral(t G(t) dt) measures the total amount of
+negative curvature; when it is finite the model is trapped between
+Euclidean space and a bounded dilation of it, which is exactly what
+verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
@@ -336,9 +337,15 @@ class ModelManifold:
             raise ValueError(f"t={t:g} outside the model window [0, {self.t_max:g}]")
 
     def area(self, t: float) -> float:
-        """Area of the geodesic sphere of radius t."""
+        """Area of the geodesic sphere of radius t; raises ValueError where
+        it overflows a float."""
         self._check_window(t)
-        return self.omega_sphere * self.warp(t) ** (self.m - 1)
+        try:
+            return self.omega_sphere * self.warp(t) ** (self.m - 1)
+        except OverflowError:
+            raise ValueError(
+                f"the sphere area at radius t={t:g} overflows at m={self.m}"
+            ) from None
 
     def volume(self, t: float) -> float:
         """Volume of the geodesic ball of radius t."""
@@ -347,8 +354,13 @@ class ModelManifold:
 
     def euclidean_volume(self, t: float) -> float:
         """The Euclidean ball volume omega_m t^m; raises ValueError where it
-        is not positive (t^m underflows for tiny t)."""
-        v_euc = self.omega_m * t**self.m
+        is not positive (t^m underflows for tiny t) or overflows a float."""
+        try:
+            v_euc = self.omega_m * t**self.m
+        except OverflowError:
+            raise ValueError(
+                f"the Euclidean ball volume at radius t={t:g} overflows at m={self.m}"
+            ) from None
         if not (v_euc > 0.0):
             raise ValueError(
                 f"the Euclidean ball volume at radius t={t:g} is not positive, "
@@ -542,8 +554,8 @@ def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeCha
 
     rows = []
     for t in t_grid:
-        a_euc = om_s * t ** (m - 1)
         v_euc = model.euclidean_volume(t)
+        a_euc = om_s * t ** (m - 1)
         a_h = model.area(t)
         v_h = model.volume(t)
         rows.append(check("lower_area", t, a_euc, a_h))

@@ -288,9 +288,10 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     node columns, which the dense output reads too.  Finiteness is checked
     once, after the sweep (require_finite_nodes): an RK4 step of this
     linear system keeps a non-finite h or h' non-finite, so the first
-    non-finite node is the one where the state blew up.  The models of `const:` and `table:` specs
-    come from this sweep; a `rational:` model is built from its closed
-    form (model_manifold.RationalDecay.warping) instead.
+    non-finite node is the one where the state blew up.  The models of
+    `const:` and `table:` specs come from this sweep; a `rational:` model
+    is built from its closed form (model_manifold.RationalDecay.warping)
+    instead.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).

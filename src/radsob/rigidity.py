@@ -1,7 +1,8 @@
 """Volume rigidity bounds driven by the sharp Sobolev constant.
 
-Given a model M whose Sobolev constant C_M is known or estimated, the
-machinery here assembles the correction constants
+Given a model M and its Sobolev constant C_M, the user's or K on a
+curvature-profile model, the machinery here assembles the correction
+constants
 
     C2 = (m-1)^2 p/(m-p) * ((m-p)/(p-1))^(p-1) * beta^(-p^2/(m-p))
          * (e^b - 1) * e^(b(m-1)) / gamma,
@@ -164,24 +165,6 @@ def mass_escape_experiment(
     )
 
 
-def estimated_c_m(model: ModelManifold, params: SobolevParams) -> float:
-    """C_M from radial witnesses combined with the universal bound C_M >= K.
-
-    K bounds every C_M from below (local Euclidean concentration), so the
-    value is the larger of K and the estimate_radial_constant witness
-    estimate, which on a curvature-profile model is K: no search runs.
-    """
-    k = sharp_constant(params)
-    if model.profile is not None:
-        # G >= 0 gives h' >= 1, so centred balls beat the Euclidean
-        # isoperimetric ratio and no radial witness beats K.  Admitting
-        # G < 0 (the Ric >= 0 models of ROADMAP item 2) has to revisit this.
-        return k
-    from .sobolev import estimate_radial_constant
-
-    return max(estimate_radial_constant(model, params).c_est, k)
-
-
 class RigidityReport(NamedTuple):
     K: float
     C_M: float
@@ -206,7 +189,7 @@ def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) ->
     b is the model's curvature moment (0 without a profile) and selects the
     hypotheses: b = 0 needs nonnegative radial Ricci curvature on the grid,
     b > 0 needs m >= 3 and a finite b.  Cheap, so verify_theorem runs it
-    before the witness search.
+    before it reads the model's ball volumes.
     """
     if gamma_value is not None and not (0.0 < gamma_value < math.inf):
         raise ValueError(
@@ -246,14 +229,15 @@ def verify_theorem(
     One bound pair at every curvature moment b; at b = 0 (C2 = 0,
     C3 = (C_M/K)^m) it is the Ledoux-Xia pair 1 >= V/V_euc >= (K/C_M)^m.
     Works out K, checks the hypotheses (check_hypotheses), reads the volume
-    ratios and then, with c_m None, takes C_M from estimated_c_m (source
-    "estimate"; otherwise "user").  gamma_value None means the volume ratio
-    lower bound is the least ratio on the grid (source "empirical"); a user
-    gamma above that ratio by more than ratio_slack is a hypothesis the grid
-    disproves, and raises RigidityHypothesisError before the witness search
-    can run.  A bound that could never fail raises ValueError: an infinite
-    e^(mb) (upper_chain_factors, before C2 is computed) and a C_hat that is
-    0 in floating point.
+    ratios and then, with c_m None, takes C_M = K (source "estimate";
+    otherwise "user"), which is certified only on a curvature-profile
+    model: without a profile, c_m None raises ValueError.  gamma_value None
+    means the volume ratio lower bound is the least ratio on the grid
+    (source "empirical"); a user gamma above that ratio by more than
+    ratio_slack is a hypothesis the grid disproves, and raises
+    RigidityHypothesisError before C_M is taken.  A bound that could never
+    fail raises ValueError: an infinite e^(mb) (upper_chain_factors, before
+    C2 is computed) and a C_hat that is 0 in floating point.
 
     Each V(B_t) is read once, and each V_euc(t) comes once from
     check_hypotheses.  The certificate profile is
@@ -286,7 +270,12 @@ def verify_theorem(
     gamma_source = "empirical" if gamma_value is None else "user"
     c_m_source = "estimate" if c_m is None else "user"
     if c_m is None:
-        c_m = estimated_c_m(model, params)
+        if model.profile is None:
+            raise ValueError("the model has no curvature profile, so no certified C_M; pass c_m")
+        # G >= 0 gives h' >= 1, so centred balls beat the Euclidean
+        # isoperimetric ratio and no radial witness beats K.  Admitting
+        # G < 0 (the Ric >= 0 models of ROADMAP item 2) has to revisit this.
+        c_m = k
 
     upper = upper_chain_factors(b, m)[1]
     c2_value = c2(params, b, gamma_used)

@@ -1,14 +1,12 @@
 """Sobolev functionals for radial test functions on model manifolds.
 
-The central quantities are the p-energy integral(|u'|^p dvol), the
-p*-mass integral(u^p* dvol), and the two quotients built from them.  Any
-radial u with fast enough decay is a witness: the Sobolev quotient
-energy / mass^(p/p*) can only overestimate C_M^(-p), so minimising it
-over a family yields a certified lower estimate of the manifold
-constant.  The built-in family is the extremal Euclidean profiles,
-minimised over their scale by a log-grid scan, on models without a
-curvature profile only: rigidity.estimated_c_m takes K on
-curvature-profile models, where no witness beats it.
+The central quantities are the p-energy integral(|u'|^p dvol) and the
+p*-mass integral(u^p* dvol) of a radial u with fast enough decay, over
+[0, inf) with a certified tail, and the averaged-flux decay conditions of
+`radsob verify`.  Any such u is a witness: energy / mass^(p/p*) can only
+overestimate C_M^(-p), so a witness gives a lower estimate of the
+manifold constant and never certifies one; rigidity.verify_theorem takes
+C_M as the user's or as K instead.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from typing import Callable, NamedTuple
 from .model_manifold import ModelManifold
 from .numerics import TOL, CheckFailed, integrate_finite, integrate_semi_infinite
 from .talenti import SobolevParams, TalentiProfile, profile_split
-
-
-class SobolevUnsupportedError(CheckFailed):
-    """The model's volume growth cannot support a Euclidean-type inequality."""
 
 
 class DivergentTailError(CheckFailed):
@@ -37,15 +31,9 @@ class TailBoundError(CheckFailed):
 # continue a build_model warping linearly beyond its window.
 TAIL_BUDGET = 1e-6
 
-# (abs_tol, rel_tol) of the witness search, which only has to locate the
-# minimiser; the winning witness is re-evaluated at numerics.TOL.
-SEARCH_TOL = (1e-9, 1e-7)
 # (abs_tol, rel_tol) of the beyond-window share of a manifold integral.  It
 # only feeds the TAIL_BUDGET comparison, so a few digits are enough.
 BUDGET_TOL = (1e-9, 1e-4)
-# The witness search scans SCAN_POINTS scales, log-spaced over SCAN_RANGE.
-SCAN_RANGE = (1e-2, 1e6)
-SCAN_POINTS = 25
 # Radii R of the window averages s(R) in verify_decay_conditions; those
 # up to 0.9 t_max are used.
 FLUX_RADII = (2.0, 5.0, 10.0, 20.0, 40.0)
@@ -80,19 +68,15 @@ def talenti_function(profile: TalentiProfile) -> RadialFunction:
 
 
 def manifold_integral(
-    w: Callable[[float], float],
-    model: ModelManifold,
-    decay_power: float,
-    split: float,
-    tol: tuple,
+    w: Callable[[float], float], model: ModelManifold, decay_power: float, split: float
 ) -> float:
     """integral of w(t) * area(t) over [0, inf) with a certified tail.
 
-    The quadrature splits head from tail at `split` and meets the
-    (abs_tol, rel_tol) pair `tol`.  On a curved build_model model the area
-    weight continues linearly beyond the window; the certified uncertainty
-    of that continuation, integrated to BUDGET_TOL, must stay below
-    TAIL_BUDGET relative (or 10 abs_tol) or the integral refuses loudly.
+    The quadrature splits head from tail at `split` and meets
+    numerics.TOL.  On a curved build_model model the area weight continues
+    linearly beyond the window; the certified uncertainty of that
+    continuation, integrated to BUDGET_TOL, must stay below TAIL_BUDGET
+    relative (or 10 times TOL's abs_tol) or the integral refuses loudly.
 
     decay_power is the power-law order of w * t^(m-1) at infinity.  An
     infinite tail factor can meet no budget, so it is refused before any
@@ -109,13 +93,13 @@ def manifold_integral(
     def f(t: float) -> float:
         return w(t) * area(t)
 
-    total = integrate_semi_infinite(f, split, decay_power=decay_power, tol=tol)
+    total = integrate_semi_infinite(f, split, decay_power=decay_power)
     if factor > 1.0:
         beyond = integrate_semi_infinite(
             f, split, start=model.t_max, decay_power=decay_power, tol=BUDGET_TOL
         )
         uncertainty = abs(beyond) * (factor - 1.0)
-        if uncertainty > max(10.0 * tol[0], TAIL_BUDGET * abs(total)):
+        if uncertainty > max(10.0 * TOL[0], TAIL_BUDGET * abs(total)):
             raise TailBoundError(
                 f"tail beyond t_max={model.t_max:g} contributes {beyond:.3e} with "
                 f"uncertainty {uncertainty:.3e}, above the budget "
@@ -139,33 +123,20 @@ def _energy_tail_power(u: RadialFunction, m: int) -> float:
     return decay
 
 
-def gradient_energy(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
-    """p-energy of u: integral of |u'|^p over the model, to tolerance tol."""
+def gradient_energy(u: RadialFunction, model: ModelManifold) -> float:
+    """p-energy of u: integral of |u'|^p over the model."""
     p = u.params.p
     decay = _energy_tail_power(u, model.m)
-    return manifold_integral(lambda t: abs(u.deriv(t)) ** p, model, decay, u.split_hint, tol)
+    return manifold_integral(lambda t: abs(u.deriv(t)) ** p, model, decay, u.split_hint)
 
 
-def mass_pstar(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
-    """p*-mass of u: integral of u^p* over the model, to tolerance tol."""
+def mass_pstar(u: RadialFunction, model: ModelManifold) -> float:
+    """p*-mass of u: integral of u^p* over the model."""
     p_star = u.params.p_star
     decay = p_star * u.decay_order - (model.m - 1.0)
     if decay <= 1.0 + 1e-9:
         raise DivergentTailError(f"p*-mass decays like t^-{decay:.3f} and does not converge")
-    return manifold_integral(lambda t: u.eval(t) ** p_star, model, decay, u.split_hint, tol)
-
-
-def quotient_sobolev(u: RadialFunction, model: ModelManifold, tol: tuple = TOL) -> float:
-    """Scale-invariant Sobolev quotient energy / mass^(p/p*), to tolerance tol.
-
-    Its infimum over admissible u equals C_M^-p, so every evaluation is an
-    upper bound for that infimum and a lower witness for C_M.
-    """
-    params = u.params
-    mass = mass_pstar(u, model, tol)
-    if mass <= 0.0:
-        raise ValueError("p*-mass vanished; the quotient is undefined")
-    return gradient_energy(u, model, tol) / mass ** (params.p / params.p_star)
+    return manifold_integral(lambda t: u.eval(t) ** p_star, model, decay, u.split_hint)
 
 
 class DecayReport(NamedTuple):
@@ -213,62 +184,3 @@ def verify_decay_conditions(u: RadialFunction, model: ModelManifold) -> DecayRep
     tail = averages[averages.index(max(averages)):]
     decreasing = all(b < a * (1.0 + 1e-12) for a, b in zip(tail, tail[1:]))
     return DecayReport(flux_rows=tuple(flux_rows), flux_decreasing=decreasing)
-
-
-class RadialConstantEstimate(NamedTuple):
-    c_est: float
-    quotient: float
-    lam: float
-    quotient_evals: int
-
-
-def estimate_radial_constant(model: ModelManifold, params: SobolevParams) -> RadialConstantEstimate:
-    """Lower estimate of the manifold Sobolev constant from radial witnesses.
-
-    Scans the extremal family at SEARCH_TOL over the logarithmic grid of
-    scales given by SCAN_RANGE and SCAN_POINTS, then re-evaluates the best
-    scale once at numerics.TOL.  Nothing refines between scan points: on a
-    Ric >= 0 cone the quotient falls as the witness spreads, towards the
-    Balogh-Kristaly value (K theta^(-1/m))^(-p), theta the asymptotic
-    volume ratio, so the widest scale wins; on flat space the quotient
-    does not depend on the scale.  The returned C_est = (min
-    quotient)^(-1/p) never exceeds the true constant, up to quadrature
-    error.  The widest scales put their mass far beyond the window, so the
-    model must be exact there (tail_factor == 1); on a curved build_model
-    model they raise TailBoundError.
-
-    Raises:
-        SobolevUnsupportedError: the model's volume ratio collapses, so no
-            Euclidean-type inequality (and no finite constant) exists.
-        QuadratureError: the strict pass misses numerics.TOL.
-    """
-    m, p = params.m, params.p
-    if m != model.m:
-        raise ValueError(f"params dimension {m} does not match model dimension {model.m}")
-
-    probe_t = 0.9 * model.t_max
-    growth = model.volume(probe_t) / model.euclidean_volume(probe_t)
-    if growth < 1e-6:
-        raise SobolevUnsupportedError(
-            "Sobolev inequality unsupported: volume ratio "
-            f"{growth:.3e} at t={probe_t:g} has collapsed"
-        )
-
-    profile = TalentiProfile.build(params, 1.0)
-
-    def quotient_at(lam: float, tol: tuple) -> float:
-        return quotient_sobolev(talenti_function(profile.with_lam(lam)), model, tol)
-
-    lam_lo, lam_hi = SCAN_RANGE
-    grid = [
-        lam_lo * (lam_hi / lam_lo) ** (i / (SCAN_POINTS - 1.0)) for i in range(SCAN_POINTS)
-    ]
-    _, best_lam = min((quotient_at(lam, SEARCH_TOL), lam) for lam in grid)
-    best_q = quotient_at(best_lam, TOL)
-
-    return RadialConstantEstimate(
-        c_est=best_q ** (-1.0 / p),
-        quotient=best_q,
-        lam=best_lam,
-        quotient_evals=SCAN_POINTS + 1,
-    )

@@ -10,15 +10,16 @@ edits.  The last two sections read the package.  One holds formulas that
 tests hold program output against; they read the package's profiles and
 functionals, so they check consistency between two routes, not values.
 The other builds models straight from a closed-form warping h, with no
-curvature profile: the cones on which the witness search is tested.
+curvature profile: the cones on which a wide witness meets the
+Balogh-Kristaly constant.
 """
 
 import math
 from array import array
 
 from radsob.model_manifold import ModelManifold, _require_dimension, _volume_table
-from radsob.numerics import TOL, Warping, grid_steps
-from radsob.sobolev import manifold_integral
+from radsob.numerics import Warping, grid_steps
+from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
 
 
@@ -299,11 +300,9 @@ def c1(params, lam, b, model):
     q = params.conj
     split = profile_split(params, lam)
     num = manifold_integral(
-        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split, TOL
+        lambda t: (lam + t**q) ** (-(m - 1)), model, q * (m - 1) - (m - 1.0), split
     )
-    den = manifold_integral(
-        lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split, TOL
-    )
+    den = manifold_integral(lambda t: (lam + t**q) ** (-m), model, q * m - (m - 1.0), split)
     return (
         (m - 1.0)
         * ((m - p) / (p - 1.0)) ** (p - 1.0)
@@ -312,6 +311,15 @@ def c1(params, lam, b, model):
         * num
         / (lam * den)
     )
+
+
+def sobolev_quotient(u, model):
+    """Scale-invariant Sobolev quotient energy / mass^(p/p*) of a witness u.
+
+    Its infimum over admissible u is C_M^-p, so every value bounds that
+    infimum from above: quotient^(-1/p) is a lower witness for C_M.
+    """
+    return gradient_energy(u, model) / mass_pstar(u, model) ** (u.params.p / u.params.p_star)
 
 
 def spot_check(u):

@@ -134,6 +134,14 @@ NAMED_REFUSALS = {
         for command, extra in (("verify", ()), ("model", ()), ("rigidity", ("--c-m", "0.4")))
         for t_max, step in (("1e200", "1e199"), ("1e160", "1e159"))
     },
+    # At m = 300 a ball volume or sphere area on the report's grid is out
+    # of range: the model names the quantity, the radius and m.
+    ("model", "--m", "300", "--g", "zero"):
+        "the Euclidean ball volume at radius t=20 overflows at m=300",
+    ("rigidity", "--m", "300", "--g", "zero", "--c-m", "1"):
+        "the Euclidean ball volume at radius t=12.5 overflows at m=300",
+    ("model", "--m", "300", "--g", "rational:0.1"):
+        "the sphere area at radius t=10 overflows at m=300",
 }
 
 
@@ -650,7 +658,7 @@ def test_rigidity_csv_flat_user_constant(capsys):
 
 
 def test_rigidity_flat_estimate_is_exactly_k(capsys):
-    """No witness search on a profile model: C_M is K and v is exactly 0."""
+    """On a profile model C_M is K and v is exactly 0."""
     rc, out = _run(capsys, ["rigidity", "--g", "zero", "--output", "json"])
     assert rc == 0
     payload = json.loads(out)
@@ -659,7 +667,7 @@ def test_rigidity_flat_estimate_is_exactly_k(capsys):
 
 
 def test_rigidity_table_model_estimate(tmp_path, capsys):
-    """A table model at the default window takes C_M = K without a search."""
+    """A table model at the default window takes C_M = K."""
     table = tmp_path / "curvature.txt"
     table.write_text("0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n")
     rc, out = _run(capsys, ["rigidity", "--m", "4", "--p", "2", "--g", f"table:{table}"])
@@ -835,9 +843,6 @@ print(json.dumps(sorted(entered)))
 UNREACHED = {
     ("radsob", "__getattr__"):
         "imports a module named as a package attribute, which only perfbench/tracer.py does",
-    ("radsob.sobolev", "estimate_radial_constant"):
-        "the witness search, kept as the cross-check that ROADMAP item 2 runs",
-    ("radsob.sobolev", "quotient_sobolev"): "read only by the witness search (item 2)",
 }
 
 

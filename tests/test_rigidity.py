@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from radsob import rigidity, sobolev
+from radsob import rigidity
 from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
@@ -24,17 +24,11 @@ from radsob.rigidity import (
     c2,
     c3,
     c_hat,
-    estimated_c_m,
     mass_escape_experiment,
     verify_theorem,
 )
-from radsob.numerics import TOL, QuadratureError
-from radsob.sobolev import (
-    estimate_radial_constant,
-    manifold_integral,
-    quotient_sobolev,
-    talenti_function,
-)
+from radsob.numerics import QuadratureError
+from radsob.sobolev import manifold_integral, talenti_function
 from radsob.talenti import (
     SobolevParams,
     TalentiProfile,
@@ -61,7 +55,7 @@ def _flat_weight_integral(lam, order):
     """integral over flat R^4 of (lam + t^2)^(-order) dvol, by the package's
     manifold quadrature (the C1 numerator and denominator at orders 3, 4)."""
     return manifold_integral(
-        lambda t: (lam + t * t) ** -order, EUC4, 2.0 * order - 3.0, profile_split(P42, lam), TOL
+        lambda t: (lam + t * t) ** -order, EUC4, 2.0 * order - 3.0, profile_split(P42, lam)
     )
 
 
@@ -318,6 +312,9 @@ def test_verify_flat_hypothesis_rejections():
     )
     with pytest.raises(RigidityHypothesisError):
         _theorem(custom, (1.0, 2.0), c_m=1.1 * K42)
+    # Without a profile no C_M is certified, but the hypothesis is refused first.
+    with pytest.raises(RigidityHypothesisError):
+        _theorem(custom, (1.0, 2.0))
 
 
 def test_verify_curved_rational_consistent():
@@ -345,21 +342,17 @@ def test_verify_curved_user_gamma():
 
 @pytest.mark.parametrize("model", [RAT01, conical_model(4, 0.8, 30.0, 1e-2)],
                          ids=["rational", "conical"])
-def test_verify_refuses_a_gamma_the_grid_disproves(model, monkeypatch):
+def test_verify_refuses_a_gamma_the_grid_disproves(model):
     """A user gamma is the hypothesis V(B_t)/V_euc(t) >= gamma: the least
     ratio on the grid passes, and a gamma above it by more than
-    ratio_slack is refused before any witness search."""
-    searched = []
-    monkeypatch.setattr(
-        sobolev, "estimate_radial_constant", lambda *args: searched.append(args)
-    )
+    ratio_slack is refused before C_M is taken (on the cone, which has no
+    curvature profile, before C_M is refused)."""
     grid, slack = (0.5, 1.0, 5.0, 20.0), 1e-6
     least = _theorem(model, grid, c_m=K42, ratio_slack=slack).gamma
     report = _theorem(model, grid, c_m=K42, gamma_value=least, ratio_slack=slack)
     assert report.gamma_source == "user" and report.gamma == least
     with pytest.raises(RigidityHypothesisError, match="exceeds the least volume ratio"):
         _theorem(model, grid, gamma_value=least * (1.0 + 2.0 * slack), ratio_slack=slack)
-    assert searched == []
 
 
 def test_verify_curved_hypothesis_rejections():
@@ -390,15 +383,12 @@ def test_verify_refuses_a_lower_bound_of_zero(a, b):
         _theorem(steep, (1.0, 5.0))
 
 
-def test_verify_refuses_before_the_witness_search(monkeypatch):
-    searched = []
-    monkeypatch.setattr(
-        sobolev, "estimate_radial_constant", lambda *args: searched.append(args)
-    )
+def test_verify_refuses_before_the_witness_search():
+    """With C_M left to verify_theorem, an infinite curvature moment is
+    refused as a hypothesis before C_M is taken."""
     unbounded = build_model(4, ConstantCutoff(1.0, math.inf), t_max=8.0, step=1e-2)
     with pytest.raises(RigidityHypothesisError):
         _theorem(unbounded, (1.0, 2.0))
-    assert searched == []
 
 
 def test_verify_zero_moment_profile_takes_the_flat_case():
@@ -431,8 +421,8 @@ def test_verify_refuses_a_gamma_that_is_not_positive_and_finite(gamma_value):
 
 
 def test_no_radial_witness_beats_sharp_bound_on_profile_models():
-    """The premise of the estimated_c_m shortcut: G >= 0 keeps every
-    in-window witness quotient at or above K^-p."""
+    """The premise of C_M = K on curvature-profile models: G >= 0 keeps
+    every in-window witness quotient at or above K^-p."""
     cases = (
         (RAT01, P42),
         (build_model(4, ConstantCutoff(0.05, 3.0), 50.0, 1e-3), P42),
@@ -442,18 +432,15 @@ def test_no_radial_witness_beats_sharp_bound_on_profile_models():
         floor = sharp_constant(params) ** -params.p
         for lam in (0.01, 0.1, 1.0):
             u = talenti_function(TalentiProfile.build(params, lam))
-            q = quotient_sobolev(u, model)
+            q = _oracles.sobolev_quotient(u, model)
             assert q >= floor * (1.0 - 1e-9), f"{model!r} lam={lam}: {q!r} < {floor!r}"
 
 
-def test_estimated_c_m_searches_only_without_a_profile(monkeypatch):
-    calls = []
-
-    def recorder(model, params):
-        calls.append(model)
-        return estimate_radial_constant(model, params)
-
-    monkeypatch.setattr(sobolev, "estimate_radial_constant", recorder)
+def test_estimated_c_m_searches_only_without_a_profile():
+    """C_M left to verify_theorem is K on every curvature-profile model.
+    A model without one gets no certified C_M: ValueError, with no ball
+    volume read past the gamma check."""
+    grid = (0.5, 1.0, 5.0)
     table = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
     for model in (
         RAT01,
@@ -461,19 +448,26 @@ def test_estimated_c_m_searches_only_without_a_profile(monkeypatch):
         build_model(4, table, t_max=50.0, step=1e-2),
         EUC4,
     ):
-        assert estimated_c_m(model, P42) == K42, f"{model!r}"
-    assert calls == []
+        report = _theorem(model, grid)
+        assert report.C_M == K42 and report.C_M_source == "estimate", f"{model!r}"
+
+    cone = conical_model(4, 0.8, 50.0, 1e-3)
+    reads = []
+    counting = copy.copy(cone)
+    counting.ball_volume = lambda t: reads.append(t) or cone.ball_volume(t)
+    with pytest.raises(ValueError, match="no certified C_M; pass c_m"):
+        _theorem(counting, grid)
+    assert reads == list(grid)
 
     # On a cone of slope c, theta = c^(m-1) is the asymptotic volume ratio
-    # and the sharp constant is K theta^(-1/m) (Balogh-Kristaly); the
-    # search's widest witness comes within 1e-5 of it from below.
+    # and the sharp constant is K theta^(-1/m) (Balogh-Kristaly); a witness
+    # spread to lam = 1e6 comes within 1e-5 of it from below.
     for m, p, c in ((4, 2.0, 0.8), (4, 2.0, 0.5), (3, 1.5, 0.8)):
         params = SobolevParams(m, p)
         cone = conical_model(m, c, 50.0, 1e-3)
-        calls.clear()
-        value = estimated_c_m(cone, params)
-        assert calls == [cone]
+        u = talenti_function(TalentiProfile.build(params, 1e6))
+        value = _oracles.sobolev_quotient(u, cone) ** (-1.0 / p)
         sharp = sharp_constant(params) * (c ** (m - 1)) ** (-1.0 / m)
         assert sharp * (1.0 - 1e-5) <= value <= sharp * (1.0 + 1e-9), (
-            f"cone (m, p, c) = {(m, p, c)}: estimate {value / sharp - 1.0:+.3e} off K theta^(-1/m)"
+            f"cone (m, p, c) = {(m, p, c)}: witness {value / sharp - 1.0:+.3e} off K theta^(-1/m)"
         )

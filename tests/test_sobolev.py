@@ -1,4 +1,4 @@
-"""Sobolev functionals and the radial witness search.
+"""Sobolev functionals of radial witnesses and their decay conditions.
 
 On flat space the extremal profiles make every functional a closed form:
 mass 1 and energy K^-p, with K from the independent oracles.
@@ -8,7 +8,6 @@ import math
 
 import pytest
 
-from radsob import sobolev
 from radsob.model_manifold import (
     RationalDecay,
     build_model,
@@ -16,22 +15,18 @@ from radsob.model_manifold import (
 )
 from radsob.numerics import TOL, QuadratureError
 from radsob.sobolev import (
-    SEARCH_TOL,
     DivergentTailError,
     RadialFunction,
-    SobolevUnsupportedError,
     TailBoundError,
-    estimate_radial_constant,
     gradient_energy,
     mass_pstar,
-    quotient_sobolev,
     talenti_function,
     verify_decay_conditions,
 )
 from radsob.talenti import SobolevParams, TalentiProfile
 
 import _oracles
-from _oracles import conical_model, model_from_warping
+from _oracles import sobolev_quotient
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -86,7 +81,7 @@ def test_flat_energy_and_mass_closed_forms():
 def test_flat_quotients_attain_sharp_value():
     for lam in (0.5, 1.0, 5.0):
         u = _witness(lam)
-        q = float(quotient_sobolev(u, EUC4))
+        q = float(sobolev_quotient(u, EUC4))
         k_pow = K42**-2.0
         assert abs(q - k_pow) / k_pow < 1e-8, f"quotient at lam={lam}: {q!r}"
         qp = _plain(u, EUC4)
@@ -95,9 +90,9 @@ def test_flat_quotients_attain_sharp_value():
 
 def test_sobolev_quotient_scaling_invariance():
     u = _witness(1.0)
-    base = float(quotient_sobolev(u, EUC4))
+    base = float(sobolev_quotient(u, EUC4))
     for c in (2.0, 0.3):
-        scaled = float(quotient_sobolev(_scaled(u, c), EUC4))
+        scaled = float(sobolev_quotient(_scaled(u, c), EUC4))
         assert abs(scaled - base) / base < 1e-12, f"scaling by {c} moved quotient"
     plain_scaled = _plain(_scaled(u, 2.0), EUC4)
     plain = _plain(u, EUC4)
@@ -116,7 +111,7 @@ def test_no_witness_beats_sharp_bound_on_flat_space():
             split_hint=1.0,
         )
         _oracles.spot_check(u)
-        q = float(quotient_sobolev(u, EUC4))
+        q = float(sobolev_quotient(u, EUC4))
         assert q > k_pow * (1.0 + 1e-6), f"(1+t^2)^-{k} reached the bound: {q!r} vs {k_pow!r}"
 
 
@@ -132,7 +127,7 @@ def test_plain_below_sobolev_when_mass_exceeds_one():
     mass = float(mass_pstar(u, RAT01))
     assert mass > 1.0
     plain = _plain(u, RAT01)
-    sob = float(quotient_sobolev(u, RAT01))
+    sob = float(sobolev_quotient(u, RAT01))
     assert plain <= sob * (1.0 + 1e-12), f"{plain!r} > {sob!r} at mass {mass!r}"
 
 
@@ -157,23 +152,6 @@ def test_tail_bound_refusal_on_short_window():
         gradient_energy(u_wide, RAT01)
     narrow = float(gradient_energy(_witness(1.0), RAT01))
     assert narrow > 0.0
-    # The witness search scans wide scales too, so it refuses a model with
-    # curvature beyond the window instead of narrowing its range.
-    with pytest.raises(TailBoundError):
-        estimate_radial_constant(RAT01, P42)
-
-
-def test_collapsed_volume_growth_unsupported():
-    capped = model_from_warping(
-        4,
-        h=lambda t: 1.0 - math.exp(-t),
-        h_prime=lambda t: math.exp(-t),
-        h_second=lambda t: -math.exp(-t),
-        t_max=250.0,
-        step=1e-2,
-    )
-    with pytest.raises(SobolevUnsupportedError):
-        estimate_radial_constant(capped, P42)
 
 
 def test_spot_check_catches_wrong_derivative():
@@ -259,56 +237,12 @@ def test_decay_report_divergent_flagged():
         verify_decay_conditions(slow, EUC4)
 
 
-def test_estimate_flat_recovers_sharp_constant_quickly():
-    est = estimate_radial_constant(EUC4, P42)
-    assert abs(est.c_est - K42) / K42 < 1e-8, f"c_est {est.c_est!r} vs K {K42!r}"
-    again = estimate_radial_constant(EUC4, P42)
-    assert est == again, "estimate is not deterministic"
-    assert est.quotient_evals > 0
-
-
-def _recorded_tolerances(monkeypatch, fail_at=None):
-    """The tol of every quotient the search evaluates; a quotient at the
-    tolerance fail_at raises QuadratureError instead."""
-    tols = []
-
-    def recorder(u, model, tol):
-        tols.append(tol)
-        if tol == fail_at:
-            raise QuadratureError("stalled")
-        return quotient_sobolev(u, model, tol)
-
-    monkeypatch.setattr(sobolev, "quotient_sobolev", recorder)
-    return tols
-
-
-def test_estimate_is_the_scan_plus_one_strict_pass(monkeypatch):
-    """25 scan points at SEARCH_TOL, then the best scale once at TOL."""
-    tols = _recorded_tolerances(monkeypatch)
-    est = estimate_radial_constant(conical_model(4, 0.8, 50.0, 1e-3), P42)
-    assert tols == [SEARCH_TOL] * 25 + [TOL]
-    assert est.quotient_evals == 26, f"search used {est.quotient_evals} quotients"
-
-
-def test_estimate_raises_when_the_strict_pass_misses_its_tolerance(monkeypatch):
-    """No fallback to the scan's looser quotient: the error propagates."""
-    tols = _recorded_tolerances(monkeypatch, fail_at=TOL)
-    with pytest.raises(QuadratureError):
-        estimate_radial_constant(EUC4, P42)
-    assert tols == [SEARCH_TOL] * 25 + [TOL]
-
-
-def test_estimate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        estimate_radial_constant(EUC4, SobolevParams(3, 2.0))
-
-
 if HAS_HYPOTHESIS:
 
     @given(c=st.floats(min_value=0.2, max_value=5.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=10, deadline=None)
     def test_sobolev_quotient_scale_free(c):
         u = _witness(1.0)
-        base = float(quotient_sobolev(u, EUC4))
-        scaled = float(quotient_sobolev(_scaled(u, c), EUC4))
+        base = float(sobolev_quotient(u, EUC4))
+        scaled = float(sobolev_quotient(_scaled(u, c), EUC4))
         assert abs(scaled - base) / base < 1e-9, f"scaling by {c} moved the quotient"
