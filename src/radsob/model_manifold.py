@@ -7,11 +7,12 @@ h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
 in closed form for RationalDecay and from the RK4 sweep of that IVP for
 the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
 and the tail factor, and nothing else: it has no name, and sums ball
-volumes, from node pairs drawn on demand, only as far out as one is
-read.  The moment b = integral(t G(t) dt) measures the total amount of
-negative curvature; when it is finite the model is trapped between
-Euclidean space and a bounded dilation of it, which is exactly what
-verify_volume_chain checks on a grid.
+volumes (by Gauss panels for the closed form, over the sweep's nodes
+otherwise) only as far out as one is read.  The moment b = integral(t
+G(t) dt) measures the total amount of negative curvature; when it is
+finite the model is trapped between Euclidean space and a bounded
+dilation of it, which is exactly what verify_volume_chain checks on a
+grid.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 import os
 from array import array
 from bisect import bisect_right
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
-from .numerics import OdeError, Warping, grid_steps, require_finite_nodes, solve_h_ivp
+from .numerics import Warping, grid_steps, panel_volumes, require_finite_nodes, solve_h_ivp
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -99,12 +100,12 @@ class RationalDecay(CurvatureProfile):
         h = sqrt(1+t^2) S(theta) and h' = (t S(theta) + C(theta))/sqrt(1+t^2),
         where S = sin(r theta)/r and C = cos(r theta) for k > 0, sinh and
         cosh for k < 0, and S = theta, C = 1 for k = 0.  sqrt(1+t^2) is
-        hypot(1, t), finite wherever t is.  h and h' are exact between the
-        nodes too, with the node pairs' bits at a node.  No node is kept:
-        nodes computes each pair as it is drawn.  As b0 >= 0, h and h' grow
-        with t, so finite values at t_max mean finite nodes; otherwise
-        OdeError names the first node where h or h' overflows, or failing
-        that the first where one is not finite (require_finite_nodes).
+        hypot(1, t), finite wherever t is.  The ball volume takes Gauss
+        panels (panel_volumes), so the grid only bounds the panels and
+        names a radius: as b0 >= 0, h and h' grow with t, so finite values at
+        t_max mean finite nodes; otherwise OdeError names the first node
+        where h or h' overflows, or failing that the first where one is not
+        finite (require_finite_nodes).
         """
         k = 1.0 - self._two_b0
         if k > 0.0:
@@ -125,23 +126,12 @@ class RationalDecay(CurvatureProfile):
         n = grid_steps(t_max, step)
         dt = t_max / n
 
-        def nodes(start: int, stop: int) -> Iterator[tuple[float, float]]:
-            # Per node one atan, one hypot and one S, C pair serve h and h'.
-            try:
-                for i in range(start, min(stop, n)):
-                    t = i * dt
-                    a = r * atan(t)
-                    s = sn(a) / r
-                    q = hypot(1.0, t)
-                    yield q * s, (t * s + cs(a)) / q
-                if stop > n:
-                    t = t_max
-                    yield h(t), h_prime(t)
-            except OverflowError:
-                # sinh or cosh of a large r theta.
-                raise OdeError(t) from None
+        def pair(i: int) -> tuple[float, float]:
+            t = t_max if i == n else i * dt
+            return h(t), h_prime(t)
 
-        return require_finite_nodes(Warping(dt, n, nodes, h, h_prime))
+        require_finite_nodes(dt, n, pair)
+        return Warping(h, h_prime, panel_volumes(h, t_max, n))
 
 
 class Tabulated(CurvatureProfile):
@@ -305,11 +295,10 @@ class ModelManifold:
         factor;
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
-    build_model reads ball volumes from a node table (_volume_table),
-    summed only as far out as a lookup reads.  profile is the curvature
-    profile whose moment b the bounds use, or None for a model built
-    directly from a closed-form h, as the tests build cones.  euclidean_volume is the one
-    omega_m t^m every volume ratio divides by.  Models compare by identity.
+    profile is the curvature profile whose moment b the bounds use, or
+    None for a model built directly from a closed-form h, as the tests
+    build cones.  euclidean_volume is the one omega_m t^m every volume
+    ratio divides by.  Models compare by identity.
     """
 
     def __init__(
@@ -348,9 +337,15 @@ class ModelManifold:
             ) from None
 
     def volume(self, t: float) -> float:
-        """Volume of the geodesic ball of radius t."""
+        """Volume of the geodesic ball of radius t; raises ValueError where
+        it overflows a float (a power h^(m-1) raises, or a sum reaches inf)."""
         self._check_window(t)
-        return self.ball_volume(t)
+        try:
+            if (v := self.ball_volume(t)) < math.inf:
+                return v
+        except OverflowError:
+            pass
+        raise ValueError(f"the ball volume at radius t={t:g} overflows at m={self.m}")
 
     def euclidean_volume(self, t: float) -> float:
         """The Euclidean ball volume omega_m t^m; raises ValueError where it
@@ -389,73 +384,14 @@ def _require_dimension(m: int) -> None:
         raise ValueError("model dimension must be at least 2")
 
 
-def _volume_table(m: int, warping: Warping) -> Callable[[float], float]:
-    """Ball volume V(B_t) from a warping's node pairs and its h and h'.
-
-    With A = omega_sphere h^(m-1) and its slope A', node i + 1 adds the
-    derivative-corrected trapezoid of cell i to node i; between nodes the
-    same rule adds the part of a cell below t, from h(t) and h'(t).  The
-    node volumes are one running prefix, summed in node order only as far
-    as a lookup reads: a lookup in cell i first extends it from
-    nodes(len(vol), i + 1).  A lookup never starts a cell at the last node
-    (t_max, see Warping), and reads its cell's node pair from the nodes,
-    not from h(i * step), whose cell may round to the one before.  The
-    prefix draws each node once; a lookup between nodes draws its cell's
-    node again only if the prefix already reaches past it.
-    """
-    step, n, nodes, h, h_prime = warping
-    om, m1, m2 = sphere_area(m), m - 1, m - 2
-    om_m1 = om * m1
-    half, corr = 0.5 * step, step * step / 12.0
-    last = n - 1
-    vol = array("d")
-    # A and A' at the prefix's last node.
-    f_end = fp_end = 0.0
-
-    def volume(t: float) -> float:
-        nonlocal f_end, fp_end
-        i = min(int(t / step), last)
-        if i >= len(vol):
-            pairs = nodes(len(vol), i + 1)
-            if not vol:
-                h_0, hp_0 = next(pairs)
-                f_end, fp_end = om * h_0**m1, om_m1 * h_0**m2 * hp_0
-                vol.append(0.0)
-            total, f_prev, fp_prev = vol[-1], f_end, fp_end
-            add = vol.append
-            for h_k, hp_k in pairs:
-                f = om * h_k**m1
-                fp = om_m1 * h_k**m2 * hp_k
-                total += half * (f_prev + f) + corr * (fp_prev - fp)
-                add(total)
-                f_prev, fp_prev = f, fp
-            f_end, fp_end = f_prev, fp_prev
-        t_i = i * step
-        if t == t_i:
-            return vol[i]
-        if i == len(vol) - 1:
-            f_i, fp_i = f_end, fp_end
-        else:
-            h_i, hp_i = next(nodes(i, i + 1))
-            f_i, fp_i = om * h_i**m1, om_m1 * h_i**m2 * hp_i
-        h_t = h(t)
-        hp_t = h_prime(t)
-        f_t = om * h_t**m1
-        fp_t = om_m1 * h_t**m2 * hp_t
-        d = t - t_i
-        return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
-
-    return volume
-
-
 def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) -> ModelManifold:
     """Assemble the model of a curvature profile from its warping.
 
-    profile.warping gives h and h' on the window: in closed form for
-    RationalDecay, from the RK4 sweep of the IVP for ConstantCutoff and
-    Tabulated.  Past the window h continues linearly from its value and
-    slope at T = t_max, the warping's last node pair, whichever way they
-    were computed.  The true h
+    profile.warping gives h, h' and the ball volume on the window: in
+    closed form for RationalDecay, from the RK4 sweep of the IVP for
+    ConstantCutoff and Tabulated.  Past the window h continues linearly
+    from its value and slope at T = t_max, the warping's last node pair,
+    whichever way they were computed.  The true h
     satisfies w <= h <= w * F there, where w is that continuation and
     F = exp(kappa * integral of s G(s) over [T, inf)) with
     kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
@@ -464,8 +400,8 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         return euclidean_model(m, t_max)
     _require_dimension(m)
     warping = profile.warping(t_max, step)
-    value, n = warping.value, warping.n
-    h_end, hp_end = next(warping.nodes(n, n + 1))
+    value = warping.value
+    h_end, hp_end = value(t_max), warping.deriv(t_max)
 
     def h(t: float) -> float:
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
@@ -477,8 +413,9 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         profile=profile,
         warp=h,
         curvature=profile.g,
-        ball_volume=_volume_table(m, warping),
+        # Ahead of ball_volume: where t_max^2 overflows, the refusal is the tail's.
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
+        ball_volume=warping.ball_volume(m, sphere_area(m)),
     )
 
 

@@ -1,27 +1,28 @@
 """Low-level numerical kernels shared by the rest of the package.
 
-Two independent pieces live here: adaptive Simpson quadrature on finite
-and semi-infinite intervals, and a fixed-step RK4 integrator for the
-warping initial value problem h'' = G(t) h, which builds the models of
+Three independent pieces live here: adaptive Simpson and checked Gauss
+panel quadrature, and a fixed-step RK4 integrator for the warping
+initial value problem h'' = G(t) h, which builds the models of
 `const:` and `table:` specs (a `rational:` model takes its warping in
-closed form, so no sweep runs for it).  The whole quadrature policy
-is the tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
+closed form, so no sweep runs for it).  The whole Simpson policy is the
+tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
 rounding floor ROUNDING_FACTOR; a caller may pass its own (abs_tol,
 rel_tol) pair, nothing else.  A semi-infinite integral also needs the
 radius where head and tail are split and the integrand's declared tail
-power.
+power.  The Gauss rule's is PANEL_REL_TOL and MAX_DEPTH.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Its output is a Warping, the one
-shape of every warping, closed forms included: the grid step and count,
-the (h, h') pairs at the nodes, drawn on demand, and h and h' as
-functions.  The sweep keeps its nodes as stdlib ``array("d")`` columns,
-which its dense output reads; a closed form keeps no column.  grid_steps
-caps a grid at MAX_GRID_STEPS steps.  A warping's finiteness is checked
-once, as it is built (require_finite_nodes).  Nothing here needs vector
-arithmetic.  All routines are deterministic: the same inputs always
-produce bitwise identical results.  Every error that fails a check
-rather than refusing an input derives from CheckFailed.
+shape of every warping, closed forms included: h and h' as functions,
+and the ball volume.  The sweep keeps its nodes
+as stdlib ``array("d")`` columns, which its dense output reads and its
+volume sums; a closed form keeps none and sums its volume by Gauss
+panels.  grid_steps caps a grid at MAX_GRID_STEPS steps.  A warping's
+finiteness is checked once, as it is built (require_finite_nodes).
+Nothing here needs vector arithmetic.  All routines are deterministic:
+the same inputs always produce bitwise identical results.  Every error
+that fails a check rather than refusing an input derives from
+CheckFailed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 
 class CheckFailed(RuntimeError):
@@ -201,13 +202,69 @@ def integrate_semi_infinite(
     return head + tail + sliver
 
 
+def _gauss_legendre_10() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the 10-point Gauss-Legendre rule on
+    [-1, 1]: each root x > 0 of the Legendre polynomial P_10 by Newton's
+    method on its recurrence, with weight 2/((1 - x^2) P_10'(x)^2), and
+    mirrored, so that the rule is exactly symmetric."""
+    half = []
+    for i in range(1, 6):
+        x, dx = math.cos(math.pi * (i - 0.25) / 10.5), 1.0
+        while True:
+            p0, p1 = 1.0, x
+            for k in range(2, 11):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            slope = 10 * (x * p1 - p0) / (x * x - 1.0)
+            if abs(dx) <= 1e-15:  # so the weight reads P_10' at the last x
+                break
+            dx = p1 / slope
+            x -= dx
+        half.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    nodes, weights = zip(*[(-x, w) for x, w in half], *reversed(half))
+    return nodes, weights
+
+
+GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre_10()
+# A Gauss panel is accepted when its halves agree with it to this share.
+PANEL_REL_TOL = 1e-14
+
+
+def _gauss(f, a, b):
+    centre, radius = 0.5 * (a + b), 0.5 * (b - a)
+    return radius * sum(w * f(centre + radius * x) for x, w in zip(GAUSS_NODES, GAUSS_WEIGHTS))
+
+
+def _gauss_halves(f, a, b, whole, tol, depth):
+    mid = 0.5 * (a + b)
+    left, right = _gauss(f, a, mid), _gauss(f, mid, b)
+    err = abs(left + right - whole)
+    if err <= tol or not math.isfinite(left + right):
+        return left + right
+    if depth >= MAX_DEPTH:
+        raise QuadratureError(f"Gauss panel rule stalled on [{a:g}, {b:g}] (error {err:.3e})")
+    half = _gauss_halves(f, a, mid, left, tol, depth + 1)
+    return half + _gauss_halves(f, mid, b, right, tol, depth + 1)
+
+
+def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate a positive f over [a, b] by the 10-point Gauss rule on its
+    halves, once their sum agrees with the rule on [a, b] to PANEL_REL_TOL
+    of it; else each half is checked the same way against that tolerance,
+    which a positive f cannot cancel, to MAX_DEPTH levels (QuadratureError).
+    A sum that is not finite is returned as it is."""
+    whole = _gauss(f, a, b)
+    return _gauss_halves(f, a, b, whole, PANEL_REL_TOL * abs(whole), 0)
+
+
 # Most steps of a warping grid: its two float columns take 160 MB at the cap.
 MAX_GRID_STEPS = 10_000_000
 
 
 def grid_steps(t_max: float, step: float) -> int:
     """The number n = round(t_max / step), at least 1, of uniform steps of
-    a warping grid; the steps themselves are t_max / n (Warping).
+    a warping grid.  The grid convention of every warping: the steps are
+    t_max / n, node i is at i * t_max / n, and the last node, i = n, is
+    t_max itself, whatever n steps round to.
 
     Raises:
         ValueError: non-positive step or window, or n > MAX_GRID_STEPS.
@@ -222,45 +279,111 @@ def grid_steps(t_max: float, step: float) -> int:
 
 
 class Warping(NamedTuple):
-    """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max].
-
-    The grid convention of every warping: n = grid_steps(t_max, step)
-    uniform steps of `step` = t_max / n; node i is at i * step, and the
-    last node, i = n, is t_max itself, whatever n * step rounds to.
-    nodes(start, stop) iterates over the (h, h') pairs of the nodes start
-    to stop - 1, each read or computed only when it is drawn; value and
-    deriv are h and h' as functions on the window.
+    """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max]:
+    value and deriv are h and h' as functions on the window, and
+    ball_volume(m, omega) the function t -> omega * integral of h^(m-1)
+    over [0, t] (_node_volumes, panel_volumes).  Its grid is the one
+    grid_steps gives.
     """
 
-    step: float
-    n: int
-    nodes: Callable[[int, int], Iterator[tuple[float, float]]]
     value: Callable[[float], float]
     deriv: Callable[[float], float]
+    ball_volume: Callable[[int, float], Callable[[float], float]]
 
 
-def require_finite_nodes(warping: Warping) -> Warping:
-    """Return warping if h and h' are finite at every node; else raise
-    OdeError at the first node i * step where one of them is not.
+def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> None:
+    """Raise OdeError at the first node i * step where h or h' is not
+    finite; pair(i) is node i's (h, h').
 
-    Only node n is drawn when it is finite: the callers' nodes never turn
+    Only node n is read when it is finite: the callers' nodes never turn
     finite again, as in an RK4 sweep of this linear system, or in a closed
-    form whose h and h' grow with t.  A closed form raises OdeError itself
-    at a node it cannot compute (an overflow); the scan from node 0 then
-    raises that at its first such node, even past a node that is only not
-    finite.
+    form whose h and h' grow with t.  Where a closed form overflows (sinh
+    or cosh of a large argument), the scan from node 0 raises OdeError at
+    its first such node, even past a node that is only not finite.
     """
-    step, n, nodes = warping[:3]
     try:
-        if all(map(math.isfinite, next(nodes(n, n + 1)))):
-            return warping
-    except OdeError:
+        if all(map(math.isfinite, pair(n))):
+            return
+    except OverflowError:
         pass
     first = None
-    for i, pair in enumerate(nodes(0, n + 1)):
-        if first is None and not all(map(math.isfinite, pair)):
-            first = i
+    for i in range(n + 1):
+        try:
+            if not all(map(math.isfinite, pair(i))) and first is None:
+                first = i
+        except OverflowError:
+            raise OdeError(i * step) from None
     raise OdeError(first * step)
+
+
+def _node_volumes(step, n, values, derivs, h, h_prime):
+    """The ball_volume of the RK4 sweep: with A = omega h^(m-1) and its
+    slope A', node i + 1 adds the derivative-corrected trapezoid of cell i
+    to node i, in one running prefix summed only as far as a lookup reads;
+    between nodes the same rule adds the part of a cell below t, from h(t)
+    and h'(t).  A lookup reads its cell's node from the columns, not from
+    h(i * step), whose cell may round to the one before."""
+
+    def ball_volume(m: int, om: float) -> Callable[[float], float]:
+        m1, m2 = m - 1, m - 2
+        om_m1 = om * m1
+        half, corr = 0.5 * step, step * step / 12.0
+        vol = array("d", [0.0])
+        area = lambda h_t, hp_t: (om * h_t**m1, om_m1 * h_t**m2 * hp_t)
+
+        def volume(t: float) -> float:
+            i = min(int(t / step), n - 1)
+            if i >= len(vol):
+                total, j = vol[-1], len(vol) - 1
+                f_prev, fp_prev = area(values[j], derivs[j])
+                for h_k, hp_k in zip(values[j + 1 : i + 1], derivs[j + 1 : i + 1]):
+                    f = om * h_k**m1
+                    fp = om_m1 * h_k**m2 * hp_k
+                    total += half * (f_prev + f) + corr * (fp_prev - fp)
+                    vol.append(total)
+                    f_prev, fp_prev = f, fp
+            t_i = i * step
+            if t == t_i:
+                return vol[i]
+            f_i, fp_i = area(values[i], derivs[i])
+            f_t, fp_t = area(h(t), h_prime(t))
+            d = t - t_i
+            return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
+
+        return volume
+
+    return ball_volume
+
+
+# A closed-form ball volume cuts its window into ceil(t_max / PANEL_WIDTH)
+# panels, or into its grid's n steps where those are wider.
+PANEL_WIDTH = 0.25
+
+
+def panel_volumes(h, t_max, n):
+    """The ball_volume of a closed-form warping h on [0, t_max], on a grid
+    of n steps: omega h^(m-1) is analytic, so integrate_panel takes each
+    panel to rounding.  No panel is narrower than a grid step, so the
+    panels are no more than MAX_GRID_STEPS.  The panel sums are one
+    running prefix at the panel edges, summed only as far as a lookup
+    reads; a lookup in panel i adds the part [edge i, t] of its panel by
+    the same rule."""
+
+    def ball_volume(m: int, om: float) -> Callable[[float], float]:
+        k = min(math.ceil(t_max / PANEL_WIDTH), n)
+        width = t_max / k
+        vol = array("d", [0.0])
+        area = lambda t: om * h(t) ** (m - 1)
+
+        def volume(t: float) -> float:
+            i = min(int(t / width), k - 1)
+            for j in range(len(vol), i + 1):
+                vol.append(vol[-1] + integrate_panel(area, (j - 1) * width, j * width))
+            return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
+
+        return volume
+
+    return ball_volume
 
 
 def _hermite(y0, y1, d0, d1, s, width):
@@ -277,21 +400,21 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
-    over the Warping grid; g is called 2n + 1 times, at each node and step
+    over the grid_steps grid; g is called 2n + 1 times, at each node and step
     midpoint.  Between nodes h and h' are cubic Hermite interpolants, which
     keep the sweep's fourth order; each h' lookup below t_max reads its
     end slopes h'' = g * h from g at the cell's two nodes.  A lookup at
     t_max (or within the window's 1e-12 slack past it) returns the last
     node's h and h' exactly, with no curvature call, and one outside the
     window raises ValueError.  There is no error estimate; the step is the
-    accuracy control.  The record's nodes are slices of the sweep's two
-    node columns, which the dense output reads too.  Finiteness is checked
-    once, after the sweep (require_finite_nodes): an RK4 step of this
-    linear system keeps a non-finite h or h' non-finite, so the first
-    non-finite node is the one where the state blew up.  The models of
-    `const:` and `table:` specs come from this sweep; a `rational:` model
-    is built from its closed form (model_manifold.RationalDecay.warping)
-    instead.
+    accuracy control.  The record's ball volume sums the sweep's two node
+    columns (_node_volumes), which the dense output reads too.
+    Finiteness is checked once, after the sweep (require_finite_nodes): an
+    RK4 step of this linear system keeps a non-finite h or h' non-finite,
+    so the first non-finite node is the one where the state blew up.  The
+    models of `const:` and `table:` specs come from this sweep; a
+    `rational:` model is built from its closed form
+    (model_manifold.RationalDecay.warping) instead.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
@@ -323,9 +446,6 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
         add_deriv(v)
         g_here = g_next
 
-    def nodes(start: int, stop: int) -> Iterator[tuple[float, float]]:
-        return zip(values[start:stop], derivs[start:stop])
-
     def cell(t: float) -> tuple[int, float]:
         if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the solution window [0, {t_max:g}]")
@@ -348,4 +468,5 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
             derivs[i], derivs[i + 1], g(i * dt) * values[i], g(t_next) * values[i + 1], s, dt
         )
 
-    return require_finite_nodes(Warping(dt, n, nodes, value, deriv))
+    require_finite_nodes(dt, n, lambda i: (values[i], derivs[i]))
+    return Warping(value, deriv, _node_volumes(dt, n, values, derivs, value, deriv))

@@ -8,17 +8,19 @@ evaluation) and from a 30-digit Taylor-method integration of the warping
 initial value problem; they pin the oracles themselves against accidental
 edits.  The last two sections read the package.  One holds formulas that
 tests hold program output against; they read the package's profiles and
-functionals, so they check consistency between two routes, not values.
-The other builds models straight from a closed-form warping h, with no
+functionals, so they check consistency between two routes, not values;
+ivp_nodes there hands a test the node columns of the RK4 sweep.  The other builds models straight from a closed-form warping h, with no
 curvature profile: the cones on which a wide witness meets the
 Balogh-Kristaly constant.
 """
 
 import math
 from array import array
+from unittest import mock
 
-from radsob.model_manifold import ModelManifold, _require_dimension, _volume_table
-from radsob.numerics import Warping, grid_steps
+from radsob import numerics
+from radsob.model_manifold import ModelManifold, _require_dimension
+from radsob.numerics import Warping, _node_volumes, grid_steps, integrate_panel, solve_h_ivp
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
 
@@ -129,8 +131,43 @@ RATIONAL_B01_H_CHAIN20 = {
 SINH_1 = 1.1752011936438015
 
 # Geodesic ball volumes of the m=4 model with G = 0.2/(1+t^2)^2, from the
-# same 30-digit solution integrated against the area weight.
-VOLUME_RATIONAL01 = {1.0: 5.1729916331920054, 5.0: 3746.3798106822894}
+# same 30-digit solution integrated against the area weight (t = 1 and 5),
+# and at the seven chain radii of `model --t-max 20` from a 30-digit
+# quadrature of 2 pi^2 h^3 for the closed form above, which agrees with
+# the first two to all their digits.
+VOLUME_RATIONAL01 = {
+    0.2: 0.00791639449676366011734575159039,
+    0.4: 0.127595558093044741269109639183,
+    1.0: 5.1729916331920054,
+    2.0: 87.9487433358818673725629876651,
+    4.0: 1505.92392279764751259677193636,
+    5.0: 3746.3798106822894,
+    8.0: 25359.7300976563032514791547755,
+    16.0: 418594.771393956520992145274583,
+}
+# (m, b0, t) -> V(B_t) = omega_m * integral of h^(m-1) over [0, t] for
+# G = 2 b0/(1+t^2)^2, by a 30-digit quadrature of the closed-form h
+# (sin for b0 = 0.1, sinh for b0 = 3), panel by panel.
+VOLUME_RATIONAL = {
+    (4, 0.1, 0.2): 0.00791639449676366011734575159039,
+    (4, 0.1, 2.0): 87.9487433358818673725629876651,
+    (4, 0.1, 19.0): 836807.510974085782059060681904,
+    (4, 3.0, 0.2): 0.00854050122790724097442564217867,
+    (4, 3.0, 2.0): 1312.98145700653930580352686403,
+    (4, 3.0, 19.0): 171879041.149581670605386673781,
+    (20, 0.1, 0.2): 2.76771698566865291548282453864e-16,
+    (20, 0.1, 2.0): 60689.6373083044971000760613231,
+    (20, 0.1, 19.0): 5337137101777088143486389.39663,
+    (20, 3.0, 0.2): 5.30436016956443124833016552794e-16,
+    (20, 3.0, 2.0): 13736981018830.6891915480058532,
+    (20, 3.0, 19.0): 3.9353468301840388075392697423e39,
+    (40, 0.1, 0.2): 4.16003320333791065591468108658e-37,
+    (40, 0.1, 2.0): 21507.9172469731181935528203093,
+    (40, 0.1, 19.0): 1.69955249577467715592709895934e44,
+    (40, 3.0, 0.2): 1.67958698683904856699031976639e-36,
+    (40, 3.0, 2.0): 5015368981727103360793.72738986,
+    (40, 3.0, 19.0): 6.22392293710678041210005203611e74,
+}
 
 
 def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
@@ -216,19 +253,18 @@ def hermite_reference(grid, values, derivs, g, t):
     return h, hp
 
 
-def volume_table_reference(m, warping):
-    """Ball volume V(B_t) of a warped model from a warping record: its grid
-    step and count, its node pairs, and h and h' as functions.
+def volume_table_reference(m, step, pairs, h, h_prime):
+    """Ball volume V(B_t) of a warped model from a node grid: its step,
+    the (h, h') pairs of its n + 1 nodes, and h and h' as functions.
 
-    The plain eager table that a model's volume lookup must reproduce bit
-    for bit: with A = omega_sphere h^(m-1) and its slope A', node i + 1
-    adds the derivative-corrected trapezoid of cell i to node i, all node
-    pairs drawn and all node volumes summed up front by index; between
-    nodes the same rule adds the part of the cell below t, from h(t) and
-    h'(t).  Returns V as a function.
+    The plain eager table that the ball volume of an RK4 sweep must
+    reproduce bit for bit: with A = omega_sphere h^(m-1) and its slope A',
+    node i + 1 adds the derivative-corrected trapezoid of cell i to node
+    i, all node volumes summed up front by index; between nodes the same
+    rule adds the part of the cell below t, from h(t) and h'(t).  Returns
+    V as a function.
     """
-    step, n, nodes, h, h_prime = warping
-    pairs = list(nodes(0, n + 1))
+    n = len(pairs) - 1
     om = sphere_area(m)
 
     def area_and_slope(h_t, hp_t):
@@ -253,6 +289,49 @@ def volume_table_reference(m, warping):
 
 
 # -- Reference formulas evaluated through the package ----------------------
+
+
+def panel_volume_reference(m, h, t_max, n):
+    """Ball volume V(B_t) of a closed-form warping h on [0, t_max].
+
+    The plain eager panel sum that a closed-form model's volume lookup must
+    reproduce bit for bit: the integrals of omega_sphere h^(m-1) over the
+    min(ceil(t_max / 0.25), n) equal panels, each by integrate_panel and all summed
+    up front in order; a lookup in panel i adds the part [edge i, t] of its
+    panel by the same rule.  Returns V as a function.
+    """
+    k = min(math.ceil(t_max / 0.25), n)
+    width = t_max / k
+    om = sphere_area(m)
+
+    def area(t):
+        return om * h(t) ** (m - 1)
+
+    vol = [0.0]
+    for j in range(1, k):
+        vol.append(vol[-1] + integrate_panel(area, (j - 1) * width, j * width))
+
+    def volume(t):
+        i = min(int(t / width), k - 1)
+        return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
+
+    return volume
+
+
+def ivp_nodes(g, t_max, step):
+    """solve_h_ivp(g, t_max, step) and the list of the (h, h') pairs of its
+    n + 1 nodes, the columns its ball volume sums, caught as the sweep
+    hands them to _node_volumes."""
+    caught = []
+
+    def catch(step, n, values, derivs, h, h_prime):
+        caught.append(list(zip(values, derivs)))
+        return _node_volumes(step, n, values, derivs, h, h_prime)
+
+    with mock.patch.object(numerics, "_node_volumes", catch):
+        warping = solve_h_ivp(g, t_max, step)
+    (pairs,) = caught
+    return warping, pairs
 
 
 def phi_second(profile, t):
@@ -341,17 +420,20 @@ def spot_check(u):
 # -- Closed-form models without a curvature profile ------------------------
 
 
+def closed_form_pairs(h, h_prime, t_max, step):
+    """The node pairs (h, h') of a closed-form h and h' on the grid of
+    grid_steps(t_max, step): at i * step, the last at t_max itself."""
+    return [(h(t), h_prime(t)) for t in uniform_grid(t_max, grid_steps(t_max, step))]
+
+
 def closed_form_warping(h, h_prime, t_max, step):
-    """The Warping record of a closed-form h and h' on the grid of
-    grid_steps(t_max, step): each node pair (h, h') at i * step, the last
-    at t_max itself, computed as it is drawn."""
-    n = grid_steps(t_max, step)
-    grid = uniform_grid(t_max, n)
-
-    def nodes(start, stop):
-        return ((h(t), h_prime(t)) for t in grid[start:stop])
-
-    return Warping(t_max / n, n, nodes, h, h_prime)
+    """The Warping record of a closed-form h and h' whose ball volume sums
+    closed_form_pairs by the RK4 sweep's trapezoid."""
+    pairs = closed_form_pairs(h, h_prime, t_max, step)
+    n = len(pairs) - 1
+    values, derivs = (array("d", column) for column in zip(*pairs))
+    dt = t_max / n
+    return Warping(h, h_prime, _node_volumes(dt, n, values, derivs, h, h_prime))
 
 
 def model_from_warping(m, h, h_prime, h_second, t_max, step):
@@ -375,7 +457,7 @@ def model_from_warping(m, h, h_prime, h_second, t_max, step):
         profile=None,
         warp=h,
         curvature=curvature,
-        ball_volume=_volume_table(m, closed_form_warping(h, h_prime, t_max, step)),
+        ball_volume=closed_form_warping(h, h_prime, t_max, step).ball_volume(m, sphere_area(m)),
         tail_factor=1.0,
     )
 

@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -36,10 +37,12 @@ except ImportError:
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 # Reports pinned byte for byte here rather than in golden.json, which
-# changes only with the benchmark.  The closed-form rational warping moved
-# `model --g rational:0.1 --t-max 20 --step 1e-2` by RK4's own error at
-# step 1e-2, at most 8.1e-11 relative, so golden.json holds it to the
-# gate's tolerance only.
+# changes only with the benchmark.  `model --g rational:0.1 --t-max 20
+# --step 1e-2` moved twice: its areas by RK4's own error at step 1e-2, at
+# most 8.1e-11 relative, when the warping became a closed form, and its
+# volumes by the trapezoid's error at that step, at most 7.7e-9 relative,
+# when the closed form's ball volume became a checked Gauss panel sum.  So
+# golden.json holds it to the gate's tolerance only.
 REPORTS = json.loads((Path(__file__).resolve().parent / "reports.json").read_text())
 
 README_INVOCATIONS = (
@@ -142,6 +145,12 @@ NAMED_REFUSALS = {
         "the Euclidean ball volume at radius t=12.5 overflows at m=300",
     ("model", "--m", "300", "--g", "rational:0.1"):
         "the sphere area at radius t=10 overflows at m=300",
+    # The first rigidity radius whose ball volume passes the float range, in
+    # a closed form's Gauss panel and on the RK4 sweep's nodes.
+    ("rigidity", "--m", "150", "--g", "rational:3", "--c-m", "1"):
+        "the ball volume at radius t=20 overflows at m=150",
+    ("rigidity", "--m", "150", "--g", "const:0.5:4", "--c-m", "1"):
+        "the ball volume at radius t=17.5 overflows at m=150",
 }
 
 
@@ -476,35 +485,37 @@ def test_constants_passes_at_a_tiny_scale(capsys):
 
 
 def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, monkeypatch):
-    """A model's volume table draws the node pairs of its warping only as
-    far as a lookup reads, each once.  verify integrates areas only, so it
-    draws none; model's chain stops at 0.8 t_max, so it draws none past
-    the cell of that radius; rigidity reads V(B_t) up to t_max, whose cell
-    starts at node n - 1, so it draws each of nodes 0 to n - 1 once."""
-    drawn = []
-    volume_table = model_manifold._volume_table
+    """A closed-form model integrates its ball volume panel by panel, only
+    as far as a lookup reads, each panel once.  verify integrates areas
+    only, so it evaluates h for no ball volume; model's chain stops at
+    0.8 t_max = 40, a panel edge, so it integrates the 160 panels below it;
+    rigidity reads V(B_t) at panel edges up to t_max, so it integrates each
+    of the 200 panels once, the last as the part of its panel below t_max.
+    No panel is refined: the checked rule takes each with 30 values of h,
+    10 on the panel and 10 on each half."""
+    points = []
+    panel_volumes = model_manifold.panel_volumes
 
-    def counted(m, warping):
-        def nodes(start, stop):
-            for i, pair in enumerate(warping.nodes(start, stop), start):
-                drawn.append(i)
-                yield pair
+    def counted(h, t_max, n):
+        def h_counted(t):
+            points.append(t)
+            return h(t)
 
-        return volume_table(m, warping._replace(nodes=nodes))
+        return panel_volumes(h_counted, t_max, n)
 
-    monkeypatch.setattr(model_manifold, "_volume_table", counted)
-    n = 5000
-    draws = {}
+    monkeypatch.setattr(model_manifold, "panel_volumes", counted)
+    panels = {}
     for command, extra in (("verify", ["--lambda", "1"]), ("model", []),
                            ("rigidity", ["--c-m", "0.35"])):
-        drawn.clear()
+        points.clear()
         rc, _ = _run(capsys, [command, "--g", "rational:0.1", "--t-max", "50", "--step", "1e-2",
                               *extra])
         assert rc == 0, command
-        assert drawn == list(range(len(drawn))), f"{command} drew a node pair out of turn"
-        draws[command] = len(drawn)
-    # The chain's last radius, 40, is node 4000.
-    assert draws == {"verify": 0, "model": 4001, "rigidity": n}, draws
+        assert len(set(points)) == len(points), f"{command} evaluated h twice at one radius"
+        per_panel = Counter(min(int(t / 0.25), 199) for t in points)
+        assert set(per_panel.values()) <= {30}, (command, per_panel)
+        panels[command] = sorted(per_panel)
+    assert panels == {"verify": [], "model": list(range(160)), "rigidity": list(range(200))}
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):
@@ -761,9 +772,18 @@ def test_readme_reports_match_golden(capsys):
         assert out == want["stdout"], f"{invocation!r} report differs from its pinned report"
 
 
+def _within_half_a_unit_in_the_12th_digit(printed: str, exact: float) -> bool:
+    """Whether a 12-digit report cell is exact to its rounding, with a hair
+    for the double rounding of the value it prints."""
+    half_unit = 0.5 * 10.0 ** (math.floor(math.log10(exact)) - 11)
+    return abs(float(printed) - exact) <= half_unit + 1e-15 * exact
+
+
 def test_closed_form_model_report_prints_the_exact_area(capsys):
     """Each of the seven area rows of the report pinned in tests/reports.json
-    is omega h^3 of the exact warping, to the rounding of 12 digits."""
+    is omega h^3 of the exact warping, and each of its seven volume rows the
+    exact ball volume, to the rounding of 12 digits.  The trapezoid's
+    volume at t = 0.2, which the report printed before, fails the check."""
     invocation = "model --g rational:0.1 --t-max 20 --step 1e-2"
     rc, out = _run(capsys, invocation.split())
     assert rc == 0 and out == REPORTS[invocation]["stdout"]
@@ -772,11 +792,16 @@ def test_closed_form_model_report_prints_the_exact_area(capsys):
     assert [float(row[1]) for row in rows] == sorted(_oracles.RATIONAL_B01_H_CHAIN20)
     for _, t, _, area, *_ in rows:
         exact = omega * _oracles.RATIONAL_B01_H_CHAIN20[float(t)] ** 3
-        # Half a unit in the 12th significant digit, and a hair for the
-        # double rounding of omega h^3.
-        half_unit = 0.5 * 10.0 ** (math.floor(math.log10(exact)) - 11)
-        assert abs(float(area) - exact) <= half_unit + 1e-15 * exact, (t, area, exact)
+        assert _within_half_a_unit_in_the_12th_digit(area, exact), (t, area, exact)
         assert f"upper_area,{t},{area}," in out, t
+    rows = [line.split(",") for line in out.splitlines() if line.startswith("lower_volume,")]
+    assert len(rows) == 7
+    for _, t, _, volume, *_ in rows:
+        exact = _oracles.VOLUME_RATIONAL01[float(t)]
+        assert _within_half_a_unit_in_the_12th_digit(volume, exact), (t, volume, exact)
+        assert f"upper_volume,{t},{volume}," in out, t
+    assert not _within_half_a_unit_in_the_12th_digit("0.00791639443578",
+                                                      _oracles.VOLUME_RATIONAL01[0.2])
 
 
 def _perfbench_module(name: str) -> types.ModuleType:

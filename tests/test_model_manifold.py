@@ -14,9 +14,12 @@ import pytest
 
 from radsob import model_manifold
 from radsob.cli import _rigidity_grid
-from radsob.numerics import OdeError, Warping, integrate_finite, solve_h_ivp
+from radsob.numerics import (
+    OdeError, Warping, grid_steps, integrate_finite, panel_volumes, solve_h_ivp,
+)
 from radsob.model_manifold import (
     ConstantCutoff,
+    ModelManifold,
     RationalDecay,
     Tabulated,
     ZeroCurvature,
@@ -221,26 +224,19 @@ def test_warping_oracles_through_model():
 
 def test_rational_closed_form_matches_the_30_digit_oracles():
     """h and h' of the closed form lie within 1e-14 of the 30-digit Taylor
-    solutions, for k = 1 - 2 b0 > 0 (sin, cos) and k < 0 (sinh, cosh); at
-    a node, h and h' have the bits of the node pairs, drawn whole or one
-    at a time."""
+    solutions, for k = 1 - 2 b0 > 0 (sin, cos) and k < 0 (sinh, cosh), and
+    start at h(0) = 0, h'(0) = 1 exactly."""
     cases = (
         (0.1, _oracles.RATIONAL_B01_H, _oracles.RATIONAL_B01_HP),
         (1.0, _oracles.RATIONAL_B1_H, _oracles.RATIONAL_B1_HP),
     )
     for b0, h_refs, hp_refs in cases:
-        step, n, nodes, h, h_prime = RationalDecay(b0).warping(20.0, 1e-3)
-        assert step == 1e-3 and n == 20000
-        pairs = list(nodes(0, n + 1))
-        assert len(pairs) == n + 1
+        h, h_prime, _ = RationalDecay(b0).warping(20.0, 1e-3)
         for fn, refs in ((h, h_refs), (h_prime, hp_refs)):
             for t, ref in refs.items():
                 rel = abs(fn(t) - ref) / ref
                 assert rel <= 1e-14, f"b0={b0}: {fn.__name__}({t}) off by {rel:.3e}"
-        for i in (0, 1, 1000, 12345, 20000):
-            t = i * step
-            assert (h(t), h_prime(t)) == pairs[i] == next(nodes(i, i + 1)), (b0, t)
-        assert pairs[0] == (0.0, 1.0)
+        assert (h(0.0), h_prime(0.0)) == (0.0, 1.0)
 
 
 def test_rational_closed_form_at_k_zero_matches_the_ivp():
@@ -248,11 +244,13 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
     it agrees with the RK4 sweep at step 1e-3 to 1e-12, at the nodes and
     between them."""
     profile = RationalDecay(0.5)
-    step, n, nodes, h, h_prime = profile.warping(30.0, 1e-3)
-    ivp = solve_h_ivp(profile.g, 30.0, 1e-3)
-    assert (step, n) == (ivp.step, ivp.n)
-    worst = max(abs(a - b) / b for got, want in zip(nodes(1, n + 1), ivp.nodes(1, n + 1))
-                for a, b in zip(got, want))
+    h, h_prime, _ = profile.warping(30.0, 1e-3)
+    n = grid_steps(30.0, 1e-3)
+    ivp, ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3)
+    assert len(ivp_pairs) == n + 1
+    grid = uniform_grid(30.0, n)
+    worst = max(abs(a - b) / b for t, want in zip(grid[1:], ivp_pairs[1:])
+                for a, b in zip((h(t), h_prime(t)), want))
     assert worst <= 1e-12, f"node pairs differ by {worst:.3e}"
     for t in (0.0005, 0.77777, 3.14159, 29.9999):
         assert abs(h(t) - ivp.value(t)) <= 1e-12 * ivp.value(t), t
@@ -278,7 +276,7 @@ FIRST_UNREPRESENTABLE_NODES = (
 
 
 def test_rational_closed_form_names_the_first_node_it_cannot_represent():
-    """The build draws the node at t_max; where it is not finite, OdeError
+    """The build reads h and h' at t_max; where they are not finite, OdeError
     names the first node that is not, in the words of an eager node loop."""
     for b0, t_max, step, t in FIRST_UNREPRESENTABLE_NODES:
         with pytest.raises(OdeError) as info:
@@ -309,7 +307,65 @@ def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
 def test_volume_oracles():
     for t, ref in _oracles.VOLUME_RATIONAL01.items():
         rel = abs(RAT01.volume(t) - ref) / ref
-        assert rel < 1e-12, f"volume({t}) off by {rel:.3e}"
+        assert rel < 1e-13, f"volume({t}) off by {rel:.3e}"
+
+
+def test_rational_ball_volume_matches_the_30_digit_literals():
+    """The closed form's ball volume, by checked Gauss panels, lies within
+    1e-13 of 30-digit quadratures at m = 4, 20 and 40, for b0 = 0.1 (sin)
+    and b0 = 3 (sinh), near the apex, at t = 2 and near the window's edge:
+    where h^(m-1) is far from a degree-19 polynomial, the check refines."""
+    models = {key[:2]: build_model(key[0], RationalDecay(key[1]), 20.0, 1e-2)
+              for key in _oracles.VOLUME_RATIONAL}
+    for (m, b0, t), ref in _oracles.VOLUME_RATIONAL.items():
+        rel = abs(models[m, b0].volume(t) - ref) / ref
+        assert rel <= 1e-13, f"m={m}, b0={b0}: volume({t}) off by {rel:.3e}"
+
+
+def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
+    """No panel is narrower than a grid step, so the grid cap bounds a
+    closed-form ball volume's cost as it bounds a sweep's: on [0, 1e6] at
+    step 1e2, V(B_8e5) evaluates h about 30 times per grid step below 8e5,
+    not 120 times per unit of radius, and the wide panels still meet the
+    30-digit literals to 1e-13."""
+    budget = 31 * 8_000
+    points = []
+    panel_volumes = model_manifold.panel_volumes
+
+    def counted(h, t_max, n):
+        def h_counted(t):
+            points.append(t)
+            assert len(points) <= budget, "h evaluated past the budget of the grid"
+            return h(t)
+
+        return panel_volumes(h_counted, t_max, n)
+
+    monkeypatch.setattr(model_manifold, "panel_volumes", counted)
+    for m in (4, 20):
+        points.clear()
+        model = build_model(m, RationalDecay(0.1), 1e6, 1e2)
+        assert math.isfinite(model.volume(8e5))
+        for t in (0.2, 2.0, 19.0):
+            ref = _oracles.VOLUME_RATIONAL[m, 0.1, t]
+            assert abs(model.volume(t) - ref) <= 1e-13 * ref, (m, t)
+
+
+def test_a_ball_volume_past_the_float_range_is_named():
+    """A ball volume past the float range is refused in the model's words,
+    whether a power h^(m-1) raises OverflowError, on the sweep's nodes or
+    in a closed form's panel, or a panel sum reaches inf without raising."""
+    for profile in (RationalDecay(3.0), ConstantCutoff(0.5, 4.0)):
+        model = build_model(150, profile, t_max=50.0, step=1e-2)
+        assert math.isfinite(model.volume(5.0))
+        with pytest.raises(ValueError) as refused:
+            model.volume(20.0)
+        assert str(refused.value) == "the ball volume at radius t=20 overflows at m=150"
+    # Each value of omega h = 1.7e308 is finite, and a panel's sum is not.
+    summed = panel_volumes(lambda t: 1e300, 1.0, 100)(2, 1.7e8)
+    assert math.isinf(summed(0.5))
+    model = ModelManifold(2, 1.0, None, lambda t: t, lambda t: 0.0, summed, 1.0)
+    with pytest.raises(ValueError, match="^the ball volume at radius t=0.5 overflows at m=2$"):
+        model.volume(0.5)
 
 
 def test_volume_between_nodes_consistent():
@@ -323,33 +379,38 @@ def test_volume_between_nodes_consistent():
 SEED0_TABLE = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
 
 
-def _conical_parts(c, t_max, step):
-    """The warping of conical_model(m, c, t_max, step), by the same
-    expressions."""
-    d = 1.0 - c
-    return _oracles.closed_form_warping(lambda t: c * t + d * (1.0 - math.exp(-t)),
-                                        lambda t: c + d * math.exp(-t), t_max, step)
-
-
 def _volume_table_cases():
-    """(name, model factory, t_max, grid step, eager reference table) for
-    the closed-form rational profile, IVP models on a constant cutoff and
-    on a table, and a closed-form warping.  Each factory call builds a
-    fresh model, whose table has summed nothing yet.  At step 0.013 on
-    [0, 50], int(6 * dt / dt) is 5, and the IVP's h(6 * dt) misses node
-    6's bits: a lookup in cell 6 shows whether it reads the node pair."""
-    cases = [("rational:0.1", lambda: build_model(4, RationalDecay(0.1), 50.0, 1e-3), 50.0,
-              RAT01_WARPING)]
+    """(name, model factory, t_max, lookup grid step, eager reference
+    table) for IVP models on a constant cutoff and on a table, a
+    closed-form cone summed over its nodes as the sweep is, and the
+    closed-form rational profile summed by Gauss panels, whose lookup grid
+    is the panel edges.  Each factory call builds a fresh model, whose
+    table has summed nothing yet.  At step 0.013 on [0, 50], int(6 * dt /
+    dt) is 5, and the IVP's h(6 * dt) misses node 6's bits: a lookup in
+    cell 6 shows whether it reads the node pair."""
+    cases = []
     for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
                           ("table seed 0", SEED0_TABLE)):
         for step in (1e-3, 0.013):
+            warping, pairs = _oracles.ivp_nodes(profile.g, 50.0, step)
+            dt = 50.0 / grid_steps(50.0, step)
             cases.append((f"{name}, step {step}",
                           lambda profile=profile, step=step: build_model(4, profile, 50.0, step),
-                          50.0, solve_h_ivp(profile.g, 50.0, step)))
-    cases.append(("conical:0.8", lambda: conical_model(4, 0.8, 20.0, 1e-2), 20.0,
-                  _conical_parts(0.8, 20.0, 1e-2)))
-    return [(name, make, t_max, warping.step, _oracles.volume_table_reference(4, warping))
-            for name, make, t_max, warping in cases]
+                          50.0, dt,
+                          _oracles.volume_table_reference(4, dt, pairs, warping.value,
+                                                          warping.deriv)))
+    # The cone's h and h', by conical_model's expressions.
+    c = 0.8
+    d = 1.0 - c
+    cone_h = lambda t: c * t + d * (1.0 - math.exp(-t))
+    cone_h_prime = lambda t: c + d * math.exp(-t)
+    cases.append(("conical:0.8", lambda: conical_model(4, c, 20.0, 1e-2), 20.0, 1e-2,
+                  _oracles.volume_table_reference(
+                      4, 1e-2, _oracles.closed_form_pairs(cone_h, cone_h_prime, 20.0, 1e-2),
+                      cone_h, cone_h_prime)))
+    cases.append(("rational:0.1", lambda: build_model(4, RationalDecay(0.1), 50.0, 1e-3), 50.0,
+                  0.25, _oracles.panel_volume_reference(4, RAT01_WARPING.value, 50.0, 50_000)))
+    return cases
 
 
 def _lookup_orders(step, t_max):
@@ -370,7 +431,9 @@ def _lookup_orders(step, t_max):
 def test_lazy_volume_table_matches_the_eager_reference_bit_for_bit():
     """The table summed only as far as lookups read has the eager table's
     bits, at node radii and between nodes, the last cell and t_max
-    included, whatever order a fresh table takes its lookups in."""
+    included, whatever order a fresh table takes its lookups in; for the
+    closed form, at panel edges and within panels, the last one included,
+    any lookup order gives the eager panel sum's bits."""
     for name, make, t_max, step, reference in _volume_table_cases():
         for order, radii in _lookup_orders(step, t_max).items():
             model = make()
@@ -506,8 +569,8 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     """The closed-form model agrees with the IVP's fillings in the window;
     past it the exact area lies between the model's linear continuation
     and that continuation times its tail factor."""
-    ivp_volume = _oracles.volume_table_reference(4, RAT01_IVP)
     om = RAT01.omega_sphere
+    ivp_volume = RAT01_IVP.ball_volume(4, om)
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
             "h": (RAT01.warp(t), RAT01_IVP.value(t)),

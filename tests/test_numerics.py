@@ -10,19 +10,25 @@ from array import array
 import pytest
 
 from radsob.numerics import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     MAX_GRID_STEPS,
     OdeError,
     QuadratureError,
     Warping,
+    _gauss,
     grid_steps,
     integrate_finite,
+    integrate_panel,
     integrate_semi_infinite,
     solve_h_ivp,
 )
 
 from radsob.model_manifold import ConstantCutoff, RationalDecay, Tabulated
 
-from _oracles import RATIONAL_B1_H, RATIONAL_B1_HP, SINH_1, hermite_reference, rk4_reference
+from _oracles import (
+    RATIONAL_B1_H, RATIONAL_B1_HP, SINH_1, hermite_reference, ivp_nodes, rk4_reference,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -117,6 +123,53 @@ def test_semi_infinite_split_validation():
     assert abs(moved - 1.0 / 6.0) * 6.0 < 1e-10, f"split at 7 gave {moved!r}"
 
 
+# The positive nodes and their weights of the 10-point Gauss-Legendre rule,
+# as tabulated (Abramowitz and Stegun, Table 25.4), rounded to 16 digits.
+PUBLISHED_GAUSS_10 = (
+    (0.1488743389816312, 0.2955242247147529),
+    (0.4333953941292472, 0.2692667193099963),
+    (0.6794095682990244, 0.2190863625159820),
+    (0.8650633666889845, 0.1494513491505806),
+    (0.9739065285171717, 0.0666713443086881),
+)
+
+
+def test_gauss_legendre_ten_point_rule():
+    """The rule the panels use: weights summing to 2, nodes symmetric about
+    0, exact on x^k for k <= 19, and the tabulated nodes and weights."""
+    nodes, weights = GAUSS_NODES, GAUSS_WEIGHTS
+    assert len(nodes) == len(weights) == 10
+    assert abs(sum(weights) - 2.0) <= 2e-15
+    assert nodes == tuple(-x for x in reversed(nodes)) and list(nodes) == sorted(nodes)
+    assert weights == weights[::-1]
+    for k in range(20):
+        moment = sum(w * x**k for x, w in zip(nodes, weights))
+        assert abs(moment - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-14, k
+    for (x, w), got_x, got_w in zip(PUBLISHED_GAUSS_10, nodes[5:], weights[5:]):
+        assert abs(got_x - x) <= 1e-16 and abs(got_w - w) <= 2e-16, (got_x, got_w)
+
+
+def test_checked_panel_rule_meets_what_one_rule_misses():
+    """One 10-point rule on s^39 over [0, 0.25] misses the exact integral
+    by far more than 1e-13 relative; the checked rule halves the panel
+    until its halves agree, and meets it, as on every power up to 299."""
+    for k in (39, 59, 149, 299):
+        exact = 0.25 ** (k + 1) / (k + 1)
+        assert abs(_gauss(lambda s: s**k, 0.0, 0.25) - exact) > 1e-13 * exact
+        assert abs(integrate_panel(lambda s: s**k, 0.0, 0.25) - exact) <= 1e-14 * exact, k
+    # A polynomial of degree 19 is one panel's 30 values.
+    calls = []
+    got = integrate_panel(lambda s: calls.append(s) or s**19, 1.0, 3.0)
+    assert len(calls) == 30 and abs(got - (3.0**20 - 1.0) / 20.0) <= 1e-15 * got
+
+
+def test_checked_panel_rule_refuses_a_singular_panel():
+    """Near an integrable singularity the halves never agree: QuadratureError
+    at MAX_DEPTH, the check failure that exits 1."""
+    with pytest.raises(QuadratureError, match="Gauss panel rule stalled"):
+        integrate_panel(lambda s: abs(s - 0.1) ** -0.5, 0.0, 0.25)
+
+
 def test_ivp_zero_curvature_is_identity():
     sol = solve_h_ivp(lambda t: 0.0, 10.0, 1e-3)
     for t in (0.5, 1.0, 5.0, 10.0):
@@ -166,10 +219,11 @@ def test_ivp_is_one_sweep():
 
     for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0), (3.0, 0.01604)):
         calls.clear()
-        sol = solve_h_ivp(g, t_max, step)
-        n = sol.n
+        sol, pairs = ivp_nodes(g, t_max, step)
+        n = grid_steps(t_max, step)
+        assert len(pairs) == n + 1
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
-        (h, hp), = sol.nodes(n, n + 1)
+        h, hp = pairs[n]
         ends = (sol.value(t_max), sol.deriv(t_max))
         assert [x.hex() for x in ends] == [h.hex(), hp.hex()], (t_max, step)
         assert len(calls) == 2 * n + 1, f"a lookup at t_max={t_max} called the curvature"
@@ -230,20 +284,17 @@ SWEEP_PROFILES = {
 @pytest.mark.parametrize("name", sorted(SWEEP_PROFILES))
 @pytest.mark.parametrize("t_max, step", [(10.0, 1e-3), (1.0, 0.3), (3.0, 0.01604)])
 def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
-    """The node pairs h and h' at every node, drawn whole or one at a time,
+    """The node pairs h and h' at every node, which the ball volume sums,
     and the dense output in the last cell, have the bits of the plain RK4
     loop, and at t_max the dense output is the last node's h and h'.  At (3.0, 0.01604) there are n = 187 steps and
     n * (3/n) rounds above 3, past the cutoff of const:0.05:3, so the last
     cell's h' must read g at the last node t_max itself."""
     g = SWEEP_PROFILES[name].g
-    sol = solve_h_ivp(g, t_max, step)
+    sol, pairs = ivp_nodes(g, t_max, step)
     grid, values, derivs = rk4_reference(g, t_max, step)
-    assert isinstance(sol, Warping) and sol.step == grid[1] and sol.n == len(grid) - 1
-    pairs = list(sol.nodes(0, sol.n + 1))
+    assert isinstance(sol, Warping) and t_max / grid_steps(t_max, step) == grid[1]
     assert array("d", (h for h, _ in pairs)).tobytes() == values.tobytes()
     assert array("d", (hp for _, hp in pairs)).tobytes() == derivs.tobytes()
-    for i in (sol.n, 0, sol.n - 1):
-        assert list(sol.nodes(i, i + 1)) == [(values[i], derivs[i])], i
     t = grid[-2] + 0.3 * (t_max - grid[-2])
     h, hp = hermite_reference(grid, values, derivs, g, t)
     assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
@@ -254,9 +305,9 @@ def test_quadrature_and_ivp_determinism():
     f = lambda t: t**3 / (1.0 + t * t) ** 4
     assert integrate_finite(f, 0.0, 1.0) == integrate_finite(f, 0.0, 1.0)
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
-    a = solve_h_ivp(g, 5.0, 1e-3)
-    b = solve_h_ivp(g, 5.0, 1e-3)
-    assert list(a.nodes(0, a.n + 1)) == list(b.nodes(0, b.n + 1))
+    (a, a_pairs), (b, b_pairs) = ivp_nodes(g, 5.0, 1e-3), ivp_nodes(g, 5.0, 1e-3)
+    assert a_pairs == b_pairs
+    assert a.ball_volume(4, 2.0)(4.321) == b.ball_volume(4, 2.0)(4.321)
 
 
 if HAS_HYPOTHESIS:
