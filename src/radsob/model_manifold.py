@@ -7,8 +7,8 @@ h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
 in closed form for RationalDecay and from the RK4 sweep of that IVP for
 the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
 and the tail factor, and nothing else: it has no name, and sums ball
-volumes (by Gauss panels for the closed form, over the sweep's nodes
-otherwise) only as far out as one is read.  The moment b = integral(t
+volumes by checked Gauss panels over h, whichever profile gave it, only
+as far out as one is read.  The moment b = integral(t
 G(t) dt) measures the total amount of negative curvature; when it is
 finite the model is trapped between Euclidean space and a bounded
 dilation of it, which is exactly what verify_volume_chain checks on a
@@ -29,6 +29,11 @@ from .talenti import sphere_area, unit_ball_volume
 
 def _exp_or_inf(x: float) -> float:
     return math.inf if x > 700.0 else math.exp(x)
+
+
+def _overflows(quantity: str, t: float, m: int) -> ValueError:
+    """The refusal of a model quantity at radius t past the float range."""
+    return ValueError(f"the {quantity} at radius t={t:g} overflows at m={m}")
 
 
 class CurvatureProfile:
@@ -100,12 +105,11 @@ class RationalDecay(CurvatureProfile):
         h = sqrt(1+t^2) S(theta) and h' = (t S(theta) + C(theta))/sqrt(1+t^2),
         where S = sin(r theta)/r and C = cos(r theta) for k > 0, sinh and
         cosh for k < 0, and S = theta, C = 1 for k = 0.  sqrt(1+t^2) is
-        hypot(1, t), finite wherever t is.  The ball volume takes Gauss
-        panels (panel_volumes), so the grid only bounds the panels and
-        names a radius: as b0 >= 0, h and h' grow with t, so finite values at
-        t_max mean finite nodes; otherwise OdeError names the first node
-        where h or h' overflows, or failing that the first where one is not
-        finite (require_finite_nodes).
+        hypot(1, t), finite wherever t is.  The grid only bounds the ball
+        volume's panels and names a radius: as b0 >= 0, h and h' grow with
+        t, so finite values at t_max mean finite nodes; otherwise OdeError
+        names the first node where h or h' overflows, or failing that the
+        first where one is not finite (require_finite_nodes).
         """
         k = 1.0 - self._two_b0
         if k > 0.0:
@@ -131,7 +135,7 @@ class RationalDecay(CurvatureProfile):
             return h(t), h_prime(t)
 
         require_finite_nodes(dt, n, pair)
-        return Warping(h, h_prime, panel_volumes(h, t_max, n))
+        return Warping(h, h_prime(t_max))
 
 
 class Tabulated(CurvatureProfile):
@@ -332,9 +336,7 @@ class ModelManifold:
         try:
             return self.omega_sphere * self.warp(t) ** (self.m - 1)
         except OverflowError:
-            raise ValueError(
-                f"the sphere area at radius t={t:g} overflows at m={self.m}"
-            ) from None
+            raise _overflows("sphere area", t, self.m) from None
 
     def volume(self, t: float) -> float:
         """Volume of the geodesic ball of radius t; raises ValueError where
@@ -345,7 +347,7 @@ class ModelManifold:
                 return v
         except OverflowError:
             pass
-        raise ValueError(f"the ball volume at radius t={t:g} overflows at m={self.m}")
+        raise _overflows("ball volume", t, self.m)
 
     def euclidean_volume(self, t: float) -> float:
         """The Euclidean ball volume omega_m t^m; raises ValueError where it
@@ -353,9 +355,7 @@ class ModelManifold:
         try:
             v_euc = self.omega_m * t**self.m
         except OverflowError:
-            raise ValueError(
-                f"the Euclidean ball volume at radius t={t:g} overflows at m={self.m}"
-            ) from None
+            raise _overflows("Euclidean ball volume", t, self.m) from None
         if not (v_euc > 0.0):
             raise ValueError(
                 f"the Euclidean ball volume at radius t={t:g} is not positive, "
@@ -369,13 +369,22 @@ class ModelManifold:
         return -(self.m - 1) * self.curvature(t)
 
     def area_extended(self) -> Callable[[float], float]:
-        """Area as a function on all of [0, inf), from h past the window.
+        """Area as a function on all of [0, inf), from h past the window;
+        it raises ValueError where it overflows a float, as area does.
 
         Beyond t_max it undershoots the true area by at most the factor
         tail_factor.
         """
-        om, m1, warp = self.omega_sphere, self.m - 1, self.warp
-        return lambda t: om * warp(t) ** m1
+        om, m, warp = self.omega_sphere, self.m, self.warp
+        m1 = m - 1
+
+        def area(t: float) -> float:
+            try:
+                return om * warp(t) ** m1
+            except OverflowError:
+                raise _overflows("sphere area", t, m) from None
+
+        return area
 
 
 def _require_dimension(m: int) -> None:
@@ -387,11 +396,11 @@ def _require_dimension(m: int) -> None:
 def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) -> ModelManifold:
     """Assemble the model of a curvature profile from its warping.
 
-    profile.warping gives h, h' and the ball volume on the window: in
-    closed form for RationalDecay, from the RK4 sweep of the IVP for
-    ConstantCutoff and Tabulated.  Past the window h continues linearly
-    from its value and slope at T = t_max, the warping's last node pair,
-    whichever way they were computed.  The true h
+    profile.warping gives h on the window and h' at its end: in closed
+    form for RationalDecay, from the RK4 sweep of the IVP for
+    ConstantCutoff and Tabulated.  The ball volume is panel_volumes over
+    that h, whichever way it was computed.  Past the window h continues
+    linearly from its value and slope at T = t_max.  The true h
     satisfies w <= h <= w * F there, where w is that continuation and
     F = exp(kappa * integral of s G(s) over [T, inf)) with
     kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
@@ -399,9 +408,8 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)
     _require_dimension(m)
-    warping = profile.warping(t_max, step)
-    value = warping.value
-    h_end, hp_end = value(t_max), warping.deriv(t_max)
+    value, hp_end = profile.warping(t_max, step)
+    h_end = value(t_max)
 
     def h(t: float) -> float:
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
@@ -415,7 +423,7 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         curvature=profile.g,
         # Ahead of ball_volume: where t_max^2 overflows, the refusal is the tail's.
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
-        ball_volume=warping.ball_volume(m, sphere_area(m)),
+        ball_volume=panel_volumes(value, t_max, grid_steps(t_max, step), m, sphere_area(m)),
     )
 
 

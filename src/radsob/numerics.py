@@ -13,12 +13,12 @@ power.  The Gauss rule's is PANEL_REL_TOL and MAX_DEPTH.
 The IVP has no error control of its own: one RK4 sweep at the caller's
 step, whose accuracy the tests pin against closed forms and
 high-precision reference solutions.  Its output is a Warping, the one
-shape of every warping, closed forms included: h and h' as functions,
-and the ball volume.  The sweep keeps its nodes
-as stdlib ``array("d")`` columns, which its dense output reads and its
-volume sums; a closed form keeps none and sums its volume by Gauss
-panels.  grid_steps caps a grid at MAX_GRID_STEPS steps.  A warping's
-finiteness is checked once, as it is built (require_finite_nodes).
+shape of every warping, closed forms included: h as a function and h'
+at the window's end.  The sweep keeps its nodes as stdlib
+``array("d")`` columns, which its dense output reads.  Every warping's
+ball volume is one rule, checked Gauss panels over h (panel_volumes).
+grid_steps caps a grid at MAX_GRID_STEPS steps.  A warping's finiteness
+is checked once, as it is built (require_finite_nodes).
 Nothing here needs vector arithmetic.  All routines are deterministic:
 the same inputs always produce bitwise identical results.  Every error
 that fails a check rather than refusing an input derives from
@@ -280,15 +280,14 @@ def grid_steps(t_max: float, step: float) -> int:
 
 class Warping(NamedTuple):
     """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max]:
-    value and deriv are h and h' as functions on the window, and
-    ball_volume(m, omega) the function t -> omega * integral of h^(m-1)
-    over [0, t] (_node_volumes, panel_volumes).  Its grid is the one
-    grid_steps gives.
+    value is h as a function on the window, and end_slope the number
+    h'(t_max), from which a model continues h past the window.  Its grid
+    is the one grid_steps gives, and its ball volume is panel_volumes over
+    value, whatever computed h.
     """
 
     value: Callable[[float], float]
-    deriv: Callable[[float], float]
-    ball_volume: Callable[[int, float], Callable[[float], float]]
+    end_slope: float
 
 
 def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> None:
@@ -316,74 +315,34 @@ def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> N
     raise OdeError(first * step)
 
 
-def _node_volumes(step, n, values, derivs, h, h_prime):
-    """The ball_volume of the RK4 sweep: with A = omega h^(m-1) and its
-    slope A', node i + 1 adds the derivative-corrected trapezoid of cell i
-    to node i, in one running prefix summed only as far as a lookup reads;
-    between nodes the same rule adds the part of a cell below t, from h(t)
-    and h'(t).  A lookup reads its cell's node from the columns, not from
-    h(i * step), whose cell may round to the one before."""
-
-    def ball_volume(m: int, om: float) -> Callable[[float], float]:
-        m1, m2 = m - 1, m - 2
-        om_m1 = om * m1
-        half, corr = 0.5 * step, step * step / 12.0
-        vol = array("d", [0.0])
-        area = lambda h_t, hp_t: (om * h_t**m1, om_m1 * h_t**m2 * hp_t)
-
-        def volume(t: float) -> float:
-            i = min(int(t / step), n - 1)
-            if i >= len(vol):
-                total, j = vol[-1], len(vol) - 1
-                f_prev, fp_prev = area(values[j], derivs[j])
-                for h_k, hp_k in zip(values[j + 1 : i + 1], derivs[j + 1 : i + 1]):
-                    f = om * h_k**m1
-                    fp = om_m1 * h_k**m2 * hp_k
-                    total += half * (f_prev + f) + corr * (fp_prev - fp)
-                    vol.append(total)
-                    f_prev, fp_prev = f, fp
-            t_i = i * step
-            if t == t_i:
-                return vol[i]
-            f_i, fp_i = area(values[i], derivs[i])
-            f_t, fp_t = area(h(t), h_prime(t))
-            d = t - t_i
-            return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
-
-        return volume
-
-    return ball_volume
-
-
-# A closed-form ball volume cuts its window into ceil(t_max / PANEL_WIDTH)
-# panels, or into its grid's n steps where those are wider.
+# A ball volume cuts its window into ceil(t_max / PANEL_WIDTH) panels, or
+# into its grid's n steps where those are wider.
 PANEL_WIDTH = 0.25
 
 
-def panel_volumes(h, t_max, n):
-    """The ball_volume of a closed-form warping h on [0, t_max], on a grid
-    of n steps: omega h^(m-1) is analytic, so integrate_panel takes each
-    panel to rounding.  No panel is narrower than a grid step, so the
-    panels are no more than MAX_GRID_STEPS.  The panel sums are one
-    running prefix at the panel edges, summed only as far as a lookup
-    reads; a lookup in panel i adds the part [edge i, t] of its panel by
-    the same rule."""
+def panel_volumes(h, t_max, n, m, om):
+    """The ball volume t -> om * integral of h^(m-1) over [0, t] of a
+    warping h on [0, t_max], on a grid of n steps: the closed form of a
+    `rational:` spec, analytic, or the RK4 sweep's dense output, a cubic
+    on each grid step; integrate_panel takes each panel to rounding, and
+    halves one where the joins of the sweep's cubics, whose h'' jumps,
+    spoil the rule.  No panel
+    is narrower than a grid step, so the panels are no more than
+    MAX_GRID_STEPS.  The panel sums are one running prefix at the panel
+    edges, summed only as far as a lookup reads; a lookup in panel i adds
+    the part [edge i, t] of its panel by the same rule."""
+    k = min(math.ceil(t_max / PANEL_WIDTH), n)
+    width = t_max / k
+    vol = array("d", [0.0])
+    area = lambda t: om * h(t) ** (m - 1)
 
-    def ball_volume(m: int, om: float) -> Callable[[float], float]:
-        k = min(math.ceil(t_max / PANEL_WIDTH), n)
-        width = t_max / k
-        vol = array("d", [0.0])
-        area = lambda t: om * h(t) ** (m - 1)
+    def volume(t: float) -> float:
+        i = min(int(t / width), k - 1)
+        for j in range(len(vol), i + 1):
+            vol.append(vol[-1] + integrate_panel(area, (j - 1) * width, j * width))
+        return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
 
-        def volume(t: float) -> float:
-            i = min(int(t / width), k - 1)
-            for j in range(len(vol), i + 1):
-                vol.append(vol[-1] + integrate_panel(area, (j - 1) * width, j * width))
-            return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
-
-        return volume
-
-    return ball_volume
+    return volume
 
 
 def _hermite(y0, y1, d0, d1, s, width):
@@ -401,19 +360,18 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
     over the grid_steps grid; g is called 2n + 1 times, at each node and step
-    midpoint.  Between nodes h and h' are cubic Hermite interpolants, which
-    keep the sweep's fourth order; each h' lookup below t_max reads its
-    end slopes h'' = g * h from g at the cell's two nodes.  A lookup at
-    t_max (or within the window's 1e-12 slack past it) returns the last
-    node's h and h' exactly, with no curvature call, and one outside the
-    window raises ValueError.  There is no error estimate; the step is the
-    accuracy control.  The record's ball volume sums the sweep's two node
-    columns (_node_volumes), which the dense output reads too.
-    Finiteness is checked once, after the sweep (require_finite_nodes): an
-    RK4 step of this linear system keeps a non-finite h or h' non-finite,
-    so the first non-finite node is the one where the state blew up.  The
-    models of `const:` and `table:` specs come from this sweep; a
-    `rational:` model is built from its closed form
+    midpoint.  Between nodes h is the cubic Hermite interpolant of the
+    nodes' h and h', which keeps the sweep's fourth order; the record
+    holds it and h' at the last node.  A lookup at t_max (or within the
+    window's 1e-12 slack past it) returns the last node's h exactly, and
+    one outside the window raises ValueError.  There is no error
+    estimate; the step is the accuracy control, of h and so of the ball
+    volume, which panel_volumes takes exactly for this h.  Finiteness is
+    checked once, after the sweep (require_finite_nodes): an RK4 step of
+    this linear system keeps a non-finite h or h' non-finite, so the
+    first non-finite node is the one where the state blew up.  The models
+    of `const:` and `table:` specs come from this sweep; a `rational:`
+    model is built from its closed form
     (model_manifold.RationalDecay.warping) instead.
 
     Raises:
@@ -446,27 +404,13 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
         add_deriv(v)
         g_here = g_next
 
-    def cell(t: float) -> tuple[int, float]:
+    def value(t: float) -> float:
         if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the solution window [0, {t_max:g}]")
         if t >= t_max:
-            return n - 1, 1.0
+            return values[n]
         i = min(int(t / dt), n - 1)
-        return i, (t - i * dt) / dt
-
-    def value(t: float) -> float:
-        i, s = cell(t)
-        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], s, dt)
-
-    def deriv(t: float) -> float:
-        i, s = cell(t)
-        if t >= t_max:
-            # s = 1: the Hermite weights give the end slopes no part.
-            return derivs[n]
-        t_next = t_max if i == n - 1 else (i + 1) * dt
-        return _hermite(
-            derivs[i], derivs[i + 1], g(i * dt) * values[i], g(t_next) * values[i + 1], s, dt
-        )
+        return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], (t - i * dt) / dt, dt)
 
     require_finite_nodes(dt, n, lambda i: (values[i], derivs[i]))
-    return Warping(value, deriv, _node_volumes(dt, n, values, derivs, value, deriv))
+    return Warping(value, derivs[n])

@@ -9,9 +9,10 @@ initial value problem; they pin the oracles themselves against accidental
 edits.  The last two sections read the package.  One holds formulas that
 tests hold program output against; they read the package's profiles and
 functionals, so they check consistency between two routes, not values;
-ivp_nodes there hands a test the node columns of the RK4 sweep.  The other builds models straight from a closed-form warping h, with no
-curvature profile: the cones on which a wide witness meets the
-Balogh-Kristaly constant.
+ivp_nodes there hands a test the node pairs of the RK4 sweep.  The other
+builds models straight from a closed-form warping h, with no curvature
+profile: the cones on which a wide witness meets the Balogh-Kristaly
+constant.
 """
 
 import math
@@ -20,7 +21,9 @@ from unittest import mock
 
 from radsob import numerics
 from radsob.model_manifold import ModelManifold, _require_dimension
-from radsob.numerics import Warping, _node_volumes, grid_steps, integrate_panel, solve_h_ivp
+from radsob.numerics import (
+    grid_steps, integrate_panel, panel_volumes, require_finite_nodes, solve_h_ivp,
+)
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
 
@@ -169,6 +172,21 @@ VOLUME_RATIONAL = {
     (40, 3.0, 19.0): 6.22392293710678041210005203611e74,
 }
 
+# (m, t) -> V(B_t) = omega_m * integral of (sinh(sqrt(a) s)/sqrt(a))^(m-1)
+# over [0, t] for the constant G = a = 0.05, by a 60-digit quadrature; at
+# m = 4 also by the closed form omega_m (c^3 - 3c + 2)/(3 a^2) with
+# c = cosh(sqrt(a) t).
+VOLUME_CONST005 = {
+    (4, 0.5): 0.309712855912501961227758979172,
+    (4, 2.0): 84.3951701912146493554385587179,
+    (4, 10.0): 246716.837598103933162608068888,
+    (4, 40.0): 148088805339513.089195777206372,
+    (20, 0.5): 2.5512920354786062463745081907e-8,
+    (20, 2.0): 48022.53300972452388618461439,
+    (20, 10.0): 1174939580636376311327184.62265,
+    (20, 40.0): 3.38261631113456027965340919248e79,
+}
+
 
 def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
     """Share of the p*-mass of phi_lam inside radius T for m=4, p=2.
@@ -231,11 +249,9 @@ def uniform_grid(t_max, n):
     return grid
 
 
-def hermite_reference(grid, values, derivs, g, t):
-    """(h(t), h'(t)) by cubic Hermite interpolation in the cell of t.
-
-    h' takes its end slopes h'' = g h from g at the cell's two nodes.
-    """
+def hermite_reference(grid, values, derivs, t):
+    """h(t) by cubic Hermite interpolation of the nodes' h and h' in the
+    cell of t."""
     dt = grid[1] - grid[0]
     i = min(int(t / dt), len(grid) - 2)
     s = (t - grid[i]) / dt
@@ -246,59 +262,21 @@ def hermite_reference(grid, values, derivs, g, t):
     def cubic(y0, y1, d0, d1):
         return y0 * w[0] + y1 * w[1] + dt * (d0 * w[2] + d1 * w[3])
 
-    h = cubic(values[i], values[i + 1], derivs[i], derivs[i + 1])
-    hp = cubic(
-        derivs[i], derivs[i + 1], g(grid[i]) * values[i], g(grid[i + 1]) * values[i + 1]
-    )
-    return h, hp
-
-
-def volume_table_reference(m, step, pairs, h, h_prime):
-    """Ball volume V(B_t) of a warped model from a node grid: its step,
-    the (h, h') pairs of its n + 1 nodes, and h and h' as functions.
-
-    The plain eager table that the ball volume of an RK4 sweep must
-    reproduce bit for bit: with A = omega_sphere h^(m-1) and its slope A',
-    node i + 1 adds the derivative-corrected trapezoid of cell i to node
-    i, all node volumes summed up front by index; between nodes the same
-    rule adds the part of the cell below t, from h(t) and h'(t).  Returns
-    V as a function.
-    """
-    n = len(pairs) - 1
-    om = sphere_area(m)
-
-    def area_and_slope(h_t, hp_t):
-        return om * h_t ** (m - 1), om * (m - 1) * h_t ** (m - 2) * hp_t
-
-    vol = [0.0]
-    for i in range(1, n + 1):
-        f0, fp0 = area_and_slope(*pairs[i - 1])
-        f1, fp1 = area_and_slope(*pairs[i])
-        vol.append(vol[-1] + (0.5 * step * (f0 + f1) + step * step / 12.0 * (fp0 - fp1)))
-
-    def volume(t):
-        i = min(int(t / step), n - 1)
-        if t == i * step:
-            return vol[i]
-        f_i, fp_i = area_and_slope(*pairs[i])
-        f_t, fp_t = area_and_slope(h(t), h_prime(t))
-        d = t - i * step
-        return vol[i] + 0.5 * d * (f_i + f_t) + d * d / 12.0 * (fp_i - fp_t)
-
-    return volume
+    return cubic(values[i], values[i + 1], derivs[i], derivs[i + 1])
 
 
 # -- Reference formulas evaluated through the package ----------------------
 
 
 def panel_volume_reference(m, h, t_max, n):
-    """Ball volume V(B_t) of a closed-form warping h on [0, t_max].
+    """Ball volume V(B_t) of a warping h on [0, t_max].
 
-    The plain eager panel sum that a closed-form model's volume lookup must
-    reproduce bit for bit: the integrals of omega_sphere h^(m-1) over the
-    min(ceil(t_max / 0.25), n) equal panels, each by integrate_panel and all summed
-    up front in order; a lookup in panel i adds the part [edge i, t] of its
-    panel by the same rule.  Returns V as a function.
+    The plain eager panel sum that a model's volume lookup must reproduce
+    bit for bit, whichever way its h was computed: the integrals of
+    omega_sphere h^(m-1) over the min(ceil(t_max / 0.25), n) equal panels,
+    each by integrate_panel and all summed up front in order; a lookup in
+    panel i adds the part [edge i, t] of its panel by the same rule.
+    Returns V as a function.
     """
     k = min(math.ceil(t_max / 0.25), n)
     width = t_max / k
@@ -320,15 +298,15 @@ def panel_volume_reference(m, h, t_max, n):
 
 def ivp_nodes(g, t_max, step):
     """solve_h_ivp(g, t_max, step) and the list of the (h, h') pairs of its
-    n + 1 nodes, the columns its ball volume sums, caught as the sweep
-    hands them to _node_volumes."""
+    n + 1 nodes, read through the node-pair function the sweep hands to
+    its finiteness check."""
     caught = []
 
-    def catch(step, n, values, derivs, h, h_prime):
-        caught.append(list(zip(values, derivs)))
-        return _node_volumes(step, n, values, derivs, h, h_prime)
+    def catch(step, n, pair):
+        caught.append([pair(i) for i in range(n + 1)])
+        return require_finite_nodes(step, n, pair)
 
-    with mock.patch.object(numerics, "_node_volumes", catch):
+    with mock.patch.object(numerics, "require_finite_nodes", catch):
         warping = solve_h_ivp(g, t_max, step)
     (pairs,) = caught
     return warping, pairs
@@ -420,26 +398,11 @@ def spot_check(u):
 # -- Closed-form models without a curvature profile ------------------------
 
 
-def closed_form_pairs(h, h_prime, t_max, step):
-    """The node pairs (h, h') of a closed-form h and h' on the grid of
-    grid_steps(t_max, step): at i * step, the last at t_max itself."""
-    return [(h(t), h_prime(t)) for t in uniform_grid(t_max, grid_steps(t_max, step))]
-
-
-def closed_form_warping(h, h_prime, t_max, step):
-    """The Warping record of a closed-form h and h' whose ball volume sums
-    closed_form_pairs by the RK4 sweep's trapezoid."""
-    pairs = closed_form_pairs(h, h_prime, t_max, step)
-    n = len(pairs) - 1
-    values, derivs = (array("d", column) for column in zip(*pairs))
-    dt = t_max / n
-    return Warping(h, h_prime, _node_volumes(dt, n, values, derivs, h, h_prime))
-
-
 def model_from_warping(m, h, h_prime, h_second, t_max, step):
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
-    h' fills the volume table; h'' only enters the curvature G = h''/h,
+    h' is checked at the apex only; the ball volume is panel_volumes over
+    h, as a profile's model's is.  h'' only enters the curvature G = h''/h,
     which is undefined at the apex, where h vanishes.
     """
     _require_dimension(m)
@@ -457,7 +420,7 @@ def model_from_warping(m, h, h_prime, h_second, t_max, step):
         profile=None,
         warp=h,
         curvature=curvature,
-        ball_volume=closed_form_warping(h, h_prime, t_max, step).ball_volume(m, sphere_area(m)),
+        ball_volume=panel_volumes(h, t_max, grid_steps(t_max, step), m, sphere_area(m)),
         tail_factor=1.0,
     )
 

@@ -145,8 +145,14 @@ NAMED_REFUSALS = {
         "the Euclidean ball volume at radius t=12.5 overflows at m=300",
     ("model", "--m", "300", "--g", "rational:0.1"):
         "the sphere area at radius t=10 overflows at m=300",
+    # verify's mass integral reads the sphere area at the far end of its
+    # tail, t = 1e8, past the float range at these m.
+    ("verify", "--m", "300", "--g", "zero"):
+        "the sphere area at radius t=1e+08 overflows at m=300",
+    ("verify", "--m", "50", "--p", "2", "--g", "rational:0.1"):
+        "the sphere area at radius t=1e+08 overflows at m=50",
     # The first rigidity radius whose ball volume passes the float range, in
-    # a closed form's Gauss panel and on the RK4 sweep's nodes.
+    # a Gauss panel over a closed form and over the RK4 sweep's h.
     ("rigidity", "--m", "150", "--g", "rational:3", "--c-m", "1"):
         "the ball volume at radius t=20 overflows at m=150",
     ("rigidity", "--m", "150", "--g", "const:0.5:4", "--c-m", "1"):
@@ -484,38 +490,46 @@ def test_constants_passes_at_a_tiny_scale(capsys):
     assert rc == 0, capsys.readouterr().err
 
 
-def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, monkeypatch):
-    """A closed-form model integrates its ball volume panel by panel, only
-    as far as a lookup reads, each panel once.  verify integrates areas
-    only, so it evaluates h for no ball volume; model's chain stops at
-    0.8 t_max = 40, a panel edge, so it integrates the 160 panels below it;
-    rigidity reads V(B_t) at panel edges up to t_max, so it integrates each
-    of the 200 panels once, the last as the part of its panel below t_max.
-    No panel is refined: the checked rule takes each with 30 values of h,
-    10 on the panel and 10 on each half."""
+def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, monkeypatch,
+                                                                      tmp_path):
+    """Every model integrates its ball volume panel by panel over its h, the
+    closed form's or the RK4 sweep's, only as far as a lookup reads, each
+    panel once.  verify integrates areas only, so it evaluates h for no
+    ball volume; model's chain stops at 0.8 t_max = 40, a panel edge, so
+    it integrates the 160 panels below it; rigidity reads V(B_t) at panel
+    edges up to t_max, so it integrates each of the 200 panels once, the
+    last as the part of its panel below t_max.  No panel is refined: the
+    checked rule takes each with 30 values of h, 10 on the panel and 10 on
+    each half, for the sweep's cubics at the default step too."""
     points = []
     panel_volumes = model_manifold.panel_volumes
 
-    def counted(h, t_max, n):
+    def counted(h, t_max, n, m, om):
         def h_counted(t):
             points.append(t)
             return h(t)
 
-        return panel_volumes(h_counted, t_max, n)
+        return panel_volumes(h_counted, t_max, n, m, om)
 
     monkeypatch.setattr(model_manifold, "panel_volumes", counted)
+    table = tmp_path / "curvature.txt"
+    table.write_text("0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n")
     panels = {}
-    for command, extra in (("verify", ["--lambda", "1"]), ("model", []),
-                           ("rigidity", ["--c-m", "0.35"])):
-        points.clear()
-        rc, _ = _run(capsys, [command, "--g", "rational:0.1", "--t-max", "50", "--step", "1e-2",
-                              *extra])
-        assert rc == 0, command
-        assert len(set(points)) == len(points), f"{command} evaluated h twice at one radius"
-        per_panel = Counter(min(int(t / 0.25), 199) for t in points)
-        assert set(per_panel.values()) <= {30}, (command, per_panel)
-        panels[command] = sorted(per_panel)
-    assert panels == {"verify": [], "model": list(range(160)), "rigidity": list(range(200))}
+    for g, step in (("rational:0.1", "1e-2"), ("const:0.05:3", "1e-3"), (f"table:{table}", "1e-3")):
+        kind = g.split(":")[0]
+        for command, extra in (("verify", ["--lambda", "1"]), ("model", []),
+                               ("rigidity", ["--c-m", "0.35"])):
+            points.clear()
+            rc, _ = _run(capsys, [command, "--g", g, "--t-max", "50", "--step", step, *extra])
+            # The table's area past t_max = 50 is beyond verify's tail budget.
+            assert rc == (1 if (kind, command) == ("table", "verify") else 0), (g, command)
+            assert len(set(points)) == len(points), f"{g} {command} evaluated h twice at one radius"
+            per_panel = Counter(min(int(t / 0.25), 199) for t in points)
+            assert set(per_panel.values()) <= {30}, (g, command, per_panel)
+            panels[kind, command] = sorted(per_panel)
+    want = {"verify": [], "model": list(range(160)), "rigidity": list(range(200))}
+    assert panels == {(kind, command): want[command]
+                      for kind in ("rational", "const", "table") for command in want}
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):

@@ -45,11 +45,15 @@ except ImportError:
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
 # RAT01's closed-form warping; the model carries h only.
 RAT01_WARPING = RationalDecay(0.1).warping(50.0, 1e-3)
-RAT01_H_PRIME = RAT01_WARPING.deriv
-# The RK4 solution of the same IVP, the route of const: and table: models:
-# a cross-check of the closed form.
-RAT01_IVP = solve_h_ivp(RationalDecay(0.1).g, 50.0, 1e-3)
+# The RK4 solution of the same IVP and its node pairs, the route of const:
+# and table: models: a cross-check of the closed form.
+RAT01_IVP, RAT01_IVP_PAIRS = _oracles.ivp_nodes(RationalDecay(0.1).g, 50.0, 1e-3)
 EUC4 = euclidean_model(4, 50.0)
+
+
+def rat01_h_prime(t):
+    """h'(t) of RAT01's closed form: the end slope of its warping on [0, t]."""
+    return RationalDecay(0.1).warping(t, 1e-3).end_slope
 
 
 def test_parse_curvature_grammar():
@@ -217,44 +221,52 @@ def test_warping_oracles_through_model():
         rel = abs(RAT01.warp(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
     for t, ref in _oracles.RATIONAL_B01_HP.items():
-        rel = abs(RAT01_H_PRIME(t) - ref) / ref
+        rel = abs(rat01_h_prime(t) - ref) / ref
         assert rel < 1e-12, f"h'({t}) off by {rel:.3e}"
     assert RAT01.curvature(2.0) == RAT01.profile.g(2.0)
 
 
 def test_rational_closed_form_matches_the_30_digit_oracles():
-    """h and h' of the closed form lie within 1e-14 of the 30-digit Taylor
-    solutions, for k = 1 - 2 b0 > 0 (sin, cos) and k < 0 (sinh, cosh), and
-    start at h(0) = 0, h'(0) = 1 exactly."""
+    """h of the closed form, and h' at the end of its window, lie within
+    1e-14 of the 30-digit Taylor solutions, for k = 1 - 2 b0 > 0 (sin,
+    cos) and k < 0 (sinh, cosh); h(0) = 0 exactly, and h' is 1 exactly at
+    the end of a window of width 1e-300."""
     cases = (
         (0.1, _oracles.RATIONAL_B01_H, _oracles.RATIONAL_B01_HP),
         (1.0, _oracles.RATIONAL_B1_H, _oracles.RATIONAL_B1_HP),
     )
     for b0, h_refs, hp_refs in cases:
-        h, h_prime, _ = RationalDecay(b0).warping(20.0, 1e-3)
-        for fn, refs in ((h, h_refs), (h_prime, hp_refs)):
-            for t, ref in refs.items():
-                rel = abs(fn(t) - ref) / ref
-                assert rel <= 1e-14, f"b0={b0}: {fn.__name__}({t}) off by {rel:.3e}"
-        assert (h(0.0), h_prime(0.0)) == (0.0, 1.0)
+        profile = RationalDecay(b0)
+        h = profile.warping(20.0, 1e-3).value
+        for t, ref in h_refs.items():
+            rel = abs(h(t) - ref) / ref
+            assert rel <= 1e-14, f"b0={b0}: h({t}) off by {rel:.3e}"
+        for t, ref in hp_refs.items():
+            rel = abs(profile.warping(t, 1e-3).end_slope - ref) / ref
+            assert rel <= 1e-14, f"b0={b0}: h'({t}) off by {rel:.3e}"
+        assert (h(0.0), profile.warping(1e-300, 1e-3).end_slope) == (0.0, 1.0)
 
 
 def test_rational_closed_form_at_k_zero_matches_the_ivp():
     """At b0 = 1/2, k = 0, h = sqrt(1+t^2) atan t, h' = (t atan t + 1)/sqrt(1+t^2):
-    it agrees with the RK4 sweep at step 1e-3 to 1e-12, at the nodes and
-    between them."""
+    the closed form's h, and these h and h', agree with the RK4 sweep at
+    step 1e-3 to 1e-12, h at the nodes and between them, h' at the nodes,
+    and the two warpings' end slopes too."""
     profile = RationalDecay(0.5)
-    h, h_prime, _ = profile.warping(30.0, 1e-3)
+    warping = profile.warping(30.0, 1e-3)
+    h = warping.value
     n = grid_steps(30.0, 1e-3)
     ivp, ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3)
     assert len(ivp_pairs) == n + 1
     grid = uniform_grid(30.0, n)
+    exact = lambda t: (math.hypot(1.0, t) * math.atan(t),
+                       (t * math.atan(t) + 1.0) / math.hypot(1.0, t))
     worst = max(abs(a - b) / b for t, want in zip(grid[1:], ivp_pairs[1:])
-                for a, b in zip((h(t), h_prime(t)), want))
+                for a, b in zip((h(t), *exact(t)), (want[0], *want)))
     assert worst <= 1e-12, f"node pairs differ by {worst:.3e}"
     for t in (0.0005, 0.77777, 3.14159, 29.9999):
         assert abs(h(t) - ivp.value(t)) <= 1e-12 * ivp.value(t), t
-        assert abs(h_prime(t) - ivp.deriv(t)) <= 1e-12 * ivp.deriv(t), t
+    assert abs(warping.end_slope - ivp.end_slope) <= 1e-12 * ivp.end_slope
 
 
 # (b0, t_max, step, the radius OdeError names): sinh of a large r theta
@@ -304,6 +316,17 @@ def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
     assert counts == {"rational": 0, "const": 1, "table": 1}, counts
 
 
+def test_sweep_ball_volume_matches_the_30_digit_literals():
+    """Below its cutoff const:0.05:60 has h = sinh(sqrt(a) t)/sqrt(a): on
+    [0, 50] at step 1e-3 the sweep's ball volume lies within 1e-12 of
+    30-digit quadratures at m = 4 and 20, near the apex and far out.  A
+    node trapezoid on the same sweep misses by 2.6e-9 at m = 20, t = 0.5."""
+    models = {m: build_model(m, ConstantCutoff(0.05, 60.0), 50.0, 1e-3) for m in (4, 20)}
+    for (m, t), ref in _oracles.VOLUME_CONST005.items():
+        rel = abs(models[m].volume(t) - ref) / ref
+        assert rel <= 1e-12, f"m={m}: volume({t}) off by {rel:.3e}"
+
+
 def test_volume_oracles():
     for t, ref in _oracles.VOLUME_RATIONAL01.items():
         rel = abs(RAT01.volume(t) - ref) / ref
@@ -332,13 +355,13 @@ def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
     points = []
     panel_volumes = model_manifold.panel_volumes
 
-    def counted(h, t_max, n):
+    def counted(h, t_max, n, m, om):
         def h_counted(t):
             points.append(t)
             assert len(points) <= budget, "h evaluated past the budget of the grid"
             return h(t)
 
-        return panel_volumes(h_counted, t_max, n)
+        return panel_volumes(h_counted, t_max, n, m, om)
 
     monkeypatch.setattr(model_manifold, "panel_volumes", counted)
     for m in (4, 20):
@@ -352,8 +375,8 @@ def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
 
 def test_a_ball_volume_past_the_float_range_is_named():
     """A ball volume past the float range is refused in the model's words,
-    whether a power h^(m-1) raises OverflowError, on the sweep's nodes or
-    in a closed form's panel, or a panel sum reaches inf without raising."""
+    whether a power h^(m-1) raises OverflowError in a panel, over a closed
+    form or over the sweep's h, or a panel sum reaches inf without raising."""
     for profile in (RationalDecay(3.0), ConstantCutoff(0.5, 4.0)):
         model = build_model(150, profile, t_max=50.0, step=1e-2)
         assert math.isfinite(model.volume(5.0))
@@ -361,7 +384,7 @@ def test_a_ball_volume_past_the_float_range_is_named():
             model.volume(20.0)
         assert str(refused.value) == "the ball volume at radius t=20 overflows at m=150"
     # Each value of omega h = 1.7e308 is finite, and a panel's sum is not.
-    summed = panel_volumes(lambda t: 1e300, 1.0, 100)(2, 1.7e8)
+    summed = panel_volumes(lambda t: 1e300, 1.0, 100, 2, 1.7e8)
     assert math.isinf(summed(0.5))
     model = ModelManifold(2, 1.0, None, lambda t: t, lambda t: 0.0, summed, 1.0)
     with pytest.raises(ValueError, match="^the ball volume at radius t=0.5 overflows at m=2$"):
@@ -380,42 +403,33 @@ SEED0_TABLE = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001)
 
 
 def _volume_table_cases():
-    """(name, model factory, t_max, lookup grid step, eager reference
-    table) for IVP models on a constant cutoff and on a table, a
-    closed-form cone summed over its nodes as the sweep is, and the
-    closed-form rational profile summed by Gauss panels, whose lookup grid
-    is the panel edges.  Each factory call builds a fresh model, whose
-    table has summed nothing yet.  At step 0.013 on [0, 50], int(6 * dt /
-    dt) is 5, and the IVP's h(6 * dt) misses node 6's bits: a lookup in
-    cell 6 shows whether it reads the node pair."""
+    """(name, model factory, t_max, panel width, eager reference table):
+    IVP models on a constant cutoff and on a table, a closed-form cone and
+    the closed-form rational profile, each summed by the one panel rule
+    over its own h, and looked up on a grid of panel edges.  Each factory
+    call builds a fresh model, whose table has summed nothing yet.  At
+    step 0.3 on [0, 50] the 167 grid steps are the panels, of a width
+    50/167 that no binary fraction holds."""
     cases = []
     for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
-                          ("table seed 0", SEED0_TABLE)):
-        for step in (1e-3, 0.013):
-            warping, pairs = _oracles.ivp_nodes(profile.g, 50.0, step)
-            dt = 50.0 / grid_steps(50.0, step)
+                          ("table seed 0", SEED0_TABLE), ("rational:0.1", RationalDecay(0.1))):
+        for step in (1e-3, 0.3):
+            n = grid_steps(50.0, step)
+            h = profile.warping(50.0, step).value
             cases.append((f"{name}, step {step}",
                           lambda profile=profile, step=step: build_model(4, profile, 50.0, step),
-                          50.0, dt,
-                          _oracles.volume_table_reference(4, dt, pairs, warping.value,
-                                                          warping.deriv)))
-    # The cone's h and h', by conical_model's expressions.
+                          50.0, 50.0 / min(200, n), _oracles.panel_volume_reference(4, h, 50.0, n)))
+    # The cone's h, by conical_model's expression.
     c = 0.8
-    d = 1.0 - c
-    cone_h = lambda t: c * t + d * (1.0 - math.exp(-t))
-    cone_h_prime = lambda t: c + d * math.exp(-t)
-    cases.append(("conical:0.8", lambda: conical_model(4, c, 20.0, 1e-2), 20.0, 1e-2,
-                  _oracles.volume_table_reference(
-                      4, 1e-2, _oracles.closed_form_pairs(cone_h, cone_h_prime, 20.0, 1e-2),
-                      cone_h, cone_h_prime)))
-    cases.append(("rational:0.1", lambda: build_model(4, RationalDecay(0.1), 50.0, 1e-3), 50.0,
-                  0.25, _oracles.panel_volume_reference(4, RAT01_WARPING.value, 50.0, 50_000)))
+    cone_h = lambda t: c * t + (1.0 - c) * (1.0 - math.exp(-t))
+    cases.append(("conical:0.8", lambda: conical_model(4, c, 20.0, 1e-2), 20.0, 0.25,
+                  _oracles.panel_volume_reference(4, cone_h, 20.0, grid_steps(20.0, 1e-2))))
     return cases
 
 
 def _lookup_orders(step, t_max):
     """Radii to look up, each list in the order a fresh table takes them:
-    nodes, points between nodes (the last cell's included) and t_max,
+    edges, points between edges (the last panel's included) and t_max,
     ascending, descending, with repeats, and shuffled."""
     nodes = [i * step for i in (0, 1, 2, 7, 1000, 1999)]
     between = [(i + 0.37) * step for i in (0, 3, 6, 1234, 1998)] + [0.77777, 3.14159, 12.5]
@@ -429,11 +443,10 @@ def _lookup_orders(step, t_max):
 
 
 def test_lazy_volume_table_matches_the_eager_reference_bit_for_bit():
-    """The table summed only as far as lookups read has the eager table's
-    bits, at node radii and between nodes, the last cell and t_max
-    included, whatever order a fresh table takes its lookups in; for the
-    closed form, at panel edges and within panels, the last one included,
-    any lookup order gives the eager panel sum's bits."""
+    """The table summed only as far as lookups read has the eager panel
+    sum's bits, at panel edges and within panels, the last one and t_max
+    included, whatever order a fresh table takes its lookups in, for a
+    model of every kind."""
     for name, make, t_max, step, reference in _volume_table_cases():
         for order, radii in _lookup_orders(step, t_max).items():
             model = make()
@@ -486,11 +499,11 @@ def test_radial_ricci_identities():
 
 def test_laplacian_comparison_and_guard():
     """The distance Laplacian (m-1) h'/h dominates its flat value (m-1)/t,
-    that is t h'(t) >= h(t); h' is read inside the window only."""
+    that is t h'(t) >= h(t); the sweep's h is read inside the window only."""
     for t in (0.5, 2.0, 10.0):
-        assert t * RAT01_H_PRIME(t) >= RAT01.warp(t) * (1.0 - 1e-12)
+        assert t * rat01_h_prime(t) >= RAT01.warp(t) * (1.0 - 1e-12)
     with pytest.raises(ValueError):
-        RAT01_IVP.deriv(-0.1)
+        RAT01_IVP.value(-0.1)
 
 
 def test_window_guard():
@@ -566,20 +579,23 @@ def test_tail_factor():
 
 
 def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
-    """The closed-form model agrees with the IVP's fillings in the window;
-    past it the exact area lies between the model's linear continuation
-    and that continuation times its tail factor."""
+    """The closed-form model agrees with the IVP's fillings in the window,
+    and its h' with the sweep's at the nodes; past it the exact area lies
+    between the model's linear continuation and that continuation times
+    its tail factor."""
     om = RAT01.omega_sphere
-    ivp_volume = RAT01_IVP.ball_volume(4, om)
+    ivp_volume = panel_volumes(RAT01_IVP.value, 50.0, grid_steps(50.0, 1e-3), 4, om)
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
             "h": (RAT01.warp(t), RAT01_IVP.value(t)),
-            "h_prime": (RAT01_H_PRIME(t), RAT01_IVP.deriv(t)),
             "area": (RAT01.area(t), om * RAT01_IVP.value(t) ** 3),
             "volume": (RAT01.volume(t), ivp_volume(t)),
         }
         for name, (got, want) in pairs.items():
             assert abs(got - want) <= 1e-12 * want, f"{name}({t}): {got!r} vs {want!r}"
+    for t in (0.3, 1.0, 2.5, 20.0, 49.9, 50.0):
+        want = RAT01_IVP_PAIRS[round(t / 1e-3)][1]
+        assert abs(rat01_h_prime(t) - want) <= 1e-12 * want, t
     factor = RAT01.tail_factor
     assert 1.0 < factor < 1.001
     # The closed-form h is exact past the window too.
@@ -594,7 +610,7 @@ def test_area_extended_continuation():
     ext = RAT01.area_extended()
     assert abs(ext(49.999) - RAT01.area(49.999)) / RAT01.area(49.999) < 1e-12
     h_end = RAT01.warp(50.0)
-    hp_end = RAT01_H_PRIME(50.0)
+    hp_end = RAT01_WARPING.end_slope
     expected = RAT01.omega_sphere * (h_end + 10.0 * hp_end) ** 3
     assert abs(ext(60.0) - expected) / expected < 1e-12
     con = conical_model(4, 0.8, t_max=20.0, step=1e-2)

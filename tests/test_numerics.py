@@ -21,6 +21,7 @@ from radsob.numerics import (
     integrate_finite,
     integrate_panel,
     integrate_semi_infinite,
+    panel_volumes,
     solve_h_ivp,
 )
 
@@ -170,29 +171,34 @@ def test_checked_panel_rule_refuses_a_singular_panel():
         integrate_panel(lambda s: abs(s - 0.1) ** -0.5, 0.0, 0.25)
 
 
+def node_slope(pairs, t, step):
+    """h' at the node t of a sweep of the given step, from its node pairs."""
+    return pairs[round(t / step)][1]
+
+
 def test_ivp_zero_curvature_is_identity():
-    sol = solve_h_ivp(lambda t: 0.0, 10.0, 1e-3)
+    sol, pairs = ivp_nodes(lambda t: 0.0, 10.0, 1e-3)
     for t in (0.5, 1.0, 5.0, 10.0):
         assert abs(sol.value(t) - t) / t < 1e-12, f"h({t}) = {sol.value(t)!r}"
-        assert abs(sol.deriv(t) - 1.0) < 1e-12
+        assert abs(node_slope(pairs, t, 1e-3) - 1.0) < 1e-12
 
 
 def test_ivp_constant_curvature_is_sinh():
-    sol = solve_h_ivp(lambda t: 1.0, 3.0, 1e-3)
+    sol, pairs = ivp_nodes(lambda t: 1.0, 3.0, 1e-3)
     assert abs(sol.value(1.0) - SINH_1) / SINH_1 < 1e-12
     for t in (0.5, 2.0, 3.0):
         assert abs(sol.value(t) - math.sinh(t)) / math.sinh(t) < 1e-12
-        assert abs(sol.deriv(t) - math.cosh(t)) / math.cosh(t) < 1e-12
+        assert abs(node_slope(pairs, t, 1e-3) - math.cosh(t)) / math.cosh(t) < 1e-12
 
 
 def test_ivp_rational_curvature_oracles():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    sol = solve_h_ivp(g, 12.0, 1e-3)
+    sol, pairs = ivp_nodes(g, 12.0, 1e-3)
     for t, ref in RATIONAL_B1_H.items():
         rel = abs(sol.value(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
     for t, ref in RATIONAL_B1_HP.items():
-        rel = abs(sol.deriv(t) - ref) / ref
+        rel = abs(node_slope(pairs, t, 1e-3) - ref) / ref
         assert rel < 1e-12, f"h'({t}) off by {rel:.3e}"
 
 
@@ -203,8 +209,6 @@ def test_ivp_dense_output_between_nodes():
     for t in (0.31415, 1.23456, 4.99999):
         rel = abs(coarse.value(t) - fine.value(t)) / fine.value(t)
         assert rel < 1e-10, f"dense value at t={t} off by {rel:.3e}"
-        rel_d = abs(coarse.deriv(t) - fine.deriv(t)) / abs(fine.deriv(t))
-        assert rel_d < 1e-10, f"dense deriv at t={t} off by {rel_d:.3e}"
 
 
 def test_ivp_is_one_sweep():
@@ -224,7 +228,7 @@ def test_ivp_is_one_sweep():
         assert len(pairs) == n + 1
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
         h, hp = pairs[n]
-        ends = (sol.value(t_max), sol.deriv(t_max))
+        ends = (sol.value(t_max), sol.end_slope)
         assert [x.hex() for x in ends] == [h.hex(), hp.hex()], (t_max, step)
         assert len(calls) == 2 * n + 1, f"a lookup at t_max={t_max} called the curvature"
 
@@ -284,11 +288,11 @@ SWEEP_PROFILES = {
 @pytest.mark.parametrize("name", sorted(SWEEP_PROFILES))
 @pytest.mark.parametrize("t_max, step", [(10.0, 1e-3), (1.0, 0.3), (3.0, 0.01604)])
 def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
-    """The node pairs h and h' at every node, which the ball volume sums,
-    and the dense output in the last cell, have the bits of the plain RK4
-    loop, and at t_max the dense output is the last node's h and h'.  At (3.0, 0.01604) there are n = 187 steps and
-    n * (3/n) rounds above 3, past the cutoff of const:0.05:3, so the last
-    cell's h' must read g at the last node t_max itself."""
+    """The node pairs h and h' at every node, and the dense output in the
+    last cell, have the bits of the plain RK4 loop, and at t_max the
+    record holds the last node's h and h'.  At (3.0, 0.01604) there are
+    n = 187 steps and n * (3/n) rounds above 3, past the cutoff of
+    const:0.05:3, while the grid's last node is t_max itself."""
     g = SWEEP_PROFILES[name].g
     sol, pairs = ivp_nodes(g, t_max, step)
     grid, values, derivs = rk4_reference(g, t_max, step)
@@ -296,9 +300,8 @@ def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     assert array("d", (h for h, _ in pairs)).tobytes() == values.tobytes()
     assert array("d", (hp for _, hp in pairs)).tobytes() == derivs.tobytes()
     t = grid[-2] + 0.3 * (t_max - grid[-2])
-    h, hp = hermite_reference(grid, values, derivs, g, t)
-    assert (sol.value(t), sol.deriv(t)) == (h, hp), f"last cell differs at t={t!r}"
-    assert (sol.value(t_max), sol.deriv(t_max)) == (values[-1], derivs[-1])
+    assert sol.value(t) == hermite_reference(grid, values, derivs, t), f"last cell at t={t!r}"
+    assert (sol.value(t_max), sol.end_slope) == (values[-1], derivs[-1])
 
 
 def test_quadrature_and_ivp_determinism():
@@ -307,7 +310,9 @@ def test_quadrature_and_ivp_determinism():
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
     (a, a_pairs), (b, b_pairs) = ivp_nodes(g, 5.0, 1e-3), ivp_nodes(g, 5.0, 1e-3)
     assert a_pairs == b_pairs
-    assert a.ball_volume(4, 2.0)(4.321) == b.ball_volume(4, 2.0)(4.321)
+    n = grid_steps(5.0, 1e-3)
+    assert panel_volumes(a.value, 5.0, n, 4, 2.0)(4.321) == panel_volumes(
+        b.value, 5.0, n, 4, 2.0)(4.321)
 
 
 if HAS_HYPOTHESIS:
