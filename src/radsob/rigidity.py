@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .numerics import integrate_finite, integrate_semi_infinite
-from .talenti import SobolevParams, TalentiProfile, sharp_beta, sharp_constant
+from .talenti import SobolevParams, mass_split, sharp_beta, sharp_constant
 
 if TYPE_CHECKING:
     from .model_manifold import ModelManifold
@@ -89,12 +88,10 @@ class MassEscapeReport(NamedTuple):
     rows: tuple
     threshold: float
     crossing: float | None
-    heads_monotone: bool
-    totals_ok: bool
 
     @property
     def all_pass(self) -> bool:
-        return self.heads_monotone and self.totals_ok and self.crossing is not None
+        return self.crossing is not None
 
 
 def mass_escape_experiment(
@@ -104,65 +101,37 @@ def mass_escape_experiment(
 ) -> MassEscapeReport:
     """Distribution of profile mass inside and outside a fixed radius.
 
-    For each scale the p*-mass density integrates to one; the head is the
-    share inside [0, radius].  As the scale grows the head decays to zero
-    (the mass wanders off to infinity), so the experiment records the
-    head/tail table, checks heads are nonincreasing and head+tail = 1,
-    and locates the first scale where the head drops below ESCAPE_THRESHOLD
-    by bisection between the bracketing grid scales.
+    Each row is (lam, head, tail, head + tail), the split of the unit
+    p*-mass at radius by talenti.mass_split.  As the scale grows the head
+    decays to zero (the mass wanders off to infinity), so the experiment
+    locates the first scale where the head drops below ESCAPE_THRESHOLD by
+    bisection between the bracketing grid scales.
     """
     lambdas = list(lambda_grid)
     if not lambdas or lambdas[0] < 10.0:
         raise ValueError("lambda_grid must start at 10 or above (the large-scale regime)")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambda_grid must be strictly increasing")
-    m, p = params.m, params.p
-    q = params.conj
-    tail_decay = q * (m + 1) - m - 1.0 / (p - 1.0)
-    profile0 = TalentiProfile.build(params, 1.0)
-
-    def head_at(lam: float) -> float:
-        return integrate_finite(profile0.with_lam(lam).density, 0.0, radius)
 
     rows = []
     for lam in lambdas:
-        head = head_at(lam)
-        tail = integrate_semi_infinite(
-            profile0.with_lam(lam).density,
-            max(1.0, radius, lam ** (1.0 / q)),
-            start=radius,
-            decay_power=tail_decay,
-        )
+        head, tail = mass_split(params, lam, radius)
         rows.append((lam, head, tail, head + tail))
 
-    heads = [r[1] for r in rows]
-    heads_monotone = all(b <= a * (1.0 + 1e-9) + 1e-15 for a, b in zip(heads, heads[1:]))
-    totals_ok = all(abs(r[3] - 1.0) <= 1e-6 for r in rows)
-
-    crossing = None
-    below = [i for i, h in enumerate(heads) if h <= ESCAPE_THRESHOLD]
-    if below:
-        i = below[0]
-        if i == 0:
-            crossing = lambdas[0]
-        else:
-            lo, hi = lambdas[i - 1], lambdas[i]
-            for _ in range(60):
-                mid = math.sqrt(lo * hi)
-                if head_at(mid) <= ESCAPE_THRESHOLD:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi / lo < 1.0 + 1e-9:
-                    break
-            crossing = hi
-    return MassEscapeReport(
-        rows=tuple(rows),
-        threshold=ESCAPE_THRESHOLD,
-        crossing=crossing,
-        heads_monotone=heads_monotone,
-        totals_ok=totals_ok,
-    )
+    below = [i for i, row in enumerate(rows) if row[1] <= ESCAPE_THRESHOLD]
+    crossing = lambdas[below[0]] if below else None
+    if below and below[0] > 0:
+        lo, hi = lambdas[below[0] - 1], crossing
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            if mass_split(params, mid, radius)[0] <= ESCAPE_THRESHOLD:
+                hi = mid
+            else:
+                lo = mid
+            if hi / lo < 1.0 + 1e-9:
+                break
+        crossing = hi
+    return MassEscapeReport(rows=tuple(rows), threshold=ESCAPE_THRESHOLD, crossing=crossing)
 
 
 class RigidityReport(NamedTuple):

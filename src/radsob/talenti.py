@@ -9,9 +9,9 @@ every scale lam > 0.  With that normalisation the p-energy of the family
 is scale invariant and its value determines the sharp constant K(m, p)
 through K^(-p) = integral(|phi'|^p).  Both integrals reduce to Euler Beta
 values, so beta and K are closed forms in lgamma; sharp_constant_detail
-integrates the energy by quadrature as a self-test of K.  Each profile
-also has a probability density describing how the p*-mass of phi_lam
-distributes over the radius.
+integrates the energy by quadrature as a self-test of K.  The split of a
+profile's unit p*-mass at a radius (mass_split) is a regularised
+incomplete Beta value of the same kind.
 """
 
 from __future__ import annotations
@@ -98,30 +98,84 @@ def sharp_constant(params: SobolevParams) -> float:
     return (p - 1.0) / ((m - p) * sharp_beta(params)) * math.exp(-_log_kernel(params, 1.0) / p)
 
 
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularised incomplete Beta I_x(a, b) by
+    the modified Lentz method (Numerical Recipes, betacf), which converges
+    fast for x < (a + 1)/(a + b + 2)."""
+    tiny = 1e-300
+    # Below that x the first denominator is at least 2/(a + b + 2).
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    value = d
+    for k in range(1, 10_000):
+        for numerator in (
+            k * (b - k) * x / ((a + 2 * k - 1.0) * (a + 2 * k)),
+            -(a + k) * (a + b + k) * x / ((a + 2 * k) * (a + 2 * k + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            value *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:
+            return value
+    raise ValueError(f"the continued fraction of I_x({a:g}, {b:g}) at x={x:g} does not converge")
+
+
+def mass_split(params: SobolevParams, lam: float, t: float) -> tuple:
+    """Shares (head, tail) of phi_lam's unit p*-mass inside and outside t.
+
+    The head is I_x(m/q + 1, m/p), x = t^q/(lam + t^q), q = p/(p-1): the
+    regularised incomplete Beta value of the mass's radial spread
+    V(s) d(-phi^p*(s)), V the Euclidean ball volume, as for K's closed
+    form.  The continued fraction gives the share on its fast side, and
+    the other is its complement; 1 - x is formed as lam/(lam + t^q), as
+    the difference would cancel.  A t^q past the float range leaves no
+    mass outside.  The lgamma prefactor cancels terms of size ln m!, and
+    its rounding grows with them: past m = 150 the split refuses.
+    """
+    m, p, q = params.m, params.p, params.conj
+    if m > 150:
+        raise ValueError(f"the mass split holds 12 digits only up to m=150, got m={m}")
+    a, b = m / q + 1.0, m / p
+    try:
+        power = t**q
+    except OverflowError:
+        return 1.0, 0.0
+    # Halved, so the sum stays finite up to the end of the float range.
+    half_sum = 0.5 * lam + 0.5 * power
+    x, y = 0.5 * power / half_sum, 0.5 * lam / half_sum
+    if x == 0.0 or y == 0.0:  # and the other share is exactly 1
+        return x, y
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        head = front * _beta_fraction(a, b, x) / a
+        return head, 1.0 - head
+    tail = front * _beta_fraction(b, a, y) / b
+    return 1.0 - tail, tail
+
+
 class _Profile(NamedTuple):
     params: SobolevParams
     lam: float
     beta: float
-    omega_m: float
     q: float
     nu: float
     coef: float
-    density_coef: float
-    density_power: float
 
 
 class TalentiProfile(_Profile):
     """A single member phi_lam of the normalised extremal family.
 
     phi_lam(t) = coef * (lam + t^q)^(-nu) with q = p/(p-1), nu = (m-p)/p
-    and coef = beta * lam^((m-p)/p^2); these, and the constant factor and
-    the power of t in density, are fixed per profile and derived from
-    (params, lam, beta, omega_m) by the constructor.
+    and coef = beta * lam^((m-p)/p^2); these are fixed per profile and
+    derived from (params, lam, beta) by the constructor.
     """
 
     __slots__ = ()
 
-    def __new__(cls, params: SobolevParams, lam: float, beta: float, omega_m: float):
+    def __new__(cls, params: SobolevParams, lam: float, beta: float):
         if not (lam > 0.0) or not math.isfinite(lam):
             raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
         m, p = params.m, params.p
@@ -130,24 +184,14 @@ class TalentiProfile(_Profile):
             params,
             lam,
             beta,
-            omega_m,
             q=params.conj,
             nu=(m - p) / p,
             coef=beta * lam ** ((m - p) / p**2),
-            density_coef=omega_m * (m * p / (p - 1.0)) * beta**params.p_star * lam ** (m / p),
-            density_power=1.0 / (p - 1.0) + m,
         )
 
     @classmethod
     def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
-        return cls(
-            params=params, lam=lam, beta=sharp_beta(params), omega_m=unit_ball_volume(params.m)
-        )
-
-    def with_lam(self, lam: float) -> "TalentiProfile":
-        # The constructor, not _replace, which would keep the fields derived
-        # from the old lam.
-        return type(self)(self.params, lam, self.beta, self.omega_m)
+        return cls(params=params, lam=lam, beta=sharp_beta(params))
 
     # -- pointwise evaluations -------------------------------------------
 
@@ -161,20 +205,6 @@ class TalentiProfile(_Profile):
             raise ValueError("profiles are radial: t >= 0 required")
         q, nu = self.q, self.nu
         return -self.coef * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
-
-    def density(self, t: float) -> float:
-        """Radial distribution of the p*-mass.
-
-        density(t) = V(B_t) * d/dt(-phi^p*) where V(B_t) is Euclidean ball
-        volume; it integrates to one over (0, inf) for every lam.
-        """
-        if t < 0.0:
-            raise ValueError("profiles are radial: t >= 0 required")
-        return (
-            self.density_coef
-            * t**self.density_power
-            / (self.lam + t**self.q) ** (self.params.m + 1)
-        )
 
 
 # The scales at which the constants self-test integrates the energy.

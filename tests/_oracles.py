@@ -201,6 +201,31 @@ def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
 # Root of head_m4_p2(lam) = 1e-3 at T = 1, found at 30 digits.
 HEAD_CROSSING_1E3 = 14.615694241117555
 
+# (m, p, lam, T) -> (head, tail) of the unit p*-mass of phi_lam split at
+# radius T: I_x(m/q + 1, m/p) and I_y(m/p, m/q + 1) with q = p/(p-1),
+# x = T^q/(lam + T^q) and y = lam/(lam + T^q), by mpmath 1.3.0's betainc
+# at 60 digits from the exact binary inputs (each pair sums to 1 within
+# 1e-50; the (3, 1.5) head agrees with a 60-digit quadrature of the
+# density V(B_t) d(-phi^p*)).  The two shares come from separate
+# integrals, so neither is a cancelled difference.  At (4, 2, 10, 1000),
+# both (20, 1.2) cases, (3, 2.9, 10, 20) and (150, 2, 10, 3.2) mass_split's
+# continued fraction runs on the tail side.  The m = 150 cases sit at the
+# largest dimension mass_split accepts.
+MASS_SPLIT = {
+    (4, 2.0, 10.0, 1.0): (0.00280035516699678983675978416775, 0.997199644833003210163240215832),
+    (4, 2.0, 10.0, 1000.0): (0.99999999940001999955000839986, 5.99980000449991600139997840031e-10),
+    (3, 1.5, 30.0, 2.0): (0.11430237643971424405890071439, 0.88569762356028575594109928561),
+    (6, 2.0, 1e4, 0.5): (5.85855475585498070906417899549e-18, 0.999999999999999994141445244145),
+    (20, 1.2, 1e3, 3.0): (0.984712479431530183890508074783, 0.0152875205684698161094919252173),
+    (20, 1.2, 10.0, 3.0): (0.999999999999999999999999999869, 1.31439644299620753602597094395e-28),
+    (50, 2.0, 1e8, 1.0): (1.21548600342417481616316486641e-194, 1.0),
+    (10, 2.5, 100.0, 5.0): (4.62538513491855025706466962318e-5, 0.999953746148650814497429353304),
+    (3, 2.9, 10.0, 20.0): (0.760630373047212396567675467371, 0.239369626952787603432324532629),
+    (150, 2.0, 10.0, 3.2): (0.525462479181818704667890579204, 0.474537520818181295332109420796),
+    (150, 120.0, 1.0, 2.0): (1.6790530747114246437323092602e-26, 0.999999999999999999999999983209),
+    (150, 1.5, 10.0, 0.5): (5.49355552803990316051121504068e-58, 1.0),
+}
+
 
 # -- The warping sweep, step by step --------------------------------------
 

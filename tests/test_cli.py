@@ -151,6 +151,16 @@ NAMED_REFUSALS = {
         "the sphere area at radius t=1e+08 overflows at m=300",
     ("verify", "--m", "50", "--p", "2", "--g", "rational:0.1"):
         "the sphere area at radius t=1e+08 overflows at m=50",
+    # verify's integrals split at the profile's radius sqrt(lambda) = 1e154,
+    # where the sphere area passes the float range.
+    ("verify", "--m", "4", "--p", "2", "--g", "zero", "--lambda", "1e308"):
+        "the sphere area at radius t=1e+154 overflows at m=4",
+    # Past m = 150 the mass split's lgamma prefactor rounds into the 12th
+    # digit; at m = 1e8 it would print 0.499960025038 for 0.499959893350.
+    ("limits", "--m", "151", "--p", "2"):
+        "the mass split holds 12 digits only up to m=150, got m=151",
+    ("limits", "--m", "100000000", "--p", "2", "--T", "3.16227766", "--lambda", "10"):
+        "the mass split holds 12 digits only up to m=150, got m=100000000",
     # The first rigidity radius whose ball volume passes the float range, in
     # a Gauss panel over a closed form and over the RK4 sweep's h.
     ("rigidity", "--m", "150", "--g", "rational:3", "--c-m", "1"):
@@ -197,7 +207,6 @@ def _usage_error_argvs(tmp_path) -> list:
         ["limits", "--T", "0"],
         ["limits", "--T", "nan"],
         *map(list, NAMED_REFUSALS),
-        ["limits", "--lambda", "10,1e300"],
         ["constants", "--tol", "nan"],
         ["constants", "--tol", "-1"],
         ["constants", "--tol", "0"],
@@ -668,6 +677,24 @@ def test_limits_csv_schema(capsys):
     for r in rows:
         assert abs(float(r[3]) - 1.0) < 1e-9
     assert lines[-1] == "# pass=true"
+
+
+def test_limits_at_the_ends_of_the_float_range(capsys):
+    """Where x = T^q/(lam + T^q) underflows the head is 0, and where T^q
+    overflows it is 1: rows, not refusals."""
+    cases = (
+        (["limits", "--lambda", "10,1e300"], 0, "10", ["1e+300,0,1,1"]),
+        (["limits", "--T", "1e-200", "--lambda", "10,100"], 0, "10",
+         ["10,0,1,1", "100,0,1,1"]),
+        (["limits", "--m", "4", "--p", "2", "--T", "1e300", "--lambda", "10,100"], 1, "none",
+         ["10,1,0,1", "100,1,0,1"]),
+    )
+    for argv, code, crossing, tail_rows in cases:
+        rc, out = _run(capsys, argv)
+        lines = out.strip().split("\n")
+        assert rc == code, (argv, out)
+        assert lines[3] == f"# crossing={crossing}", (argv, out)
+        assert lines[-1 - len(tail_rows):-1] == tail_rows, (argv, out)
 
 
 def test_rigidity_csv_flat_user_constant(capsys):

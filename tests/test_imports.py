@@ -157,10 +157,13 @@ def test_module_set_scan_flags_an_eager_import(tmp_path):
 def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
     """perfbench/tracer.py reaches every layer as an attribute of the
     package (radsob.__getattr__), so a traced run sees the modules that
-    the subcommand loads later."""
+    the subcommand loads later: the quadrature of the constants self-test
+    is counted.  limits reads its mass split in closed form, so its trace
+    counts no integrand evaluation."""
     tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
     spans, counts = {}, {}
-    for argv in (["limits", "--m", "4", "--p", "2"], ["rigidity", "--g", "zero", "--c-m", "0.4"]):
+    for argv in (["limits", "--m", "4", "--p", "2"], ["constants", "--m", "4", "--p", "2"],
+                 ["rigidity", "--g", "zero", "--c-m", "0.4"]):
         trace = tmp_path / "trace.json"
         child = subprocess.run([sys.executable, str(tracer), str(trace), "test", *argv],
                                env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
@@ -169,7 +172,8 @@ def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
         spans[argv[0]] = {span[0] for span in data["spans"]}
         counts[argv[0]] = data["counts"]
     assert "rigidity.mass_escape_experiment" in spans["limits"], spans
-    assert counts["limits"].get("numerics.quad_evals", 0) > 0, counts
+    assert counts["limits"].get("numerics.quad_evals", 0) == 0, counts
+    assert counts["constants"].get("numerics.quad_evals", 0) > 0, counts
     assert "rigidity.verify_theorem" in spans["rigidity"], spans
 
 

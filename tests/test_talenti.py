@@ -1,7 +1,8 @@
 """Extremal profile family: normalisation, sharp constant, ODE residual.
 
 Expected constants come from the two independent closed forms in
-tests/_oracles.py (Beta reduction and the published product formula).
+tests/_oracles.py (Beta reduction and the published product formula), and
+the mass split from the 30-digit table there.
 The Euler-Lagrange residual and phi'' are reference formulas kept there
 too; the residual tests hold the package's phi, phi' and K against them.
 """
@@ -10,10 +11,12 @@ import math
 
 import pytest
 
-from radsob.numerics import integrate_semi_infinite
+from radsob import talenti
+from radsob.numerics import integrate_finite, integrate_semi_infinite
 from radsob.talenti import (
     SobolevParams,
     TalentiProfile,
+    mass_split,
     sharp_beta,
     sharp_constant,
     sharp_constant_detail,
@@ -107,16 +110,60 @@ def test_scale_invariance_spread():
 
 
 def test_mass_normalisation_across_scales():
-    """The p*-mass density integrates to one for every scale."""
-    for m, p in ((4, 2.0), (3, 2.0)):
+    """The p*-mass integral(|S^(m-1)| t^(m-1) phi^p*) is one for every
+    scale, and mass_split's head is the mass of (phi^p* - phi^p*(T))_+: the
+    p*-mass inside T less V(B_T) phi(T)^p*, both here by quadrature."""
+    for m, p in ((4, 2.0), (3, 2.0), (3, 1.5), (6, 2.5)):
         params = SobolevParams(m, p)
-        q = params.conj
-        decay = q * (m + 1) - m - 1.0 / (p - 1.0)
+        decay = params.p_star * (m - p) / (p - 1.0) - (m - 1.0)
         for lam in (0.5, 1.0, 5.0, 20.0):
             profile = TalentiProfile.build(params, lam)
-            split = max(1.0, lam ** (1.0 / q))
-            total = integrate_semi_infinite(profile.density, split, decay_power=decay)
+
+            def mass(t):
+                return sphere_area(m) * t ** (m - 1) * profile.phi(t) ** params.p_star
+
+            split = max(1.0, lam ** (1.0 / params.conj))
+            total = integrate_semi_infinite(mass, split, decay_power=decay)
             assert abs(total - 1.0) < 1e-8, f"mass({m},{p},lam={lam}) = {total!r}"
+            for T in (0.3, 1.0, 4.0):
+                inside = integrate_finite(mass, 0.0, T)
+                head = inside - unit_ball_volume(m) * T**m * profile.phi(T) ** params.p_star
+                got = mass_split(params, lam, T)[0]
+                assert abs(got - head) < 1e-10 * head, (m, p, lam, T, got, head)
+
+
+def _worst_reference_error():
+    """Largest relative distance of a mass_split share from _oracles.MASS_SPLIT."""
+    worst = 0.0
+    for (m, p, lam, T), pair in _oracles.MASS_SPLIT.items():
+        for got, want in zip(mass_split(SobolevParams(m, p), lam, T), pair):
+            worst = max(worst, abs(got - want) / want)
+    return worst
+
+
+def test_mass_split_matches_the_30_digit_references():
+    assert _worst_reference_error() < 1e-12
+    for lam in (10.0, 37.5, 1e3, 1e6):
+        for T in (0.2, 1.0, 3.0):
+            head, tail = mass_split(SobolevParams(4, 2.0), lam, T)
+            want = _oracles.head_m4_p2(lam, T)
+            assert abs(head - want) < 1e-12 * want and abs(head + tail - 1.0) < 1e-15
+    # x = T^q/(lam + T^q) underflows: no mass inside.
+    assert mass_split(SobolevParams(4, 2.0), 10.0, 1e-200) == (0.0, 1.0)
+
+
+def test_the_beta_fraction_refuses_past_its_term_cap():
+    """Near the middle of a Beta(5e11 + 1, 5e11) the fraction needs far
+    more terms than its cap, and says so."""
+    with pytest.raises(ValueError, match=r"I_x\(5e\+11, 5e\+11\) at x=0.5 does not converge"):
+        talenti._beta_fraction(5e11 + 1.0, 5e11, 0.5)
+
+
+def test_swapped_beta_parameters_miss_the_references(monkeypatch):
+    """Negative control: a fraction for I_x(b, a) in place of I_x(a, b)."""
+    fraction = talenti._beta_fraction
+    monkeypatch.setattr(talenti, "_beta_fraction", lambda a, b, x: fraction(b, a, x))
+    assert _worst_reference_error() > 1e-3
 
 
 def test_beta_invariant_across_scales():
@@ -194,8 +241,6 @@ def test_pointwise_guards():
         profile.phi_prime(-1.0)
     with pytest.raises(ValueError):
         _oracles.phi_second(profile, 0.0)
-    with pytest.raises(ValueError):
-        profile.density(-0.5)
 
 
 def test_profile_scale_validation():
@@ -203,17 +248,14 @@ def test_profile_scale_validation():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             TalentiProfile.build(params, bad)
-    profile = TalentiProfile.build(params, 1.0)
-    with pytest.raises(ValueError):
-        profile.with_lam(-2.0)
 
 
-def test_density_vanishes_at_origin_and_escapes_with_scale():
+def test_head_falls_as_lambda_grows():
+    """The mass escapes through a fixed ball: at T = 0.5 the head falls,
+    and the tail rises, with every step up in scale."""
     params = SobolevParams(4, 2.0)
-    profile = TalentiProfile.build(params, 1.0)
-    assert profile.density(0.0) == 0.0
-    at_half = [profile.with_lam(lam).density(0.5) for lam in (10.0, 20.0, 50.0, 100.0)]
-    assert all(b < a for a, b in zip(at_half, at_half[1:])), f"densities {at_half!r}"
+    splits = [mass_split(params, lam, 0.5) for lam in (1.0, 10.0, 20.0, 50.0, 100.0, 1e6)]
+    assert all(b[0] < a[0] and b[1] > a[1] for a, b in zip(splits, splits[1:])), splits
 
 
 if HAS_HYPOTHESIS:
