@@ -3,9 +3,10 @@
 A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
 Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
-h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping,
-in closed form for RationalDecay and from the RK4 sweep of that IVP for
-the other profiles.  A ModelManifold holds h, G, the ball volume V(B_t)
+h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping:
+in closed form for RationalDecay, as a piecewise Taylor series for
+Tabulated, and from the RK4 sweep of that IVP, stopped past the cutoff,
+for ConstantCutoff.  A ModelManifold holds h, G, the ball volume V(B_t)
 and the tail factor, and nothing else: it has no name, and sums ball
 volumes by checked Gauss panels over h, whichever profile gave it, only
 as far out as one is read.  The moment b = integral(t
@@ -23,7 +24,10 @@ from array import array
 from bisect import bisect_right
 from typing import Callable, NamedTuple
 
-from .numerics import Warping, grid_steps, panel_volumes, require_finite_nodes, solve_h_ivp
+from .numerics import (
+    SERIES_MAX_TERMS, SeriesError, Warping, grid_steps, panel_volumes, require_finite_nodes,
+    series_warping, series_width, solve_h_ivp,
+)
 from .talenti import sphere_area, unit_ball_volume
 
 
@@ -39,18 +43,14 @@ def _overflows(quantity: str, t: float, m: int) -> ValueError:
 class CurvatureProfile:
     """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) (a
     method, or a closure that __init__ binds, as Tabulated does) and
-    moment_tail(t_from), the integral of t G(t) over [t_from, inf), and
-    may replace warping() by a closed form."""
+    moment_tail(t_from), the integral of t G(t) over [t_from, inf), and,
+    unless it is flat, warping(t_max, step): the solution of h'' = G h,
+    h(0) = 0, h'(0) = 1 on [0, t_max] as a numerics.Warping."""
 
     @property
     def b(self) -> float:
         """The whole moment, integral of t G(t) over [0, inf)."""
         return self.moment_tail(0.0)
-
-    def warping(self, t_max: float, step: float) -> Warping:
-        """The solution of h'' = G h, h(0) = 0, h'(0) = 1 on [0, t_max]:
-        here the RK4 sweep of solve_h_ivp and its dense output."""
-        return solve_h_ivp(self.g, t_max, step)
 
 
 class ZeroCurvature(CurvatureProfile):
@@ -80,7 +80,16 @@ class ConstantCutoff(CurvatureProfile):
             return 0.0
         if math.isinf(self.t_cut):
             return math.inf
-        return 0.5 * self.a * (self.t_cut**2 - t_from**2)
+        try:
+            return 0.5 * self.a * (self.t_cut**2 - t_from**2)
+        except OverflowError:
+            # t_cut^2 is out of range where a t_cut^2 need not be.
+            return 0.5 * self.a * (self.t_cut - t_from) * (self.t_cut + t_from)
+
+    def warping(self, t_max: float, step: float) -> Warping:
+        """The RK4 sweep of solve_h_ivp and its dense output, which stops
+        past t_cut, where h is a line."""
+        return solve_h_ivp(self.g, t_max, step, self.t_cut)
 
 
 class RationalDecay(CurvatureProfile):
@@ -171,7 +180,7 @@ class Tabulated(CurvatureProfile):
         self.tail_power = q = float(tail_power)
         # The chord slope of each segment, by the formula np.interp uses,
         # so g has the same bits.
-        slopes = array(
+        self.slopes = slopes = array(
             "d",
             ((v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:])),
         )
@@ -179,7 +188,7 @@ class Tabulated(CurvatureProfile):
 
         def g(t: float) -> float:
             # The grid strictly increases, so at most one end branch holds;
-            # the tail, where most of a sweep's calls fall, is tested first.
+            # the tail, where most radii of a window fall, is tested first.
             if t >= t_last:
                 return v_last * (t_last / t) ** q
             if t <= t_first:
@@ -189,6 +198,53 @@ class Tabulated(CurvatureProfile):
             return slopes[j] * (t - grid[j]) + values[j]
 
         self.g = g
+
+    def warping(self, t_max: float, step: float) -> Warping:
+        """h as a piecewise Taylor series (numerics.series_warping), with no
+        sweep.  G is constant on [0, grid[0]] and linear between nodes, so
+        about t0 its series is the node value, or the chord's value at t0,
+        and the chord slope; past the last node it is v (t_last/t)^q, whose
+        binomial series about t0 has g_j = g_(j-1) (-q - j + 1)/(j t0) and
+        converges for |s| < t0.  Every node and t_max is a piece end, and a
+        piece is at most series_width(g0, g1) wide, and t0/4 on a curved
+        tail, so the terms of its series fall at least like 4^-k.  The grid
+        only bounds the ball volume's panels, but an oversized one is still
+        refused (grid_steps).
+
+        Raises:
+            SeriesError: a piece would be narrower than the float spacing
+                at its start, or its series did not converge.
+            OdeError: h or h' is not finite at a piece end.
+        """
+        grid_steps(t_max, step)
+        grid, values, slopes, q = self.grid, self.values, self.slopes, self.tail_power
+        t_last, v_last = grid[-1], values[-1]
+        pieces = []
+        t0 = 0.0
+        for end in [t for t in grid if 0.0 < t < t_max] + [t_max]:
+            while t0 < end:
+                tail = t0 >= t_last
+                if tail:
+                    g0 = v_last * (t_last / t0) ** q
+                    g1 = -q * g0 / t0
+                    width = min(series_width(g0, g1), 0.25 * t0 if v_last else math.inf)
+                else:
+                    j = bisect_right(grid, t0) - 1  # -1 below grid[0]
+                    g0, g1 = (values[0], 0.0) if j < 0 else (
+                        values[j] + slopes[j] * (t0 - grid[j]), slopes[j])
+                    width = series_width(g0, g1)
+                t1 = end if t0 + width >= end else t0 + width
+                if t1 == t0:
+                    raise SeriesError(f"the warping's Taylor series needs pieces narrower "
+                                      f"than the float spacing at t={t0:g}")
+                gs = [g0, g1 * (t1 - t0)]
+                if tail:
+                    ratio = (t1 - t0) / t0
+                    for j in range(2, SERIES_MAX_TERMS):
+                        gs.append(gs[-1] * (-q - j + 1.0) * ratio / j)
+                pieces.append((t0, t1, gs))
+                t0 = t1
+        return series_warping(pieces)
 
     def _segment_moment(self, t_from: float) -> float:
         # t * G is piecewise quadratic where G is piecewise linear, so a
@@ -294,9 +350,9 @@ class ModelManifold:
     constructor made the model:
 
       * build_model: the profile's warping (the closed form for
-        RationalDecay, the curvature IVP's dense output for the other
-        profiles), continued linearly past t_max, with a certified tail
-        factor;
+        RationalDecay, the piecewise series for Tabulated, the curvature
+        IVP's dense output for ConstantCutoff), continued linearly past
+        t_max, with a certified tail factor;
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
     profile is the curvature profile whose moment b the bounds use, or
@@ -397,13 +453,13 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     """Assemble the model of a curvature profile from its warping.
 
     profile.warping gives h on the window and h' at its end: in closed
-    form for RationalDecay, from the RK4 sweep of the IVP for
-    ConstantCutoff and Tabulated.  The ball volume is panel_volumes over
-    that h, whichever way it was computed.  Past the window h continues
-    linearly from its value and slope at T = t_max.  The true h
-    satisfies w <= h <= w * F there, where w is that continuation and
-    F = exp(kappa * integral of s G(s) over [T, inf)) with
-    kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
+    form for RationalDecay, as a piecewise Taylor series for Tabulated,
+    from the RK4 sweep of the IVP for ConstantCutoff.  The ball volume is
+    panel_volumes over that h, whichever way it was computed.  Past the
+    window h continues linearly from its value and slope at T = t_max.
+    The true h satisfies w <= h <= w * F there, where w is that
+    continuation and F = exp(kappa * integral of s G(s) over [T, inf))
+    with kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
     """
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)

@@ -1,24 +1,28 @@
 """Low-level numerical kernels shared by the rest of the package.
 
-Three independent pieces live here: adaptive Simpson and checked Gauss
-panel quadrature, and a fixed-step RK4 integrator for the warping
-initial value problem h'' = G(t) h, which builds the models of
-`const:` and `table:` specs (a `rational:` model takes its warping in
-closed form, so no sweep runs for it).  The whole Simpson policy is the
+Four independent pieces live here: adaptive Simpson and checked Gauss
+panel quadrature, a piecewise Taylor series for the warping initial
+value problem h'' = G(t) h, h(0) = 0, h'(0) = 1, which builds the models
+of `table:` specs, and a fixed-step RK4 sweep of the same problem, which
+builds those of `const:` specs (a `rational:` model takes its warping in
+closed form).  The whole Simpson policy is the
 tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
 rounding floor ROUNDING_FACTOR; a caller may pass its own (abs_tol,
 rel_tol) pair, nothing else.  A semi-infinite integral also needs the
 radius where head and tail are split and the integrand's declared tail
 power.  The Gauss rule's is PANEL_REL_TOL and MAX_DEPTH.
-The IVP has no error control of its own: one RK4 sweep at the caller's
-step, whose accuracy the tests pin against closed forms and
-high-precision reference solutions.  Its output is a Warping, the one
-shape of every warping, closed forms included: h as a function and h'
-at the window's end.  The sweep keeps its nodes as stdlib
-``array("d")`` columns, which its dense output reads.  Every warping's
-ball volume is one rule, checked Gauss panels over h (panel_volumes).
-grid_steps caps a grid at MAX_GRID_STEPS steps.  A warping's finiteness
-is checked once, as it is built (require_finite_nodes).
+The series is summed on each piece until its terms are rounding
+(SERIES_REL_TOL), and a piece that does not get there within
+SERIES_MAX_TERMS terms fails its check.  The RK4 sweep has no error
+control of its own: the caller's step is its accuracy, which the tests
+pin against closed forms and high-precision reference solutions, and it
+stops where G has vanished for good, past which h is a line.  Either
+output is a Warping, the one shape of every warping, closed forms
+included: h as a function and h' at the window's end.  The sweep keeps
+its nodes as stdlib ``array("d")`` columns, which its dense output reads.
+Every warping's ball volume is one rule, checked Gauss panels over h
+(panel_volumes).  grid_steps caps a grid at MAX_GRID_STEPS steps.  A
+warping's finiteness is checked once, as it is built.
 Nothing here needs vector arithmetic.  All routines are deterministic:
 the same inputs always produce bitwise identical results.  Every error
 that fails a check rather than refusing an input derives from
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 
@@ -46,6 +51,10 @@ class OdeError(CheckFailed):
 
     def __init__(self, t: float):
         super().__init__(f"warping solution became non-finite near t={t:g}")
+
+
+class SeriesError(CheckFailed):
+    """A piece of a warping's Taylor series did not converge."""
 
 
 # Open endpoint of the tail substitution t = split/u near u = 0.
@@ -256,7 +265,8 @@ def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
     return _gauss_halves(f, a, b, whole, PANEL_REL_TOL * abs(whole), 0)
 
 
-# Most steps of a warping grid: its two float columns take 160 MB at the cap.
+# Most steps of a warping grid: the RK4 sweep's two float columns take
+# 160 MB at the cap, and no ball volume has more panels.
 MAX_GRID_STEPS = 10_000_000
 
 
@@ -323,10 +333,11 @@ PANEL_WIDTH = 0.25
 def panel_volumes(h, t_max, n, m, om):
     """The ball volume t -> om * integral of h^(m-1) over [0, t] of a
     warping h on [0, t_max], on a grid of n steps: the closed form of a
-    `rational:` spec, analytic, or the RK4 sweep's dense output, a cubic
-    on each grid step; integrate_panel takes each panel to rounding, and
-    halves one where the joins of the sweep's cubics, whose h'' jumps,
-    spoil the rule.  No panel
+    `rational:` spec, analytic, a `table:` spec's series, analytic between
+    its nodes, or the RK4 sweep's dense output, a cubic on each grid step
+    below the sweep's stop and a line past it; integrate_panel takes each
+    panel to rounding, and halves one where a table node, or the joins of
+    the sweep's cubics, whose h'' jumps, spoil the rule.  No panel
     is narrower than a grid step, so the panels are no more than
     MAX_GRID_STEPS.  The panel sums are one running prefix at the panel
     edges, summed only as far as a lookup reads; a lookup in panel i adds
@@ -345,6 +356,77 @@ def panel_volumes(h, t_max, n, m, om):
     return volume
 
 
+# A piece of a warping's Taylor series stops once three successive terms
+# of h, and of h', at the piece's end are below this share of their sums.
+SERIES_REL_TOL = sys.float_info.epsilon / 100.0
+# The most terms a piece may take; one that needs more fails its check.
+SERIES_MAX_TERMS = 60
+
+
+def series_width(g0: float, g1: float) -> float:
+    """The widest piece, 1/sqrt(g0) and |g1|^(-1/3) at most, on which the
+    series of h'' = G h with G = g0 + g1 s + ... has w^2 g0 <= 1 and
+    w^3 |g1| <= 1, so that its terms fall like those of an exponential."""
+    return min(1.0 / math.sqrt(abs(g0)) if g0 else math.inf,
+               abs(g1) ** (-1.0 / 3.0) if g1 else math.inf)
+
+
+def series_warping(pieces) -> Warping:
+    """Solve h'' = G h with h(0) = 0, h'(0) = 1 by a Taylor series on each
+    of the consecutive pieces (t0, t1, gs) that run from 0 to t_max.
+
+    gs holds the Taylor coefficients g_j w^j of G(t0 + w sigma) in sigma,
+    w = t1 - t0; a coefficient past its end is 0.  Then h = sum of d_k
+    sigma^k with d_0 = h(t0), d_1 = w h'(t0) and
+    d_(k+2) = w^2 sum over j <= k of g_j w^j d_(k-j) / ((k+2)(k+1)).  The
+    series stops after three successive terms d_k and k d_k, the terms of
+    h and of w h' at the piece's end, fall below SERIES_REL_TOL of their
+    sums; the caller's widths (series_width) make them fall.  A piece
+    that needs more than SERIES_MAX_TERMS terms raises SeriesError.  h
+    inside a piece is one Horner evaluation; h and h' at its end, the
+    correctly rounded sums of its terms, start the next, and h' at t_max
+    is the record's end slope.  A piece whose end is not finite raises
+    OdeError naming that end.
+    """
+    h, slope = 0.0, 1.0
+    starts = array("d")
+    polys = []
+    for t0, t1, gs in pieces:
+        w = t1 - t0
+        w2 = w * w
+        d = [h, slope * w]
+        h_sum, hp_sum, small = d[0] + d[1], d[1], 0
+        for k in range(2, SERIES_MAX_TERMS):
+            c = w2 * sum(g * d[k - 2 - j] for j, g in enumerate(gs[:k - 1])) / (k * (k - 1))
+            d.append(c)
+            h_sum += c
+            hp_sum += k * c
+            rounding = SERIES_REL_TOL * min(abs(h_sum), abs(hp_sum) / k)
+            small = small + 1 if abs(c) <= rounding else 0
+            if small == 3:
+                break
+        else:
+            if math.isfinite(h_sum) and math.isfinite(hp_sum):
+                raise SeriesError(f"the warping's Taylor series on [{t0:g}, {t1:g}] did not "
+                                  f"converge within {SERIES_MAX_TERMS} terms")
+        h = math.fsum(d)
+        slope = math.fsum(k * c for k, c in enumerate(d)) / w
+        if not (math.isfinite(h) and math.isfinite(slope)):
+            raise OdeError(t1)
+        starts.append(t0)
+        polys.append((t0, w, d[::-1]))
+
+    def value(t: float) -> float:
+        t0, w, poly = polys[bisect_right(starts, t, 1) - 1]
+        s = (t - t0) / w
+        acc = 0.0
+        for c in poly:
+            acc = acc * s + c
+        return acc
+
+    return Warping(value, slope)
+
+
 def _hermite(y0, y1, d0, d1, s, width):
     s2 = s * s
     s3 = s2 * s
@@ -355,24 +437,28 @@ def _hermite(y0, y1, d0, d1, s, width):
     )
 
 
-def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warping:
-    """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max].
+def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float,
+                flat_from: float) -> Warping:
+    """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max], where g
+    is 0 at every t > flat_from (math.inf if it never vanishes for good).
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
-    over the grid_steps grid; g is called 2n + 1 times, at each node and step
-    midpoint.  Between nodes h is the cubic Hermite interpolant of the
-    nodes' h and h', which keeps the sweep's fourth order; the record
-    holds it and h' at the last node.  A lookup at t_max (or within the
-    window's 1e-12 slack past it) returns the last node's h exactly, and
-    one outside the window raises ValueError.  There is no error
-    estimate; the step is the accuracy control, of h and so of the ball
-    volume, which panel_volumes takes exactly for this h.  Finiteness is
-    checked once, after the sweep (require_finite_nodes): an RK4 step of
-    this linear system keeps a non-finite h or h' non-finite, so the
-    first non-finite node is the one where the state blew up.  The models
-    of `const:` and `table:` specs come from this sweep; a `rational:`
-    model is built from its closed form
-    (model_manifold.RationalDecay.warping) instead.
+    over the grid_steps grid, which stops at the first node J whose step
+    reads g past flat_from only: from there on every RK4 step, and the
+    dense output, draw the line h_J + (t - t_J) h'_J, exact up to rounding,
+    and so does the record.  g is called 2J + 1 times, at each node and
+    step midpoint up to node J.  Between nodes h is the cubic Hermite
+    interpolant of the nodes' h and h', which keeps the sweep's fourth
+    order; the record holds it and h' at the last node.  A lookup at
+    t_max (or within the window's 1e-12 slack past it) returns the last
+    node's h exactly, and one outside the window raises ValueError.  There
+    is no error estimate; the step is the accuracy control, of h and so of
+    the ball volume, which panel_volumes takes exactly for this h.
+    Finiteness is checked once, after the sweep (require_finite_nodes): an
+    RK4 step of this linear system keeps a non-finite h or h' non-finite,
+    and the line grows with t, so the first non-finite node is the one
+    where the state blew up.  The models of `const:` specs come from this
+    sweep.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
@@ -387,6 +473,7 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
     derivs = array("d", [v])
     add_value, add_deriv = values.append, derivs.append
     g_here = g(0.0)
+    stop = n
     for i in range(n):
         t = i * dt
         g_mid = g(t + half)
@@ -403,14 +490,31 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float) -> Warpi
         add_value(h)
         add_deriv(v)
         g_here = g_next
+        # The next step reads g at t + dt, as g_here, and past it.
+        if t + dt > flat_from:
+            stop = i + 1
+            break
+    t_stop = stop * dt
+
+    def line(t: float) -> float:
+        return h + (t - t_stop) * v
+
+    h_end = values[n] if stop == n else line(t_max)
 
     def value(t: float) -> float:
         if not (0.0 <= t <= t_max * (1.0 + 1e-12)):
             raise ValueError(f"t={t:g} outside the solution window [0, {t_max:g}]")
         if t >= t_max:
-            return values[n]
+            return h_end
         i = min(int(t / dt), n - 1)
+        if i >= stop:
+            return line(t)
         return _hermite(values[i], values[i + 1], derivs[i], derivs[i + 1], (t - i * dt) / dt, dt)
 
-    require_finite_nodes(dt, n, lambda i: (values[i], derivs[i]))
-    return Warping(value, derivs[n])
+    def pair(i: int) -> tuple[float, float]:
+        if i <= stop:
+            return values[i], derivs[i]
+        return line(t_max if i == n else i * dt), v
+
+    require_finite_nodes(dt, n, pair)
+    return Warping(value, v)

@@ -56,8 +56,20 @@ class RadialFunction(NamedTuple):
 
 
 def talenti_function(profile: TalentiProfile) -> RadialFunction:
-    """The extremal profile phi_lam wrapped as a radial test function."""
+    """The extremal profile phi_lam wrapped as a radial test function.
+
+    Its p*-mass density phi_lam^p* peaks at t = 0; where that peak is past
+    the float range (a tiny lam), the scale is refused with ValueError
+    before any functional integrates it.
+    """
     params = profile.params
+    try:
+        peak = profile.phi(0.0) ** params.p_star
+    except OverflowError:
+        peak = math.inf
+    if not peak < math.inf:
+        raise ValueError(f"the p*-mass density phi_lambda(0)^p* overflows at "
+                         f"scale lambda={profile.lam:g}")
     return RadialFunction(
         eval=profile.phi,
         deriv=profile.phi_prime,

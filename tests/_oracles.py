@@ -188,6 +188,38 @@ VOLUME_CONST005 = {
 }
 
 
+# t -> (h(t), h'(t), V(B_t)) at m = 4 for the seed-0 curvature table of the
+# benchmark: G linear through (0, 0.3), (1, 0.25), (2, 0.1), (4, 0.02),
+# (8, 0.001), then 0.001 (8/t)^3, from the exact binary inputs.  By a
+# 45-digit piecewise Taylor series in mpmath 1.3.0 (pieces 1/8 wide, so
+# every node is a piece end, each summed to 70 terms; the tail's G by its
+# binomial series about each piece's start), and V as mpmath's quadrature
+# of 2 pi^2 h^3 piece by piece.  Radii inside a segment (0.5, 1.5, 3), at
+# the nodes 1, 2, 4 and 8, past the tail node (9) and far out (20, 50).
+TABLE_SEED0 = {
+    0.5: (0.506011143325908850718810418829, 1.0356286533074254212095640911,
+          0.315948159326896078903312255176),
+    1.0: (1.04646743200187531610211913963, 1.1363959172462699263055807446,
+          5.41424049147188491728659298388),
+    1.5: (1.64927329034848592928185864534, 1.27709805028820030148236546192,
+          30.4721910600139836480990761846),
+    2.0: (2.3225005748313610559637772108, 1.41113705783441156079914011822,
+          109.33427647695483793579531536),
+    3.0: (3.85385016640309722933079626625, 1.6514728779461080354924617656,
+          714.976678181041259359335656937),
+    4.0: (5.60658224128339454209217937745, 1.83421598117293215127859378094,
+          2855.5310816228594865286623774),
+    8.0: (13.7721956377835860167611558263, 2.18411889506571116744450482998,
+          84719.7377534137657000935839334),
+    9.0: (15.9627407040377056122146704019, 2.19654527176973814029763254418,
+          149927.789215415637441903692783),
+    20.0: (40.5292764408432679378199390841, 2.25587420889093713604295966203,
+           5941845.71027888877318720428703),
+    50.0: (108.827522331728057225840109921, 2.28811646085993904396739394315,
+           303406192.056423895881180954186),
+}
+
+
 def head_m4_p2(lam, T=1.0, beta=SHARP_TABLE[(4, 2.0)][0]):
     """Share of the p*-mass of phi_lam inside radius T for m=4, p=2.
 
@@ -321,10 +353,11 @@ def panel_volume_reference(m, h, t_max, n):
     return volume
 
 
-def ivp_nodes(g, t_max, step):
-    """solve_h_ivp(g, t_max, step) and the list of the (h, h') pairs of its
-    n + 1 nodes, read through the node-pair function the sweep hands to
-    its finiteness check."""
+def ivp_nodes(g, t_max, step, flat_from):
+    """solve_h_ivp(g, t_max, step, flat_from) and the list of the (h, h')
+    pairs of its n + 1 nodes, read through the node-pair function the
+    sweep hands to its finiteness check: past the node where the sweep
+    stops, those of its line."""
     caught = []
 
     def catch(step, n, pair):
@@ -332,7 +365,7 @@ def ivp_nodes(g, t_max, step):
         return require_finite_nodes(step, n, pair)
 
     with mock.patch.object(numerics, "require_finite_nodes", catch):
-        warping = solve_h_ivp(g, t_max, step)
+        warping = solve_h_ivp(g, t_max, step, flat_from)
     (pairs,) = caught
     return warping, pairs
 

@@ -167,6 +167,12 @@ NAMED_REFUSALS = {
         "the ball volume at radius t=20 overflows at m=150",
     ("rigidity", "--m", "150", "--g", "const:0.5:4", "--c-m", "1"):
         "the ball volume at radius t=17.5 overflows at m=150",
+    # a t_cut^2 is 5e299 where t_cut^2 is past the float range.
+    ("rigidity", "--g", "const:1e-300:1e300"):
+        "the upper bound e^(b m) is infinite at b=5e+299; the chain cannot fail",
+    # phi_lambda(0)^p* = beta^4 / lambda^2 at (4, 2).
+    ("verify", "--m", "4", "--p", "2", "--g", "zero", "--lambda", "1e-308"):
+        "the p*-mass density phi_lambda(0)^p* overflows at scale lambda=1e-308",
 }
 
 
@@ -502,14 +508,15 @@ def test_constants_passes_at_a_tiny_scale(capsys):
 def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, monkeypatch,
                                                                       tmp_path):
     """Every model integrates its ball volume panel by panel over its h, the
-    closed form's or the RK4 sweep's, only as far as a lookup reads, each
-    panel once.  verify integrates areas only, so it evaluates h for no
-    ball volume; model's chain stops at 0.8 t_max = 40, a panel edge, so
-    it integrates the 160 panels below it; rigidity reads V(B_t) at panel
-    edges up to t_max, so it integrates each of the 200 panels once, the
-    last as the part of its panel below t_max.  No panel is refined: the
-    checked rule takes each with 30 values of h, 10 on the panel and 10 on
-    each half, for the sweep's cubics at the default step too."""
+    closed form's, the series' or the RK4 sweep's, only as far as a lookup
+    reads, each panel once.  verify integrates areas only, so it evaluates
+    h for no ball volume; model's chain stops at 0.8 t_max = 40, a panel
+    edge, so it integrates the 160 panels below it; rigidity reads V(B_t)
+    at panel edges up to t_max, so it integrates each of the 200 panels
+    once, the last as the part of its panel below t_max.  No panel is
+    refined: the checked rule takes each with 30 values of h, 10 on the
+    panel and 10 on each half, for the sweep's cubics at the default step
+    too, and for the table's series at step 1e-2."""
     points = []
     panel_volumes = model_manifold.panel_volumes
 
@@ -539,6 +546,23 @@ def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, mo
     want = {"verify": [], "model": list(range(160)), "rigidity": list(range(200))}
     assert panels == {(kind, command): want[command]
                       for kind in ("rational", "const", "table") for command in want}
+    # The table's piecewise series has no grid joins, so at step 1e-2 too
+    # each of model's 160 panels takes 30 values of h.
+    points.clear()
+    rc, _ = _run(capsys, ["model", "--g", f"table:{table}", "--t-max", "50", "--step", "1e-2"])
+    per_panel = Counter(min(int(t / 0.25), 199) for t in points)
+    assert rc == 0 and len(points) == 4800 and set(per_panel.values()) == {30}, per_panel
+
+
+def test_a_table_of_huge_curvature_fails_at_a_named_radius(capsys, tmp_path):
+    """With G = 1e6 the series' pieces are 1e-3 wide and h grows like
+    e^(1000 t): the piece where h leaves the float range fails the check
+    (exit 1), naming its end, after some 700 pieces rather than a hang."""
+    table = tmp_path / "huge.txt"
+    table.write_text("0 1e6\n1 1e6\n# tail_power=3\n")
+    assert main(["verify", "--g", f"table:{table}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "check failed: warping solution became non-finite near t=0.705\n"
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):

@@ -2,8 +2,9 @@
 
 Warping oracles are frozen 30-digit IVP solutions from tests/_oracles.py;
 moments and Euclidean quantities have elementary closed forms.  A
-rational:<b0> model takes its warping in closed form, and the other
-profiles from the RK4 sweep of the IVP; the tests cross-check the two.
+rational:<b0> model takes its warping in closed form, a table model from
+a piecewise Taylor series and a const model from the RK4 sweep of the
+IVP; the tests cross-check them.
 """
 
 import bisect
@@ -12,10 +13,10 @@ import random
 
 import pytest
 
-from radsob import model_manifold
+from radsob import model_manifold, numerics
 from radsob.cli import _rigidity_grid
 from radsob.numerics import (
-    OdeError, Warping, grid_steps, integrate_finite, panel_volumes, solve_h_ivp,
+    OdeError, SeriesError, Warping, grid_steps, integrate_finite, panel_volumes, solve_h_ivp,
 )
 from radsob.model_manifold import (
     ConstantCutoff,
@@ -47,7 +48,8 @@ RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
 RAT01_WARPING = RationalDecay(0.1).warping(50.0, 1e-3)
 # The RK4 solution of the same IVP and its node pairs, the route of const:
 # and table: models: a cross-check of the closed form.
-RAT01_IVP, RAT01_IVP_PAIRS = _oracles.ivp_nodes(RationalDecay(0.1).g, 50.0, 1e-3)
+RAT01_IVP, RAT01_IVP_PAIRS = _oracles.ivp_nodes(RationalDecay(0.1).g, 50.0, 1e-3,
+                                                math.inf)
 EUC4 = euclidean_model(4, 50.0)
 
 
@@ -256,7 +258,7 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
     warping = profile.warping(30.0, 1e-3)
     h = warping.value
     n = grid_steps(30.0, 1e-3)
-    ivp, ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3)
+    ivp, ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3, math.inf)
     assert len(ivp_pairs) == n + 1
     grid = uniform_grid(30.0, n)
     exact = lambda t: (math.hypot(1.0, t) * math.atan(t),
@@ -296,9 +298,10 @@ def test_rational_closed_form_names_the_first_node_it_cannot_represent():
         assert str(info.value) == f"warping solution became non-finite near t={t}", b0
 
 
-def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
-    """A rational model takes its warping in closed form: build_model runs
-    no RK4 sweep for it, and one for a ConstantCutoff or a Tabulated."""
+def test_build_model_runs_the_ivp_only_for_const(monkeypatch):
+    """A rational model takes its warping in closed form and a table model
+    its piecewise series: build_model runs the RK4 sweep for a
+    ConstantCutoff only, once."""
     solved = []
 
     def counted(*args):
@@ -313,7 +316,69 @@ def test_build_model_runs_the_ivp_only_for_const_and_table(monkeypatch):
         build_model(4, profile, t_max=20.0, step=1e-2)
         counts[name] = len(solved)
         assert isinstance(profile.warping(20.0, 1e-2), Warping), name
-    assert counts == {"rational": 0, "const": 1, "table": 1}, counts
+    assert counts == {"rational": 0, "const": 1, "table": 0}, counts
+
+
+def test_building_a_curved_model_calls_the_curvature_a_bounded_number_of_times():
+    """The seed-0 table model is built from the table's nodes and chord
+    slopes, with no call of g; the const:0.05:3 model calls g 2J + 1
+    times, where J = 3001 is the first node of the step-1e-3 grid on
+    [0, 50] past t_cut = 3, not the 100,001 times of a full sweep."""
+    calls = []
+    for profile in (Tabulated(SEED0_TABLE.grid, SEED0_TABLE.values, 3.0),
+                    ConstantCutoff(0.05, 3.0)):
+        g = profile.g
+        profile.g = lambda t, g=g: calls.append(t) or g(t)
+        calls.clear()
+        model = build_model(4, profile, t_max=50.0, step=1e-3)
+        model.volume(50.0)
+        counts = len(calls)
+        assert counts == (0 if isinstance(profile, Tabulated) else 2 * 3001 + 1), counts
+
+
+def test_table_series_matches_the_30_digit_literals():
+    """The seed-0 table's h, h' and V(B_t) lie within 1e-13 of 30-digit
+    values, inside a segment, at its nodes, across its tail node and far
+    out on the tail; h' at t is the end slope of the warping on [0, t]."""
+    model = build_model(4, SEED0_TABLE, t_max=50.0, step=1e-3)
+    for t, refs in _oracles.TABLE_SEED0.items():
+        got = (model.warp(t), SEED0_TABLE.warping(t, 1e-3).end_slope, model.volume(t))
+        for name, value, ref in zip(("h", "h'", "V"), got, refs):
+            assert abs(value - ref) <= 1e-13 * ref, f"{name}({t}) off by {value / ref - 1:.3e}"
+
+
+def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
+    """Negative control: cut to its first 16 coefficients, the tail's
+    binomial series of G moves h at t = 20 and 50 by more than the
+    literals' 1e-13 (by about 3e-11 and 8e-11).  Dropping only the last of
+    its coefficients would move h by less than rounding."""
+    series_warping = model_manifold.series_warping
+
+    def cut(pieces):
+        return series_warping([(a, b, gs[:16] if a >= 8.0 else gs) for a, b, gs in pieces])
+
+    monkeypatch.setattr(model_manifold, "series_warping", cut)
+    h = SEED0_TABLE.warping(50.0, 1e-3).value
+    for t in (20.0, 50.0):
+        ref = _oracles.TABLE_SEED0[t][0]
+        assert abs(h(t) - ref) > 1e-11 * ref, t
+
+
+def test_a_series_that_does_not_converge_fails_its_check(monkeypatch):
+    """A piece whose terms are not yet rounding at the term cap raises
+    SeriesError, naming the piece, rather than truncating silently."""
+    monkeypatch.setattr(numerics, "SERIES_MAX_TERMS", 8)
+    with pytest.raises(SeriesError, match=r"series on \[0, 1\] did not converge within 8 terms"):
+        SEED0_TABLE.warping(50.0, 1e-3)
+
+
+def test_a_piece_below_the_float_spacing_fails_its_check():
+    """G = 0 up to t = 1e16, where h = t is finite, then a slope of 50: the
+    next piece may be 0.27 wide, below the float spacing 2 at 1e16, so the
+    series fails its check there instead of never advancing."""
+    steep = Tabulated((0.0, 1e16, 1e16 + 2.0), (0.0, 0.0, 100.0), 3.0)
+    with pytest.raises(SeriesError, match="narrower than the float spacing at t=1e[+]16"):
+        steep.warping(2e16, 1e10)
 
 
 def test_sweep_ball_volume_matches_the_30_digit_literals():
@@ -404,9 +469,10 @@ SEED0_TABLE = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001)
 
 def _volume_table_cases():
     """(name, model factory, t_max, panel width, eager reference table):
-    IVP models on a constant cutoff and on a table, a closed-form cone and
-    the closed-form rational profile, each summed by the one panel rule
-    over its own h, and looked up on a grid of panel edges.  Each factory
+    the RK4 model of a constant cutoff, the series model of a table, a
+    closed-form cone and the closed-form rational profile, each summed by
+    the one panel rule over its own h, and looked up on a grid of panel
+    edges.  Each factory
     call builds a fresh model, whose table has summed nothing yet.  At
     step 0.3 on [0, 50] the 167 grid steps are the panels, of a width
     50/167 that no binary fraction holds."""

@@ -177,14 +177,14 @@ def node_slope(pairs, t, step):
 
 
 def test_ivp_zero_curvature_is_identity():
-    sol, pairs = ivp_nodes(lambda t: 0.0, 10.0, 1e-3)
+    sol, pairs = ivp_nodes(lambda t: 0.0, 10.0, 1e-3, math.inf)
     for t in (0.5, 1.0, 5.0, 10.0):
         assert abs(sol.value(t) - t) / t < 1e-12, f"h({t}) = {sol.value(t)!r}"
         assert abs(node_slope(pairs, t, 1e-3) - 1.0) < 1e-12
 
 
 def test_ivp_constant_curvature_is_sinh():
-    sol, pairs = ivp_nodes(lambda t: 1.0, 3.0, 1e-3)
+    sol, pairs = ivp_nodes(lambda t: 1.0, 3.0, 1e-3, math.inf)
     assert abs(sol.value(1.0) - SINH_1) / SINH_1 < 1e-12
     for t in (0.5, 2.0, 3.0):
         assert abs(sol.value(t) - math.sinh(t)) / math.sinh(t) < 1e-12
@@ -193,7 +193,7 @@ def test_ivp_constant_curvature_is_sinh():
 
 def test_ivp_rational_curvature_oracles():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    sol, pairs = ivp_nodes(g, 12.0, 1e-3)
+    sol, pairs = ivp_nodes(g, 12.0, 1e-3, math.inf)
     for t, ref in RATIONAL_B1_H.items():
         rel = abs(sol.value(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
@@ -204,8 +204,8 @@ def test_ivp_rational_curvature_oracles():
 
 def test_ivp_dense_output_between_nodes():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    coarse = solve_h_ivp(g, 6.0, 1e-3)
-    fine = solve_h_ivp(g, 6.0, 2.5e-4)
+    coarse = solve_h_ivp(g, 6.0, 1e-3, math.inf)
+    fine = solve_h_ivp(g, 6.0, 2.5e-4, math.inf)
     for t in (0.31415, 1.23456, 4.99999):
         rel = abs(coarse.value(t) - fine.value(t)) / fine.value(t)
         assert rel < 1e-10, f"dense value at t={t} off by {rel:.3e}"
@@ -223,7 +223,7 @@ def test_ivp_is_one_sweep():
 
     for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0), (3.0, 0.01604)):
         calls.clear()
-        sol, pairs = ivp_nodes(g, t_max, step)
+        sol, pairs = ivp_nodes(g, t_max, step, math.inf)
         n = grid_steps(t_max, step)
         assert len(pairs) == n + 1
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
@@ -256,17 +256,17 @@ def test_grid_steps_rounds_and_caps_the_grid():
 
 
 def test_ivp_window_and_argument_guards():
-    sol = solve_h_ivp(lambda t: 0.0, 1.0, 1e-3)
+    sol = solve_h_ivp(lambda t: 0.0, 1.0, 1e-3, math.inf)
     with pytest.raises(ValueError):
         sol.value(1.5)
     with pytest.raises(ValueError):
-        solve_h_ivp(lambda t: 0.0, -1.0, 1e-3)
+        solve_h_ivp(lambda t: 0.0, -1.0, 1e-3, math.inf)
     with pytest.raises(ValueError):
-        solve_h_ivp(lambda t: 0.0, 1.0, 0.0)
+        solve_h_ivp(lambda t: 0.0, 1.0, 0.0, math.inf)
     # A grid over the cap is refused before the sweep calls g.
     calls = []
     with pytest.raises(ValueError, match="a warping grid may have"):
-        solve_h_ivp(lambda t: calls.append(t) or 0.0, 50.0, 1e-12)
+        solve_h_ivp(lambda t: calls.append(t) or 0.0, 50.0, 1e-12, math.inf)
     assert calls == []
 
 
@@ -274,7 +274,7 @@ def test_ivp_runaway_curvature_raises():
     """The sweep checks finiteness once, at the end, and still names the
     step where the state first stopped being finite."""
     with pytest.raises(OdeError) as info:
-        solve_h_ivp(lambda t: math.exp(t), 50.0, 1e-3)
+        solve_h_ivp(lambda t: math.exp(t), 50.0, 1e-3, math.inf)
     assert str(info.value) == "warping solution became non-finite near t=11.722"
 
 
@@ -294,7 +294,7 @@ def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     n = 187 steps and n * (3/n) rounds above 3, past the cutoff of
     const:0.05:3, while the grid's last node is t_max itself."""
     g = SWEEP_PROFILES[name].g
-    sol, pairs = ivp_nodes(g, t_max, step)
+    sol, pairs = ivp_nodes(g, t_max, step, math.inf)
     grid, values, derivs = rk4_reference(g, t_max, step)
     assert isinstance(sol, Warping) and t_max / grid_steps(t_max, step) == grid[1]
     assert array("d", (h for h, _ in pairs)).tobytes() == values.tobytes()
@@ -304,11 +304,42 @@ def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     assert (sol.value(t_max), sol.end_slope) == (values[-1], derivs[-1])
 
 
+@pytest.mark.parametrize("t_max, step", [(50.0, 1e-3), (3.0, 0.01604), (4.0, 0.3)])
+def test_the_sweep_stops_past_the_radius_where_g_vanishes(t_max, step):
+    """With flat_from = t_cut, the const:0.05:3 sweep stops at the first
+    node J whose step reads g past t_cut only, after 2J + 1 calls of g.
+    Its nodes up to J have the bits of the plain RK4 loop; past J its node
+    pairs, dense output, h at t_max and end slope are the line from node J,
+    within 1e-12 of the full sweep.  At (3.0, 0.01604) the last step reads
+    g at 186 dt + dt = 3 + 4e-16, past t_cut, so J is the last node, and
+    the sweep is the full one."""
+    profile = ConstantCutoff(0.05, 3.0)
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return profile.g(t)
+
+    sol, pairs = ivp_nodes(g, t_max, step, 3.0)
+    full, full_pairs = ivp_nodes(profile.g, t_max, step, math.inf)
+    grid, values, derivs = rk4_reference(profile.g, t_max, step)
+    n = len(grid) - 1
+    stop = next((i for i in range(1, n + 1) if (i - 1) * grid[1] + grid[1] > 3.0), n)
+    assert len(calls) == 2 * stop + 1, (len(calls), stop)
+    assert array("d", (h for h, _ in pairs[:stop + 1])).tobytes() == values[:stop + 1].tobytes()
+    assert array("d", (hp for _, hp in pairs[:stop + 1])).tobytes() == derivs[:stop + 1].tobytes()
+    for (h, hp), (h_full, hp_full) in zip(pairs[stop:], full_pairs[stop:]):
+        assert abs(h - h_full) <= 1e-12 * h_full and hp == hp_full == derivs[stop]
+    for t in (0.5 * grid[stop], grid[stop] + 0.37 * (t_max - grid[stop]), t_max):
+        assert abs(sol.value(t) - full.value(t)) <= 1e-12 * full.value(t), t
+    assert sol.end_slope == full.end_slope
+
+
 def test_quadrature_and_ivp_determinism():
     f = lambda t: t**3 / (1.0 + t * t) ** 4
     assert integrate_finite(f, 0.0, 1.0) == integrate_finite(f, 0.0, 1.0)
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
-    (a, a_pairs), (b, b_pairs) = ivp_nodes(g, 5.0, 1e-3), ivp_nodes(g, 5.0, 1e-3)
+    (a, a_pairs), (b, b_pairs) = (ivp_nodes(g, 5.0, 1e-3, math.inf) for _ in range(2))
     assert a_pairs == b_pairs
     n = grid_steps(5.0, 1e-3)
     assert panel_volumes(a.value, 5.0, n, 4, 2.0)(4.321) == panel_volumes(
