@@ -25,8 +25,8 @@ from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 from .numerics import (
-    SERIES_MAX_TERMS, SeriesError, Warping, grid_steps, panel_volumes, require_finite_nodes,
-    series_warping, series_width, solve_h_ivp,
+    SERIES_MAX_TERMS, OdeError, SeriesError, Warping, panel_volumes, series_warping,
+    series_width, solve_h_ivp,
 )
 from .talenti import sphere_area, unit_ball_volume
 
@@ -45,7 +45,8 @@ class CurvatureProfile:
     method, or a closure that __init__ binds, as Tabulated does) and
     moment_tail(t_from), the integral of t G(t) over [t_from, inf), and,
     unless it is flat, warping(t_max, step): the solution of h'' = G h,
-    h(0) = 0, h'(0) = 1 on [0, t_max] as a numerics.Warping."""
+    h(0) = 0, h'(0) = 1 on [0, t_max] as a numerics.Warping.  step is the
+    RK4 step, which only ConstantCutoff's sweep reads."""
 
     @property
     def b(self) -> float:
@@ -105,7 +106,8 @@ class RationalDecay(CurvatureProfile):
         return self._two_b0 / (1.0 + t * t) ** 2
 
     def moment_tail(self, t_from):
-        return self.b0 / (1.0 + t_from**2)
+        # t_from * t_from is inf, and the moment 0, where t_from**2 raises.
+        return self.b0 / (1.0 + t_from * t_from)
 
     def warping(self, t_max: float, step: float) -> Warping:
         """The warping in closed form, with no IVP sweep.
@@ -114,11 +116,11 @@ class RationalDecay(CurvatureProfile):
         h = sqrt(1+t^2) S(theta) and h' = (t S(theta) + C(theta))/sqrt(1+t^2),
         where S = sin(r theta)/r and C = cos(r theta) for k > 0, sinh and
         cosh for k < 0, and S = theta, C = 1 for k = 0.  sqrt(1+t^2) is
-        hypot(1, t), finite wherever t is.  The grid only bounds the ball
-        volume's panels and names a radius: as b0 >= 0, h and h' grow with
-        t, so finite values at t_max mean finite nodes; otherwise OdeError
-        names the first node where h or h' overflows, or failing that the
-        first where one is not finite (require_finite_nodes).
+        hypot(1, t), finite wherever t is.  As b0 >= 0, h and h' grow with
+        t, so finite values at t_max mean finite values on the window;
+        otherwise the window is halved toward the first radius where h or
+        h' is not finite, until its ends are adjacent floats, and OdeError
+        names that radius.
         """
         k = 1.0 - self._two_b0
         if k > 0.0:
@@ -136,14 +138,18 @@ class RationalDecay(CurvatureProfile):
             a = r * atan(t)
             return (t * (sn(a) / r) + cs(a)) / hypot(1.0, t)
 
-        n = grid_steps(t_max, step)
-        dt = t_max / n
+        def finite(t: float) -> bool:
+            try:
+                return math.isfinite(h(t)) and math.isfinite(h_prime(t))
+            except OverflowError:
+                return False
 
-        def pair(i: int) -> tuple[float, float]:
-            t = t_max if i == n else i * dt
-            return h(t), h_prime(t)
-
-        require_finite_nodes(dt, n, pair)
+        if not finite(t_max):
+            lo, hi = 0.0, t_max
+            # lo + (hi - lo) / 2, as lo + hi may overflow near 1e308.
+            while lo < (mid := lo + (hi - lo) / 2) < hi:
+                lo, hi = (mid, hi) if finite(mid) else (lo, mid)
+            raise OdeError(hi)
         return Warping(h, h_prime(t_max))
 
 
@@ -207,16 +213,13 @@ class Tabulated(CurvatureProfile):
         binomial series about t0 has g_j = g_(j-1) (-q - j + 1)/(j t0) and
         converges for |s| < t0.  Every node and t_max is a piece end, and a
         piece is at most series_width(g0, g1) wide, and t0/4 on a curved
-        tail, so the terms of its series fall at least like 4^-k.  The grid
-        only bounds the ball volume's panels, but an oversized one is still
-        refused (grid_steps).
+        tail, so the terms of its series fall at least like 4^-k.
 
         Raises:
             SeriesError: a piece would be narrower than the float spacing
                 at its start, or its series did not converge.
             OdeError: h or h' is not finite at a piece end.
         """
-        grid_steps(t_max, step)
         grid, values, slopes, q = self.grid, self.values, self.slopes, self.tail_power
         t_last, v_last = grid[-1], values[-1]
         pieces = []
@@ -454,9 +457,9 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
 
     profile.warping gives h on the window and h' at its end: in closed
     form for RationalDecay, as a piecewise Taylor series for Tabulated,
-    from the RK4 sweep of the IVP for ConstantCutoff.  The ball volume is
-    panel_volumes over that h, whichever way it was computed.  Past the
-    window h continues linearly from its value and slope at T = t_max.
+    from the RK4 sweep of the IVP for ConstantCutoff, the one reader of
+    step.  The ball volume is panel_volumes over that h, however computed.
+    Past the window h continues linearly from its value and slope at T = t_max.
     The true h satisfies w <= h <= w * F there, where w is that
     continuation and F = exp(kappa * integral of s G(s) over [T, inf))
     with kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
@@ -479,7 +482,7 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         curvature=profile.g,
         # Ahead of ball_volume: where t_max^2 overflows, the refusal is the tail's.
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
-        ball_volume=panel_volumes(value, t_max, grid_steps(t_max, step), m, sphere_area(m)),
+        ball_volume=panel_volumes(value, t_max, m, sphere_area(m)),
     )
 
 

@@ -18,11 +18,11 @@ control of its own: the caller's step is its accuracy, which the tests
 pin against closed forms and high-precision reference solutions, and it
 stops where G has vanished for good, past which h is a line.  Either
 output is a Warping, the one shape of every warping, closed forms
-included: h as a function and h' at the window's end.  The sweep keeps
-its nodes as stdlib ``array("d")`` columns, which its dense output reads.
-Every warping's ball volume is one rule, checked Gauss panels over h
-(panel_volumes).  grid_steps caps a grid at MAX_GRID_STEPS steps.  A
-warping's finiteness is checked once, as it is built.
+included: h as a function and h' at the window's end.  Only the sweep
+has a grid (grid_steps), whose nodes its dense output reads from stdlib
+``array("d")`` columns.  Every warping's ball volume is one rule, checked
+Gauss panels over h (panel_volumes).  A warping's finiteness is checked
+once, as it is built.
 Nothing here needs vector arithmetic.  All routines are deterministic:
 the same inputs always produce bitwise identical results.  Every error
 that fails a check rather than refusing an input derives from
@@ -51,6 +51,7 @@ class OdeError(CheckFailed):
 
     def __init__(self, t: float):
         super().__init__(f"warping solution became non-finite near t={t:g}")
+        self.t = t
 
 
 class SeriesError(CheckFailed):
@@ -265,16 +266,16 @@ def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
     return _gauss_halves(f, a, b, whole, PANEL_REL_TOL * abs(whole), 0)
 
 
-# Most steps of a warping grid: the RK4 sweep's two float columns take
-# 160 MB at the cap, and no ball volume has more panels.
+# Most steps of the RK4 sweep's grid: its two float columns take 160 MB
+# at the cap.
 MAX_GRID_STEPS = 10_000_000
 
 
 def grid_steps(t_max: float, step: float) -> int:
     """The number n = round(t_max / step), at least 1, of uniform steps of
-    a warping grid.  The grid convention of every warping: the steps are
-    t_max / n, node i is at i * t_max / n, and the last node, i = n, is
-    t_max itself, whatever n steps round to.
+    the RK4 sweep's grid: the steps are t_max / n, node i is at
+    i * t_max / n, and the last node, i = n, is t_max itself, whatever n
+    steps round to.
 
     Raises:
         ValueError: non-positive step or window, or n > MAX_GRID_STEPS.
@@ -291,9 +292,8 @@ def grid_steps(t_max: float, step: float) -> int:
 class Warping(NamedTuple):
     """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max]:
     value is h as a function on the window, and end_slope the number
-    h'(t_max), from which a model continues h past the window.  Its grid
-    is the one grid_steps gives, and its ball volume is panel_volumes over
-    value, whatever computed h.
+    h'(t_max), from which a model continues h past the window.  Its ball
+    volume is panel_volumes over value, whatever computed h.
     """
 
     value: Callable[[float], float]
@@ -301,48 +301,32 @@ class Warping(NamedTuple):
 
 
 def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> None:
-    """Raise OdeError at the first node i * step where h or h' is not
-    finite; pair(i) is node i's (h, h').
-
-    Only node n is read when it is finite: the callers' nodes never turn
-    finite again, as in an RK4 sweep of this linear system, or in a closed
-    form whose h and h' grow with t.  Where a closed form overflows (sinh
-    or cosh of a large argument), the scan from node 0 raises OdeError at
-    its first such node, even past a node that is only not finite.
-    """
-    try:
-        if all(map(math.isfinite, pair(n))):
-            return
-    except OverflowError:
-        pass
-    first = None
-    for i in range(n + 1):
-        try:
-            if not all(map(math.isfinite, pair(i))) and first is None:
-                first = i
-        except OverflowError:
-            raise OdeError(i * step) from None
-    raise OdeError(first * step)
+    """Raise OdeError at the first node i * step of the RK4 sweep where h or
+    h' is not finite; pair(i) is node i's (h, h'), and when node n is
+    finite it is the only one read (solve_h_ivp says why)."""
+    if all(map(math.isfinite, pair(n))):
+        return
+    raise OdeError(next(i for i in range(n + 1) if not all(map(math.isfinite, pair(i)))) * step)
 
 
-# A ball volume cuts its window into ceil(t_max / PANEL_WIDTH) panels, or
-# into its grid's n steps where those are wider.
+# A ball volume cuts its window into ceil(t_max / PANEL_WIDTH) panels, and
+# a window wider than MAX_PANELS * PANEL_WIDTH into MAX_PANELS wider ones.
 PANEL_WIDTH = 0.25
+MAX_PANELS = 4096
 
 
-def panel_volumes(h, t_max, n, m, om):
+def panel_volumes(h, t_max, m, om):
     """The ball volume t -> om * integral of h^(m-1) over [0, t] of a
-    warping h on [0, t_max], on a grid of n steps: the closed form of a
-    `rational:` spec, analytic, a `table:` spec's series, analytic between
-    its nodes, or the RK4 sweep's dense output, a cubic on each grid step
-    below the sweep's stop and a line past it; integrate_panel takes each
-    panel to rounding, and halves one where a table node, or the joins of
-    the sweep's cubics, whose h'' jumps, spoil the rule.  No panel
-    is narrower than a grid step, so the panels are no more than
-    MAX_GRID_STEPS.  The panel sums are one running prefix at the panel
-    edges, summed only as far as a lookup reads; a lookup in panel i adds
-    the part [edge i, t] of its panel by the same rule."""
-    k = min(math.ceil(t_max / PANEL_WIDTH), n)
+    warping h on [0, t_max]: the closed form of a `rational:` spec,
+    analytic, a `table:` spec's series, analytic between its nodes, or the
+    RK4 sweep's dense output, a cubic on each grid step below the sweep's
+    stop and a line past it.  Whatever computed h, its k equal panels are
+    set by t_max alone; integrate_panel takes each to rounding, and halves
+    one where a table node, or the joins of the sweep's cubics, whose h''
+    jumps, spoil the rule.  The panel sums are one running prefix at the
+    panel edges, summed only as far as a lookup reads; a lookup in panel i
+    adds the part [edge i, t] of its panel by the same rule."""
+    k = min(math.ceil(t_max / PANEL_WIDTH), MAX_PANELS)
     width = t_max / k
     vol = array("d", [0.0])
     area = lambda t: om * h(t) ** (m - 1)
@@ -393,11 +377,12 @@ def series_warping(pieces) -> Warping:
     polys = []
     for t0, t1, gs in pieces:
         w = t1 - t0
-        w2 = w * w
         d = [h, slope * w]
         h_sum, hp_sum, small = d[0] + d[1], d[1], 0
         for k in range(2, SERIES_MAX_TERMS):
-            c = w2 * sum(g * d[k - 2 - j] for j, g in enumerate(gs[:k - 1])) / (k * (k - 1))
+            # w (w sum) rather than w^2 sum, as w^2 overflows on a tail
+            # piece wider than about 1.3e154, where h may still be finite.
+            c = w * (w * sum(g * d[k - 2 - j] for j, g in enumerate(gs[:k - 1]))) / (k * (k - 1))
             d.append(c)
             h_sum += c
             hp_sum += k * c
@@ -453,12 +438,12 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float,
     t_max (or within the window's 1e-12 slack past it) returns the last
     node's h exactly, and one outside the window raises ValueError.  There
     is no error estimate; the step is the accuracy control, of h and so of
-    the ball volume, which panel_volumes takes exactly for this h.
-    Finiteness is checked once, after the sweep (require_finite_nodes): an
-    RK4 step of this linear system keeps a non-finite h or h' non-finite,
-    and the line grows with t, so the first non-finite node is the one
-    where the state blew up.  The models of `const:` specs come from this
-    sweep.
+    the ball volume, which panel_volumes takes exactly for this h, and it
+    reaches no other code.  Finiteness is checked once, after the sweep
+    (require_finite_nodes): an RK4 step of this linear system keeps a
+    non-finite h or h' non-finite, and the line grows with t, so the first
+    non-finite node is the one where the state blew up.  The models of
+    `const:` specs come from this sweep.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).

@@ -58,18 +58,24 @@ class RadialFunction(NamedTuple):
 def talenti_function(profile: TalentiProfile) -> RadialFunction:
     """The extremal profile phi_lam wrapped as a radial test function.
 
-    Its p*-mass density phi_lam^p* peaks at t = 0; where that peak is past
+    Its p*-mass density phi_lam^p* peaks at t = 0, and phi_lam' has the
+    factor (lam + t^q)^(-nu-1), lam^(-nu-1) at t = 0; where either is past
     the float range (a tiny lam), the scale is refused with ValueError
     before any functional integrates it.
     """
     params = profile.params
-    try:
-        peak = profile.phi(0.0) ** params.p_star
-    except OverflowError:
-        peak = math.inf
-    if not peak < math.inf:
-        raise ValueError(f"the p*-mass density phi_lambda(0)^p* overflows at "
-                         f"scale lambda={profile.lam:g}")
+    at_zero = (
+        ("the p*-mass density phi_lambda(0)^p*", lambda: profile.phi(0.0) ** params.p_star),
+        ("the factor (lambda + t^q)^(-nu-1) of phi_lambda' at t = 0",
+         lambda: profile.lam ** (-profile.nu - 1.0)),
+    )
+    for quantity, value in at_zero:
+        try:
+            finite = value() < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{quantity} overflows at scale lambda={profile.lam:g}")
     return RadialFunction(
         eval=profile.phi,
         deriv=profile.phi_prime,

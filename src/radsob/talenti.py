@@ -85,8 +85,12 @@ def _log_kernel(params: SobolevParams, shift: float) -> float:
 
 
 def sharp_beta(params: SobolevParams) -> float:
-    """Normalisation beta making the profile's p*-mass equal one."""
-    return math.exp(-_log_kernel(params, 0.0) / params.p_star)
+    """Normalisation beta making the profile's p*-mass equal one; raises
+    ValueError where it is past the float range (m = 1000 at p = 2)."""
+    try:
+        return math.exp(-_log_kernel(params, 0.0) / params.p_star)
+    except OverflowError:
+        raise ValueError(f"the profile's beta overflows at m={params.m}, p={params.p:g}") from None
 
 
 def sharp_constant(params: SobolevParams) -> float:

@@ -21,9 +21,7 @@ from unittest import mock
 
 from radsob import numerics
 from radsob.model_manifold import ModelManifold, _require_dimension
-from radsob.numerics import (
-    grid_steps, integrate_panel, panel_volumes, require_finite_nodes, solve_h_ivp,
-)
+from radsob.numerics import integrate_panel, panel_volumes, require_finite_nodes, solve_h_ivp
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
 
@@ -325,17 +323,17 @@ def hermite_reference(grid, values, derivs, t):
 # -- Reference formulas evaluated through the package ----------------------
 
 
-def panel_volume_reference(m, h, t_max, n):
+def panel_volume_reference(m, h, t_max):
     """Ball volume V(B_t) of a warping h on [0, t_max].
 
     The plain eager panel sum that a model's volume lookup must reproduce
     bit for bit, whichever way its h was computed: the integrals of
-    omega_sphere h^(m-1) over the min(ceil(t_max / 0.25), n) equal panels,
+    omega_sphere h^(m-1) over the min(ceil(t_max / 0.25), 4096) equal panels,
     each by integrate_panel and all summed up front in order; a lookup in
     panel i adds the part [edge i, t] of its panel by the same rule.
     Returns V as a function.
     """
-    k = min(math.ceil(t_max / 0.25), n)
+    k = min(math.ceil(t_max / 0.25), 4096)
     width = t_max / k
     om = sphere_area(m)
 
@@ -456,7 +454,7 @@ def spot_check(u):
 # -- Closed-form models without a curvature profile ------------------------
 
 
-def model_from_warping(m, h, h_prime, h_second, t_max, step):
+def model_from_warping(m, h, h_prime, h_second, t_max):
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
     h' is checked at the apex only; the ball volume is panel_volumes over
@@ -478,12 +476,12 @@ def model_from_warping(m, h, h_prime, h_second, t_max, step):
         profile=None,
         warp=h,
         curvature=curvature,
-        ball_volume=panel_volumes(h, t_max, grid_steps(t_max, step), m, sphere_area(m)),
+        ball_volume=panel_volumes(h, t_max, m, sphere_area(m)),
         tail_factor=1.0,
     )
 
 
-def conical_model(m, c, t_max, step):
+def conical_model(m, c, t_max):
     """Nonnegatively curved model opening onto a cone of slope c in (0, 1].
 
     h(t) = c t + (1-c)(1 - e^-t) interpolates between the Euclidean apex
@@ -499,5 +497,4 @@ def conical_model(m, c, t_max, step):
         h_prime=lambda t: c + d * math.exp(-t),
         h_second=lambda t: -d * math.exp(-t),
         t_max=t_max,
-        step=step,
     )

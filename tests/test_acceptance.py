@@ -177,7 +177,7 @@ def test_06_constant_estimate_and_quotient_floor():
     flat_q = _oracles.sobolev_quotient(talenti_function(TalentiProfile.build(P42, 1.0)), EUC4)
     rel = abs(flat_q ** (-1.0 / P42.p) - K42) / K42
     floor_ok = flat_q >= floor * (1.0 - 1e-6)
-    con = conical_model(4, 0.8, 50.0, 1e-3)
+    con = conical_model(4, 0.8, 50.0)
     worst_q = 0.0
     for lam in (0.5, 1.0, 5.0):
         u = talenti_function(TalentiProfile.build(P42, lam))
@@ -212,7 +212,7 @@ def test_07_mass_escape_to_infinity():
 def test_08_monotone_volume_ratio_profile():
     # The cone's constant in closed form: K theta^(-1/m), theta = c^(m-1)
     # its asymptotic volume ratio (Balogh-Kristaly).
-    con = conical_model(4, 0.8, 50.0, 1e-3)
+    con = conical_model(4, 0.8, 50.0)
     grid = [50.0 * (i + 1) / 100.0 for i in range(100)]
     report = verify_theorem(con, P42, grid, K42 * (0.8**3) ** -0.25, None, 1e-9)
     values = [v for _, v in report.v_profile]

@@ -36,6 +36,28 @@ except ImportError:
     HAS_HYPOTHESIS = False
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+
+def _perfbench_module(name: str) -> types.ModuleType:
+    """A perfbench module, run from its source so that nothing is written there."""
+    path = GOLDEN.parent / f"{name}.py"
+    module = types.ModuleType(name)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+WORKLOADS = _perfbench_module("workloads")
+# The benchmark's seed-0 curvature table, by the relative path that its
+# golden argvs name; _write_seed0_table writes it under a run's directory.
+SEED0_TABLE = WORKLOADS.table_path(0)
+
+
+def _write_seed0_table(root: Path) -> None:
+    table = root / SEED0_TABLE
+    table.parent.mkdir(parents=True, exist_ok=True)
+    table.write_text(WORKLOADS.curvature_table(0))
+
+
 # Reports pinned byte for byte here rather than in golden.json, which
 # changes only with the benchmark.  `model --g rational:0.1 --t-max 20
 # --step 1e-2` moved twice: its areas by RK4's own error at step 1e-2, at
@@ -129,14 +151,18 @@ NAMED_REFUSALS = {
     ("rigidity", "--g", "zero", "--t-max", "1e-300", "--step", "1e-2", "--c-m", "0.4"):
         "the Euclidean ball volume at radius t=5e-302 is not positive, "
         "so the volume ratio is undefined there",
-    # The closed-form warping stays finite at these windows (sqrt(1+t^2) is
-    # hypot(1, t)), and the moment past t_max squares t_max out of range.
+    # The closed-form warping and the series stay finite at these windows
+    # (sqrt(1+t^2) is hypot(1, t)), and so does the moment past t_max, but
+    # the first chain radius, 0.01 t_max, and the first rigidity radius,
+    # 0.05 t_max, have a Euclidean ball volume past the float range.
     **{
         (command, "--g", "rational:0.1", "--t-max", t_max, "--step", step, *extra):
-            "an input is outside the representable range"
-        for command, extra in (("verify", ()), ("model", ()), ("rigidity", ("--c-m", "0.4")))
-        for t_max, step in (("1e200", "1e199"), ("1e160", "1e159"))
+            f"the Euclidean ball volume at radius t={first}e+{exponent} overflows at m=4"
+        for command, extra, first in (("model", (), 1), ("rigidity", ("--c-m", "0.4"), 5))
+        for t_max, step, exponent in (("1e200", "1e199", 198), ("1e160", "1e159", 158))
     },
+    ("model", "--g", f"table:{SEED0_TABLE}", "--t-max", "1e300"):
+        "the Euclidean ball volume at radius t=1e+298 overflows at m=4",
     # At m = 300 a ball volume or sphere area on the report's grid is out
     # of range: the model names the quantity, the radius and m.
     ("model", "--m", "300", "--g", "zero"):
@@ -173,12 +199,21 @@ NAMED_REFUSALS = {
     # phi_lambda(0)^p* = beta^4 / lambda^2 at (4, 2).
     ("verify", "--m", "4", "--p", "2", "--g", "zero", "--lambda", "1e-308"):
         "the p*-mass density phi_lambda(0)^p* overflows at scale lambda=1e-308",
+    # phi_lambda(0)^p* = beta^3 / lambda is finite at (3, 1.5), but the
+    # factor of phi_lambda' at t = 0 is lambda^(-2).
+    ("verify", "--m", "3", "--p", "1.5", "--g", "zero", "--lambda", "1e-308"):
+        "the factor (lambda + t^q)^(-nu-1) of phi_lambda' at t = 0 overflows "
+        "at scale lambda=1e-308",
+    # beta is the exponential of 1361, where K(1000, 2) is about 0.0153.
+    ("constants", "--m", "1000", "--p", "2"):
+        "the profile's beta overflows at m=1000, p=2",
 }
 
 
 def _usage_error_argvs(tmp_path) -> list:
-    """The argvs that test_exit_codes_usage_errors expects to exit 2; the
-    malformed curvature tables they read are written to tmp_path."""
+    """The argvs that test_exit_codes_usage_errors expects to exit 2, run
+    in tmp_path; the curvature tables they read are written there."""
+    _write_seed0_table(tmp_path)
     tables = {
         "nan_value": "0 0.3\n1 nan\n2 0.1\n# tail_power=3\n",
         "inf_value": "0 inf\n1 0.25\n2 0.1\n# tail_power=3\n",
@@ -243,7 +278,8 @@ def _usage_error_argvs(tmp_path) -> list:
     ]
 
 
-def test_exit_codes_usage_errors(capsys, tmp_path):
+def test_exit_codes_usage_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for argv in _usage_error_argvs(tmp_path):
         rc = main(argv)
         err = capsys.readouterr().err
@@ -364,24 +400,33 @@ def test_rigidity_refuses_infinite_upper_bound_before_the_ivp(capsys, monkeypatc
     assert solved == []
 
 
-def test_a_grid_no_machine_can_hold_is_refused(capsys):
-    """At --step 1e-12 a curved model's grid would have 5e13 steps: model,
-    verify and rigidity exit 2 before any node is computed, for the closed
-    form and the RK4 sweep alike.  Flat space builds no grid and still runs."""
+def test_a_grid_no_machine_can_hold_is_refused(capsys, tmp_path, monkeypatch):
+    """At --step 1e-12 the RK4 sweep of a const: model would have 5e13
+    steps: model, verify and rigidity exit 2 before any node is computed.
+    The closed form of rational:, the series of table: and flat space have
+    no grid: at that step they print the default step's exit code, stdout
+    and stderr, but for the header's step=."""
+    monkeypatch.chdir(tmp_path)
+    _write_seed0_table(tmp_path)
     commands = (("model", ()), ("verify", ()), ("rigidity", ("--c-m", "0.4")))
-    for g in ("rational:0.1", "const:0.05:3"):
-        for command, extra in commands:
-            argv = [command, "--g", g, "--step", "1e-12", *extra]
-            assert main(argv) == 2, argv
-            out, err = capsys.readouterr()
-            assert out == "" and err == (
-                "error: step 1e-12 on [0, 50] needs 5e+13 grid steps, "
-                "more than the 10,000,000 a warping grid may have\n"
-            ), (argv, err)
     for command, extra in commands:
-        argv = [command, "--g", "zero", "--step", "1e-12", *extra]
-        assert main(argv) == 0, argv
-        assert capsys.readouterr().err == "", argv
+        argv = [command, "--g", "const:0.05:3", "--step", "1e-12", *extra]
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: step 1e-12 on [0, 50] needs 5e+13 grid steps, "
+            "more than the 10,000,000 a warping grid may have\n"
+        ), (argv, err)
+    for g in ("rational:0.1", f"table:{SEED0_TABLE}", "zero"):
+        for command, extra in commands:
+            runs = []
+            for step in (["--step", "1e-12"], []):
+                rc = main([command, "--g", g, *step, *extra])
+                out, err = capsys.readouterr()
+                out, headers = re.subn(r" step=(1e-12|0\.001) ", " step=* ", out)
+                assert headers == (1 if out else 0), (g, command, out)
+                runs.append((rc, out, err))
+            assert runs[0] == runs[1], (g, command, runs)
 
 
 def test_cli_import_does_not_load_numpy():
@@ -465,8 +510,9 @@ def test_flat_verify_passes_across_dimensions_and_exponents(capsys):
 
 def test_warping_past_the_float_range_fails_its_check(capsys):
     """sinh of the closed form overflows for a huge b0: exit 1, naming the
-    first node where the warping is not finite, with no traceback."""
-    for b0, t in (("1e6", "0.55"), ("200000", "2.09")):
+    first radius where the warping is not finite, not a node of the step's
+    grid, with no traceback."""
+    for b0, t in (("1e6", "0.5494"), ("200000", "2.08377")):
         argv = ["verify", "--g", f"rational:{b0}", "--t-max", "5", "--step", "1e-2"]
         assert main(argv) == 1, argv
         out, err = capsys.readouterr()
@@ -520,12 +566,12 @@ def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, mo
     points = []
     panel_volumes = model_manifold.panel_volumes
 
-    def counted(h, t_max, n, m, om):
+    def counted(h, t_max, m, om):
         def h_counted(t):
             points.append(t)
             return h(t)
 
-        return panel_volumes(h_counted, t_max, n, m, om)
+        return panel_volumes(h_counted, t_max, m, om)
 
     monkeypatch.setattr(model_manifold, "panel_volumes", counted)
     table = tmp_path / "curvature.txt"
@@ -721,6 +767,22 @@ def test_limits_at_the_ends_of_the_float_range(capsys):
         assert lines[-1 - len(tail_rows):-1] == tail_rows, (argv, out)
 
 
+def test_verify_at_the_end_of_the_float_range(capsys, tmp_path, monkeypatch):
+    """Windows far out, where the closed form and the series stay finite
+    and the moment past t_max is 0: the flux radii lie inside the window,
+    so verify passes, as neither the grid nor the square of t_max refuses."""
+    monkeypatch.chdir(tmp_path)
+    _write_seed0_table(tmp_path)
+    for argv in (
+        ["verify", "--g", "rational:0.1", "--t-max", "1e200", "--step", "1e199"],
+        ["verify", "--g", "rational:0.1", "--t-max", "1e160", "--step", "1e159"],
+        ["verify", "--g", "rational:0.1", "--t-max", "1e300"],
+        ["verify", "--g", f"table:{SEED0_TABLE}", "--t-max", "1e300"],
+    ):
+        rc, out = _run(capsys, argv)
+        assert rc == 0 and out.endswith("# pass=true\n"), (argv, rc, out)
+
+
 def test_rigidity_csv_flat_user_constant(capsys):
     rc, out = _run(capsys, ["rigidity", "--g", "zero", "--c-m", "0.35"])
     assert rc == 0
@@ -869,14 +931,6 @@ def test_closed_form_model_report_prints_the_exact_area(capsys):
                                                       _oracles.VOLUME_RATIONAL01[0.2])
 
 
-def _perfbench_module(name: str) -> types.ModuleType:
-    """A perfbench module, run from its source so that nothing is written there."""
-    path = GOLDEN.parent / f"{name}.py"
-    module = types.ModuleType(name)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
-
 def test_other_golden_reports_match_within_the_gate_tolerance(tmp_path, monkeypatch, capsys):
     """The golden invocations not pinned byte for byte to golden.json above:
     exact exit code, and the benchmark gate's comparison (numbers within
@@ -884,14 +938,11 @@ def test_other_golden_reports_match_within_the_gate_tolerance(tmp_path, monkeypa
     reports differs by host, and tests/reports.json pins a closed-form
     report that golden.json holds from the RK4 sweep."""
     gate = _perfbench_module("gate")
-    workloads = _perfbench_module("workloads")
     golden = json.loads(GOLDEN.read_text())
     others = [key for key in golden
               if key in REPORTS or key not in README_INVOCATIONS + RIGIDITY_INVOCATIONS]
     assert len(others) == 11
-    table = tmp_path / workloads.table_path(0)
-    table.parent.mkdir(parents=True)
-    table.write_text(workloads.curvature_table(0))
+    _write_seed0_table(tmp_path)
     monkeypatch.chdir(tmp_path)
     for invocation in others:
         rc, out = _run(capsys, invocation.split())
@@ -950,10 +1001,6 @@ def test_every_top_level_function_is_reached_by_a_cli_run(tmp_path):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert set(UNREACHED) <= defined, sorted(set(UNREACHED) - defined)
-    workloads = _perfbench_module("workloads")
-    table = tmp_path / workloads.table_path(0)
-    table.parent.mkdir(parents=True)
-    table.write_text(workloads.curvature_table(0))
     argvs = [key.split() for key in json.loads(GOLDEN.read_text())]
     argvs += _usage_error_argvs(tmp_path) + [["constants", "--help"]]
     path = os.pathsep.join(filter(None, (str(package.parent), os.environ.get("PYTHONPATH"))))
@@ -1020,9 +1067,10 @@ if HAS_HYPOTHESIS:
         *(f"const:0.1:{x}" for x in _DEGENERATE),
     ]
 
-    # t_max / step sizes the warping arrays, so the only step below 1e-3 is
-    # 1e-12, which grid_steps refuses (exit 2) before any array is filled,
-    # except at t_max 1e-300, where it is one step.
+    # t_max / step sizes the RK4 sweep's arrays, so the only step below 1e-3
+    # is 1e-12, which grid_steps refuses for a const: spec (exit 2) before
+    # any array is filled, except at t_max 1e-300, where it is one step; a
+    # rational: spec reads no step.
     @given(
         command=st.sampled_from(["model", "verify", "rigidity"]),
         m=st.sampled_from(["4", "3", "5", "2", "nan", "0", "-1"]),

@@ -489,3 +489,49 @@ def test_no_private_function_takes_a_constant_as_a_parameter():
     assert not flagged, (
         f"every call passes the same constant (line, function, parameter): {flagged!r}"
     )
+
+
+# The RK4 sweep's grid belongs to numerics.solve_h_ivp: no other code of
+# src/radsob calls grid_steps, so --step reaches no ball volume, closed
+# form or series, only the sweep of a const: spec.
+
+def _grid_steps_callers(source: str) -> list:
+    """(line, function) of each call of grid_steps, by name or as an
+    attribute, with the innermost function or method that makes it, or
+    "<module>" outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and "grid_steps" in (getattr(func, "id", None),
+                                                                getattr(func, "attr", None)):
+                found.append((child.lineno, owner))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_flags_a_grid_outside_the_sweep():
+    source = (
+        "from .numerics import grid_steps\n\n\n"
+        "def solve_h_ivp(t_max, step):\n    return grid_steps(t_max, step)\n\n\n"
+        "class Profile:\n    def warping(self, t_max, step):\n"
+        "        def panels():\n            return numerics.grid_steps(t_max, step)\n\n"
+        "        return panels\n\n\n"
+        "N = grid_steps(1.0, 0.1)\ncap = grid_steps\n"
+    )
+    # A reference that is not a call (cap) reads no grid.
+    assert _grid_steps_callers(source) == [(5, "solve_h_ivp"), (11, "panels"), (16, "<module>")]
+
+
+def test_only_the_sweep_calls_grid_steps():
+    callers = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := [c for c in _grid_steps_callers(path.read_text()) if c[1] != "solve_h_ivp"])
+    }
+    assert not callers, f"grid_steps called outside solve_h_ivp (line, function): {callers!r}"
+    assert _grid_steps_callers((PACKAGE / "numerics.py").read_text())

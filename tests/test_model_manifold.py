@@ -185,7 +185,7 @@ def test_euclidean_volume_is_one_reference_with_one_refusal():
     """omega_m t^m bit for bit on the radii of `rigidity --t-max 50`, and the
     shared refusal where t^m underflows, on an IVP and a closed-form model."""
     om = unit_ball_volume(4)
-    for model in (RAT01, conical_model(4, 0.8, 50.0, 1e-3)):
+    for model in (RAT01, conical_model(4, 0.8, 50.0)):
         for t in _rigidity_grid(50.0):
             assert model.euclidean_volume(t) == om * t**4, (model, t)
         with pytest.raises(ValueError) as refused:
@@ -214,7 +214,7 @@ def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         build_model(1, RationalDecay(0.1), 50.0, 1e-3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
-        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0, 1e-3)
+        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0)
     assert solved == []
 
 
@@ -271,31 +271,37 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
     assert abs(warping.end_slope - ivp.end_slope) <= 1e-12 * ivp.end_slope
 
 
-# (b0, t_max, step, the radius OdeError names): sinh of a large r theta
-# overflows (b0 >= 1e5), or sqrt(1+t^2) S passes the float range (b0 = 1).
-# The first node that is not finite is interior, the last interior one, or
-# t_max alone.  At b0 = 102378.625 (r = 452.5) nodes 5 to 14 are infinite
-# and nodes 15 to 20 overflow: the first overflow is named, as when every
-# node was computed before the finiteness check.
-FIRST_UNREPRESENTABLE_NODES = (
-    (1e6, 5.0, 1e-2, "0.55"),
-    (1.0, 1e308, 1e307, "8e+307"),
-    (180000.5, 4.0, 1.0, "3"),
-    (1.0, 9e307, 1e307, "8e+307"),
-    (151250.5, 4.0, 1.0, "4"),
-    (1.0, 8e307, 1e307, "8e+307"),
-    (1.0, 8.5e307, 1e307, "8.5e+307"),
-    (102378.625, 2000.0, 100.0, "1500"),
+# (b0, t_max, the radius OdeError names): sinh of a large r theta overflows
+# (b0 >= 1e5), or sqrt(1+t^2) S passes the float range (b0 = 1, where h is
+# about 2.3 t).  The radius is the window's own, the same for a window of
+# 5 or of 1e300; at b0 = 102378.625 (r = 452.5) h is infinite before sinh
+# overflows.
+FIRST_UNREPRESENTABLE_RADII = (
+    (1e6, 5.0, "0.5494"),
+    (1e6, 1e300, "0.5494"),
+    (200000.0, 5.0, "2.08377"),
+    (180000.5, 4.0, "2.45594"),
+    (151250.5, 4.0, "3.4903"),
+    (102378.625, 2000.0, "451.709"),
+    (1.0, 1e308, "7.81165e+307"),
+    (1.0, 8e307, "7.81165e+307"),
 )
 
 
-def test_rational_closed_form_names_the_first_node_it_cannot_represent():
+def test_rational_closed_form_names_the_first_radius_it_cannot_represent():
     """The build reads h and h' at t_max; where they are not finite, OdeError
-    names the first node that is not, in the words of an eager node loop."""
-    for b0, t_max, step, t in FIRST_UNREPRESENTABLE_NODES:
+    names the first float radius where they are not, which the window does
+    not move: a window ending one float below it builds, and one ending at
+    it fails."""
+    for b0, t_max, t in FIRST_UNREPRESENTABLE_RADII:
+        profile = RationalDecay(b0)
         with pytest.raises(OdeError) as info:
-            RationalDecay(b0).warping(t_max, step)
-        assert str(info.value) == f"warping solution became non-finite near t={t}", b0
+            profile.warping(t_max, 1e-3)
+        assert str(info.value) == f"warping solution became non-finite near t={t}", (b0, t_max)
+        radius = info.value.t
+        assert isinstance(profile.warping(math.nextafter(radius, 0.0), 1e-3), Warping), b0
+        with pytest.raises(OdeError):
+            profile.warping(radius, 1e-3)
 
 
 def test_build_model_runs_the_ivp_only_for_const(monkeypatch):
@@ -411,31 +417,33 @@ def test_rational_ball_volume_matches_the_30_digit_literals():
 
 
 def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
-    """No panel is narrower than a grid step, so the grid cap bounds a
-    closed-form ball volume's cost as it bounds a sweep's: on [0, 1e6] at
-    step 1e2, V(B_8e5) evaluates h about 30 times per grid step below 8e5,
-    not 120 times per unit of radius, and the wide panels still meet the
-    30-digit literals to 1e-13."""
-    budget = 31 * 8_000
+    """A ball volume has at most MAX_PANELS = 4096 panels, whatever the
+    step: on [0, 1e6], at step 1e2, 1e-3 (5e8 grid steps, past the sweep's
+    cap) and 1e-12, V(B_8e5) evaluates h at most 31 times per panel, not
+    120 times per unit of radius, and the panels, 244 wide, still meet
+    the 30-digit literals to 1e-13."""
+    assert numerics.MAX_PANELS == 4096
+    budget = 31 * numerics.MAX_PANELS
     points = []
     panel_volumes = model_manifold.panel_volumes
 
-    def counted(h, t_max, n, m, om):
+    def counted(h, t_max, m, om):
         def h_counted(t):
             points.append(t)
-            assert len(points) <= budget, "h evaluated past the budget of the grid"
+            assert len(points) <= budget, "h evaluated past the budget of the panels"
             return h(t)
 
-        return panel_volumes(h_counted, t_max, n, m, om)
+        return panel_volumes(h_counted, t_max, m, om)
 
     monkeypatch.setattr(model_manifold, "panel_volumes", counted)
     for m in (4, 20):
-        points.clear()
-        model = build_model(m, RationalDecay(0.1), 1e6, 1e2)
-        assert math.isfinite(model.volume(8e5))
-        for t in (0.2, 2.0, 19.0):
-            ref = _oracles.VOLUME_RATIONAL[m, 0.1, t]
-            assert abs(model.volume(t) - ref) <= 1e-13 * ref, (m, t)
+        for step in (1e2, 1e-3, 1e-12):
+            points.clear()
+            model = build_model(m, RationalDecay(0.1), 1e6, step)
+            assert math.isfinite(model.volume(8e5))
+            for t in (0.2, 2.0, 19.0):
+                ref = _oracles.VOLUME_RATIONAL[m, 0.1, t]
+                assert abs(model.volume(t) - ref) <= 1e-13 * ref, (m, step, t)
 
 
 def test_a_ball_volume_past_the_float_range_is_named():
@@ -449,7 +457,7 @@ def test_a_ball_volume_past_the_float_range_is_named():
             model.volume(20.0)
         assert str(refused.value) == "the ball volume at radius t=20 overflows at m=150"
     # Each value of omega h = 1.7e308 is finite, and a panel's sum is not.
-    summed = panel_volumes(lambda t: 1e300, 1.0, 100, 2, 1.7e8)
+    summed = panel_volumes(lambda t: 1e300, 1.0, 2, 1.7e8)
     assert math.isinf(summed(0.5))
     model = ModelManifold(2, 1.0, None, lambda t: t, lambda t: 0.0, summed, 1.0)
     with pytest.raises(ValueError, match="^the ball volume at radius t=0.5 overflows at m=2$"):
@@ -472,24 +480,27 @@ def _volume_table_cases():
     the RK4 model of a constant cutoff, the series model of a table, a
     closed-form cone and the closed-form rational profile, each summed by
     the one panel rule over its own h, and looked up on a grid of panel
-    edges.  Each factory
-    call builds a fresh model, whose table has summed nothing yet.  At
-    step 0.3 on [0, 50] the 167 grid steps are the panels, of a width
-    50/167 that no binary fraction holds."""
+    edges.  Each factory call builds a fresh model, whose table has summed
+    nothing yet.  The panels do not follow the step: at step 0.3 the
+    sweep's 167 cubics join inside the 200 panels.  On [0, 50.1] the 201
+    panels have a width 50.1/201 that no binary fraction holds."""
     cases = []
-    for name, profile in (("const:0.05:3", ConstantCutoff(0.05, 3.0)),
-                          ("table seed 0", SEED0_TABLE), ("rational:0.1", RationalDecay(0.1))):
-        for step in (1e-3, 0.3):
-            n = grid_steps(50.0, step)
-            h = profile.warping(50.0, step).value
-            cases.append((f"{name}, step {step}",
-                          lambda profile=profile, step=step: build_model(4, profile, 50.0, step),
-                          50.0, 50.0 / min(200, n), _oracles.panel_volume_reference(4, h, 50.0, n)))
+    for name, profile, t_max, step in (
+            ("const:0.05:3", ConstantCutoff(0.05, 3.0), 50.0, 1e-3),
+            ("const:0.05:3", ConstantCutoff(0.05, 3.0), 50.0, 0.3),
+            ("table seed 0", SEED0_TABLE, 50.0, 1e-3),
+            ("rational:0.1", RationalDecay(0.1), 50.1, 1e-3)):
+        h = profile.warping(t_max, step).value
+        cases.append((f"{name}, step {step}",
+                      lambda profile=profile, t_max=t_max, step=step: build_model(
+                          4, profile, t_max, step),
+                      t_max, t_max / math.ceil(t_max / 0.25),
+                      _oracles.panel_volume_reference(4, h, t_max)))
     # The cone's h, by conical_model's expression.
     c = 0.8
     cone_h = lambda t: c * t + (1.0 - c) * (1.0 - math.exp(-t))
-    cases.append(("conical:0.8", lambda: conical_model(4, c, 20.0, 1e-2), 20.0, 0.25,
-                  _oracles.panel_volume_reference(4, cone_h, 20.0, grid_steps(20.0, 1e-2))))
+    cases.append(("conical:0.8", lambda: conical_model(4, c, 20.0), 20.0, 0.25,
+                  _oracles.panel_volume_reference(4, cone_h, 20.0)))
     return cases
 
 
@@ -556,7 +567,7 @@ def test_sturm_bounds_on_warping():
 def test_radial_ricci_identities():
     for t in (0.0, 0.5, 2.0, 10.0):
         assert RAT01.radial_ricci(t) == -3.0 * RAT01.profile.g(t)
-    con = conical_model(4, 0.8, 50.0, 1e-3)
+    con = conical_model(4, 0.8, 50.0)
     for t in (0.5, 2.0, 10.0):
         assert con.radial_ricci(t) >= 0.0
     with pytest.raises(ValueError):
@@ -608,7 +619,6 @@ def test_chain_requires_moment_for_custom_warping():
         h_prime=lambda t: 1.0 + 0.02 * t,
         h_second=lambda t: 0.02,
         t_max=10.0,
-        step=1e-2,
     )
     with pytest.raises(ValueError, match="no curvature profile"):
         verify_volume_chain(custom, (1.0, 2.0), slack=1e-8)
@@ -618,25 +628,25 @@ def test_model_from_warping_validation():
     """A warping with h(0) != 0, or with h'(0) != 1, is refused."""
     for h, h_prime in ((lambda t: 1.0 + t, lambda t: 1.0), (lambda t: 2.0 * t, lambda t: 2.0)):
         with pytest.raises(ValueError, match=r"h\(0\)=0 and h'\(0\)=1"):
-            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0, 1e-3)
+            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0)
 
 
 def test_conical_model_shape():
     with pytest.raises(ValueError):
-        conical_model(4, 0.0, 50.0, 1e-3)
+        conical_model(4, 0.0, 50.0)
     with pytest.raises(ValueError):
-        conical_model(4, 1.5, 50.0, 1e-3)
-    con = conical_model(4, 0.8, t_max=20.0, step=1e-2)
+        conical_model(4, 1.5, 50.0)
+    con = conical_model(4, 0.8, t_max=20.0)
     assert con.warp(0.0) == 0.0
     assert abs(con.warp(20.0) - (0.8 * 20.0 + 0.2)) < 1e-6
-    straight = conical_model(3, 1.0, t_max=5.0, step=1e-2)
+    straight = conical_model(3, 1.0, t_max=5.0)
     for t in (0.5, 2.0, 5.0):
         assert abs(straight.warp(t) - t) < 1e-12
 
 
 def test_tail_factor():
     assert EUC4.tail_factor == 1.0
-    assert conical_model(4, 0.8, t_max=10.0, step=1e-2).tail_factor == 1.0
+    assert conical_model(4, 0.8, t_max=10.0).tail_factor == 1.0
     near = build_model(4, RationalDecay(0.1), t_max=20.0, step=1e-3)
     far = build_model(4, RationalDecay(0.1), t_max=80.0, step=1e-3)
     assert 1.0 < far.tail_factor < near.tail_factor
@@ -650,7 +660,7 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     between the model's linear continuation and that continuation times
     its tail factor."""
     om = RAT01.omega_sphere
-    ivp_volume = panel_volumes(RAT01_IVP.value, 50.0, grid_steps(50.0, 1e-3), 4, om)
+    ivp_volume = panel_volumes(RAT01_IVP.value, 50.0, 4, om)
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
             "h": (RAT01.warp(t), RAT01_IVP.value(t)),
@@ -679,7 +689,7 @@ def test_area_extended_continuation():
     hp_end = RAT01_WARPING.end_slope
     expected = RAT01.omega_sphere * (h_end + 10.0 * hp_end) ** 3
     assert abs(ext(60.0) - expected) / expected < 1e-12
-    con = conical_model(4, 0.8, t_max=20.0, step=1e-2)
+    con = conical_model(4, 0.8, t_max=20.0)
     cext = con.area_extended()
     beyond = con.omega_sphere * (0.8 * 30.0 + 0.2 * (1.0 - math.exp(-30.0))) ** 3
     assert abs(cext(30.0) - beyond) / beyond < 1e-12

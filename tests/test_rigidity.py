@@ -179,7 +179,7 @@ def test_v_profile_flat_is_identically_zero():
 
 def test_v_profile_conical_monotone_nonnegative():
     """C_M = K s^(1/m) makes the b = 0 profile s V/V_euc - 1 with s = 0.8^-3."""
-    con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
+    con = conical_model(4, 0.8, t_max=30.0)
     grid = [30.0 * (i + 1) / 20.0 for i in range(20)]
     report = _theorem(con, grid, c_m=K42 * (0.8**-3.0) ** 0.25)
     rows = report.v_profile
@@ -291,7 +291,7 @@ def test_verify_flat_user_constant_shifts_lower_bound():
 
 def test_verify_flat_detects_violation():
     """With the sharp constant forced to K, a true cone must fail."""
-    con = conical_model(4, 0.8, t_max=30.0, step=1e-2)
+    con = conical_model(4, 0.8, t_max=30.0)
     report = _theorem(con, (0.5, 1.0, 5.0, 20.0), c_m=K42)
     assert report.verdict == "violated"
     assert report.violation["check"] == "volume_ratio_bounds"
@@ -308,7 +308,6 @@ def test_verify_flat_hypothesis_rejections():
         h_prime=lambda t: 1.0 + 0.02 * t,
         h_second=lambda t: 0.02,
         t_max=10.0,
-        step=1e-2,
     )
     with pytest.raises(RigidityHypothesisError):
         _theorem(custom, (1.0, 2.0), c_m=1.1 * K42)
@@ -340,7 +339,7 @@ def test_verify_curved_user_gamma():
     assert abs(report.C2 - frozen) / frozen < 1e-12
 
 
-@pytest.mark.parametrize("model", [RAT01, conical_model(4, 0.8, 30.0, 1e-2)],
+@pytest.mark.parametrize("model", [RAT01, conical_model(4, 0.8, 30.0)],
                          ids=["rational", "conical"])
 def test_verify_refuses_a_gamma_the_grid_disproves(model):
     """A user gamma is the hypothesis V(B_t)/V_euc(t) >= gamma: the least
@@ -451,7 +450,7 @@ def test_estimated_c_m_searches_only_without_a_profile():
         report = _theorem(model, grid)
         assert report.C_M == K42 and report.C_M_source == "estimate", f"{model!r}"
 
-    cone = conical_model(4, 0.8, 50.0, 1e-3)
+    cone = conical_model(4, 0.8, 50.0)
     reads = []
     counting = copy.copy(cone)
     counting.ball_volume = lambda t: reads.append(t) or cone.ball_volume(t)
@@ -464,7 +463,7 @@ def test_estimated_c_m_searches_only_without_a_profile():
     # spread to lam = 1e6 comes within 1e-5 of it from below.
     for m, p, c in ((4, 2.0, 0.8), (4, 2.0, 0.5), (3, 1.5, 0.8)):
         params = SobolevParams(m, p)
-        cone = conical_model(m, c, 50.0, 1e-3)
+        cone = conical_model(m, c, 50.0)
         u = talenti_function(TalentiProfile.build(params, 1e6))
         value = _oracles.sobolev_quotient(u, cone) ** (-1.0 / p)
         sharp = sharp_constant(params) * (c ** (m - 1)) ** (-1.0 / m)
