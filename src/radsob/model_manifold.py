@@ -6,14 +6,14 @@ curvature coefficient G the warping function h solves h'' = G(t) h,
 h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping:
 in closed form for RationalDecay, as a piecewise Taylor series for
 Tabulated, and from the RK4 sweep of that IVP, stopped past the cutoff,
-for ConstantCutoff.  A ModelManifold holds h, G, the ball volume V(B_t)
-and the tail factor, and nothing else: it has no name, and sums ball
-volumes by checked Gauss panels over h, whichever profile gave it, only
-as far out as one is read.  The moment b = integral(t
-G(t) dt) measures the total amount of negative curvature; when it is
-finite the model is trapped between Euclidean space and a bounded
-dilation of it, which is exactly what verify_volume_chain checks on a
-grid.
+for ConstantCutoff.  A ModelManifold holds its profile, h, the ball
+volume V(B_t) and the tail factor, and nothing else: it has no name, and
+sums ball volumes by checked Gauss panels over h, whichever profile gave
+it, only as far out as one is read.  The profile alone says whether
+G >= 0, and its moment b = integral(t max(G(t), 0) dt) measures the total
+amount of negative curvature; where G >= 0 and b is finite the model is
+trapped between Euclidean space and a bounded dilation of it, which is
+exactly what verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
@@ -41,16 +41,22 @@ def _overflows(quantity: str, t: float, m: int) -> ValueError:
 
 
 class CurvatureProfile:
-    """Radial curvature coefficient G(t) >= 0: a subclass defines g(t) (a
-    method, or a closure that __init__ binds, as Tabulated does) and
+    """Radial curvature coefficient G(t): a subclass defines g(t) and
     moment_tail(t_from), the integral of t G(t) over [t_from, inf), and,
     unless it is flat, warping(t_max, step): the solution of h'' = G h,
     h(0) = 0, h'(0) = 1 on [0, t_max] as a numerics.Warping.  step is the
-    RK4 step, which only ConstantCutoff's sweep reads."""
+    RK4 step, which only ConstantCutoff's sweep reads.
+
+    nonnegative says whether G >= 0 on all of [0, inf): the lower volume
+    chain, and C_M = K, hold only where it does.  Each profile here
+    refuses a negative level in its constructor."""
+
+    nonnegative = True
 
     @property
     def b(self) -> float:
-        """The whole moment, integral of t G(t) over [0, inf)."""
+        """The theorem's moment, integral of t max(G(t), 0) over [0, inf);
+        for G >= 0 the whole moment_tail(0)."""
         return self.moment_tail(0.0)
 
 
@@ -183,27 +189,25 @@ class Tabulated(CurvatureProfile):
             )
         self.grid = grid
         self.values = values
-        self.tail_power = q = float(tail_power)
+        self.tail_power = float(tail_power)
         # The chord slope of each segment, by the formula np.interp uses,
         # so g has the same bits.
-        self.slopes = slopes = array(
+        self.slopes = array(
             "d",
             ((v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:])),
         )
-        t_first, t_last, v_first, v_last = grid[0], grid[-1], values[0], values[-1]
 
-        def g(t: float) -> float:
-            # The grid strictly increases, so at most one end branch holds;
-            # the tail, where most radii of a window fall, is tested first.
-            if t >= t_last:
-                return v_last * (t_last / t) ** q
-            if t <= t_first:
-                return v_first
-            # grid[j] <= t < grid[j + 1]
-            j = bisect_right(grid, t) - 1
-            return slopes[j] * (t - grid[j]) + values[j]
-
-        self.g = g
+    def g(self, t: float) -> float:
+        grid = self.grid
+        # The grid strictly increases, so at most one end branch holds;
+        # the tail, where most radii of a window fall, is tested first.
+        if t >= grid[-1]:
+            return self.values[-1] * (grid[-1] / t) ** self.tail_power
+        if t <= grid[0]:
+            return self.values[0]
+        # grid[j] <= t < grid[j + 1]
+        j = bisect_right(grid, t) - 1
+        return self.slopes[j] * (t - grid[j]) + self.values[j]
 
     def warping(self, t_max: float, step: float) -> Warping:
         """h as a piecewise Taylor series (numerics.series_warping), with no
@@ -346,11 +350,10 @@ def parse_curvature(spec: str) -> CurvatureProfile:
 class ModelManifold:
     """A warped-product model dt^2 + h(t)^2 g_S on the window [0, t_max].
 
-    A plain record of h, the curvature G = h''/h and the ball volume
+    A plain record of its curvature profile, of h and the ball volume
     V(B_t) as callables, and of the tail factor: how far area_extended()
-    may undershoot the true area beyond t_max.  area, volume and
-    radial_ricci are each a window check and one call, whichever
-    constructor made the model:
+    may undershoot the true area beyond t_max.  area and volume are each a
+    window check and one call, whichever constructor made the model:
 
       * build_model: the profile's warping (the closed form for
         RationalDecay, the piecewise series for Tabulated, the curvature
@@ -358,19 +361,17 @@ class ModelManifold:
         t_max, with a certified tail factor;
       * euclidean_model: h(t) = t and the exact volume omega_m t^m.
 
-    profile is the curvature profile whose moment b the bounds use, or
-    None for a model built directly from a closed-form h, as the tests
-    build cones.  euclidean_volume is the one omega_m t^m every volume
-    ratio divides by.  Models compare by identity.
+    profile states G, its moment b and whether G >= 0, the two facts the
+    volume chain and the theorem read.  euclidean_volume is the one
+    omega_m t^m every volume ratio divides by.  Models compare by identity.
     """
 
     def __init__(
         self,
         m: int,
         t_max: float,
-        profile: CurvatureProfile | None,
+        profile: CurvatureProfile,
         warp: Callable[[float], float],
-        curvature: Callable[[float], float],
         ball_volume: Callable[[float], float],
         tail_factor: float,
     ):
@@ -378,7 +379,6 @@ class ModelManifold:
         self.t_max = t_max
         self.profile = profile
         self.warp = warp
-        self.curvature = curvature
         self.ball_volume = ball_volume
         self.tail_factor = tail_factor
         self.omega_sphere = sphere_area(m)
@@ -421,11 +421,6 @@ class ModelManifold:
                 "so the volume ratio is undefined there"
             )
         return v_euc
-
-    def radial_ricci(self, t: float) -> float:
-        """Ricci curvature in the radial direction, -(m-1) G(t)."""
-        self._check_window(t)
-        return -(self.m - 1) * self.curvature(t)
 
     def area_extended(self) -> Callable[[float], float]:
         """Area as a function on all of [0, inf), from h past the window;
@@ -479,7 +474,6 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         t_max=t_max,
         profile=profile,
         warp=h,
-        curvature=profile.g,
         # Ahead of ball_volume: where t_max^2 overflows, the refusal is the tail's.
         tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
         ball_volume=panel_volumes(value, t_max, m, sphere_area(m)),
@@ -490,13 +484,11 @@ def euclidean_model(m: int, t_max: float) -> ModelManifold:
     """Flat R^m as a model: h(t) = t with exact area and volume."""
     _require_dimension(m)
     omega_m = unit_ball_volume(m)
-    profile = ZeroCurvature()
     return ModelManifold(
         m=m,
         t_max=t_max,
-        profile=profile,
+        profile=ZeroCurvature(),
         warp=lambda t: t,
-        curvature=profile.g,
         ball_volume=lambda t: omega_m * t**m,
         tail_factor=1.0,
     )
@@ -540,14 +532,15 @@ def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeCha
       * upper_area: area <= e^(b (m-1)) * Euclidean area;
       * upper_volume: volume <= e^(b m) * Euclidean volume;
 
-    with b the moment of the model's curvature profile; a model without a
-    profile has no known b and is refused.  An infinite bound e^(b m), as
-    at b = inf, could never fail and raises ValueError, as does a radius
-    the model's euclidean_volume refuses.
+    with b the moment of the model's curvature profile.  The lower rows
+    hold only where G >= 0, so a profile that is not nonnegative is
+    refused.  An infinite bound e^(b m), as at b = inf, could never fail
+    and raises ValueError, as does a radius the model's euclidean_volume
+    refuses.
     """
     m = model.m
-    if model.profile is None:
-        raise ValueError("model has no curvature profile, so its moment b is unknown")
+    if not model.profile.nonnegative:
+        raise ValueError("the lower chain rows hold only where G >= 0")
     b = model.profile.b
     area_factor, vol_factor = upper_chain_factors(b, m)
     om_s = model.omega_sphere

@@ -1,8 +1,8 @@
 """Volume rigidity bounds driven by the sharp Sobolev constant.
 
-Given a model M and its Sobolev constant C_M, the user's or K on a
-curvature-profile model, the machinery here assembles the correction
-constants
+Given a model M and its Sobolev constant C_M, the user's, or K where
+M's curvature profile has G >= 0, the machinery here assembles the
+correction constants
 
     C2 = (m-1)^2 p/(m-p) * ((m-p)/(p-1))^(p-1) * beta^(-p^2/(m-p))
          * (e^b - 1) * e^(b(m-1)) / gamma,
@@ -15,10 +15,12 @@ and checks the resulting two-sided volume bound
 
 on a radius grid, together with the monotone ratio profile whose limit
 being nonnegative is the quantitative content of the rigidity statement.
-At b = 0, C2 = 0 and C_hat = (K/C_M)^m, so the same bound is the
-Ledoux-Xia one for Ric >= 0, 1 >= V(B_t)/V_euc(t) >= (K/C_M)^m.  The
-curvature moment b of the model decides only which hypotheses apply and
-which volume the profile compares against, so no caller chooses a case.
+The theorem has two cases.  At b = 0, max(G, 0) vanishes, so Ric >= 0
+(Ledoux's statement), C2 = 0 and C_hat = (K/C_M)^m, and the same bound
+is the Ledoux-Xia one, 1 >= V(B_t)/V_euc(t) >= (K/C_M)^m; b > 0 is the
+asymptotically nonnegative one.  The curvature moment b of the model's
+profile decides only which hypotheses apply and which volume the
+certificate profile v compares against, so no caller chooses a case.
 """
 
 from __future__ import annotations
@@ -150,41 +152,6 @@ class RigidityReport(NamedTuple):
     violation: dict | None
 
 
-def check_hypotheses(model: ModelManifold, t_grid, gamma_value: float | None) -> tuple:
-    """Refuse a model or gamma outside the theorem's hypotheses; return b
-    and the Euclidean ball volumes on the grid (model.euclidean_volume,
-    which refuses a radius where that volume is not positive).
-
-    b is the model's curvature moment (0 without a profile) and selects the
-    hypotheses: b = 0 needs nonnegative radial Ricci curvature on the grid,
-    b > 0 needs m >= 3 and a finite b.  Cheap, so verify_theorem runs it
-    before it reads the model's ball volumes.
-    """
-    if gamma_value is not None and not (0.0 < gamma_value < math.inf):
-        raise ValueError(
-            f"volume ratio lower bound gamma must be positive and finite, got {gamma_value!r}"
-        )
-    euclidean = [model.euclidean_volume(t) for t in t_grid]
-    b = model.profile.b if model.profile is not None else 0.0
-    if b == 0.0:
-        for t in t_grid:
-            if model.radial_ricci(t) < -1e-12:
-                raise RigidityHypothesisError(
-                    f"a vanishing curvature moment requires nonnegative radial Ricci; "
-                    f"found {model.radial_ricci(t):.3e} at t={t:g}"
-                )
-        return 0.0, euclidean
-    if model.m < 3:
-        raise RigidityHypothesisError(
-            f"a positive curvature moment (b={b:g}) requires dimension m >= 3"
-        )
-    if not math.isfinite(b):
-        raise RigidityHypothesisError(
-            "the theorem requires a finite curvature moment; this profile has b = inf"
-        )
-    return b, euclidean
-
-
 def verify_theorem(
     model: ModelManifold,
     params: SobolevParams,
@@ -197,19 +164,21 @@ def verify_theorem(
 
     One bound pair at every curvature moment b; at b = 0 (C2 = 0,
     C3 = (C_M/K)^m) it is the Ledoux-Xia pair 1 >= V/V_euc >= (K/C_M)^m.
-    Works out K, checks the hypotheses (check_hypotheses), reads the volume
-    ratios and then, with c_m None, takes C_M = K (source "estimate";
-    otherwise "user"), which is certified only on a curvature-profile
-    model: without a profile, c_m None raises ValueError.  gamma_value None
-    means the volume ratio lower bound is the least ratio on the grid
+    Works out K and checks the hypotheses, cheap ones first: gamma_value
+    positive and finite, the Euclidean volumes (model.euclidean_volume,
+    which refuses a radius where that volume is not positive), and at
+    b > 0 m >= 3 and a finite b, with b the moment of model.profile.  It
+    then reads the volume ratios and, with c_m None, takes C_M = K (source
+    "estimate"; otherwise "user"), which is certified only where the
+    profile has G >= 0: otherwise c_m None raises ValueError.  gamma_value
+    None means the volume ratio lower bound is the least ratio on the grid
     (source "empirical"); a user gamma above that ratio by more than
     ratio_slack is a hypothesis the grid disproves, and raises
     RigidityHypothesisError before C_M is taken.  A bound that could never
     fail raises ValueError: an infinite e^(mb) (upper_chain_factors, before
     C2 is computed) and a C_hat that is 0 in floating point.
 
-    Each V(B_t) is read once, and each V_euc(t) comes once from
-    check_hypotheses.  The certificate profile is
+    Each V(B_t) and each V_euc(t) is read once.  The certificate profile is
     v(t) = C3 e^(b(m-1)) V(B_t)/V_cmp(t) - 1, where V_cmp is V_euc at b = 0
     and the model's own ball volume at b > 0 (so v is constant there).  The
     verdict is "consistent" when every grid bound holds to ratio_slack, v is
@@ -226,7 +195,25 @@ def verify_theorem(
         raise ValueError("t_grid must contain positive increasing radii")
 
     k = sharp_constant(params)
-    b, euclidean = check_hypotheses(model, t_grid, gamma_value)
+    if gamma_value is not None and not (0.0 < gamma_value < math.inf):
+        raise ValueError(
+            f"volume ratio lower bound gamma must be positive and finite, got {gamma_value!r}"
+        )
+    euclidean = [model.euclidean_volume(t) for t in t_grid]
+    # b = 0 is Ledoux's Ric >= 0 case: max(G, 0) vanishes, so the radial
+    # Ricci curvature -(m-1) G is >= 0 on all of [0, inf), not just at grid
+    # radii, and a scan of it could fail on no profile.  b > 0 is the
+    # asymptotically nonnegative case.
+    b = model.profile.b
+    if b != 0.0:
+        if model.m < 3:
+            raise RigidityHypothesisError(
+                f"a positive curvature moment (b={b:g}) requires dimension m >= 3"
+            )
+        if not math.isfinite(b):
+            raise RigidityHypothesisError(
+                "the theorem requires a finite curvature moment; this profile has b = inf"
+            )
     volumes = [model.volume(t) for t in t_grid]
     ratios = [v / e for v, e in zip(volumes, euclidean)]
     least = min(ratios)
@@ -239,11 +226,11 @@ def verify_theorem(
     gamma_source = "empirical" if gamma_value is None else "user"
     c_m_source = "estimate" if c_m is None else "user"
     if c_m is None:
-        if model.profile is None:
-            raise ValueError("the model has no curvature profile, so no certified C_M; pass c_m")
         # G >= 0 gives h' >= 1, so centred balls beat the Euclidean
-        # isoperimetric ratio and no radial witness beats K.  Admitting
-        # G < 0 (the Ric >= 0 models of ROADMAP item 2) has to revisit this.
+        # isoperimetric ratio and no radial witness beats K.  Where G < 0,
+        # as on a Ric >= 0 cone, C_M may be larger: K theta^(-1/m) there.
+        if not model.profile.nonnegative:
+            raise ValueError("K certifies C_M only where G >= 0; pass c_m")
         c_m = k
 
     upper = upper_chain_factors(b, m)[1]

@@ -50,13 +50,21 @@ class SobolevParams(_Params):
 
 
 def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m."""
-    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+    """Volume of the unit ball in R^m; raises ValueError from m = 342,
+    where Gamma(m/2 + 1) overflows a float."""
+    try:
+        return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+    except OverflowError:
+        raise ValueError(f"the unit ball volume's Gamma(m/2 + 1) overflows at m={m}") from None
 
 
 def sphere_area(m: int) -> float:
-    """Area of the unit sphere bounding the unit ball in R^m."""
-    return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    """Area of the unit sphere bounding the unit ball in R^m; raises
+    ValueError from m = 344, where Gamma(m/2) overflows a float."""
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:
+        raise ValueError(f"the unit sphere area's Gamma(m/2) overflows at m={m}") from None
 
 
 def profile_split(params: SobolevParams, lam: float) -> float:
@@ -74,13 +82,14 @@ def _log_kernel(params: SobolevParams, shift: float) -> float:
     Under s = t^(p/(p-1)) the mass integral of (1 + t^(p/(p-1)))^(-m)
     over R^m (shift 0) and the energy integral of phi_1 (shift 1, up to
     the factor (beta (m-p)/(p-1))^p) reduce to these Euler Beta values.
-    lgamma keeps them finite where Gamma(m) alone would overflow.
+    lgamma keeps them finite where Gamma(m) alone would overflow, and a
+    is m (p-1)/p, not the difference m - m/p, which near p = 1 cancels.
     """
     m, p = params.m, params.p
     return (
         math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m)
         + math.log((p - 1.0) / p)
-        + math.lgamma(m - m / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
+        + math.lgamma(m * (p - 1.0) / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
     )
 
 

@@ -10,9 +10,9 @@ edits.  The last two sections read the package.  One holds formulas that
 tests hold program output against; they read the package's profiles and
 functionals, so they check consistency between two routes, not values;
 ivp_nodes there hands a test the node pairs of the RK4 sweep.  The other
-builds models straight from a closed-form warping h, with no curvature
-profile: the cones on which a wide witness meets the Balogh-Kristaly
-constant.
+builds models straight from a closed-form warping h, whose curvature
+profile G = h''/h declares its moment and sign: the cones on which a wide
+witness meets the Balogh-Kristaly constant.
 """
 
 import math
@@ -20,7 +20,7 @@ from array import array
 from unittest import mock
 
 from radsob import numerics
-from radsob.model_manifold import ModelManifold, _require_dimension
+from radsob.model_manifold import CurvatureProfile, ModelManifold, _require_dimension
 from radsob.numerics import integrate_panel, panel_volumes, require_finite_nodes, solve_h_ivp
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
@@ -105,6 +105,21 @@ SHARP_TABLE = {
     (6, 3.0): (0.9945163776010667, 0.41767070620159403),
 }
 
+
+# (m, d) -> K(m, 1 + d) near p = 1, where m - m/p cancels: talenti_k's
+# product form at the exact binary p = 1.0 + d, by mpmath 1.3.0 at 60
+# digits (the same to 50 digits at 90), rounded to 40.
+SHARP_K_NEAR_P1 = {
+    (3, 1e-3): 0.2057521921550844168879469593606669316797,
+    (3, 1e-6): 0.2067810341822191361935355907501152088164,
+    (3, 1e-9): 0.2067834930752557674184079603616590307103,
+    (10, 1e-3): 0.09070172518888034342320731670654274044917,
+    (10, 1e-6): 0.09106226799186148904025173736244745846022,
+    (10, 1e-9): 0.09106325724222156267209812729089817611871,
+    (60, 1e-3): 0.03255971671445376509566222273475554687094,
+    (60, 1e-6): 0.03263353946484138178591328766664361876249,
+    (60, 1e-9): 0.03263383706766801764171282919154291070446,
+}
 
 # Warping IVP h'' = G h, h(0) = 0, h'(0) = 1 with G = 2 b0 / (1 + t^2)^2,
 # solved by a 30-digit Taylor method and rounded to double precision.
@@ -451,42 +466,56 @@ def spot_check(u):
             )
 
 
-# -- Closed-form models without a curvature profile ------------------------
+# -- Closed-form models with a declared curvature profile -----------------
 
 
-def model_from_warping(m, h, h_prime, h_second, t_max):
+class WarpingCurvature(CurvatureProfile):
+    """G = h''/h of a closed-form warping h, undefined at t = 0, where h
+    vanishes.  The moment b and the sign class nonnegative are declared,
+    not computed: the caller knows them in closed form."""
+
+    def __init__(self, h, h_second, b, nonnegative):
+        self._h, self._h_second, self._b = h, h_second, b
+        self.nonnegative = nonnegative
+
+    @property
+    def b(self):
+        return self._b
+
+    def g(self, t):
+        if t == 0.0:
+            raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
+        return self._h_second(t) / self._h(t)
+
+
+def model_from_warping(m, h, h_prime, h_second, t_max, *, b, nonnegative):
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
     h' is checked at the apex only; the ball volume is panel_volumes over
-    h, as a profile's model's is.  h'' only enters the curvature G = h''/h,
-    which is undefined at the apex, where h vanishes.
+    h, as a profile's model's is.  h'' only enters the profile's G = h''/h,
+    whose moment b and sign the caller declares.
     """
     _require_dimension(m)
     if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
         raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
-
-    def curvature(t):
-        if t == 0.0:
-            raise ValueError("the curvature h''/h of a closed-form warping is undefined at t = 0")
-        return h_second(t) / h(t)
-
     return ModelManifold(
         m=m,
         t_max=t_max,
-        profile=None,
+        profile=WarpingCurvature(h, h_second, b, nonnegative),
         warp=h,
-        curvature=curvature,
         ball_volume=panel_volumes(h, t_max, m, sphere_area(m)),
         tail_factor=1.0,
     )
 
 
 def conical_model(m, c, t_max):
-    """Nonnegatively curved model opening onto a cone of slope c in (0, 1].
+    """Nonnegatively Ricci-curved model opening onto a cone of slope c in (0, 1].
 
     h(t) = c t + (1-c)(1 - e^-t) interpolates between the Euclidean apex
-    (h ~ t near zero) and linear growth with slope c; its radial Ricci
-    curvature (m-1)(1-c) e^-t / h is nonnegative.
+    (h ~ t near zero) and linear growth with slope c.  Its G = h''/h =
+    -(1-c) e^-t / h is <= 0, so its radial Ricci curvature -(m-1) G is
+    nonnegative and its moment b of max(G, 0) is 0; its profile is
+    declared not nonnegative, which c < 1 makes true.
     """
     if not (0.0 < c <= 1.0):
         raise ValueError("cone slope c must lie in (0, 1]")
@@ -497,4 +526,6 @@ def conical_model(m, c, t_max):
         h_prime=lambda t: c + d * math.exp(-t),
         h_second=lambda t: -d * math.exp(-t),
         t_max=t_max,
+        b=0.0,
+        nonnegative=False,
     )

@@ -136,8 +136,16 @@ SELF_TEST_LOG_SPACE = (
 )
 # Refusals that one input reaches, each with the words its stderr must hold.
 NAMED_REFUSALS = {
-    # The self-test itself is out of range: the sphere area overflows.
-    ("constants", "--m", "400", "--p", "2"): "the quadrature self-test of K is out of range",
+    # The self-test's sphere area is out of range: Gamma(m/2) overflows.
+    ("constants", "--m", "400", "--p", "2"): "the unit sphere area's Gamma(m/2) overflows at m=400",
+    # Gamma(m/2 + 1) overflows from m = 342 and Gamma(m/2) from m = 344,
+    # before any report row.
+    ("rigidity", "--m", "1000", "--p", "2", "--g", "zero"):
+        "the unit ball volume's Gamma(m/2 + 1) overflows at m=1000",
+    ("verify", "--m", "1000", "--p", "2", "--g", "zero"):
+        "the unit ball volume's Gamma(m/2 + 1) overflows at m=1000",
+    ("model", "--m", "400", "--g", "rational:0.1"):
+        "the unit sphere area's Gamma(m/2) overflows at m=400",
     # At so small a scale the direct kernel overflows at t = 0, where log
     # space cannot take it either.
     ("constants", "--m", "4", "--p", "2", "--lambda", "1e-200"):

@@ -535,3 +535,53 @@ def test_only_the_sweep_calls_grid_steps():
     }
     assert not callers, f"grid_steps called outside solve_h_ivp (line, function): {callers!r}"
     assert _grid_steps_callers((PACKAGE / "numerics.py").read_text())
+
+
+# Pointwise G belongs to model_manifold: its profiles define g, and it
+# hands g to the sweep.  No other module of src/radsob reads a profile's
+# .g, or names a curvature or radial_ricci; numerics' sweep reads G only
+# through the g it is passed, a plain name.
+
+POINTWISE_CURVATURE = {"curvature", "radial_ricci"}
+
+
+def _pointwise_curvature_reads(source: str) -> list:
+    """(line, name) of each attribute .g, and of each name, attribute or
+    parameter curvature or radial_ricci."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+            if name == "g" or name in POINTWISE_CURVATURE:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.Name) and node.id in POINTWISE_CURVATURE:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.arg, ast.FunctionDef)):
+            name = node.arg if isinstance(node, ast.arg) else node.name
+            if name in POINTWISE_CURVATURE:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_scan_flags_a_pointwise_curvature_read():
+    source = (
+        "def solve(g, t):\n    return g(t)\n\n\n"
+        "def ricci(model, t):\n    return -(model.m - 1) * model.profile.g(t)\n\n\n"
+        "def radial_ricci(curvature, t_grid):\n    return [curvature(t) for t in t_grid]\n\n\n"
+        "x = model.curvature\ng_spec = args.g_spec\n"
+    )
+    # A parameter g and an attribute g_spec read no profile.
+    assert sorted(_pointwise_curvature_reads(source)) == [
+        (6, "g"), (9, "curvature"), (9, "radial_ricci"), (10, "curvature"), (13, "curvature"),
+    ]
+
+
+def test_pointwise_curvature_is_read_only_in_model_manifold():
+    reads = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "model_manifold.py"
+        and (found := _pointwise_curvature_reads(path.read_text()))
+    }
+    assert not reads, f"pointwise G read outside model_manifold (line, name): {reads!r}"
+    assert _pointwise_curvature_reads((PACKAGE / "model_manifold.py").read_text())

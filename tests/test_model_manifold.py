@@ -173,12 +173,10 @@ def test_euclidean_model_exact():
     om_m = _oracles.ball_volume(4)
     for t in (0.5, 1.0, 7.0, 40.0):
         assert EUC4.warp(t) == t
-        assert EUC4.curvature(t) == 0.0
+        assert EUC4.profile.g(t) == 0.0
         assert abs(EUC4.area(t) - om_s * t**3) < 1e-9 * om_s * t**3
         assert abs(EUC4.volume(t) - om_m * t**4) < 1e-9 * om_m * t**4
-        assert EUC4.radial_ricci(t) == 0.0
-    assert EUC4.profile.b == 0.0
-    assert EUC4.curvature == EUC4.profile.g
+    assert EUC4.profile.b == 0.0 and EUC4.profile.nonnegative
 
 
 def test_euclidean_volume_is_one_reference_with_one_refusal():
@@ -214,7 +212,8 @@ def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         build_model(1, RationalDecay(0.1), 50.0, 1e-3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
-        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0)
+        model_from_warping(1, lambda t: t, lambda t: 1.0, lambda t: 0.0, 50.0,
+                           b=0.0, nonnegative=True)
     assert solved == []
 
 
@@ -225,7 +224,6 @@ def test_warping_oracles_through_model():
     for t, ref in _oracles.RATIONAL_B01_HP.items():
         rel = abs(rat01_h_prime(t) - ref) / ref
         assert rel < 1e-12, f"h'({t}) off by {rel:.3e}"
-    assert RAT01.curvature(2.0) == RAT01.profile.g(2.0)
 
 
 def test_rational_closed_form_matches_the_30_digit_oracles():
@@ -459,7 +457,7 @@ def test_a_ball_volume_past_the_float_range_is_named():
     # Each value of omega h = 1.7e308 is finite, and a panel's sum is not.
     summed = panel_volumes(lambda t: 1e300, 1.0, 2, 1.7e8)
     assert math.isinf(summed(0.5))
-    model = ModelManifold(2, 1.0, None, lambda t: t, lambda t: 0.0, summed, 1.0)
+    model = ModelManifold(2, 1.0, ZeroCurvature(), lambda t: t, summed, 1.0)
     with pytest.raises(ValueError, match="^the ball volume at radius t=0.5 overflows at m=2$"):
         model.volume(0.5)
 
@@ -532,9 +530,9 @@ def test_lazy_volume_table_matches_the_eager_reference_bit_for_bit():
                 assert got == want, f"{name}, {order}: volume({t!r}) = {got!r}, eager {want!r}"
 
 
-def test_hoisted_table_curvature_is_the_method_it_replaced():
-    """Tabulated.g tests its tail branch first, from bound ends; it has the
-    bits of the branch order it replaced at every node, at t = 0, at
+def test_tail_first_table_curvature_has_the_bits_of_the_plain_branch_order():
+    """Tabulated.g tests its tail branch first; it has the bits of the
+    plain head, tail, segment branch order at every node, at t = 0, at
     grid[-1], between nodes and in the tail."""
 
     def previous_g(profile, t):
@@ -565,13 +563,18 @@ def test_sturm_bounds_on_warping():
 
 
 def test_radial_ricci_identities():
+    """Each profile's declared sign class matches its G: G >= 0 on RAT01's
+    nonnegative profile; on the cone's, which is not, G <= 0, so its
+    radial Ricci curvature -(m-1) G is >= 0, and G is refused at the apex."""
+    assert RAT01.profile.nonnegative
     for t in (0.0, 0.5, 2.0, 10.0):
-        assert RAT01.radial_ricci(t) == -3.0 * RAT01.profile.g(t)
+        assert RAT01.profile.g(t) > 0.0
     con = conical_model(4, 0.8, 50.0)
+    assert not con.profile.nonnegative and con.profile.b == 0.0
     for t in (0.5, 2.0, 10.0):
-        assert con.radial_ricci(t) >= 0.0
-    with pytest.raises(ValueError):
-        con.radial_ricci(0.0)
+        assert con.profile.g(t) < 0.0
+    with pytest.raises(ValueError, match="undefined at t = 0"):
+        con.profile.g(0.0)
 
 
 def test_laplacian_comparison_and_guard():
@@ -588,8 +591,6 @@ def test_window_guard():
         RAT01.area(51.0)
     with pytest.raises(ValueError):
         RAT01.volume(51.0)
-    with pytest.raises(ValueError):
-        RAT01.radial_ricci(-0.1)
 
 
 def test_chain_rational_passes():
@@ -613,22 +614,29 @@ def test_chain_negative_control_detected():
 
 
 def test_chain_requires_moment_for_custom_warping():
+    """h = t + 0.01 t^2 has G > 0 with t G = 2/(100 + t), not integrable:
+    its infinite moment leaves an upper chain that cannot fail.  A cone's
+    G < 0 leaves no lower chain."""
     custom = model_from_warping(
         3,
         h=lambda t: t + 0.01 * t * t,
         h_prime=lambda t: 1.0 + 0.02 * t,
         h_second=lambda t: 0.02,
         t_max=10.0,
+        b=math.inf,
+        nonnegative=True,
     )
-    with pytest.raises(ValueError, match="no curvature profile"):
+    with pytest.raises(ValueError, match="infinite"):
         verify_volume_chain(custom, (1.0, 2.0), slack=1e-8)
+    with pytest.raises(ValueError, match="only where G >= 0"):
+        verify_volume_chain(conical_model(3, 0.8, 10.0), (1.0, 2.0), slack=1e-8)
 
 
 def test_model_from_warping_validation():
     """A warping with h(0) != 0, or with h'(0) != 1, is refused."""
     for h, h_prime in ((lambda t: 1.0 + t, lambda t: 1.0), (lambda t: 2.0 * t, lambda t: 2.0)):
         with pytest.raises(ValueError, match=r"h\(0\)=0 and h'\(0\)=1"):
-            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0)
+            model_from_warping(3, h, h_prime, lambda t: 0.0, 50.0, b=0.0, nonnegative=True)
 
 
 def test_conical_model_shape():

@@ -16,6 +16,7 @@ from radsob.model_manifold import (
     ModelManifold,
     RationalDecay,
     Tabulated,
+    ZeroCurvature,
     build_model,
     euclidean_model,
 )
@@ -192,8 +193,8 @@ def _ratio_model(ratio):
     """A flat-curvature record whose ball volume is omega_4 t^4 ratio(t)."""
     om = unit_ball_volume(4)
     return ModelManifold(
-        m=4, t_max=10.0, profile=None, warp=lambda t: t,
-        curvature=lambda t: 0.0, ball_volume=lambda t: om * t**4 * ratio(t), tail_factor=1.0,
+        m=4, t_max=10.0, profile=ZeroCurvature(), warp=lambda t: t,
+        ball_volume=lambda t: om * t**4 * ratio(t), tail_factor=1.0,
     )
 
 
@@ -301,19 +302,20 @@ def test_verify_flat_detects_violation():
 
 
 def test_verify_flat_hypothesis_rejections():
-    """Without a profile b = 0, so negative radial Ricci is refused."""
+    """h = t + 0.01 t^2 has G > 0 with t G = 2/(100 + t), not integrable, so
+    the finite-moment hypothesis is refused, with a user C_M or without."""
     custom = model_from_warping(
         4,
         h=lambda t: t + 0.01 * t * t,
         h_prime=lambda t: 1.0 + 0.02 * t,
         h_second=lambda t: 0.02,
         t_max=10.0,
+        b=math.inf,
+        nonnegative=True,
     )
-    with pytest.raises(RigidityHypothesisError):
-        _theorem(custom, (1.0, 2.0), c_m=1.1 * K42)
-    # Without a profile no C_M is certified, but the hypothesis is refused first.
-    with pytest.raises(RigidityHypothesisError):
-        _theorem(custom, (1.0, 2.0))
+    for c_m in (1.1 * K42, None):
+        with pytest.raises(RigidityHypothesisError, match="requires a finite curvature moment"):
+            _theorem(custom, (1.0, 2.0), c_m=c_m)
 
 
 def test_verify_curved_rational_consistent():
@@ -414,7 +416,7 @@ def test_verify_argument_validation():
 @pytest.mark.parametrize("gamma_value", [0.0, math.inf, math.nan])
 def test_verify_refuses_a_gamma_that_is_not_positive_and_finite(gamma_value):
     """The command line parser keeps these values out; the Python API
-    refuses them in check_hypotheses."""
+    refuses them before it reads a volume."""
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         _theorem(RAT01, (0.5, 1.0), c_m=K42, gamma_value=gamma_value)
 
@@ -435,10 +437,10 @@ def test_no_radial_witness_beats_sharp_bound_on_profile_models():
             assert q >= floor * (1.0 - 1e-9), f"{model!r} lam={lam}: {q!r} < {floor!r}"
 
 
-def test_estimated_c_m_searches_only_without_a_profile():
-    """C_M left to verify_theorem is K on every curvature-profile model.
-    A model without one gets no certified C_M: ValueError, with no ball
-    volume read past the gamma check."""
+def test_estimated_c_m_is_k_only_where_g_is_nonnegative():
+    """C_M left to verify_theorem is K on every model whose profile has
+    G >= 0.  A cone, whose G < 0, gets no certified C_M: ValueError, with
+    no ball volume read past the gamma check."""
     grid = (0.5, 1.0, 5.0)
     table = Tabulated((0.0, 1.0, 2.0, 4.0, 8.0), (0.3, 0.25, 0.1, 0.02, 0.001), 3.0)
     for model in (
@@ -454,7 +456,7 @@ def test_estimated_c_m_searches_only_without_a_profile():
     reads = []
     counting = copy.copy(cone)
     counting.ball_volume = lambda t: reads.append(t) or cone.ball_volume(t)
-    with pytest.raises(ValueError, match="no certified C_M; pass c_m"):
+    with pytest.raises(ValueError, match="^K certifies C_M only where G >= 0; pass c_m$"):
         _theorem(counting, grid)
     assert reads == list(grid)
 

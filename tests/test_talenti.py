@@ -102,6 +102,53 @@ def test_closed_forms_stay_finite_where_gamma_overflows():
     assert 0.0 < sharp_beta(params) < math.inf
 
 
+def _worst_near_p1_error(max_m=math.inf):
+    """Largest relative distance of K from the 40-digit references near
+    p = 1, over dimensions up to max_m."""
+    return max(
+        abs(sharp_constant(SobolevParams(m, 1.0 + d)) - ref) / ref
+        for (m, d), ref in _oracles.SHARP_K_NEAR_P1.items() if m <= max_m
+    )
+
+
+def test_k_near_p_one_matches_the_40_digit_references():
+    """a = m - m/p is formed as m (p-1)/p, so K keeps its digits as p - 1
+    falls to 1e-9."""
+    assert _worst_near_p1_error() < 5e-14
+    assert _worst_near_p1_error(max_m=10) < 5e-15
+
+
+def test_the_subtracted_kernel_exponent_misses_near_p_one(monkeypatch):
+    """Negative control: the difference m - m/p loses 6 digits at p - 1 = 1e-6."""
+
+    def subtracted(params, shift):
+        m, p = params.m, params.p
+        return (
+            math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m)
+            + math.log((p - 1.0) / p)
+            + math.lgamma(m - m / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
+        )
+
+    monkeypatch.setattr(talenti, "_log_kernel", subtracted)
+    ref = _oracles.SHARP_K_NEAR_P1[3, 1e-6]
+    assert abs(sharp_constant(SobolevParams(3, 1.0 + 1e-6)) - ref) / ref > 1e-12
+
+
+def test_gamma_overflow_is_named_with_the_quantity_and_m():
+    """unit_ball_volume keeps the bits of its Gamma form up to m = 341 and
+    sphere_area up to m = 343; past them Gamma overflows, and each names
+    the quantity and m."""
+    for m in (2, 3, 4, 50, 171, 341):
+        assert unit_ball_volume(m) == _oracles.ball_volume(m)
+    for m in (2, 3, 4, 50, 171, 343):
+        assert sphere_area(m) == _oracles.sphere_area(m)
+    with pytest.raises(ValueError) as refused:
+        unit_ball_volume(342)
+    assert str(refused.value) == "the unit ball volume's Gamma(m/2 + 1) overflows at m=342"
+    with pytest.raises(ValueError) as refused:
+        sphere_area(344)
+    assert str(refused.value) == "the unit sphere area's Gamma(m/2) overflows at m=344"
+
 def test_scale_invariance_spread():
     for m, p in ((4, 2.0), (3, 2.0), (6, 3.0), (4, 1.5)):
         detail = sharp_constant_detail(SobolevParams(m, p), lambdas=(0.5, 1.0, 5.0, 20.0))
