@@ -22,7 +22,7 @@ building a parser took several milliseconds per run) and each cmd_*
 imports the radsob modules it executes and no other: --help or a usage
 error loads none.  Reports are deterministic: fixed row order, floats at 12
 significant digits, no timestamps.  Exit codes: 0 all checks pass, 1 a
-mathematical check failed (a report row, or a numerics.CheckFailed raised
+mathematical check failed (a report row, or a radsob.CheckFailed raised
 on the way), 2 usage or input error.
 """
 
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:
             return 0
-        from .numerics import CheckFailed
+        from . import CheckFailed
 
         try:
             ok, payload, lines = COMMANDS[args.command][0](args)

@@ -3,32 +3,34 @@
 A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
 Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
-h(0) = 0, h'(0) = 1; a profile's warping() gives it as a numerics.Warping:
+h(0) = 0, h'(0) = 1; a profile's warping() gives it as a warping.Warping:
 in closed form for RationalDecay, as a piecewise Taylor series for
 Tabulated, and from the RK4 sweep of that IVP, stopped past the cutoff,
-for ConstantCutoff.  A ModelManifold holds its profile, h, the ball
-volume V(B_t) and the tail factor, and nothing else: it has no name, and
-sums ball volumes by checked Gauss panels over h, whichever profile gave
-it, only as far out as one is read.  The profile alone says whether
-G >= 0, and its moment b = integral(t max(G(t), 0) dt) measures the total
-amount of negative curvature; where G >= 0 and b is finite the model is
-trapped between Euclidean space and a bounded dilation of it, which is
-exactly what verify_volume_chain checks on a grid.
+for ConstantCutoff.  Each warping, and build_model's curved path,
+imports the kernels it calls where it calls them, so a flat model loads
+neither `radsob.warping` nor `radsob.numerics`.  A ModelManifold holds
+its profile, h, the ball volume V(B_t) and the tail factor, and nothing
+else: it has no name, and sums ball volumes by checked Gauss panels over
+h, whichever profile gave it, only as far out as one is read.  The
+profile alone says whether G >= 0, and its moment
+b = integral(t max(G(t), 0) dt) measures the total amount of negative
+curvature; where G >= 0 and b is finite the model is trapped between
+Euclidean space and a bounded dilation of it, which is exactly what
+verify_volume_chain checks on a grid.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
 from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .numerics import (
-    SERIES_MAX_TERMS, OdeError, SeriesError, Warping, panel_volumes, series_warping,
-    series_width, solve_h_ivp,
-)
+from . import OdeError, SeriesError
 from .talenti import sphere_area, unit_ball_volume
+
+if TYPE_CHECKING:
+    from .warping import Warping
 
 
 def _exp_or_inf(x: float) -> float:
@@ -44,7 +46,7 @@ class CurvatureProfile:
     """Radial curvature coefficient G(t): a subclass defines g(t) and
     moment_tail(t_from), the integral of t G(t) over [t_from, inf), and,
     unless it is flat, warping(t_max, step): the solution of h'' = G h,
-    h(0) = 0, h'(0) = 1 on [0, t_max] as a numerics.Warping.  step is the
+    h(0) = 0, h'(0) = 1 on [0, t_max] as a warping.Warping.  step is the
     RK4 step, which only ConstantCutoff's sweep reads.
 
     nonnegative says whether G >= 0 on all of [0, inf): the lower volume
@@ -96,6 +98,8 @@ class ConstantCutoff(CurvatureProfile):
     def warping(self, t_max: float, step: float) -> Warping:
         """The RK4 sweep of solve_h_ivp and its dense output, which stops
         past t_cut, where h is a line."""
+        from .numerics import solve_h_ivp
+
         return solve_h_ivp(self.g, t_max, step, self.t_cut)
 
 
@@ -128,6 +132,8 @@ class RationalDecay(CurvatureProfile):
         h' is not finite, until its ends are adjacent floats, and OdeError
         names that radius.
         """
+        from .warping import Warping
+
         k = 1.0 - self._two_b0
         if k > 0.0:
             r, sn, cs = math.sqrt(k), math.sin, math.cos
@@ -168,6 +174,10 @@ class Tabulated(CurvatureProfile):
     """
 
     def __init__(self, grid, values, tail_power: float):
+        # Imported here: only a table needs it, and loading the extension
+        # module would cost every other run start-up time.
+        from array import array
+
         shape_error = "tabulated profile needs matching 1-d grid and values, length >= 2"
         try:
             grid = array("d", grid)
@@ -210,7 +220,7 @@ class Tabulated(CurvatureProfile):
         return self.slopes[j] * (t - grid[j]) + self.values[j]
 
     def warping(self, t_max: float, step: float) -> Warping:
-        """h as a piecewise Taylor series (numerics.series_warping), with no
+        """h as a piecewise Taylor series (warping.series_warping), with no
         sweep.  G is constant on [0, grid[0]] and linear between nodes, so
         about t0 its series is the node value, or the chord's value at t0,
         and the chord slope; past the last node it is v (t_last/t)^q, whose
@@ -224,6 +234,8 @@ class Tabulated(CurvatureProfile):
                 at its start, or its series did not converge.
             OdeError: h or h' is not finite at a piece end.
         """
+        from .warping import SERIES_MAX_TERMS, series_warping, series_width
+
         grid, values, slopes, q = self.grid, self.values, self.slopes, self.tail_power
         t_last, v_last = grid[-1], values[-1]
         pieces = []
@@ -461,6 +473,8 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     """
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)
+    from .warping import panel_volumes
+
     _require_dimension(m)
     value, hp_end = profile.warping(t_max, step)
     h_end = value(t_max)

@@ -1,32 +1,25 @@
-"""Low-level numerical kernels shared by the rest of the package.
+"""Adaptive Simpson quadrature and the RK4 sweep of the warping IVP.
 
-Four independent pieces live here: adaptive Simpson and checked Gauss
-panel quadrature, a piecewise Taylor series for the warping initial
+Two independent pieces live here: adaptive Simpson quadrature, finite
+and semi-infinite, and a fixed-step RK4 sweep of the warping initial
 value problem h'' = G(t) h, h(0) = 0, h'(0) = 1, which builds the models
-of `table:` specs, and a fixed-step RK4 sweep of the same problem, which
-builds those of `const:` specs (a `rational:` model takes its warping in
-closed form).  The whole Simpson policy is the
-tolerance pair TOL, the recursion limit MAX_DEPTH, the per-panel
-rounding floor ROUNDING_FACTOR; a caller may pass its own (abs_tol,
-rel_tol) pair, nothing else.  A semi-infinite integral also needs the
-radius where head and tail are split and the integrand's declared tail
-power.  The Gauss rule's is PANEL_REL_TOL and MAX_DEPTH.
-The series is summed on each piece until its terms are rounding
-(SERIES_REL_TOL), and a piece that does not get there within
-SERIES_MAX_TERMS terms fails its check.  The RK4 sweep has no error
-control of its own: the caller's step is its accuracy, which the tests
-pin against closed forms and high-precision reference solutions, and it
-stops where G has vanished for good, past which h is a line.  Either
-output is a Warping, the one shape of every warping, closed forms
-included: h as a function and h' at the window's end.  Only the sweep
-has a grid (grid_steps), whose nodes its dense output reads from stdlib
-``array("d")`` columns.  Every warping's ball volume is one rule, checked
-Gauss panels over h (panel_volumes).  A warping's finiteness is checked
-once, as it is built.
-Nothing here needs vector arithmetic.  All routines are deterministic:
-the same inputs always produce bitwise identical results.  Every error
-that fails a check rather than refusing an input derives from
-CheckFailed.
+of `const:` specs.  Only the constants self-test, the Sobolev functionals
+and a `const:` model's warping call them; `talenti` and `model_manifold`
+import this module inside those functions, so no other run compiles it.
+The warpings of the other curved models, and every ball volume, are in
+`radsob.warping`.  The whole Simpson policy is the tolerance pair TOL,
+the recursion limit MAX_DEPTH, the per-panel rounding floor
+ROUNDING_FACTOR; a caller may pass its own (abs_tol, rel_tol) pair,
+nothing else.  A semi-infinite integral also needs the radius where head
+and tail are split and the integrand's declared tail power.  The RK4
+sweep has no error control of its own: the caller's step is its
+accuracy, which the tests pin against closed forms and high-precision
+reference solutions, and it stops where G has vanished for good, past
+which h is a line.  Its output is a warping.Warping.  Only the sweep has
+a grid (grid_steps), whose nodes its dense output reads from stdlib
+``array("d")`` columns.  Nothing here needs vector arithmetic.  All routines are deterministic:
+the same inputs always produce bitwise identical results.  Their check
+failures, QuadratureError and OdeError, are the package's.
 """
 
 from __future__ import annotations
@@ -34,28 +27,12 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
+from . import OdeError, QuadratureError
 
-class CheckFailed(RuntimeError):
-    """A computation that had to certify its result could not: exit code 1."""
-
-
-class QuadratureError(CheckFailed):
-    """Adaptive quadrature could not meet the requested tolerance."""
-
-
-class OdeError(CheckFailed):
-    """The warping h, or h', is not finite from the node at radius t on."""
-
-    def __init__(self, t: float):
-        super().__init__(f"warping solution became non-finite near t={t:g}")
-        self.t = t
-
-
-class SeriesError(CheckFailed):
-    """A piece of a warping's Taylor series did not converge."""
+if TYPE_CHECKING:
+    from .warping import Warping
 
 
 # Open endpoint of the tail substitution t = split/u near u = 0.
@@ -212,60 +189,6 @@ def integrate_semi_infinite(
     return head + tail + sliver
 
 
-def _gauss_legendre_10() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes (ascending) and weights of the 10-point Gauss-Legendre rule on
-    [-1, 1]: each root x > 0 of the Legendre polynomial P_10 by Newton's
-    method on its recurrence, with weight 2/((1 - x^2) P_10'(x)^2), and
-    mirrored, so that the rule is exactly symmetric."""
-    half = []
-    for i in range(1, 6):
-        x, dx = math.cos(math.pi * (i - 0.25) / 10.5), 1.0
-        while True:
-            p0, p1 = 1.0, x
-            for k in range(2, 11):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            slope = 10 * (x * p1 - p0) / (x * x - 1.0)
-            if abs(dx) <= 1e-15:  # so the weight reads P_10' at the last x
-                break
-            dx = p1 / slope
-            x -= dx
-        half.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
-    nodes, weights = zip(*[(-x, w) for x, w in half], *reversed(half))
-    return nodes, weights
-
-
-GAUSS_NODES, GAUSS_WEIGHTS = _gauss_legendre_10()
-# A Gauss panel is accepted when its halves agree with it to this share.
-PANEL_REL_TOL = 1e-14
-
-
-def _gauss(f, a, b):
-    centre, radius = 0.5 * (a + b), 0.5 * (b - a)
-    return radius * sum(w * f(centre + radius * x) for x, w in zip(GAUSS_NODES, GAUSS_WEIGHTS))
-
-
-def _gauss_halves(f, a, b, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    left, right = _gauss(f, a, mid), _gauss(f, mid, b)
-    err = abs(left + right - whole)
-    if err <= tol or not math.isfinite(left + right):
-        return left + right
-    if depth >= MAX_DEPTH:
-        raise QuadratureError(f"Gauss panel rule stalled on [{a:g}, {b:g}] (error {err:.3e})")
-    half = _gauss_halves(f, a, mid, left, tol, depth + 1)
-    return half + _gauss_halves(f, mid, b, right, tol, depth + 1)
-
-
-def integrate_panel(f: Callable[[float], float], a: float, b: float) -> float:
-    """Integrate a positive f over [a, b] by the 10-point Gauss rule on its
-    halves, once their sum agrees with the rule on [a, b] to PANEL_REL_TOL
-    of it; else each half is checked the same way against that tolerance,
-    which a positive f cannot cancel, to MAX_DEPTH levels (QuadratureError).
-    A sum that is not finite is returned as it is."""
-    whole = _gauss(f, a, b)
-    return _gauss_halves(f, a, b, whole, PANEL_REL_TOL * abs(whole), 0)
-
-
 # Most steps of the RK4 sweep's grid: its two float columns take 160 MB
 # at the cap.
 MAX_GRID_STEPS = 10_000_000
@@ -289,17 +212,6 @@ def grid_steps(t_max: float, step: float) -> int:
     return n
 
 
-class Warping(NamedTuple):
-    """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max]:
-    value is h as a function on the window, and end_slope the number
-    h'(t_max), from which a model continues h past the window.  Its ball
-    volume is panel_volumes over value, whatever computed h.
-    """
-
-    value: Callable[[float], float]
-    end_slope: float
-
-
 def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> None:
     """Raise OdeError at the first node i * step of the RK4 sweep where h or
     h' is not finite; pair(i) is node i's (h, h'), and when node n is
@@ -307,109 +219,6 @@ def require_finite_nodes(step: float, n: int, pair: Callable[[int], tuple]) -> N
     if all(map(math.isfinite, pair(n))):
         return
     raise OdeError(next(i for i in range(n + 1) if not all(map(math.isfinite, pair(i)))) * step)
-
-
-# A ball volume cuts its window into ceil(t_max / PANEL_WIDTH) panels, and
-# a window wider than MAX_PANELS * PANEL_WIDTH into MAX_PANELS wider ones.
-PANEL_WIDTH = 0.25
-MAX_PANELS = 4096
-
-
-def panel_volumes(h, t_max, m, om):
-    """The ball volume t -> om * integral of h^(m-1) over [0, t] of a
-    warping h on [0, t_max]: the closed form of a `rational:` spec,
-    analytic, a `table:` spec's series, analytic between its nodes, or the
-    RK4 sweep's dense output, a cubic on each grid step below the sweep's
-    stop and a line past it.  Whatever computed h, its k equal panels are
-    set by t_max alone; integrate_panel takes each to rounding, and halves
-    one where a table node, or the joins of the sweep's cubics, whose h''
-    jumps, spoil the rule.  The panel sums are one running prefix at the
-    panel edges, summed only as far as a lookup reads; a lookup in panel i
-    adds the part [edge i, t] of its panel by the same rule."""
-    k = min(math.ceil(t_max / PANEL_WIDTH), MAX_PANELS)
-    width = t_max / k
-    vol = array("d", [0.0])
-    area = lambda t: om * h(t) ** (m - 1)
-
-    def volume(t: float) -> float:
-        i = min(int(t / width), k - 1)
-        for j in range(len(vol), i + 1):
-            vol.append(vol[-1] + integrate_panel(area, (j - 1) * width, j * width))
-        return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
-
-    return volume
-
-
-# A piece of a warping's Taylor series stops once three successive terms
-# of h, and of h', at the piece's end are below this share of their sums.
-SERIES_REL_TOL = sys.float_info.epsilon / 100.0
-# The most terms a piece may take; one that needs more fails its check.
-SERIES_MAX_TERMS = 60
-
-
-def series_width(g0: float, g1: float) -> float:
-    """The widest piece, 1/sqrt(g0) and |g1|^(-1/3) at most, on which the
-    series of h'' = G h with G = g0 + g1 s + ... has w^2 g0 <= 1 and
-    w^3 |g1| <= 1, so that its terms fall like those of an exponential."""
-    return min(1.0 / math.sqrt(abs(g0)) if g0 else math.inf,
-               abs(g1) ** (-1.0 / 3.0) if g1 else math.inf)
-
-
-def series_warping(pieces) -> Warping:
-    """Solve h'' = G h with h(0) = 0, h'(0) = 1 by a Taylor series on each
-    of the consecutive pieces (t0, t1, gs) that run from 0 to t_max.
-
-    gs holds the Taylor coefficients g_j w^j of G(t0 + w sigma) in sigma,
-    w = t1 - t0; a coefficient past its end is 0.  Then h = sum of d_k
-    sigma^k with d_0 = h(t0), d_1 = w h'(t0) and
-    d_(k+2) = w^2 sum over j <= k of g_j w^j d_(k-j) / ((k+2)(k+1)).  The
-    series stops after three successive terms d_k and k d_k, the terms of
-    h and of w h' at the piece's end, fall below SERIES_REL_TOL of their
-    sums; the caller's widths (series_width) make them fall.  A piece
-    that needs more than SERIES_MAX_TERMS terms raises SeriesError.  h
-    inside a piece is one Horner evaluation; h and h' at its end, the
-    correctly rounded sums of its terms, start the next, and h' at t_max
-    is the record's end slope.  A piece whose end is not finite raises
-    OdeError naming that end.
-    """
-    h, slope = 0.0, 1.0
-    starts = array("d")
-    polys = []
-    for t0, t1, gs in pieces:
-        w = t1 - t0
-        d = [h, slope * w]
-        h_sum, hp_sum, small = d[0] + d[1], d[1], 0
-        for k in range(2, SERIES_MAX_TERMS):
-            # w (w sum) rather than w^2 sum, as w^2 overflows on a tail
-            # piece wider than about 1.3e154, where h may still be finite.
-            c = w * (w * sum(g * d[k - 2 - j] for j, g in enumerate(gs[:k - 1]))) / (k * (k - 1))
-            d.append(c)
-            h_sum += c
-            hp_sum += k * c
-            rounding = SERIES_REL_TOL * min(abs(h_sum), abs(hp_sum) / k)
-            small = small + 1 if abs(c) <= rounding else 0
-            if small == 3:
-                break
-        else:
-            if math.isfinite(h_sum) and math.isfinite(hp_sum):
-                raise SeriesError(f"the warping's Taylor series on [{t0:g}, {t1:g}] did not "
-                                  f"converge within {SERIES_MAX_TERMS} terms")
-        h = math.fsum(d)
-        slope = math.fsum(k * c for k, c in enumerate(d)) / w
-        if not (math.isfinite(h) and math.isfinite(slope)):
-            raise OdeError(t1)
-        starts.append(t0)
-        polys.append((t0, w, d[::-1]))
-
-    def value(t: float) -> float:
-        t0, w, poly = polys[bisect_right(starts, t, 1) - 1]
-        s = (t - t0) / w
-        acc = 0.0
-        for c in poly:
-            acc = acc * s + c
-        return acc
-
-    return Warping(value, slope)
 
 
 def _hermite(y0, y1, d0, d1, s, width):
@@ -500,6 +309,8 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float,
         if i <= stop:
             return values[i], derivs[i]
         return line(t_max if i == n else i * dt), v
+
+    from .warping import Warping
 
     require_finite_nodes(dt, n, pair)
     return Warping(value, v)

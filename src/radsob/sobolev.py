@@ -15,7 +15,8 @@ import math
 from typing import Callable, NamedTuple
 
 from .model_manifold import ModelManifold
-from .numerics import TOL, CheckFailed, integrate_finite, integrate_semi_infinite
+from . import CheckFailed
+from .numerics import TOL, integrate_finite, integrate_semi_infinite
 from .talenti import SobolevParams, TalentiProfile, profile_split
 
 

@@ -9,7 +9,8 @@ every scale lam > 0.  With that normalisation the p-energy of the family
 is scale invariant and its value determines the sharp constant K(m, p)
 through K^(-p) = integral(|phi'|^p).  Both integrals reduce to Euler Beta
 values, so beta and K are closed forms in lgamma; sharp_constant_detail
-integrates the energy by quadrature as a self-test of K.  The split of a
+integrates the energy by quadrature as a self-test of K, and is the one
+function here that loads `radsob.numerics`.  The split of a
 profile's unit p*-mass at a radius (mass_split) is a regularised
 incomplete Beta value of the same kind.
 """
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-from .numerics import integrate_semi_infinite
 
 
 class _Params(NamedTuple):
@@ -238,6 +237,8 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
     logarithm cannot take it, raises ValueError: the self-test, not the
     input, is out of range.
     """
+    from .numerics import integrate_semi_infinite
+
     m, p = params.m, params.p
 
     def energy(lam: float) -> float:

@@ -21,7 +21,8 @@ from unittest import mock
 
 from radsob import numerics
 from radsob.model_manifold import CurvatureProfile, ModelManifold, _require_dimension
-from radsob.numerics import integrate_panel, panel_volumes, require_finite_nodes, solve_h_ivp
+from radsob.numerics import require_finite_nodes, solve_h_ivp
+from radsob.warping import integrate_panel, panel_volumes
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
 from radsob.talenti import profile_split, sharp_beta
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from radsob import cli, model_manifold, sobolev, talenti
+from radsob import cli, numerics, sobolev, talenti, warping
 from radsob.cli import main, parse_args
 
 import _oracles
@@ -171,6 +171,15 @@ NAMED_REFUSALS = {
     },
     ("model", "--g", f"table:{SEED0_TABLE}", "--t-max", "1e300"):
         "the Euclidean ball volume at radius t=1e+298 overflows at m=4",
+    # Past t_max = 4.5e307, t_max / 0.25 is inf: the panel count is capped
+    # before its ceiling, so these name the first radius whose Euclidean
+    # ball volume overflows, as at 1e300.
+    **{
+        (command, "--g", g, "--t-max", "1e308", *extra):
+            f"the Euclidean ball volume at radius t={first}e+306 overflows at m=4"
+        for command, first in (("model", 1), ("rigidity", 5))
+        for g, extra in (("rational:0.1", ()), ("const:0.05:3", ("--step", "1e302")))
+    },
     # At m = 300 a ball volume or sphere area on the report's grid is out
     # of range: the model names the quantity, the radius and m.
     ("model", "--m", "300", "--g", "zero"):
@@ -398,7 +407,7 @@ def test_rigidity_refuses_infinite_upper_bound_before_the_ivp(capsys, monkeypatc
     """The ratio table's upper bound e^(m b) is refused from the moment, as in
     `model`: no IVP runs, and no overflow reaches stderr."""
     solved = []
-    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
+    monkeypatch.setattr(numerics, "solve_h_ivp", lambda *args: solved.append(args))
     for spec, b in (("const:10:10", "500"), ("const:1000:10", "50000"), ("const:1:inf", "inf")):
         assert main(["rigidity", "--g", spec, "--c-m", "0.5"]) == 2
         out, err = capsys.readouterr()
@@ -572,7 +581,7 @@ def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, mo
     panel and 10 on each half, for the sweep's cubics at the default step
     too, and for the table's series at step 1e-2."""
     points = []
-    panel_volumes = model_manifold.panel_volumes
+    panel_volumes = warping.panel_volumes
 
     def counted(h, t_max, m, om):
         def h_counted(t):
@@ -581,7 +590,7 @@ def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, mo
 
         return panel_volumes(h_counted, t_max, m, om)
 
-    monkeypatch.setattr(model_manifold, "panel_volumes", counted)
+    monkeypatch.setattr(warping, "panel_volumes", counted)
     table = tmp_path / "curvature.txt"
     table.write_text("0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n")
     panels = {}
@@ -635,19 +644,22 @@ def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):
             assert abs(value - k) <= tol * k, (argv, key, value, k)
 
 
-# Runs the CLI on argv with every quadrature entry point that talenti,
-# rigidity and sobolev import behind a counter; prints exit code and count.
+# Runs the CLI on argv with both quadrature entry points behind a counter,
+# in numerics (talenti imports them from there where it calls them) and in
+# sobolev, which imports them at its top; a call from inside numerics, the
+# semi-infinite rule's own finite parts, is not counted.  Prints exit code
+# and count.
 COUNT_QUADRATURE = """
 import sys
-from radsob import cli, rigidity, sobolev, talenti
+from radsob import cli, numerics, sobolev
 calls = []
-for module in (talenti, rigidity, sobolev):
+for module in (numerics, sobolev):
     for name in ("integrate_finite", "integrate_semi_infinite"):
-        if hasattr(module, name):
-            def counted(*args, _original=getattr(module, name), **kwargs):
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            if sys._getframe(1).f_globals["__name__"] != numerics.__name__:
                 calls.append(1)
-                return _original(*args, **kwargs)
-            setattr(module, name, counted)
+            return _original(*args, **kwargs)
+        setattr(module, name, counted)
 code = cli.main(sys.argv[1:])
 print(code, len(calls), file=sys.stderr)
 """
@@ -776,9 +788,12 @@ def test_limits_at_the_ends_of_the_float_range(capsys):
 
 
 def test_verify_at_the_end_of_the_float_range(capsys, tmp_path, monkeypatch):
-    """Windows far out, where the closed form and the series stay finite
-    and the moment past t_max is 0: the flux radii lie inside the window,
-    so verify passes, as neither the grid nor the square of t_max refuses."""
+    """Windows far out, where the closed form, the series and the sweep's
+    line stay finite and the moment past t_max is 0: the flux radii lie
+    inside the window, so verify passes, as neither the grid, the panel
+    count (capped before its ceiling, as t_max / 0.25 is inf past 4.5e307)
+    nor the square of t_max refuses.  The seed-0 table's h passes the float
+    range before 1e308: its series names the piece."""
     monkeypatch.chdir(tmp_path)
     _write_seed0_table(tmp_path)
     for argv in (
@@ -786,9 +801,15 @@ def test_verify_at_the_end_of_the_float_range(capsys, tmp_path, monkeypatch):
         ["verify", "--g", "rational:0.1", "--t-max", "1e160", "--step", "1e159"],
         ["verify", "--g", "rational:0.1", "--t-max", "1e300"],
         ["verify", "--g", f"table:{SEED0_TABLE}", "--t-max", "1e300"],
+        ["verify", "--g", "rational:0.1", "--t-max", "1e308"],
+        ["verify", "--g", "const:0.05:3", "--t-max", "1e308", "--step", "1e302"],
     ):
         rc, out = _run(capsys, argv)
         assert rc == 0 and out.endswith("# pass=true\n"), (argv, rc, out)
+    rc = main(["verify", "--g", f"table:{SEED0_TABLE}", "--t-max", "1e308"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (
+        1, "", "check failed: warping solution became non-finite near t=8.20373e+307\n")
 
 
 def test_rigidity_csv_flat_user_constant(capsys):

@@ -102,14 +102,23 @@ def test_cli_import_loads_no_slow_module():
 
 
 # The radsob modules each invocation loads: those its subcommand executes.
-# `rigidity` does not load sobolev: C_M is the user's or K.
+# `rigidity` does not load sobolev: C_M is the user's or K.  numerics, the
+# Simpson rule and the RK4 sweep, is loaded by the constants self-test,
+# the Sobolev functionals of `verify` and a `const:` model alone; warping,
+# the curved models' warpings and ball volumes, by a curved model alone.
+# The default model, that of `model` and `verify` here, is flat.
 MODULE_SETS = {
     ("constants", "--help"): {"cli"},
     ("constants",): {"cli", "numerics", "talenti"},
-    ("limits",): {"cli", "numerics", "talenti", "rigidity"},
-    ("model",): {"cli", "numerics", "talenti", "model_manifold"},
+    ("limits",): {"cli", "talenti", "rigidity"},
+    ("model",): {"cli", "talenti", "model_manifold"},
     ("verify",): {"cli", "numerics", "talenti", "model_manifold", "sobolev"},
-    ("rigidity",): {"cli", "numerics", "talenti", "model_manifold", "rigidity"},
+    ("rigidity", "--g", "zero"): {"cli", "talenti", "model_manifold", "rigidity"},
+    ("model", "--g", "rational:0.1"): {"cli", "talenti", "model_manifold", "warping"},
+    ("rigidity", "--g", "rational:0.1", "--c-m", "0.4"):
+        {"cli", "talenti", "model_manifold", "warping", "rigidity"},
+    ("model", "--g", "const:0.05:3"):
+        {"cli", "numerics", "talenti", "model_manifold", "warping"},
 }
 
 # Runs cli.main on its arguments and writes the radsob modules then in
@@ -150,20 +159,37 @@ def test_module_set_scan_flags_an_eager_import(tmp_path):
     eager = "\nimport sys\n\nfrom .rigidity import verify_theorem\n"
     cli.write_text(source.replace("\nimport sys\n", eager))
     assert _wrong_module_sets(tmp_path, [("constants", "--help")]) == {
-        ("constants", "--help"): ["cli", "numerics", "rigidity", "talenti"],
+        ("constants", "--help"): ["cli", "rigidity", "talenti"],
+    }
+
+
+def test_module_set_scan_flags_an_eager_kernel_import(tmp_path):
+    """talenti imports the Simpson rule inside the constants self-test; at
+    its top, every `limits` run would compile numerics."""
+    shutil.copytree(PACKAGE, tmp_path / "radsob", ignore=shutil.ignore_patterns("__pycache__"))
+    talenti = tmp_path / "radsob" / "talenti.py"
+    source = talenti.read_text()
+    assert source.count("\nimport math\n") == 1
+    eager = "\nimport math\n\nfrom .numerics import integrate_semi_infinite\n"
+    talenti.write_text(source.replace("\nimport math\n", eager))
+    assert _wrong_module_sets(tmp_path, [("limits",)]) == {
+        ("limits",): ["cli", "numerics", "rigidity", "talenti"],
     }
 
 
 def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
     """perfbench/tracer.py reaches every layer as an attribute of the
     package (radsob.__getattr__), so a traced run sees the modules that
-    the subcommand loads later: the quadrature of the constants self-test
-    is counted.  limits reads its mass split in closed form, so its trace
-    counts no integrand evaluation."""
+    the subcommand loads later, and a function-level import of a kernel
+    reads its wrapper: the quadrature of the constants self-test and of
+    `verify`, and the curvature calls of a `const:` model's RK4 sweep
+    (2 * 3001 + 1), are counted.  limits reads its mass split in closed
+    form, so its trace counts no integrand evaluation."""
     tracer = PACKAGE.parent.parent / "perfbench" / "tracer.py"
     spans, counts = {}, {}
     for argv in (["limits", "--m", "4", "--p", "2"], ["constants", "--m", "4", "--p", "2"],
-                 ["rigidity", "--g", "zero", "--c-m", "0.4"]):
+                 ["rigidity", "--g", "zero", "--c-m", "0.4"], ["model", "--g", "const:0.05:3"],
+                 ["verify", "--m", "4", "--p", "2", "--g", "zero"]):
         trace = tmp_path / "trace.json"
         child = subprocess.run([sys.executable, str(tracer), str(trace), "test", *argv],
                                env=_child_env(), capture_output=True, text=True, cwd=tmp_path)
@@ -175,6 +201,8 @@ def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
     assert counts["limits"].get("numerics.quad_evals", 0) == 0, counts
     assert counts["constants"].get("numerics.quad_evals", 0) > 0, counts
     assert "rigidity.verify_theorem" in spans["rigidity"], spans
+    assert counts["model"].get("numerics.ivp_g_evals") == 6003, counts
+    assert counts["verify"].get("numerics.quad_evals", 0) > 0, counts
 
 
 def test_frozen_records_refuse_assignment():

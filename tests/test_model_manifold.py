@@ -13,11 +13,10 @@ import random
 
 import pytest
 
-from radsob import model_manifold, numerics
+from radsob import OdeError, SeriesError, numerics, warping
 from radsob.cli import _rigidity_grid
-from radsob.numerics import (
-    OdeError, SeriesError, Warping, grid_steps, integrate_finite, panel_volumes, solve_h_ivp,
-)
+from radsob.numerics import grid_steps, integrate_finite, solve_h_ivp
+from radsob.warping import Warping, panel_volumes
 from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
@@ -197,7 +196,7 @@ def test_euclidean_volume_is_one_reference_with_one_refusal():
 def test_build_model_zero_curvature_shortcut(monkeypatch):
     """Zero curvature gives flat space exactly, without solving the IVP."""
     solved = []
-    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
+    monkeypatch.setattr(numerics, "solve_h_ivp", lambda *args: solved.append(args))
     model = build_model(4, ZeroCurvature(), 50.0, 1e-3)
     assert solved == []
     assert model.warp(3.0) == 3.0
@@ -208,7 +207,7 @@ def test_build_model_zero_curvature_shortcut(monkeypatch):
 
 def test_build_model_refuses_dimension_before_the_ivp(monkeypatch):
     solved = []
-    monkeypatch.setattr(model_manifold, "solve_h_ivp", lambda *args: solved.append(args))
+    monkeypatch.setattr(numerics, "solve_h_ivp", lambda *args: solved.append(args))
     with pytest.raises(ValueError, match="dimension must be at least 2"):
         build_model(1, RationalDecay(0.1), 50.0, 1e-3)
     with pytest.raises(ValueError, match="dimension must be at least 2"):
@@ -312,7 +311,7 @@ def test_build_model_runs_the_ivp_only_for_const(monkeypatch):
         solved.append(args)
         return solve_h_ivp(*args)
 
-    monkeypatch.setattr(model_manifold, "solve_h_ivp", counted)
+    monkeypatch.setattr(numerics, "solve_h_ivp", counted)
     counts = {}
     for name, profile in (("rational", RationalDecay(0.1)),
                           ("const", ConstantCutoff(0.05, 3.0)), ("table", SEED0_TABLE)):
@@ -356,12 +355,12 @@ def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
     binomial series of G moves h at t = 20 and 50 by more than the
     literals' 1e-13 (by about 3e-11 and 8e-11).  Dropping only the last of
     its coefficients would move h by less than rounding."""
-    series_warping = model_manifold.series_warping
+    series_warping = warping.series_warping
 
     def cut(pieces):
         return series_warping([(a, b, gs[:16] if a >= 8.0 else gs) for a, b, gs in pieces])
 
-    monkeypatch.setattr(model_manifold, "series_warping", cut)
+    monkeypatch.setattr(warping, "series_warping", cut)
     h = SEED0_TABLE.warping(50.0, 1e-3).value
     for t in (20.0, 50.0):
         ref = _oracles.TABLE_SEED0[t][0]
@@ -371,7 +370,7 @@ def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
 def test_a_series_that_does_not_converge_fails_its_check(monkeypatch):
     """A piece whose terms are not yet rounding at the term cap raises
     SeriesError, naming the piece, rather than truncating silently."""
-    monkeypatch.setattr(numerics, "SERIES_MAX_TERMS", 8)
+    monkeypatch.setattr(warping, "SERIES_MAX_TERMS", 8)
     with pytest.raises(SeriesError, match=r"series on \[0, 1\] did not converge within 8 terms"):
         SEED0_TABLE.warping(50.0, 1e-3)
 
@@ -383,6 +382,19 @@ def test_a_piece_below_the_float_spacing_fails_its_check():
     steep = Tabulated((0.0, 1e16, 1e16 + 2.0), (0.0, 0.0, 100.0), 3.0)
     with pytest.raises(SeriesError, match="narrower than the float spacing at t=1e[+]16"):
         steep.warping(2e16, 1e10)
+
+
+def test_a_series_summed_past_the_float_range_names_its_piece():
+    """The terms of the seed-0 table's piece ending at 8.2e307 are finite,
+    but fsum's running sum of them overflows; terms that hold both
+    infinities make fsum refuse their sum.  Either is the piece's end not
+    being finite: OdeError names it, as for an end that sums to inf."""
+    with pytest.raises(OdeError) as info:
+        SEED0_TABLE.warping(1e308, 1e-3)
+    assert f"{info.value.t:g}" == "8.20373e+307"
+    with pytest.raises(OdeError) as info:
+        warping.series_warping([(0.0, 1e150, [1e-100, -1e-100])])
+    assert info.value.t == 1e150
 
 
 def test_sweep_ball_volume_matches_the_30_digit_literals():
@@ -420,10 +432,10 @@ def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
     cap) and 1e-12, V(B_8e5) evaluates h at most 31 times per panel, not
     120 times per unit of radius, and the panels, 244 wide, still meet
     the 30-digit literals to 1e-13."""
-    assert numerics.MAX_PANELS == 4096
-    budget = 31 * numerics.MAX_PANELS
+    assert warping.MAX_PANELS == 4096
+    budget = 31 * warping.MAX_PANELS
     points = []
-    panel_volumes = model_manifold.panel_volumes
+    panel_volumes = warping.panel_volumes
 
     def counted(h, t_max, m, om):
         def h_counted(t):
@@ -433,7 +445,7 @@ def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
 
         return panel_volumes(h_counted, t_max, m, om)
 
-    monkeypatch.setattr(model_manifold, "panel_volumes", counted)
+    monkeypatch.setattr(warping, "panel_volumes", counted)
     for m in (4, 20):
         for step in (1e2, 1e-3, 1e-12):
             points.clear()

@@ -9,20 +9,21 @@ from array import array
 
 import pytest
 
+from radsob import OdeError, QuadratureError
 from radsob.numerics import (
-    GAUSS_NODES,
-    GAUSS_WEIGHTS,
     MAX_GRID_STEPS,
-    OdeError,
-    QuadratureError,
-    Warping,
-    _gauss,
     grid_steps,
     integrate_finite,
-    integrate_panel,
     integrate_semi_infinite,
-    panel_volumes,
     solve_h_ivp,
+)
+from radsob.warping import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
+    Warping,
+    _gauss,
+    integrate_panel,
+    panel_volumes,
 )
 
 from radsob.model_manifold import ConstantCutoff, RationalDecay, Tabulated
@@ -166,7 +167,7 @@ def test_checked_panel_rule_meets_what_one_rule_misses():
 
 def test_checked_panel_rule_refuses_a_singular_panel():
     """Near an integrable singularity the halves never agree: QuadratureError
-    at MAX_DEPTH, the check failure that exits 1."""
+    at PANEL_MAX_DEPTH, the check failure that exits 1."""
     with pytest.raises(QuadratureError, match="Gauss panel rule stalled"):
         integrate_panel(lambda s: abs(s - 0.1) ** -0.5, 0.0, 0.25)
 

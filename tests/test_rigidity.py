@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from radsob import rigidity
+from radsob import QuadratureError, rigidity
 from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
@@ -28,7 +28,6 @@ from radsob.rigidity import (
     mass_escape_experiment,
     verify_theorem,
 )
-from radsob.numerics import QuadratureError
 from radsob.sobolev import manifold_integral, talenti_function
 from radsob.talenti import (
     SobolevParams,

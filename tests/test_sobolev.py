@@ -13,7 +13,8 @@ from radsob.model_manifold import (
     build_model,
     euclidean_model,
 )
-from radsob.numerics import TOL, QuadratureError
+from radsob import QuadratureError
+from radsob.numerics import TOL
 from radsob.sobolev import (
     DivergentTailError,
     RadialFunction,
