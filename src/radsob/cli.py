@@ -26,8 +26,6 @@ mathematical check failed (a report row, or a radsob.CheckFailed raised
 on the way), 2 usage or input error.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from types import SimpleNamespace
@@ -211,12 +209,14 @@ def _chain_grid(t_max: float) -> list:
 def cmd_model(args: SimpleNamespace) -> tuple:
     from .model_manifold import verify_volume_chain
 
-    report = verify_volume_chain(_bounded_model(args), _chain_grid(args.t_max), slack=args.tol)
+    model = _bounded_model(args)
+    report = verify_volume_chain(model, _chain_grid(args.t_max), slack=args.tol)
     rows = [(c.name, c.t, c.lhs, c.rhs, args.tol, c.passed) for c in report.rows]
     ok = report.all_pass
     head, table = _checks(args, rows)
-    lines = _config_header(args) + [_comment({"b": report.b_used}), *table, _comment({"pass": ok})]
-    return ok, {**head, "b": report.b_used, "pass": ok}, lines
+    b = model.profile.b
+    lines = _config_header(args) + [_comment({"b": b}), *table, _comment({"pass": ok})]
+    return ok, {**head, "b": b, "pass": ok}, lines
 
 
 def cmd_verify(args: SimpleNamespace) -> tuple:
@@ -292,7 +292,7 @@ def cmd_rigidity(args: SimpleNamespace) -> tuple:
 
 
 def cmd_limits(args: SimpleNamespace) -> tuple:
-    from .rigidity import mass_escape_experiment
+    from .rigidity import ESCAPE_THRESHOLD, mass_escape_experiment
     from .talenti import SobolevParams
 
     params = SobolevParams(args.m, args.p)
@@ -303,14 +303,14 @@ def cmd_limits(args: SimpleNamespace) -> tuple:
         "command": "limits",
         "params": {"m": args.m, "p": args.p},
         "T": args.T,
-        "threshold": report.threshold,
+        "threshold": ESCAPE_THRESHOLD,
         "crossing": report.crossing,
         "rows": records,
         "pass": ok,
     }
     crossing = "none" if report.crossing is None else report.crossing
     lines = _config_header(args) + [
-        _comment({"T": args.T, "threshold": report.threshold}),
+        _comment({"T": args.T, "threshold": ESCAPE_THRESHOLD}),
         _comment({"crossing": crossing}),
     ]
     lines += table + [_comment({"pass": ok})]

@@ -3,34 +3,29 @@
 A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
 Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
-h(0) = 0, h'(0) = 1; a profile's warping() gives it as a warping.Warping:
+h(0) = 0, h'(0) = 1; a profile's warping() gives the pair (h, h'(t_max)):
 in closed form for RationalDecay, as a piecewise Taylor series for
 Tabulated, and from the RK4 sweep of that IVP, stopped past the cutoff,
 for ConstantCutoff.  Each warping, and build_model's curved path,
 imports the kernels it calls where it calls them, so a flat model loads
 neither `radsob.warping` nor `radsob.numerics`.  A ModelManifold holds
-its profile, h, the ball volume V(B_t) and the tail factor, and nothing
-else: it has no name, and sums ball volumes by checked Gauss panels over
-h, whichever profile gave it, only as far out as one is read.  The
-profile alone says whether G >= 0, and its moment
-b = integral(t max(G(t), 0) dt) measures the total amount of negative
-curvature; where G >= 0 and b is finite the model is trapped between
-Euclidean space and a bounded dilation of it, which is exactly what
-verify_volume_chain checks on a grid.
+its profile, h, the ball volume V(B_t) and the tail factor, and builds
+its sphere area omega h^(m-1) once; it has no name, and sums ball
+volumes by checked Gauss panels over omega h^(m-1), whichever profile
+gave h, only as far out as one is read.  The profile alone says whether
+G >= 0, and its moment b = integral(t max(G(t), 0) dt) measures the
+total amount of negative curvature; where G >= 0 and b is finite the
+model is trapped between Euclidean space and a bounded dilation of it,
+which is exactly what verify_volume_chain checks on a grid.
 """
-
-from __future__ import annotations
 
 import math
 import os
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import OdeError, SeriesError
 from .talenti import sphere_area, unit_ball_volume
-
-if TYPE_CHECKING:
-    from .warping import Warping
 
 
 def _exp_or_inf(x: float) -> float:
@@ -46,8 +41,8 @@ class CurvatureProfile:
     """Radial curvature coefficient G(t): a subclass defines g(t) and
     moment_tail(t_from), the integral of t G(t) over [t_from, inf), and,
     unless it is flat, warping(t_max, step): the solution of h'' = G h,
-    h(0) = 0, h'(0) = 1 on [0, t_max] as a warping.Warping.  step is the
-    RK4 step, which only ConstantCutoff's sweep reads.
+    h(0) = 0, h'(0) = 1 on [0, t_max] as the pair (h, h'(t_max)).  step is
+    the RK4 step, which only ConstantCutoff's sweep reads.
 
     nonnegative says whether G >= 0 on all of [0, inf): the lower volume
     chain, and C_M = K, hold only where it does.  Each profile here
@@ -95,7 +90,7 @@ class ConstantCutoff(CurvatureProfile):
             # t_cut^2 is out of range where a t_cut^2 need not be.
             return 0.5 * self.a * (self.t_cut - t_from) * (self.t_cut + t_from)
 
-    def warping(self, t_max: float, step: float) -> Warping:
+    def warping(self, t_max: float, step: float) -> tuple:
         """The RK4 sweep of solve_h_ivp and its dense output, which stops
         past t_cut, where h is a line."""
         from .numerics import solve_h_ivp
@@ -119,7 +114,7 @@ class RationalDecay(CurvatureProfile):
         # t_from * t_from is inf, and the moment 0, where t_from**2 raises.
         return self.b0 / (1.0 + t_from * t_from)
 
-    def warping(self, t_max: float, step: float) -> Warping:
+    def warping(self, t_max: float, step: float) -> tuple:
         """The warping in closed form, with no IVP sweep.
 
         With theta = atan t, k = 1 - 2 b0 and r = sqrt|k|,
@@ -132,8 +127,6 @@ class RationalDecay(CurvatureProfile):
         h' is not finite, until its ends are adjacent floats, and OdeError
         names that radius.
         """
-        from .warping import Warping
-
         k = 1.0 - self._two_b0
         if k > 0.0:
             r, sn, cs = math.sqrt(k), math.sin, math.cos
@@ -162,7 +155,7 @@ class RationalDecay(CurvatureProfile):
             while lo < (mid := lo + (hi - lo) / 2) < hi:
                 lo, hi = (mid, hi) if finite(mid) else (lo, mid)
             raise OdeError(hi)
-        return Warping(h, h_prime(t_max))
+        return h, h_prime(t_max)
 
 
 class Tabulated(CurvatureProfile):
@@ -219,7 +212,7 @@ class Tabulated(CurvatureProfile):
         j = bisect_right(grid, t) - 1
         return self.slopes[j] * (t - grid[j]) + self.values[j]
 
-    def warping(self, t_max: float, step: float) -> Warping:
+    def warping(self, t_max: float, step: float) -> tuple:
         """h as a piecewise Taylor series (warping.series_warping), with no
         sweep.  G is constant on [0, grid[0]] and linear between nodes, so
         about t0 its series is the node value, or the chord's value at t0,
@@ -364,8 +357,10 @@ class ModelManifold:
 
     A plain record of its curvature profile, of h and the ball volume
     V(B_t) as callables, and of the tail factor: how far area_extended()
-    may undershoot the true area beyond t_max.  area and volume are each a
-    window check and one call, whichever constructor made the model:
+    may undershoot the true area beyond t_max.  The sphere area
+    omega h^(m-1), with its named overflow, is one closure built here:
+    area_extended() returns it, and area and volume are each a window
+    check and one call, whichever constructor made the model:
 
       * build_model: the profile's warping (the closed form for
         RationalDecay, the piecewise series for Tabulated, the curvature
@@ -393,8 +388,17 @@ class ModelManifold:
         self.warp = warp
         self.ball_volume = ball_volume
         self.tail_factor = tail_factor
-        self.omega_sphere = sphere_area(m)
+        self.omega_sphere = om = sphere_area(m)
         self.omega_m = unit_ball_volume(m)
+        m1 = m - 1
+
+        def area(t: float) -> float:
+            try:
+                return om * warp(t) ** m1
+            except OverflowError:
+                raise _overflows("sphere area", t, m) from None
+
+        self._area = area
 
     def _check_window(self, t: float):
         if not (0.0 <= t <= self.t_max * (1.0 + 1e-12)):
@@ -404,10 +408,7 @@ class ModelManifold:
         """Area of the geodesic sphere of radius t; raises ValueError where
         it overflows a float."""
         self._check_window(t)
-        try:
-            return self.omega_sphere * self.warp(t) ** (self.m - 1)
-        except OverflowError:
-            raise _overflows("sphere area", t, self.m) from None
+        return self._area(t)
 
     def volume(self, t: float) -> float:
         """Volume of the geodesic ball of radius t; raises ValueError where
@@ -441,16 +442,7 @@ class ModelManifold:
         Beyond t_max it undershoots the true area by at most the factor
         tail_factor.
         """
-        om, m, warp = self.omega_sphere, self.m, self.warp
-        m1 = m - 1
-
-        def area(t: float) -> float:
-            try:
-                return om * warp(t) ** m1
-            except OverflowError:
-                raise _overflows("sphere area", t, m) from None
-
-        return area
+        return self._area
 
 
 def _require_dimension(m: int) -> None:
@@ -465,11 +457,12 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
     profile.warping gives h on the window and h' at its end: in closed
     form for RationalDecay, as a piecewise Taylor series for Tabulated,
     from the RK4 sweep of the IVP for ConstantCutoff, the one reader of
-    step.  The ball volume is panel_volumes over that h, however computed.
-    Past the window h continues linearly from its value and slope at T = t_max.
-    The true h satisfies w <= h <= w * F there, where w is that
-    continuation and F = exp(kappa * integral of s G(s) over [T, inf))
-    with kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
+    step.  The ball volume is panel_volumes over the sphere area
+    omega h^(m-1), however h was computed.  Past the window h continues
+    linearly from its value and slope at T = t_max.  The true h satisfies
+    w <= h <= w * F there, where w is that continuation and
+    F = exp(kappa * integral of s G(s) over [T, inf)) with
+    kappa = 1 + h(T)/(T h'(T)); the area's tail factor is F^(m-1).
     """
     if isinstance(profile, ZeroCurvature):
         return euclidean_model(m, t_max)
@@ -483,14 +476,16 @@ def build_model(m: int, profile: CurvatureProfile, t_max: float, step: float) ->
         return value(t) if t <= t_max else h_end + hp_end * (t - t_max)
 
     kappa = 1.0 + h_end / (hp_end * t_max)
+    # Ahead of omega: where t_max^2 overflows, the refusal is the tail's.
+    tail_factor = _exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max))
+    om, m1 = sphere_area(m), m - 1
     return ModelManifold(
         m=m,
         t_max=t_max,
         profile=profile,
         warp=h,
-        # Ahead of ball_volume: where t_max^2 overflows, the refusal is the tail's.
-        tail_factor=_exp_or_inf((m - 1) * kappa * profile.moment_tail(t_max)),
-        ball_volume=panel_volumes(value, t_max, m, sphere_area(m)),
+        tail_factor=tail_factor,
+        ball_volume=panel_volumes(lambda t: om * value(t) ** m1, t_max),
     )
 
 
@@ -518,7 +513,6 @@ class ChainCheck(NamedTuple):
 
 class VolumeChainReport(NamedTuple):
     rows: tuple
-    b_used: float
 
     @property
     def all_pass(self) -> bool:
@@ -573,4 +567,4 @@ def verify_volume_chain(model: ModelManifold, t_grid, slack: float) -> VolumeCha
         rows.append(check("lower_volume", t, v_euc, v_h))
         rows.append(check("upper_area", t, a_h, area_factor * a_euc))
         rows.append(check("upper_volume", t, v_h, vol_factor * v_euc))
-    return VolumeChainReport(rows=tuple(rows), b_used=b)
+    return VolumeChainReport(rows=tuple(rows))

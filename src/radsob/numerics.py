@@ -15,24 +15,20 @@ and tail are split and the integrand's declared tail power.  The RK4
 sweep has no error control of its own: the caller's step is its
 accuracy, which the tests pin against closed forms and high-precision
 reference solutions, and it stops where G has vanished for good, past
-which h is a line.  Its output is a warping.Warping.  Only the sweep has
-a grid (grid_steps), whose nodes its dense output reads from stdlib
-``array("d")`` columns.  Nothing here needs vector arithmetic.  All routines are deterministic:
-the same inputs always produce bitwise identical results.  Their check
-failures, QuadratureError and OdeError, are the package's.
+which h is a line.  It returns the warping (h, h'(t_max)).  Only the
+sweep has a grid (grid_steps), whose nodes its dense output reads from
+stdlib ``array("d")`` columns.  Nothing here needs vector arithmetic.
+All routines are deterministic: the same inputs always produce bitwise
+identical results.  Their check failures, QuadratureError and OdeError,
+are the package's.
 """
-
-from __future__ import annotations
 
 import math
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from . import OdeError, QuadratureError
-
-if TYPE_CHECKING:
-    from .warping import Warping
 
 
 # Open endpoint of the tail substitution t = split/u near u = 0.
@@ -232,27 +228,27 @@ def _hermite(y0, y1, d0, d1, s, width):
 
 
 def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float,
-                flat_from: float) -> Warping:
+                flat_from: float) -> tuple:
     """Solve h'' = g(t) h with h(0) = 0, h'(0) = 1 on [0, t_max], where g
     is 0 at every t > flat_from (math.inf if it never vanishes for good).
 
     Classic fixed-step RK4 on the first-order system (h, h'), one sweep
     over the grid_steps grid, which stops at the first node J whose step
     reads g past flat_from only: from there on every RK4 step, and the
-    dense output, draw the line h_J + (t - t_J) h'_J, exact up to rounding,
-    and so does the record.  g is called 2J + 1 times, at each node and
-    step midpoint up to node J.  Between nodes h is the cubic Hermite
-    interpolant of the nodes' h and h', which keeps the sweep's fourth
-    order; the record holds it and h' at the last node.  A lookup at
-    t_max (or within the window's 1e-12 slack past it) returns the last
-    node's h exactly, and one outside the window raises ValueError.  There
-    is no error estimate; the step is the accuracy control, of h and so of
-    the ball volume, which panel_volumes takes exactly for this h, and it
-    reaches no other code.  Finiteness is checked once, after the sweep
-    (require_finite_nodes): an RK4 step of this linear system keeps a
-    non-finite h or h' non-finite, and the line grows with t, so the first
-    non-finite node is the one where the state blew up.  The models of
-    `const:` specs come from this sweep.
+    dense output, draw the line h_J + (t - t_J) h'_J, exact up to rounding.
+    g is called 2J + 1 times, at each node and step midpoint up to node J.
+    Between nodes h is the cubic Hermite interpolant of the nodes' h and
+    h', which keeps the sweep's fourth order.  Returns the warping: that h
+    and h' at the last node.  A lookup at t_max (or within the window's
+    1e-12 slack past it) returns the last node's h exactly, and one
+    outside the window raises ValueError.  There is no error estimate; the
+    step is the accuracy control, of h and so of the ball volume, which
+    panel_volumes takes exactly over this h, and it reaches no other code.
+    Finiteness is checked once, after the sweep (require_finite_nodes): an
+    RK4 step of this linear system keeps a non-finite h or h' non-finite,
+    and the line grows with t, so the first non-finite node is the one
+    where the state blew up.  The models of `const:` specs come from this
+    sweep.
 
     Raises:
         OdeError: the state became non-finite (runaway curvature input).
@@ -310,7 +306,5 @@ def solve_h_ivp(g: Callable[[float], float], t_max: float, step: float,
             return values[i], derivs[i]
         return line(t_max if i == n else i * dt), v
 
-    from .warping import Warping
-
     require_finite_nodes(dt, n, pair)
-    return Warping(value, v)
+    return value, v

@@ -23,15 +23,10 @@ profile decides only which hypotheses apply and which volume the
 certificate profile v compares against, so no caller chooses a case.
 """
 
-from __future__ import annotations
-
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .talenti import SobolevParams, mass_split, sharp_beta, sharp_constant
-
-if TYPE_CHECKING:
-    from .model_manifold import ModelManifold
 
 
 class RigidityHypothesisError(ValueError):
@@ -88,7 +83,6 @@ def c_hat(c3_value: float, b: float, params: SobolevParams) -> float:
 
 class MassEscapeReport(NamedTuple):
     rows: tuple
-    threshold: float
     crossing: float | None
 
     @property
@@ -133,7 +127,7 @@ def mass_escape_experiment(
             if hi / lo < 1.0 + 1e-9:
                 break
         crossing = hi
-    return MassEscapeReport(rows=tuple(rows), threshold=ESCAPE_THRESHOLD, crossing=crossing)
+    return MassEscapeReport(rows=tuple(rows), crossing=crossing)
 
 
 class RigidityReport(NamedTuple):
@@ -153,7 +147,7 @@ class RigidityReport(NamedTuple):
 
 
 def verify_theorem(
-    model: ModelManifold,
+    model,
     params: SobolevParams,
     t_grid,
     c_m: float | None,

@@ -9,8 +9,6 @@ manifold constant and never certifies one; rigidity.verify_theorem takes
 C_M as the user's or as K instead.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple
 

@@ -15,8 +15,6 @@ profile's unit p*-mass at a radius (mass_split) is a regularised
 incomplete Beta value of the same kind.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -182,7 +180,11 @@ class TalentiProfile(_Profile):
 
     phi_lam(t) = coef * (lam + t^q)^(-nu) with q = p/(p-1), nu = (m-p)/p
     and coef = beta * lam^((m-p)/p^2); these are fixed per profile and
-    derived from (params, lam, beta) by the constructor.
+    derived from (params, lam, beta) by the constructor, which refuses a
+    coef past the float range with ValueError.  Where the direct form of
+    phi or phi' overflows at t > 0 (t^q past the float range, as near
+    p = 1), it is taken as the exponential of its logarithm; at t = 0,
+    where the logarithm cannot take it, the OverflowError stands.
     """
 
     __slots__ = ()
@@ -191,15 +193,12 @@ class TalentiProfile(_Profile):
         if not (lam > 0.0) or not math.isfinite(lam):
             raise ValueError(f"profile scale lam must be positive and finite, got {lam!r}")
         m, p = params.m, params.p
-        return super().__new__(
-            cls,
-            params,
-            lam,
-            beta,
-            q=params.conj,
-            nu=(m - p) / p,
-            coef=beta * lam ** ((m - p) / p**2),
-        )
+        try:
+            coef = beta * lam ** ((m - p) / p**2)
+        except OverflowError:
+            raise ValueError(f"the profile coefficient beta lambda^((m-p)/p^2) overflows "
+                             f"at scale lambda={lam:g}, m={m}, p={p:g}") from None
+        return super().__new__(cls, params, lam, beta, q=params.conj, nu=(m - p) / p, coef=coef)
 
     @classmethod
     def build(cls, params: SobolevParams, lam: float) -> "TalentiProfile":
@@ -207,16 +206,34 @@ class TalentiProfile(_Profile):
 
     # -- pointwise evaluations -------------------------------------------
 
+    def log_base(self, log_t: float) -> float:
+        """log(lam + t^q) from log t, finite where t^q is not: the larger
+        term's log plus log1p(smaller / larger)."""
+        log_tq, log_lam = self.q * log_t, math.log(self.lam)
+        return max(log_tq, log_lam) + math.log1p(math.exp(-abs(log_tq - log_lam)))
+
     def phi(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
-        return self.coef * (self.lam + t**self.q) ** (-self.nu)
+        try:
+            return self.coef * (self.lam + t**self.q) ** (-self.nu)
+        except OverflowError:
+            if t == 0.0:
+                raise
+            return math.exp(math.log(self.coef) - self.nu * self.log_base(math.log(t)))
 
     def phi_prime(self, t: float) -> float:
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
         q, nu = self.q, self.nu
-        return -self.coef * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
+        try:
+            return -self.coef * nu * q * t ** (q - 1.0) * (self.lam + t**q) ** (-nu - 1.0)
+        except OverflowError:
+            if t == 0.0:
+                raise
+            log_t = math.log(t)
+            return -math.exp(math.log(self.coef * nu * q) + (q - 1.0) * log_t
+                             - (nu + 1.0) * self.log_base(log_t))
 
 
 # The scales at which the constants self-test integrates the energy.
@@ -243,7 +260,7 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
 
     def energy(lam: float) -> float:
         profile = TalentiProfile.build(params, lam)
-        slope, q, nu, log_lam = profile.phi_prime, profile.q, profile.nu, math.log(lam)
+        slope, q, nu = profile.phi_prime, profile.q, profile.nu
         log_coef = math.log(profile.coef * nu * q)
 
         def f(t: float) -> float:
@@ -257,9 +274,7 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
                 # lam^(-nu-1) overflows, and log t is not finite either.
                 raise OverflowError(f"the kernel overflows at t = 0 at scale lambda={lam:g}")
             log_t = math.log(t)
-            # log(lam + t^q): the larger term's log plus log1p(smaller / larger)
-            log_base = max(q * log_t, log_lam) + math.log1p(math.exp(-abs(q * log_t - log_lam)))
-            log_slope = log_coef + (q - 1.0) * log_t - (nu + 1.0) * log_base
+            log_slope = log_coef + (q - 1.0) * log_t - (nu + 1.0) * profile.log_base(log_t)
             return math.exp(p * log_slope + (m - 1) * log_t)
 
         decay = (m - 1.0) / (p - 1.0)

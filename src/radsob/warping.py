@@ -1,10 +1,12 @@
 """The warping of a curved model, and its ball volume.
 
-Three pieces live here, all read by the curved models of
-`radsob.model_manifold` and by no flat run: the Warping record, the one
-shape of every warping (h as a function and h' at the window's end); the
-ball volume of any warping, checked Gauss panels over h (panel_volumes);
-and a piecewise Taylor series for the warping initial value problem
+A warping is the pair (h, h'(t_max)): h as a function on the window
+[0, t_max], with h(0) = 0 and h'(0) = 1, and the number from which a
+model continues h past the window.  Two pieces live here, both read by
+the curved models of `radsob.model_manifold` and by no flat run: the
+integral from 0 of the area function a model hands over, summed by
+checked Gauss panels (panel_volumes), which is its ball volume; and a
+piecewise Taylor series for the warping initial value problem
 h'' = G(t) h, h(0) = 0, h'(0) = 1, which builds the models of `table:`
 specs.  (A `rational:` model takes its warping in closed form, and a
 `const:` model from the RK4 sweep of `radsob.numerics`.)  The Gauss
@@ -15,25 +17,12 @@ A warping's finiteness is checked once, as it is built.  All routines are
 deterministic: the same inputs always produce bitwise identical results.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import OdeError, QuadratureError, SeriesError
-
-
-class Warping(NamedTuple):
-    """A warping h with h(0) = 0, h'(0) = 1 on the window [0, t_max]:
-    value is h as a function on the window, and end_slope the number
-    h'(t_max), from which a model continues h past the window.  Its ball
-    volume is panel_volumes over value, whatever computed h.
-    """
-
-    value: Callable[[float], float]
-    end_slope: float
 
 
 def _gauss_legendre_10() -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -98,14 +87,15 @@ PANEL_WIDTH = 0.25
 MAX_PANELS = 4096
 
 
-def panel_volumes(h, t_max, m, om):
-    """The ball volume t -> om * integral of h^(m-1) over [0, t] of a
-    warping h on [0, t_max]: the closed form of a `rational:` spec,
-    analytic, a `table:` spec's series, analytic between its nodes, or the
-    RK4 sweep's dense output, a cubic on each grid step below the sweep's
-    stop and a line past it.  Whatever computed h, its k equal panels are
-    set by t_max alone; integrate_panel takes each to rounding, and halves
-    one where a table node, or the joins of the sweep's cubics, whose h''
+def panel_volumes(area, t_max):
+    """The function t -> integral of area over [0, t] on [0, t_max]: the
+    ball volume, when area is a model's sphere area omega h^(m-1) over a
+    warping h, which is the closed form of a `rational:` spec, analytic, a
+    `table:` spec's series, analytic between its nodes, or the RK4 sweep's
+    dense output, a cubic on each grid step below the sweep's stop and a
+    line past it.  Whatever computed area, its k equal panels are set by
+    t_max alone; integrate_panel takes each to rounding, and halves one
+    where a table node, or the joins of the sweep's cubics, whose h''
     jumps, spoil the rule.  The panel sums are one running prefix at the
     panel edges, summed only as far as a lookup reads; a lookup in panel i
     adds the part [edge i, t] of its panel by the same rule."""
@@ -113,7 +103,6 @@ def panel_volumes(h, t_max, m, om):
     k = math.ceil(min(t_max / PANEL_WIDTH, MAX_PANELS))
     width = t_max / k
     vol = [0.0]
-    area = lambda t: om * h(t) ** (m - 1)
 
     def volume(t: float) -> float:
         i = min(int(t / width), k - 1)
@@ -139,7 +128,7 @@ def series_width(g0: float, g1: float) -> float:
                abs(g1) ** (-1.0 / 3.0) if g1 else math.inf)
 
 
-def series_warping(pieces) -> Warping:
+def series_warping(pieces) -> tuple:
     """Solve h'' = G h with h(0) = 0, h'(0) = 1 by a Taylor series on each
     of the consecutive pieces (t0, t1, gs) that run from 0 to t_max.
 
@@ -152,8 +141,8 @@ def series_warping(pieces) -> Warping:
     sums; the caller's widths (series_width) make them fall.  A piece
     that needs more than SERIES_MAX_TERMS terms raises SeriesError.  h
     inside a piece is one Horner evaluation; h and h' at its end, the
-    correctly rounded sums of its terms, start the next, and h' at t_max
-    is the record's end slope.  A piece whose end is not finite, or whose
+    correctly rounded sums of its terms, start the next.  Returns the
+    warping (h, h'(t_max)).  A piece whose end is not finite, or whose
     terms sum past the float range, raises OdeError naming that end.
     """
     h, slope = 0.0, 1.0
@@ -198,4 +187,4 @@ def series_warping(pieces) -> Warping:
             acc = acc * s + c
         return acc
 
-    return Warping(value, slope)
+    return value, slope

@@ -493,18 +493,19 @@ def model_from_warping(m, h, h_prime, h_second, t_max, *, b, nonnegative):
     """Model from a closed-form warping function with h(0)=0, h'(0)=1.
 
     h' is checked at the apex only; the ball volume is panel_volumes over
-    h, as a profile's model's is.  h'' only enters the profile's G = h''/h,
-    whose moment b and sign the caller declares.
+    omega h^(m-1), as a profile's model's is.  h'' only enters the
+    profile's G = h''/h, whose moment b and sign the caller declares.
     """
     _require_dimension(m)
     if abs(h(0.0)) > 1e-9 or abs(h_prime(0.0) - 1.0) > 1e-9:
         raise ValueError("warping function must satisfy h(0)=0 and h'(0)=1")
+    om = sphere_area(m)
     return ModelManifold(
         m=m,
         t_max=t_max,
         profile=WarpingCurvature(h, h_second, b, nonnegative),
         warp=h,
-        ball_volume=panel_volumes(h, t_max, m, sphere_area(m)),
+        ball_volume=panel_volumes(lambda t: om * h(t) ** (m - 1), t_max),
         tail_factor=1.0,
     )
 

@@ -224,6 +224,17 @@ NAMED_REFUSALS = {
     # beta is the exponential of 1361, where K(1000, 2) is about 0.0153.
     ("constants", "--m", "1000", "--p", "2"):
         "the profile's beta overflows at m=1000, p=2",
+    # coef = beta lambda^((m-p)/p^2) is lambda^4.5 at (20, 2) and lambda^1.94
+    # at (3, 1.01): past the float range before any profile value.
+    ("verify", "--m", "20", "--p", "2", "--g", "rational:0.1", "--lambda", "1e100"):
+        "the profile coefficient beta lambda^((m-p)/p^2) overflows at scale lambda=1e+100, "
+        "m=20, p=2",
+    ("verify", "--m", "3", "--p", "1.01", "--g", "rational:0.1", "--lambda", "1e300"):
+        "the profile coefficient beta lambda^((m-p)/p^2) overflows at scale lambda=1e+300, "
+        "m=3, p=1.01",
+    ("constants", "--m", "20", "--p", "2", "--lambda", "1e100"):
+        "the profile coefficient beta lambda^((m-p)/p^2) overflows at scale lambda=1e+100, "
+        "m=20, p=2",
 }
 
 
@@ -583,12 +594,12 @@ def test_each_command_draws_only_the_node_pairs_its_ball_volumes_read(capsys, mo
     points = []
     panel_volumes = warping.panel_volumes
 
-    def counted(h, t_max, m, om):
-        def h_counted(t):
+    def counted(area, t_max):
+        def area_counted(t):
             points.append(t)
-            return h(t)
+            return area(t)
 
-        return panel_volumes(h_counted, t_max, m, om)
+        return panel_volumes(area_counted, t_max)
 
     monkeypatch.setattr(warping, "panel_volumes", counted)
     table = tmp_path / "curvature.txt"
@@ -626,6 +637,20 @@ def test_a_table_of_huge_curvature_fails_at_a_named_radius(capsys, tmp_path):
     assert main(["verify", "--g", f"table:{table}"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "check failed: warping solution became non-finite near t=0.705\n"
+
+
+def test_verify_near_p_one_takes_the_profile_in_log_space(capsys):
+    """At p = 1.02 and 1.01, q = 51 and 101, and t^q on the tail integrals
+    (t up to 1e8) is past the float range: phi and phi' are taken in log
+    space there, and verify passes, its energy within --tol of K^(-p),
+    instead of exiting 2."""
+    for m in ("3", "4", "10"):
+        for p in ("1.02", "1.01"):
+            rc, out = _run(capsys, ["verify", "--m", m, "--p", p, "--g", "zero"])
+            assert rc == 0 and out.endswith("# pass=true\n"), (m, p, out)
+            energy = next(line for line in out.split("\n") if line.startswith("energy_lower,"))
+            k_pow, value = map(float, energy.split(",")[2:4])
+            assert abs(value - k_pow) <= cli.DEFAULTS["tol"] * k_pow, (m, p, energy)
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):

@@ -1,8 +1,7 @@
 """Every name a radsob module imports is used in that module.
 
-__future__ imports are exempt.  The package __init__ imports nothing:
-names are imported from their modules.  Each CLI run loads only the
-modules its subcommand executes.
+The package __init__ imports nothing: names are imported from their
+modules.  Each CLI run loads only the modules its subcommand executes.
 """
 
 import ast
@@ -27,8 +26,6 @@ def _unused_imports(source: str) -> list:
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
@@ -40,6 +37,7 @@ def _unused_imports(source: str) -> list:
 def test_scan_flags_an_unused_import():
     source = "from math import pi, tau\nimport numpy as np\n\nx = np.zeros(3) * pi\n"
     assert _unused_imports(source) == [(1, "tau")]
+    assert _unused_imports("from __future__ import annotations\n") == [(1, "annotations")]
 
 
 def test_modules_use_every_imported_name():
@@ -93,12 +91,14 @@ def test_package_import_loads_no_module_of_its_own():
 
 
 def test_cli_import_loads_no_slow_module():
-    """No module a CLI run can import loads a slow one."""
+    """No module a CLI run can import loads a slow one, nor __future__: no
+    annotation needs it, and a run would import it for nothing."""
     modules = [f"radsob.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
                if path.stem != "__init__"]
     added = _loaded_modules(f"import {', '.join(modules)}", "-S") - _loaded_modules("pass", "-S")
     assert set(modules) <= added
     assert not SLOW_IMPORTS & added, f"radsob loads {sorted(SLOW_IMPORTS & added)}"
+    assert "__future__" not in added
 
 
 # The radsob modules each invocation loads: those its subcommand executes.

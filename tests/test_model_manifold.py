@@ -16,7 +16,7 @@ import pytest
 from radsob import OdeError, SeriesError, numerics, warping
 from radsob.cli import _rigidity_grid
 from radsob.numerics import grid_steps, integrate_finite, solve_h_ivp
-from radsob.warping import Warping, panel_volumes
+from radsob.warping import panel_volumes
 from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
@@ -43,18 +43,18 @@ except ImportError:
 
 
 RAT01 = build_model(4, RationalDecay(0.1), t_max=50.0, step=1e-3)
-# RAT01's closed-form warping; the model carries h only.
-RAT01_WARPING = RationalDecay(0.1).warping(50.0, 1e-3)
+# RAT01's closed-form warping (h, h'(50)); the model carries h only.
+RAT01_H, RAT01_HP_END = RationalDecay(0.1).warping(50.0, 1e-3)
 # The RK4 solution of the same IVP and its node pairs, the route of const:
 # and table: models: a cross-check of the closed form.
-RAT01_IVP, RAT01_IVP_PAIRS = _oracles.ivp_nodes(RationalDecay(0.1).g, 50.0, 1e-3,
-                                                math.inf)
+(RAT01_IVP_H, _), RAT01_IVP_PAIRS = _oracles.ivp_nodes(RationalDecay(0.1).g, 50.0, 1e-3,
+                                                       math.inf)
 EUC4 = euclidean_model(4, 50.0)
 
 
 def rat01_h_prime(t):
     """h'(t) of RAT01's closed form: the end slope of its warping on [0, t]."""
-    return RationalDecay(0.1).warping(t, 1e-3).end_slope
+    return RationalDecay(0.1).warping(t, 1e-3)[1]
 
 
 def test_parse_curvature_grammar():
@@ -236,14 +236,14 @@ def test_rational_closed_form_matches_the_30_digit_oracles():
     )
     for b0, h_refs, hp_refs in cases:
         profile = RationalDecay(b0)
-        h = profile.warping(20.0, 1e-3).value
+        h, _ = profile.warping(20.0, 1e-3)
         for t, ref in h_refs.items():
             rel = abs(h(t) - ref) / ref
             assert rel <= 1e-14, f"b0={b0}: h({t}) off by {rel:.3e}"
         for t, ref in hp_refs.items():
-            rel = abs(profile.warping(t, 1e-3).end_slope - ref) / ref
+            rel = abs(profile.warping(t, 1e-3)[1] - ref) / ref
             assert rel <= 1e-14, f"b0={b0}: h'({t}) off by {rel:.3e}"
-        assert (h(0.0), profile.warping(1e-300, 1e-3).end_slope) == (0.0, 1.0)
+        assert (h(0.0), profile.warping(1e-300, 1e-3)[1]) == (0.0, 1.0)
 
 
 def test_rational_closed_form_at_k_zero_matches_the_ivp():
@@ -252,10 +252,9 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
     step 1e-3 to 1e-12, h at the nodes and between them, h' at the nodes,
     and the two warpings' end slopes too."""
     profile = RationalDecay(0.5)
-    warping = profile.warping(30.0, 1e-3)
-    h = warping.value
+    h, hp_end = profile.warping(30.0, 1e-3)
     n = grid_steps(30.0, 1e-3)
-    ivp, ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3, math.inf)
+    (ivp, ivp_hp_end), ivp_pairs = _oracles.ivp_nodes(profile.g, 30.0, 1e-3, math.inf)
     assert len(ivp_pairs) == n + 1
     grid = uniform_grid(30.0, n)
     exact = lambda t: (math.hypot(1.0, t) * math.atan(t),
@@ -264,8 +263,8 @@ def test_rational_closed_form_at_k_zero_matches_the_ivp():
                 for a, b in zip((h(t), *exact(t)), (want[0], *want)))
     assert worst <= 1e-12, f"node pairs differ by {worst:.3e}"
     for t in (0.0005, 0.77777, 3.14159, 29.9999):
-        assert abs(h(t) - ivp.value(t)) <= 1e-12 * ivp.value(t), t
-    assert abs(warping.end_slope - ivp.end_slope) <= 1e-12 * ivp.end_slope
+        assert abs(h(t) - ivp(t)) <= 1e-12 * ivp(t), t
+    assert abs(hp_end - ivp_hp_end) <= 1e-12 * ivp_hp_end
 
 
 # (b0, t_max, the radius OdeError names): sinh of a large r theta overflows
@@ -296,7 +295,8 @@ def test_rational_closed_form_names_the_first_radius_it_cannot_represent():
             profile.warping(t_max, 1e-3)
         assert str(info.value) == f"warping solution became non-finite near t={t}", (b0, t_max)
         radius = info.value.t
-        assert isinstance(profile.warping(math.nextafter(radius, 0.0), 1e-3), Warping), b0
+        h, hp_end = profile.warping(math.nextafter(radius, 0.0), 1e-3)
+        assert callable(h) and math.isfinite(hp_end), b0
         with pytest.raises(OdeError):
             profile.warping(radius, 1e-3)
 
@@ -318,7 +318,8 @@ def test_build_model_runs_the_ivp_only_for_const(monkeypatch):
         solved.clear()
         build_model(4, profile, t_max=20.0, step=1e-2)
         counts[name] = len(solved)
-        assert isinstance(profile.warping(20.0, 1e-2), Warping), name
+        h, hp_end = profile.warping(20.0, 1e-2)
+        assert callable(h) and math.isfinite(hp_end), name
     assert counts == {"rational": 0, "const": 1, "table": 0}, counts
 
 
@@ -345,7 +346,7 @@ def test_table_series_matches_the_30_digit_literals():
     out on the tail; h' at t is the end slope of the warping on [0, t]."""
     model = build_model(4, SEED0_TABLE, t_max=50.0, step=1e-3)
     for t, refs in _oracles.TABLE_SEED0.items():
-        got = (model.warp(t), SEED0_TABLE.warping(t, 1e-3).end_slope, model.volume(t))
+        got = (model.warp(t), SEED0_TABLE.warping(t, 1e-3)[1], model.volume(t))
         for name, value, ref in zip(("h", "h'", "V"), got, refs):
             assert abs(value - ref) <= 1e-13 * ref, f"{name}({t}) off by {value / ref - 1:.3e}"
 
@@ -361,7 +362,7 @@ def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
         return series_warping([(a, b, gs[:16] if a >= 8.0 else gs) for a, b, gs in pieces])
 
     monkeypatch.setattr(warping, "series_warping", cut)
-    h = SEED0_TABLE.warping(50.0, 1e-3).value
+    h, _ = SEED0_TABLE.warping(50.0, 1e-3)
     for t in (20.0, 50.0):
         ref = _oracles.TABLE_SEED0[t][0]
         assert abs(h(t) - ref) > 1e-11 * ref, t
@@ -437,13 +438,13 @@ def test_a_coarse_grid_bounds_the_panels_of_a_wide_window(monkeypatch):
     points = []
     panel_volumes = warping.panel_volumes
 
-    def counted(h, t_max, m, om):
-        def h_counted(t):
+    def counted(area, t_max):
+        def area_counted(t):
             points.append(t)
             assert len(points) <= budget, "h evaluated past the budget of the panels"
-            return h(t)
+            return area(t)
 
-        return panel_volumes(h_counted, t_max, m, om)
+        return panel_volumes(area_counted, t_max)
 
     monkeypatch.setattr(warping, "panel_volumes", counted)
     for m in (4, 20):
@@ -467,7 +468,7 @@ def test_a_ball_volume_past_the_float_range_is_named():
             model.volume(20.0)
         assert str(refused.value) == "the ball volume at radius t=20 overflows at m=150"
     # Each value of omega h = 1.7e308 is finite, and a panel's sum is not.
-    summed = panel_volumes(lambda t: 1e300, 1.0, 2, 1.7e8)
+    summed = panel_volumes(lambda t: 1.7e8 * 1e300, 1.0)
     assert math.isinf(summed(0.5))
     model = ModelManifold(2, 1.0, ZeroCurvature(), lambda t: t, summed, 1.0)
     with pytest.raises(ValueError, match="^the ball volume at radius t=0.5 overflows at m=2$"):
@@ -500,7 +501,7 @@ def _volume_table_cases():
             ("const:0.05:3", ConstantCutoff(0.05, 3.0), 50.0, 0.3),
             ("table seed 0", SEED0_TABLE, 50.0, 1e-3),
             ("rational:0.1", RationalDecay(0.1), 50.1, 1e-3)):
-        h = profile.warping(t_max, step).value
+        h, _ = profile.warping(t_max, step)
         cases.append((f"{name}, step {step}",
                       lambda profile=profile, t_max=t_max, step=step: build_model(
                           4, profile, t_max, step),
@@ -595,7 +596,7 @@ def test_laplacian_comparison_and_guard():
     for t in (0.5, 2.0, 10.0):
         assert t * rat01_h_prime(t) >= RAT01.warp(t) * (1.0 - 1e-12)
     with pytest.raises(ValueError):
-        RAT01_IVP.value(-0.1)
+        RAT01_IVP_H(-0.1)
 
 
 def test_window_guard():
@@ -608,7 +609,7 @@ def test_window_guard():
 def test_chain_rational_passes():
     report = verify_volume_chain(RAT01, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), slack=1e-8)
     assert report.all_pass, f"failures: {[(r.name, r.t) for r in report.rows if not r.passed]}"
-    assert report.b_used == 0.1
+    assert RAT01.profile.b == 0.1
     assert len(report.rows) == 24
 
 
@@ -680,11 +681,11 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     between the model's linear continuation and that continuation times
     its tail factor."""
     om = RAT01.omega_sphere
-    ivp_volume = panel_volumes(RAT01_IVP.value, 50.0, 4, om)
+    ivp_volume = panel_volumes(lambda t: om * RAT01_IVP_H(t) ** 3, 50.0)
     for t in (0.3, 1.0, 2.5, 7.77777, 20.0, 49.9, 50.0):
         pairs = {
-            "h": (RAT01.warp(t), RAT01_IVP.value(t)),
-            "area": (RAT01.area(t), om * RAT01_IVP.value(t) ** 3),
+            "h": (RAT01.warp(t), RAT01_IVP_H(t)),
+            "area": (RAT01.area(t), om * RAT01_IVP_H(t) ** 3),
             "volume": (RAT01.volume(t), ivp_volume(t)),
         }
         for name, (got, want) in pairs.items():
@@ -695,19 +696,20 @@ def test_closed_form_model_matches_the_ivp_and_its_certified_tail():
     factor = RAT01.tail_factor
     assert 1.0 < factor < 1.001
     # The closed-form h is exact past the window too.
-    exact_h = RAT01_WARPING.value
     continued = RAT01.area_extended()
     for t in (60.0, 200.0, 1e4):
-        ratio = om * exact_h(t) ** 3 / continued(t)
+        ratio = om * RAT01_H(t) ** 3 / continued(t)
         assert 1.0 < ratio <= factor, f"area ratio {ratio!r} at t={t} against factor {factor!r}"
 
 
 def test_area_extended_continuation():
+    """Inside the window area and area_extended() are one closure, so they
+    agree bit for bit; past it the area continues h linearly."""
     ext = RAT01.area_extended()
-    assert abs(ext(49.999) - RAT01.area(49.999)) / RAT01.area(49.999) < 1e-12
+    for t in (0.0, 0.3, 7.77777, 49.999, 50.0):
+        assert ext(t) == RAT01.area(t), t
     h_end = RAT01.warp(50.0)
-    hp_end = RAT01_WARPING.end_slope
-    expected = RAT01.omega_sphere * (h_end + 10.0 * hp_end) ** 3
+    expected = RAT01.omega_sphere * (h_end + 10.0 * RAT01_HP_END) ** 3
     assert abs(ext(60.0) - expected) / expected < 1e-12
     con = conical_model(4, 0.8, t_max=20.0)
     cext = con.area_extended()

@@ -20,7 +20,6 @@ from radsob.numerics import (
 from radsob.warping import (
     GAUSS_NODES,
     GAUSS_WEIGHTS,
-    Warping,
     _gauss,
     integrate_panel,
     panel_volumes,
@@ -165,6 +164,14 @@ def test_checked_panel_rule_meets_what_one_rule_misses():
     assert len(calls) == 30 and abs(got - (3.0**20 - 1.0) / 20.0) <= 1e-15 * got
 
 
+def test_panel_volumes_integrates_the_function_it_is_handed():
+    """panel_volumes knows no model: handed 3t^2 on [0, 10], it gives the
+    prefix integral t^3 to 1e-14, at panel edges and inside panels."""
+    volume = panel_volumes(lambda t: 3.0 * t * t, 10.0)
+    for t in (0.1, 0.25, 1.0, 3.3, 7.77, 9.99, 10.0):
+        assert abs(volume(t) - t**3) <= 1e-14 * t**3, (t, volume(t))
+
+
 def test_checked_panel_rule_refuses_a_singular_panel():
     """Near an integrable singularity the halves never agree: QuadratureError
     at PANEL_MAX_DEPTH, the check failure that exits 1."""
@@ -178,25 +185,25 @@ def node_slope(pairs, t, step):
 
 
 def test_ivp_zero_curvature_is_identity():
-    sol, pairs = ivp_nodes(lambda t: 0.0, 10.0, 1e-3, math.inf)
+    (h, _), pairs = ivp_nodes(lambda t: 0.0, 10.0, 1e-3, math.inf)
     for t in (0.5, 1.0, 5.0, 10.0):
-        assert abs(sol.value(t) - t) / t < 1e-12, f"h({t}) = {sol.value(t)!r}"
+        assert abs(h(t) - t) / t < 1e-12, f"h({t}) = {h(t)!r}"
         assert abs(node_slope(pairs, t, 1e-3) - 1.0) < 1e-12
 
 
 def test_ivp_constant_curvature_is_sinh():
-    sol, pairs = ivp_nodes(lambda t: 1.0, 3.0, 1e-3, math.inf)
-    assert abs(sol.value(1.0) - SINH_1) / SINH_1 < 1e-12
+    (h, _), pairs = ivp_nodes(lambda t: 1.0, 3.0, 1e-3, math.inf)
+    assert abs(h(1.0) - SINH_1) / SINH_1 < 1e-12
     for t in (0.5, 2.0, 3.0):
-        assert abs(sol.value(t) - math.sinh(t)) / math.sinh(t) < 1e-12
+        assert abs(h(t) - math.sinh(t)) / math.sinh(t) < 1e-12
         assert abs(node_slope(pairs, t, 1e-3) - math.cosh(t)) / math.cosh(t) < 1e-12
 
 
 def test_ivp_rational_curvature_oracles():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    sol, pairs = ivp_nodes(g, 12.0, 1e-3, math.inf)
+    (h, _), pairs = ivp_nodes(g, 12.0, 1e-3, math.inf)
     for t, ref in RATIONAL_B1_H.items():
-        rel = abs(sol.value(t) - ref) / ref
+        rel = abs(h(t) - ref) / ref
         assert rel < 1e-12, f"h({t}) off by {rel:.3e}"
     for t, ref in RATIONAL_B1_HP.items():
         rel = abs(node_slope(pairs, t, 1e-3) - ref) / ref
@@ -205,10 +212,10 @@ def test_ivp_rational_curvature_oracles():
 
 def test_ivp_dense_output_between_nodes():
     g = lambda t: 2.0 / (1.0 + t * t) ** 2
-    coarse = solve_h_ivp(g, 6.0, 1e-3, math.inf)
-    fine = solve_h_ivp(g, 6.0, 2.5e-4, math.inf)
+    coarse, _ = solve_h_ivp(g, 6.0, 1e-3, math.inf)
+    fine, _ = solve_h_ivp(g, 6.0, 2.5e-4, math.inf)
     for t in (0.31415, 1.23456, 4.99999):
-        rel = abs(coarse.value(t) - fine.value(t)) / fine.value(t)
+        rel = abs(coarse(t) - fine(t)) / fine(t)
         assert rel < 1e-10, f"dense value at t={t} off by {rel:.3e}"
 
 
@@ -224,12 +231,12 @@ def test_ivp_is_one_sweep():
 
     for t_max, step in ((5.0, 1e-2), (1.0, 0.3), (0.5, 1.0), (3.0, 0.01604)):
         calls.clear()
-        sol, pairs = ivp_nodes(g, t_max, step, math.inf)
+        (value, end_slope), pairs = ivp_nodes(g, t_max, step, math.inf)
         n = grid_steps(t_max, step)
         assert len(pairs) == n + 1
         assert len(calls) == 2 * n + 1, f"{len(calls)} curvature calls for n={n}"
         h, hp = pairs[n]
-        ends = (sol.value(t_max), sol.end_slope)
+        ends = (value(t_max), end_slope)
         assert [x.hex() for x in ends] == [h.hex(), hp.hex()], (t_max, step)
         assert len(calls) == 2 * n + 1, f"a lookup at t_max={t_max} called the curvature"
 
@@ -257,9 +264,9 @@ def test_grid_steps_rounds_and_caps_the_grid():
 
 
 def test_ivp_window_and_argument_guards():
-    sol = solve_h_ivp(lambda t: 0.0, 1.0, 1e-3, math.inf)
+    value, _ = solve_h_ivp(lambda t: 0.0, 1.0, 1e-3, math.inf)
     with pytest.raises(ValueError):
-        sol.value(1.5)
+        value(1.5)
     with pytest.raises(ValueError):
         solve_h_ivp(lambda t: 0.0, -1.0, 1e-3, math.inf)
     with pytest.raises(ValueError):
@@ -291,18 +298,18 @@ SWEEP_PROFILES = {
 def test_ivp_matches_the_stepwise_reference_bit_for_bit(name, t_max, step):
     """The node pairs h and h' at every node, and the dense output in the
     last cell, have the bits of the plain RK4 loop, and at t_max the
-    record holds the last node's h and h'.  At (3.0, 0.01604) there are
+    warping is the last node's h and h'.  At (3.0, 0.01604) there are
     n = 187 steps and n * (3/n) rounds above 3, past the cutoff of
     const:0.05:3, while the grid's last node is t_max itself."""
     g = SWEEP_PROFILES[name].g
-    sol, pairs = ivp_nodes(g, t_max, step, math.inf)
+    (value, end_slope), pairs = ivp_nodes(g, t_max, step, math.inf)
     grid, values, derivs = rk4_reference(g, t_max, step)
-    assert isinstance(sol, Warping) and t_max / grid_steps(t_max, step) == grid[1]
+    assert t_max / grid_steps(t_max, step) == grid[1]
     assert array("d", (h for h, _ in pairs)).tobytes() == values.tobytes()
     assert array("d", (hp for _, hp in pairs)).tobytes() == derivs.tobytes()
     t = grid[-2] + 0.3 * (t_max - grid[-2])
-    assert sol.value(t) == hermite_reference(grid, values, derivs, t), f"last cell at t={t!r}"
-    assert (sol.value(t_max), sol.end_slope) == (values[-1], derivs[-1])
+    assert value(t) == hermite_reference(grid, values, derivs, t), f"last cell at t={t!r}"
+    assert (value(t_max), end_slope) == (values[-1], derivs[-1])
 
 
 @pytest.mark.parametrize("t_max, step", [(50.0, 1e-3), (3.0, 0.01604), (4.0, 0.3)])
@@ -321,8 +328,8 @@ def test_the_sweep_stops_past_the_radius_where_g_vanishes(t_max, step):
         calls.append(t)
         return profile.g(t)
 
-    sol, pairs = ivp_nodes(g, t_max, step, 3.0)
-    full, full_pairs = ivp_nodes(profile.g, t_max, step, math.inf)
+    (value, end_slope), pairs = ivp_nodes(g, t_max, step, 3.0)
+    (full, full_end_slope), full_pairs = ivp_nodes(profile.g, t_max, step, math.inf)
     grid, values, derivs = rk4_reference(profile.g, t_max, step)
     n = len(grid) - 1
     stop = next((i for i in range(1, n + 1) if (i - 1) * grid[1] + grid[1] > 3.0), n)
@@ -332,17 +339,18 @@ def test_the_sweep_stops_past_the_radius_where_g_vanishes(t_max, step):
     for (h, hp), (h_full, hp_full) in zip(pairs[stop:], full_pairs[stop:]):
         assert abs(h - h_full) <= 1e-12 * h_full and hp == hp_full == derivs[stop]
     for t in (0.5 * grid[stop], grid[stop] + 0.37 * (t_max - grid[stop]), t_max):
-        assert abs(sol.value(t) - full.value(t)) <= 1e-12 * full.value(t), t
-    assert sol.end_slope == full.end_slope
+        assert abs(value(t) - full(t)) <= 1e-12 * full(t), t
+    assert end_slope == full_end_slope
 
 
 def test_quadrature_and_ivp_determinism():
     f = lambda t: t**3 / (1.0 + t * t) ** 4
     assert integrate_finite(f, 0.0, 1.0) == integrate_finite(f, 0.0, 1.0)
     g = lambda t: 0.2 / (1.0 + t * t) ** 2
-    (a, a_pairs), (b, b_pairs) = (ivp_nodes(g, 5.0, 1e-3, math.inf) for _ in range(2))
+    ((a, _), a_pairs), ((b, _), b_pairs) = (ivp_nodes(g, 5.0, 1e-3, math.inf) for _ in range(2))
     assert a_pairs == b_pairs
-    assert panel_volumes(a.value, 5.0, 4, 2.0)(4.321) == panel_volumes(b.value, 5.0, 4, 2.0)(4.321)
+    volumes = [panel_volumes(lambda t: 2.0 * h(t) ** 3, 5.0)(4.321) for h in (a, b)]
+    assert volumes[0] == volumes[1]
 
 
 if HAS_HYPOTHESIS:

@@ -297,6 +297,41 @@ def test_profile_scale_validation():
             TalentiProfile.build(params, bad)
 
 
+def test_a_coefficient_past_the_float_range_is_named():
+    """coef = beta lam^((m-p)/p^2) is lam^4.5 at (20, 2): past the float
+    range at lam = 1e100, and refused in the profile's words."""
+    with pytest.raises(ValueError) as refused:
+        TalentiProfile.build(SobolevParams(20, 2.0), 1e100)
+    assert str(refused.value) == ("the profile coefficient beta lambda^((m-p)/p^2) overflows "
+                                  "at scale lambda=1e+100, m=20, p=2")
+
+
+def test_the_profile_past_the_float_range_of_t_to_the_q_is_taken_in_log_space():
+    """At (2, 1.5), q = 3 and t^q overflows past t = 5.6e102, where phi and
+    phi' (about t^-1 and t^-2) are still floats: there both are the
+    exponentials of their logarithms, within 1e-12 of the direct form
+    evaluated in 40-digit decimals.  At t = 0, where log t is not finite,
+    the OverflowError of a scale whose lam^(-nu) overflows stands."""
+    from decimal import Decimal, localcontext
+
+    profile = TalentiProfile.build(SobolevParams(2, 1.5), 1.0)
+    coef, lam, q, nu = (Decimal(x) for x in (profile.coef, profile.lam, profile.q, profile.nu))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for t in (1e103, 1e120, 1e150):
+            with pytest.raises(OverflowError):
+                t**profile.q
+            base = lam + Decimal(t) ** q
+            phi = coef * base ** -nu
+            slope = -coef * nu * q * Decimal(t) ** (q - 1) * base ** (-nu - 1)
+            for got, want in ((profile.phi(t), phi), (profile.phi_prime(t), slope)):
+                assert abs(Decimal(got) / want - 1) <= Decimal("1e-12"), (t, got, want)
+    tiny = TalentiProfile.build(SobolevParams(4, 2.0), 1e-310)
+    for evaluate in (tiny.phi, tiny.phi_prime):
+        with pytest.raises(OverflowError):
+            evaluate(0.0)
+
+
 def test_head_falls_as_lambda_grows():
     """The mass escapes through a fixed ball: at T = 0.5 the head falls,
     and the tail rises, with every step up in scale."""
