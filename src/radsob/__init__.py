@@ -1,6 +1,6 @@
 """Sharp Sobolev constants and volume comparison on radial model manifolds.
 
-Names are imported from their modules (`from radsob.talenti import
+Names are imported from their modules (`from radsob.sharp import
 sharp_constant`); the package itself re-exports nothing, so importing one
 module loads only what that module imports.  `radsob.<module>` as an
 attribute imports that module on first access.

@@ -174,8 +174,8 @@ def _bounded_model(args: SimpleNamespace):
 
 
 def cmd_constants(args: SimpleNamespace) -> tuple:
-    from .talenti import SELF_TEST_LAMBDAS, SobolevParams, sharp_constant_detail
-    from .talenti import sphere_area, unit_ball_volume
+    from .sharp import SobolevParams, sphere_area, unit_ball_volume
+    from .talenti import SELF_TEST_LAMBDAS, sharp_constant_detail
 
     params = SobolevParams(args.m, args.p)
     lambdas = tuple(sorted(set(SELF_TEST_LAMBDAS) | set(args.lambda_list)))
@@ -221,8 +221,9 @@ def cmd_model(args: SimpleNamespace) -> tuple:
 
 def cmd_verify(args: SimpleNamespace) -> tuple:
     from .model_manifold import build_model, parse_curvature
+    from .sharp import SobolevParams, sharp_constant
     from .sobolev import gradient_energy, mass_pstar, talenti_function, verify_decay_conditions
-    from .talenti import SobolevParams, TalentiProfile, sharp_constant
+    from .talenti import TalentiProfile
 
     params = SobolevParams(args.m, args.p)
     # The Sobolev-side checks do not use e^(b m), so any moment is built.
@@ -258,7 +259,7 @@ def _rigidity_grid(t_max: float) -> list:
 
 def cmd_rigidity(args: SimpleNamespace) -> tuple:
     from .rigidity import verify_theorem
-    from .talenti import SobolevParams
+    from .sharp import SobolevParams
 
     params = SobolevParams(args.m, args.p)
     report = verify_theorem(
@@ -293,7 +294,7 @@ def cmd_rigidity(args: SimpleNamespace) -> tuple:
 
 def cmd_limits(args: SimpleNamespace) -> tuple:
     from .rigidity import ESCAPE_THRESHOLD, mass_escape_experiment
-    from .talenti import SobolevParams
+    from .sharp import SobolevParams
 
     params = SobolevParams(args.m, args.p)
     report = mass_escape_experiment(params, args.T, args.lambda_list)

@@ -4,28 +4,28 @@ A model here is R^m with the metric dt^2 + h(t)^2 dtheta^2.  Its radial
 Ricci curvature is -(m-1) G with G = h''/h.  For a nonnegative decaying
 curvature coefficient G the warping function h solves h'' = G(t) h,
 h(0) = 0, h'(0) = 1; a profile's warping() gives the pair (h, h'(t_max)):
-in closed form for RationalDecay, as a piecewise Taylor series for
-Tabulated, and from the RK4 sweep of that IVP, stopped past the cutoff,
-for ConstantCutoff.  Each warping, and build_model's curved path,
-imports the kernels it calls where it calls them, so a flat model loads
-neither `radsob.warping` nor `radsob.numerics`.  A ModelManifold holds
-its profile, h, the ball volume V(B_t) and the tail factor, and builds
-its sphere area omega h^(m-1) once; it has no name, and sums ball
-volumes by checked Gauss panels over omega h^(m-1), whichever profile
-gave h, only as far out as one is read.  The profile alone says whether
-G >= 0, and its moment b = integral(t max(G(t), 0) dt) measures the
-total amount of negative curvature; where G >= 0 and b is finite the
-model is trapped between Euclidean space and a bounded dilation of it,
-which is exactly what verify_volume_chain checks on a grid.
+in closed form for RationalDecay, and from the RK4 sweep of that IVP,
+stopped past the cutoff, for ConstantCutoff.  The profile of a `table:`
+spec, Tabulated, with its piecewise Taylor series, is in `radsob.table`,
+which parse_curvature imports for that spec alone.  Each warping, and
+build_model's curved path, imports the kernels it calls where it calls
+them, so a flat model loads neither `radsob.warping` nor
+`radsob.numerics`.  A ModelManifold holds its profile, h, the ball
+volume V(B_t) and the tail factor, and builds its sphere area
+omega h^(m-1) once; it has no name, and sums ball volumes by checked
+Gauss panels over omega h^(m-1), whichever profile gave h, only as far
+out as one is read.  The profile alone says whether G >= 0, and its
+moment b = integral(t max(G(t), 0) dt) measures the total amount of
+negative curvature; where G >= 0 and b is finite the model is trapped
+between Euclidean space and a bounded dilation of it, which is exactly
+what verify_volume_chain checks on a grid.
 """
 
 import math
-import os
-from bisect import bisect_right
 from typing import Callable, NamedTuple
 
-from . import OdeError, SeriesError
-from .talenti import sphere_area, unit_ball_volume
+from . import OdeError
+from .sharp import sphere_area, unit_ball_volume
 
 
 def _exp_or_inf(x: float) -> float:
@@ -158,167 +158,6 @@ class RationalDecay(CurvatureProfile):
         return h, h_prime(t_max)
 
 
-class Tabulated(CurvatureProfile):
-    """Piecewise-linear G on a grid with a declared power-law tail.
-
-    Beyond the last node the profile continues as
-    values[-1] * (grid[-1] / t)^tail_power; the tail power must be finite
-    and exceed 2 so the moment converges.  Nodes and values must be finite.
-    """
-
-    def __init__(self, grid, values, tail_power: float):
-        # Imported here: only a table needs it, and loading the extension
-        # module would cost every other run start-up time.
-        from array import array
-
-        shape_error = "tabulated profile needs matching 1-d grid and values, length >= 2"
-        try:
-            grid = array("d", grid)
-            values = array("d", values)
-        except TypeError:
-            raise ValueError(shape_error) from None
-        if len(grid) != len(values) or len(grid) < 2:
-            raise ValueError(shape_error)
-        if not all(map(math.isfinite, grid + values)):
-            raise ValueError("tabulated grid and curvature values must be finite")
-        if grid[0] < 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("tabulated grid must be nonnegative and strictly increasing")
-        if any(v < 0.0 for v in values):
-            raise ValueError("curvature values must be >= 0")
-        if not (2.0 < tail_power < math.inf):
-            raise ValueError(
-                "tail_power must be finite and exceed 2 so the curvature moment converges, "
-                f"got {tail_power!r}"
-            )
-        self.grid = grid
-        self.values = values
-        self.tail_power = float(tail_power)
-        # The chord slope of each segment, by the formula np.interp uses,
-        # so g has the same bits.
-        self.slopes = array(
-            "d",
-            ((v1 - v0) / (t1 - t0) for t0, t1, v0, v1 in zip(grid, grid[1:], values, values[1:])),
-        )
-
-    def g(self, t: float) -> float:
-        grid = self.grid
-        # The grid strictly increases, so at most one end branch holds;
-        # the tail, where most radii of a window fall, is tested first.
-        if t >= grid[-1]:
-            return self.values[-1] * (grid[-1] / t) ** self.tail_power
-        if t <= grid[0]:
-            return self.values[0]
-        # grid[j] <= t < grid[j + 1]
-        j = bisect_right(grid, t) - 1
-        return self.slopes[j] * (t - grid[j]) + self.values[j]
-
-    def warping(self, t_max: float, step: float) -> tuple:
-        """h as a piecewise Taylor series (warping.series_warping), with no
-        sweep.  G is constant on [0, grid[0]] and linear between nodes, so
-        about t0 its series is the node value, or the chord's value at t0,
-        and the chord slope; past the last node it is v (t_last/t)^q, whose
-        binomial series about t0 has g_j = g_(j-1) (-q - j + 1)/(j t0) and
-        converges for |s| < t0.  Every node and t_max is a piece end, and a
-        piece is at most series_width(g0, g1) wide, and t0/4 on a curved
-        tail, so the terms of its series fall at least like 4^-k.
-
-        Raises:
-            SeriesError: a piece would be narrower than the float spacing
-                at its start, or its series did not converge.
-            OdeError: h or h' is not finite at a piece end.
-        """
-        from .warping import SERIES_MAX_TERMS, series_warping, series_width
-
-        grid, values, slopes, q = self.grid, self.values, self.slopes, self.tail_power
-        t_last, v_last = grid[-1], values[-1]
-        pieces = []
-        t0 = 0.0
-        for end in [t for t in grid if 0.0 < t < t_max] + [t_max]:
-            while t0 < end:
-                tail = t0 >= t_last
-                if tail:
-                    g0 = v_last * (t_last / t0) ** q
-                    g1 = -q * g0 / t0
-                    width = min(series_width(g0, g1), 0.25 * t0 if v_last else math.inf)
-                else:
-                    j = bisect_right(grid, t0) - 1  # -1 below grid[0]
-                    g0, g1 = (values[0], 0.0) if j < 0 else (
-                        values[j] + slopes[j] * (t0 - grid[j]), slopes[j])
-                    width = series_width(g0, g1)
-                t1 = end if t0 + width >= end else t0 + width
-                if t1 == t0:
-                    raise SeriesError(f"the warping's Taylor series needs pieces narrower "
-                                      f"than the float spacing at t={t0:g}")
-                gs = [g0, g1 * (t1 - t0)]
-                if tail:
-                    ratio = (t1 - t0) / t0
-                    for j in range(2, SERIES_MAX_TERMS):
-                        gs.append(gs[-1] * (-q - j + 1.0) * ratio / j)
-                pieces.append((t0, t1, gs))
-                t0 = t1
-        return series_warping(pieces)
-
-    def _segment_moment(self, t_from: float) -> float:
-        # t * G is piecewise quadratic where G is piecewise linear, so a
-        # per-segment Simpson rule is exact.
-        total = 0.0
-        for a, b in zip(self.grid[:-1], self.grid[1:]):
-            lo = max(a, t_from)
-            if lo >= b:
-                continue
-            mid = 0.5 * (lo + b)
-            total += (b - lo) / 6.0 * (
-                lo * self.g(lo) + 4.0 * mid * self.g(mid) + b * self.g(b)
-            )
-        return total
-
-    def moment_tail(self, t_from):
-        t_last = self.grid[-1]
-        v_last = self.values[-1]
-        q = self.tail_power
-        start = max(t_from, t_last)
-        tail = v_last * t_last**q * start ** (2.0 - q) / (q - 2.0)
-        if t_from >= t_last:
-            return tail
-        total = self._segment_moment(t_from) + tail
-        if t_from < self.grid[0]:
-            # The profile is taken constant at values[0] on [0, grid[0]].
-            total += 0.5 * self.values[0] * (self.grid[0] ** 2 - t_from**2)
-        return total
-
-
-def load_tabulated(path: str | os.PathLike) -> Tabulated:
-    """Read a tabulated profile from a two-column text file.
-
-    Rows hold "t value" pairs; a directive line "# tail_power=<q>" declares
-    the tail decay exponent and is required.
-    """
-    grid, values = [], []
-    tail_power = None
-    with open(path) as fh:
-        text = fh.read()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if body.startswith("tail_power"):
-                try:
-                    tail_power = float(body.split("=", 1)[1])
-                except (IndexError, ValueError):
-                    raise ValueError(f"malformed tail_power directive: {raw!r}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 't value' pairs in {path}, got {raw!r}")
-        grid.append(float(parts[0]))
-        values.append(float(parts[1]))
-    if tail_power is None:
-        raise ValueError(f"profile table {path} is missing the '# tail_power=<q>' directive")
-    return Tabulated(grid, values, tail_power)
-
-
 def parse_curvature(spec: str) -> CurvatureProfile:
     """Parse a curvature description of the form used on the command line.
 
@@ -342,6 +181,8 @@ def parse_curvature(spec: str) -> CurvatureProfile:
         if head == "table":
             if not rest:
                 raise ValueError
+            from .table import load_tabulated
+
             return load_tabulated(rest)
     except ValueError as exc:
         detail = f": {exc}" if str(exc) else ""

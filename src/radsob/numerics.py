@@ -6,8 +6,9 @@ value problem h'' = G(t) h, h(0) = 0, h'(0) = 1, which builds the models
 of `const:` specs.  Only the constants self-test, the Sobolev functionals
 and a `const:` model's warping call them; `talenti` and `model_manifold`
 import this module inside those functions, so no other run compiles it.
-The warpings of the other curved models, and every ball volume, are in
-`radsob.warping`.  The whole Simpson policy is the tolerance pair TOL,
+The warpings of the other curved models are in `radsob.model_manifold`
+(closed form) and `radsob.table` (Taylor series), and every ball volume
+is in `radsob.warping`.  The whole Simpson policy is the tolerance pair TOL,
 the recursion limit MAX_DEPTH, the per-panel rounding floor
 ROUNDING_FACTOR; a caller may pass its own (abs_tol, rel_tol) pair,
 nothing else.  A semi-infinite integral also needs the radius where head

@@ -26,7 +26,7 @@ certificate profile v compares against, so no caller chooses a case.
 import math
 from typing import NamedTuple
 
-from .talenti import SobolevParams, mass_split, sharp_beta, sharp_constant
+from .sharp import SobolevParams, sharp_beta, sharp_constant
 
 
 class RigidityHypothesisError(ValueError):
@@ -103,6 +103,8 @@ def mass_escape_experiment(
     locates the first scale where the head drops below ESCAPE_THRESHOLD by
     bisection between the bracketing grid scales.
     """
+    from .talenti import mass_split
+
     lambdas = list(lambda_grid)
     if not lambdas or lambdas[0] < 10.0:
         raise ValueError("lambda_grid must start at 10 or above (the large-scale regime)")

@@ -15,7 +15,8 @@ from typing import Callable, NamedTuple
 from .model_manifold import ModelManifold
 from . import CheckFailed
 from .numerics import TOL, integrate_finite, integrate_semi_infinite
-from .talenti import SobolevParams, TalentiProfile, profile_split
+from .sharp import SobolevParams
+from .talenti import TalentiProfile, profile_split
 
 
 class DivergentTailError(CheckFailed):

@@ -8,60 +8,19 @@ normalised so that the p*-mass integral(phi^p*) over R^m equals one for
 every scale lam > 0.  With that normalisation the p-energy of the family
 is scale invariant and its value determines the sharp constant K(m, p)
 through K^(-p) = integral(|phi'|^p).  Both integrals reduce to Euler Beta
-values, so beta and K are closed forms in lgamma; sharp_constant_detail
-integrates the energy by quadrature as a self-test of K, and is the one
-function here that loads `radsob.numerics`.  The split of a
-profile's unit p*-mass at a radius (mass_split) is a regularised
-incomplete Beta value of the same kind.
+values, so beta and K are closed forms in lgamma, which live in
+`radsob.sharp` with the parameters (m, p): `model` and `rigidity` read
+them without loading this module.  sharp_constant_detail integrates the
+energy by quadrature as a self-test of K, and is the one function here
+that loads `radsob.numerics`.  The split of a profile's unit p*-mass at
+a radius (mass_split) is a regularised incomplete Beta value of the
+same kind.
 """
 
 import math
 from typing import NamedTuple
 
-
-class _Params(NamedTuple):
-    m: int
-    p: float
-
-
-class SobolevParams(_Params):
-    """Dimension m and exponent p of the inequality, with m > p > 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, p: float):
-        if int(m) != m or m < 2:
-            raise ValueError(f"dimension m must be an integer >= 2, got {m!r}")
-        if not (1.0 < p < m):
-            raise ValueError(f"need m > p > 1, got m={m}, p={p}")
-        return super().__new__(cls, m, p)
-
-    @property
-    def p_star(self) -> float:
-        return self.m * self.p / (self.m - self.p)
-
-    @property
-    def conj(self) -> float:
-        """Holder conjugate p/(p-1), the radial power in the profile kernel."""
-        return self.p / (self.p - 1.0)
-
-
-def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball in R^m; raises ValueError from m = 342,
-    where Gamma(m/2 + 1) overflows a float."""
-    try:
-        return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
-    except OverflowError:
-        raise ValueError(f"the unit ball volume's Gamma(m/2 + 1) overflows at m={m}") from None
-
-
-def sphere_area(m: int) -> float:
-    """Area of the unit sphere bounding the unit ball in R^m; raises
-    ValueError from m = 344, where Gamma(m/2) overflows a float."""
-    try:
-        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
-    except OverflowError:
-        raise ValueError(f"the unit sphere area's Gamma(m/2) overflows at m={m}") from None
+from .sharp import SobolevParams, sharp_beta, sharp_constant, sphere_area
 
 
 def profile_split(params: SobolevParams, lam: float) -> float:
@@ -71,41 +30,6 @@ def profile_split(params: SobolevParams, lam: float) -> float:
     semi-infinite integrals there keeps the head and tail balanced.
     """
     return max(1.0, lam ** (1.0 / params.conj))
-
-
-def _log_kernel(params: SobolevParams, shift: float) -> float:
-    """log of |S^(m-1)| ((p-1)/p) B(a + shift, m/p - shift), a = m - m/p.
-
-    Under s = t^(p/(p-1)) the mass integral of (1 + t^(p/(p-1)))^(-m)
-    over R^m (shift 0) and the energy integral of phi_1 (shift 1, up to
-    the factor (beta (m-p)/(p-1))^p) reduce to these Euler Beta values.
-    lgamma keeps them finite where Gamma(m) alone would overflow, and a
-    is m (p-1)/p, not the difference m - m/p, which near p = 1 cancels.
-    """
-    m, p = params.m, params.p
-    return (
-        math.log(2.0) + 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m)
-        + math.log((p - 1.0) / p)
-        + math.lgamma(m * (p - 1.0) / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
-    )
-
-
-def sharp_beta(params: SobolevParams) -> float:
-    """Normalisation beta making the profile's p*-mass equal one; raises
-    ValueError where it is past the float range (m = 1000 at p = 2)."""
-    try:
-        return math.exp(-_log_kernel(params, 0.0) / params.p_star)
-    except OverflowError:
-        raise ValueError(f"the profile's beta overflows at m={params.m}, p={params.p:g}") from None
-
-
-def sharp_constant(params: SobolevParams) -> float:
-    """Sharp Sobolev constant K(m, p) (Talenti 1976; Aubin 1976).
-
-    K^(-p) = (beta (m-p)/(p-1))^p times the energy kernel of _log_kernel.
-    """
-    m, p = params.m, params.p
-    return (p - 1.0) / ((m - p) * sharp_beta(params)) * math.exp(-_log_kernel(params, 1.0) / p)
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -252,16 +176,25 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
     |phi'|^p t^(m-1) overflows directly it is taken as the exponential of
     its logarithm; a kernel that overflows even so, or at t = 0, where the
     logarithm cannot take it, raises ValueError: the self-test, not the
-    input, is out of range.
+    input, is out of range.  So does a scale where the coefficient of
+    phi' (which that logarithm reads) or the energy integral underflows
+    to 0, as K would then be the inverse of 0.
     """
     from .numerics import integrate_semi_infinite
 
     m, p = params.m, params.p
 
+    def out_of_range(reason: str) -> ValueError:
+        return ValueError(f"the quadrature self-test of K is out of range at m={m}, p={p:g}: "
+                          f"{reason}")
+
     def energy(lam: float) -> float:
         profile = TalentiProfile.build(params, lam)
         slope, q, nu = profile.phi_prime, profile.q, profile.nu
-        log_coef = math.log(profile.coef * nu * q)
+        if (slope_coef := profile.coef * nu * q) == 0.0:
+            raise out_of_range(f"the coefficient beta lambda^((m-p)/p^2) (m-p)/(p-1) of "
+                               f"phi_lambda' underflows to 0 at scale lambda={lam:g}")
+        log_coef = math.log(slope_coef)
 
         def f(t: float) -> float:
             try:
@@ -282,12 +215,15 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
             f, profile_split(params, lam), decay_power=decay
         )
 
+    def k_at(lam: float) -> float:
+        if (value := energy(lam)) == 0.0:
+            raise out_of_range(f"the energy integral underflows to 0 at scale lambda={lam:g}")
+        return value ** (-1.0 / p)
+
     try:
-        values = {lam: energy(lam) ** (-1.0 / p) for lam in lambdas}
+        values = {lam: k_at(lam) for lam in lambdas}
     except OverflowError as exc:
-        raise ValueError(
-            f"the quadrature self-test of K is out of range at m={m}, p={p:g}: {exc.args[-1]}"
-        ) from None
+        raise out_of_range(exc.args[-1]) from None
     first = values[lambdas[0]]
     k = sharp_constant(params)
     return {

@@ -1,28 +1,23 @@
-"""The warping of a curved model, and its ball volume.
+"""The ball volume of a curved model, by checked Gauss panels.
 
 A warping is the pair (h, h'(t_max)): h as a function on the window
 [0, t_max], with h(0) = 0 and h'(0) = 1, and the number from which a
-model continues h past the window.  Two pieces live here, both read by
-the curved models of `radsob.model_manifold` and by no flat run: the
+model continues h past the window.  What lives here is read by the
+curved models of `radsob.model_manifold` and by no flat run: the
 integral from 0 of the area function a model hands over, summed by
-checked Gauss panels (panel_volumes), which is its ball volume; and a
-piecewise Taylor series for the warping initial value problem
-h'' = G(t) h, h(0) = 0, h'(0) = 1, which builds the models of `table:`
-specs.  (A `rational:` model takes its warping in closed form, and a
-`const:` model from the RK4 sweep of `radsob.numerics`.)  The Gauss
-rule's policy is PANEL_REL_TOL and PANEL_MAX_DEPTH.  The series is summed
-on each piece until its terms are rounding (SERIES_REL_TOL), and a piece
-that does not get there within SERIES_MAX_TERMS terms fails its check.
-A warping's finiteness is checked once, as it is built.  All routines are
-deterministic: the same inputs always produce bitwise identical results.
+checked Gauss panels (panel_volumes), which is its ball volume.  The
+warpings themselves are elsewhere: a `rational:` model's in closed form
+in `radsob.model_manifold`, a `const:` model's from the RK4 sweep of
+`radsob.numerics`, and a `table:` model's from the Taylor series of
+`radsob.table`.  The Gauss rule's policy is PANEL_REL_TOL and
+PANEL_MAX_DEPTH.  All routines are deterministic: the same inputs always
+produce bitwise identical results.
 """
 
 import math
-import sys
-from bisect import bisect_right
 from typing import Callable
 
-from . import OdeError, QuadratureError, SeriesError
+from . import QuadratureError
 
 
 def _gauss_legendre_10() -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -111,80 +106,3 @@ def panel_volumes(area, t_max):
         return vol[i] if t == i * width else vol[i] + integrate_panel(area, i * width, t)
 
     return volume
-
-
-# A piece of a warping's Taylor series stops once three successive terms
-# of h, and of h', at the piece's end are below this share of their sums.
-SERIES_REL_TOL = sys.float_info.epsilon / 100.0
-# The most terms a piece may take; one that needs more fails its check.
-SERIES_MAX_TERMS = 60
-
-
-def series_width(g0: float, g1: float) -> float:
-    """The widest piece, 1/sqrt(g0) and |g1|^(-1/3) at most, on which the
-    series of h'' = G h with G = g0 + g1 s + ... has w^2 g0 <= 1 and
-    w^3 |g1| <= 1, so that its terms fall like those of an exponential."""
-    return min(1.0 / math.sqrt(abs(g0)) if g0 else math.inf,
-               abs(g1) ** (-1.0 / 3.0) if g1 else math.inf)
-
-
-def series_warping(pieces) -> tuple:
-    """Solve h'' = G h with h(0) = 0, h'(0) = 1 by a Taylor series on each
-    of the consecutive pieces (t0, t1, gs) that run from 0 to t_max.
-
-    gs holds the Taylor coefficients g_j w^j of G(t0 + w sigma) in sigma,
-    w = t1 - t0; a coefficient past its end is 0.  Then h = sum of d_k
-    sigma^k with d_0 = h(t0), d_1 = w h'(t0) and
-    d_(k+2) = w^2 sum over j <= k of g_j w^j d_(k-j) / ((k+2)(k+1)).  The
-    series stops after three successive terms d_k and k d_k, the terms of
-    h and of w h' at the piece's end, fall below SERIES_REL_TOL of their
-    sums; the caller's widths (series_width) make them fall.  A piece
-    that needs more than SERIES_MAX_TERMS terms raises SeriesError.  h
-    inside a piece is one Horner evaluation; h and h' at its end, the
-    correctly rounded sums of its terms, start the next.  Returns the
-    warping (h, h'(t_max)).  A piece whose end is not finite, or whose
-    terms sum past the float range, raises OdeError naming that end.
-    """
-    h, slope = 0.0, 1.0
-    starts = []
-    polys = []
-    for t0, t1, gs in pieces:
-        w = t1 - t0
-        d = [h, slope * w]
-        h_sum, hp_sum, small = d[0] + d[1], d[1], 0
-        for k in range(2, SERIES_MAX_TERMS):
-            # w (w sum) rather than w^2 sum, as w^2 overflows on a tail
-            # piece wider than about 1.3e154, where h may still be finite.
-            c = w * (w * sum(g * d[k - 2 - j] for j, g in enumerate(gs[:k - 1]))) / (k * (k - 1))
-            d.append(c)
-            h_sum += c
-            hp_sum += k * c
-            rounding = SERIES_REL_TOL * min(abs(h_sum), abs(hp_sum) / k)
-            small = small + 1 if abs(c) <= rounding else 0
-            if small == 3:
-                break
-        else:
-            if math.isfinite(h_sum) and math.isfinite(hp_sum):
-                raise SeriesError(f"the warping's Taylor series on [{t0:g}, {t1:g}] did not "
-                                  f"converge within {SERIES_MAX_TERMS} terms")
-        try:
-            h = math.fsum(d)
-            slope = math.fsum(k * c for k, c in enumerate(d)) / w
-        except (OverflowError, ValueError):
-            # fsum's partial sums passed the float range, or its terms
-            # hold both infinities.
-            h = slope = math.inf
-        if not (math.isfinite(h) and math.isfinite(slope)):
-            raise OdeError(t1)
-        starts.append(t0)
-        polys.append((t0, w, d[::-1]))
-
-    def value(t: float) -> float:
-        t0, w, poly = polys[bisect_right(starts, t, 1) - 1]
-        s = (t - t0) / w
-        acc = 0.0
-        for c in poly:
-            acc = acc * s + c
-        return acc
-
-    return value, slope

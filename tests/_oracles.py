@@ -24,7 +24,8 @@ from radsob.model_manifold import CurvatureProfile, ModelManifold, _require_dime
 from radsob.numerics import require_finite_nodes, solve_h_ivp
 from radsob.warping import integrate_panel, panel_volumes
 from radsob.sobolev import gradient_energy, manifold_integral, mass_pstar
-from radsob.talenti import profile_split, sharp_beta
+from radsob.sharp import sharp_beta
+from radsob.talenti import profile_split
 
 
 def ball_volume(m):

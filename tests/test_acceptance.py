@@ -31,13 +31,8 @@ from radsob.sobolev import (
     mass_pstar,
     talenti_function,
 )
-from radsob.talenti import (
-    SobolevParams,
-    TalentiProfile,
-    sharp_beta,
-    sharp_constant,
-    sharp_constant_detail,
-)
+from radsob.sharp import SobolevParams, sharp_beta, sharp_constant
+from radsob.talenti import TalentiProfile, sharp_constant_detail
 
 import _oracles
 from _oracles import conical_model

@@ -151,6 +151,21 @@ NAMED_REFUSALS = {
     ("constants", "--m", "4", "--p", "2", "--lambda", "1e-200"):
         "the quadrature self-test of K is out of range at m=4, p=2: "
         "the kernel overflows at t = 0 at scale lambda=1e-200",
+    # At these scales the energy integral underflows to 0, whose K would be
+    # the inverse of 0.
+    **{
+        ("constants", "--m", m, "--p", p, "--lambda", lam):
+            f"the quadrature self-test of K is out of range at m={m}, p={p}: "
+            f"the energy integral underflows to 0 at scale lambda={lam.replace('e', 'e+')}"
+        for m, p, lam in (("10", "1.5", "1e50"), ("6", "1.5", "1e100"), ("4", "2.5", "1e150"),
+                          ("3", "2", "1e250"))
+    },
+    # coef = beta lambda^((m-p)/p^2) is lambda^4.5 at (20, 2): 0 before the
+    # logarithm of phi_lambda' can read it.
+    ("constants", "--m", "20", "--p", "2", "--lambda", "1e-200"):
+        "the quadrature self-test of K is out of range at m=20, p=2: the coefficient "
+        "beta lambda^((m-p)/p^2) (m-p)/(p-1) of phi_lambda' underflows to 0 at scale "
+        "lambda=1e-200",
     # The first chain radius, 1e-302, and the first rigidity radius, 5e-302,
     # have a Euclidean ball volume of 0: both refuse in the model's words.
     ("model", "--g", "rational:0.1", "--t-max", "1e-300", "--step", "1e-2"):

@@ -17,7 +17,8 @@ import pytest
 from radsob.cli import COMMANDS, REPORT_FLAGS
 from radsob.model_manifold import euclidean_model
 from radsob.rigidity import verify_theorem
-from radsob.talenti import SobolevParams, TalentiProfile
+from radsob.sharp import SobolevParams
+from radsob.talenti import TalentiProfile
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "radsob"
 
@@ -102,23 +103,32 @@ def test_cli_import_loads_no_slow_module():
 
 
 # The radsob modules each invocation loads: those its subcommand executes.
-# `rigidity` does not load sobolev: C_M is the user's or K.  numerics, the
-# Simpson rule and the RK4 sweep, is loaded by the constants self-test,
-# the Sobolev functionals of `verify` and a `const:` model alone; warping,
-# the curved models' warpings and ball volumes, by a curved model alone.
-# The default model, that of `model` and `verify` here, is flat.
+# `rigidity` does not load sobolev: C_M is the user's or K.  sharp, the
+# closed forms of (m, p), beta and K, is loaded by every run that does
+# work; talenti, the profile family, its self-test and its mass split, by
+# `constants`, `verify` and `limits` alone.  numerics, the Simpson rule
+# and the RK4 sweep, is loaded by the constants self-test, the Sobolev
+# functionals of `verify` and a `const:` model alone; warping, the ball
+# volumes, by a curved model alone; table, the profile and series of a
+# `table:` spec, by that spec alone.  The default model, that of `model`
+# and `verify` here, is flat.  TABLE is written to the runs' directory.
+TABLE = "curvature.txt"
+TABLE_TEXT = "0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n"
 MODULE_SETS = {
     ("constants", "--help"): {"cli"},
-    ("constants",): {"cli", "numerics", "talenti"},
-    ("limits",): {"cli", "talenti", "rigidity"},
-    ("model",): {"cli", "talenti", "model_manifold"},
-    ("verify",): {"cli", "numerics", "talenti", "model_manifold", "sobolev"},
-    ("rigidity", "--g", "zero"): {"cli", "talenti", "model_manifold", "rigidity"},
-    ("model", "--g", "rational:0.1"): {"cli", "talenti", "model_manifold", "warping"},
+    ("constants",): {"cli", "numerics", "sharp", "talenti"},
+    ("limits",): {"cli", "sharp", "talenti", "rigidity"},
+    ("model",): {"cli", "sharp", "model_manifold"},
+    ("verify",): {"cli", "numerics", "sharp", "talenti", "model_manifold", "sobolev"},
+    ("rigidity", "--g", "zero"): {"cli", "sharp", "model_manifold", "rigidity"},
+    ("model", "--g", "rational:0.1"): {"cli", "sharp", "model_manifold", "warping"},
     ("rigidity", "--g", "rational:0.1", "--c-m", "0.4"):
-        {"cli", "talenti", "model_manifold", "warping", "rigidity"},
+        {"cli", "sharp", "model_manifold", "warping", "rigidity"},
     ("model", "--g", "const:0.05:3"):
-        {"cli", "numerics", "talenti", "model_manifold", "warping"},
+        {"cli", "numerics", "sharp", "model_manifold", "warping"},
+    ("model", "--g", f"table:{TABLE}"): {"cli", "sharp", "model_manifold", "table", "warping"},
+    ("rigidity", "--g", f"table:{TABLE}", "--c-m", "0.4"):
+        {"cli", "sharp", "model_manifold", "table", "warping", "rigidity"},
 }
 
 # Runs cli.main on its arguments and writes the radsob modules then in
@@ -133,21 +143,23 @@ print(*sorted(own), file=sys.stderr)
 """
 
 
-def _wrong_module_sets(root: Path, argvs) -> dict:
-    """{argv: modules loaded} of each argv whose run in a fresh interpreter,
-    with the package under root, loads other modules than MODULE_SETS names."""
+def _wrong_module_sets(root: Path, argvs, cwd: Path) -> dict:
+    """{argv: modules loaded} of each argv whose run in a fresh interpreter
+    in cwd, with the package under root, loads other modules than
+    MODULE_SETS names."""
     wrong = {}
     for argv in argvs:
         child = subprocess.run([sys.executable, "-c", RUN_AND_LIST, *argv], env=_child_env(root),
-                               capture_output=True, text=True, cwd=root)
+                               capture_output=True, text=True, cwd=cwd)
         loaded = set(child.stderr.splitlines()[-1].split())
         if loaded != MODULE_SETS[argv]:
             wrong[argv] = sorted(loaded)
     return wrong
 
 
-def test_each_invocation_loads_only_the_modules_it_executes():
-    wrong = _wrong_module_sets(PACKAGE.parent, MODULE_SETS)
+def test_each_invocation_loads_only_the_modules_it_executes(tmp_path):
+    (tmp_path / TABLE).write_text(TABLE_TEXT)
+    wrong = _wrong_module_sets(PACKAGE.parent, MODULE_SETS, tmp_path)
     assert not wrong, f"invocations that load other modules: {wrong!r}"
 
 
@@ -158,8 +170,8 @@ def test_module_set_scan_flags_an_eager_import(tmp_path):
     assert source.count("\nimport sys\n") == 1
     eager = "\nimport sys\n\nfrom .rigidity import verify_theorem\n"
     cli.write_text(source.replace("\nimport sys\n", eager))
-    assert _wrong_module_sets(tmp_path, [("constants", "--help")]) == {
-        ("constants", "--help"): ["cli", "rigidity", "talenti"],
+    assert _wrong_module_sets(tmp_path, [("constants", "--help")], tmp_path) == {
+        ("constants", "--help"): ["cli", "rigidity", "sharp"],
     }
 
 
@@ -172,8 +184,8 @@ def test_module_set_scan_flags_an_eager_kernel_import(tmp_path):
     assert source.count("\nimport math\n") == 1
     eager = "\nimport math\n\nfrom .numerics import integrate_semi_infinite\n"
     talenti.write_text(source.replace("\nimport math\n", eager))
-    assert _wrong_module_sets(tmp_path, [("limits",)]) == {
-        ("limits",): ["cli", "numerics", "rigidity", "talenti"],
+    assert _wrong_module_sets(tmp_path, [("limits",)], tmp_path) == {
+        ("limits",): ["cli", "numerics", "rigidity", "sharp", "talenti"],
     }
 
 
@@ -565,10 +577,11 @@ def test_only_the_sweep_calls_grid_steps():
     assert _grid_steps_callers((PACKAGE / "numerics.py").read_text())
 
 
-# Pointwise G belongs to model_manifold: its profiles define g, and it
-# hands g to the sweep.  No other module of src/radsob reads a profile's
-# .g, or names a curvature or radial_ricci; numerics' sweep reads G only
-# through the g it is passed, a plain name.
+# Pointwise G belongs to the modules that define a CurvatureProfile
+# subclass, model_manifold and table: their profiles define g, and a
+# profile hands g to the sweep.  No other module of src/radsob reads a
+# profile's .g, or names a curvature or radial_ricci; numerics' sweep
+# reads G only through the g it is passed, a plain name.
 
 POINTWISE_CURVATURE = {"curvature", "radial_ricci"}
 
@@ -591,6 +604,15 @@ def _pointwise_curvature_reads(source: str) -> list:
     return found
 
 
+def _defines_a_profile(source: str) -> bool:
+    """Whether a class of source names CurvatureProfile as a base."""
+    return any(
+        "CurvatureProfile" in (getattr(base, "id", None), getattr(base, "attr", None))
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for base in node.bases
+    )
+
+
 def test_scan_flags_a_pointwise_curvature_read():
     source = (
         "def solve(g, t):\n    return g(t)\n\n\n"
@@ -602,14 +624,20 @@ def test_scan_flags_a_pointwise_curvature_read():
     assert sorted(_pointwise_curvature_reads(source)) == [
         (6, "g"), (9, "curvature"), (9, "radial_ricci"), (10, "curvature"), (13, "curvature"),
     ]
+    # Importing or subclassing another base defines no profile.
+    assert not _defines_a_profile(source + "from .model_manifold import CurvatureProfile\n"
+                                  "class Model(ModelManifold):\n    pass\n")
+    assert _defines_a_profile("class Flat(model_manifold.CurvatureProfile):\n    pass\n")
 
 
-def test_pointwise_curvature_is_read_only_in_model_manifold():
+def test_pointwise_curvature_is_read_only_where_profiles_are_defined():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    definers = sorted(name for name, source in sources.items() if _defines_a_profile(source))
+    assert definers == ["model_manifold.py", "table.py"], definers
     reads = {
-        path.name: found
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "model_manifold.py"
-        and (found := _pointwise_curvature_reads(path.read_text()))
+        name: found
+        for name, source in sources.items()
+        if name not in definers and (found := _pointwise_curvature_reads(source))
     }
-    assert not reads, f"pointwise G read outside model_manifold (line, name): {reads!r}"
-    assert _pointwise_curvature_reads((PACKAGE / "model_manifold.py").read_text())
+    assert not reads, f"pointwise G read outside {definers} (line, name): {reads!r}"
+    assert all(_pointwise_curvature_reads(sources[name]) for name in definers)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from radsob import OdeError, SeriesError, numerics, warping
+from radsob import OdeError, SeriesError, numerics, table, warping
 from radsob.cli import _rigidity_grid
 from radsob.numerics import grid_steps, integrate_finite, solve_h_ivp
 from radsob.warping import panel_volumes
@@ -21,15 +21,14 @@ from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
     RationalDecay,
-    Tabulated,
     ZeroCurvature,
     build_model,
     euclidean_model,
-    load_tabulated,
     parse_curvature,
     verify_volume_chain,
 )
-from radsob.talenti import unit_ball_volume
+from radsob.sharp import unit_ball_volume
+from radsob.table import Tabulated, load_tabulated
 
 import _oracles
 from _oracles import conical_model, model_from_warping, uniform_grid
@@ -356,12 +355,12 @@ def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
     binomial series of G moves h at t = 20 and 50 by more than the
     literals' 1e-13 (by about 3e-11 and 8e-11).  Dropping only the last of
     its coefficients would move h by less than rounding."""
-    series_warping = warping.series_warping
+    series_warping = table.series_warping
 
     def cut(pieces):
         return series_warping([(a, b, gs[:16] if a >= 8.0 else gs) for a, b, gs in pieces])
 
-    monkeypatch.setattr(warping, "series_warping", cut)
+    monkeypatch.setattr(table, "series_warping", cut)
     h, _ = SEED0_TABLE.warping(50.0, 1e-3)
     for t in (20.0, 50.0):
         ref = _oracles.TABLE_SEED0[t][0]
@@ -371,7 +370,7 @@ def test_a_truncated_tail_series_misses_the_literals(monkeypatch):
 def test_a_series_that_does_not_converge_fails_its_check(monkeypatch):
     """A piece whose terms are not yet rounding at the term cap raises
     SeriesError, naming the piece, rather than truncating silently."""
-    monkeypatch.setattr(warping, "SERIES_MAX_TERMS", 8)
+    monkeypatch.setattr(table, "SERIES_MAX_TERMS", 8)
     with pytest.raises(SeriesError, match=r"series on \[0, 1\] did not converge within 8 terms"):
         SEED0_TABLE.warping(50.0, 1e-3)
 
@@ -394,7 +393,7 @@ def test_a_series_summed_past_the_float_range_names_its_piece():
         SEED0_TABLE.warping(1e308, 1e-3)
     assert f"{info.value.t:g}" == "8.20373e+307"
     with pytest.raises(OdeError) as info:
-        warping.series_warping([(0.0, 1e150, [1e-100, -1e-100])])
+        table.series_warping([(0.0, 1e150, [1e-100, -1e-100])])
     assert info.value.t == 1e150
 
 

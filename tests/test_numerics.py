@@ -25,7 +25,8 @@ from radsob.warping import (
     panel_volumes,
 )
 
-from radsob.model_manifold import ConstantCutoff, RationalDecay, Tabulated
+from radsob.model_manifold import ConstantCutoff, RationalDecay
+from radsob.table import Tabulated
 
 from _oracles import (
     RATIONAL_B1_H, RATIONAL_B1_HP, SINH_1, hermite_reference, ivp_nodes, rk4_reference,

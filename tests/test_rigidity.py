@@ -15,7 +15,6 @@ from radsob.model_manifold import (
     ConstantCutoff,
     ModelManifold,
     RationalDecay,
-    Tabulated,
     ZeroCurvature,
     build_model,
     euclidean_model,
@@ -29,13 +28,9 @@ from radsob.rigidity import (
     verify_theorem,
 )
 from radsob.sobolev import manifold_integral, talenti_function
-from radsob.talenti import (
-    SobolevParams,
-    TalentiProfile,
-    profile_split,
-    sharp_constant,
-    unit_ball_volume,
-)
+from radsob.sharp import SobolevParams, sharp_constant, unit_ball_volume
+from radsob.table import Tabulated
+from radsob.talenti import TalentiProfile, profile_split
 
 import _oracles
 from _oracles import conical_model, model_from_warping

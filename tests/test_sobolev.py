@@ -24,7 +24,8 @@ from radsob.sobolev import (
     talenti_function,
     verify_decay_conditions,
 )
-from radsob.talenti import SobolevParams, TalentiProfile
+from radsob.sharp import SobolevParams
+from radsob.talenti import TalentiProfile
 
 import _oracles
 from _oracles import sobolev_quotient

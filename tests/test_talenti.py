@@ -11,18 +11,16 @@ import math
 
 import pytest
 
-from radsob import talenti
+from radsob import sharp, talenti
 from radsob.numerics import integrate_finite, integrate_semi_infinite
-from radsob.talenti import (
+from radsob.sharp import (
     SobolevParams,
-    TalentiProfile,
-    mass_split,
     sharp_beta,
     sharp_constant,
-    sharp_constant_detail,
     sphere_area,
     unit_ball_volume,
 )
+from radsob.talenti import TalentiProfile, mass_split, sharp_constant_detail
 
 import _oracles
 
@@ -129,7 +127,7 @@ def test_the_subtracted_kernel_exponent_misses_near_p_one(monkeypatch):
             + math.lgamma(m - m / p + shift) + math.lgamma(m / p - shift) - math.lgamma(m)
         )
 
-    monkeypatch.setattr(talenti, "_log_kernel", subtracted)
+    monkeypatch.setattr(sharp, "_log_kernel", subtracted)
     ref = _oracles.SHARP_K_NEAR_P1[3, 1e-6]
     assert abs(sharp_constant(SobolevParams(3, 1.0 + 1e-6)) - ref) / ref > 1e-12
 
