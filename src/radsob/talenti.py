@@ -108,7 +108,11 @@ class TalentiProfile(_Profile):
     coef past the float range with ValueError.  Where the direct form of
     phi or phi' overflows at t > 0 (t^q past the float range, as near
     p = 1), it is taken as the exponential of its logarithm; at t = 0,
-    where the logarithm cannot take it, the OverflowError stands.
+    where the logarithm cannot take it, the OverflowError stands.  So is
+    phi' at t > 0 where a factor of its direct form leaves the float range
+    without raising, as at huge lam near p = 1: (lam + t^q)^(-nu-1)
+    underflows to 0, and the product is 0, or nan where coef nu q t^(q-1)
+    overflows to inf.
     """
 
     __slots__ = ()
@@ -147,6 +151,18 @@ class TalentiProfile(_Profile):
             return math.exp(math.log(self.coef) - self.nu * self.log_base(math.log(t)))
 
     def phi_prime(self, t: float) -> float:
+        slope = self._slope(t)
+        # A factor of the direct form left the float range: it is inf * 0,
+        # or a finite factor times one that underflowed to 0.
+        if math.isnan(slope) or (slope == 0.0 and t > 0.0):
+            return self._log_slope(t)
+        return slope
+
+    def _slope(self, t: float) -> float:
+        """phi' in its direct form, or in log space where that raises
+        OverflowError: nan where the direct form is inf * 0.  The constants
+        self-test reads this form, as its kernel takes a non-finite slope
+        to a log space of its own."""
         if t < 0.0:
             raise ValueError("profiles are radial: t >= 0 required")
         q, nu = self.q, self.nu
@@ -155,9 +171,13 @@ class TalentiProfile(_Profile):
         except OverflowError:
             if t == 0.0:
                 raise
-            log_t = math.log(t)
-            return -math.exp(math.log(self.coef * nu * q) + (q - 1.0) * log_t
-                             - (nu + 1.0) * self.log_base(log_t))
+            return self._log_slope(t)
+
+    def _log_slope(self, t: float) -> float:
+        q, nu = self.q, self.nu
+        log_t = math.log(t)
+        return -math.exp(math.log(self.coef * nu * q) + (q - 1.0) * log_t
+                         - (nu + 1.0) * self.log_base(log_t))
 
 
 # The scales at which the constants self-test integrates the energy.
@@ -190,7 +210,7 @@ def sharp_constant_detail(params: SobolevParams, lambdas: tuple) -> dict:
 
     def energy(lam: float) -> float:
         profile = TalentiProfile.build(params, lam)
-        slope, q, nu = profile.phi_prime, profile.q, profile.nu
+        slope, q, nu = profile._slope, profile.q, profile.nu
         if (slope_coef := profile.coef * nu * q) == 0.0:
             raise out_of_range(f"the coefficient beta lambda^((m-p)/p^2) (m-p)/(p-1) of "
                                f"phi_lambda' underflows to 0 at scale lambda={lam:g}")

@@ -195,6 +195,13 @@ NAMED_REFUSALS = {
         for command, first in (("model", 1), ("rigidity", 5))
         for g, extra in (("rational:0.1", ()), ("const:0.05:3", ("--step", "1e302")))
     },
+    # At (4, 1.05) and scale 1e100 phi' is taken in log space where a factor
+    # of its direct form leaves the float range, so verify reaches the flux
+    # check instead of stalling the quadrature on a nan: the bulk of
+    # the profile lies near lambda^(1/q) = 5.8e4, past every flux radius.
+    ("verify", "--m", "4", "--p", "1.05", "--g", "zero", "--lambda", "1e100"):
+        "no flux radius of (2.0, 5.0, 10.0, 20.0, 40.0) up to 0.9 t_max=45 clears the "
+        "witness's bulk",
     # At m = 300 a ball volume or sphere area on the report's grid is out
     # of range: the model names the quantity, the radius and m.
     ("model", "--m", "300", "--g", "zero"):
@@ -390,7 +397,7 @@ def test_parser_contract_over_every_subcommand():
     assert rc == 0 and out.startswith("usage: radsob") and err == "", err
     for command, unread in DROPPED.items():
         takes = [flag for flag in FLAG_VALUES if flag not in unread]
-        assert {*takes} == {*cli.COMMANDS[command][1], "--output", "--out"}, command
+        assert {*takes} == {*cli.COMMANDS[command], "--output", "--out"}, command
         spaced = [token for flag in takes for token in (flag, FLAG_VALUES[flag])]
         inline = [f"{flag}={FLAG_VALUES[flag]}" for flag in takes]
         assert vars(parse_args([command, *spaced])) == vars(parse_args([command, *inline]))
@@ -658,14 +665,17 @@ def test_verify_near_p_one_takes_the_profile_in_log_space(capsys):
     """At p = 1.02 and 1.01, q = 51 and 101, and t^q on the tail integrals
     (t up to 1e8) is past the float range: phi and phi' are taken in log
     space there, and verify passes, its energy within --tol of K^(-p),
-    instead of exiting 2."""
-    for m in ("3", "4", "10"):
-        for p in ("1.02", "1.01"):
-            rc, out = _run(capsys, ["verify", "--m", m, "--p", p, "--g", "zero"])
-            assert rc == 0 and out.endswith("# pass=true\n"), (m, p, out)
-            energy = next(line for line in out.split("\n") if line.startswith("energy_lower,"))
-            k_pow, value = map(float, energy.split(",")[2:4])
-            assert abs(value - k_pow) <= cli.DEFAULTS["tol"] * k_pow, (m, p, energy)
+    instead of exiting 2.  At scale 1e100 a factor of the direct form of
+    phi' leaves the float range (the product is inf * 0 at (3, 1.01), and
+    0 below the bulk at (4, 1.01)), and phi' is taken in log space there
+    too."""
+    runs = [(m, p, ()) for m in ("3", "4", "10") for p in ("1.02", "1.01")]
+    for m, p, extra in runs + [(m, "1.01", ("--lambda", "1e100")) for m in ("3", "4")]:
+        rc, out = _run(capsys, ["verify", "--m", m, "--p", p, "--g", "zero", *extra])
+        assert rc == 0 and out.endswith("# pass=true\n"), (m, p, extra, out)
+        energy = next(line for line in out.split("\n") if line.startswith("energy_lower,"))
+        k_pow, value = map(float, energy.split(",")[2:4])
+        assert abs(value - k_pow) <= cli.DEFAULTS["tol"] * k_pow, (m, p, extra, energy)
 
 
 def test_constants_self_test_takes_an_overflowing_kernel_in_log_space(capsys):
@@ -721,10 +731,11 @@ def test_only_the_constants_self_test_integrates():
 def test_constants_fails_on_an_error_every_scale_shares(capsys, monkeypatch):
     """phi' scaled by 1 + 1e-6 moves the quadrature K at every scale alike:
     the spread stays at rounding level, but the rows no longer match the
-    closed-form K, so the self-test fails."""
-    phi_prime = talenti.TalentiProfile.phi_prime
+    closed-form K, so the self-test fails.  The self-test reads phi' through
+    TalentiProfile._slope, so that is the form scaled."""
+    slope = talenti.TalentiProfile._slope
     monkeypatch.setattr(
-        talenti.TalentiProfile, "phi_prime", lambda self, t: (1.0 + 1e-6) * phi_prime(self, t)
+        talenti.TalentiProfile, "_slope", lambda self, t: (1.0 + 1e-6) * slope(self, t)
     )
     rc, out = _run(capsys, ["constants", "--m", "4", "--p", "2"])
     table = dict(line.split(",") for line in out.strip().split("\n")[3:])

@@ -103,6 +103,10 @@ def test_cli_import_loads_no_slow_module():
 
 
 # The radsob modules each invocation loads: those its subcommand executes.
+# cli holds the command line alone, so --help loads nothing else; a run
+# that does work loads report, the helpers the five reports share, and its
+# subcommand's own cmd_<subcommand>, never another's.  The two `rigidity`
+# argvs of perfbench's witness_search workload at seed 0 are among them.
 # `rigidity` does not load sobolev: C_M is the user's or K.  sharp, the
 # closed forms of (m, p), beta and K, is loaded by every run that does
 # work; talenti, the profile family, its self-test and its mass split, by
@@ -114,21 +118,28 @@ def test_cli_import_loads_no_slow_module():
 # and `verify` here, is flat.  TABLE is written to the runs' directory.
 TABLE = "curvature.txt"
 TABLE_TEXT = "0 0.3\n1 0.25\n2 0.1\n4 0.02\n8 0.001\n# tail_power=3\n"
+WITNESS_CURVED = ("rigidity", "--m", "4", "--p", "2", "--g", "rational:0.1",
+                  "--c-m", "estimate", "--gamma", "empirical")
+WITNESS_FLAT = ("rigidity", "--m", "4", "--p", "2", "--g", "zero")
 MODULE_SETS = {
     ("constants", "--help"): {"cli"},
-    ("constants",): {"cli", "numerics", "sharp", "talenti"},
-    ("limits",): {"cli", "sharp", "talenti", "rigidity"},
-    ("model",): {"cli", "sharp", "model_manifold"},
-    ("verify",): {"cli", "numerics", "sharp", "talenti", "model_manifold", "sobolev"},
-    ("rigidity", "--g", "zero"): {"cli", "sharp", "model_manifold", "rigidity"},
-    ("model", "--g", "rational:0.1"): {"cli", "sharp", "model_manifold", "warping"},
-    ("rigidity", "--g", "rational:0.1", "--c-m", "0.4"):
-        {"cli", "sharp", "model_manifold", "warping", "rigidity"},
+    ("constants",): {"cli", "report", "cmd_constants", "numerics", "sharp", "talenti"},
+    ("limits",): {"cli", "report", "cmd_limits", "sharp", "talenti", "rigidity"},
+    ("model",): {"cli", "report", "cmd_model", "sharp", "model_manifold"},
+    ("verify",): {"cli", "report", "cmd_verify", "numerics", "sharp", "talenti",
+                  "model_manifold", "sobolev"},
+    WITNESS_FLAT: {"cli", "report", "cmd_rigidity", "sharp", "model_manifold", "rigidity"},
+    ("model", "--g", "rational:0.1"):
+        {"cli", "report", "cmd_model", "sharp", "model_manifold", "warping"},
+    WITNESS_CURVED:
+        {"cli", "report", "cmd_rigidity", "sharp", "model_manifold", "warping", "rigidity"},
     ("model", "--g", "const:0.05:3"):
-        {"cli", "numerics", "sharp", "model_manifold", "warping"},
-    ("model", "--g", f"table:{TABLE}"): {"cli", "sharp", "model_manifold", "table", "warping"},
+        {"cli", "report", "cmd_model", "numerics", "sharp", "model_manifold", "warping"},
+    ("model", "--g", f"table:{TABLE}"):
+        {"cli", "report", "cmd_model", "sharp", "model_manifold", "table", "warping"},
     ("rigidity", "--g", f"table:{TABLE}", "--c-m", "0.4"):
-        {"cli", "sharp", "model_manifold", "table", "warping", "rigidity"},
+        {"cli", "report", "cmd_rigidity", "sharp", "model_manifold", "table", "warping",
+         "rigidity"},
 }
 
 # Runs cli.main on its arguments and writes the radsob modules then in
@@ -185,8 +196,75 @@ def test_module_set_scan_flags_an_eager_kernel_import(tmp_path):
     eager = "\nimport math\n\nfrom .numerics import integrate_semi_infinite\n"
     talenti.write_text(source.replace("\nimport math\n", eager))
     assert _wrong_module_sets(tmp_path, [("limits",)], tmp_path) == {
-        ("limits",): ["cli", "numerics", "rigidity", "sharp", "talenti"],
+        ("limits",): ["cli", "cmd_limits", "numerics", "report", "rigidity", "sharp", "talenti"],
     }
+
+
+# Without a __pycache__ every run compiles each radsob module it loads, so
+# the AST nodes of those modules and of the package __init__ measure what a
+# run compiles: a count that is deterministic and that docstrings and
+# comments barely move.  The setup_s probe of perfbench, `constants
+# --help`, and both witness_search argvs may not compile more than their
+# ceilings; a change that lowers a count lowers its ceiling too.
+COMPILE_CEILINGS = {("constants", "--help"): 1113, WITNESS_CURVED: 6584, WITNESS_FLAT: 5831}
+
+
+def _compile_size(root: Path, modules) -> int:
+    """AST nodes of __init__.py and of each named module under root."""
+    return sum(sum(1 for _ in ast.walk(ast.parse((root / f"{name}.py").read_text())))
+               for name in {"__init__", *modules})
+
+
+def test_scan_counts_compiled_nodes(tmp_path):
+    (tmp_path / "__init__.py").write_text('"""Docstring."""\n')
+    (tmp_path / "one.py").write_text("x = 1\n")
+    (tmp_path / "two.py").write_text("# a comment\nx = 1  # another\n")
+    # Module, Expr and Constant; Module, Assign, Name, Store and Constant.
+    assert _compile_size(tmp_path, {"one"}) == 3 + 5
+    assert _compile_size(tmp_path, {"one", "two"}) == 3 + 5 + 5
+
+
+def test_runs_compile_no_more_than_their_ceilings():
+    sizes = {argv: _compile_size(PACKAGE, MODULE_SETS[argv]) for argv in COMPILE_CEILINGS}
+    over = {argv: (size, COMPILE_CEILINGS[argv]) for argv, size in sizes.items()
+            if size > COMPILE_CEILINGS[argv]}
+    assert not over, f"AST nodes compiled (count, ceiling): {over!r}"
+
+
+# No radsob module imports radsob.cli: `python -m radsob.cli` runs it as
+# __main__, so an import would compile it a second time, as radsob.cli.
+
+def _cli_imports(source: str) -> list:
+    """Lines of source, a module of the radsob package, that import
+    radsob.cli by an absolute or a relative name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("radsob" if node.level else None, node.module)))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if "radsob.cli" in names:
+            found.append(node.lineno)
+    return found
+
+
+def test_scan_flags_an_import_of_the_cli():
+    source = (
+        "import radsob.cli\nfrom radsob.cli import main\nfrom radsob import cli\n"
+        "from .cli import FLAGS\nfrom . import report, cli\n"
+        "from . import CheckFailed\nfrom .report import _fmt\nimport radsob.client\n"
+        "from radsob.clients import cli\nfrom .cmd_model import run\n"
+    )
+    assert _cli_imports(source) == [1, 2, 3, 4, 5]
+
+
+def test_no_module_imports_the_cli():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := _cli_imports(path.read_text()))}
+    assert not found, f"radsob.cli imported (module: lines): {found!r}"
 
 
 def test_the_tracer_wraps_modules_no_run_has_loaded(tmp_path):
@@ -418,7 +496,7 @@ def _flag_pairs(commands: dict) -> int:
     """(subcommand, flag) pairs a user can set in a command table like
     cli.COMMANDS: the flags each subcommand reads, and the report flags
     that every subcommand takes.  -h sets nothing."""
-    return sum(len(reads) + len(REPORT_FLAGS) for _, reads in commands.values())
+    return sum(len(reads) + len(REPORT_FLAGS) for reads in commands.values())
 
 
 def test_scan_counts_settable_values():
@@ -440,7 +518,7 @@ def test_scan_counts_settable_values():
 
 
 def test_scan_counts_flag_pairs():
-    commands = {"first": (print, ("--x", "--y")), "second": (print, ("--x",))}
+    commands = {"first": ("--x", "--y"), "second": ("--x",)}
     # --x twice and --y once, and --output and --out of each subcommand.
     assert _flag_pairs(commands) == 7
 

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from radsob import OdeError, SeriesError, numerics, table, warping
-from radsob.cli import _rigidity_grid
+from radsob.cmd_rigidity import _rigidity_grid
 from radsob.numerics import grid_steps, integrate_finite, solve_h_ivp
 from radsob.warping import panel_volumes
 from radsob.model_manifold import (

@@ -330,6 +330,21 @@ def test_the_profile_past_the_float_range_of_t_to_the_q_is_taken_in_log_space():
             evaluate(0.0)
 
 
+def test_phi_prime_where_a_factor_of_its_direct_form_leaves_the_float_range():
+    """At lam = 1e100 near p = 1, (lam + t^q)^(-nu-1) underflows to 0 while
+    phi' is still a float: at (4, 1.05), q = 21, and t = 10 the direct form
+    is a finite factor times 0, and at (3, 1.01), q = 101, and t = 50 it is
+    inf * 0.  There phi' is the exponential of its logarithm, within 1e-12
+    of the direct form evaluated once with mpmath at 30 digits."""
+    for m, p, t, overflows, want in ((4, 1.05, 10.0, False, -1.00414763192478526171663614022e-92),
+                                     (3, 1.01, 50.0, True, -1.54047242028848336607010065457e-143)):
+        profile = TalentiProfile.build(SobolevParams(m, p), 1e100)
+        q, nu = profile.q, profile.nu
+        assert (profile.coef * nu * q * t ** (q - 1.0) == math.inf) is overflows
+        assert (profile.lam + t**q) ** (-nu - 1.0) == 0.0
+        assert profile.phi_prime(t) == pytest.approx(want, rel=1e-12), (m, p)
+
+
 def test_head_falls_as_lambda_grows():
     """The mass escapes through a fixed ball: at T = 0.5 the head falls,
     and the tail rises, with every step up in scale."""
